@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .freelie import is_lyndon, standard_tree
 
-__all__ = ["a_mul", "a_add", "a_scale", "expand_tree", "lie_coordinates"]
+__all__ = ["a_mul", "a_add", "expand_tree", "lie_coordinates"]
 
 
 def a_add(a: dict, b: dict, mult=1) -> dict:
@@ -27,10 +27,6 @@ def a_add(a: dict, b: dict, mult=1) -> dict:
         else:
             out.pop(w, None)
     return out
-
-
-def a_scale(a: dict, mult) -> dict:
-    return {w: c * mult for w, c in a.items()} if mult else {}
 
 
 def a_mul(a: dict, b: dict, cap: int) -> dict:

@@ -43,6 +43,8 @@ def _load_models(path):
 
 
 def cmd_witt(args) -> int:
+    if args.max_length < 1:
+        raise ValueError(f"--max-length must be at least 1, got {args.max_length}")
     rows = []
     for ell in range(1, args.max_length + 1):
         wd = witt_dim(ell)
@@ -114,6 +116,8 @@ def cmd_verify(args, models) -> int:
     reports = []
     failures = 0
     if args.all is not None:
+        if args.all < 1:
+            raise ValueError(f"--all must be at least 1, got {args.all}")
         for mid in sorted(models):
             if models[mid].codim > args.all:
                 continue

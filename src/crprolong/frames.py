@@ -376,10 +376,38 @@ def catalog_to_json(catalog: dict) -> str:
     return json.dumps(entries, indent=2)
 
 
+_PAYLOAD = {"rigid": "phi", "field": "cr"}
+
+
 def load_catalog(text: str) -> dict:
+    """Models from catalog JSON: a list of :meth:`ModelSpec.to_json_dict` objects.
+
+    A malformed entry raises ValueError naming its field path, such as
+    ``catalog[0]: missing 'defining'``.
+    """
     entries = json.loads(text)
+    if not isinstance(entries, list):
+        raise ValueError("catalog: top level must be a list of models")
     out = {}
-    for obj in entries:
-        m = ModelSpec.from_json_dict(obj)
+    for n, obj in enumerate(entries):
+        where = f"catalog[{n}]"
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: must be an object")
+        for key in ("id", "k", "defining"):
+            if key not in obj:
+                raise ValueError(f"{where}: missing {key!r}")
+        if not isinstance(obj["id"], str) or obj["id"] in out:
+            raise ValueError(f"{where}.id: must be a string not used by an earlier entry")
+        k, d = obj["k"], obj["defining"]
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"{where}.k: must be a positive integer, got {k!r}")
+        if not isinstance(d, dict) or d.get("type") not in _PAYLOAD:
+            raise ValueError(f"{where}.defining.type: must be one of {sorted(_PAYLOAD)}")
+        if _PAYLOAD[d["type"]] not in d:
+            raise ValueError(f"{where}.defining: missing {_PAYLOAD[d['type']]!r}")
+        try:
+            m = ModelSpec.from_json_dict(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
         out[m.model_id] = m
     return out

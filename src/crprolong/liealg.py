@@ -44,7 +44,6 @@ __all__ = [
     "realify",
     "real_form",
     "first_bracket_mismatch",
-    "is_graded_isomorphism",
 ]
 
 
@@ -715,12 +714,3 @@ def first_bracket_mismatch(src: GradedLieAlgebra, dst: GradedLieAlgebra, p: Matr
                 return (i, j)
     return None
 
-
-def is_graded_isomorphism(src: GradedLieAlgebra, dst: GradedLieAlgebra, p: Matrix) -> bool:
-    if src.dim != dst.dim or p.rows != dst.dim or p.cols != src.dim:
-        return False
-    from .exact import rank as _rank
-
-    if _rank(p) != src.dim:
-        return False
-    return first_bracket_mismatch(src, dst, p) is None

@@ -171,9 +171,6 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def weighted_degrees(self, weights):
-        return sorted({sum(w * x for w, x in zip(weights, e)) for e in self.terms})
-
     def extend_vars(self, nvars: int) -> "Poly":
         """Reinterpret in a chart with extra trailing variables."""
         if nvars < self.nvars:

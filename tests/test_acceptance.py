@@ -15,6 +15,7 @@ from crprolong.cli import main as cli_main
 from crprolong.crmodels import (
     NotADerivation,
     _coords_in_component,
+    build_aut_cr,
     euler_derivation,
     rotation_derivation,
     verify_theorem,
@@ -132,9 +133,13 @@ def test_criterion_4_main_theorem_sweep(sweep):
         rep = rec["report"]
         if rep.verdict != "confirmed":
             ok = False
-        # case inference must agree with the independent rotation solve
+        # case inference must agree with rotation_derivation, which reads
+        # the rotation off the same grade-0 solve ...
         rot_exists = rec["rotation"] is not NotADerivation
         if rep.case != ("complex-alpha" if rot_exists else "real-alpha"):
+            ok = False
+        # ... and with the quotient-stability criterion, which uses no solve
+        if rep.case != build_aut_cr(rec["symbol"], "auto", rf=rec["rf"]).case:
             ok = False
     cases = {rec["name"]: rec["report"].case for rec in sweep["records"]}
     print("\n  per-model case table:", cases)

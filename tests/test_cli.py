@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from crprolong.cli import main
 from crprolong.liealg import GradedLieAlgebra
 
@@ -112,3 +114,73 @@ def test_custom_catalog_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--all", "12", "--catalog", str(path), "--format", "json")
     assert code == 0
     assert len(json.loads(out)) == 1
+
+
+def _heisenberg_entry():
+    from crprolong.frames import builtin_catalog
+
+    return builtin_catalog()["heisenberg"].to_json_dict()
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda e: e, "catalog: top level must be a list"),
+        (lambda e: ["heisenberg"], "catalog[0]: must be an object"),
+        (lambda e: [_without(e, "id")], "catalog[0]: missing 'id'"),
+        (lambda e: [_without(e, "k")], "catalog[0]: missing 'k'"),
+        (lambda e: [_without(e, "defining")], "catalog[0]: missing 'defining'"),
+        (lambda e: [dict(e, id=7)], "catalog[0].id: must be a string"),
+        (lambda e: [e, e], "catalog[1].id: must be a string not used by an earlier entry"),
+        (lambda e: [dict(e, k="1")], "catalog[0].k: must be a positive integer"),
+        (lambda e: [dict(e, k=0)], "catalog[0].k: must be a positive integer"),
+        (lambda e: [dict(e, defining=_without(e["defining"], "type"))], "catalog[0].defining.type: must be one of"),
+        (lambda e: [dict(e, defining={"type": "rigid"})], "catalog[0].defining: missing 'phi'"),
+        (lambda e: [e, dict(e, id="h2", defining={"type": "rigid", "phi": [{}]})], "catalog[1]: 'terms'"),
+        (lambda e: [dict(e, k=2)], "catalog[0]: need 2 defining polynomials"),
+    ],
+    ids=[
+        "object",
+        "entry-not-object",
+        "no-id",
+        "no-k",
+        "no-defining",
+        "id-not-string",
+        "duplicate-id",
+        "k-not-integer",
+        "k-zero",
+        "no-type",
+        "no-payload",
+        "bad-polynomial",
+        "wrong-count",
+    ],
+)
+def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(make(_heisenberg_entry())))
+    code, out, err = run(capsys, "models", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--all", "0"), "--all must be at least 1"),
+        (("verify", "--all", "-1"), "--all must be at least 1"),
+        (("witt", "--max-length", "0"), "--max-length must be at least 1"),
+        (("witt", "--max-length", "-2"), "--max-length must be at least 1"),
+    ],
+)
+def test_nonpositive_bound_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert message in err
