@@ -75,11 +75,16 @@ def cmd_witt(args) -> int:
     return 0
 
 
-def _resolve_symbol(args, models):
+def _catalog_model(args):
+    models = _load_models(args.catalog)
+    if args.model not in models:
+        raise KeyError(f"unknown model id {args.model!r}")
+    return models[args.model]
+
+
+def _resolve_symbol(args):
     if args.model:
-        if args.model not in models:
-            raise KeyError(f"unknown model id {args.model!r}")
-        return symbol_from_frame(models[args.model])
+        return symbol_from_frame(_catalog_model(args))
     quotient = None
     if args.quotient and args.quotient != "default":
         with open(args.quotient, "r", encoding="utf-8") as fh:
@@ -103,8 +108,8 @@ def _symbol_text(symbol) -> str:
     return "\n".join(lines)
 
 
-def cmd_symbol(args, models) -> int:
-    symbol = _resolve_symbol(args, models)
+def cmd_symbol(args) -> int:
+    symbol = _resolve_symbol(args)
     if args.format == "json":
         _write_output(symbol.to_json(), args.output)
     else:
@@ -112,20 +117,18 @@ def cmd_symbol(args, models) -> int:
     return 0
 
 
-def cmd_verify(args, models) -> int:
+def cmd_verify(args) -> int:
     reports = []
-    failures = 0
     if args.all is not None:
         if args.all < 1:
             raise ValueError(f"--all must be at least 1, got {args.all}")
+        models = _load_models(args.catalog)
         for mid in sorted(models):
             if models[mid].codim > args.all:
                 continue
             reports.append(_verify_one(models[mid], mid))
     elif args.model:
-        if args.model not in models:
-            raise KeyError(f"unknown model id {args.model!r}")
-        reports.append(_verify_one(models[args.model], args.model))
+        reports.append(_verify_one(_catalog_model(args), args.model))
     else:
         symbol = build_symbol_algebra(args.k)
         reports.append(_run_verify(symbol, f"k{args.k}:default"))
@@ -154,7 +157,8 @@ def _run_verify(symbol, mid):
     return report
 
 
-def cmd_models(args, models) -> int:
+def cmd_models(args) -> int:
+    models = _load_models(args.catalog)
     lines = []
     for mid in sorted(models):
         m = models[mid]
@@ -183,24 +187,25 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--output", "-o", default=None, help="write output to a file")
-    common.add_argument("--catalog", default=None, help="path to a JSON model catalog")
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--catalog", default=None, help="path to a JSON model catalog")
 
     p = sub.add_parser("witt", parents=[common], help="dimension and length table")
     p.add_argument("--max-length", type=int, default=6)
 
-    p = sub.add_parser("symbol", parents=[common], help="construct a symbol algebra")
+    p = sub.add_parser("symbol", parents=[common, catalog], help="construct a symbol algebra")
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--k", type=int, help="codimension (default quotient)")
     sel.add_argument("--model", help="catalog model id (frame-induced quotient)")
     p.add_argument("--quotient", default="default", help="'default' or a JSON quotient-spec file")
 
-    p = sub.add_parser("verify", parents=[common], help="verify the isomorphism theorem")
+    p = sub.add_parser("verify", parents=[common, catalog], help="verify the isomorphism theorem")
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--k", type=int, help="codimension (default quotient)")
     sel.add_argument("--model", help="catalog model id")
     sel.add_argument("--all", type=int, metavar="K_MAX", help="sweep all catalog models with k <= K_MAX")
 
-    sub.add_parser("models", parents=[common], help="list catalog models and their CR fields")
+    sub.add_parser("models", parents=[common, catalog], help="list catalog models and their CR fields")
     return parser
 
 
@@ -211,15 +216,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        models = _load_models(args.catalog)
         if args.command == "witt":
             return cmd_witt(args)
         if args.command == "symbol":
-            return cmd_symbol(args, models)
+            return cmd_symbol(args)
         if args.command == "verify":
-            return cmd_verify(args, models)
+            return cmd_verify(args)
         if args.command == "models":
-            return cmd_models(args, models)
+            return cmd_models(args)
         parser.error(f"unknown command {args.command}")
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -9,9 +9,11 @@ kernel solves in :mod:`.prolong`.  The verification builds the map that is
 the identity on g_-, sends d to the Euler derivation and r to the Leibniz
 extension of -J, and checks bijectivity plus bracket preservation on every
 basis pair.  The symbol is fundamental, so an element of the J-commuting
-G^0 is fixed by its degree -1 block: the extension of -J is read off the
-computed G^0 by a solve on those blocks alone, and it exists exactly when
-G^0 has an element with degree -1 block -J.
+G^0 is fixed by its degree -1 block.  Both grade-0 images are read off the
+computed G^0 by one small solve on those blocks alone (``_g0_element``):
+d by the block -I, whose element must equal the Euler derivation on every
+block, and r by the block -J, whose element exists exactly when the
+rotation is a derivation of this quotient.
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
     return coords, out
 
 
-def _minus_j(m: GradedLieAlgebra) -> Matrix:
-    return Matrix([[-x for x in row] for row in m.J.data])
+def _negated(a: Matrix) -> Matrix:
+    return Matrix([[-x for x in row] for row in a.data])
 
 
 def rotation_derivation(realified: GradedLieAlgebra):
@@ -133,7 +135,7 @@ def rotation_derivation(realified: GradedLieAlgebra):
     is -J; it is read off that component, not solved for again.
     """
     m = realified
-    found = _g0_element(grade0(m, j_constraint=True), m, _minus_j(m))
+    found = _g0_element(grade0(m, j_constraint=True), m, _negated(m.J))
     return NotADerivation if found is None else found[1]
 
 
@@ -323,35 +325,24 @@ def check_bracket_isomorphism(src: GradedLieAlgebra, dst: GradedLieAlgebra, iso:
         raise VerificationFailed(f"bracket mismatch at pair {pair}", pair=pair)
 
 
-def _coords_in_component(component, m: GradedLieAlgebra, full_matrix: Matrix):
-    """Coordinates of a block-diagonal matrix in a grade-0 component basis."""
-    source_degrees = sorted(set(m.degrees))
-    blocks = {}
-    for a in source_degrees:
-        idx = m.indices_of_degree(a)
-        blocks[a] = Matrix([[full_matrix.data[t][s] for s in idx] for t in idx])
-    target = DerivationMap(0, blocks).flatten(source_degrees)
-    basis = Matrix.from_columns([dm.flatten(source_degrees) for dm in component.maps])
-    return solve_linear(basis, target)
-
-
-def verify_theorem(symbol: SymbolAlgebra, l_max_guard=None) -> TheoremReport:
+def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     """Check aut_CR(M) = Levi-Tanaka prolongation of the symbol algebra.
 
     Both sides are computed independently; the connecting map is the
-    identity on g_-, d -> Euler derivation, r -> the element of the
-    computed G^0 whose degree -1 block is -J.
+    identity on g_-, d -> the element of the computed G^0 whose degree -1
+    block is -I (it must equal the Euler derivation), r -> the element
+    whose degree -1 block is -J.
     Raises :class:`VerificationFailed` (with the offending basis pair)
     if bijectivity or any bracket comparison fails.
     """
     if symbol.length < 3:
         if symbol.codim == 1:
-            return verify_heisenberg(l_max_guard=l_max_guard)
+            return verify_heisenberg()
         raise RhoTooSmall("theorem verification needs length >= 3")
     rf = real_form(symbol.algebra)
-    prolonged = full_prolongation(rf.algebra, LEVI_TANAKA, l_max_guard=l_max_guard)
+    prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
     g0 = prolonged.components[0]
-    rot = _g0_element(g0, rf.algebra, _minus_j(rf.algebra))
+    rot = _g0_element(g0, rf.algebra, _negated(rf.algebra.J))
     case = COMPLEX_ALPHA if rot is not None else REAL_ALPHA
     aut = build_aut_cr(symbol, case, rf=rf)
     model_id = f"k{symbol.codim}:{symbol.quotient.kind}"
@@ -378,17 +369,15 @@ def verify_theorem(symbol: SymbolAlgebra, l_max_guard=None) -> TheoremReport:
         v = [QI_ZERO] * total
         v[i] = QI_ONE
         cols.append(v)
-    try:
-        euler_coords = _coords_in_component(g0, rf.algebra, euler_derivation(rf.algebra))
-    except Inconsistent:
+    euler = _g0_element(g0, rf.algebra, _negated(Matrix.identity(2)))
+    if euler is None or euler[1] != euler_derivation(rf.algebra):
         fail("Euler derivation is not in the computed grade-0 component")
-    v = [QI_ZERO] * total
-    for pos, c in enumerate(euler_coords):
-        v[n + pos] = c
-    cols.append(v)
-    if case == COMPLEX_ALPHA:
+    # the d column, then the r column when G^0 has one
+    for found in (euler, rot):
+        if found is None:
+            continue
         v = [QI_ZERO] * total
-        for pos, c in enumerate(rot[0]):
+        for pos, c in enumerate(found[0]):
             v[n + pos] = c
         cols.append(v)
     iso = Matrix.from_columns(cols)
@@ -424,7 +413,7 @@ HEISENBERG_TOTAL_DIM = 8
 HEISENBERG_DIMS = {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}
 
 
-def verify_heisenberg(l_max_guard=None) -> TheoremReport:
+def verify_heisenberg() -> TheoremReport:
     """Levi-Tanaka prolongation of the length-2 model, positive parts included.
 
     For this one exceptional model the automorphism algebra is the full
@@ -433,7 +422,7 @@ def verify_heisenberg(l_max_guard=None) -> TheoremReport:
     """
     symbol = build_symbol_algebra(1)
     rf = real_form(symbol.algebra)
-    prolonged = full_prolongation(rf.algebra, LEVI_TANAKA, l_max_guard=l_max_guard)
+    prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
     dims = prolonged.dims_by_degree()
     ok = prolonged.dim == HEISENBERG_TOTAL_DIM and dims == HEISENBERG_DIMS
     # full_prolongation raises on any Jacobi or transitivity violation

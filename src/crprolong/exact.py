@@ -59,15 +59,8 @@ class QI:
         self.im = im
         return self
 
-    @staticmethod
-    def i() -> "QI":
-        return QI_I
-
     def conj(self) -> "QI":
         return QI._raw(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return not self.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -239,12 +232,6 @@ class Matrix:
                     if rk[j]:
                         oi[j] = oi[j] + a * rk[j]
         return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def conj_entries(self) -> "Matrix":
-        return Matrix([[x.conj() for x in row] for row in self.data])
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)

@@ -137,13 +137,6 @@ def tree_to_nested(tree):
     return [tree_to_nested(tree[0]), tree_to_nested(tree[1])]
 
 
-def tree_from_nested(obj):
-    if isinstance(obj, int):
-        return obj
-    left, right = obj
-    return (tree_from_nested(left), tree_from_nested(right))
-
-
 def conjugate_tree(tree):
     """Swap the two generators throughout a bracket tree."""
     if isinstance(tree, int):

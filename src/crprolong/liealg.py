@@ -224,12 +224,9 @@ def check_jacobi(algebra: GradedLieAlgebra):
     violations = []
     n = algebra.dim
     for i in range(n):
-        ei = algebra.basis_vector(i)
         for j in range(i + 1, n):
-            ej = algebra.basis_vector(j)
             bij = algebra.bracket_basis(i, j)
             for k in range(j + 1, n):
-                ek = algebra.basis_vector(k)
                 acc = [QI_ZERO] * n
                 for t, c in bij.items():
                     for s, d in algebra.bracket_basis(t, k).items():
@@ -293,7 +290,6 @@ def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
     ones = algebra.indices_of_degree(-1)
     rows = []
     for j in ones:
-        ej = algebra.basis_vector(j)
         for t in range(algebra.dim):
             rows.append([algebra.bracket_basis(i, j).get(t, QI_ZERO) for i in ones])
     mat = Matrix(rows)
@@ -347,10 +343,45 @@ class QuotientSpec:
 
     @classmethod
     def from_json_dict(cls, obj) -> "QuotientSpec":
+        """Inverse of :meth:`to_json_dict`.
+
+        A malformed spec raises ValueError naming its field path, such as
+        ``quotient.rows[0][1]: missing 'im'``.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("quotient: top level must be an object")
+        kind = obj.get("kind", "explicit")
+        if kind not in _QUOTIENT_KINDS:
+            raise ValueError(f"quotient.kind: must be one of {list(_QUOTIENT_KINDS)}, got {kind!r}")
+        rows = obj.get("rows", [])
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("quotient.rows: must be a list of lists")
         rows = tuple(
-            tuple(QI(frac_from_str(x["re"]), frac_from_str(x["im"])) for x in row) for row in obj.get("rows", [])
+            tuple(_qi_from_json(x, f"quotient.rows[{r}][{c}]") for c, x in enumerate(row))
+            for r, row in enumerate(rows)
         )
-        return cls(kind=obj.get("kind", "explicit"), rows=rows, provenance=obj.get("provenance", ""))
+        return cls(kind=kind, rows=rows, provenance=obj.get("provenance", ""))
+
+
+_QUOTIENT_KINDS = ("default", "explicit", "frame")
+
+
+def _qi_from_json(x, where: str) -> QI:
+    """An entry {"re": "p/q", "im": "p/q"} of exact rational strings."""
+    if not isinstance(x, dict):
+        raise ValueError(f"{where}: must be an object with 're' and 'im'")
+    parts = []
+    for key in ("re", "im"):
+        if key not in x:
+            raise ValueError(f"{where}: missing {key!r}")
+        bad = f"{where}.{key}: must be an exact rational string, got {x[key]!r}"
+        if not isinstance(x[key], str):
+            raise ValueError(bad)
+        try:
+            parts.append(frac_from_str(x[key]))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(bad) from None
+    return QI(*parts)
 
 
 class SymbolAlgebra:
@@ -373,9 +404,6 @@ class SymbolAlgebra:
 
     def dims_by_degree(self):
         return tuple(len(self.algebra.indices_of_degree(-l)) for l in range(1, self.length + 1))
-
-    def bidegree(self, i: int):
-        return self.words[i].bidegree
 
     def to_json_dict(self) -> dict:
         meta = {
@@ -599,12 +627,6 @@ class RealForm:
     algebra: GradedLieAlgebra
     embedding: Matrix
     embedding_inv: Matrix = field(repr=False, default=None)
-
-    def complex_to_real(self, v):
-        return self.embedding_inv.matvec(v)
-
-    def real_to_complex(self, v):
-        return self.embedding.matvec(v)
 
 
 def real_form(algebra: GradedLieAlgebra) -> RealForm:

@@ -1,14 +1,18 @@
 """Tanaka and Levi-Tanaka prolongations of fundamental graded algebras.
 
-Each nonnegative component is computed as the exact kernel of a stacked
-linear system: the unknown is a full block map (m_a -> V_{a+l} for every
-source degree a), the rows are the Leibniz identity on all basis pairs of
-the negative part, plus commutation with the complex structure J on the
-degree -1 block when the flavor is Levi-Tanaka.  Brackets between
-nonnegative components are assembled afterwards by the usual induction
-[d, e](x) = [[d, x], e] + [d, [e, x]] and re-expressed in the computed
-component bases, so the result is an honest structure-constant table that
-gets the same Jacobi and transitivity scrutiny as everything else.
+Every nonnegative component comes from one solver, ``_solve_component``:
+the component is the exact kernel of a stacked linear system whose
+unknown is a full block map (m_a -> V_{a+l} for every source degree a)
+and whose rows are the Leibniz identity on all basis pairs of the
+negative part, plus commutation with the complex structure J on the
+degree -1 block for the grade-0 component of the Levi-Tanaka flavor.
+Brackets between nonnegative components are assembled afterwards by the
+usual induction [d, e](x) = [[d, x], e] + [d, [e, x]] and re-expressed in
+the computed component bases, so the result is an honest
+structure-constant table that gets the same Jacobi and transitivity
+scrutiny as everything else.  ``derivation_residual`` evaluates the
+Leibniz identity on a given map without solving; tests use it as the
+reference check.
 """
 
 from __future__ import annotations
@@ -123,15 +127,31 @@ def _local_index(m: GradedLieAlgebra):
     return loc
 
 
-def _component_equations(m: GradedLieAlgebra, l: int, vdim, v_apply):
-    """Leibniz rows for the degree-l solve.
+def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool) -> ProlongationComponent:
+    """Degree-l component: the kernel of the stacked Leibniz rows.
 
-    ``vdim(j)`` is the dimension of the target space of degree j and
-    ``v_apply(j, s, m_index)`` the coordinates of [basis elt s of V_j,
-    e_{m_index}] in V_{j + deg(m_index)} (only called for j >= 0).
+    The target space V_j is m_j for j <= -1 and the basis of
+    ``components[j]`` for 0 <= j < l.  With ``j_constraint`` (grade 0
+    only) the rows also ask the degree -1 block to commute with J.
     """
-    layout = _Layout(m, l, vdim)
+
+    def vdim(jdeg):
+        if jdeg <= -1:
+            return len(m.indices_of_degree(jdeg))
+        if jdeg < l:
+            return components[jdeg].dim
+        return 0
+
     loc = _local_index(m)
+
+    def action(sdeg, s, x, tdeg):
+        """Coordinates of [basis element s of V_sdeg, e_x] in V_tdeg."""
+        if sdeg >= 0:
+            return components[sdeg].maps[s].apply(m.degrees[x], loc[x])
+        w = m.bracket_basis(m.indices_of_degree(sdeg)[s], x)
+        return [w.get(t, QI_ZERO) for t in m.indices_of_degree(tdeg)]
+
+    layout = _Layout(m, l, vdim)
     depth = -min(m.degrees)
     rows = []
     n = m.dim
@@ -156,58 +176,19 @@ def _component_equations(m: GradedLieAlgebra, l: int, vdim, v_apply):
                         v = layout.var(c, t, kl)
                         eq[t][v] = eq[t][v] + gamma
 
-            # - [d(y), z]
-            sdeg = a + l
-            for s in range(vdim(sdeg)):
-                if sdeg <= -1:
-                    sglob = m.indices_of_degree(sdeg)[s]
-                    w = m.bracket_basis(sglob, j)
-                    tblock = m.indices_of_degree(tdeg)
-                    coords = [w.get(t, QI_ZERO) for t in tblock]
-                else:
-                    coords = v_apply(sdeg, s, j)
-                v = layout.var(a, s, loc[i])
-                for t in range(tdim):
-                    if coords[t]:
-                        eq[t][v] = eq[t][v] - coords[t]
-
-            # - [y, d(z)] = + [d(z), y]
-            sdeg = b + l
-            for s in range(vdim(sdeg)):
-                if sdeg <= -1:
-                    sglob = m.indices_of_degree(sdeg)[s]
-                    w = m.bracket_basis(i, sglob)
-                    tblock = m.indices_of_degree(tdeg)
-                    coords = [-w.get(t, QI_ZERO) for t in tblock]
-                else:
-                    coords = v_apply(sdeg, s, i)
-                v = layout.var(b, s, loc[j])
-                for t in range(tdim):
-                    if coords[t]:
-                        eq[t][v] = eq[t][v] + coords[t]
+            # - [d(y), z] + [d(z), y]
+            for source, other, negate in ((i, j, True), (j, i, False)):
+                sdeg = m.degrees[source] + l
+                for s in range(vdim(sdeg)):
+                    coords = action(sdeg, s, other, tdeg)
+                    v = layout.var(m.degrees[source], s, loc[source])
+                    for t in range(tdim):
+                        if coords[t]:
+                            eq[t][v] = eq[t][v] - coords[t] if negate else eq[t][v] + coords[t]
 
             rows.extend(eq)
-    return layout, rows
-
-
-def grade0(m: GradedLieAlgebra, j_constraint: bool) -> ProlongationComponent:
-    """All grade-preserving derivations of m, optionally J-commuting.
-
-    The unknown is the full block-diagonal endomorphism; the kernel of the
-    stacked Leibniz (+ J-commutation) system is exactly the component.
-    """
-    if not is_fundamental(m):
-        raise NotFundamental("grade-0 prolongation needs a fundamental algebra")
-    if j_constraint and m.J is None:
-        raise MissingJ("J-constrained prolongation needs a complex structure")
-
-    def vdim(jdeg):
-        return len(m.indices_of_degree(jdeg)) if jdeg <= -1 else 0
-
-    layout, rows = _component_equations(m, 0, vdim, None)
     if j_constraint:
-        ones = m.indices_of_degree(-1)
-        nb = len(ones)
+        nb = vdim(-1)
         jm = m.J
         for p in range(nb):
             for q in range(nb):
@@ -222,7 +203,20 @@ def grade0(m: GradedLieAlgebra, j_constraint: bool) -> ProlongationComponent:
                 if any(eq):
                     rows.append(eq)
     kern = kernel_basis(Matrix(rows)) if rows else kernel_basis(Matrix.zeros(1, layout.total))
-    return ProlongationComponent(0, tuple(layout.to_map(v) for v in kern))
+    return ProlongationComponent(l, tuple(layout.to_map(v) for v in kern))
+
+
+def grade0(m: GradedLieAlgebra, j_constraint: bool) -> ProlongationComponent:
+    """All grade-preserving derivations of m, optionally J-commuting.
+
+    The unknown is the full block-diagonal endomorphism; the kernel of the
+    stacked Leibniz (+ J-commutation) system is exactly the component.
+    """
+    if not is_fundamental(m):
+        raise NotFundamental("grade-0 prolongation needs a fundamental algebra")
+    if j_constraint and m.J is None:
+        raise MissingJ("J-constrained prolongation needs a complex structure")
+    return _solve_component(m, (), 0, j_constraint)
 
 
 def prolong_component(m: GradedLieAlgebra, components, l: int) -> ProlongationComponent:
@@ -231,23 +225,7 @@ def prolong_component(m: GradedLieAlgebra, components, l: int) -> ProlongationCo
         raise ValueError("use grade0 for degree 0")
     if len(components) < l:
         raise MissingLowerComponents(f"need components 0..{l - 1} before degree {l}")
-
-    def vdim(jdeg):
-        if jdeg <= -1:
-            return len(m.indices_of_degree(jdeg))
-        if jdeg < l:
-            return components[jdeg].dim
-        return 0
-
-    def v_apply(jdeg, s, m_index):
-        dm = components[jdeg].maps[s]
-        a = m.degrees[m_index]
-        loc = m.indices_of_degree(a).index(m_index)
-        return dm.apply(a, loc)
-
-    layout, rows = _component_equations(m, l, vdim, v_apply)
-    kern = kernel_basis(Matrix(rows)) if rows else kernel_basis(Matrix.zeros(1, layout.total))
-    return ProlongationComponent(l, tuple(layout.to_map(v) for v in kern))
+    return _solve_component(m, components, l, j_constraint=False)
 
 
 def derivation_residual(m: GradedLieAlgebra, dmap: DerivationMap, components=()):
@@ -511,13 +489,8 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
     return GradedLieAlgebra(labels, degrees, table, conjugation=None, J=None, scalar_tag=m.scalar_tag)
 
 
-def is_transitive(obj) -> bool:
-    """No nonzero nonnegative-degree element annihilates the negative part.
-
-    Accepts an assembled :class:`GradedLieAlgebra` or a
-    :class:`ProlongedAlgebra`.
-    """
-    algebra = obj.algebra if isinstance(obj, ProlongedAlgebra) else obj
+def is_transitive(algebra: GradedLieAlgebra) -> bool:
+    """No nonzero nonnegative-degree element annihilates the negative part."""
     neg = [i for i, d in enumerate(algebra.degrees) if d < 0]
     pos = [i for i, d in enumerate(algebra.degrees) if d >= 0]
     if not pos:

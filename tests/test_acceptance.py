@@ -14,13 +14,13 @@ import pytest
 from crprolong.cli import main as cli_main
 from crprolong.crmodels import (
     NotADerivation,
-    _coords_in_component,
+    _g0_element,
     build_aut_cr,
     euler_derivation,
     rotation_derivation,
     verify_theorem,
 )
-from crprolong.exact import Inconsistent
+from crprolong.exact import Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.freelie import hall_basis, hall_rewrite, min_length_for_codim, witt_dim
 from crprolong.liealg import (
@@ -55,15 +55,13 @@ def sweep():
     for mid, model in sorted(builtin_catalog().items()):
         if model.codim >= 2:
             jobs.append((f"catalog:{mid}", symbol_from_frame(model)))
+    minus_identity = Matrix([[-x for x in row] for row in Matrix.identity(2).data])
     for name, symbol in jobs:
         rf = real_form(symbol.algebra)
         prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
         rot = rotation_derivation(rf.algebra)
-        try:
-            euler_coords = _coords_in_component(prolonged.components[0], rf.algebra, euler_derivation(rf.algebra))
-            euler_in_g0 = True
-        except Inconsistent:
-            euler_coords, euler_in_g0 = None, False
+        euler = _g0_element(prolonged.components[0], rf.algebra, minus_identity)
+        euler_in_g0 = euler is not None and euler[1] == euler_derivation(rf.algebra)
         report = verify_theorem(symbol)
         records.append(
             {

@@ -54,6 +54,38 @@ def test_symbol_bad_quotient_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind": "explicit", "rows": "x"}', "quotient.rows: must be a list of lists"),
+        ("[]", "quotient: top level must be an object"),
+        ('{"kind": "explicit", "rows": [[1]]}', "quotient.rows[0][0]: must be an object with 're' and 'im'"),
+        ('{"kind": "explicit", "rows": [[{"re": "1", "im": "0"}, {"re": "1"}]]}', "quotient.rows[0][1]: missing 'im'"),
+        ('{"kind": "explicit", "rows": [[{"re": "1/x", "im": "0"}]]}', "quotient.rows[0][0].re: must be an exact rational"),
+        ('{"kind": "bogus", "rows": []}', "quotient.kind: must be one of"),
+    ],
+    ids=["rows-not-list", "top-level-list", "entry-not-object", "missing-im", "bad-literal", "bad-kind"],
+)
+def test_malformed_quotient_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "quotient.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "symbol", "--k", "3", "--quotient", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert message in err
+
+
+def test_catalog_loaded_only_for_model_commands(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("catalog built for a command that reads no model")
+
+    monkeypatch.setattr("crprolong.cli.builtin_catalog", refuse)
+    assert run(capsys, "verify", "--k", "2")[0] == 0
+    assert run(capsys, "witt")[0] == 0
+    assert run(capsys, "symbol", "--k", "2")[0] == 0
+
+
 def test_verify_heisenberg(capsys):
     code, out, _ = run(capsys, "verify", "--model", "heisenberg")
     assert code == 0
