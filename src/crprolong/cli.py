@@ -78,7 +78,7 @@ def cmd_witt(args) -> int:
 def _catalog_model(args):
     models = _load_models(args.catalog)
     if args.model not in models:
-        raise KeyError(f"unknown model id {args.model!r}")
+        raise ValueError(f"unknown model id {args.model!r}")
     return models[args.model]
 
 

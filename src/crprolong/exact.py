@@ -1,11 +1,17 @@
-"""Exact scalars and dense exact linear algebra.
+"""Exact scalars and sparse exact linear algebra.
 
 Scalars are Gaussian rationals (elements of Q(i)) built on arbitrary
 precision ``fractions.Fraction`` parts, so nothing in the library ever
-rounds.  The matrix routines implement deterministic Gauss-Jordan
-elimination: pivots are chosen by scanning columns left to right and,
-within a column, rows top to bottom.  Every downstream basis choice in
-the package inherits its reproducibility from this rule.
+rounds.  Every solve (kernel, rank, solution, inverse, echelon reducer)
+goes through one Gauss-Jordan kernel on sparse rows ``{col: QI}``: each
+incoming row is reduced by the pivot rows whose columns it touches, takes
+its first nonzero column in the given column order (default left to
+right) as its pivot, is scaled to 1 there, and that column is cleared
+from the earlier pivot rows.  The reduced row echelon form of a matrix
+for a fixed column order is unique, so every basis, reducer and solution
+depends only on the input and the column order, never on row order or
+on how the elimination is scheduled; every downstream basis choice in
+the package inherits its reproducibility from this.
 """
 
 from __future__ import annotations
@@ -174,7 +180,7 @@ def frac_from_str(s: str) -> Fraction:
 
 
 class Matrix:
-    """Dense matrix over Q(i)."""
+    """Dense matrix over Q(i); the solvers convert its rows to sparse form."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -207,11 +213,13 @@ class Matrix:
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
+        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for row in self.data:
             acc = QI_ZERO
-            for a, x in zip(row, v):
-                if a and x:
+            for j, x in support:
+                a = row[j]
+                if a:
                     acc = acc + a * x
             out.append(acc)
         return out
@@ -236,9 +244,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
 
-    def copy_rows(self):
-        return [list(row) for row in self.data]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -252,55 +257,44 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-def _rref(rows, cols, col_order=None):
-    """In-place reduced row echelon form; returns the pivot list [(row, col)].
+def _axpy(row, f, other):
+    """row -= f * other, in place, on sparse rows; drops entries that cancel."""
+    for j, y in other.items():
+        x = row.get(j)
+        x = -(f * y) if x is None else x - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
-    Pivot choice: columns in ``col_order`` (default left to right), first
-    nonzero row from the top.  Result rows are normalized to pivot 1 with
-    zeros above and below.
+
+def _rref(rows, col_order):
+    """Reduced row echelon form of dense ``rows``; returns ``[(col, row)]``.
+
+    Each row is kept sparse, as ``{col: QI}`` without zeros.  Pivots are
+    taken only in ``col_order``, and the pairs come back in that order,
+    each row normalized to 1 at its pivot and 0 at every other pivot.
     """
-    if col_order is None:
-        col_order = range(cols)
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in col_order:
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
+    position = {c: i for i, c in enumerate(col_order)}
+    pivots = {}
+    for dense in rows:
+        row = {j: x for j, x in enumerate(dense) if x}
+        # pivot rows are 0 at each other's pivots, so one pass reduces fully
+        for c in [c for c in row if c in pivots]:
+            _axpy(row, row[c], pivots[c])
+        lead = min((c for c in row if c in position), key=position.__getitem__, default=None)
+        if lead is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+        piv = row[lead]
         if piv != QI_ONE:
             inv = QI_ONE / piv
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [ri[j] - f * rr[j] for j in range(cols)]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _dedupe_rows(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        if all(not x for x in row):
-            continue
-        key = tuple((x.re, x.im) for x in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(list(row))
-    return out
+            row = {j: x * inv for j, x in row.items()}
+        for other in pivots.values():
+            f = other.get(lead)
+            if f:
+                _axpy(other, f, row)
+        pivots[lead] = row
+    return [(c, pivots[c]) for c in col_order if c in pivots]
 
 
 def kernel_basis(m: Matrix):
@@ -308,25 +302,26 @@ def kernel_basis(m: Matrix):
 
     Deterministic: reduced echelon pivots, one basis vector per free
     column, ordered by free column index, with the free coordinate set
-    to 1.
+    to 1.  Each vector is verified by substitution before being returned.
     """
-    rows = _dedupe_rows(m.copy_rows())
-    pivots = _rref(rows, m.cols)
-    pivot_cols = {c: r for r, c in pivots}
-    free_cols = [j for j in range(m.cols) if j not in pivot_cols]
+    pivots = _rref(m.data, range(m.cols))
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for f in free_cols:
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
         v = [QI_ZERO] * m.cols
         v[f] = QI_ONE
-        for c, r in pivot_cols.items():
-            v[c] = -rows[r][f]
+        for c, row in pivots:
+            v[c] = -row.get(f, QI_ZERO)
+        if any(m.matvec(v)):
+            raise AssertionError("kernel_basis produced a non-kernel vector")
         basis.append(v)
     return basis
 
 
 def rank(m: Matrix) -> int:
-    rows = _dedupe_rows(m.copy_rows())
-    return len(_rref(rows, m.cols))
+    return len(_rref(m.data, range(m.cols)))
 
 
 def solve_linear(m: Matrix, b):
@@ -337,28 +332,31 @@ def solve_linear(m: Matrix, b):
     """
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    aug = [list(row) + [as_qi(x)] for row, x in zip(m.data, b)]
-    pivots = _rref(aug, m.cols + 1)
+    b = [as_qi(x) for x in b]
+    aug = [row + [x] for row, x in zip(m.data, b)]
     x = [QI_ZERO] * m.cols
-    for r, c in pivots:
+    for c, row in _rref(aug, range(m.cols + 1)):
         if c == m.cols:
             raise Inconsistent("no solution")
-        x[c] = aug[r][m.cols]
-    check = m.matvec(x)
-    if any(check[i] != as_qi(b[i]) for i in range(m.rows)):
+        x[c] = row.get(m.cols, QI_ZERO)
+    if m.matvec(x) != b:
         raise AssertionError("solve_linear produced a non-solution")
     return x
 
 
 def invert(m: Matrix) -> Matrix:
+    """Inverse of a square ``m``, verified by m·m⁻¹ = I before being returned."""
     if m.rows != m.cols:
         raise ValueError("only square matrices are invertible")
     n = m.rows
-    aug = [list(row) + [QI_ONE if i == j else QI_ZERO for j in range(n)] for i, row in enumerate(m.data)]
-    pivots = _rref(aug, 2 * n, col_order=range(n))
+    aug = [row + [QI_ONE if i == j else QI_ZERO for j in range(n)] for i, row in enumerate(m.data)]
+    pivots = _rref(aug, range(n))
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in aug])
+    inv = Matrix([[row.get(n + j, QI_ZERO) for j in range(n)] for _, row in pivots])
+    if m.mul(inv) != Matrix.identity(n):
+        raise AssertionError("invert produced a non-inverse")
+    return inv
 
 
 class Echelon:
@@ -369,18 +367,17 @@ class Echelon:
     subspaces pick which basis vectors survive.
     """
 
-    __slots__ = ("cols", "rows", "pivots", "pivot_cols", "free_cols")
+    __slots__ = ("cols", "rows", "pivots", "pivot_cols", "free_cols", "_sparse")
 
     def __init__(self, rows, cols: int, col_order=None):
-        work = _dedupe_rows([list(r) for r in rows])
-        for r in work:
-            if len(r) != cols:
-                raise ValueError("row width mismatch")
-        pivots = _rref(work, cols, col_order=col_order)
+        rows = list(rows)
+        if any(len(r) != cols for r in rows):
+            raise ValueError("row width mismatch")
+        self._sparse = _rref(rows, range(cols) if col_order is None else col_order)
         self.cols = cols
-        self.rows = [work[r] for r, _ in pivots]
-        self.pivots = [(i, c) for i, (_, c) in enumerate(pivots)]
-        self.pivot_cols = {c: i for i, (_, c) in enumerate(pivots)}
+        self.rows = [[row.get(j, QI_ZERO) for j in range(cols)] for _, row in self._sparse]
+        self.pivots = [(i, c) for i, (c, _) in enumerate(self._sparse)]
+        self.pivot_cols = {c: i for i, (c, _) in enumerate(self._sparse)}
         self.free_cols = [j for j in range(cols) if j not in self.pivot_cols]
 
     @property
@@ -392,11 +389,11 @@ class Echelon:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         v = [as_qi(x) for x in vec]
-        for c, r in self.pivot_cols.items():
+        for c, row in self._sparse:
             f = v[c]
             if f:
-                row = self.rows[r]
-                v = [v[j] - f * row[j] for j in range(self.cols)]
+                for j, y in row.items():
+                    v[j] = v[j] - f * y
         return v
 
     def contains(self, vec) -> bool:

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crprolong
 from crprolong.cli import main
 from crprolong.liealg import GradedLieAlgebra
+
+
+SRC = Path(crprolong.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -117,7 +125,14 @@ def test_mutually_exclusive_selectors(capsys):
 def test_unknown_model_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--model", "nope")
     assert code == 2
-    assert "nope" in err
+    assert err == "error: unknown model id 'nope'\n"
+
+
+def test_symbol_unknown_model_exits_2(capsys):
+    code, out, err = run(capsys, "symbol", "--model", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown model id 'nope'\n"
 
 
 def test_models_listing(capsys):
@@ -216,3 +231,13 @@ def test_nonpositive_bound_exits_2(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert message in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "crprolong", "witt", "--max-length", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].split()[:2] == ["length", "dim"]
