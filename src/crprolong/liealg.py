@@ -64,7 +64,9 @@ class GradedLieAlgebra:
 
     ``table`` maps index pairs (i, j) with i < j to {k: coefficient}; the
     other half follows by antisymmetry.  ``conjugation`` (optional) is the
-    matrix of an antilinear involution in the given basis; ``J`` (optional)
+    matrix S of the antilinear map v -> S·conj(v) in the given basis; it is
+    checked once, here, to be a degree-preserving involution and a bracket
+    morphism, else :class:`NotSelfConjugate` is raised.  ``J`` (optional)
     is a complex structure on the degree -1 block and must square to -id.
     """
 
@@ -100,6 +102,18 @@ class GradedLieAlgebra:
             minus_id = Matrix([[-QI_ONE if a == b else QI_ZERO for b in range(len(m1))] for a in range(len(m1))])
             if sq != minus_id:
                 raise ValueError("J∘J must be -id on the degree -1 part")
+        if conjugation is not None:
+            s = conjugation
+            if s.rows != n or s.cols != n:
+                raise NotSelfConjugate(f"conjugation must be a {n}x{n} matrix, got {s.rows}x{s.cols}")
+            if any(x and self.degrees[a] != self.degrees[b] for a, row in enumerate(s.data) for b, x in enumerate(row)):
+                raise NotSelfConjugate("conjugation does not preserve degrees")
+            if s.mul(Matrix([[x.conj() for x in row] for row in s.data])) != Matrix.identity(n):
+                raise NotSelfConjugate("conjugation is not an involution")
+            # sigma[e_i, e_j] = S·conj(c_ij) must equal [S e_i, S e_j]
+            conj_table = {ij: {k: c.conj() for k, c in terms.items()} for ij, terms in clean.items()}
+            if first_bracket_mismatch(GradedLieAlgebra(self.labels, self.degrees, conj_table), self, s) is not None:
+                raise NotSelfConjugate("structure constants are not conjugation-stable")
 
     @property
     def dim(self) -> int:
@@ -145,12 +159,16 @@ class GradedLieAlgebra:
         return self.conjugation.matvec([as_qi(x).conj() for x in v])
 
     def replaced_bracket(self, i: int, j: int, terms: dict) -> "GradedLieAlgebra":
-        """Copy with one structure constant replaced (for negative controls)."""
+        """Copy with one structure constant replaced (for negative controls).
+
+        The copy keeps J but not the conjugation, which the corrupted
+        bracket would in general no longer respect.
+        """
         if i >= j:
             raise ValueError("need i < j")
         table = {k: dict(v) for k, v in self.table.items()}
         table[(i, j)] = dict(terms)
-        return GradedLieAlgebra(self.labels, self.degrees, table, self.conjugation, self.J, self.scalar_tag)
+        return GradedLieAlgebra(self.labels, self.degrees, table, None, self.J, self.scalar_tag)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedLieAlgebra):
@@ -285,15 +303,20 @@ def is_fundamental(algebra: GradedLieAlgebra) -> bool:
     return True
 
 
+def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
+    """True iff no nonzero combination of ``acting`` basis vectors brackets all of ``on`` to zero."""
+    rows = []
+    for x in on:
+        brackets = [algebra.bracket_basis(g, x) for g in acting]
+        for t in range(algebra.dim):
+            rows.append([b.get(t, QI_ZERO) for b in brackets])
+    return not kernel_basis(Matrix(rows))
+
+
 def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
     """True iff no nonzero degree -1 element annihilates the degree -1 part."""
     ones = algebra.indices_of_degree(-1)
-    rows = []
-    for j in ones:
-        for t in range(algebra.dim):
-            rows.append([algebra.bracket_basis(i, j).get(t, QI_ZERO) for i in ones])
-    mat = Matrix(rows)
-    return not kernel_basis(mat)
+    return _acts_faithfully(algebra, ones, ones)
 
 
 def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:
@@ -546,24 +569,14 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     # conjugation: generator swap extended as an antilinear bracket morphism,
     # defined on the quotient only when the quotient subspace is stable.
     conj_cols = []
-    stable = True
     for w in words:
         entry = project({word: c for word, c in tree_normal_form(conjugate_tree(w.tree)).items()})
         col = [QI_ZERO] * n
         for idx, c in entry.items():
             col[idx] = c
         conj_cols.append(col)
-    for row in spec.rows:
-        image = [QI_ZERO] * n_top
-        for t, coeff in enumerate(row):
-            coeff = as_qi(coeff)
-            if not coeff:
-                continue
-            for word, c in tree_normal_form(conjugate_tree(top_words[t].tree)).items():
-                image[top_index[word]] = image[top_index[word]] + coeff.conj() * c
-        if not reducer.contains(image):
-            stable = False
-            break
+    top_conj = _top_conjugation_matrix(rho)
+    stable = all(reducer.contains(top_conj.matvec([as_qi(x).conj() for x in row])) for row in spec.rows)
     conjugation = Matrix.from_columns(conj_cols) if stable else None
 
     j_mat = Matrix([[QI_I, QI_ZERO], [QI_ZERO, -QI_I]])
@@ -583,34 +596,8 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
         raise AssertionError("symbol algebra is not fundamental")
     if not is_nondegenerate_symbol(algebra):
         raise AssertionError("symbol algebra is degenerate")
-    if conjugation is not None:
-        _verify_conjugation(algebra)
 
     return SymbolAlgebra(algebra, k, rho, words, spec, [top_words[t] for t in retained], reducer)
-
-
-def _verify_conjugation(algebra: GradedLieAlgebra):
-    s = algebra.conjugation
-    n = algebra.dim
-    # involution
-    for i in range(n):
-        v = algebra.apply_conjugation(algebra.apply_conjugation(algebra.basis_vector(i)))
-        if v != algebra.basis_vector(i):
-            raise NotSelfConjugate("conjugation is not an involution")
-    # antilinear bracket morphism on basis pairs
-    for i in range(n):
-        si = algebra.apply_conjugation(algebra.basis_vector(i))
-        for j in range(i + 1, n):
-            sj = algebra.apply_conjugation(algebra.basis_vector(j))
-            lhs = algebra.apply_conjugation(algebra.bracket_vec(algebra.basis_vector(i), algebra.basis_vector(j)))
-            rhs = algebra.bracket_vec(si, sj)
-            if lhs != rhs:
-                raise NotSelfConjugate("structure constants are not conjugation-stable")
-    # degree preservation
-    for i in range(n):
-        for j in range(n):
-            if s.data[j][i] and algebra.degrees[j] != algebra.degrees[i]:
-                raise NotSelfConjugate("conjugation does not preserve degrees")
 
 
 # -- real forms ------------------------------------------------------------
@@ -638,7 +625,6 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
-    _verify_conjugation(algebra)
     n = algebra.dim
     columns = []
     labels = []
@@ -726,12 +712,11 @@ def realify(algebra: GradedLieAlgebra) -> GradedLieAlgebra:
 
 def first_bracket_mismatch(src: GradedLieAlgebra, dst: GradedLieAlgebra, p: Matrix):
     """First basis pair (i, j) of ``src`` where P[a,b] != [Pa, Pb], or None."""
+    cols = [p.column(i) for i in range(src.dim)]
     for i in range(src.dim):
-        pi = p.column(i)
         for j in range(i + 1, src.dim):
-            pj = p.column(j)
             lhs = p.matvec(src.bracket_vec(src.basis_vector(i), src.basis_vector(j)))
-            rhs = dst.bracket_vec(pi, pj)
+            rhs = dst.bracket_vec(cols[i], cols[j])
             if lhs != rhs:
                 return (i, j)
     return None

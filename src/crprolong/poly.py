@@ -213,8 +213,11 @@ class Poly:
     @classmethod
     def from_json_dict(cls, obj: dict, nvars: int) -> "Poly":
         terms = {}
-        for t in obj["terms"]:
-            terms[tuple(t["exp"])] = QI(frac_from_str(t["re"]), frac_from_str(t["im"]))
+        for n, t in enumerate(obj["terms"]):
+            e = t["exp"]
+            if not (isinstance(e, list) and len(e) == nvars and all(type(x) is int and x >= 0 for x in e)):
+                raise ValueError(f"terms[{n}].exp: must be a list of {nvars} non-negative integers, got {e!r}")
+            terms[tuple(e)] = QI(frac_from_str(t["re"]), frac_from_str(t["im"]))
         return cls(nvars, terms)
 
 

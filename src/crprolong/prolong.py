@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import Inconsistent, Matrix, QI_ZERO, kernel_basis, solve_linear
-from .liealg import GradedLieAlgebra, MissingJ, check_jacobi, is_fundamental, is_pseudocomplex
+from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, check_jacobi, is_fundamental, is_pseudocomplex
 
 __all__ = [
     "DerivationMap",
@@ -330,13 +330,9 @@ def full_prolongation(m: GradedLieAlgebra, flavor: str = LEVI_TANAKA, l_max_guar
     """
     if flavor not in (LEVI_TANAKA, FULL_TANAKA):
         raise ValueError(f"unknown flavor {flavor!r}")
-    if not is_fundamental(m):
-        raise NotFundamental("prolongation needs a fundamental algebra")
-    if flavor == LEVI_TANAKA:
-        if m.J is None:
-            raise MissingJ("Levi-Tanaka prolongation needs a complex structure")
-        if not is_pseudocomplex(m):
-            raise ValueError("Levi-Tanaka prolongation needs a pseudocomplex algebra")
+    # grade0 raises NotFundamental; is_pseudocomplex raises MissingJ
+    if flavor == LEVI_TANAKA and not is_pseudocomplex(m):
+        raise ValueError("Levi-Tanaka prolongation needs a pseudocomplex algebra")
     depth = -min(m.degrees)
     guard = l_max_guard if l_max_guard is not None else depth + 3
     components = [grade0(m, j_constraint=(flavor == LEVI_TANAKA))]
@@ -495,8 +491,4 @@ def is_transitive(algebra: GradedLieAlgebra) -> bool:
     pos = [i for i, d in enumerate(algebra.degrees) if d >= 0]
     if not pos:
         return True
-    rows = []
-    for x in neg:
-        for t in range(algebra.dim):
-            rows.append([algebra.bracket_basis(g, x).get(t, QI_ZERO) for g in pos])
-    return not kernel_basis(Matrix(rows))
+    return _acts_faithfully(algebra, pos, neg)

@@ -231,3 +231,14 @@ def test_criterion_9_rewrite_oracle_equivalence():
         if acc != direct:
             ok = False
     _report(9, "hall_rewrite agrees with the associative commutator oracle through length 5", ok)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(K_MAX + 1, 40))
+def test_main_theorem_beyond_desk_scale(k):
+    """Opt-in (``pytest -m slow``): the theorem check for k = 13..39, lengths 6 and 7."""
+    symbol = build_symbol_algebra(k)
+    rep = verify_theorem(symbol)
+    assert rep.verdict == "confirmed"
+    assert rep.total_dim == 2 + k + rep.dims_prolongation[0]
+    assert rep.case == build_aut_cr(symbol, "auto").case

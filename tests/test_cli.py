@@ -173,6 +173,12 @@ def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
 
+def _with_phi(obj, *exps):
+    """The entry with its one rigid phi replaced by terms of these exponents."""
+    terms = [{"re": "1", "im": "0", "exp": e} for e in exps]
+    return dict(obj, defining=dict(obj["defining"], phi=[{"terms": terms}]))
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -189,6 +195,9 @@ def _without(obj, key):
         (lambda e: [dict(e, defining={"type": "rigid"})], "catalog[0].defining: missing 'phi'"),
         (lambda e: [e, dict(e, id="h2", defining={"type": "rigid", "phi": [{}]})], "catalog[1]: 'terms'"),
         (lambda e: [dict(e, k=2)], "catalog[0]: need 2 defining polynomials"),
+        (lambda e: [_with_phi(e, [1, 1, 0])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
+        (lambda e: [_with_phi(e, [1.5, 0.5])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
+        (lambda e: [_with_phi(e, [3, -1], [-1, 3])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
     ],
     ids=[
         "object",
@@ -204,6 +213,9 @@ def _without(obj, key):
         "no-payload",
         "bad-polynomial",
         "wrong-count",
+        "exp-too-long",
+        "exp-not-integer",
+        "exp-negative",
     ],
 )
 def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):

@@ -2,8 +2,9 @@
 
 Each digest is the sha256 of the canonical JSON (sorted keys, no spaces)
 of one computed object: the symbol algebra, its Levi-Tanaka prolongation
-and the ``verify_theorem`` report for the default quotients k = 2..8 and
-the catalog model ``quintic7``, plus the full Tanaka tower of the
+and the ``verify_theorem`` report for the default quotients k = 2..8, 13
+(length 6), 21 (length 6) and 22 (length 7) and the catalog model
+``quintic7``, plus the full Tanaka tower of the
 Heisenberg algebra through degree 3.  A change to any basis, bracket,
 component ordering or report field shows up here.  Update a digest only
 for an intended change of output, and say so in CHANGES.md.
@@ -54,6 +55,21 @@ THEOREM_GOLDEN = {
         "symbol": "7930935a4df4bb5640da75c379181df1f66b2690efb77363b320524f64d0b142",
         "prolongation": "cab08dd1c8936e00c360934524e4b00cab67f3b2e2efd0e4a3dbff693f6afdb0",
         "report": "acdd86c0ad81f7487e8b7a17d4c770d8c68a76453324f9d2f68abc50725f5ae8",
+    },
+    "k13": {
+        "symbol": "7ab11a750e86c4a52a142a9e4a381c349b21ed4ab819ce365fded207f1b94c68",
+        "prolongation": "3065953b54c658aabb31fa1e64e1babfe2ffe0edfbfdc887aa2bb3bc2ea12113",
+        "report": "46b4723bff9ffaac7d7d6c145a698458b756970c9d5d3bb1be3cd8742dd2e3f5",
+    },
+    "k21": {
+        "symbol": "1469a145419efe372e6b2fefb782529286e74df54a0f5078872821c1a62f8651",
+        "prolongation": "cba0997ee168dff11a198c2926d4e7d3f81c765e854cb35bbf05d1398989bd03",
+        "report": "ec340faca9d2c8c92a9de2dce1483b4751a8727cbaf425b51aac0f1a65c7e7b8",
+    },
+    "k22": {
+        "symbol": "7f6c6e5822865355259d951fcd2e3d29acc19e8f35135623c9e1424689266bf5",
+        "prolongation": "c0c1ac0b6db996d3d46c57d37945c2f6f3173efd4142b7c44b038416fa4fd3cb",
+        "report": "881f60ca41337a01032bce8682f65840f86b704800c3c6a50adb67a48db92528",
     },
     "quintic7": {
         "symbol": "62b1327b3ec43492c2b5f7967781f7c1aa14bfbb4e326627c38b6ee129e2c2f6",

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from crprolong import liealg
 from crprolong.exact import QI, Matrix
 from crprolong.liealg import (
     BadQuotient,
@@ -89,6 +90,61 @@ def test_bad_j_rejected_at_construction():
         GradedLieAlgebra(["x", "y"], [-1, -1], {}, J=Matrix([[1, 1], [0, 1]]))
 
 
+def complex_heisenberg(center_sign, c=1):
+    """[g1, g2] = c·t; the conjugation swaps g1, g2 and sends t to center_sign·t."""
+    swap = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, center_sign]])
+    return GradedLieAlgebra(["g1", "g2", "t"], [-1, -1, -2], {(0, 1): {2: c}}, conjugation=swap)
+
+
+def test_conjugation_accepted_at_construction():
+    # sigma[g1, g2] = [g2, g1] = -c·t, and sigma(c·t) = conj(c)·sigma(t)
+    assert real_form(complex_heisenberg(-1)).algebra.table == {(0, 1): {2: QI(-2)}}
+    assert complex_heisenberg(1, I).conjugation is not None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GradedLieAlgebra(["a", "b"], [-1, -1], {}, conjugation=Matrix([[0, 1, 0], [1, 0, 0]])),
+        lambda: GradedLieAlgebra(["a", "b"], [-1, -2], {}, conjugation=Matrix([[0, 1], [1, 0]])),
+        lambda: GradedLieAlgebra(["a", "b"], [-1, -1], {}, conjugation=Matrix([[0, 1], [-1, 0]])),
+        lambda: complex_heisenberg(1),
+    ],
+    ids=["not-square", "mixes-degrees", "not-involution", "not-bracket-morphism"],
+)
+def test_bad_conjugation_rejected_at_construction(make):
+    with pytest.raises(NotSelfConjugate):
+        make()
+
+
+def test_flipped_conjugation_entry_rejected_from_json():
+    obj = json.loads(build_symbol_algebra(3).to_json())
+    entry = next(x for row in obj["conjugation"] for x in row if x["re"] != "0")
+    entry["re"] = str(-int(entry["re"]))
+    with pytest.raises(NotSelfConjugate):
+        GradedLieAlgebra.from_json_dict(obj)
+
+
+def test_conjugation_checked_once_per_theorem_input(monkeypatch):
+    calls = []
+    original = liealg.first_bracket_mismatch
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(liealg, "first_bracket_mismatch", counting)
+    real_form(build_symbol_algebra(4).algebra)
+    assert len(calls) == 1
+
+
+def test_replaced_bracket_drops_conjugation_keeps_j():
+    A = build_symbol_algebra(4).algebra
+    bad = A.replaced_bracket(0, 1, {2: QI(2)})
+    assert bad.conjugation is None
+    assert bad.J == A.J
+
+
 def test_symbol_algebra_dimensions():
     S1 = build_symbol_algebra(1)
     assert S1.length == 2 and S1.dims_by_degree() == (2, 1)
@@ -141,6 +197,13 @@ def test_raw_trailing_quotient_loses_conjugation():
     assert S.algebra.conjugation is None
     with pytest.raises(NotSelfConjugate):
         realify(S.algebra)
+
+
+def test_complex_quotient_row_keeps_conjugation():
+    # the swap sends conj((1, i)) = (1, -i) to (-i, 1) = -i·(1, i): stable
+    S = build_symbol_algebra(2, QuotientSpec(kind="explicit", rows=((QI(1), I),)))
+    assert S.algebra.conjugation is not None
+    assert all(not c.im for t in realify(S.algebra).table.values() for c in t.values())
 
 
 def test_realify_heisenberg():
