@@ -69,7 +69,8 @@ class QI:
         return QI._raw(self.re, -self.im)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        # the numerators directly: Fraction.__bool__ is a Python-level call
+        return self.re._numerator != 0 or self.im._numerator != 0
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

@@ -138,25 +138,23 @@ class GradedLieAlgebra:
 
     def bracket_vec(self, u, v):
         out = [QI_ZERO] * self.dim
+        table = self.table
+        v_support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] = out[k] + a * b * c
+            for j, b in v_support:
+                terms = table.get((i, j) if i < j else (j, i))
+                if terms:
+                    ab = a * b if i < j else -(a * b)
+                    for k, c in terms.items():
+                        out[k] = out[k] + ab * c
         return out
 
     def basis_vector(self, i: int):
         v = [QI_ZERO] * self.dim
         v[i] = QI_ONE
         return v
-
-    def apply_conjugation(self, v):
-        if self.conjugation is None:
-            raise NotSelfConjugate("no conjugation involution attached")
-        return self.conjugation.matvec([as_qi(x).conj() for x in v])
 
     def replaced_bracket(self, i: int, j: int, terms: dict) -> "GradedLieAlgebra":
         """Copy with one structure constant replaced (for negative controls).
@@ -238,25 +236,47 @@ def _matrix_from_json(rows) -> Matrix:
 
 
 def check_jacobi(algebra: GradedLieAlgebra):
-    """All Jacobi violations over basis triples; empty list means pass."""
+    """All Jacobi violations over basis triples i < j < k; empty list means pass.
+
+    A violation is ``(i, j, k, acc)`` with ``acc`` the dense coordinate list
+    of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j].  When the
+    structure constants respect the grading (``check_grading`` is empty),
+    that sum lies in degree deg(e_i) + deg(e_j) + deg(e_k), so a triple
+    whose degree sum is below the lowest degree of the algebra is zero by
+    construction and is skipped.  Otherwise every triple is checked.
+    """
     violations = []
     n = algebra.dim
+    table = algebra.table
+    degrees = algebra.degrees
+    floor = min(degrees, default=0) if not check_grading(algebra) else None
+
+    def add(acc, outer, sign, x):
+        """acc += sign · [outer, e_x] for outer = {t: c} read off the table."""
+        if not outer:
+            return
+        for t, c in outer.items():
+            if t == x:
+                continue
+            inner = table.get((t, x) if t < x else (x, t))
+            if inner:
+                c = c if (t < x) == (sign > 0) else -c
+                for s, d in inner.items():
+                    acc[s] = acc.get(s, QI_ZERO) + c * d
+
     for i in range(n):
         for j in range(i + 1, n):
-            bij = algebra.bracket_basis(i, j)
+            bij = table.get((i, j))
+            dij = degrees[i] + degrees[j]
             for k in range(j + 1, n):
-                acc = [QI_ZERO] * n
-                for t, c in bij.items():
-                    for s, d in algebra.bracket_basis(t, k).items():
-                        acc[s] = acc[s] + c * d
-                for t, c in algebra.bracket_basis(j, k).items():
-                    for s, d in algebra.bracket_basis(t, i).items():
-                        acc[s] = acc[s] + c * d
-                for t, c in algebra.bracket_basis(k, i).items():
-                    for s, d in algebra.bracket_basis(t, j).items():
-                        acc[s] = acc[s] + c * d
-                if any(acc):
-                    violations.append((i, j, k, acc))
+                if floor is not None and dij + degrees[k] < floor:
+                    continue
+                acc = {}
+                add(acc, bij, 1, k)
+                add(acc, table.get((j, k)), 1, i)
+                add(acc, table.get((i, k)), -1, j)
+                if any(acc.values()):
+                    violations.append((i, j, k, [acc.get(s, QI_ZERO) for s in range(n)]))
     return violations
 
 
@@ -304,13 +324,19 @@ def is_fundamental(algebra: GradedLieAlgebra) -> bool:
 
 
 def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
-    """True iff no nonzero combination of ``acting`` basis vectors brackets all of ``on`` to zero."""
-    rows = []
+    """True iff no nonzero combination of ``acting`` basis vectors brackets all of ``on`` to zero.
+
+    One equation per (x in ``on``, coordinate t) that some [g, x] reaches;
+    the coordinates no bracket reaches give only zero rows.
+    """
+    rows = {}
     for x in on:
-        brackets = [algebra.bracket_basis(g, x) for g in acting]
-        for t in range(algebra.dim):
-            rows.append([b.get(t, QI_ZERO) for b in brackets])
-    return not kernel_basis(Matrix(rows))
+        for pos, g in enumerate(acting):
+            for t, c in algebra.bracket_basis(g, x).items():
+                rows.setdefault((x, t), [QI_ZERO] * len(acting))[pos] = c
+    if not rows:
+        return not acting
+    return not kernel_basis(Matrix(list(rows.values())))
 
 
 def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
@@ -712,10 +738,14 @@ def realify(algebra: GradedLieAlgebra) -> GradedLieAlgebra:
 
 def first_bracket_mismatch(src: GradedLieAlgebra, dst: GradedLieAlgebra, p: Matrix):
     """First basis pair (i, j) of ``src`` where P[a,b] != [Pa, Pb], or None."""
-    cols = [p.column(i) for i in range(src.dim)]
-    for i in range(src.dim):
-        for j in range(i + 1, src.dim):
-            lhs = p.matvec(src.bracket_vec(src.basis_vector(i), src.basis_vector(j)))
+    n = src.dim
+    cols = [p.column(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = [QI_ZERO] * n
+            for k, c in src.table.get((i, j), {}).items():
+                bracket[k] = c
+            lhs = p.matvec(bracket)
             rhs = dst.bracket_vec(cols[i], cols[j])
             if lhs != rhs:
                 return (i, j)

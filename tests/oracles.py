@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's rewriting and series machinery:
 Lyndon words are enumerated straight from the rotation-minimality
-definition, and bracket expressions are expanded as iterated commutators
-in a hand-rolled free associative algebra.
+definition, bracket expressions are expanded as iterated commutators
+in a hand-rolled free associative algebra, and Lie brackets and the
+Jacobi identity are evaluated from a dense array of structure constants.
+None of them imports ``crprolong``.
 """
 
 from fractions import Fraction
@@ -141,3 +143,57 @@ def dense_reduce(pivot_cols, prows, v):
         if f != C_ZERO:
             v = [c_sub(x, c_mul(f, y)) for x, y in zip(v, row)]
     return v
+
+
+def c_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+# -- dense structure constants: table {(i, j): {k: (re, im)}} with i < j --
+
+
+def dense_structure_constants(n, table):
+    """``C[a][b][k]``, the e_k coordinate of [e_a, e_b], antisymmetry filled in."""
+    C = [[[C_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), terms in table.items():
+        for k, c in terms.items():
+            C[i][j][k] = c
+            C[j][i][k] = c_sub(C_ZERO, c)
+    return C
+
+
+def dense_bracket(C, u, v):
+    """[u, v] of dense coordinate vectors: sum over all a, b of u_a v_b [e_a, e_b]."""
+    n = len(C)
+    out = [C_ZERO] * n
+    for a in range(n):
+        for b in range(n):
+            uv = c_mul(u[a], v[b])
+            if uv == C_ZERO:
+                continue
+            for k in range(n):
+                out[k] = c_add(out[k], c_mul(uv, C[a][b][k]))
+    return out
+
+
+def jacobi_violations(n, table):
+    """Every basis triple i < j < k with a nonzero Jacobiator, by a dense loop.
+
+    Returns {(i, j, k): dense coordinates of
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]}.
+    """
+    C = dense_structure_constants(n, table)
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = [C_ZERO] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t in range(n):
+                        if C[a][b][t] == C_ZERO:
+                            continue
+                        for s in range(n):
+                            acc[s] = c_add(acc[s], c_mul(C[a][b][t], C[t][c][s]))
+                if any(x != C_ZERO for x in acc):
+                    out[(i, j, k)] = acc
+    return out

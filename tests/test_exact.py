@@ -32,6 +32,33 @@ def test_field_arithmetic():
         a / QI(0)
 
 
+@pytest.mark.parametrize(
+    "value,truth",
+    [
+        (QI(), False),
+        (QI(0, 0), False),
+        (QI("0"), False),
+        (QI("0", "0/7"), False),
+        (QI(Fraction(0, 5), Fraction(0, 5)), False),
+        (QI._raw(Fraction(0), Fraction(0)), False),
+        (-QI(0), False),
+        (QI(Fraction(2, 3), Fraction(-1, 4)) - QI(Fraction(4, 6), Fraction(-2, 8)), False),
+        (QI(1, 1) * QI(0, 0), False),
+        (QI(1), True),
+        (QI(0, 1), True),
+        (QI(Fraction(-1, 5)), True),
+        (QI(0, Fraction(3, 7)), True),
+        (QI("-2/3", "5"), True),
+        (QI._raw(Fraction(0), Fraction(-1, 9)), True),
+        (-QI(0, 2), True),
+        (QI(1, 1) - QI(1, 0), True),
+    ],
+)
+def test_truthiness_is_nonzero(value, truth):
+    assert bool(value) is truth
+    assert (value != 0) is truth
+
+
 def test_conjugation_involution_and_norm():
     rng = random.Random(7)
     for _ in range(50):

@@ -1,6 +1,9 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
+from oracles import dense_bracket, dense_structure_constants, jacobi_violations
 
 from crprolong import liealg
 from crprolong.exact import QI, Matrix
@@ -10,9 +13,11 @@ from crprolong.liealg import (
     MissingJ,
     NotSelfConjugate,
     QuotientSpec,
+    _acts_faithfully,
     build_symbol_algebra,
     check_grading,
     check_jacobi,
+    first_bracket_mismatch,
     is_fundamental,
     is_nondegenerate_symbol,
     is_pseudocomplex,
@@ -20,6 +25,7 @@ from crprolong.liealg import (
     realify,
 )
 from crprolong.freelie import witt_dim
+from crprolong.prolong import LEVI_TANAKA, full_prolongation
 
 I = QI(0, 1)
 J_STANDARD = Matrix([[0, -1], [1, 0]])
@@ -56,6 +62,87 @@ def test_jacobi_corrupted_symbol_algebra():
     # redirect [L1_1, L2_3] to the wrong length-3 word
     bad = S.algebra.replaced_bracket(0, 2, {4: QI(1)})
     assert check_jacobi(bad), "corruption must surface as a Jacobi violation"
+
+
+def _pair_table(algebra):
+    return {ij: {k: (c.re, c.im) for k, c in terms.items()} for ij, terms in algebra.table.items()}
+
+
+def _levi_tanaka(k):
+    return full_prolongation(realify(build_symbol_algebra(k).algebra), LEVI_TANAKA).algebra
+
+
+SL2 = ["e", "f", "h"], [1, -1, 0], {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
+
+JACOBI_CASES = {
+    **{f"symbol-k{k}": lambda k=k: build_symbol_algebra(k).algebra for k in range(2, 9)},
+    **{f"real-k{k}": lambda k=k: realify(build_symbol_algebra(k).algebra) for k in range(2, 9)},
+    "levi-tanaka-k1": lambda: _levi_tanaka(1),
+    "levi-tanaka-k5": lambda: _levi_tanaka(5),
+    "corrupted-sl2": lambda: GradedLieAlgebra(*SL2).replaced_bracket(0, 2, {0: QI(-3)}),
+    "corrupted-k6": lambda: build_symbol_algebra(6).algebra.replaced_bracket(0, 2, {4: QI(1)}),
+    # [e0, e1] gains an e1 term: the grading breaks, and the violating
+    # triple (0, 1, 2) has degree sum -4, below the lowest degree -3
+    "ungraded-k2": lambda: build_symbol_algebra(2).algebra.replaced_bracket(0, 1, {1: QI(1), 2: QI(1)}),
+}
+
+
+@pytest.mark.parametrize("name", JACOBI_CASES)
+def test_jacobi_matches_dense_oracle(name):
+    algebra = JACOBI_CASES[name]()
+    expected = jacobi_violations(algebra.dim, _pair_table(algebra))
+    got = {(i, j, k): [(x.re, x.im) for x in acc] for i, j, k, acc in check_jacobi(algebra)}
+    assert got == expected
+    assert bool(expected) == name.startswith(("corrupted", "ungraded"))
+    if name == "ungraded-k2":
+        assert check_grading(algebra)
+        floor = min(algebra.degrees)
+        assert any(sum(algebra.degrees[t] for t in ijk) < floor for ijk in got)
+
+
+def _random_sparse_vector(rng, n):
+    density = rng.choice((0.0, 0.2, 0.5, 1.0))
+    return [
+        QI(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        if rng.random() < density
+        else QI(0)
+        for _ in range(n)
+    ]
+
+
+def test_bracket_vec_matches_dense_oracle():
+    rng = random.Random(6011)
+    A = build_symbol_algebra(7).algebra
+    for algebra in (A, realify(A), _levi_tanaka(5)):
+        C = dense_structure_constants(algebra.dim, _pair_table(algebra))
+        zero = [QI(0)] * algebra.dim
+        pairs = [(zero, zero), (zero, _random_sparse_vector(rng, algebra.dim))]
+        pairs += [(_random_sparse_vector(rng, algebra.dim), _random_sparse_vector(rng, algebra.dim)) for _ in range(25)]
+        for u, v in pairs:
+            expected = dense_bracket(C, [(x.re, x.im) for x in u], [(x.re, x.im) for x in v])
+            assert [(x.re, x.im) for x in algebra.bracket_vec(u, v)] == expected
+            assert algebra.bracket_vec(v, u) == [-x for x in algebra.bracket_vec(u, v)]
+
+
+def test_first_bracket_mismatch_finds_planted_pair():
+    A = build_symbol_algebra(5).algebra
+    rf = real_form(A)
+    identity = Matrix.identity(A.dim)
+    assert first_bracket_mismatch(A, A, identity) is None
+    assert first_bracket_mismatch(rf.algebra, A, rf.embedding) is None
+    assert first_bracket_mismatch(A, A.replaced_bracket(2, 4, {6: QI(3)}), identity) == (2, 4)
+    assert first_bracket_mismatch(A.replaced_bracket(1, 4, {}), A, identity) == (1, 4)
+    planted = rf.algebra.replaced_bracket(1, 2, {3: QI(5)})
+    assert first_bracket_mismatch(planted, A, rf.embedding) == (1, 2)
+
+
+def test_acts_faithfully_when_no_bracket_reaches():
+    A = abelian(["x", "y", "t"], [-1, -1, -2])
+    assert not _acts_faithfully(A, [0, 1], [0, 1, 2])
+    assert not _acts_faithfully(heisenberg_real(), [0, 1], [])
+    assert not _acts_faithfully(heisenberg_real(), [2], [0, 1, 2])
+    assert _acts_faithfully(heisenberg_real(), [], [0, 1])
+    assert _acts_faithfully(heisenberg_real(), [0, 1], [0, 1])
 
 
 def test_grading_check():
