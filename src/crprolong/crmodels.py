@@ -10,7 +10,7 @@ the identity on g_-, sends d to the Euler derivation and r to the Leibniz
 extension of -J, and checks bijectivity plus bracket preservation on every
 basis pair.  The symbol is fundamental, so an element of the J-commuting
 G^0 is fixed by its degree -1 block.  Both grade-0 images are read off the
-computed G^0 by one small solve on those blocks alone (``_g0_element``):
+computed G^0 by a lookup on those blocks alone (``_g0_element``):
 d by the block -I, whose element must equal the Euler derivation on every
 block, and r by the block -J, whose element exists exactly when the
 rotation is a derivation of this quotient.
@@ -21,20 +21,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import Inconsistent, Matrix, QI, QI_ONE, QI_ZERO, as_qi, rank, solve_linear
+from .exact import Matrix, QI, QI_ONE, QI_ZERO, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     RealForm,
     SymbolAlgebra,
+    _jacobi_violations,
     build_symbol_algebra,
     check_grading,
-    check_jacobi,
     first_bracket_mismatch,
     is_nondegenerate_symbol,
     real_form,
 )
 from .freelie import hall_basis
-from .prolong import LEVI_TANAKA, DerivationMap, full_prolongation, grade0, is_transitive
+from .prolong import LEVI_TANAKA, full_prolongation, grade0, is_transitive
 
 __all__ = [
     "AutCRAlgebra",
@@ -102,15 +102,16 @@ def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
     """The element of a grade-0 component whose degree -1 block is ``block``.
 
     m is fundamental, so an element of G^0 is fixed by its g_-1 block
-    (Tanaka 1970); the solve has one row per entry of that 2x2 block.
-    Returns its coordinates in the component basis and its full matrix,
-    or None when no element of the component restricts to ``block``.
+    (Tanaka 1970), and the component basis is reduced on that block: each
+    map is 1 at its pivot, its last nonzero entry in row-major order, and
+    0 at the others' pivots.  So the coordinates are the entries of
+    ``block`` at the pivots, and ``block`` is in the component iff they
+    recombine to it.  Returns them and the element's full matrix, or None.
     """
-    basis = Matrix.from_columns([dm.flatten([-1]) for dm in component.maps])
-    try:
-        coords = solve_linear(basis, DerivationMap(0, {-1: block}).flatten([-1]))
-    except Inconsistent:
-        return None
+    pivots = [
+        max((t, s) for t, row in enumerate(dm.blocks[-1].data) for s, x in enumerate(row) if x) for dm in component.maps
+    ]
+    coords = [block.data[t][s] for t, s in pivots]
     out = Matrix.zeros(m.dim, m.dim)
     for c, dm in zip(coords, component.maps):
         for a, sub in dm.blocks.items():
@@ -118,6 +119,9 @@ def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
             for t, tglob in enumerate(idx):
                 for s, sglob in enumerate(idx):
                     out.data[tglob][sglob] = out.data[tglob][sglob] + c * sub.data[t][s]
+    ones = m.indices_of_degree(-1)
+    if any(out.data[t][s] != block.data[p][q] for p, t in enumerate(ones) for q, s in enumerate(ones)):
+        return None
     return coords, out
 
 
@@ -243,7 +247,7 @@ def build_aut_cr(symbol: SymbolAlgebra, case: str = "auto", rf: RealForm = None)
     # nondegeneracy and transitivity
     if check_grading(aut):
         raise AssertionError("aut algebra violates grading")
-    if check_jacobi(aut):
+    if _jacobi_violations(aut, min(aut.degrees)):
         raise AssertionError("aut algebra violates Jacobi")
     x_i, y_i = aut.indices_of_degree(-1)
     pinned = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, frac_from_str, frac_to_str, invert, kernel_basis
+from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, frac_from_str, frac_to_str, invert, kernel_basis
 from .freelie import (
     conjugate_tree,
     cumulative_dim,
@@ -245,11 +245,20 @@ def check_jacobi(algebra: GradedLieAlgebra):
     whose degree sum is below the lowest degree of the algebra is zero by
     construction and is skipped.  Otherwise every triple is checked.
     """
+    graded = not check_grading(algebra)
+    return _jacobi_violations(algebra, min(algebra.degrees, default=0) if graded else None)
+
+
+def _jacobi_violations(algebra: GradedLieAlgebra, floor):
+    """``check_jacobi`` for a caller that has already run ``check_grading``.
+
+    Triples whose degree sum lies below ``floor`` are skipped; with
+    ``floor`` None every triple is checked.
+    """
     violations = []
     n = algebra.dim
     table = algebra.table
     degrees = algebra.degrees
-    floor = min(degrees, default=0) if not check_grading(algebra) else None
 
     def add(acc, outer, sign, x):
         """acc += sign · [outer, e_x] for outer = {t: c} read off the table."""
@@ -294,33 +303,39 @@ def check_grading(algebra: GradedLieAlgebra):
 
 def is_fundamental(algebra: GradedLieAlgebra) -> bool:
     """True iff iterated brackets of the degree -1 part span every layer."""
+    return _generating_expressions(algebra) is not None
+
+
+def _generating_expressions(algebra: GradedLieAlgebra):
+    """One expression e_x = sum of c·[e_g, e_y], deg g = -1, deg y = deg x + 1, per x of degree <= -2.
+
+    Returns ``{x: [(g, y, c), ...]}``, or None when some layer m_a is not
+    spanned by [g_-1, m_(a+1)], i.e. when the algebra is not fundamental.
+    One echelon per layer of the rows [e_g, e_y], each augmented by its
+    own unit vector, with pivots on the layer coordinates only: pivot row
+    x then reads e_x off its augmented part.  Zero brackets get no pivot.
+    """
     if any(d >= 0 for d in algebra.degrees):
         raise ValueError("fundamentality applies to negatively graded algebras")
-    depth = -min(algebra.degrees)
-    gen_prev = [algebra.basis_vector(i) for i in algebra.indices_of_degree(-1)]
     ones = algebra.indices_of_degree(-1)
-    for ell in range(2, depth + 1):
-        block = algebra.indices_of_degree(-ell)
-        candidates = []
-        for i in ones:
-            ei = algebra.basis_vector(i)
-            for v in gen_prev:
-                w = algebra.bracket_vec(ei, v)
-                candidates.append([w[b] for b in block])
-        if not block:
-            gen_prev = []
-            continue
-        mat = Matrix(candidates) if candidates else Matrix.zeros(0, len(block))
-        e = Echelon(mat.data, len(block))
-        if e.rank != len(block):
-            return False
-        gen_prev = []
-        for row in e.rows:
-            full = [QI_ZERO] * algebra.dim
-            for pos, b in enumerate(block):
-                full[b] = row[pos]
-            gen_prev.append(full)
-    return True
+    out = {}
+    for a in range(-2, min(algebra.degrees) - 1, -1):
+        block = algebra.indices_of_degree(a)
+        pos = {x: p for p, x in enumerate(block)}
+        nb = len(block)
+        pairs = [(g, y) for g in ones for y in algebra.indices_of_degree(a + 1)]
+        rows = [[QI_ZERO] * (nb + len(pairs)) for _ in pairs]
+        for p, (g, y) in enumerate(pairs):
+            for k, c in algebra.bracket_basis(g, y).items():
+                if k in pos:
+                    rows[p][pos[k]] = c
+            rows[p][nb + p] = QI_ONE
+        pivots = _rref(rows, range(nb))
+        if len(pivots) != nb:
+            return None
+        for c, row in pivots:
+            out[block[c]] = [(*pairs[p - nb], coef) for p, coef in row.items() if p >= nb]
+    return out
 
 
 def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
@@ -611,7 +626,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     # invariant gate
     if check_grading(algebra):
         raise AssertionError("symbol algebra violates grading")
-    if check_jacobi(algebra):
+    if _jacobi_violations(algebra, min(algebra.degrees)):
         raise AssertionError("symbol algebra violates Jacobi")
     if algebra.dim != 2 + k:
         raise AssertionError("symbol algebra has wrong dimension")

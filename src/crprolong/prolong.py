@@ -1,11 +1,15 @@
 """Tanaka and Levi-Tanaka prolongations of fundamental graded algebras.
 
-Every nonnegative component comes from one solver, ``_solve_component``:
-the component is the exact kernel of a stacked linear system whose
-unknown is a full block map (m_a -> V_{a+l} for every source degree a)
-and whose rows are the Leibniz identity on all basis pairs of the
-negative part, plus commutation with the complex structure J on the
-degree -1 block for the grade-0 component of the Levi-Tanaka flavor.
+Every nonnegative component comes from one solver, ``_solve_component``.
+The negative part m is fundamental, so a degree-l derivation is fixed by
+its restriction to g_-1 (Tanaka 1970): the unknown is that block alone,
+2·dim V_(l-1) entries for a CR symbol.  It is extended to every layer
+along one fixed expression of each basis element as a bracket with
+g_-1, and the component is the exact kernel of the Leibniz identity
+evaluated on all basis pairs of m, plus commutation with the complex
+structure J on the degree -1 block for the grade-0 component of the
+Levi-Tanaka flavor.  The reduced kernel basis is the one a solve for the
+full block maps m_a -> V_(a+l) would return.
 Brackets between nonnegative components are assembled afterwards by the
 usual induction [d, e](x) = [[d, x], e] + [d, [e, x]] and re-expressed in
 the computed component bases, so the result is an honest
@@ -18,9 +22,10 @@ reference check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
-from .exact import Inconsistent, Matrix, QI_ZERO, kernel_basis, solve_linear
-from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, check_jacobi, is_fundamental, is_pseudocomplex
+from .exact import QI_ONE, QI_ZERO, Inconsistent, Matrix, _axpy, kernel_basis, solve_linear
+from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
     "DerivationMap",
@@ -86,39 +91,6 @@ class ProlongationComponent:
         return len(self.maps)
 
 
-class _Layout:
-    """Unknown-vector layout for one component solve."""
-
-    def __init__(self, m: GradedLieAlgebra, l: int, vdim):
-        self.m = m
-        self.l = l
-        self.source_degrees = sorted(set(m.degrees))
-        self.block_shape = {}
-        self.offset = {}
-        off = 0
-        for a in self.source_degrees:
-            rows = vdim(a + l)
-            cols = len(m.indices_of_degree(a))
-            self.block_shape[a] = (rows, cols)
-            self.offset[a] = off
-            off += rows * cols
-        self.total = off
-
-    def var(self, a: int, target_local: int, source_local: int) -> int:
-        rows, cols = self.block_shape[a]
-        return self.offset[a] + target_local * cols + source_local
-
-    def to_map(self, vec) -> DerivationMap:
-        blocks = {}
-        for a in self.source_degrees:
-            rows, cols = self.block_shape[a]
-            base = self.offset[a]
-            blocks[a] = Matrix(
-                [[vec[base + t * cols + s] for s in range(cols)] for t in range(rows)]
-            )
-        return DerivationMap(self.l, blocks)
-
-
 def _local_index(m: GradedLieAlgebra):
     loc = {}
     for d in set(m.degrees):
@@ -128,99 +100,108 @@ def _local_index(m: GradedLieAlgebra):
 
 
 def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool) -> ProlongationComponent:
-    """Degree-l component: the kernel of the stacked Leibniz rows.
+    """Degree-l component: solve on the g_-1 block, extend, check Leibniz on all pairs.
 
-    The target space V_j is m_j for j <= -1 and the basis of
-    ``components[j]`` for 0 <= j < l.  With ``j_constraint`` (grade 0
-    only) the rows also ask the degree -1 block to commute with J.
+    V_j is m_j for j <= -1 and ``components[j]`` for 0 <= j < l.  The
+    unknown is the g_-1 block: entry (t, s), coordinate t of D(e_s) in
+    V_(l-1), is unknown t·dim(g_-1) + s.  D is extended along the
+    expressions e_x = sum of c·[e_g, e_y] as D(e_x) = sum of
+    c·([D e_g, e_y] + [e_g, D e_y]), each coordinate a sparse linear form
+    {unknown: coefficient}.  Each nonzero coordinate of the Leibniz
+    residual on a basis pair i < j is a row, so the kernel is the set of
+    g_-1 blocks of derivations without appeal to Jacobi; ``j_constraint``
+    (grade 0) adds commutation with J.  The unknowns keep the order of
+    the trailing g_-1 block of a solve for all blocks m_a -> V_(a+l).  No
+    derivation has a zero g_-1 block, so every pivot of that solve's
+    reduced kernel basis (the last nonzero entry of each vector) lies in
+    this block, and that basis is the extension of the one found here.
     """
-
-    def vdim(jdeg):
-        if jdeg <= -1:
-            return len(m.indices_of_degree(jdeg))
-        if jdeg < l:
-            return components[jdeg].dim
-        return 0
-
+    gens = _generating_expressions(m)
+    if gens is None:
+        raise NotFundamental("prolongation needs a fundamental algebra")
+    if j_constraint and m.J is None:
+        raise MissingJ("J-constrained prolongation needs a complex structure")
+    blocks = {d: m.indices_of_degree(d) for d in sorted(set(m.degrees))}
+    dims = {d: len(idx) for d, idx in blocks.items()} | {d: c.dim for d, c in enumerate(components[:l])}
     loc = _local_index(m)
+    actions = {}
 
-    def action(sdeg, s, x, tdeg):
-        """Coordinates of [basis element s of V_sdeg, e_x] in V_tdeg."""
-        if sdeg >= 0:
-            return components[sdeg].maps[s].apply(m.degrees[x], loc[x])
-        w = m.bracket_basis(m.indices_of_degree(sdeg)[s], x)
-        return [w.get(t, QI_ZERO) for t in m.indices_of_degree(tdeg)]
+    def sub(acc, image, sdeg, y, negate=False):
+        """acc -= [image, e_y] (acc += with ``negate``) for ``image`` = {s: form} in V_sdeg."""
+        for s, form in image.items():
+            action = actions.get((sdeg, s, y, negate))
+            if action is None:
+                if sdeg >= 0:
+                    action = enumerate(components[sdeg].maps[s].apply(m.degrees[y], loc[y]))
+                else:
+                    action = ((loc[k], c) for k, c in m.bracket_basis(blocks[sdeg][s], y).items())
+                action = actions[(sdeg, s, y, negate)] = {t: -c if negate else c for t, c in action if c}
+            for t, c in action.items():
+                _axpy(acc.setdefault(t, {}), c, form)
 
-    layout = _Layout(m, l, vdim)
-    depth = -min(m.degrees)
+    nb = len(blocks[-1])
+    width = dims.get(l - 1, 0) * nb
+    image = {g: {t: {t * nb + s: QI_ONE} for t in range(dims.get(l - 1, 0))} for s, g in enumerate(blocks[-1])}
+    parts = {}
+    for x, expression in gens.items():
+        # parts[g, y] = -[D e_g, e_y] + [D e_y, e_g], shared within a layer; D(e_x) = -sum of c·parts[g, y]
+        acc = {}
+        for g, y, c in expression:
+            if (g, y) not in parts:
+                parts[g, y] = {}
+                sub(parts[g, y], image[g], l - 1, y)
+                sub(parts[g, y], image[y], m.degrees[y] + l, g, negate=True)
+            for t, form in parts[g, y].items():
+                _axpy(acc.setdefault(t, {}), c, form)
+        image[x] = {t: form for t, form in acc.items() if form}
+
     rows = []
-    n = m.dim
-    for i in range(n):
-        a = m.degrees[i]
-        for j in range(i + 1, n):
-            b = m.degrees[j]
-            c = a + b
-            tdeg = c + l
-            if tdeg < -depth:
-                continue
-            tdim = vdim(tdeg)
-            if tdim == 0:
-                continue
-            eq = [[QI_ZERO] * layout.total for _ in range(tdim)]
-
-            # + d([y, z])
-            if c >= -depth:
-                for k, gamma in m.bracket_basis(i, j).items():
-                    kl = loc[k]
-                    for t in range(tdim):
-                        v = layout.var(c, t, kl)
-                        eq[t][v] = eq[t][v] + gamma
-
-            # - [d(y), z] + [d(z), y]
-            for source, other, negate in ((i, j, True), (j, i, False)):
-                sdeg = m.degrees[source] + l
-                for s in range(vdim(sdeg)):
-                    coords = action(sdeg, s, other, tdeg)
-                    v = layout.var(m.degrees[source], s, loc[source])
-                    for t in range(tdim):
-                        if coords[t]:
-                            eq[t][v] = eq[t][v] - coords[t] if negate else eq[t][v] + coords[t]
-
-            rows.extend(eq)
+    for i, j in combinations(range(m.dim), 2):
+        if not dims.get(m.degrees[i] + m.degrees[j] + l):
+            continue
+        # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
+        acc = {}
+        for k, gamma in m.table.get((i, j), {}).items():
+            for t, form in image[k].items():
+                _axpy(acc.setdefault(t, {}), gamma, form)
+        sub(acc, image[i], m.degrees[i] + l, j, negate=True)
+        sub(acc, image[j], m.degrees[j] + l, i)
+        rows.extend(form for form in acc.values() if form)
     if j_constraint:
-        nb = vdim(-1)
-        jm = m.J
-        for p in range(nb):
-            for q in range(nb):
-                eq = [QI_ZERO] * layout.total
-                for s in range(nb):
-                    if jm.data[s][q]:
-                        v = layout.var(-1, p, s)
-                        eq[v] = eq[v] + jm.data[s][q]
-                    if jm.data[p][s]:
-                        v = layout.var(-1, s, q)
-                        eq[v] = eq[v] - jm.data[p][s]
-                if any(eq):
-                    rows.append(eq)
-    kern = kernel_basis(Matrix(rows)) if rows else kernel_basis(Matrix.zeros(1, layout.total))
-    return ProlongationComponent(l, tuple(layout.to_map(v) for v in kern))
+        jm = m.J.data
+        for p, q in product(range(nb), repeat=2):
+            # (D J - J D)[p][q] on the g_-1 block
+            form = {}
+            for s in range(nb):
+                for v, c in ((p * nb + s, jm[s][q]), (s * nb + q, -jm[p][s])):
+                    form[v] = form.get(v, QI_ZERO) + c
+            rows.append({v: c for v, c in form.items() if c})
+    dense = [[form.get(v, QI_ZERO) for v in range(width)] for form in rows if form] or [[QI_ZERO] * width]
+    maps = []
+    for vec in kernel_basis(Matrix(dense)):
+        support = [(v, x) for v, x in enumerate(vec) if x]
+        out = {}
+        for a, idx in blocks.items():
+            cols = [{t: sum((f[v] * x for v, x in support if v in f), QI_ZERO) for t, f in image[y].items()} for y in idx]
+            out[a] = Matrix([[col.get(t, QI_ZERO) for col in cols] for t in range(dims.get(a + l, 0))])
+        maps.append(DerivationMap(l, out))
+    return ProlongationComponent(l, tuple(maps))
 
 
 def grade0(m: GradedLieAlgebra, j_constraint: bool) -> ProlongationComponent:
     """All grade-preserving derivations of m, optionally J-commuting.
 
-    The unknown is the full block-diagonal endomorphism; the kernel of the
-    stacked Leibniz (+ J-commutation) system is exactly the component.
+    The unknown is the endomorphism of the degree -1 part, four entries
+    for a CR symbol; ``_solve_component`` extends it to every layer, and
+    the kernel of the Leibniz (+ J-commutation) rows is exactly the
+    component.  Raises :class:`NotFundamental` when m is not generated by
+    its degree -1 part.
     """
-    if not is_fundamental(m):
-        raise NotFundamental("grade-0 prolongation needs a fundamental algebra")
-    if j_constraint and m.J is None:
-        raise MissingJ("J-constrained prolongation needs a complex structure")
     return _solve_component(m, (), 0, j_constraint)
 
 
 def prolong_component(m: GradedLieAlgebra, components, l: int) -> ProlongationComponent:
-    """Degree-l component given the components of degrees 0..l-1."""
+    """Degree-l component given the components of degrees 0..l-1 (see ``_solve_component``)."""
     if l < 1:
         raise ValueError("use grade0 for degree 0")
     if len(components) < l:

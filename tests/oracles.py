@@ -3,8 +3,9 @@
 These deliberately avoid the package's rewriting and series machinery:
 Lyndon words are enumerated straight from the rotation-minimality
 definition, bracket expressions are expanded as iterated commutators
-in a hand-rolled free associative algebra, and Lie brackets and the
-Jacobi identity are evaluated from a dense array of structure constants.
+in a hand-rolled free associative algebra, Lie brackets and the
+Jacobi identity are evaluated from a dense array of structure constants,
+and prolongation components are solved for every full block map at once.
 None of them imports ``crprolong``.
 """
 
@@ -197,3 +198,70 @@ def jacobi_violations(n, table):
                 if any(x != C_ZERO for x in acc):
                     out[(i, j, k)] = acc
     return out
+
+
+# -- prolongation components as the kernel of the full-block Leibniz system --
+
+
+def full_block_component(degrees, table, l, lower=(), J=None):
+    """Basis of the degree-l component by the textbook full-block solve.
+
+    m has basis 0..n-1 with negative ``degrees`` and structure constants
+    ``table`` {(i, j): {k: (re, im)}}, i < j.  V_t is m_t for t <= -1 and,
+    for 0 <= t < l, the component whose basis maps are ``lower[t]``, each
+    {a: rows of the block m_a -> V_(a+t)}.  The unknown is every block
+    m_a -> V_(a+l), the blocks by increasing a and each one row by row.
+    The rows are the Leibniz identity D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j]
+    on every pair i < j, plus DJ = JD on the degree -1 block when J is
+    given.  Returns each ``dense_kernel`` vector as {a: rows of its block}.
+    """
+    n = len(degrees)
+    C = dense_structure_constants(n, table)
+    idx = {a: [i for i in range(n) if degrees[i] == a] for a in sorted(set(degrees))}
+    loc = {i: p for block in idx.values() for p, i in enumerate(block)}
+
+    def dim(t):
+        return len(idx.get(t, [])) if t < 0 else len(lower[t]) if t < l else 0
+
+    offset, cols = {}, 0
+    for a, block in idx.items():
+        offset[a] = cols
+        cols += dim(a + l) * len(block)
+
+    def var(a, t, s):
+        return offset[a] + t * len(idx[a]) + s
+
+    def act(sdeg, s, x):
+        """Coordinates of [basis element s of V_sdeg, e_x] in V_(sdeg + deg x)."""
+        if sdeg >= 0:
+            return [row[loc[x]] for row in lower[sdeg][s][degrees[x]]]
+        return [C[idx[sdeg][s]][x][k] for k in idx.get(sdeg + degrees[x], [])]
+
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = degrees[i], degrees[j]
+            eq = [[C_ZERO] * cols for _ in range(dim(a + b + l))]
+            for t, row in enumerate(eq):
+                for k in idx.get(a + b, []):
+                    row[var(a + b, t, loc[k])] = c_add(row[var(a + b, t, loc[k])], C[i][j][k])
+            for s in range(dim(a + l)):
+                for t, c in enumerate(act(a + l, s, j)):
+                    eq[t][var(a, s, loc[i])] = c_sub(eq[t][var(a, s, loc[i])], c)
+            for s in range(dim(b + l)):
+                for t, c in enumerate(act(b + l, s, i)):
+                    eq[t][var(b, s, loc[j])] = c_add(eq[t][var(b, s, loc[j])], c)
+            rows.extend(eq)
+    if J is not None:
+        nb = len(idx[-1])
+        for p in range(nb):
+            for q in range(nb):
+                eq = [C_ZERO] * cols
+                for s in range(nb):
+                    eq[var(-1, p, s)] = c_add(eq[var(-1, p, s)], J[s][q])
+                    eq[var(-1, s, q)] = c_sub(eq[var(-1, s, q)], J[p][s])
+                rows.append(eq)
+    return [
+        {a: [[v[var(a, t, s)] for s in range(len(block))] for t in range(dim(a + l))] for a, block in idx.items()}
+        for v in dense_kernel(rows, cols)
+    ]

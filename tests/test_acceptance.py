@@ -234,9 +234,13 @@ def test_criterion_9_rewrite_oracle_equivalence():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("k", range(K_MAX + 1, 40))
+@pytest.mark.parametrize("k", range(K_MAX + 1, 70))
 def test_main_theorem_beyond_desk_scale(k):
-    """Opt-in (``pytest -m slow``): the theorem check for k = 13..39, lengths 6 and 7."""
+    """Opt-in (``pytest -m slow``): the theorem check for k = 13..69, lengths 6, 7 and 8.
+
+    Budget: 60 s for the whole tier on 2 vCPUs (measured: about 20 s).
+    k = 69, the free algebra of length 8, is the largest case at about 1 s.
+    """
     symbol = build_symbol_algebra(k)
     rep = verify_theorem(symbol)
     assert rep.verdict == "confirmed"

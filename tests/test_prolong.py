@@ -3,7 +3,7 @@ import json
 import pytest
 
 from crprolong.exact import Matrix, QI
-from crprolong.liealg import GradedLieAlgebra, build_symbol_algebra, check_jacobi, realify
+from crprolong.liealg import GradedLieAlgebra, build_symbol_algebra, check_jacobi, is_fundamental, realify
 from crprolong.prolong import (
     FULL_TANAKA,
     LEVI_TANAKA,
@@ -16,6 +16,7 @@ from crprolong.prolong import (
     is_transitive,
     prolong_component,
 )
+from oracles import full_block_component
 
 J_STANDARD = Matrix([[0, -1], [1, 0]])
 
@@ -236,3 +237,56 @@ def test_flavor_validation():
     no_j = GradedLieAlgebra(["x", "y", "t"], [-1, -1, -2], {(0, 1): {2: 1}})
     with pytest.raises(MissingJ):
         full_prolongation(no_j, LEVI_TANAKA)
+
+
+# -- every component against the full-block Leibniz oracle in tests/oracles.py --
+
+
+def _pairs(x):
+    return (x.re, x.im)
+
+
+def _assert_components_match_oracle(m, top, j_constraint):
+    """grade0 and prolong_component through degree ``top`` return exactly the oracle's basis maps."""
+    table = {ij: {k: _pairs(c) for k, c in terms.items()} for ij, terms in m.table.items()}
+    J = [[_pairs(x) for x in row] for row in m.J.data] if j_constraint else None
+    comps = [grade0(m, j_constraint)]
+    for l in range(1, top + 1):
+        comps.append(prolong_component(m, comps, l))
+    maps = [
+        [{a: [[_pairs(x) for x in row] for row in block.data] for a, block in dm.blocks.items()} for dm in comp.maps]
+        for comp in comps
+    ]
+    for l in range(top + 1):
+        assert maps[l] == full_block_component(m.degrees, table, l, maps[:l], J if l == 0 else None), l
+
+
+@pytest.mark.parametrize("j_constraint", [False, True])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_grade0_matches_full_block_oracle(k, j_constraint):
+    _assert_components_match_oracle(realify(build_symbol_algebra(k).algebra), 0, j_constraint)
+
+
+@pytest.mark.parametrize(
+    "k, top, j_constraint",
+    [(1, 4, False), (2, 3, False), (3, 1, True)],
+    ids=["heisenberg-full-tanaka", "k2-full-tanaka", "f23-levi-tanaka"],
+)
+def test_components_match_full_block_oracle(k, top, j_constraint):
+    _assert_components_match_oracle(realify(build_symbol_algebra(k).algebra), top, j_constraint)
+
+
+@pytest.mark.parametrize("j_constraint", [False, True])
+def test_grade0_matches_oracle_without_jacobi(j_constraint):
+    """The Leibniz rows span every pair, so the kernel is right even where Jacobi fails.
+
+    k = 12 is the free algebra of length 5; doubling [e2_1, e3_1] keeps it
+    fundamental but breaks Jacobi, and the pair (e2_1, e3_1) then cuts
+    gl(2) down to 2 dimensions (1 with J).  A solver that checked Leibniz
+    only on pairs with a degree -1 element would keep 4 (2 with J).
+    """
+    free = realify(build_symbol_algebra(12).algebra)
+    bad = free.replaced_bracket(2, 3, {12: 2 * free.table[(2, 3)][12]})
+    assert check_jacobi(bad) and is_fundamental(bad)
+    assert grade0(bad, j_constraint).dim == (1 if j_constraint else 2)
+    _assert_components_match_oracle(bad, 0, j_constraint)
