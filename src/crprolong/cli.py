@@ -84,9 +84,11 @@ def _catalog_model(args):
 
 def _resolve_symbol(args):
     if args.model:
+        if args.quotient is not None:
+            raise ValueError("--quotient applies to --k only; a --model symbol takes its quotient from the model")
         return symbol_from_frame(_catalog_model(args))
     quotient = None
-    if args.quotient and args.quotient != "default":
+    if args.quotient not in (None, "default"):
         with open(args.quotient, "r", encoding="utf-8") as fh:
             quotient = QuotientSpec.from_json_dict(json.load(fh))
     return build_symbol_algebra(args.k, quotient)
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--k", type=int, help="codimension (default quotient)")
     sel.add_argument("--model", help="catalog model id (frame-induced quotient)")
-    p.add_argument("--quotient", default="default", help="'default' or a JSON quotient-spec file")
+    p.add_argument("--quotient", help="with --k: 'default' (the default) or a JSON quotient-spec file")
 
     p = sub.add_parser("verify", parents=[common, catalog], help="verify the isomorphism theorem")
     sel = p.add_mutually_exclusive_group(required=True)

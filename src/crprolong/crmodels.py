@@ -34,7 +34,7 @@ from .liealg import (
     real_form,
 )
 from .freelie import hall_basis
-from .prolong import LEVI_TANAKA, full_prolongation, grade0, is_transitive
+from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, grade0, is_transitive
 
 __all__ = [
     "AutCRAlgebra",
@@ -101,17 +101,12 @@ def euler_derivation(realified: GradedLieAlgebra) -> Matrix:
 def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
     """The element of a grade-0 component whose degree -1 block is ``block``.
 
-    m is fundamental, so an element of G^0 is fixed by its g_-1 block
-    (Tanaka 1970), and the component basis is reduced on that block: each
-    map is 1 at its pivot, its last nonzero entry in row-major order, and
-    0 at the others' pivots.  So the coordinates are the entries of
-    ``block`` at the pivots, and ``block`` is in the component iff they
-    recombine to it.  Returns them and the element's full matrix, or None.
+    Returns its coordinates (``prolong._coordinates``) and its full
+    matrix, or None when ``block`` is not in the component.
     """
-    pivots = [
-        max((t, s) for t, row in enumerate(dm.blocks[-1].data) for s, x in enumerate(row) if x) for dm in component.maps
-    ]
-    coords = [block.data[t][s] for t, s in pivots]
+    coords = _coordinates(component, block)
+    if coords is None:
+        return None
     out = Matrix.zeros(m.dim, m.dim)
     for c, dm in zip(coords, component.maps):
         for a, sub in dm.blocks.items():
@@ -119,9 +114,6 @@ def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
             for t, tglob in enumerate(idx):
                 for s, sglob in enumerate(idx):
                     out.data[tglob][sglob] = out.data[tglob][sglob] + c * sub.data[t][s]
-    ones = m.indices_of_degree(-1)
-    if any(out.data[t][s] != block.data[p][q] for p, t in enumerate(ones) for q, s in enumerate(ones)):
-        return None
     return coords, out
 
 

@@ -11,12 +11,13 @@ structure J on the degree -1 block for the grade-0 component of the
 Levi-Tanaka flavor.  The reduced kernel basis is the one a solve for the
 full block maps m_a -> V_(a+l) would return.
 Brackets between nonnegative components are assembled afterwards by the
-usual induction [d, e](x) = [[d, x], e] + [d, [e, x]] and re-expressed in
-the computed component bases, so the result is an honest
-structure-constant table that gets the same Jacobi and transitivity
-scrutiny as everything else.  ``derivation_residual`` evaluates the
-Leibniz identity on a given map without solving; tests use it as the
-reference check.
+usual induction [d, e](x) = [[d, x], e] + [d, [e, x]]; the coordinates of
+[d, e] are read off its g_-1 block at the basis pivots (``_coordinates``)
+and checked against its action on every basis vector of m, so the result
+is an honest structure-constant table that gets the same Jacobi and
+transitivity scrutiny as everything else.  ``derivation_residual``
+evaluates the Leibniz identity on a given map without solving; tests use
+it as the reference check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import QI_ONE, QI_ZERO, Inconsistent, Matrix, _axpy, kernel_basis, solve_linear
+from .exact import QI_ONE, QI_ZERO, Matrix, _axpy, kernel_basis
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -335,9 +336,37 @@ def full_prolongation(m: GradedLieAlgebra, flavor: str = LEVI_TANAKA, l_max_guar
     return ProlongedAlgebra(m, tuple(components), flavor, algebra)
 
 
+def _coordinates(component: ProlongationComponent, block: Matrix):
+    """Coordinates in ``component`` of the element with g_-1 block ``block``, or None.
+
+    The negative part is fundamental, so a derivation is fixed by its g_-1
+    block (Tanaka 1970), and ``_solve_component`` returns each basis
+    reduced on that block: map i is 1 at its pivot, the last nonzero
+    (t, s) of its g_-1 block in row-major order, and 0 at the other maps'
+    pivots.  So the coordinates are the entries of ``block`` at the
+    pivots, and ``block`` is in the component iff they recombine to it.
+    """
+    coords = []
+    for dm in component.maps:
+        t, s = max((t, s) for t, row in enumerate(dm.blocks[-1].data) for s, x in enumerate(row) if x)
+        coords.append(block.data[t][s])
+    rest = [list(row) for row in block.data]
+    for c, dm in zip(coords, component.maps):
+        for t, row in enumerate(dm.blocks[-1].data):
+            for s, x in enumerate(row):
+                rest[t][s] = rest[t][s] - c * x
+    return None if any(any(row) for row in rest) else coords
+
+
 def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
-    """Structure-constant table of m plus all computed components."""
-    n_neg = m.dim
+    """Structure-constant table of m plus all computed components.
+
+    [e_x, d] = -d(e_x) is read off the maps.  For nonnegative d, e the
+    action [[d, e], e_x] = [[d, e_x], e] + [d, [e, e_x]] is built from the
+    entries assembled so far, pairs taken by increasing degree sum; its
+    coordinates are read at the g_-1 pivots (``_coordinates``) and must
+    reproduce the action on every basis vector x of m.
+    """
     labels = list(m.labels)
     degrees = list(m.degrees)
     comp_base = {}
@@ -346,122 +375,72 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
         for idx in range(comp.dim):
             labels.append(f"G{comp.degree}_{idx + 1}")
             degrees.append(comp.degree)
-    total = len(labels)
-    depth = -min(m.degrees)
+    slots = {}
+    for g, d in enumerate(degrees):
+        slots.setdefault(d, []).append(g)
     loc = _local_index(m)
     max_l = components[-1].degree
+    table = {ij: dict(terms) for ij, terms in m.table.items()}
 
-    def vblock(jdeg):
-        """Global indices of the degree-jdeg slot of the assembled algebra."""
-        if jdeg <= -1:
-            return m.indices_of_degree(jdeg)
-        if jdeg > max_l:
-            # beyond the terminal zero component: no slot, actions there
-            # must come out zero (enforced by the landing check below)
-            return []
-        base = comp_base[jdeg]
-        return list(range(base, base + components[jdeg].dim))
-
-    table = {}
-
-    def set_entry(i, j, vec):
-        entry = {k: c for k, c in enumerate(vec) if c}
-        if not entry:
-            return
-        if i < j:
-            table[(i, j)] = entry
-        elif j < i:
-            table[(j, i)] = {k: -c for k, c in entry.items()}
-
-    def bracket_global(p, q):
-        """[e_p, e_q] from the entries assembled so far."""
-        out = [QI_ZERO] * total
-        if p == q:
-            return out
+    def bracket(p, q):
+        """[e_p, e_q] from the entries assembled so far, as {index: coefficient}."""
         if p < q:
-            for k, c in table.get((p, q), {}).items():
-                out[k] = c
-        else:
-            for k, c in table.get((q, p), {}).items():
-                out[k] = -c
+            return table.get((p, q), {})
+        return {k: -c for k, c in table.get((q, p), {}).items()}
+
+    def combination(coords, base, x):
+        """Sum of c_i·[e_(base+i), e_x]."""
+        out = {}
+        for i, c in enumerate(coords):
+            if c:
+                _axpy(out, -c, bracket(base + i, x))
         return out
 
-    for (i, j), terms in m.table.items():
-        table[(i, j)] = dict(terms)
-
-    # [e_x, d] = -d(e_x) for every negative x and component basis element d
     for comp in components:
-        base = comp_base[comp.degree]
         for idx, dm in enumerate(comp.maps):
-            g = base + idx
-            for x in range(n_neg):
+            g = comp_base[comp.degree] + idx
+            for x in range(m.dim):
                 a = m.degrees[x]
-                tdeg = a + comp.degree
-                if tdeg < -depth:
-                    continue
-                coords = dm.apply(a, loc[x])
-                vec = [QI_ZERO] * total
-                for pos, t in enumerate(vblock(tdeg)):
-                    vec[t] = coords[pos]
-                set_entry(x, g, [-v for v in vec])
+                entry = {t: -c for t, c in zip(slots.get(a + comp.degree, ()), dm.apply(a, loc[x])) if c}
+                if entry:
+                    table[(x, g)] = entry
 
-    # nonnegative x nonnegative, by increasing degree sum so the induction
-    # [d, e](x) = [[d, x], e] + [d, [e, x]] only consults finished entries
+    # by increasing degree sum, so the induction only consults finished entries
     pairs = sorted(
         ((k, l) for k in range(max_l + 1) for l in range(k, max_l + 1)),
         key=lambda kl: (kl[0] + kl[1], kl),
     )
-    source_degrees = sorted(set(m.degrees))
+    ones = m.indices_of_degree(-1)
     for k, l in pairs:
-        ck, cl = components[k], components[l]
         s = k + l
-        sdim = components[s].dim if s <= max_l else 0
-        basis_flat = None
-        if sdim:
-            basis_flat = Matrix.from_columns([dm.flatten(source_degrees) for dm in components[s].maps])
-        for ik in range(ck.dim):
+        target = components[s] if s <= max_l else ProlongationComponent(s, ())
+        for ik in range(components[k].dim):
             gi = comp_base[k] + ik
-            jstart = ik + 1 if k == l else 0
-            for il in range(jstart, cl.dim):
+            for il in range(ik + 1 if k == l else 0, components[l].dim):
                 gj = comp_base[l] + il
-                flat = []
-                nonzero = False
-                for a in source_degrees:
-                    tdeg = a + s
-                    tblock = vblock(tdeg) if tdeg >= -depth else []
-                    for x in m.indices_of_degree(a):
-                        dx = bracket_global(gi, x)
-                        term = [QI_ZERO] * total
-                        for t, c in enumerate(dx):
-                            if c:
-                                bt = bracket_global(t, gj)
-                                term = [u + c * v for u, v in zip(term, bt)]
-                        ex = bracket_global(gj, x)
-                        for t, c in enumerate(ex):
-                            if c:
-                                bt = bracket_global(gi, t)
-                                term = [u + c * v for u, v in zip(term, bt)]
-                        for t, v in enumerate(term):
-                            if v and t not in tblock:
-                                raise RuntimeError("bracket action landed outside its degree slot")
-                        coords = [term[t] for t in tblock]
-                        if any(coords):
-                            nonzero = True
-                        flat.extend(coords)
-                if sdim == 0:
-                    if nonzero:
+                action = {}
+                for x in range(m.dim):
+                    act = {}
+                    for t, c in bracket(gi, x).items():
+                        _axpy(act, -c, bracket(t, gj))
+                    for t, c in bracket(gj, x).items():
+                        _axpy(act, -c, bracket(gi, t))
+                    if any(degrees[t] != m.degrees[x] + s for t in act):
+                        raise RuntimeError("bracket action landed outside its degree slot")
+                    action[x] = act
+                if not target.dim:
+                    if any(action.values()):
                         raise RuntimeError(
                             f"bracket of degrees {k} and {l} acts nontrivially beyond the terminal component"
                         )
                     continue
-                try:
-                    coords = solve_linear(basis_flat, flat)
-                except Inconsistent as exc:
-                    raise RuntimeError(f"bracket of G^{k} and G^{l} escapes G^{s}") from exc
-                vec = [QI_ZERO] * total
-                for pos, t in enumerate(vblock(s)):
-                    vec[t] = coords[pos]
-                set_entry(gi, gj, vec)
+                block = Matrix([[action[x].get(t, QI_ZERO) for x in ones] for t in slots[s - 1]])
+                coords = _coordinates(target, block)
+                if coords is None or any(combination(coords, comp_base[s], x) != action[x] for x in range(m.dim)):
+                    raise RuntimeError(f"bracket of G^{k} and G^{l} escapes G^{s}")
+                entry = {comp_base[s] + i: c for i, c in enumerate(coords) if c}
+                if entry:
+                    table[(gi, gj)] = entry
 
     return GradedLieAlgebra(labels, degrees, table, conjugation=None, J=None, scalar_tag=m.scalar_tag)
 

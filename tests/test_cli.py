@@ -84,6 +84,15 @@ def test_malformed_quotient_exits_2(tmp_path, capsys, text, message):
     assert message in err
 
 
+def test_symbol_rejects_quotient_with_model(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    code, out, err = run(capsys, "symbol", "--model", "cubic2", "--quotient", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "--quotient" in err
+
+
 def test_catalog_loaded_only_for_model_commands(monkeypatch, capsys):
     def refuse():
         raise AssertionError("catalog built for a command that reads no model")

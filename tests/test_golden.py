@@ -5,7 +5,9 @@ of one computed object: the symbol algebra, its Levi-Tanaka prolongation
 and the ``verify_theorem`` report for the default quotients k = 2..8, 13
 (length 6), 21 (length 6) and 22 (length 7) and the catalog model
 ``quintic7``, plus the full Tanaka tower of the
-Heisenberg algebra through degree 3.  A change to any basis, bracket,
+Heisenberg algebra through degree 3 and two assembled prolongations whose
+nonnegative components bracket nontrivially: Levi-Tanaka of k = 1 (up to
+G^2) and full Tanaka of k = 3 (G2, up to G^3).  A change to any basis, bracket,
 component ordering or report field shows up here.  Update a digest only
 for an intended change of output, and say so in CHANGES.md.
 """
@@ -18,7 +20,7 @@ import pytest
 from crprolong.crmodels import verify_theorem
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import build_symbol_algebra, real_form, realify
-from crprolong.prolong import LEVI_TANAKA, full_prolongation, grade0, prolong_component
+from crprolong.prolong import FULL_TANAKA, LEVI_TANAKA, full_prolongation, grade0, prolong_component
 
 THEOREM_GOLDEN = {
     "k2": {
@@ -80,6 +82,11 @@ THEOREM_GOLDEN = {
 
 HEISENBERG_TOWER_GOLDEN = "5bee2e33d234c4e879b7e8e28a85b2de2cbe3730835b04c87bc056fe8412f416"
 
+ASSEMBLED_GOLDEN = {
+    (1, LEVI_TANAKA): "ba694b9eabb44298934aa3cdebbd10f91118b86d249545342bf595773bde2ac9",
+    (3, FULL_TANAKA): "ad1fd12df9d8659764766479499214458bb2abe36a862e03e5e095a2e9ce6fb4",
+}
+
 
 def _digest(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -118,3 +125,9 @@ def test_theorem_outputs_match_golden(name):
 
 def test_heisenberg_full_tanaka_tower_matches_golden():
     assert heisenberg_tower_digest() == HEISENBERG_TOWER_GOLDEN
+
+
+@pytest.mark.parametrize("k, flavor", sorted(ASSEMBLED_GOLDEN))
+def test_assembled_prolongation_matches_golden(k, flavor):
+    prolonged = full_prolongation(realify(build_symbol_algebra(k).algebra), flavor)
+    assert _digest(prolonged.to_json_dict()) == ASSEMBLED_GOLDEN[k, flavor]

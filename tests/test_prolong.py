@@ -1,12 +1,21 @@
 import json
+import random
 
 import pytest
 
-from crprolong.exact import Matrix, QI
-from crprolong.liealg import GradedLieAlgebra, build_symbol_algebra, check_jacobi, is_fundamental, realify
+from crprolong.exact import Matrix, QI, invert, rank
+from crprolong.liealg import (
+    GradedLieAlgebra,
+    build_symbol_algebra,
+    check_jacobi,
+    first_bracket_mismatch,
+    is_fundamental,
+    realify,
+)
 from crprolong.prolong import (
     FULL_TANAKA,
     LEVI_TANAKA,
+    DerivationMap,
     GuardExceeded,
     MissingLowerComponents,
     NotFundamental,
@@ -14,6 +23,8 @@ from crprolong.prolong import (
     full_prolongation,
     grade0,
     is_transitive,
+    ProlongationComponent,
+    _assemble,
     prolong_component,
 )
 from oracles import full_block_component
@@ -290,3 +301,85 @@ def test_grade0_matches_oracle_without_jacobi(j_constraint):
     assert check_jacobi(bad) and is_fundamental(bad)
     assert grade0(bad, j_constraint).dim == (1 if j_constraint else 2)
     _assert_components_match_oracle(bad, 0, j_constraint)
+
+
+# -- negative controls: _assemble refuses components that are not closed --
+
+
+def _f23_full_tanaka_components():
+    m = f23()
+    comps = [grade0(m, j_constraint=False)]
+    while comps[-1].dim:
+        comps.append(prolong_component(m, comps, len(comps)))
+    assert [c.dim for c in comps] == [4, 2, 1, 2, 0]
+    return m, comps
+
+
+def test_assemble_rejects_component_not_closed_under_grade0():
+    m, comps = _f23_full_tanaka_components()
+    cut = [comps[0], ProlongationComponent(1, comps[1].maps[:1]), ProlongationComponent(2, ())]
+    with pytest.raises(RuntimeError, match="bracket of G\\^0 and G\\^1 escapes G\\^1"):
+        _assemble(m, cut)
+
+
+def test_assemble_rejects_bracket_beyond_terminal_component():
+    m, comps = _f23_full_tanaka_components()
+    with pytest.raises(RuntimeError, match="bracket of degrees 1 and 2 acts nontrivially beyond the terminal component"):
+        _assemble(m, comps[:3])
+
+
+def test_assemble_checks_brackets_on_every_degree():
+    """A corrupted degree -3 block leaves every g_-1 block, hence every read coordinate, as it was."""
+    m, comps = _f23_full_tanaka_components()
+    first = comps[0].maps[0]
+    doubled = Matrix([[2 * x for x in row] for row in first.blocks[-3].data])
+    corrupt = DerivationMap(0, {**first.blocks, -3: doubled})
+    g0 = ProlongationComponent(0, (corrupt,) + comps[0].maps[1:])
+    with pytest.raises(RuntimeError, match="bracket of G\\^0 and G\\^0 escapes G\\^0"):
+        _assemble(m, [g0] + comps[1:])
+
+
+# -- property oracle: the prolongation does not depend on the chosen basis --
+
+
+def _random_graded_change(m, rng):
+    """An invertible rational matrix that maps each degree block of m to itself."""
+    p = Matrix.zeros(m.dim, m.dim)
+    for d in set(m.degrees):
+        idx = m.indices_of_degree(d)
+        while True:
+            block = [[QI(rng.randint(-3, 3), 0) for _ in idx] for _ in idx]
+            if rank(Matrix(block)) == len(idx):
+                break
+        for r, row in zip(idx, block):
+            for c, x in zip(idx, row):
+                p.data[r][c] = x
+    return p
+
+
+def _transported(m, p):
+    """m in the basis given by the columns of p, so p maps it back onto m; J becomes P^-1 J P on g_-1."""
+    pinv = invert(p)
+    cols = [p.column(i) for i in range(m.dim)]
+    table = {}
+    for i in range(m.dim):
+        for j in range(i + 1, m.dim):
+            entry = {k: c for k, c in enumerate(pinv.matvec(m.bracket_vec(cols[i], cols[j]))) if c}
+            if entry:
+                table[(i, j)] = entry
+    ones = m.indices_of_degree(-1)
+    p1 = Matrix([[p.data[r][c] for c in ones] for r in ones])
+    j = invert(p1).mul(m.J).mul(p1)
+    return GradedLieAlgebra(m.labels, m.degrees, table, J=j, scalar_tag=m.scalar_tag)
+
+
+@pytest.mark.parametrize(
+    "k, flavor", [(k, LEVI_TANAKA) for k in range(1, 9)] + [(3, FULL_TANAKA)]
+)
+def test_prolongation_is_invariant_under_graded_change_of_basis(k, flavor):
+    m = realify(build_symbol_algebra(k).algebra)
+    rng = random.Random(1000 + k)
+    p = _random_graded_change(m, rng)
+    moved = _transported(m, p)
+    assert first_bracket_mismatch(moved, m, p) is None
+    assert full_prolongation(moved, flavor).dims_by_degree() == full_prolongation(m, flavor).dims_by_degree()
