@@ -79,10 +79,10 @@ class GroupLaw:
                 out[k] = out[k] + p.scale(c)
         return out
 
-    def apply(self, avec, bvec, weights=None):
+    def apply(self, avec, bvec, weights):
         """bch(a, b) as a vector of polynomials.
 
-        ``weights`` (one per polynomial variable) enables exact pruning of
+        ``weights`` (one per polynomial variable) prunes exactly the
         monomials whose weighted degree exceeds the nilpotency class; every
         graded component of the result is weight-homogeneous, so nothing
         admissible is lost.
@@ -90,7 +90,6 @@ class GroupLaw:
         n = self.algebra.dim
         if len(avec) != n or len(bvec) != n:
             raise ValueError("vectors must match the algebra dimension")
-        cap = self.cap if weights is not None else None
         memo = {}
 
         def value(tree):
@@ -99,7 +98,7 @@ class GroupLaw:
             if isinstance(tree, int):
                 out = list(avec) if tree == 1 else list(bvec)
             else:
-                out = self._vec_bracket(value(tree[0]), value(tree[1]), weights, cap)
+                out = self._vec_bracket(value(tree[0]), value(tree[1]), weights, self.cap)
             memo[tree] = out
             return out
 

@@ -84,7 +84,7 @@ class GradedLieAlgebra:
                 raise ValueError(f"bracket index out of range: {(i, j)}")
             if i >= j:
                 raise ValueError("table keys must have i < j")
-            entry = {k: as_qi(c) for k, c in terms.items() if as_qi(c)}
+            entry = {k: q for k, c in terms.items() if (q := as_qi(c))}
             for k in entry:
                 if not 0 <= k < n:
                     raise ValueError(f"target index out of range: {k}")
@@ -136,25 +136,18 @@ class GradedLieAlgebra:
             return dict(self.table.get((i, j), {}))
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
-    def bracket_vec(self, u, v):
-        out = [QI_ZERO] * self.dim
+    def bracket_vec(self, u: dict, v: dict) -> dict:
+        """[u, v] of sparse vectors {index: coefficient}, with zeros dropped."""
+        out = {}
         table = self.table
-        v_support = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in v_support:
+        for i, a in u.items():
+            for j, b in v.items():
                 terms = table.get((i, j) if i < j else (j, i))
                 if terms:
                     ab = a * b if i < j else -(a * b)
                     for k, c in terms.items():
-                        out[k] = out[k] + ab * c
-        return out
-
-    def basis_vector(self, i: int):
-        v = [QI_ZERO] * self.dim
-        v[i] = QI_ONE
-        return v
+                        out[k] = out.get(k, QI_ZERO) + ab * c
+        return {k: c for k, c in out.items() if c}
 
     def replaced_bracket(self, i: int, j: int, terms: dict) -> "GradedLieAlgebra":
         """Copy with one structure constant replaced (for negative controls).
@@ -365,21 +358,26 @@ def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:
     if algebra.J is None:
         raise MissingJ("algebra has no complex structure map")
     ones = algebra.indices_of_degree(-1)
-    base = [algebra.basis_vector(i) for i in ones]
-    jimg = []
-    for pos in range(len(ones)):
-        col = algebra.J.column(pos)
-        v = [QI_ZERO] * algebra.dim
-        for p, i in enumerate(ones):
-            v[i] = col[p]
-        jimg.append(v)
+    jimg = [{ones[p]: x for p, x in col.items()} for col in _sparse_columns(algebra.J)]
     for a in range(len(ones)):
         for b in range(a + 1, len(ones)):
-            lhs = algebra.bracket_vec(base[a], base[b])
-            rhs = algebra.bracket_vec(jimg[a], jimg[b])
-            if lhs != rhs:
+            if algebra.bracket_basis(ones[a], ones[b]) != algebra.bracket_vec(jimg[a], jimg[b]):
                 return False
     return True
+
+
+def _sparse_columns(m: Matrix):
+    """The columns of ``m`` as {row: entry} dicts without zeros."""
+    return [{r: row[c] for r, row in enumerate(m.data) if row[c]} for c in range(m.cols)]
+
+
+def _combine(coeffs: dict, cols) -> dict:
+    """The sum of c·cols[k] over {k: c} in ``coeffs``, for sparse ``cols``, with zeros dropped."""
+    out = {}
+    for k, c in coeffs.items():
+        for t, x in cols[k].items():
+            out[t] = out.get(t, QI_ZERO) + c * x
+    return {t: x for t, x in out.items() if x}
 
 
 # -- symbol algebras ------------------------------------------------------
@@ -662,7 +660,10 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
 
     Degree -1 always lands on the canonical pair x = g1 + g2 and
     y = i(g1 - g2); deeper layers use the deterministic kernel ordering
-    with positive leading coefficients.
+    with positive leading coefficients.  The structure constants and J
+    are the real-basis coordinates of complex brackets and J images, read
+    off the sparse columns of the inverse embedding; an imaginary
+    coordinate raises :class:`NotSelfConjugate`.
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
@@ -689,9 +690,11 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
             lead = next(i for i, x in enumerate(vec) if x)
             if vec[lead].re < 0:
                 vec = [-x for x in vec]
-            col = [QI_ZERO] * n
+            col = {}
             for pos, b in enumerate(block):
-                col[b] = QI(vec[pos].re, QI_ZERO.re) + QI_I * vec[nb + pos]
+                x = QI(vec[pos].re) + QI_I * vec[nb + pos]
+                if x:
+                    col[b] = x
             columns.append(col)
             degrees.append(d)
             if d == -1:
@@ -699,46 +702,35 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
             else:
                 counters[d] = counters.get(d, 0) + 1
                 labels.append(f"e{-d}_{counters[d]}")
-    emb = Matrix.from_columns(columns)
+    emb = Matrix([[col.get(r, QI_ZERO) for col in columns] for r in range(n)])
     emb_inv = invert(emb)
+    inv_cols = _sparse_columns(emb_inv)
+
+    def real_coords(w: dict, message: str) -> dict:
+        coords = _combine(w, inv_cols)
+        if any(c.im for c in coords.values()):
+            raise NotSelfConjugate(message)
+        return coords
+
     table = {}
     for i in range(n):
         for j in range(i + 1, n):
             w = algebra.bracket_vec(columns[i], columns[j])
-            coords = emb_inv.matvec(w)
-            entry = {}
-            for k, c in enumerate(coords):
-                if c:
-                    if c.im:
-                        raise NotSelfConjugate("real form produced non-real structure constants")
-                    entry[k] = c
+            entry = real_coords(w, "real form produced non-real structure constants")
             if entry:
                 table[(i, j)] = entry
     j_real = None
     if algebra.J is not None:
         ones_c = algebra.indices_of_degree(-1)
         ones_r = [i for i, d in enumerate(degrees) if d == -1]
-        jc_cols = []
-        for pos in range(len(ones_r)):
-            v = columns[ones_r[pos]]
-            img = [QI_ZERO] * n
-            for p, ci in enumerate(ones_c):
-                acc = QI_ZERO
-                for q, cj in enumerate(ones_c):
-                    acc = acc + algebra.J.data[p][q] * v[cj]
-                img[ci] = acc
-            coords = emb_inv.matvec(img)
-            col = []
-            for r in ones_r:
-                c = coords[r]
-                if c.im:
-                    raise NotSelfConjugate("J does not restrict to the real form")
-                col.append(c)
-            for r in range(n):
-                if r not in ones_r and coords[r]:
-                    raise NotSelfConjugate("J leaks outside the degree -1 block")
-            jc_cols.append(col)
-        j_real = Matrix.from_columns(jc_cols)
+        j_cols = {c: {ones_c[p]: x for p, x in col.items()} for c, col in zip(ones_c, _sparse_columns(algebra.J))}
+        jr_cols = []
+        for r in ones_r:
+            coords = real_coords(_combine(columns[r], j_cols), "J does not restrict to the real form")
+            if any(t not in ones_r for t in coords):
+                raise NotSelfConjugate("J leaks outside the degree -1 block")
+            jr_cols.append([coords.get(t, QI_ZERO) for t in ones_r])
+        j_real = Matrix.from_columns(jr_cols)
     real = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=j_real, scalar_tag="Q")
     return RealForm(real, emb, emb_inv)
 
@@ -752,17 +744,16 @@ def realify(algebra: GradedLieAlgebra) -> GradedLieAlgebra:
 
 
 def first_bracket_mismatch(src: GradedLieAlgebra, dst: GradedLieAlgebra, p: Matrix):
-    """First basis pair (i, j) of ``src`` where P[a,b] != [Pa, Pb], or None."""
+    """First basis pair (i, j) of ``src`` where P[a,b] != [Pa, Pb], or None.
+
+    Each column of P is read once as a sparse vector; P·c_ij and the
+    bracket in ``dst`` of columns i and j are compared as sparse vectors.
+    """
     n = src.dim
-    cols = [p.column(i) for i in range(n)]
+    cols = _sparse_columns(p)
     for i in range(n):
         for j in range(i + 1, n):
-            bracket = [QI_ZERO] * n
-            for k, c in src.table.get((i, j), {}).items():
-                bracket[k] = c
-            lhs = p.matvec(bracket)
-            rhs = dst.bracket_vec(cols[i], cols[j])
-            if lhs != rhs:
+            if _combine(src.table.get((i, j), {}), cols) != dst.bracket_vec(cols[i], cols[j]):
                 return (i, j)
     return None
 

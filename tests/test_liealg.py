@@ -101,27 +101,34 @@ def test_jacobi_matches_dense_oracle(name):
 
 
 def _random_sparse_vector(rng, n):
+    """A seeded {index: coefficient} vector without zeros."""
     density = rng.choice((0.0, 0.2, 0.5, 1.0))
-    return [
-        QI(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
-        if rng.random() < density
-        else QI(0)
-        for _ in range(n)
-    ]
+    out = {}
+    for i in range(n):
+        if rng.random() < density:
+            x = QI(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+            if x:
+                out[i] = x
+    return out
+
+
+def _dense_pairs(v, n):
+    return [(v.get(i, QI(0)).re, v.get(i, QI(0)).im) for i in range(n)]
 
 
 def test_bracket_vec_matches_dense_oracle():
     rng = random.Random(6011)
     A = build_symbol_algebra(7).algebra
     for algebra in (A, realify(A), _levi_tanaka(5)):
-        C = dense_structure_constants(algebra.dim, _pair_table(algebra))
-        zero = [QI(0)] * algebra.dim
-        pairs = [(zero, zero), (zero, _random_sparse_vector(rng, algebra.dim))]
-        pairs += [(_random_sparse_vector(rng, algebra.dim), _random_sparse_vector(rng, algebra.dim)) for _ in range(25)]
+        n = algebra.dim
+        C = dense_structure_constants(n, _pair_table(algebra))
+        pairs = [({}, {}), ({}, _random_sparse_vector(rng, n))]
+        pairs += [(_random_sparse_vector(rng, n), _random_sparse_vector(rng, n)) for _ in range(25)]
         for u, v in pairs:
-            expected = dense_bracket(C, [(x.re, x.im) for x in u], [(x.re, x.im) for x in v])
-            assert [(x.re, x.im) for x in algebra.bracket_vec(u, v)] == expected
-            assert algebra.bracket_vec(v, u) == [-x for x in algebra.bracket_vec(u, v)]
+            got = algebra.bracket_vec(u, v)
+            assert all(got.values())
+            assert _dense_pairs(got, n) == dense_bracket(C, _dense_pairs(u, n), _dense_pairs(v, n))
+            assert algebra.bracket_vec(v, u) == {k: -x for k, x in got.items()}
 
 
 def test_first_bracket_mismatch_finds_planted_pair():
@@ -170,6 +177,21 @@ def test_is_pseudocomplex():
     assert is_pseudocomplex(heisenberg_real())
     with pytest.raises(MissingJ):
         is_pseudocomplex(abelian(["x", "y"], [-1, -1]))
+
+
+def test_is_pseudocomplex_rejects_a_j_that_breaks_the_bracket():
+    # [x1, y1] = [x2, y2] = t.  On a 2-dimensional g_-1 every J with J² = -1
+    # has det 1 and keeps the bracket, so a negative control needs g_-1 of
+    # dimension 4.  Columns give J on (x1, y1, x2, y2).
+    def heisenberg5(J):
+        return GradedLieAlgebra(
+            ["x1", "y1", "x2", "y2", "t"], [-1, -1, -1, -1, -2], {(0, 1): {4: 1}, (2, 3): {4: 1}}, J=Matrix(J)
+        )
+
+    # J x1 = y1, J x2 = y2
+    assert is_pseudocomplex(heisenberg5([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]))
+    # J x1 = y2, J y1 = x2, J x2 = -y1, J y2 = -x1, so [J x1, J y1] = [y2, x2] = -t
+    assert not is_pseudocomplex(heisenberg5([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]))
 
 
 def test_bad_j_rejected_at_construction():
@@ -322,14 +344,15 @@ def test_realify_round_trip_is_isomorphism():
         A = build_symbol_algebra(k).algebra
         rf = real_form(A)
         R = rf.algebra
+        cols = [rf.embedding.column(i) for i in range(R.dim)]
+        sparse = [{t: x for t, x in enumerate(col) if x} for col in cols]
         for i in range(R.dim):
             for j in range(i + 1, R.dim):
-                lhs = A.bracket_vec(rf.embedding.column(i), rf.embedding.column(j))
+                lhs = A.bracket_vec(sparse[i], sparse[j])
                 rhs = [QI(0)] * A.dim
                 for t, c in R.bracket_basis(i, j).items():
-                    col = rf.embedding.column(t)
-                    rhs = [x + c * y for x, y in zip(rhs, col)]
-                assert lhs == rhs
+                    rhs = [x + c * y for x, y in zip(rhs, cols[t])]
+                assert lhs == {t: x for t, x in enumerate(rhs) if x}
 
 
 def test_realify_requires_conjugation():

@@ -360,11 +360,12 @@ def _random_graded_change(m, rng):
 def _transported(m, p):
     """m in the basis given by the columns of p, so p maps it back onto m; J becomes P^-1 J P on g_-1."""
     pinv = invert(p)
-    cols = [p.column(i) for i in range(m.dim)]
+    cols = [{r: x for r, x in enumerate(p.column(i)) if x} for i in range(m.dim)]
     table = {}
     for i in range(m.dim):
         for j in range(i + 1, m.dim):
-            entry = {k: c for k, c in enumerate(pinv.matvec(m.bracket_vec(cols[i], cols[j]))) if c}
+            w = m.bracket_vec(cols[i], cols[j])
+            entry = {k: c for k, c in enumerate(pinv.matvec([w.get(t, QI(0)) for t in range(m.dim)])) if c}
             if entry:
                 table[(i, j)] = entry
     ones = m.indices_of_degree(-1)
