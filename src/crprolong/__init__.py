@@ -12,7 +12,6 @@ from .exact import QI, Echelon, Inconsistent, Matrix, kernel_basis, solve_linear
 from .freelie import (
     HallBasis,
     HallWord,
-    LengthOverflow,
     cumulative_dim,
     hall_basis,
     hall_rewrite,
@@ -50,7 +49,6 @@ from .prolong import (
 )
 from .crmodels import (
     AutCRAlgebra,
-    CaseMismatch,
     NotADerivation,
     RhoTooSmall,
     TheoremReport,

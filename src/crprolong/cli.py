@@ -16,10 +16,9 @@ import json
 import sys
 
 from .crmodels import VerificationFailed, verify_theorem
-from .exact import Inconsistent
 from .freelie import cumulative_dim, witt_dim
 from .frames import builtin_catalog, cr_field, load_catalog, symbol_from_frame
-from .liealg import BadQuotient, NotSelfConjugate, QuotientSpec, build_symbol_algebra
+from .liealg import QuotientSpec, build_symbol_algebra
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -230,7 +229,7 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
-    except (BadQuotient, NotSelfConjugate, Inconsistent, KeyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR

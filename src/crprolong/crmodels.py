@@ -4,8 +4,12 @@ that they coincide with the Levi-Tanaka prolongation of the symbol.
 The abstract side is g_- plus an abelian grade-0 part: the grading element
 d acting by -(length), plus (when the quotient is compatible with it) a
 rotation element r whose complex-basis action is the bidegree diagonal
--i(n - nt).  The prolongation side is computed independently by the exact
-kernel solves in :mod:`.prolong`.  The verification builds the map that is
+-i(n - nt).  Which of the two cases holds is decided on this side, from
+the quotient alone: r is added exactly when the bidegree diagonal
+preserves the top-layer quotient.  The prolongation side is computed
+independently by the exact kernel solves in :mod:`.prolong`, and the two
+sides meet only in the checks below, so a disagreement about the case is
+a failed verification.  The verification builds the map that is
 the identity on g_-, sends d to the Euler derivation and r to the Leibniz
 extension of -J, and checks bijectivity plus bracket preservation on every
 basis pair.  The symbol is fundamental, so an element of the J-commuting
@@ -39,7 +43,6 @@ from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, grade0, is_tr
 __all__ = [
     "AutCRAlgebra",
     "TheoremReport",
-    "CaseMismatch",
     "RhoTooSmall",
     "VerificationFailed",
     "NotADerivation",
@@ -58,11 +61,6 @@ __all__ = [
 
 REAL_ALPHA = "real-alpha"
 COMPLEX_ALPHA = "complex-alpha"
-
-
-class CaseMismatch(ValueError):
-    """Requested the two-dimensional grade-0 case but the rotation element
-    is not a derivation of this quotient."""
 
 
 class RhoTooSmall(ValueError):
@@ -188,26 +186,15 @@ def rotation_complex_matrix(symbol: SymbolAlgebra) -> Matrix:
     return out
 
 
-def build_aut_cr(symbol: SymbolAlgebra, case: str = "auto", rf: RealForm = None) -> AutCRAlgebra:
+def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
     """The abstract g_- + g_0 algebra with the structure-equation brackets.
 
-    ``case`` "auto" infers whether the rotation element exists for this
-    quotient; forcing "complex-alpha" on an incompatible quotient raises
-    :class:`CaseMismatch`.
+    ``rf`` is the real form of ``symbol.algebra``.  The case is decided
+    from the quotient alone: the rotation element r is added exactly when
+    the bidegree diagonal preserves the top-layer quotient; no
+    prolongation is consulted.
     """
-    rotation_ok = _rotation_preserves_quotient(symbol)
-    if case == "auto":
-        case = COMPLEX_ALPHA if rotation_ok else REAL_ALPHA
-    elif case == COMPLEX_ALPHA and not rotation_ok:
-        raise CaseMismatch(
-            "rotation is not a derivation of this symbol algebra: "
-            "its diagonal action does not preserve the top-layer quotient"
-        )
-    elif case not in (REAL_ALPHA, COMPLEX_ALPHA):
-        raise ValueError(f"unknown case {case!r}")
-
-    if rf is None:
-        rf = real_form(symbol.algebra)
+    case = COMPLEX_ALPHA if _rotation_preserves_quotient(symbol) else REAL_ALPHA
     R = rf.algebra
     n = R.dim
     labels = list(R.labels) + ["d"]
@@ -324,12 +311,16 @@ def check_bracket_isomorphism(src: GradedLieAlgebra, dst: GradedLieAlgebra, iso:
 def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     """Check aut_CR(M) = Levi-Tanaka prolongation of the symbol algebra.
 
-    Both sides are computed independently; the connecting map is the
-    identity on g_-, d -> the element of the computed G^0 whose degree -1
-    block is -I (it must equal the Euler derivation), r -> the element
-    whose degree -1 block is -J.
-    Raises :class:`VerificationFailed` (with the offending basis pair)
-    if bijectivity or any bracket comparison fails.
+    Both sides are computed independently, and the case (whether G^0 has
+    the rotation) is the aut side's, decided from the quotient alone by
+    :func:`build_aut_cr`.  The connecting map is the identity on g_-,
+    d -> the element of the computed G^0 whose degree -1 block is -I (it
+    must equal the Euler derivation), r -> the element whose degree -1
+    block is -J.
+    Raises :class:`VerificationFailed` (with the offending basis pair
+    where there is one) if the dimensions, bijectivity or any bracket
+    comparison fails; a case on which the two sides disagree fails one
+    of these.
     """
     if symbol.length < 3:
         if symbol.codim == 1:
@@ -339,8 +330,7 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
     g0 = prolonged.components[0]
     rot = _g0_element(g0, rf.algebra, _negated(rf.algebra.J))
-    case = COMPLEX_ALPHA if rot is not None else REAL_ALPHA
-    aut = build_aut_cr(symbol, case, rf=rf)
+    aut = build_aut_cr(symbol, rf)
     model_id = f"k{symbol.codim}:{symbol.quotient.kind}"
     notes = []
     higher = {c.degree: c.dim for c in prolonged.components if c.degree >= 1}
@@ -392,7 +382,7 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     }
     report = TheoremReport(
         model_id=model_id,
-        case=case,
+        case=aut.case,
         dims_aut=aut.dims_by_degree(),
         dims_prolongation=prolonged.dims_by_degree(),
         iso_matrix=iso,

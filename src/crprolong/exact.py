@@ -29,6 +29,7 @@ __all__ = [
     "invert",
     "frac_to_str",
     "frac_from_str",
+    "qi_from_json",
 ]
 
 _F0 = Fraction(0)
@@ -178,6 +179,28 @@ def frac_to_str(f: Fraction) -> str:
 
 def frac_from_str(s: str) -> Fraction:
     return Fraction(s)
+
+
+def qi_from_json(x, where: str) -> QI:
+    """An entry {"re": "p/q", "im": "p/q"} of exact rational strings.
+
+    Anything else, a JSON number included, raises ValueError naming
+    ``where``, such as ``terms[0].re: must be an exact rational string``.
+    """
+    if not isinstance(x, dict):
+        raise ValueError(f"{where}: must be an object with 're' and 'im'")
+    parts = []
+    for key in ("re", "im"):
+        if key not in x:
+            raise ValueError(f"{where}: missing {key!r}")
+        bad = f"{where}.{key}: must be an exact rational string, got {x[key]!r}"
+        if not isinstance(x[key], str):
+            raise ValueError(bad)
+        try:
+            parts.append(frac_from_str(x[key]))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(bad) from None
+    return QI(*parts)
 
 
 class Matrix:

@@ -150,8 +150,8 @@ def tangential_cr_field(model: ModelSpec) -> PolyVectorField:
     """Generator of the holomorphic tangent bundle of a rigid model.
 
     On the intrinsic chart: d/dz + i·sum_j (dphi_j/dz)·d/du_j; the
-    conjugate generator is the formal conjugate.  Tangency L(w_j - wbar_j
-    - 2i·phi_j) = 0 holds by construction and is re-checked exactly.
+    conjugate generator is the formal conjugate.  Tangency is checked
+    exactly by :func:`_check_tangency`.
     """
     if not model.rigid:
         raise NotRigid(f"model {model.model_id} carries an explicit field")
@@ -163,12 +163,17 @@ def tangential_cr_field(model: ModelSpec) -> PolyVectorField:
         a = phi.diff(0).extend_vars(n).scale(QI(0, 1))
         comps.append(a)
     L = PolyVectorField(chart, comps)
-    # tangency re-check: with u_j = Re w_j the ambient condition reduces to
-    # component_j(L) = i·dphi_j/dz
-    for j, phi in enumerate(model.phis):
-        if L.comps[2 + j] != phi.diff(0).extend_vars(n).scale(QI(0, 1)):
-            raise AssertionError("tangency solve failed")
+    _check_tangency(model, L)
     return L
+
+
+def _check_tangency(model: ModelSpec, L: PolyVectorField):
+    """L annihilates each wbar_j restricted to M, which is u_j - i·phi_j."""
+    n = L.chart.nvars
+    for j, phi in enumerate(model.phis):
+        wbar = Poly.var(n, 2 + j) - phi.extend_vars(n).scale(QI(0, 1))
+        if not L.apply_to(wbar).is_zero():
+            raise AssertionError(f"CR field does not annihilate wbar_{j + 1} on the model")
 
 
 def cr_field(model: ModelSpec) -> PolyVectorField:
@@ -282,7 +287,7 @@ def _check_frame_constants(symbol: SymbolAlgebra, values, full_dim, lower_span):
             if wi.length + wj.length != symbol.length:
                 continue
             lhs = [QI_ZERO] * full_dim
-            raw = hall_rewrite(wi, wj, max_length=symbol.length, truncate=True)
+            raw = hall_rewrite(wi, wj)
             for w, c in raw.items():
                 val = values[w.word]
                 lhs = [x + as_qi(c) * v for x, v in zip(lhs, val)]

@@ -20,7 +20,6 @@ from itertools import product
 __all__ = [
     "HallWord",
     "HallBasis",
-    "LengthOverflow",
     "witt_dim",
     "cumulative_dim",
     "min_length_for_codim",
@@ -31,15 +30,10 @@ __all__ = [
     "standard_factorization",
     "standard_tree",
     "tree_normal_form",
-    "tree_letters",
     "conjugate_tree",
 ]
 
 GEN1, GEN2 = 1, 2
-
-
-class LengthOverflow(ValueError):
-    """Bracket exceeds the basis length bound and truncation was not requested."""
 
 
 def is_lyndon(word) -> bool:
@@ -120,14 +114,6 @@ def standard_tree(word):
         return word[0]
     u, v = standard_factorization(word)
     return (standard_tree(u), standard_tree(v))
-
-
-def tree_letters(tree):
-    """Letters of a formal bracket tree, left to right."""
-    if isinstance(tree, int):
-        return (tree,)
-    left, right = tree
-    return tree_letters(left) + tree_letters(right)
 
 
 def tree_to_nested(tree):
@@ -274,19 +260,11 @@ def _as_tree(x):
     raise TypeError(f"not a bracket expression: {x!r}")
 
 
-def hall_rewrite(a, b, max_length=None, truncate=False) -> dict:
+def hall_rewrite(a, b) -> dict:
     """Bracket [a, b] in Hall normal form: {HallWord: integer coefficient}.
 
     ``a`` and ``b`` may be HallWords, generator numbers, or nested tuples
-    of those (formal brackets).  When the combined length exceeds
-    ``max_length`` the call raises :class:`LengthOverflow` unless
-    ``truncate`` is set, in which case overlong terms are dropped.
+    of those (formal brackets).
     """
-    ta, tb = _as_tree(a), _as_tree(b)
-    total = len(tree_letters(ta)) + len(tree_letters(tb))
-    if max_length is not None and total > max_length:
-        if truncate:
-            return {}
-        raise LengthOverflow(f"bracket of length {total} exceeds bound {max_length}")
-    combo = _bracket_combos(tree_normal_form(ta), tree_normal_form(tb))
+    combo = _bracket_combos(tree_normal_form(_as_tree(a)), tree_normal_form(_as_tree(b)))
     return {HallWord(w): c for w, c in sorted(combo.items())}

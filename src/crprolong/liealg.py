@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, frac_from_str, frac_to_str, invert, kernel_basis
+from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, frac_to_str, invert, kernel_basis, qi_from_json
 from .freelie import (
     conjugate_tree,
     cumulative_dim,
@@ -203,14 +203,14 @@ class GradedLieAlgebra:
         labels = [b["label"] for b in obj["basis"]]
         degrees = [int(b["degree"]) for b in obj["basis"]]
         table = {}
-        for ent in obj.get("brackets", []):
+        for n, ent in enumerate(obj.get("brackets", [])):
             terms = {
-                int(t["k"]): QI(frac_from_str(t["re"]), frac_from_str(t["im"]))
-                for t in ent["terms"]
+                int(t["k"]): qi_from_json(t, f"brackets[{n}].terms[{m}]")
+                for m, t in enumerate(ent["terms"])
             }
             table[(int(ent["i"]), int(ent["j"]))] = terms
-        J = _matrix_from_json(obj["J"]) if "J" in obj else None
-        conj = _matrix_from_json(obj["conjugation"]) if "conjugation" in obj else None
+        J = _matrix_from_json(obj["J"], "J") if "J" in obj else None
+        conj = _matrix_from_json(obj["conjugation"], "conjugation") if "conjugation" in obj else None
         return cls(labels, degrees, table, conjugation=conj, J=J, scalar_tag=obj.get("scalars", "Qi"))
 
     def to_json(self, meta=None) -> str:
@@ -221,8 +221,8 @@ def _matrix_to_json(m: Matrix):
     return [[{"re": frac_to_str(x.re), "im": frac_to_str(x.im)} for x in row] for row in m.data]
 
 
-def _matrix_from_json(rows) -> Matrix:
-    return Matrix([[QI(frac_from_str(x["re"]), frac_from_str(x["im"])) for x in row] for row in rows])
+def _matrix_from_json(rows, where: str) -> Matrix:
+    return Matrix([[qi_from_json(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)] for r, row in enumerate(rows)])
 
 
 # -- structural checks ---------------------------------------------------
@@ -419,31 +419,13 @@ class QuotientSpec:
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("quotient.rows: must be a list of lists")
         rows = tuple(
-            tuple(_qi_from_json(x, f"quotient.rows[{r}][{c}]") for c, x in enumerate(row))
+            tuple(qi_from_json(x, f"quotient.rows[{r}][{c}]") for c, x in enumerate(row))
             for r, row in enumerate(rows)
         )
         return cls(kind=kind, rows=rows, provenance=obj.get("provenance", ""))
 
 
 _QUOTIENT_KINDS = ("default", "explicit", "frame")
-
-
-def _qi_from_json(x, where: str) -> QI:
-    """An entry {"re": "p/q", "im": "p/q"} of exact rational strings."""
-    if not isinstance(x, dict):
-        raise ValueError(f"{where}: must be an object with 're' and 'im'")
-    parts = []
-    for key in ("re", "im"):
-        if key not in x:
-            raise ValueError(f"{where}: missing {key!r}")
-        bad = f"{where}.{key}: must be an exact rational string, got {x[key]!r}"
-        if not isinstance(x[key], str):
-            raise ValueError(bad)
-        try:
-            parts.append(frac_from_str(x[key]))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(bad) from None
-    return QI(*parts)
 
 
 class SymbolAlgebra:
@@ -533,8 +515,8 @@ def default_quotient_rows(k: int):
 def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     """Symbol algebra of codimension ``k`` for a chosen top-layer quotient.
 
-    ``quotient`` is None / "default" for the canonical conjugation-adapted
-    trailing drop, or a :class:`QuotientSpec` with explicit rows.  All
+    ``quotient`` is None for the canonical conjugation-adapted trailing
+    drop, or a :class:`QuotientSpec` with explicit rows.  All
     invariants (grading, Jacobi, fundamentality, nondegeneracy, layer
     dimensions) are verified before returning.
     """
@@ -548,7 +530,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     keep = (2 + k) - cumulative_dim(rho - 1)
     need = n_top - keep
 
-    if quotient is None or quotient == "default":
+    if quotient is None:
         spec = QuotientSpec(kind="default", rows=default_quotient_rows(k), provenance="default")
     elif isinstance(quotient, QuotientSpec):
         if quotient.kind == "default" and not quotient.rows:
@@ -556,7 +538,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
         else:
             spec = quotient
     else:
-        raise TypeError("quotient must be None, 'default', or a QuotientSpec")
+        raise TypeError("quotient must be None or a QuotientSpec")
 
     for row in spec.rows:
         if len(row) != n_top:
@@ -600,7 +582,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
         for j in range(i + 1, n):
             if words[i].length + words[j].length > rho:
                 continue
-            raw = hall_rewrite(words[i], words[j], max_length=rho, truncate=True)
+            raw = hall_rewrite(words[i], words[j])
             entry = project({w.word: c for w, c in raw.items()})
             if entry:
                 table[(i, j)] = entry

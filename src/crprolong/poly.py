@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import QI, QI_ZERO, as_qi, frac_from_str, frac_to_str
+from .exact import QI, QI_ZERO, as_qi, frac_to_str, qi_from_json
 
 __all__ = [
     "Chart",
@@ -217,7 +217,7 @@ class Poly:
             e = t["exp"]
             if not (isinstance(e, list) and len(e) == nvars and all(type(x) is int and x >= 0 for x in e)):
                 raise ValueError(f"terms[{n}].exp: must be a list of {nvars} non-negative integers, got {e!r}")
-            terms[tuple(e)] = QI(frac_from_str(t["re"]), frac_from_str(t["im"]))
+            terms[tuple(e)] = qi_from_json(t, f"terms[{n}]")
         return cls(nvars, terms)
 
 

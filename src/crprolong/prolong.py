@@ -303,20 +303,19 @@ class ProlongedAlgebra:
         return self.algebra.to_json_dict(meta=meta)
 
 
-def full_prolongation(m: GradedLieAlgebra, flavor: str = LEVI_TANAKA, l_max_guard=None) -> ProlongedAlgebra:
+def full_prolongation(m: GradedLieAlgebra, flavor: str = LEVI_TANAKA) -> ProlongedAlgebra:
     """Iterate components until one vanishes, then assemble all brackets.
 
-    Raises :class:`GuardExceeded` if no zero component appears by the
-    guard (default: depth of m plus 3), which signals either a bug or an
-    input whose prolongation really is infinite.
+    Raises :class:`GuardExceeded` if no zero component appears by degree
+    depth + 3 (m lives in degrees -depth..-1), which signals either a
+    bug or an input whose prolongation really is infinite.
     """
     if flavor not in (LEVI_TANAKA, FULL_TANAKA):
         raise ValueError(f"unknown flavor {flavor!r}")
     # grade0 raises NotFundamental; is_pseudocomplex raises MissingJ
     if flavor == LEVI_TANAKA and not is_pseudocomplex(m):
         raise ValueError("Levi-Tanaka prolongation needs a pseudocomplex algebra")
-    depth = -min(m.degrees)
-    guard = l_max_guard if l_max_guard is not None else depth + 3
+    guard = -min(m.degrees) + 3
     components = [grade0(m, j_constraint=(flavor == LEVI_TANAKA))]
     terminated = False
     for l in range(1, guard + 1):

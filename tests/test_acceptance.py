@@ -131,13 +131,14 @@ def test_criterion_4_main_theorem_sweep(sweep):
         rep = rec["report"]
         if rep.verdict != "confirmed":
             ok = False
-        # case inference must agree with rotation_derivation, which reads
-        # the rotation off the same grade-0 solve ...
+        # the report carries the aut side's case, inferred from the
+        # quotient alone with no solve ...
+        if rep.case != build_aut_cr(rec["symbol"], rec["rf"]).case:
+            ok = False
+        # ... and it must agree with rotation_derivation, which reads the
+        # rotation off the prolongation's grade-0 solve
         rot_exists = rec["rotation"] is not NotADerivation
         if rep.case != ("complex-alpha" if rot_exists else "real-alpha"):
-            ok = False
-        # ... and with the quotient-stability criterion, which uses no solve
-        if rep.case != build_aut_cr(rec["symbol"], "auto", rf=rec["rf"]).case:
             ok = False
     cases = {rec["name"]: rec["report"].case for rec in sweep["records"]}
     print("\n  per-model case table:", cases)
@@ -246,4 +247,5 @@ def test_main_theorem_beyond_desk_scale(k):
     rep = verify_theorem(symbol)
     assert rep.verdict == "confirmed"
     assert rep.total_dim == 2 + k + rep.dims_prolongation[0]
-    assert rep.case == build_aut_cr(symbol, "auto").case
+    # the aut side's case agrees with the prolongation's grade-0 dimension
+    assert rep.case == ("complex-alpha" if rep.dims_prolongation[0] == 2 else "real-alpha")

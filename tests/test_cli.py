@@ -182,9 +182,9 @@ def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
 
-def _with_phi(obj, *exps):
+def _with_phi(obj, *exps, re="1"):
     """The entry with its one rigid phi replaced by terms of these exponents."""
-    terms = [{"re": "1", "im": "0", "exp": e} for e in exps]
+    terms = [{"re": re, "im": "0", "exp": e} for e in exps]
     return dict(obj, defining=dict(obj["defining"], phi=[{"terms": terms}]))
 
 
@@ -207,6 +207,9 @@ def _with_phi(obj, *exps):
         (lambda e: [_with_phi(e, [1, 1, 0])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
         (lambda e: [_with_phi(e, [1.5, 0.5])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
         (lambda e: [_with_phi(e, [3, -1], [-1, 3])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
+        (lambda e: [_with_phi(e, [1, 1], re=0.1)], "catalog[0]: terms[0].re: must be an exact rational string, got 0.1"),
+        (lambda e: [_with_phi(e, [1, 1], re=1)], "catalog[0]: terms[0].re: must be an exact rational string, got 1"),
+        (lambda e: [_with_phi(e, [1, 1], re=None)], "catalog[0]: terms[0].re: must be an exact rational string, got None"),
     ],
     ids=[
         "object",
@@ -225,6 +228,9 @@ def _with_phi(obj, *exps):
         "exp-too-long",
         "exp-not-integer",
         "exp-negative",
+        "re-float",
+        "re-integer",
+        "re-null",
     ],
 )
 def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):

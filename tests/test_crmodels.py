@@ -2,10 +2,10 @@ import json
 
 import pytest
 
+from crprolong import cli, crmodels
 from crprolong.crmodels import (
     COMPLEX_ALPHA,
     REAL_ALPHA,
-    CaseMismatch,
     NotADerivation,
     RhoTooSmall,
     VerificationFailed,
@@ -23,9 +23,13 @@ from crprolong.exact import QI, Matrix
 from crprolong.liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form, realify
 
 
+def _aut(S):
+    return build_aut_cr(S, real_form(S.algebra))
+
+
 def test_build_aut_cr_heisenberg_complex_case():
-    S = build_symbol_algebra(1)
-    aut = build_aut_cr(S, COMPLEX_ALPHA)
+    aut = _aut(build_symbol_algebra(1))
+    assert aut.case == COMPLEX_ALPHA
     assert aut.dim == 5
     assert aut.algebra.labels == ("x", "y", "e2_1", "d", "r")
     # pinned degree -1 brackets
@@ -37,19 +41,24 @@ def test_build_aut_cr_heisenberg_complex_case():
     assert aut.algebra.bracket_basis(aut.d_index, aut.r_index) == {}
 
 
-def test_build_aut_cr_f23_real_case_dimension():
+def test_build_aut_cr_f23_real_case_dimension(monkeypatch):
     S = build_symbol_algebra(3)
-    aut = build_aut_cr(S, REAL_ALPHA)
-    assert aut.dim == 6
+    # the free algebra keeps its whole top layer, so the rotation preserves
+    # the (zero) quotient and the inferred case is the two-dimensional one
+    aut = _aut(S)
+    assert aut.case == COMPLEX_ALPHA
+    assert aut.g0_dim == 2
+    assert aut.dim == 7
+    # the one-dimensional case on the same g_- passes every gate too
+    monkeypatch.setattr(crmodels, "_rotation_preserves_quotient", lambda symbol: False)
+    aut = _aut(S)
+    assert aut.case == REAL_ALPHA
     assert aut.g0_dim == 1
-    # auto inference picks the two-dimensional case for the free algebra
-    assert build_aut_cr(S, "auto").case == COMPLEX_ALPHA
-    assert build_aut_cr(S, "auto").dim == 7
+    assert aut.dim == 6
 
 
 def test_d_eigenvalue_is_minus_length():
-    S = build_symbol_algebra(2)
-    aut = build_aut_cr(S, "auto")
+    aut = _aut(build_symbol_algebra(2))
     A = aut.algebra
     for i, deg in enumerate(A.degrees):
         if deg >= 0:
@@ -83,15 +92,30 @@ def test_rotation_fails_on_mixed_bidegree_quotient():
     assert S.algebra.conjugation is not None  # the line is conjugation-stable
     R = realify(S.algebra)
     assert rotation_derivation(R) is NotADerivation
-    with pytest.raises(CaseMismatch):
-        build_aut_cr(S, COMPLEX_ALPHA)
+    assert _aut(S).case == REAL_ALPHA
 
 
-def test_case_mismatch_on_default_k2():
+def test_case_mismatch_on_default_k2(monkeypatch):
     S = build_symbol_algebra(2)
-    with pytest.raises(CaseMismatch):
-        build_aut_cr(S, COMPLEX_ALPHA)
-    assert build_aut_cr(S, "auto").case == REAL_ALPHA
+    assert _aut(S).case == REAL_ALPHA
+    # negative control: told that the rotation preserves this quotient, the
+    # aut side cannot build a real rotation and the check raises, never
+    # confirms
+    monkeypatch.setattr(crmodels, "_rotation_preserves_quotient", lambda symbol: True)
+    with pytest.raises(AssertionError, match="rotation action is not real"):
+        verify_theorem(S)
+
+
+def test_wrong_aut_side_case_fails_verification_k3(monkeypatch, capsys):
+    # negative control: the case is the aut side's own, so a wrong "no
+    # rotation" from its quotient test fails the comparison with the
+    # prolongation (exit 1, "verification failed"), not as an input error
+    message = "dimension mismatch: aut_CR has 6, prolongation has 7"
+    monkeypatch.setattr(crmodels, "_rotation_preserves_quotient", lambda symbol: False)
+    with pytest.raises(VerificationFailed, match=message):
+        verify_theorem(build_symbol_algebra(3))
+    assert cli.main(["verify", "--k", "3"]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -108,7 +132,7 @@ def test_rotation_complex_eigenvalues(k):
     # read off G^0; elsewhere that extension does not exist
     rf = real_form(S.algebra)
     rot = rotation_derivation(rf.algebra)
-    if build_aut_cr(S, "auto", rf=rf).case == COMPLEX_ALPHA:
+    if build_aut_cr(S, rf).case == COMPLEX_ALPHA:
         assert rot == rf.embedding_inv.mul(rc.mul(rf.embedding))
     else:
         assert rot is NotADerivation
@@ -145,7 +169,7 @@ def test_rho_too_small_for_hand_built_symbol():
 def test_corrupted_bracket_fails_naming_pair():
     S = build_symbol_algebra(3)
     rep = verify_theorem(S)
-    aut = build_aut_cr(S, "auto")
+    aut = _aut(S)
     from crprolong.liealg import realify as _realify
     from crprolong.prolong import LEVI_TANAKA, full_prolongation
 

@@ -1,5 +1,6 @@
 import pytest
 
+from crprolong import frames
 from crprolong.exact import QI
 from crprolong.frames import (
     ModelSpec,
@@ -17,7 +18,7 @@ from crprolong.frames import (
 )
 from crprolong.freelie import cumulative_dim
 from crprolong.liealg import build_symbol_algebra
-from crprolong.poly import Poly
+from crprolong.poly import Poly, PolyVectorField
 
 I = QI(0, 1)
 
@@ -48,6 +49,19 @@ def test_tangential_field_cubic_has_quadratic_coefficients():
     L = tangential_cr_field(m)
     assert L.comps[3].total_degree() == 2
     assert L.comps[4].total_degree() == 2
+
+
+def test_tangency_check_rejects_a_sign_mutant():
+    # the honest field annihilates wbar_j = u_j - i·phi_j on every rigid
+    # catalog model; flipping the sign of its u-components breaks that
+    rigid = [m for m in builtin_catalog().values() if m.rigid]
+    assert len(rigid) == 6
+    for m in rigid:
+        L = tangential_cr_field(m)
+        n = L.chart.nvars
+        mutant = PolyVectorField(L.chart, list(L.comps[:2]) + [phi.diff(0).extend_vars(n).scale(-I) for phi in m.phis])
+        with pytest.raises(AssertionError, match="does not annihilate wbar_1"):
+            frames._check_tangency(m, mutant)
 
 
 def test_not_rigid_for_field_models():

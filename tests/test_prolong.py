@@ -120,7 +120,7 @@ def test_abelian_full_tanaka_hits_guard():
     # the full prolongation of an abelian degree -1 plane never terminates
     m = GradedLieAlgebra(["x", "y"], [-1, -1], {}, J=J_STANDARD)
     with pytest.raises(GuardExceeded):
-        full_prolongation(m, FULL_TANAKA, l_max_guard=4)
+        full_prolongation(m, FULL_TANAKA)
 
 
 def test_heisenberg_full_tanaka_matches_contact_oracle():
