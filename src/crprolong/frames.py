@@ -17,6 +17,7 @@ rebuilt from it through the same constructor as every other quotient.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -97,9 +98,19 @@ class ModelSpec:
     def from_json_dict(cls, obj: dict) -> "ModelSpec":
         d = obj["defining"]
         if d["type"] == "rigid":
-            phis = [Poly.from_json_dict(p, 2) for p in d["phi"]]
+            if not isinstance(d["phi"], list):
+                raise ValueError("defining.phi: must be a list")
+            phis = []
+            for j, p in enumerate(d["phi"]):
+                try:
+                    phis.append(Poly.from_json_dict(p, 2))
+                except ValueError as exc:
+                    raise ValueError(f"defining.phi[{j}]: {exc}") from exc
             return rigid_model(obj["id"], obj["k"], phis, provenance=obj.get("provenance", ""))
-        cr = PolyVectorField.from_json_dict(d["cr"])
+        try:
+            cr = PolyVectorField.from_json_dict(d["cr"])
+        except ValueError as exc:
+            raise ValueError(f"defining.cr: {exc}") from exc
         return field_model(obj["id"], obj["k"], cr, provenance=obj.get("provenance", ""))
 
 
@@ -329,7 +340,16 @@ def builtin_catalog() -> dict:
     Rigid entries carry their defining polynomials phi_j; the two length-5
     entries are explicit-field realizations.  Every entry passes
     growth_and_nondegeneracy (enforced by the catalog test suite).
+
+    The entries are built once per process, on first use, and shared:
+    they are immutable.  Each call returns a new dict, so a caller may
+    add, drop or replace entries without affecting the next call.
     """
+    return dict(_builtin_models())
+
+
+@functools.cache
+def _builtin_models() -> dict:
     catalog = {}
 
     def add(m):

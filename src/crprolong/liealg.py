@@ -70,7 +70,8 @@ class GradedLieAlgebra:
     is a complex structure on the degree -1 block and must square to -id.
     """
 
-    __slots__ = ("labels", "degrees", "table", "conjugation", "J", "scalar_tag")
+    # ``_expressions`` memoizes _generating_expressions as a 1-tuple, None until first use
+    __slots__ = ("labels", "degrees", "table", "conjugation", "J", "scalar_tag", "_expressions")
 
     def __init__(self, labels, degrees, table, conjugation=None, J=None, scalar_tag="Qi"):
         self.labels = tuple(labels)
@@ -94,6 +95,7 @@ class GradedLieAlgebra:
         self.conjugation = conjugation
         self.J = J
         self.scalar_tag = scalar_tag
+        self._expressions = None
         if J is not None:
             m1 = self.indices_of_degree(-1)
             if J.rows != len(m1) or J.cols != len(m1):
@@ -307,9 +309,16 @@ def _generating_expressions(algebra: GradedLieAlgebra):
     One echelon per layer of the rows [e_g, e_y], each augmented by its
     own unit vector, with pivots on the layer coordinates only: pivot row
     x then reads e_x off its augmented part.  Zero brackets get no pivot.
+    Computed once per algebra and kept on it.
     """
     if any(d >= 0 for d in algebra.degrees):
         raise ValueError("fundamentality applies to negatively graded algebras")
+    if algebra._expressions is None:
+        algebra._expressions = (_solve_generating_expressions(algebra),)
+    return algebra._expressions[0]
+
+
+def _solve_generating_expressions(algebra: GradedLieAlgebra):
     ones = algebra.indices_of_degree(-1)
     out = {}
     for a in range(-2, min(algebra.degrees) - 1, -1):

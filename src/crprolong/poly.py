@@ -212,9 +212,16 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, obj: dict, nvars: int) -> "Poly":
+        """Inverse of :meth:`to_json_dict`.
+
+        A malformed object raises ValueError naming its field path, such
+        as ``terms[0].exp: must be a list of 2 non-negative integers``.
+        """
         terms = {}
-        for n, t in enumerate(obj["terms"]):
-            e = t["exp"]
+        for n, t in enumerate(_json_list(obj, "terms")):
+            if not isinstance(t, dict):
+                raise ValueError(f"terms[{n}]: must be an object")
+            e = t.get("exp")
             if not (isinstance(e, list) and len(e) == nvars and all(type(x) is int and x >= 0 for x in e)):
                 raise ValueError(f"terms[{n}].exp: must be a list of {nvars} non-negative integers, got {e!r}")
             terms[tuple(e)] = qi_from_json(t, f"terms[{n}]")
@@ -325,9 +332,27 @@ class PolyVectorField:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PolyVectorField":
-        chart = Chart(tuple(obj["chart"]), tuple(obj["conj_perm"]))
-        comps = [Poly.from_json_dict(c, chart.nvars) for c in obj["components"]]
+        """Inverse of :meth:`to_json_dict`; errors name their field path."""
+        names, perm, entries = (_json_list(obj, key) for key in ("chart", "conj_perm", "components"))
+        chart = Chart(tuple(names), tuple(perm))
+        comps = []
+        for i, c in enumerate(entries):
+            try:
+                comps.append(Poly.from_json_dict(c, chart.nvars))
+            except ValueError as exc:
+                raise ValueError(f"components[{i}]: {exc}") from exc
         return cls(chart, comps)
+
+
+def _json_list(obj, key: str) -> list:
+    """The list ``obj[key]`` of a JSON object; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("must be an object")
+    if key not in obj:
+        raise ValueError(f"missing {key!r}")
+    if not isinstance(obj[key], list):
+        raise ValueError(f"{key}: must be a list")
+    return obj[key]
 
 
 def vf_bracket(a: PolyVectorField, b: PolyVectorField) -> PolyVectorField:

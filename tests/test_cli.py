@@ -161,6 +161,39 @@ def test_output_to_file(tmp_path, capsys):
     assert reports[0]["verdict"] == "confirmed"
 
 
+def test_catalog_models_built_once_per_process(monkeypatch, tmp_path, capsys):
+    from crprolong import frames
+
+    frames.builtin_catalog()
+    calls = []
+    build = frames._frame_realized_model
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(frames, "_frame_realized_model", counted)
+    outputs = []
+    for n in range(2):
+        target = tmp_path / f"quintic7-{n}.json"
+        assert run(capsys, "verify", "--model", "quintic7", "--format", "json", "-o", str(target))[0] == 0
+        outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert calls == []
+
+
+def test_catalog_file_read_on_every_call(tmp_path, capsys):
+    from crprolong.frames import builtin_catalog, catalog_to_json
+
+    path = tmp_path / "catalog.json"
+    for mid in ("heisenberg", "cubic2"):
+        path.write_text(catalog_to_json({mid: builtin_catalog()[mid]}))
+        code, out, _ = run(capsys, "models", "--catalog", str(path))
+        assert code == 0
+        assert out.startswith(f"{mid}: ")
+        assert len([line for line in out.splitlines() if not line.startswith(" ")]) == 1
+
+
 def test_custom_catalog_file(tmp_path, capsys):
     from crprolong.frames import builtin_catalog, catalog_to_json
 
@@ -176,6 +209,22 @@ def _heisenberg_entry():
     from crprolong.frames import builtin_catalog
 
     return builtin_catalog()["heisenberg"].to_json_dict()
+
+
+def _field_entry():
+    from crprolong.frames import builtin_catalog, cr_field
+
+    entry = _heisenberg_entry()
+    cr = cr_field(builtin_catalog()["heisenberg"]).to_json_dict()
+    return dict(entry, defining={"type": "field", "cr": cr})
+
+
+def _with_cr(drop=None, **changes):
+    """A one-entry catalog of the field-model entry with its CR field payload edited."""
+    entry = _field_entry()
+    cr = dict(entry["defining"]["cr"], **changes)
+    cr.pop(drop, None)
+    return [dict(entry, defining={"type": "field", "cr": cr})]
 
 
 def _without(obj, key):
@@ -202,14 +251,24 @@ def _with_phi(obj, *exps, re="1"):
         (lambda e: [dict(e, k=0)], "catalog[0].k: must be a positive integer"),
         (lambda e: [dict(e, defining=_without(e["defining"], "type"))], "catalog[0].defining.type: must be one of"),
         (lambda e: [dict(e, defining={"type": "rigid"})], "catalog[0].defining: missing 'phi'"),
-        (lambda e: [e, dict(e, id="h2", defining={"type": "rigid", "phi": [{}]})], "catalog[1]: 'terms'"),
+        (lambda e: [e, dict(e, id="h2", defining={"type": "rigid", "phi": [{}]})], "catalog[1]: defining.phi[0]: missing 'terms'"),
+        (lambda e: [dict(e, defining={"type": "rigid", "phi": "x"})], "catalog[0]: defining.phi: must be a list"),
+        (lambda e: [dict(e, defining={"type": "rigid", "phi": ["x"]})], "catalog[0]: defining.phi[0]: must be an object"),
+        (lambda e: [dict(e, defining={"type": "rigid", "phi": [{"terms": "x"}]})], "catalog[0]: defining.phi[0]: terms: must be a list"),
+        (lambda e: [dict(e, defining={"type": "rigid", "phi": [{"terms": ["x"]}]})], "catalog[0]: defining.phi[0]: terms[0]: must be an object"),
+        (lambda e: [dict(e, defining={"type": "field", "cr": "x"})], "catalog[0]: defining.cr: must be an object"),
+        (lambda e: _with_cr(drop="chart"), "catalog[0]: defining.cr: missing 'chart'"),
+        (lambda e: _with_cr(drop="conj_perm"), "catalog[0]: defining.cr: missing 'conj_perm'"),
+        (lambda e: _with_cr(drop="components"), "catalog[0]: defining.cr: missing 'components'"),
+        (lambda e: _with_cr(chart="x"), "catalog[0]: defining.cr: chart: must be a list"),
+        (lambda e: _with_cr(components=[{"terms": []}, {}, {"terms": []}]), "catalog[0]: defining.cr: components[1]: missing 'terms'"),
         (lambda e: [dict(e, k=2)], "catalog[0]: need 2 defining polynomials"),
-        (lambda e: [_with_phi(e, [1, 1, 0])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
-        (lambda e: [_with_phi(e, [1.5, 0.5])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
-        (lambda e: [_with_phi(e, [3, -1], [-1, 3])], "catalog[0]: terms[0].exp: must be a list of 2 non-negative integers"),
-        (lambda e: [_with_phi(e, [1, 1], re=0.1)], "catalog[0]: terms[0].re: must be an exact rational string, got 0.1"),
-        (lambda e: [_with_phi(e, [1, 1], re=1)], "catalog[0]: terms[0].re: must be an exact rational string, got 1"),
-        (lambda e: [_with_phi(e, [1, 1], re=None)], "catalog[0]: terms[0].re: must be an exact rational string, got None"),
+        (lambda e: [_with_phi(e, [1, 1, 0])], "catalog[0]: defining.phi[0]: terms[0].exp: must be a list of 2 non-negative integers"),
+        (lambda e: [_with_phi(e, [1.5, 0.5])], "catalog[0]: defining.phi[0]: terms[0].exp: must be a list of 2 non-negative integers"),
+        (lambda e: [_with_phi(e, [3, -1], [-1, 3])], "catalog[0]: defining.phi[0]: terms[0].exp: must be a list of 2 non-negative integers"),
+        (lambda e: [_with_phi(e, [1, 1], re=0.1)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got 0.1"),
+        (lambda e: [_with_phi(e, [1, 1], re=1)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got 1"),
+        (lambda e: [_with_phi(e, [1, 1], re=None)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got None"),
     ],
     ids=[
         "object",
@@ -224,6 +283,16 @@ def _with_phi(obj, *exps, re="1"):
         "no-type",
         "no-payload",
         "bad-polynomial",
+        "phi-not-list",
+        "phi-entry-not-object",
+        "terms-not-list",
+        "term-not-object",
+        "cr-not-object",
+        "no-chart",
+        "no-conj-perm",
+        "no-components",
+        "chart-not-list",
+        "component-bad",
         "wrong-count",
         "exp-too-long",
         "exp-not-integer",

@@ -166,6 +166,20 @@ def test_catalog_json_round_trip():
         assert back[mid] == cat[mid]
 
 
+def test_builtin_catalog_returns_a_fresh_dict_of_shared_entries():
+    first, second = builtin_catalog(), builtin_catalog()
+    assert first is not second
+    assert list(first) == list(second)
+    assert all(first[mid] is second[mid] for mid in first)
+    first.pop("quintic12")
+    first["cubic2"] = first["heisenberg"]
+    first["extra"] = first["cubic3"]
+    again = builtin_catalog()
+    assert again is not second
+    assert list(again) == list(second)
+    assert catalog_to_json(again) == catalog_to_json(second)
+
+
 def test_field_model_chart_dimension_check():
     from crprolong.poly import PolyVectorField, real_chart
 

@@ -168,6 +168,31 @@ def test_is_fundamental():
         is_fundamental(GradedLieAlgebra(["a"], [0], {}))
 
 
+def test_generating_expressions_computed_once_per_algebra(monkeypatch):
+    A = build_symbol_algebra(5).algebra
+    fundamental = GradedLieAlgebra(A.labels, A.degrees, A.table)
+    not_fundamental = GradedLieAlgebra(["x", "y", "t", "s"], [-1, -1, -2, -2], {(0, 1): {2: 1}})
+    calls = []
+    rref = liealg._rref
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(liealg, "_rref", counted)
+    for algebra in (fundamental, not_fundamental):
+        first = liealg._generating_expressions(algebra)
+        made = len(calls)
+        assert made
+        assert liealg._generating_expressions(algebra) is first
+        assert len(calls) == made
+    assert liealg._generating_expressions(not_fundamental) is None
+    graded_at_zero = GradedLieAlgebra(["a"], [0], {})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            liealg._generating_expressions(graded_at_zero)
+
+
 def test_is_nondegenerate():
     assert is_nondegenerate_symbol(heisenberg_real())
     assert not is_nondegenerate_symbol(abelian(["x", "y", "t"], [-1, -1, -2]))
