@@ -33,8 +33,15 @@ class Chart:
     conj_perm: tuple
 
     def __post_init__(self):
+        # messages name the fields of to_json_dict: "chart" holds the names
+        for i, name in enumerate(self.names):
+            if not isinstance(name, str):
+                raise ValueError(f"chart[{i}]: must be a string, got {name!r}")
+        for i, p in enumerate(self.conj_perm):
+            if type(p) is not int:
+                raise ValueError(f"conj_perm[{i}]: must be an integer, got {p!r}")
         if sorted(self.conj_perm) != list(range(len(self.names))):
-            raise ValueError("conj_perm must be a permutation of coordinate indices")
+            raise ValueError(f"conj_perm: must be a permutation of 0..{len(self.names) - 1}")
 
     @property
     def nvars(self) -> int:
@@ -126,16 +133,13 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "Poly", weights=None, cap=None) -> "Poly":
-        """Product, optionally dropping monomials over a weighted-degree cap."""
+    def mul(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         terms = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                if cap is not None and sum(w * x for w, x in zip(weights, e)) > cap:
-                    continue
                 nc = terms.get(e, QI_ZERO) + ca * cb
                 if nc:
                     terms[e] = nc

@@ -5,8 +5,9 @@ Lyndon words are enumerated straight from the rotation-minimality
 definition, bracket expressions are expanded as iterated commutators
 in a hand-rolled free associative algebra, Lie brackets and the
 Jacobi identity are evaluated from a dense array of structure constants,
-and prolongation components are solved for every full block map at once.
-None of them imports ``crprolong``.
+prolongation components are solved for every full block map at once, and
+the group law is summed bracket by bracket over the series on plain
+exponent-tuple polynomials.  None of them imports ``crprolong``.
 """
 
 from fractions import Fraction
@@ -15,11 +16,11 @@ from itertools import product
 
 def brute_force_lyndon(length, alphabet=(1, 2)):
     """All words strictly smaller than every proper rotation."""
-    out = []
-    for w in product(alphabet, repeat=length):
-        if all(w < w[i:] + w[:i] for i in range(1, length)):
-            out.append(w)
-    return out
+    return [w for w in product(alphabet, repeat=length) if _is_lyndon(w)]
+
+
+def _is_lyndon(w):
+    return all(w < w[i:] + w[:i] for i in range(1, len(w)))
 
 
 def assoc_add(a, b, mult=1):
@@ -265,3 +266,64 @@ def full_block_component(degrees, table, l, lower=(), J=None):
         {a: [[v[var(a, t, s)] for s in range(len(block))] for t in range(dim(a + l))] for a, block in idx.items()}
         for v in dense_kernel(rows, cols)
     ]
+
+
+# -- the group law by textbook polynomial arithmetic --
+# A polynomial is {exponent tuple: Fraction}; a vector is a list of them.
+
+
+def standard_bracketing(word):
+    """Bracket tree of a Lyndon word: w = uv with v its longest proper Lyndon suffix."""
+    if len(word) == 1:
+        return word[0]
+    i = next(i for i in range(1, len(word)) if _is_lyndon(word[i:]))
+    return (standard_bracketing(word[:i]), standard_bracketing(word[i:]))
+
+
+def poly_mul(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def vector_bracket(table, u, v):
+    """[u, v] of polynomial vectors by real structure constants {(i, j): {k: c}}, i < j."""
+    out = [{} for _ in u]
+    for (i, j), terms in table.items():
+        p = assoc_add(poly_mul(u[i], v[j]), poly_mul(u[j], v[i]), -1)
+        for k, c in terms.items():
+            out[k] = assoc_add(out[k], p, c)
+    return out
+
+
+def bch_law(series, table, avec, bvec):
+    """Sum of coeff · (standard bracketing of the word at X = a, Y = b) over ``series``.
+
+    ``series`` is a list of (Lyndon word over {1, 2}, coefficient); every
+    bracket is evaluated afresh, with no memo.
+    """
+
+    def value(tree):
+        if isinstance(tree, int):
+            return avec if tree == 1 else bvec
+        return vector_bracket(table, value(tree[0]), value(tree[1]))
+
+    out = [{} for _ in avec]
+    for word, coeff in series:
+        out = [assoc_add(o, p, coeff) for o, p in zip(out, value(standard_bracketing(word)))]
+    return out
+
+
+def left_invariant_fields(law, n):
+    """Field j, component c: the part of law[c] linear in b_j, as a polynomial in a.
+
+    ``law`` is a law on 2n coordinates (a_1..a_n, b_1..b_n).
+    """
+    fields = []
+    for j in range(n):
+        b_j = tuple(int(t == j) for t in range(n))
+        fields.append([{e[:n]: c for e, c in p.items() if e[n:] == b_j} for p in law])
+    return fields

@@ -4,9 +4,10 @@ import pytest
 
 from crprolong.bch import NotNilpotent, bch_group_law, bch_series, left_invariant_frame
 from crprolong.exact import QI
-from crprolong.liealg import GradedLieAlgebra, build_symbol_algebra, realify
+from crprolong.frames import builtin_catalog, symbol_from_frame
+from crprolong.liealg import GradedLieAlgebra, build_symbol_algebra, check_jacobi, realify
 from crprolong.poly import Poly, vf_bracket
-from oracles import assoc_add, expand_commutator
+from oracles import assoc_add, bch_law, expand_commutator, left_invariant_fields
 
 
 def test_series_through_degree_three():
@@ -161,8 +162,57 @@ def test_group_law_identity_and_inverse():
     n = R.dim
     avec = [Poly.var(n, i) for i in range(n)]
     zero = [Poly.zero(n) for _ in range(n)]
-    weights = [-d for d in R.degrees]
-    assert law.apply(avec, zero, weights) == avec
-    assert law.apply(zero, avec, weights) == avec
+    assert law.apply(avec, zero) == avec
+    assert law.apply(zero, avec) == avec
     neg = [p.scale(-1) for p in avec]
-    assert all(p.is_zero() for p in law.apply(avec, neg, weights))
+    assert all(p.is_zero() for p in law.apply(avec, neg))
+
+
+def _real_terms(polys):
+    """Each Poly as {exponent tuple: Fraction}, checking that it is real."""
+    assert not any(c.im for p in polys for c in p.terms.values())
+    return [{e: c.re for e, c in p.terms.items()} for p in polys]
+
+
+@pytest.mark.parametrize("case", [*range(1, 13), 16, *sorted(builtin_catalog())])
+def test_law_and_frame_match_textbook_oracle(case):
+    # an int is the default symbol of that codimension, a string a catalog model
+    if isinstance(case, int):
+        R = realify(build_symbol_algebra(case).algebra)
+    else:
+        R = realify(symbol_from_frame(builtin_catalog()[case]).algebra)
+    n = R.dim
+    table = {ij: {k: c.re for k, c in terms.items()} for ij, terms in R.table.items()}
+    coords = [{tuple(int(t == i) for t in range(2 * n)): Fraction(1)} for i in range(2 * n)]
+    expect = bch_law(bch_series(-min(R.degrees)), table, coords[:n], coords[n:])
+    assert _real_terms(bch_group_law(R).symbolic()[1]) == expect
+    assert [_real_terms(f.comps) for f in left_invariant_frame(R)] == left_invariant_fields(expect, n)
+
+
+@pytest.mark.parametrize("k", [4, 5, 7])
+def test_doubled_bracket_breaks_jacobi_and_associativity(k):
+    # negative control: doubling [x, e2_1] in a real form with a degree -4
+    # layer leaves a bracket table that is no Lie algebra
+    R = realify(build_symbol_algebra(k).algebra)
+    x, e = R.labels.index("x"), R.labels.index("e2_1")
+    bad = R.replaced_bracket(x, e, {t: 2 * c for t, c in R.table[(x, e)].items()})
+    assert check_jacobi(bad)
+    assert not all(p.is_zero() for p in bch_group_law(bad).associativity_residual())
+
+
+def test_complex_scalars_are_refused():
+    A = GradedLieAlgebra(["p", "q", "t"], [-1, -1, -2], {(0, 1): {2: QI(0, 1)}})
+    with pytest.raises(ValueError, match="real structure constants"):
+        bch_group_law(A)
+    law = bch_group_law(realify(build_symbol_algebra(1).algebra))
+    avec = [Poly.var(3, i) for i in range(3)]
+    with pytest.raises(ValueError, match="real polynomial coefficients"):
+        law.apply(avec, [p.scale(QI(0, 1)) for p in avec])
+
+
+@pytest.mark.slow
+def test_associativity_k30_real_form():
+    """Opt-in (``pytest -m slow``): the group law of the k = 30 real form (dim 32, class 7)."""
+    law = bch_group_law(realify(build_symbol_algebra(30).algebra))
+    assert law.cap == 7
+    assert all(p.is_zero() for p in law.associativity_residual())

@@ -261,6 +261,9 @@ def _with_phi(obj, *exps, re="1"):
         (lambda e: _with_cr(drop="conj_perm"), "catalog[0]: defining.cr: missing 'conj_perm'"),
         (lambda e: _with_cr(drop="components"), "catalog[0]: defining.cr: missing 'components'"),
         (lambda e: _with_cr(chart="x"), "catalog[0]: defining.cr: chart: must be a list"),
+        (lambda e: _with_cr(chart=["z", 7, "u1"]), "catalog[0]: defining.cr: chart[1]: must be a string, got 7"),
+        (lambda e: _with_cr(conj_perm=[0, "a", 2]), "catalog[0]: defining.cr: conj_perm[1]: must be an integer, got 'a'"),
+        (lambda e: _with_cr(conj_perm=[0, 0, 2]), "catalog[0]: defining.cr: conj_perm: must be a permutation of 0..2"),
         (lambda e: _with_cr(components=[{"terms": []}, {}, {"terms": []}]), "catalog[0]: defining.cr: components[1]: missing 'terms'"),
         (lambda e: [dict(e, k=2)], "catalog[0]: need 2 defining polynomials"),
         (lambda e: [_with_phi(e, [1, 1, 0])], "catalog[0]: defining.phi[0]: terms[0].exp: must be a list of 2 non-negative integers"),
@@ -292,6 +295,9 @@ def _with_phi(obj, *exps, re="1"):
         "no-conj-perm",
         "no-components",
         "chart-not-list",
+        "chart-name-not-string",
+        "conj-perm-not-integer",
+        "conj-perm-not-permutation",
         "component-bad",
         "wrong-count",
         "exp-too-long",

@@ -24,15 +24,6 @@ def test_poly_diff():
     assert Poly.const(2, 5).diff(0).is_zero()
 
 
-def test_poly_capped_multiplication():
-    p = Poly(1, {(1,): 1})
-    q = Poly(1, {(2,): 1})
-    full = p.mul(q)
-    capped = p.mul(q, weights=[1], cap=2)
-    assert full.terms == {(3,): QI(1)}
-    assert capped.is_zero()
-
-
 def test_poly_permuted_conjugation():
     # z zbar^2 with coefficient i conjugates to -i z^2 zbar on the swap chart
     p = Poly(2, {(1, 2): I})
