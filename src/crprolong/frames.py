@@ -10,7 +10,12 @@ ever consumes the field.
 The growth vector is computed by evaluating the basis bracket words of
 the field and its conjugate at the origin; total nondegeneracy means the
 filtration is as free as possible below the minimal length and fills the
-tangent space exactly there.  When it holds, the length-rho evaluation
+tangent space exactly there.  The word values are exact and computed
+fraction-free: the shorter words are bracketed on packed Gaussian
+monomials with integer numerators over one denominator per word, each
+origin coordinate becomes a ``Fraction`` once, and the words of the
+minimal length are read at the origin only, from the constant and linear
+terms of their two factors.  When it holds, the length-rho evaluation
 kernel is the model-induced top-layer quotient and the symbol algebra is
 rebuilt from it through the same constructor as every other quotient.
 """
@@ -20,12 +25,14 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
-from .bch import left_invariant_frame
+from .bch import _mul_into, left_invariant_frame
 from .exact import Echelon, Matrix, QI, QI_ZERO, as_qi, kernel_basis
 from .freelie import cumulative_dim, hall_basis, hall_rewrite, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
-from .poly import Poly, PolyVectorField, rigid_chart, vf_bracket
+from .poly import Poly, PolyVectorField, rigid_chart
 
 __all__ = [
     "ModelSpec",
@@ -199,24 +206,118 @@ class Filtration:
     spans: tuple = field(repr=False, default=())
     word_values: dict = field(repr=False, default=None)
 
-    def stabilizes_at(self, full_dim: int):
-        for i, g in enumerate(self.growth, start=1):
-            if g == full_dim:
-                return i
-        return None
 
+def _word_values(L, Lb, max_length):
+    """Origin values {word: [QI]} of the basis bracket words of (L, Lbar).
 
-def _word_fields(L, Lb, max_length):
-    """Vector fields of all basis bracket words of (L, Lbar) up to a length."""
-    basis = hall_basis(max_length)
-    out = {}
-    for w in basis.words:
-        if w.length == 1:
-            out[w.word] = L if w.word == (1,) else Lb
-        else:
+    The words come in Hall basis order.  Each word shorter than
+    ``max_length`` is evaluated as a field on a packed form that never
+    becomes a :class:`Poly`: a monomial is one ``int`` whose lowest 2 bits
+    hold the power of i and whose bit field j holds the exponent of
+    variable j, and a field is a list of ``{monomial: int numerator}``
+    components over one ``int`` denominator.  A word of length
+    ``max_length`` is only needed at the origin, where its value is
+    sum_j U_j(0)·d_jV_i(0) - V_j(0)·d_jU_i(0), read off the constant and
+    linear terms of its factors.
+    """
+    n = L.chart.nvars
+    top = max((x for f in (L, Lb) for p in f.comps for e in p.terms for x in e), default=0)
+    # a word of length l multiplies l input monomials, so no exponent of
+    # a field exceeds top * max_length
+    width = max(top * max_length, 1).bit_length()
+    shifts = [2 + width * j for j in range(n)]
+    fields = {(1,): _packed_field(L, shifts), (2,): _packed_field(Lb, shifts)}
+    partials = {}
+
+    def diff(word):
+        if word not in partials:
+            partials[word] = _partials(fields[word][0], width)
+        return partials[word]
+
+    values = {}
+    for w in hall_basis(max_length).words:
+        if w.length > 1:
             u, v = standard_factorization(w.word)
-            out[w.word] = vf_bracket(out[u], out[v])
+            if w.length == max_length:
+                values[w.word] = _top_value(fields[u], fields[v], shifts)
+                continue
+            fields[w.word] = _packed_bracket(fields[u], fields[v], diff(u), diff(v))
+        comps, den = fields[w.word]
+        values[w.word] = [_qi(c.get(0, 0), c.get(1, 0), den) for c in comps]
+    return values
+
+
+def _packed_field(X: PolyVectorField, shifts):
+    """X's components as packed numerators over one common denominator."""
+    den = lcm(*(d for p in X.comps for c in p.terms.values() for d in (c.re.denominator, c.im.denominator)))
+    comps = []
+    for p in X.comps:
+        comp = {}
+        for e, c in p.terms.items():
+            mono = sum(x << shifts[j] for j, x in enumerate(e) if x)
+            if c.re:
+                comp[mono] = c.re.numerator * (den // c.re.denominator)
+            if c.im:
+                comp[mono | 1] = c.im.numerator * (den // c.im.denominator)
+        comps.append(comp)
+    return comps, den
+
+
+def _partials(comps, width):
+    """{(i, j): d_j of component i}, the nonzero ones only."""
+    mask = (1 << width) - 1
+    out = {}
+    for i, comp in enumerate(comps):
+        for e, x in comp.items():
+            rest, s, j = e >> 2, 2, 0
+            while rest:
+                a = rest & mask
+                if a:
+                    d = out.setdefault((i, j), {})
+                    d[e - (1 << s)] = a * x
+                rest >>= width
+                s += width
+                j += 1
     return out
+
+
+def _packed_bracket(U, V, dU, dV):
+    """[U, V]_i = sum_j U_j·d_jV_i - V_j·d_jU_i, over the product of the denominators."""
+    (uc, ud), (vc, vd) = U, V
+    out = [{} for _ in uc]
+    for (i, j), d in dV.items():
+        if uc[j]:
+            _mul_into(out[i], uc[j], d, 1)
+    for (i, j), d in dU.items():
+        if vc[j]:
+            _mul_into(out[i], vc[j], d, -1)
+    for acc in out:
+        # each factor carries i to the power 0 or 1, so i^2 = -1 folds once
+        for e in [e for e in acc if e & 2]:
+            acc[e - 2] = acc.get(e - 2, 0) - acc.pop(e)
+    return [{e: x for e, x in acc.items() if x} for acc in out], ud * vd
+
+
+def _top_value(U, V, shifts):
+    """[U, V] at the origin, from the constant and linear terms of U and V."""
+    (uc, ud), (vc, vd) = U, V
+    # each factor's nonzero X_j(0), next to the packed monomial x_j
+    u0, v0 = ([(1 << s, c.get(0, 0), c.get(1, 0)) for c, s in zip(X, shifts) if 0 in c or 1 in c] for X in (uc, vc))
+    den = ud * vd
+    out = []
+    for i in range(len(uc)):
+        re = im = 0
+        for sign, origin, lin in ((1, u0, vc[i]), (-1, v0, uc[i])):
+            for m, p, q in origin:
+                r, t = lin.get(m, 0), lin.get(m | 1, 0)
+                re += sign * (p * r - q * t)
+                im += sign * (p * t + q * r)
+        out.append(_qi(re, im, den))
+    return out
+
+
+def _qi(re: int, im: int, den: int) -> QI:
+    return QI(Fraction(re, den), Fraction(im, den)) if re or im else QI_ZERO
 
 
 def growth_and_nondegeneracy(model: ModelSpec):
@@ -231,8 +332,7 @@ def growth_and_nondegeneracy(model: ModelSpec):
     L = cr_field(model)
     Lb = L.conj()
     full_dim = 2 + k
-    fields = _word_fields(L, Lb, rho)
-    values = {w: f.value_at_origin() for w, f in fields.items()}
+    values = _word_values(L, Lb, rho)
     growth = []
     spans = []
     vectors = []

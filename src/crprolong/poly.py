@@ -172,9 +172,6 @@ class Poly:
     def eval_origin(self) -> QI:
         return self.terms.get((0,) * self.nvars, QI_ZERO)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def extend_vars(self, nvars: int) -> "Poly":
         """Reinterpret in a chart with extra trailing variables."""
         if nvars < self.nvars:

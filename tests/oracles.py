@@ -7,7 +7,8 @@ in a hand-rolled free associative algebra, Lie brackets and the
 Jacobi identity are evaluated from a dense array of structure constants,
 prolongation components are solved for every full block map at once, and
 the group law is summed bracket by bracket over the series on plain
-exponent-tuple polynomials.  None of them imports ``crprolong``.
+exponent-tuple polynomials, and the origin values of Hall words are read
+off vector fields bracketed in full.  None of them imports ``crprolong``.
 """
 
 from fractions import Fraction
@@ -327,3 +328,70 @@ def left_invariant_fields(law, n):
         b_j = tuple(int(t == j) for t in range(n))
         fields.append([{e[:n]: c for e, c in p.items() if e[n:] == b_j} for p in law])
     return fields
+
+
+# -- origin values of Hall words by textbook vector-field brackets --
+# A field is a list of polynomials {exponent tuple: coefficient}, one per
+# coordinate; coefficients are any exact scalars with + and * (the tests
+# pass Gaussian rationals) that also have .conj().
+
+
+def poly_diff(p, j):
+    """Partial derivative of a polynomial in variable j."""
+    out = {}
+    for e, c in p.items():
+        if e[j]:
+            out[e[:j] + (e[j] - 1,) + e[j + 1 :]] = c * e[j]
+    return out
+
+
+def conjugate_field(field, perm):
+    """Formal conjugate: conjugate every coefficient, move variable i to perm[i]."""
+    out = [None] * len(field)
+    for i, p in enumerate(field):
+        terms = {}
+        for e, c in p.items():
+            ne = [0] * len(e)
+            for t, x in enumerate(e):
+                ne[perm[t]] = x
+            terms[tuple(ne)] = c.conj()
+        out[perm[i]] = terms
+    return out
+
+
+def field_bracket(u, v):
+    """[U, V]_i = sum over every j of U_j·d_jV_i - V_j·d_jU_i, each product formed in full."""
+    out = []
+    for i in range(len(u)):
+        acc = {}
+        for j in range(len(u)):
+            acc = assoc_add(acc, poly_mul(u[j], poly_diff(v[i], j)))
+            acc = assoc_add(acc, poly_mul(v[j], poly_diff(u[i], j)), -1)
+        out.append(acc)
+    return out
+
+
+def hall_word_origin_values(field, perm, max_length):
+    """{Lyndon word: origin value of its standard bracketing of (L, Lbar)}.
+
+    L is ``field``, Lbar its conjugate under ``perm``.  The words come by
+    length, then lexicographically, up to ``max_length``; every word is
+    bracketed as a whole field, the longest ones included, and a missing
+    constant term reads as 0.
+    """
+    gens = {1: field, 2: conjugate_field(field, perm)}
+    memo = {}
+
+    def value(tree):
+        if isinstance(tree, int):
+            return gens[tree]
+        if tree not in memo:
+            memo[tree] = field_bracket(value(tree[0]), value(tree[1]))
+        return memo[tree]
+
+    origin = (0,) * len(field)
+    return {
+        w: [p.get(origin, 0) for p in value(standard_bracketing(w))]
+        for length in range(1, max_length + 1)
+        for w in brute_force_lyndon(length)
+    }

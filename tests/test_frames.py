@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from crprolong import frames
@@ -18,13 +20,22 @@ from crprolong.frames import (
 )
 from crprolong.freelie import cumulative_dim
 from crprolong.liealg import build_symbol_algebra
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import Poly, PolyVectorField, real_chart
+from oracles import hall_word_origin_values
 
 I = QI(0, 1)
 
 
 def _phi(terms):
     return Poly(2, terms)
+
+
+def _phi_zero_model():
+    return ModelSpec("degenerate", 1, 2, phis=(Poly.zero(2),), weights=(2,))
+
+
+def _levi_flat_model():
+    return rigid_model("flat", 1, [_phi({(2, 0): 1, (0, 2): 1})])
 
 
 def test_tangential_field_heisenberg():
@@ -37,7 +48,7 @@ def test_tangential_field_heisenberg():
 def test_tangential_field_degenerate_phi_zero():
     # not a valid model, but the tangency solve itself still works and the
     # growth check flags it downstream
-    m = ModelSpec("degenerate", 1, 2, phis=(Poly.zero(2),), weights=(2,))
+    m = _phi_zero_model()
     L = tangential_cr_field(m)
     assert L.pretty() == "∂_z"
     _, ok = growth_and_nondegeneracy(m)
@@ -47,8 +58,8 @@ def test_tangential_field_degenerate_phi_zero():
 def test_tangential_field_cubic_has_quadratic_coefficients():
     m = builtin_catalog()["cubic3"]
     L = tangential_cr_field(m)
-    assert L.comps[3].total_degree() == 2
-    assert L.comps[4].total_degree() == 2
+    assert {sum(e) for e in L.comps[3].terms} == {2}
+    assert {sum(e) for e in L.comps[4].terms} == {2}
 
 
 def test_tangency_check_rejects_a_sign_mutant():
@@ -91,12 +102,13 @@ def test_growth_heisenberg():
     filt, ok = growth_and_nondegeneracy(builtin_catalog()["heisenberg"])
     assert filt.growth == (2, 3)
     assert ok
-    assert filt.stabilizes_at(3) == 2
+    # D_2(0) is the first span to fill the 3-dimensional tangent space
+    assert filt.growth.index(3) + 1 == 2
 
 
 def test_growth_levi_flat_counterexample():
     # Im w = z^2 + zbar^2 is flat at the origin: D2(0) = D1(0)
-    m = rigid_model("flat", 1, [_phi({(2, 0): 1, (0, 2): 1})])
+    m = _levi_flat_model()
     filt, ok = growth_and_nondegeneracy(m)
     assert filt.growth == (2, 2)
     assert not ok
@@ -178,6 +190,65 @@ def test_builtin_catalog_returns_a_fresh_dict_of_shared_entries():
     assert again is not second
     assert list(again) == list(second)
     assert catalog_to_json(again) == catalog_to_json(second)
+
+
+def _assert_word_values_match_oracle(m):
+    L = cr_field(m)
+    filt, ok = growth_and_nondegeneracy(m)
+    expect = hall_word_origin_values([p.terms for p in L.comps], L.chart.conj_perm, m.length)
+    assert list(filt.word_values.items()) == list(expect.items())
+    return filt, ok
+
+
+@pytest.mark.parametrize("case", [*sorted(builtin_catalog()), 7, 12, 16, "phi_zero", "levi_flat"])
+def test_word_values_match_textbook_oracle(case):
+    # an int is the left-invariant frame model of the default symbol at that k
+    if isinstance(case, int):
+        m = frames._frame_realized_model(f"frame{case}", case)
+    elif case == "phi_zero":
+        m = _phi_zero_model()
+    elif case == "levi_flat":
+        m = _levi_flat_model()
+    else:
+        m = builtin_catalog()[case]
+    _assert_word_values_match_oracle(m)
+
+
+def test_word_values_exponents_beyond_the_input_maximum():
+    # [L, Lbar]_t1 has an x^8 term although no input exponent exceeds 7; a
+    # packed exponent field sized for 7 alone would carry it into y's field
+    # and read it as a linear y term of the length-2 word
+    comps = [{(0, 0, 0, 0): 1, (2, 0, 0, 0): 1}, {(0, 0, 0, 0): I}, {(7, 0, 0, 0): I}, {(1, 1, 0, 0): I}]
+    L = PolyVectorField(real_chart(("x", "y", "t1", "t2")), [Poly(4, c) for c in comps])
+    m = field_model("x7", 2, L)
+    assert max(x for p in L.comps for e in p.terms for x in e) == 7
+    assert max(e[0] for e in L.bracket(L.conj()).comps[2].terms) == 8
+    _assert_word_values_match_oracle(m)
+
+
+def test_word_values_gaussian_coefficients_with_unequal_denominators():
+    phi2 = _phi({(2, 1): QI(Fraction(2, 5), Fraction(1, 7)), (1, 2): QI(Fraction(2, 5), Fraction(-1, 7))})
+    m = rigid_model("odd", 2, [_phi({(1, 1): QI(Fraction(1, 3))}), phi2])
+    filt, ok = _assert_word_values_match_oracle(m)
+    assert filt.word_values[(1, 1, 2)] == [0, 0, 0, QI("4/7", "-8/5")]
+    assert ok and filt.growth == (2, 3, 4)
+
+
+def test_word_values_top_length_degeneracy():
+    # phi_2 = phi_3: the two length-3 words have dependent origin values
+    cubic = _phi({(2, 1): 1, (1, 2): 1})
+    m = rigid_model("twin", 3, [_phi({(1, 1): 1}), cubic, cubic])
+    filt, ok = _assert_word_values_match_oracle(m)
+    assert filt.growth == (2, 3, 4)
+    assert not ok
+    with pytest.raises(NotTotallyNondegenerate):
+        symbol_from_frame(m)
+
+
+@pytest.mark.parametrize("k", [13, *(pytest.param(k, marks=pytest.mark.slow) for k in (22, 30, 39))])
+def test_left_invariant_frame_round_trips_to_the_default_symbol(k):
+    m = frames._frame_realized_model(f"frame{k}", k)
+    assert symbol_from_frame(m).algebra == build_symbol_algebra(k).algebra
 
 
 def test_field_model_chart_dimension_check():
