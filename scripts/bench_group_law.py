@@ -26,11 +26,11 @@ REPEATS = 3
 
 
 def measure(k: int) -> dict:
-    from crprolong.bch import bch_group_law
+    from crprolong.bch import GroupLaw
     from crprolong.liealg import build_symbol_algebra, realify
 
     algebra = realify(build_symbol_algebra(k).algebra)
-    law = bch_group_law(algebra)
+    law = GroupLaw(algebra)
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()

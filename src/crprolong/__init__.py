@@ -8,7 +8,7 @@ vector-field realizations of the models (tangential CR fields, growth
 vectors, group laws in exponential coordinates, left-invariant frames).
 """
 
-from .exact import QI, Echelon, Inconsistent, Matrix, kernel_basis, solve_linear
+from .exact import QI, Echelon, Inconsistent, Matrix, kernel_basis
 from .freelie import (
     HallBasis,
     HallWord,
@@ -49,19 +49,16 @@ from .prolong import (
 )
 from .crmodels import (
     AutCRAlgebra,
-    NotADerivation,
     RhoTooSmall,
     TheoremReport,
     VerificationFailed,
     build_aut_cr,
-    compare_quotient_prolongations,
     euler_derivation,
-    rotation_derivation,
     verify_heisenberg,
     verify_theorem,
 )
 from .poly import Chart, ChartMismatch, Poly, PolyVectorField, rigid_chart, real_chart, vf_bracket
-from .bch import GroupLaw, NotNilpotent, bch_group_law, bch_series, left_invariant_frame
+from .bch import GroupLaw, NotNilpotent, bch_series, left_invariant_frame
 from .frames import (
     Filtration,
     ModelSpec,

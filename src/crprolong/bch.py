@@ -27,7 +27,7 @@ from .freelie import standard_tree
 from .liealg import GradedLieAlgebra
 from .poly import Poly, PolyVectorField, real_chart
 
-__all__ = ["NotNilpotent", "bch_series", "GroupLaw", "bch_group_law", "left_invariant_frame"]
+__all__ = ["NotNilpotent", "bch_series", "GroupLaw", "left_invariant_frame"]
 
 
 class NotNilpotent(ValueError):
@@ -209,11 +209,6 @@ def _unpack(mono: int, nvars: int, width: int) -> tuple:
 
 def _poly(comp: dict, den: int, nvars: int, width: int) -> Poly:
     return Poly(nvars, {_unpack(e, nvars, width): QI(Fraction(x, den)) for e, x in comp.items()})
-
-
-def bch_group_law(m: GradedLieAlgebra) -> GroupLaw:
-    """Exponential-coordinate product law of the nilpotent algebra ``m``."""
-    return GroupLaw(m)
 
 
 def left_invariant_frame(m: GradedLieAlgebra):

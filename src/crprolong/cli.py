@@ -3,7 +3,7 @@
 Subcommands: ``witt`` (dimension/length table), ``symbol`` (construct and
 print a symbol algebra), ``verify`` (check the automorphism-prolongation
 isomorphism for a model, a codimension, or a whole sweep), ``models``
-(list the catalog with its CR fields).
+(list the catalog with its CR fields; as JSON, a loadable catalog file).
 
 Exit codes: 0 success/confirmed, 1 verification failure, 2 usage or
 input error.
@@ -17,7 +17,7 @@ import sys
 
 from .crmodels import VerificationFailed, verify_theorem
 from .freelie import cumulative_dim, witt_dim
-from .frames import builtin_catalog, cr_field, load_catalog, symbol_from_frame
+from .frames import builtin_catalog, catalog_to_json, cr_field, load_catalog, symbol_from_frame
 from .liealg import QuotientSpec, build_symbol_algebra
 
 USAGE_ERROR = 2
@@ -160,6 +160,9 @@ def _run_verify(symbol, mid):
 
 def cmd_models(args) -> int:
     models = _load_models(args.catalog)
+    if args.format == "json":
+        _write_output(catalog_to_json(models), args.output)
+        return 0
     lines = []
     for mid in sorted(models):
         m = models[mid]

@@ -38,22 +38,19 @@ from .liealg import (
     real_form,
 )
 from .freelie import hall_basis
-from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, grade0, is_transitive
+from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, is_transitive
 
 __all__ = [
     "AutCRAlgebra",
     "TheoremReport",
     "RhoTooSmall",
     "VerificationFailed",
-    "NotADerivation",
     "REAL_ALPHA",
     "COMPLEX_ALPHA",
     "build_aut_cr",
     "euler_derivation",
-    "rotation_derivation",
     "verify_theorem",
     "verify_heisenberg",
-    "compare_quotient_prolongations",
     "bracket_mismatch_pair",
     "check_bracket_isomorphism",
     "rotation_complex_matrix",
@@ -75,17 +72,6 @@ class VerificationFailed(RuntimeError):
         super().__init__(message)
         self.pair = pair
         self.report = report
-
-
-class _NotADerivation:
-    def __repr__(self):
-        return "NotADerivation"
-
-    def __bool__(self):
-        return False
-
-
-NotADerivation = _NotADerivation()
 
 
 def euler_derivation(realified: GradedLieAlgebra) -> Matrix:
@@ -117,20 +103,6 @@ def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
 
 def _negated(a: Matrix) -> Matrix:
     return Matrix([[-x for x in row] for row in a.data])
-
-
-def rotation_derivation(realified: GradedLieAlgebra):
-    """Leibniz extension of -J from the degree -1 part, if one exists.
-
-    Returns the full matrix of the extension, or :data:`NotADerivation`
-    when the extension is inconsistent with this algebra's top-layer
-    quotient.  The extension commutes with J on degree -1, so it is the
-    element of the J-commuting grade-0 component whose degree -1 block
-    is -J; it is read off that component, not solved for again.
-    """
-    m = realified
-    found = _g0_element(grade0(m, j_constraint=True), m, _negated(m.J))
-    return NotADerivation if found is None else found[1]
 
 
 def _rotation_eigenvalue(word) -> QI:
@@ -430,18 +402,3 @@ def verify_heisenberg() -> TheoremReport:
             f"positive components have dimensions {prolonged.component_dim(1)} and {prolonged.component_dim(2)}",
         ),
     )
-
-
-def compare_quotient_prolongations(k: int, quotients: dict) -> dict:
-    """Per-quotient Levi-Tanaka dimensions; flags any disagreement.
-
-    ``quotients`` maps a name to a QuotientSpec (or None for the default).
-    """
-    out = {}
-    for name, spec in sorted(quotients.items()):
-        symbol = build_symbol_algebra(k, spec)
-        rf = real_form(symbol.algebra)
-        prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
-        out[name] = prolonged.dims_by_degree()
-    dims = list(out.values())
-    return {"per_quotient": out, "consistent": all(d == dims[0] for d in dims)}

@@ -2,7 +2,7 @@
 
 Scalars are Gaussian rationals (elements of Q(i)) built on arbitrary
 precision ``fractions.Fraction`` parts, so nothing in the library ever
-rounds.  Every solve (kernel, rank, solution, inverse, echelon reducer)
+rounds.  Every solve (kernel, rank, inverse, echelon reducer)
 goes through one Gauss-Jordan kernel on sparse rows ``{col: QI}``: each
 incoming row is reduced by the pivot rows whose columns it touches, takes
 its first nonzero column in the given column order (default left to
@@ -24,11 +24,8 @@ __all__ = [
     "Echelon",
     "Inconsistent",
     "kernel_basis",
-    "solve_linear",
     "rank",
     "invert",
-    "frac_to_str",
-    "frac_from_str",
     "qi_from_json",
 ]
 
@@ -36,6 +33,8 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
+# nothing in the package raises it; it stays public because
+# perfbench/tracer.py reads it when it installs its wrappers
 class Inconsistent(ValueError):
     """Linear system has no solution."""
 
@@ -173,14 +172,6 @@ def as_qi(x) -> QI:
     return q
 
 
-def frac_to_str(f: Fraction) -> str:
-    return str(f)
-
-
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def qi_from_json(x, where: str) -> QI:
     """An entry {"re": "p/q", "im": "p/q"} of exact rational strings.
 
@@ -197,7 +188,7 @@ def qi_from_json(x, where: str) -> QI:
         if not isinstance(x[key], str):
             raise ValueError(bad)
         try:
-            parts.append(frac_from_str(x[key]))
+            parts.append(Fraction(x[key]))
         except (ValueError, ZeroDivisionError):
             raise ValueError(bad) from None
     return QI(*parts)
@@ -346,26 +337,6 @@ def kernel_basis(m: Matrix):
 
 def rank(m: Matrix) -> int:
     return len(_rref(m.data, range(m.cols)))
-
-
-def solve_linear(m: Matrix, b):
-    """One exact solution of m·x = b with free variables set to 0.
-
-    Raises :class:`Inconsistent` when no solution exists.  The result is
-    verified by substitution before being returned.
-    """
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    b = [as_qi(x) for x in b]
-    aug = [row + [x] for row, x in zip(m.data, b)]
-    x = [QI_ZERO] * m.cols
-    for c, row in _rref(aug, range(m.cols + 1)):
-        if c == m.cols:
-            raise Inconsistent("no solution")
-        x[c] = row.get(m.cols, QI_ZERO)
-    if m.matvec(x) != b:
-        raise AssertionError("solve_linear produced a non-solution")
-    return x
 
 
 def invert(m: Matrix) -> Matrix:

@@ -526,6 +526,8 @@ def load_catalog(text: str) -> dict:
         k, d = obj["k"], obj["defining"]
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"{where}.k: must be a positive integer, got {k!r}")
+        if not isinstance(obj.get("provenance", ""), str):
+            raise ValueError(f"{where}.provenance: must be a string, got {obj['provenance']!r}")
         if not isinstance(d, dict) or d.get("type") not in _PAYLOAD:
             raise ValueError(f"{where}.defining.type: must be one of {sorted(_PAYLOAD)}")
         if _PAYLOAD[d["type"]] not in d:

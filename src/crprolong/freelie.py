@@ -173,9 +173,6 @@ class HallBasis:
     def position(self, word) -> int:
         return self.index[tuple(word)]
 
-    def words_of_length(self, length: int):
-        return tuple(w for w in self.words if w.length == length)
-
     def label(self, pos: int) -> str:
         """Frame label L<length>_<global index>, indices starting at 1."""
         return f"L{self.words[pos].length}_{pos + 1}"

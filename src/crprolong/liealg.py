@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, frac_to_str, invert, kernel_basis, qi_from_json
+from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, invert, kernel_basis, qi_from_json
 from .freelie import (
     conjugate_tree,
     cumulative_dim,
@@ -151,18 +151,6 @@ class GradedLieAlgebra:
                         out[k] = out.get(k, QI_ZERO) + ab * c
         return {k: c for k, c in out.items() if c}
 
-    def replaced_bracket(self, i: int, j: int, terms: dict) -> "GradedLieAlgebra":
-        """Copy with one structure constant replaced (for negative controls).
-
-        The copy keeps J but not the conjugation, which the corrupted
-        bracket would in general no longer respect.
-        """
-        if i >= j:
-            raise ValueError("need i < j")
-        table = {k: dict(v) for k, v in self.table.items()}
-        table[(i, j)] = dict(terms)
-        return GradedLieAlgebra(self.labels, self.degrees, table, None, self.J, self.scalar_tag)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedLieAlgebra):
             return NotImplemented
@@ -184,7 +172,7 @@ class GradedLieAlgebra:
                     "i": i,
                     "j": j,
                     "terms": [
-                        {"k": k, "re": frac_to_str(c.re), "im": frac_to_str(c.im)}
+                        {"k": k, "re": str(c.re), "im": str(c.im)}
                         for k, c in sorted(self.table[(i, j)].items())
                     ],
                 }
@@ -220,7 +208,7 @@ class GradedLieAlgebra:
 
 
 def _matrix_to_json(m: Matrix):
-    return [[{"re": frac_to_str(x.re), "im": frac_to_str(x.im)} for x in row] for row in m.data]
+    return [[{"re": str(x.re), "im": str(x.im)} for x in row] for row in m.data]
 
 
 def _matrix_from_json(rows, where: str) -> Matrix:
@@ -408,7 +396,7 @@ class QuotientSpec:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "rows": [[{"re": frac_to_str(x.re), "im": frac_to_str(x.im)} for x in row] for row in self.rows],
+            "rows": [[{"re": str(x.re), "im": str(x.im)} for x in row] for row in self.rows],
             "provenance": self.provenance,
         }
 
@@ -431,7 +419,10 @@ class QuotientSpec:
             tuple(qi_from_json(x, f"quotient.rows[{r}][{c}]") for c, x in enumerate(row))
             for r, row in enumerate(rows)
         )
-        return cls(kind=kind, rows=rows, provenance=obj.get("provenance", ""))
+        provenance = obj.get("provenance", "")
+        if not isinstance(provenance, str):
+            raise ValueError(f"quotient.provenance: must be a string, got {provenance!r}")
+        return cls(kind=kind, rows=rows, provenance=provenance)
 
 
 _QUOTIENT_KINDS = ("default", "explicit", "frame")

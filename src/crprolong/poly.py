@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import QI, QI_ZERO, as_qi, frac_to_str, qi_from_json
+from .exact import QI_ZERO, as_qi, qi_from_json
 
 __all__ = [
     "Chart",
@@ -42,6 +42,8 @@ class Chart:
                 raise ValueError(f"conj_perm[{i}]: must be an integer, got {p!r}")
         if sorted(self.conj_perm) != list(range(len(self.names))):
             raise ValueError(f"conj_perm: must be a permutation of 0..{len(self.names) - 1}")
+        if any(self.conj_perm[p] != i for i, p in enumerate(self.conj_perm)):
+            raise ValueError("conj_perm: must be an involution")
 
     @property
     def nvars(self) -> int:
@@ -169,9 +171,6 @@ class Poly:
             terms[tuple(ne)] = c.conj() if conj else c
         return Poly(self.nvars, terms)
 
-    def eval_origin(self) -> QI:
-        return self.terms.get((0,) * self.nvars, QI_ZERO)
-
     def extend_vars(self, nvars: int) -> "Poly":
         """Reinterpret in a chart with extra trailing variables."""
         if nvars < self.nvars:
@@ -206,7 +205,7 @@ class Poly:
     def to_json_dict(self) -> dict:
         return {
             "terms": [
-                {"re": frac_to_str(c.re), "im": frac_to_str(c.im), "exp": list(e)}
+                {"re": str(c.re), "im": str(c.im), "exp": list(e)}
                 for e, c in sorted(self.terms.items())
             ]
         }
@@ -301,9 +300,6 @@ class PolyVectorField:
         for i, comp in enumerate(self.comps):
             new_comps[perm[i]] = comp.permuted(perm, conj=True)
         return PolyVectorField(self.chart, new_comps)
-
-    def value_at_origin(self):
-        return [c.eval_origin() for c in self.comps]
 
     def pretty(self) -> str:
         bits = []

@@ -8,7 +8,9 @@ Jacobi identity are evaluated from a dense array of structure constants,
 prolongation components are solved for every full block map at once, and
 the group law is summed bracket by bracket over the series on plain
 exponent-tuple polynomials, and the origin values of Hall words are read
-off vector fields bracketed in full.  None of them imports ``crprolong``.
+off vector fields bracketed in full.  None of them imports ``crprolong``;
+``replaced_bracket``, the negative controls' corrupted copy of an
+algebra, builds it through the algebra's own type.
 """
 
 from fractions import Fraction
@@ -116,18 +118,6 @@ def dense_kernel(rows, cols):
     return basis
 
 
-def dense_solve(rows, b):
-    """Solution of rows·x = b with free coordinates 0, or None if inconsistent."""
-    cols = len(rows[0])
-    pivot_cols, prows = dense_rref([r + [x] for r, x in zip(rows, b)], range(cols + 1))
-    if cols in pivot_cols:
-        return None
-    x = [C_ZERO] * cols
-    for c, row in zip(pivot_cols, prows):
-        x[c] = row[cols]
-    return x
-
-
 def dense_inverse(rows):
     """Inverse of a square matrix, or None if it is singular."""
     n = len(rows)
@@ -200,6 +190,19 @@ def jacobi_violations(n, table):
                 if any(x != C_ZERO for x in acc):
                     out[(i, j, k)] = acc
     return out
+
+
+def replaced_bracket(algebra, i, j, terms):
+    """Copy of a graded Lie algebra with [e_i, e_j] replaced by ``terms``.
+
+    For negative controls.  The copy keeps J but not the conjugation, which
+    the corrupted bracket would in general no longer respect.
+    """
+    if i >= j:
+        raise ValueError("need i < j")
+    table = {k: dict(v) for k, v in algebra.table.items()}
+    table[(i, j)] = dict(terms)
+    return type(algebra)(algebra.labels, algebra.degrees, table, None, algebra.J, algebra.scalar_tag)
 
 
 # -- prolongation components as the kernel of the full-block Leibniz system --

@@ -12,14 +12,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from crprolong.cli import main as cli_main
-from crprolong.crmodels import (
-    NotADerivation,
-    _g0_element,
-    build_aut_cr,
-    euler_derivation,
-    rotation_derivation,
-    verify_theorem,
-)
+from crprolong.crmodels import _g0_element, build_aut_cr, euler_derivation, verify_theorem
 from crprolong.exact import Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.freelie import hall_basis, hall_rewrite, min_length_for_codim, witt_dim
@@ -32,8 +25,8 @@ from crprolong.liealg import (
     is_pseudocomplex,
     real_form,
 )
-from crprolong.prolong import LEVI_TANAKA, full_prolongation, is_transitive
-from crprolong.bch import bch_group_law, left_invariant_frame
+from crprolong.prolong import LEVI_TANAKA, full_prolongation, grade0, is_transitive
+from crprolong.bch import GroupLaw, left_invariant_frame
 from crprolong.poly import vf_bracket
 from oracles import assoc_add, assoc_mul, brute_force_lyndon, expand_commutator
 
@@ -59,7 +52,8 @@ def sweep():
     for name, symbol in jobs:
         rf = real_form(symbol.algebra)
         prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
-        rot = rotation_derivation(rf.algebra)
+        minus_j = Matrix([[-x for x in row] for row in rf.algebra.J.data])
+        rot = _g0_element(grade0(rf.algebra, j_constraint=True), rf.algebra, minus_j)
         euler = _g0_element(prolonged.components[0], rf.algebra, minus_identity)
         euler_in_g0 = euler is not None and euler[1] == euler_derivation(rf.algebra)
         report = verify_theorem(symbol)
@@ -135,9 +129,9 @@ def test_criterion_4_main_theorem_sweep(sweep):
         # quotient alone with no solve ...
         if rep.case != build_aut_cr(rec["symbol"], rec["rf"]).case:
             ok = False
-        # ... and it must agree with rotation_derivation, which reads the
-        # rotation off the prolongation's grade-0 solve
-        rot_exists = rec["rotation"] is not NotADerivation
+        # ... and it must agree with the rotation read off a J-commuting
+        # grade-0 solve: the element whose degree -1 block is -J
+        rot_exists = rec["rotation"] is not None
         if rep.case != ("complex-alpha" if rot_exists else "real-alpha"):
             ok = False
     cases = {rec["name"]: rec["report"].case for rec in sweep["records"]}
@@ -195,7 +189,7 @@ def test_criterion_8_bch_left_invariance():
         symbol = symbol_from_frame(model)
         rf = real_form(symbol.algebra)
         R = rf.algebra
-        law = bch_group_law(R)
+        law = GroupLaw(R)
         if not all(p.is_zero() for p in law.associativity_residual()):
             ok = False
         frame = left_invariant_frame(R)

@@ -71,8 +71,19 @@ def test_symbol_bad_quotient_exits_2(tmp_path, capsys):
         ('{"kind": "explicit", "rows": [[{"re": "1", "im": "0"}, {"re": "1"}]]}', "quotient.rows[0][1]: missing 'im'"),
         ('{"kind": "explicit", "rows": [[{"re": "1/x", "im": "0"}]]}', "quotient.rows[0][0].re: must be an exact rational"),
         ('{"kind": "bogus", "rows": []}', "quotient.kind: must be one of"),
+        ('{"kind": "default", "provenance": 5}', "quotient.provenance: must be a string, got 5"),
+        ('{"kind": "default", "provenance": ["a"]}', "quotient.provenance: must be a string, got ['a']"),
     ],
-    ids=["rows-not-list", "top-level-list", "entry-not-object", "missing-im", "bad-literal", "bad-kind"],
+    ids=[
+        "rows-not-list",
+        "top-level-list",
+        "entry-not-object",
+        "missing-im",
+        "bad-literal",
+        "bad-kind",
+        "provenance-number",
+        "provenance-list",
+    ],
 )
 def test_malformed_quotient_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "quotient.json"
@@ -159,6 +170,16 @@ def test_output_to_file(tmp_path, capsys):
     assert out == ""
     reports = json.loads(target.read_text())
     assert reports[0]["verdict"] == "confirmed"
+
+
+def test_models_json_round_trips_as_a_catalog(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    assert run(capsys, "models", "--format", "json", "-o", str(path)) == (0, "", "")
+    builtin_text = run(capsys, "models")
+    assert run(capsys, "models", "--catalog", str(path)) == builtin_text
+    builtin_reports = run(capsys, "verify", "--all", "12", "--format", "json")
+    assert builtin_reports[0] == 0
+    assert run(capsys, "verify", "--all", "12", "--catalog", str(path), "--format", "json") == builtin_reports
 
 
 def test_catalog_models_built_once_per_process(monkeypatch, tmp_path, capsys):
@@ -249,6 +270,8 @@ def _with_phi(obj, *exps, re="1"):
         (lambda e: [e, e], "catalog[1].id: must be a string not used by an earlier entry"),
         (lambda e: [dict(e, k="1")], "catalog[0].k: must be a positive integer"),
         (lambda e: [dict(e, k=0)], "catalog[0].k: must be a positive integer"),
+        (lambda e: [e, dict(e, id="h2", provenance=5)], "catalog[1].provenance: must be a string, got 5"),
+        (lambda e: [dict(e, provenance=["a"])], "catalog[0].provenance: must be a string, got ['a']"),
         (lambda e: [dict(e, defining=_without(e["defining"], "type"))], "catalog[0].defining.type: must be one of"),
         (lambda e: [dict(e, defining={"type": "rigid"})], "catalog[0].defining: missing 'phi'"),
         (lambda e: [e, dict(e, id="h2", defining={"type": "rigid", "phi": [{}]})], "catalog[1]: defining.phi[0]: missing 'terms'"),
@@ -264,6 +287,7 @@ def _with_phi(obj, *exps, re="1"):
         (lambda e: _with_cr(chart=["z", 7, "u1"]), "catalog[0]: defining.cr: chart[1]: must be a string, got 7"),
         (lambda e: _with_cr(conj_perm=[0, "a", 2]), "catalog[0]: defining.cr: conj_perm[1]: must be an integer, got 'a'"),
         (lambda e: _with_cr(conj_perm=[0, 0, 2]), "catalog[0]: defining.cr: conj_perm: must be a permutation of 0..2"),
+        (lambda e: _with_cr(conj_perm=[1, 2, 0]), "catalog[0]: defining.cr: conj_perm: must be an involution"),
         (lambda e: _with_cr(components=[{"terms": []}, {}, {"terms": []}]), "catalog[0]: defining.cr: components[1]: missing 'terms'"),
         (lambda e: [dict(e, k=2)], "catalog[0]: need 2 defining polynomials"),
         (lambda e: [_with_phi(e, [1, 1, 0])], "catalog[0]: defining.phi[0]: terms[0].exp: must be a list of 2 non-negative integers"),
@@ -283,6 +307,8 @@ def _with_phi(obj, *exps, re="1"):
         "duplicate-id",
         "k-not-integer",
         "k-zero",
+        "provenance-number",
+        "provenance-list",
         "no-type",
         "no-payload",
         "bad-polynomial",
@@ -298,6 +324,7 @@ def _with_phi(obj, *exps, re="1"):
         "chart-name-not-string",
         "conj-perm-not-integer",
         "conj-perm-not-permutation",
+        "conj-perm-not-involution",
         "component-bad",
         "wrong-count",
         "exp-too-long",

@@ -1,30 +1,37 @@
 import json
 
 import pytest
+from oracles import replaced_bracket
 
 from crprolong import cli, crmodels
 from crprolong.crmodels import (
     COMPLEX_ALPHA,
     REAL_ALPHA,
-    NotADerivation,
     RhoTooSmall,
     VerificationFailed,
+    _g0_element,
     bracket_mismatch_pair,
     build_aut_cr,
     check_bracket_isomorphism,
-    compare_quotient_prolongations,
     euler_derivation,
     rotation_complex_matrix,
-    rotation_derivation,
     verify_heisenberg,
     verify_theorem,
 )
 from crprolong.exact import QI, Matrix
 from crprolong.liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form, realify
+from crprolong.prolong import LEVI_TANAKA, full_prolongation, grade0
 
 
 def _aut(S):
     return build_aut_cr(S, real_form(S.algebra))
+
+
+def _rotation(R):
+    """The Leibniz extension of -J read off the J-commuting G^0, or None."""
+    minus_j = Matrix([[-x for x in row] for row in R.J.data])
+    found = _g0_element(grade0(R, j_constraint=True), R, minus_j)
+    return None if found is None else found[1]
 
 
 def test_build_aut_cr_heisenberg_complex_case():
@@ -77,8 +84,8 @@ def test_euler_on_heisenberg():
 
 def test_rotation_on_heisenberg():
     R = realify(build_symbol_algebra(1).algebra)
-    rot = rotation_derivation(R)
-    assert rot is not NotADerivation
+    rot = _rotation(R)
+    assert rot is not None
     # restriction is -J: r(x) = -y, r(y) = x; the center is annihilated
     assert rot.column(0) == [QI(0), QI(-1), QI(0)]
     assert rot.column(1) == [QI(1), QI(0), QI(0)]
@@ -91,7 +98,7 @@ def test_rotation_fails_on_mixed_bidegree_quotient():
     S = build_symbol_algebra(5, QuotientSpec(kind="explicit", rows=rows))
     assert S.algebra.conjugation is not None  # the line is conjugation-stable
     R = realify(S.algebra)
-    assert rotation_derivation(R) is NotADerivation
+    assert _rotation(R) is None
     assert _aut(S).case == REAL_ALPHA
 
 
@@ -131,11 +138,11 @@ def test_rotation_complex_eigenvalues(k):
     # quotient, conjugating it by the embedding gives the extension of -J
     # read off G^0; elsewhere that extension does not exist
     rf = real_form(S.algebra)
-    rot = rotation_derivation(rf.algebra)
+    rot = _rotation(rf.algebra)
     if build_aut_cr(S, rf).case == COMPLEX_ALPHA:
         assert rot == rf.embedding_inv.mul(rc.mul(rf.embedding))
     else:
-        assert rot is NotADerivation
+        assert rot is None
 
 
 def test_verify_theorem_k3():
@@ -170,14 +177,11 @@ def test_corrupted_bracket_fails_naming_pair():
     S = build_symbol_algebra(3)
     rep = verify_theorem(S)
     aut = _aut(S)
-    from crprolong.liealg import realify as _realify
-    from crprolong.prolong import LEVI_TANAKA, full_prolongation
-
-    P = full_prolongation(_realify(S.algebra), LEVI_TANAKA)
+    P = full_prolongation(realify(S.algebra), LEVI_TANAKA)
     # honest map passes
     assert bracket_mismatch_pair(aut.algebra, P.algebra, rep.iso_matrix) is None
     # corrupt [d, x] in the abstract algebra and re-run the same check
-    bad = aut.algebra.replaced_bracket(0, aut.d_index, {0: QI(2)})
+    bad = replaced_bracket(aut.algebra, 0, aut.d_index, {0: QI(2)})
     with pytest.raises(VerificationFailed) as err:
         check_bracket_isomorphism(bad, P.algebra, rep.iso_matrix)
     assert err.value.pair == ("x", "d")
@@ -204,13 +208,16 @@ def test_report_serialization():
 def test_compare_quotient_prolongations_flags_differences():
     from crprolong.frames import builtin_catalog, symbol_from_frame
 
+    def lt_dims(k, quotient):
+        rf = real_form(build_symbol_algebra(k, quotient).algebra)
+        return full_prolongation(rf.algebra, LEVI_TANAKA).dims_by_degree()
+
     cat = builtin_catalog()
     q2 = symbol_from_frame(cat["cubic2"]).quotient
-    out2 = compare_quotient_prolongations(2, {"default": None, "cubic2": q2})
-    assert out2["consistent"] is True
+    assert lt_dims(2, None) == lt_dims(2, q2)
     q4 = symbol_from_frame(cat["quartic4"]).quotient
-    out4 = compare_quotient_prolongations(4, {"default": None, "quartic4": q4})
+    default4, quartic4 = lt_dims(4, None), lt_dims(4, q4)
     # genuinely different grade-0 dimensions across the two quotients
-    assert out4["consistent"] is False
-    assert out4["per_quotient"]["default"][0] == 1
-    assert out4["per_quotient"]["quartic4"][0] == 2
+    assert default4 != quartic4
+    assert default4[0] == 1
+    assert quartic4[0] == 2

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import dense_bracket, dense_structure_constants, jacobi_violations
+from oracles import dense_bracket, dense_structure_constants, jacobi_violations, replaced_bracket
 
 from crprolong import liealg
 from crprolong.exact import QI, Matrix
@@ -51,7 +51,7 @@ def test_jacobi_corrupted_constant_reports_triple():
         ["e", "f", "h"], [1, -1, 0], {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
     )
     assert check_jacobi(sl2) == []
-    bad = sl2.replaced_bracket(0, 2, {0: QI(-3)})
+    bad = replaced_bracket(sl2, 0, 2, {0: QI(-3)})
     violations = check_jacobi(bad)
     assert len(violations) == 1
     assert violations[0][:3] == (0, 1, 2)
@@ -60,7 +60,7 @@ def test_jacobi_corrupted_constant_reports_triple():
 def test_jacobi_corrupted_symbol_algebra():
     S = build_symbol_algebra(6)
     # redirect [L1_1, L2_3] to the wrong length-3 word
-    bad = S.algebra.replaced_bracket(0, 2, {4: QI(1)})
+    bad = replaced_bracket(S.algebra, 0, 2, {4: QI(1)})
     assert check_jacobi(bad), "corruption must surface as a Jacobi violation"
 
 
@@ -79,11 +79,11 @@ JACOBI_CASES = {
     **{f"real-k{k}": lambda k=k: realify(build_symbol_algebra(k).algebra) for k in range(2, 9)},
     "levi-tanaka-k1": lambda: _levi_tanaka(1),
     "levi-tanaka-k5": lambda: _levi_tanaka(5),
-    "corrupted-sl2": lambda: GradedLieAlgebra(*SL2).replaced_bracket(0, 2, {0: QI(-3)}),
-    "corrupted-k6": lambda: build_symbol_algebra(6).algebra.replaced_bracket(0, 2, {4: QI(1)}),
+    "corrupted-sl2": lambda: replaced_bracket(GradedLieAlgebra(*SL2), 0, 2, {0: QI(-3)}),
+    "corrupted-k6": lambda: replaced_bracket(build_symbol_algebra(6).algebra, 0, 2, {4: QI(1)}),
     # [e0, e1] gains an e1 term: the grading breaks, and the violating
     # triple (0, 1, 2) has degree sum -4, below the lowest degree -3
-    "ungraded-k2": lambda: build_symbol_algebra(2).algebra.replaced_bracket(0, 1, {1: QI(1), 2: QI(1)}),
+    "ungraded-k2": lambda: replaced_bracket(build_symbol_algebra(2).algebra, 0, 1, {1: QI(1), 2: QI(1)}),
 }
 
 
@@ -137,9 +137,9 @@ def test_first_bracket_mismatch_finds_planted_pair():
     identity = Matrix.identity(A.dim)
     assert first_bracket_mismatch(A, A, identity) is None
     assert first_bracket_mismatch(rf.algebra, A, rf.embedding) is None
-    assert first_bracket_mismatch(A, A.replaced_bracket(2, 4, {6: QI(3)}), identity) == (2, 4)
-    assert first_bracket_mismatch(A.replaced_bracket(1, 4, {}), A, identity) == (1, 4)
-    planted = rf.algebra.replaced_bracket(1, 2, {3: QI(5)})
+    assert first_bracket_mismatch(A, replaced_bracket(A, 2, 4, {6: QI(3)}), identity) == (2, 4)
+    assert first_bracket_mismatch(replaced_bracket(A, 1, 4, {}), A, identity) == (1, 4)
+    planted = replaced_bracket(rf.algebra, 1, 2, {3: QI(5)})
     assert first_bracket_mismatch(planted, A, rf.embedding) == (1, 2)
 
 
@@ -154,7 +154,7 @@ def test_acts_faithfully_when_no_bracket_reaches():
 
 def test_grading_check():
     assert check_grading(heisenberg_real()) == []
-    bad = heisenberg_real().replaced_bracket(0, 1, {0: QI(1)})
+    bad = replaced_bracket(heisenberg_real(), 0, 1, {0: QI(1)})
     assert check_grading(bad)
 
 
@@ -274,7 +274,7 @@ def test_conjugation_checked_once_per_theorem_input(monkeypatch):
 
 def test_replaced_bracket_drops_conjugation_keeps_j():
     A = build_symbol_algebra(4).algebra
-    bad = A.replaced_bracket(0, 1, {2: QI(2)})
+    bad = replaced_bracket(A, 0, 1, {2: QI(2)})
     assert bad.conjugation is None
     assert bad.J == A.J
 

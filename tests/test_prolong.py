@@ -27,7 +27,7 @@ from crprolong.prolong import (
     _assemble,
     prolong_component,
 )
-from oracles import full_block_component
+from oracles import full_block_component, replaced_bracket
 
 J_STANDARD = Matrix([[0, -1], [1, 0]])
 
@@ -297,7 +297,7 @@ def test_grade0_matches_oracle_without_jacobi(j_constraint):
     only on pairs with a degree -1 element would keep 4 (2 with J).
     """
     free = realify(build_symbol_algebra(12).algebra)
-    bad = free.replaced_bracket(2, 3, {12: 2 * free.table[(2, 3)][12]})
+    bad = replaced_bracket(free, 2, 3, {12: 2 * free.table[(2, 3)][12]})
     assert check_jacobi(bad) and is_fundamental(bad)
     assert grade0(bad, j_constraint).dim == (1 if j_constraint else 2)
     _assert_components_match_oracle(bad, 0, j_constraint)
