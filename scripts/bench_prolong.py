@@ -1,0 +1,125 @@
+"""Time the prolongation component solves on two source trees and write the pair as JSON.
+
+    python scripts/bench_prolong.py --before OLD_CHECKOUT/src --after src
+
+The keys are the full-Tanaka towers of the k = 1 (contact) and k = 2
+symbols through degree 11 (``grade0`` then ``prolong_component``, as the
+benchmark's ``anchors`` workload builds them) and ``verify_theorem`` on
+the default symbols at k = 69, 125 and 224.  Each key is timed three
+times (the median is reported) in a fresh process per source tree,
+alternating which side runs first (``benchpair.py`` holds this harness).
+
+The sizes are summed over every component solve of one more, untimed
+run.  Both trees report ``solves``, ``unknowns`` (2·dim V_(l-1) per
+solve), ``rank`` (unknowns minus the component's dimension) and the
+``component_dims`` in solve order.  A tree whose solve runs on integer
+rows also reports the Leibniz and J rows before (``rows``) and after
+(``distinct_rows``) deduplication up to scale, the ``nonzeros`` of the
+distinct rows, and ``max_bits``, the largest numerator bit length in the
+distinct rows and in their reduced echelon form.  The pair goes to
+BENCH_prolong.json in the current directory.
+"""
+
+from __future__ import annotations
+
+import statistics
+import time
+
+import benchpair
+
+KEYS = ("tower_contact", "tower_k2", "verify69", "verify125", "verify224")
+TOWER_DEGREE = 11
+REPEATS = 3
+
+
+def _workload(key: str):
+    """The timed call for ``key``; its input is built beforehand."""
+    from crprolong import crmodels, liealg, prolong
+
+    if key.startswith("tower"):
+        m = liealg.realify(liealg.build_symbol_algebra(1 if key == "tower_contact" else 2).algebra)
+
+        def tower():
+            comps = [prolong.grade0(m, False)]
+            for l in range(1, TOWER_DEGREE + 1):
+                comps.append(prolong.prolong_component(m, comps, l))
+
+        return tower
+    symbol = liealg.build_symbol_algebra(int(key[len("verify"):]))
+
+    def verify():
+        report = crmodels.verify_theorem(symbol)
+        if report.verdict != "confirmed":
+            raise SystemExit(f"{key}: verdict {report.verdict}")
+
+    return verify
+
+
+def _sizes(run) -> dict:
+    """System sizes of one run of ``run``, read by wrapping the solver's module globals."""
+    from crprolong import prolong
+
+    sizes = {"solves": 0, "unknowns": 0, "rank": 0, "component_dims": []}
+    solve = prolong._solve_component
+
+    def counted_solve(m, components, l, j_constraint):
+        comp = solve(m, components, l, j_constraint)
+        nb = len(m.indices_of_degree(-1))
+        unknowns = nb * (nb if l == 0 else components[l - 1].dim)
+        sizes["solves"] += 1
+        sizes["unknowns"] += unknowns
+        sizes["rank"] += unknowns - comp.dim
+        sizes["component_dims"].append(comp.dim)
+        return comp
+
+    hooks = {"_solve_component": counted_solve}
+    if hasattr(prolong, "integer_rref"):
+        sizes.update(rows=0, distinct_rows=0, nonzeros=0, max_bits=0)
+        distinct, rref = prolong._distinct_rows, prolong.integer_rref
+
+        def counted_distinct(forms):
+            forms = list(forms)
+            rows = distinct(forms)
+            sizes["rows"] += len(forms)
+            sizes["distinct_rows"] += len(rows)
+            sizes["nonzeros"] += sum(map(len, rows))
+            return rows
+
+        def counted_rref(rows):
+            pivots = rref(rows)
+            entries = [x for row in (*rows, *(row for _, row in pivots)) for x in row.values()]
+            sizes["max_bits"] = max([sizes["max_bits"], *(abs(x).bit_length() for x in entries)])
+            return pivots
+
+        hooks |= {"_distinct_rows": counted_distinct, "integer_rref": counted_rref}
+    saved = {name: getattr(prolong, name) for name in hooks}
+    for name, hook in hooks.items():
+        setattr(prolong, name, hook)
+    try:
+        run()
+    finally:
+        for name, orig in saved.items():
+            setattr(prolong, name, orig)
+    return sizes
+
+
+def measure(key: str) -> dict:
+    run = _workload(key)
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return {
+        "solve_s": round(statistics.median(times), 4),
+        "runs_s": [round(t, 4) for t in times],
+        **_sizes(run),
+    }
+
+
+if __name__ == "__main__":
+    benchpair.main(
+        __file__, __doc__, measure, KEYS, "workload", "solve_s",
+        "prolongation component solves: full-Tanaka towers to degree 11 and verify_theorem at k = 69, 125, 224",
+        REPEATS, "BENCH_prolong.json",
+    )

@@ -7,7 +7,10 @@ goes through one Gauss-Jordan kernel on sparse rows ``{col: QI}``: each
 incoming row is reduced by the pivot rows whose columns it touches, takes
 its first nonzero column in the given column order (default left to
 right) as its pivot, is scaled to 1 there, and that column is cleared
-from the earlier pivot rows.  The reduced row echelon form of a matrix
+from the earlier pivot rows.  ``integer_rref`` is the same elimination,
+fraction-free, on rows of Python ``int``s, for the systems of
+``prolong`` whose coefficients are all real: every row is kept primitive
+instead of being scaled to 1.  The reduced row echelon form of a matrix
 for a fixed column order is unique, so every basis, reducer and solution
 depends only on the input and the column order, never on row order or
 on how the elimination is scheduled; every downstream basis choice in
@@ -17,6 +20,7 @@ the package inherits its reproducibility from this.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "QI",
@@ -26,6 +30,7 @@ __all__ = [
     "kernel_basis",
     "rank",
     "invert",
+    "integer_rref",
     "qi_from_json",
 ]
 
@@ -310,6 +315,58 @@ def _rref(rows, col_order):
                 _axpy(other, f, row)
         pivots[lead] = row
     return [(c, pivots[c]) for c in col_order if c in pivots]
+
+
+def _int_eliminate(row, pivot_row, col):
+    """A multiple of ``row`` minus a multiple of ``pivot_row``, zero at ``col``; int rows, without zeros."""
+    p, x = pivot_row[col], row[col]
+    g = gcd(p, x)
+    p, x = p // g, x // g
+    out = {j: p * y for j, y in row.items()} if p != 1 else dict(row)
+    for j, y in pivot_row.items():
+        z = out.get(j, 0) - x * y
+        if z:
+            out[j] = z
+        else:
+            del out[j]
+    return out
+
+
+def _primitive(row, col):
+    """``row`` divided by the gcd of its entries, signed so that it is positive at ``col``."""
+    g = gcd(*row.values())
+    if row[col] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def integer_rref(rows):
+    """Reduced row echelon form of integer rows ``{col: int}``, columns in increasing order.
+
+    Fraction-free Gauss-Jordan: an incoming row is reduced by the pivot
+    rows whose columns it touches (cross-multiplied, so it stays integral),
+    takes its first nonzero column as its pivot, and that column is
+    cleared from the earlier pivot rows.  Returns ``[(col, row)]`` by
+    increasing ``col``, each row without zeros, primitive (its entries have
+    gcd 1), positive at its pivot and zero at every other pivot.  Divided
+    by its pivot entry, each row is the row of the unique reduced echelon
+    form, the one ``_rref`` gives for the column order ``range(width)``.
+    """
+    pivots = {}
+    for row in rows:
+        row = {j: x for j, x in row.items() if x}
+        # pivot rows are 0 at each other's pivots, so one pass reduces fully
+        for c in [c for c in row if c in pivots]:
+            row = _int_eliminate(row, pivots[c], c)
+        if not row:
+            continue
+        lead = min(row)
+        row = _primitive(row, lead)
+        for c, other in pivots.items():
+            if lead in other:
+                pivots[c] = _primitive(_int_eliminate(other, row, lead), c)
+        pivots[lead] = row
+    return sorted(pivots.items())
 
 
 def kernel_basis(m: Matrix):

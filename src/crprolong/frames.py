@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from .bch import _mul_into, left_invariant_frame
-from .exact import Echelon, Matrix, QI, QI_ZERO, as_qi, kernel_basis
+from .exact import Echelon, Matrix, QI, QI_ZERO, _axpy, as_qi, kernel_basis
 from .freelie import cumulative_dim, hall_basis, hall_rewrite, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
 from .poly import Poly, PolyVectorField, rigid_chart
@@ -390,24 +390,28 @@ def _check_frame_constants(symbol: SymbolAlgebra, values, full_dim, lower_span):
     """Origin values must satisfy the quotient's structure constants.
 
     Top-degree brackets live in D_rho / D_(rho-1) at the origin, so the
-    two evaluations are compared modulo the lower filtration span.
+    two evaluations are compared modulo the lower filtration span.  Each
+    difference is accumulated sparse and densified once, for the span test.
     """
+    sparse = {}
+
+    def value(word):
+        """Origin value of ``word`` as {coordinate: QI} without zeros."""
+        if word not in sparse:
+            sparse[word] = {t: v for t, v in enumerate(values[word]) if v}
+        return sparse[word]
+
     for i, wi in enumerate(symbol.words):
         for j in range(i + 1, symbol.dim):
             wj = symbol.words[j]
             if wi.length + wj.length != symbol.length:
                 continue
-            lhs = [QI_ZERO] * full_dim
-            raw = hall_rewrite(wi, wj)
-            for w, c in raw.items():
-                val = values[w.word]
-                lhs = [x + as_qi(c) * v for x, v in zip(lhs, val)]
-            rhs = [QI_ZERO] * full_dim
+            diff = {}
+            for w, c in hall_rewrite(wi, wj).items():
+                _axpy(diff, as_qi(-c), value(w.word))
             for kdx, c in symbol.algebra.bracket_basis(i, j).items():
-                val = values[symbol.words[kdx].word]
-                rhs = [x + c * v for x, v in zip(rhs, val)]
-            diff = [x - y for x, y in zip(lhs, rhs)]
-            if not lower_span.contains(diff):
+                _axpy(diff, c, value(symbol.words[kdx].word))
+            if not lower_span.contains([diff.get(t, QI_ZERO) for t in range(full_dim)]):
                 raise AssertionError(f"frame constants disagree at ({wi}, {wj})")
 
 

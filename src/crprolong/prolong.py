@@ -8,8 +8,10 @@ along one fixed expression of each basis element as a bracket with
 g_-1, and the component is the exact kernel of the Leibniz identity
 evaluated on all basis pairs of m, plus commutation with the complex
 structure J on the degree -1 block for the grade-0 component of the
-Levi-Tanaka flavor.  The reduced kernel basis is the one a solve for the
-full block maps m_a -> V_(a+l) would return.
+Levi-Tanaka flavor.  The solve is fraction-free: integer linear forms
+over one denominator per image, primitive integer rows deduplicated up
+to scale, and ``exact.integer_rref``.  The reduced kernel basis is the
+one a solve for the full block maps m_a -> V_(a+l) would return.
 Brackets between nonnegative components are assembled afterwards by the
 usual induction [d, e](x) = [[d, x], e] + [d, [e, x]]; the coordinates of
 [d, e] are read off its g_-1 block at the basis pivots (``_coordinates``)
@@ -23,9 +25,12 @@ it as the reference check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
+from operator import mul
 
-from .exact import QI_ONE, QI_ZERO, Matrix, _axpy, kernel_basis
+from .exact import QI, QI_ZERO, Matrix, _axpy, integer_rref
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -100,6 +105,60 @@ def _local_index(m: GradedLieAlgebra):
     return loc
 
 
+def _integers(entries):
+    """Real ``QI`` entries ``(key, c)`` as ``({key: int numerator}, denominator)``, zeros dropped.
+
+    The solve runs on integers, so a complex structure constant,
+    lower-component entry or J entry is refused with ``ValueError``.
+    """
+    fracs = {}
+    for key, c in entries:
+        # the Fraction slots directly: Fraction.__bool__ and .numerator are Python-level calls
+        if c.im._numerator:
+            raise ValueError(f"the prolongation solve needs real coefficients, got {c}")
+        if c.re._numerator:
+            fracs[key] = c.re
+    den = lcm(*(f._denominator for f in fracs.values()))
+    return {key: f._numerator * (den // f._denominator) for key, f in fracs.items()}, den
+
+
+def _sum_forms(terms):
+    """Sum of num/den · form at coordinate t over ``terms`` = [(t, num, den, form)], forms {unknown: int}.
+
+    Returns ``({t: form}, den)``: integer numerators over one common
+    denominator, zeros dropped, in lowest terms (the gcd is taken once, on
+    the finished sum).
+    """
+    den = lcm(*(d for _, _, d, _ in terms))
+    out = {}
+    for t, num, d, form in terms:
+        f = num * (den // d)
+        acc = out.setdefault(t, {})
+        for v, x in form.items():
+            acc[v] = acc.get(v, 0) + f * x
+    out = {t: form for t, acc in out.items() if (form := {v: x for v, x in acc.items() if x})}
+    g = gcd(den, *(x for form in out.values() for x in form.values()))
+    if g == 1:
+        return out, den
+    return {t: {v: x // g for v, x in form.items()} for t, form in out.items()}, den // g
+
+
+def _dot(form, vec):
+    """form · vec for a sparse form {unknown: int} and a dense list ``vec``."""
+    return sum(map(mul, form.values(), map(vec.__getitem__, form)))
+
+
+def _distinct_rows(forms):
+    """Each nonzero integer form made primitive (gcd 1, first entry positive), one per class up to scale."""
+    seen = {}
+    for form in forms:
+        g = gcd(*form.values())
+        if form[min(form)] < 0:
+            g = -g
+        seen.setdefault(tuple(sorted((v, x // g) for v, x in form.items())), None)
+    return [dict(row) for row in seen]
+
+
 def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool) -> ProlongationComponent:
     """Degree-l component: solve on the g_-1 block, extend, check Leibniz on all pairs.
 
@@ -108,14 +167,20 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     V_(l-1), is unknown t·dim(g_-1) + s.  D is extended along the
     expressions e_x = sum of c·[e_g, e_y] as D(e_x) = sum of
     c·([D e_g, e_y] + [e_g, D e_y]), each coordinate a sparse linear form
-    {unknown: coefficient}.  Each nonzero coordinate of the Leibniz
-    residual on a basis pair i < j is a row, so the kernel is the set of
-    g_-1 blocks of derivations without appeal to Jacobi; ``j_constraint``
-    (grade 0) adds commutation with J.  The unknowns keep the order of
-    the trailing g_-1 block of a solve for all blocks m_a -> V_(a+l).  No
-    derivation has a zero g_-1 block, so every pivot of that solve's
-    reduced kernel basis (the last nonzero entry of each vector) lies in
-    this block, and that basis is the extension of the one found here.
+    {unknown: int numerator}, the coordinates of one image over one
+    ``int`` denominator.  Each nonzero coordinate of the Leibniz residual
+    on a basis pair i < j is a row, so the kernel is the set of g_-1
+    blocks of derivations without appeal to Jacobi; ``j_constraint``
+    (grade 0) adds commutation with J.  The rows are made primitive,
+    deduplicated up to scale and solved by ``integer_rref``; every kernel
+    vector is checked by substitution, in integers, against every
+    distinct row, and each output coefficient becomes a ``QI`` once.
+    Complex coefficients are refused with ``ValueError``.  The unknowns
+    keep the order of the trailing g_-1 block of a solve for all blocks
+    m_a -> V_(a+l).  No derivation has a zero g_-1 block, so every pivot
+    of that solve's reduced kernel basis (the last nonzero entry of each
+    vector) lies in this block, and that basis is the extension of the
+    one found here.
     """
     gens = _generating_expressions(m)
     if gens is None:
@@ -127,63 +192,88 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     loc = _local_index(m)
     actions = {}
 
-    def sub(acc, image, sdeg, y, negate=False):
-        """acc -= [image, e_y] (acc += with ``negate``) for ``image`` = {s: form} in V_sdeg."""
-        for s, form in image.items():
-            action = actions.get((sdeg, s, y, negate))
+    def bracket(image, sdeg, y, sign):
+        """Terms of sign·[D e, e_y] for ``image`` = ({s: form}, den), the coordinates of D e in V_sdeg."""
+        forms, den = image
+        terms = []
+        for s, form in forms.items():
+            action = actions.get((sdeg, s, y))
             if action is None:
                 if sdeg >= 0:
-                    action = enumerate(components[sdeg].maps[s].apply(m.degrees[y], loc[y]))
+                    entries = enumerate(components[sdeg].maps[s].apply(m.degrees[y], loc[y]))
                 else:
-                    action = ((loc[k], c) for k, c in m.bracket_basis(blocks[sdeg][s], y).items())
-                action = actions[(sdeg, s, y, negate)] = {t: -c if negate else c for t, c in action if c}
-            for t, c in action.items():
-                _axpy(acc.setdefault(t, {}), c, form)
+                    entries = ((loc[k], c) for k, c in m.bracket_basis(blocks[sdeg][s], y).items())
+                action = actions[(sdeg, s, y)] = _integers(entries)
+            coeffs, aden = action
+            terms.extend((t, sign * a, aden * den, form) for t, a in coeffs.items())
+        return terms
 
     nb = len(blocks[-1])
     width = dims.get(l - 1, 0) * nb
-    image = {g: {t: {t * nb + s: QI_ONE} for t in range(dims.get(l - 1, 0))} for s, g in enumerate(blocks[-1])}
+    image = {g: ({t: {t * nb + s: 1} for t in range(dims.get(l - 1, 0))}, 1) for s, g in enumerate(blocks[-1])}
     parts = {}
     for x, expression in gens.items():
         # parts[g, y] = -[D e_g, e_y] + [D e_y, e_g], shared within a layer; D(e_x) = -sum of c·parts[g, y]
-        acc = {}
-        for g, y, c in expression:
+        coeffs, cden = _integers((n, c) for n, (_, _, c) in enumerate(expression))
+        terms = []
+        for n, (g, y, _) in enumerate(expression):
             if (g, y) not in parts:
-                parts[g, y] = {}
-                sub(parts[g, y], image[g], l - 1, y)
-                sub(parts[g, y], image[y], m.degrees[y] + l, g, negate=True)
-            for t, form in parts[g, y].items():
-                _axpy(acc.setdefault(t, {}), c, form)
-        image[x] = {t: form for t, form in acc.items() if form}
+                parts[g, y] = _sum_forms(bracket(image[g], l - 1, y, -1) + bracket(image[y], m.degrees[y] + l, g, 1))
+            forms, pden = parts[g, y]
+            terms.extend((t, -coeffs[n], cden * pden, form) for t, form in forms.items())
+        image[x] = _sum_forms(terms)
 
     rows = []
     for i, j in combinations(range(m.dim), 2):
         if not dims.get(m.degrees[i] + m.degrees[j] + l):
             continue
         # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
-        acc = {}
-        for k, gamma in m.table.get((i, j), {}).items():
-            for t, form in image[k].items():
-                _axpy(acc.setdefault(t, {}), gamma, form)
-        sub(acc, image[i], m.degrees[i] + l, j, negate=True)
-        sub(acc, image[j], m.degrees[j] + l, i)
-        rows.extend(form for form in acc.values() if form)
+        gammas, gden = _integers(m.table.get((i, j), {}).items())
+        terms = [(t, -gamma, gden * image[k][1], form) for k, gamma in gammas.items() for t, form in image[k][0].items()]
+        terms += bracket(image[i], m.degrees[i] + l, j, 1)
+        terms += bracket(image[j], m.degrees[j] + l, i, -1)
+        rows.extend(_sum_forms(terms)[0].values())
     if j_constraint:
-        jm = m.J.data
+        jm, _ = _integers(((p, q), x) for p, row in enumerate(m.J.data) for q, x in enumerate(row))
         for p, q in product(range(nb), repeat=2):
-            # (D J - J D)[p][q] on the g_-1 block
+            # (D J - J D)[p][q] on the g_-1 block, times the denominator of J
             form = {}
             for s in range(nb):
-                for v, c in ((p * nb + s, jm[s][q]), (s * nb + q, -jm[p][s])):
-                    form[v] = form.get(v, QI_ZERO) + c
+                for v, c in ((p * nb + s, jm.get((s, q), 0)), (s * nb + q, -jm.get((p, s), 0))):
+                    form[v] = form.get(v, 0) + c
             rows.append({v: c for v, c in form.items() if c})
-    dense = [[form.get(v, QI_ZERO) for v in range(width)] for form in rows if form] or [[QI_ZERO] * width]
+    rows = _distinct_rows(form for form in rows if form)
+    pivots = integer_rref(rows)
+    pivot_cols = {c for c, _ in pivots}
+    qis = {}  # one QI per distinct coefficient
     maps = []
-    for vec in kernel_basis(Matrix(dense)):
-        support = [(v, x) for v, x in enumerate(vec) if x]
+    for f in range(width):
+        if f in pivot_cols:
+            continue
+        hit = [(c, row) for c, row in pivots if f in row]
+        # the kernel vector with 1 at f, times the lcm of the pivots it divides by
+        vden = lcm(*(row[c] for c, row in hit))
+        vec = [0] * width
+        vec[f] = vden
+        for c, row in hit:
+            vec[c] = -row[f] * (vden // row[c])
+        if any(_dot(row, vec) for row in rows):
+            raise AssertionError("_solve_component produced a non-kernel vector")
         out = {}
         for a, idx in blocks.items():
-            cols = [{t: sum((f[v] * x for v, x in support if v in f), QI_ZERO) for t, f in image[y].items()} for y in idx]
+            cols = []
+            for y in idx:
+                forms, den = image[y]
+                d = vden * den
+                col = {}
+                for t, form in forms.items():
+                    n = _dot(form, vec)
+                    if n:
+                        q = qis.get((n, d))
+                        if q is None:
+                            q = qis[n, d] = QI(Fraction(n, d))
+                        col[t] = q
+                cols.append(col)
             out[a] = Matrix([[col.get(t, QI_ZERO) for col in cols] for t in range(dims.get(a + l, 0))])
         maps.append(DerivationMap(l, out))
     return ProlongationComponent(l, tuple(maps))

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from oracles import C_ZERO, c_mul, dense_inverse, dense_kernel, dense_reduce, dense_rref
 
-from crprolong.exact import QI, Echelon, Matrix, invert, kernel_basis, qi_from_json, rank
+from crprolong.exact import QI, Echelon, Matrix, _rref, integer_rref, invert, kernel_basis, qi_from_json, rank
 
 I = QI(0, 1)
 
@@ -243,3 +244,43 @@ def test_echelon_matches_dense_oracle(complex_entries, trailing):
         for v in ([_oracle_entry(rng, complex_entries) for _ in range(cols)], _oracle_combination(rng, complex_entries, data)):
             assert _pairs(e.reduce(_qis(v))) == dense_reduce(pivot_cols, prows, v)
 
+
+
+# -- the integer kernel against the QI kernel and the dense oracle -----------
+
+
+def _integer_system(rng, rows, cols):
+    """Seeded sparse integer rows {col: int}, with zero, scaled, duplicate and dependent rows."""
+    density = rng.choice((0.1, 0.25, 0.5, 1.0))
+    data = [{j: x for j in range(cols) if rng.random() < density and (x := rng.randint(-9, 9))} for _ in range(rows)]
+    if rows > 3:
+        data[rng.randrange(rows)] = {}
+        data[rng.randrange(rows)] = {j: -3 * x for j, x in data[rng.randrange(rows)].items()}
+        a, b = rng.sample(data, 2)
+        f, g = rng.randint(-4, 4), rng.randint(-4, 4)
+        combo = {j: f * a.get(j, 0) + g * b.get(j, 0) for j in set(a) | set(b)}
+        data[rng.randrange(rows)] = {j: x for j, x in combo.items() if x}
+    return data
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 5), (6, 1), (None, None)], ids=["empty", "single-column", "random"])
+def test_integer_rref_matches_rref_and_dense_oracle(rows, cols):
+    rng = random.Random(4501 + (rows or 0) + (cols or 0))
+    deficient = 0
+    for _ in range(60):
+        r = rng.randint(1, 12) if rows is None else rows
+        c = rng.randint(1, 16) if cols is None else cols
+        data = _integer_system(rng, r, c)
+        got = integer_rref(data)
+        for col, row in got:
+            assert row[col] > 0 and 0 not in row.values() and min(row) == col
+            assert math.gcd(*row.values()) == 1
+            assert all(p == col or p not in row for p, _ in got)
+        normalized = [(col, {j: Fraction(x, row[col]) for j, x in row.items()}) for col, row in got]
+        dense = [[QI(row.get(j, 0)) for j in range(c)] for row in data]
+        assert normalized == [(col, {j: x.re for j, x in row.items()}) for col, row in _rref(dense, range(c))]
+        pivot_cols, prows = dense_rref([[(Fraction(row.get(j, 0)), Fraction(0)) for j in range(c)] for row in data], range(c))
+        assert [col for col, _ in got] == pivot_cols
+        assert [[row.get(j, 0) for j in range(c)] for _, row in normalized] == [[x for x, _ in prow] for prow in prows]
+        deficient += len(got) < min(r, c)
+    assert rows == 0 or deficient

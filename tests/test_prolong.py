@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from crprolong.exact import Matrix, QI, invert, rank
+from crprolong import prolong
+from crprolong.exact import Matrix, QI, integer_rref, invert, rank
 from crprolong.liealg import (
     GradedLieAlgebra,
     build_symbol_algebra,
@@ -384,3 +385,47 @@ def test_prolongation_is_invariant_under_graded_change_of_basis(k, flavor):
     moved = _transported(m, p)
     assert first_bracket_mismatch(moved, m, p) is None
     assert full_prolongation(moved, flavor).dims_by_degree() == full_prolongation(m, flavor).dims_by_degree()
+
+
+@pytest.mark.parametrize(
+    "k, top, j_constraint, seed", [(2, 3, False, 2003), (3, 1, True, 2000)], ids=["k2-full-tanaka", "f23-levi-tanaka"]
+)
+def test_components_match_full_block_oracle_with_denominators(k, top, j_constraint, seed):
+    """A graded change of basis brings non-integer structure constants and a non-integer J.
+
+    The seeds are the first from 2000 on whose change of basis does both.
+    """
+    m = realify(build_symbol_algebra(k).algebra)
+    moved = _transported(m, _random_graded_change(m, random.Random(seed)))
+    assert any(c.re.denominator > 1 for terms in moved.table.values() for c in terms.values())
+    assert any(x.re.denominator > 1 for row in moved.J.data for x in row)
+    _assert_components_match_oracle(moved, top, j_constraint)
+
+
+# -- negative controls: the integer solve refuses complex entries and checks its kernel --
+
+
+def test_grade0_refuses_complex_structure_constant():
+    m = f23()
+    (i, j), terms = next(iter(m.table.items()))
+    k, c = next(iter(terms.items()))
+    bad = replaced_bracket(m, i, j, {**terms, k: QI(0, 1) * c})
+    with pytest.raises(ValueError, match="^the prolongation solve needs real coefficients, got [^\n]*$"):
+        grade0(bad, j_constraint=False)
+
+
+def test_corrupted_pivot_row_fails_the_substitution_check(monkeypatch):
+    """Heisenberg grade 0 with J: 4 unknowns (the 2x2 g_-1 block), rank 2."""
+
+    def corrupted(rows):
+        pivots = integer_rref(rows)
+        col, row = pivots[0]
+        free = min(set(range(4)) - {c for c, _ in pivots})
+        pivots[0] = (col, {**row, free: row.get(free, 0) + 1})
+        return pivots
+
+    m = heis()
+    assert grade0(m, j_constraint=True).dim == 2
+    monkeypatch.setattr(prolong, "integer_rref", corrupted)
+    with pytest.raises(AssertionError, match="non-kernel vector"):
+        grade0(m, j_constraint=True)
