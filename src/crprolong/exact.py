@@ -2,25 +2,22 @@
 
 Scalars are Gaussian rationals (elements of Q(i)) built on arbitrary
 precision ``fractions.Fraction`` parts, so nothing in the library ever
-rounds.  Every solve (kernel, rank, inverse, echelon reducer)
-goes through one Gauss-Jordan kernel on sparse rows ``{col: QI}``: each
-incoming row is reduced by the pivot rows whose columns it touches, takes
-its first nonzero column in the given column order (default left to
-right) as its pivot, is scaled to 1 there, and that column is cleared
-from the earlier pivot rows.  ``integer_rref`` is the same elimination,
-fraction-free, on rows of Python ``int``s, for the systems of
-``prolong`` whose coefficients are all real: every row is kept primitive
-instead of being scaled to 1.  The reduced row echelon form of a matrix
-for a fixed column order is unique, so every basis, reducer and solution
-depends only on the input and the column order, never on row order or
-on how the elimination is scheduled; every downstream basis choice in
-the package inherits its reproducibility from this.
+rounds.  Every solve goes through one Gauss-Jordan kernel,
+``integer_rref``: fraction-free elimination on sparse rows ``{col: int}``,
+each row kept primitive.  The systems of ``prolong`` are real and go to it
+directly; kernel, rank, inverse and echelon reducer over Q(i) go through
+``_rref``, which realifies their rows onto it.  The reduced row echelon
+form of a matrix for a fixed column order is unique, so every basis,
+reducer and solution depends only on the input and the column order,
+never on row order or on how the elimination is scheduled; every
+downstream basis choice in the package inherits its reproducibility from
+this.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "QI",
@@ -120,24 +117,6 @@ class QI:
         return QI._raw(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        if not self.im and not other.im:
-            return QI._raw(self.re / other.re, _F0)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        n = c * c + d * d
-        return QI._raw((a * c + b * d) / n, (b * c - a * d) / n)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __repr__(self) -> str:
         return f"QI({self.re!s}, {self.im!s})"
@@ -289,32 +268,41 @@ def _axpy(row, f, other):
 
 
 def _rref(rows, col_order):
-    """Reduced row echelon form of dense ``rows``; returns ``[(col, row)]``.
+    """Reduced row echelon form of sparse rows ``{col: QI}``; returns ``[(col, row)]``.
 
-    Each row is kept sparse, as ``{col: QI}`` without zeros.  Pivots are
-    taken only in ``col_order``, and the pairs come back in that order,
-    each row normalized to 1 at its pivot and 0 at every other pivot.
+    Pivots are taken only in ``col_order`` and come back in that order,
+    each row ``{col: QI}`` without zeros, 1 at its pivot and 0 at every
+    other pivot.  The rows are realified onto ``integer_rref``: column
+    ``col_order[p]`` becomes columns 2p (real part) and 2p + 1 (imaginary
+    part), the other columns follow in increasing order, and each row r
+    gives r and i·r, times the lcm of r's denominators.  That row space is
+    closed under i, so its reduced form is the complex one realified: the
+    pivot rows at even columns below 2·len(col_order), divided by their
+    pivot entry, are the complex rows.
     """
-    position = {c: i for i, c in enumerate(col_order)}
-    pivots = {}
-    for dense in rows:
-        row = {j: x for j, x in enumerate(dense) if x}
-        # pivot rows are 0 at each other's pivots, so one pass reduces fully
-        for c in [c for c in row if c in pivots]:
-            _axpy(row, row[c], pivots[c])
-        lead = min((c for c in row if c in position), key=position.__getitem__, default=None)
-        if lead is None:
-            continue
-        piv = row[lead]
-        if piv != QI_ONE:
-            inv = QI_ONE / piv
-            row = {j: x * inv for j, x in row.items()}
-        for other in pivots.values():
-            f = other.get(lead)
-            if f:
-                _axpy(other, f, row)
-        pivots[lead] = row
-    return [(c, pivots[c]) for c in col_order if c in pivots]
+    cols = list(col_order)
+    width = 2 * len(cols)
+    cols += sorted({c for row in rows for c in row} - set(cols))
+    position = {c: 2 * p for p, c in enumerate(cols)}
+    real = []
+    for row in rows:
+        den = lcm(*(x.re._denominator for x in row.values()), *(x.im._denominator for x in row.values()))
+        re, im = {}, {}
+        for c, x in row.items():
+            p = position[c]
+            if a := x.re._numerator * (den // x.re._denominator):
+                re[p] = im[p + 1] = a
+            if b := x.im._numerator * (den // x.im._denominator):
+                re[p + 1], im[p] = b, -b
+        real += (re, im)
+    out = []
+    for c, row in integer_rref(real):
+        if c % 2 == 0 and c < width:
+            parts = {}
+            for j, x in row.items():
+                parts.setdefault(cols[j // 2], [_F0, _F0])[j % 2] = Fraction(x, row[c])
+            out.append((cols[c // 2], {j: QI._raw(*z) for j, z in parts.items()}))
+    return out
 
 
 def _int_eliminate(row, pivot_row, col):
@@ -350,7 +338,7 @@ def integer_rref(rows):
     increasing ``col``, each row without zeros, primitive (its entries have
     gcd 1), positive at its pivot and zero at every other pivot.  Divided
     by its pivot entry, each row is the row of the unique reduced echelon
-    form, the one ``_rref`` gives for the column order ``range(width)``.
+    form for the column order ``range(width)``.
     """
     pivots = {}
     for row in rows:
@@ -369,6 +357,11 @@ def integer_rref(rows):
     return sorted(pivots.items())
 
 
+def _sparse(rows):
+    """Dense rows as sparse rows ``{col: QI}`` without zeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def kernel_basis(m: Matrix):
     """Basis of the null space of ``m``, as a list of column vectors.
 
@@ -376,7 +369,7 @@ def kernel_basis(m: Matrix):
     column, ordered by free column index, with the free coordinate set
     to 1.  Each vector is verified by substitution before being returned.
     """
-    pivots = _rref(m.data, range(m.cols))
+    pivots = _rref(_sparse(m.data), range(m.cols))
     pivot_cols = {c for c, _ in pivots}
     basis = []
     for f in range(m.cols):
@@ -393,7 +386,7 @@ def kernel_basis(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(m.data, range(m.cols)))
+    return len(_rref(_sparse(m.data), range(m.cols)))
 
 
 def invert(m: Matrix) -> Matrix:
@@ -401,8 +394,7 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices are invertible")
     n = m.rows
-    aug = [row + [QI_ONE if i == j else QI_ZERO for j in range(n)] for i, row in enumerate(m.data)]
-    pivots = _rref(aug, range(n))
+    pivots = _rref([row | {n + i: QI_ONE} for i, row in enumerate(_sparse(m.data))], range(n))
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     inv = Matrix([[row.get(n + j, QI_ZERO) for j in range(n)] for _, row in pivots])
@@ -425,7 +417,7 @@ class Echelon:
         rows = list(rows)
         if any(len(r) != cols for r in rows):
             raise ValueError("row width mismatch")
-        self._sparse = _rref(rows, range(cols) if col_order is None else col_order)
+        self._sparse = _rref(_sparse(map(as_qi, r) for r in rows), range(cols) if col_order is None else col_order)
         self.cols = cols
         self.rows = [[row.get(j, QI_ZERO) for j in range(cols)] for _, row in self._sparse]
         self.pivots = [(i, c) for i, (c, _) in enumerate(self._sparse)]

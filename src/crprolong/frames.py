@@ -113,12 +113,18 @@ class ModelSpec:
                     phis.append(Poly.from_json_dict(p, 2))
                 except ValueError as exc:
                     raise ValueError(f"defining.phi[{j}]: {exc}") from exc
-            return rigid_model(obj["id"], obj["k"], phis, provenance=obj.get("provenance", ""))
-        try:
-            cr = PolyVectorField.from_json_dict(d["cr"])
-        except ValueError as exc:
-            raise ValueError(f"defining.cr: {exc}") from exc
-        return field_model(obj["id"], obj["k"], cr, provenance=obj.get("provenance", ""))
+            m = rigid_model(obj["id"], obj["k"], phis, provenance=obj.get("provenance", ""))
+            if "weights" in d and d["weights"] != list(m.weights):
+                raise ValueError(f"defining.weights: stated {d['weights']!r}, but the polynomials have weights {list(m.weights)}")
+        else:
+            try:
+                cr = PolyVectorField.from_json_dict(d["cr"])
+            except ValueError as exc:
+                raise ValueError(f"defining.cr: {exc}") from exc
+            m = field_model(obj["id"], obj["k"], cr, provenance=obj.get("provenance", ""))
+        if "rho" in obj and obj["rho"] != m.length:
+            raise ValueError(f"rho: stated {obj['rho']!r}, but k = {m.codim} has length {m.length}")
+        return m
 
 
 def _phi_is_real(phi: Poly) -> bool:

@@ -314,12 +314,10 @@ def _solve_generating_expressions(algebra: GradedLieAlgebra):
         pos = {x: p for p, x in enumerate(block)}
         nb = len(block)
         pairs = [(g, y) for g in ones for y in algebra.indices_of_degree(a + 1)]
-        rows = [[QI_ZERO] * (nb + len(pairs)) for _ in pairs]
-        for p, (g, y) in enumerate(pairs):
-            for k, c in algebra.bracket_basis(g, y).items():
-                if k in pos:
-                    rows[p][pos[k]] = c
-            rows[p][nb + p] = QI_ONE
+        rows = [
+            {pos[k]: c for k, c in algebra.bracket_basis(g, y).items() if k in pos} | {nb + p: QI_ONE}
+            for p, (g, y) in enumerate(pairs)
+        ]
         pivots = _rref(rows, range(nb))
         if len(pivots) != nb:
             return None

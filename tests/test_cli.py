@@ -296,6 +296,10 @@ def _with_phi(obj, *exps, re="1"):
         (lambda e: [_with_phi(e, [1, 1], re=0.1)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got 0.1"),
         (lambda e: [_with_phi(e, [1, 1], re=1)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got 1"),
         (lambda e: [_with_phi(e, [1, 1], re=None)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got None"),
+        (lambda e: [dict(e, rho=3)], "catalog[0]: rho: stated 3, but k = 1 has length 2"),
+        (lambda e: [dict(_field_entry(), rho="2")], "catalog[0]: rho: stated '2', but k = 1 has length 2"),
+        (lambda e: [dict(e, defining=dict(e["defining"], weights=[0]))], "catalog[0]: defining.weights: stated [0], but the polynomials have weights [2]"),
+        (lambda e: [dict(e, defining=dict(e["defining"], weights=[2, 2]))], "catalog[0]: defining.weights: stated [2, 2], but the polynomials have weights [2]"),
     ],
     ids=[
         "object",
@@ -333,6 +337,10 @@ def _with_phi(obj, *exps, re="1"):
         "re-float",
         "re-integer",
         "re-null",
+        "rho-rigid",
+        "rho-field",
+        "weights",
+        "weights-long",
     ],
 )
 def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):

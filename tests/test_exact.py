@@ -15,11 +15,7 @@ def test_field_arithmetic():
     b = QI(2, 5)
     assert a + b - b == a
     assert a * b == b * a
-    assert (a * b) / b == a
     assert a * (b + I) == a * b + a * I
-    assert QI(1) / a * a == QI(1)
-    with pytest.raises(ZeroDivisionError):
-        a / QI(0)
 
 
 @pytest.mark.parametrize(
@@ -245,8 +241,7 @@ def test_echelon_matches_dense_oracle(complex_entries, trailing):
             assert _pairs(e.reduce(_qis(v))) == dense_reduce(pivot_cols, prows, v)
 
 
-
-# -- the integer kernel against the QI kernel and the dense oracle -----------
+# -- the integer kernel against the dense oracle -----------------------------
 
 
 def _integer_system(rng, rows, cols):
@@ -264,7 +259,7 @@ def _integer_system(rng, rows, cols):
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 5), (6, 1), (None, None)], ids=["empty", "single-column", "random"])
-def test_integer_rref_matches_rref_and_dense_oracle(rows, cols):
+def test_integer_rref_matches_dense_oracle(rows, cols):
     rng = random.Random(4501 + (rows or 0) + (cols or 0))
     deficient = 0
     for _ in range(60):
@@ -276,11 +271,41 @@ def test_integer_rref_matches_rref_and_dense_oracle(rows, cols):
             assert row[col] > 0 and 0 not in row.values() and min(row) == col
             assert math.gcd(*row.values()) == 1
             assert all(p == col or p not in row for p, _ in got)
-        normalized = [(col, {j: Fraction(x, row[col]) for j, x in row.items()}) for col, row in got]
-        dense = [[QI(row.get(j, 0)) for j in range(c)] for row in data]
-        assert normalized == [(col, {j: x.re for j, x in row.items()}) for col, row in _rref(dense, range(c))]
         pivot_cols, prows = dense_rref([[(Fraction(row.get(j, 0)), Fraction(0)) for j in range(c)] for row in data], range(c))
         assert [col for col, _ in got] == pivot_cols
-        assert [[row.get(j, 0) for j in range(c)] for _, row in normalized] == [[x for x, _ in prow] for prow in prows]
+        assert [[Fraction(row.get(j, 0), row[col]) for j in range(c)] for col, row in got] == [[x for x, _ in prow] for prow in prows]
         deficient += len(got) < min(r, c)
     assert rows == 0 or deficient
+
+
+# -- the realifying Q(i) adapter against the dense oracle --------------------
+
+
+def _in_span(data, vec):
+    """True iff ``vec`` lies in the span of the dense rows ``data`` (pairs)."""
+    cols = len(vec)
+    return len(dense_rref(data + [vec], range(cols))[0]) == len(dense_rref(data, range(cols))[0])
+
+
+@pytest.mark.parametrize("order", ["full", "reversed", "prefix"])
+def test_rref_matches_dense_oracle(order):
+    rng = random.Random(4601 + ("full", "reversed", "prefix").index(order))
+    deficient = 0
+    for _ in range(60):
+        data = _oracle_matrix(rng, True)
+        cols = len(data[0])
+        col_order = {
+            "full": range(cols),
+            "reversed": range(cols - 1, -1, -1),
+            "prefix": range(rng.randint(1, cols)),
+        }[order]
+        sparse = [{j: QI(re, im) for j, (re, im) in enumerate(row) if (re, im) != C_ZERO} for row in data]
+        got = _rref(sparse, col_order)
+        pivot_cols, prows = dense_rref(data, col_order)
+        assert [c for c, _ in got] == pivot_cols
+        for (c, row), prow in zip(got, prows):
+            assert C_ZERO not in _pairs(row.values())
+            assert [_pairs([row.get(j, QI())])[0] for j in col_order] == [prow[j] for j in col_order]
+            assert _in_span(data, [_pairs([row.get(j, QI())])[0] for j in range(cols)])
+        deficient += len(got) < min(len(data), len(col_order))
+    assert deficient
