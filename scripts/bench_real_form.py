@@ -1,0 +1,98 @@
+"""Time ``liealg.real_form`` and the theorem check on two source trees and write the pair as JSON.
+
+    python scripts/bench_real_form.py --before OLD_CHECKOUT/src --after src
+
+For each k in 21, 22, 69, 125 and 224 there are two keys on the default
+symbol: ``real_form<k>`` times ``real_form`` alone on the prebuilt complex
+symbol, and ``verify<k>`` times ``build_symbol_algebra`` followed by
+``verify_theorem``.  Each key is timed five times (the median is reported)
+in a fresh process per source tree, alternating which side runs first
+(``benchpair.py`` holds this harness).
+
+The sizes are read from public API only, so both trees report the same
+ones: ``n`` (the dimension), ``largest_block`` (the largest degree
+block, the size of the largest fixed-point kernel and block inverse),
+``pairs`` (the n(n - 1)/2 pairs of real basis vectors),
+``bracket_entries`` (the nonzero brackets of the real form),
+``nonzero_constants`` (its nonzero structure constants) and ``max_bits``
+(the largest numerator or denominator bit length among those constants
+and the entries of the embedding and its inverse).  The summary records
+whether ``verify224`` meets the target of at most 5 s.  The pair goes to
+BENCH_real_form.json in the current directory.
+"""
+
+from __future__ import annotations
+
+import statistics
+import time
+
+import benchpair
+
+KS = (21, 22, 69, 125, 224)
+KEYS = tuple(f"{kind}{k}" for k in KS for kind in ("real_form", "verify"))
+REPEATS = 5
+TARGET_S = 5.0
+
+
+def _workload(key: str):
+    """The timed call for ``key``; for ``real_form<k>`` its input is built beforehand."""
+    from crprolong import crmodels, liealg
+
+    if key.startswith("real_form"):
+        algebra = liealg.build_symbol_algebra(int(key[len("real_form"):])).algebra
+        return lambda: liealg.real_form(algebra)
+    k = int(key[len("verify"):])
+
+    def verify():
+        report = crmodels.verify_theorem(liealg.build_symbol_algebra(k))
+        if report.verdict != "confirmed":
+            raise SystemExit(f"{key}: verdict {report.verdict}")
+
+    return verify
+
+
+def _sizes(key: str) -> dict:
+    from crprolong import liealg
+
+    k = int(key.removeprefix("real_form").removeprefix("verify"))
+    complex_algebra = liealg.build_symbol_algebra(k).algebra
+    rf = liealg.real_form(complex_algebra)
+    n = rf.algebra.dim
+    constants = [c.re for terms in rf.algebra.table.values() for c in terms.values()]
+    entries = [f for m in (rf.embedding, rf.embedding_inv) for row in m.data for x in row for f in (x.re, x.im)]
+    return {
+        "k": k,
+        "n": n,
+        "largest_block": max(len(complex_algebra.indices_of_degree(d)) for d in complex_algebra.degrees_present()),
+        "pairs": n * (n - 1) // 2,
+        "bracket_entries": len(rf.algebra.table),
+        "nonzero_constants": len(constants),
+        "max_bits": max(max(abs(f.numerator).bit_length(), f.denominator.bit_length()) for f in constants + entries),
+    }
+
+
+def measure(key: str) -> dict:
+    run = _workload(key)
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return {
+        "time_s": round(statistics.median(times), 4),
+        "runs_s": [round(t, 4) for t in times],
+        **_sizes(key),
+    }
+
+
+def summary(entries) -> dict:
+    verify = next(e for e in entries if e["workload"] == "verify224")
+    return {"verify224_target_s": TARGET_S, "verify224_after_s": verify["after_s"], "target_met": verify["after_s"] <= TARGET_S}
+
+
+if __name__ == "__main__":
+    benchpair.main(
+        __file__, __doc__, measure, KEYS, "workload", "time_s",
+        "real_form alone and build_symbol_algebra + verify_theorem on the default symbols at k = 21, 22, 69, 125, 224",
+        REPEATS, "BENCH_real_form.json", summary,
+    )

@@ -54,9 +54,13 @@ def compare(script: str, before: str, after: str, keys, key_name: str, timed: st
 
 
 def main(
-    script: str, doc: str, measure, keys, key_name: str, timed: str, description: str, repeats: int, path: str
+    script: str, doc: str, measure, keys, key_name: str, timed: str, description: str, repeats: int, path: str,
+    summary=None,
 ) -> None:
-    """The command line of a ``bench_*.py`` script: ``--before SRC --after SRC`` writes ``path``."""
+    """The command line of a ``bench_*.py`` script: ``--before SRC --after SRC`` writes ``path``.
+
+    ``summary``, if given, maps the entries to a dict recorded under ``"summary"``.
+    """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--before", help="src directory of the baseline checkout")
     parser.add_argument("--after", help="src directory of the changed checkout")
@@ -73,6 +77,8 @@ def main(
         "repeats": repeats,
         "entries": compare(script, args.before, args.after, keys, key_name, timed),
     }
+    if summary is not None:
+        report["summary"] = summary(report["entries"])
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

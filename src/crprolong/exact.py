@@ -5,13 +5,14 @@ precision ``fractions.Fraction`` parts, so nothing in the library ever
 rounds.  Every solve goes through one Gauss-Jordan kernel,
 ``integer_rref``: fraction-free elimination on sparse rows ``{col: int}``,
 each row kept primitive.  The systems of ``prolong`` are real and go to it
-directly; kernel, rank, inverse and echelon reducer over Q(i) go through
-``_rref``, which realifies their rows onto it.  The reduced row echelon
-form of a matrix for a fixed column order is unique, so every basis,
-reducer and solution depends only on the input and the column order,
-never on row order or on how the elimination is scheduled; every
-downstream basis choice in the package inherits its reproducibility from
-this.
+directly, and so do the block kernels and block inverses of
+``liealg.real_form`` (``_real_fixed_points``, ``_gaussian_inverse``);
+kernel, rank and echelon reducer over Q(i) go through ``_rref``, which
+realifies their rows onto it.  The reduced row echelon form of a matrix
+for a fixed column order is unique, so every basis, reducer and solution
+depends only on the input and the column order, never on row order or on
+how the elimination is scheduled; every downstream basis choice in the
+package inherits its reproducibility from this.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "Inconsistent",
     "kernel_basis",
     "rank",
-    "invert",
     "integer_rref",
     "qi_from_json",
 ]
@@ -272,13 +272,27 @@ def _rref(rows, col_order):
 
     Pivots are taken only in ``col_order`` and come back in that order,
     each row ``{col: QI}`` without zeros, 1 at its pivot and 0 at every
-    other pivot.  The rows are realified onto ``integer_rref``: column
-    ``col_order[p]`` becomes columns 2p (real part) and 2p + 1 (imaginary
-    part), the other columns follow in increasing order, and each row r
-    gives r and i·r, times the lcm of r's denominators.  That row space is
-    closed under i, so its reduced form is the complex one realified: the
-    pivot rows at even columns below 2·len(col_order), divided by their
-    pivot entry, are the complex rows.
+    other pivot.  Each row is scaled to Gaussian integers and solved by
+    ``_gaussian_rref``.
+    """
+    return [
+        (c, {j: QI._raw(Fraction(a, den) if a else _F0, Fraction(b, den) if b else _F0) for j, (a, b) in row.items()})
+        for c, row, den in _gaussian_rref([_gaussian_integers(row.items())[0] for row in rows], col_order)
+    ]
+
+
+def _gaussian_rref(rows, col_order):
+    """Reduced row echelon form of Gaussian integer rows ``{col: (re, im)}``, yielded as ``(col, row, den)``.
+
+    Pivots are taken only in ``col_order`` and come back in that order;
+    each row ``{col: [re, im]}``, over its positive ``den``, is 1 at its
+    pivot and 0 at every other pivot.  The rows are realified onto
+    ``integer_rref``: column ``col_order[p]`` becomes columns 2p (real
+    part) and 2p + 1 (imaginary part), the other columns follow in
+    increasing order, and each row r gives the rows of r and i·r.  That row
+    space is closed under i, so its reduced form is the complex one
+    realified: the pivot rows at even columns below 2·len(col_order), over
+    their pivot entry, are the complex rows.
     """
     cols = list(col_order)
     width = 2 * len(cols)
@@ -286,23 +300,49 @@ def _rref(rows, col_order):
     position = {c: 2 * p for p, c in enumerate(cols)}
     real = []
     for row in rows:
-        den = lcm(*(x.re._denominator for x in row.values()), *(x.im._denominator for x in row.values()))
         re, im = {}, {}
-        for c, x in row.items():
+        for c, (a, b) in row.items():
             p = position[c]
-            if a := x.re._numerator * (den // x.re._denominator):
+            if a:
                 re[p] = im[p + 1] = a
-            if b := x.im._numerator * (den // x.im._denominator):
+            if b:
                 re[p + 1], im[p] = b, -b
         real += (re, im)
-    out = []
     for c, row in integer_rref(real):
         if c % 2 == 0 and c < width:
             parts = {}
             for j, x in row.items():
-                parts.setdefault(cols[j // 2], [_F0, _F0])[j % 2] = Fraction(x, row[c])
-            out.append((cols[c // 2], {j: QI._raw(*z) for j, z in parts.items()}))
-    return out
+                parts.setdefault(cols[j // 2], [0, 0])[j % 2] = x
+            yield cols[c // 2], parts, row[c]
+
+
+def _gaussian_integers(entries):
+    """``QI`` entries ``(key, x)`` as ``({key: (re, im)}, den)``, numerators over the lcm of the denominators; zeros dropped."""
+    entries = [(key, x) for key, x in entries if x]
+    den = lcm(*(x.re._denominator for _, x in entries), *(x.im._denominator for _, x in entries))
+    return {
+        key: (x.re._numerator * (den // x.re._denominator), x.im._numerator * (den // x.im._denominator))
+        for key, x in entries
+    }, den
+
+
+def _gaussian_apply(cols, w):
+    """The sum of w[s]·cols[s] for ``w`` = {s: (re, im)} and ``cols`` = {s: [(t, (re, im))]}, as {t: [re, im]}."""
+    acc = {}
+    for s, (wr, wi) in w.items():
+        for t, (fr, fi) in cols.get(s, ()):
+            z = acc.setdefault(t, [0, 0])
+            z[0] += fr * wr - fi * wi
+            z[1] += fr * wi + fi * wr
+    return acc
+
+
+def _gaussian_matrix(n, entries):
+    """The n × n ``Matrix`` with (re + i·im)/den at (r, c) for each ``(r, c, (re, im), den)`` in ``entries``, else 0."""
+    data = [[QI_ZERO] * n for _ in range(n)]
+    for r, c, (re, im), den in entries:
+        data[r][c] = QI._raw(Fraction(re, den), Fraction(im, den))
+    return Matrix(data)
 
 
 def _int_eliminate(row, pivot_row, col):
@@ -357,6 +397,64 @@ def integer_rref(rows):
     return sorted(pivots.items())
 
 
+def _real_fixed_points(s):
+    """Real basis of the fixed points of z -> S·conj(z), S a square list of ``QI`` rows, as ``[({p: (x_p, y_p)}, den)]``.
+
+    With S = P + iQ, z = x + iy is fixed iff (P - I)x + Qy = 0 and
+    Qx - (P + I)y = 0: integer rows, each times the lcm of its
+    denominators.  One reduced kernel vector per free column, free
+    coordinate 1 (``den`` over ``den``), checked by substitution against
+    every row and signed so that its leading coefficient is positive.
+    """
+    nb = len(s)
+    rows = []
+    for p, row in enumerate(s):
+        num, den = _gaussian_integers(enumerate(row))
+        fix, flip = {p: -den}, {nb + p: -den}
+        for q, (re, im) in num.items():
+            fix[q], fix[nb + q] = fix.get(q, 0) + re, im
+            flip[q], flip[nb + q] = im, flip.get(nb + q, 0) - re
+        rows += (fix, flip)
+    pivots = integer_rref(rows)
+    pivot_cols = {c for c, _ in pivots}
+    basis = []
+    for f in range(2 * nb):
+        if f in pivot_cols:
+            continue
+        hit = [(c, row) for c, row in pivots if f in row]
+        den = lcm(*(row[c] for c, row in hit))
+        vec = [0] * (2 * nb)
+        vec[f] = den
+        for c, row in hit:
+            vec[c] = -row[f] * (den // row[c])
+        if any(sum(x * vec[j] for j, x in row.items()) for row in rows):
+            raise AssertionError("_real_fixed_points produced a non-kernel vector")
+        if next(x for x in vec if x) < 0:
+            vec = [-x for x in vec]
+        basis.append(({p: (vec[p], vec[nb + p]) for p in range(nb) if vec[p] or vec[nb + p]}, den))
+    return basis
+
+
+def _gaussian_inverse(rows):
+    """Rows ``({col: [re, im]}, den)`` of N⁻¹ for the rows ``{col: (re, im)}`` of a square Gaussian integer N.
+
+    Row p of N⁻¹ is read off the reduced row of [N | I] with pivot p
+    (``_gaussian_rref``), and N·N⁻¹ = I is checked on the sparse rows,
+    over their supports.
+    """
+    n = len(rows)
+    pivots = list(_gaussian_rref([row | {n + r: (1, 0)} for r, row in enumerate(rows)], range(n)))
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    inverse = [({s - n: z for s, z in row.items() if s >= n}, den) for _, row, den in pivots]
+    scale = lcm(*(den for _, den in inverse))
+    scaled = {p: [(s, (x * (scale // d), y * (scale // d))) for s, (x, y) in g.items()] for p, (g, d) in enumerate(inverse)}
+    for r, row in enumerate(rows):
+        if {s: z for s, z in _gaussian_apply(scaled, row).items() if z[0] or z[1]} != {r: [scale, 0]}:
+            raise AssertionError("_gaussian_inverse produced a non-inverse")
+    return inverse
+
+
 def _sparse(rows):
     """Dense rows as sparse rows ``{col: QI}`` without zeros."""
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
@@ -387,20 +485,6 @@ def kernel_basis(m: Matrix):
 
 def rank(m: Matrix) -> int:
     return len(_rref(_sparse(m.data), range(m.cols)))
-
-
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square ``m``, verified by m·m⁻¹ = I before being returned."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices are invertible")
-    n = m.rows
-    pivots = _rref([row | {n + i: QI_ONE} for i, row in enumerate(_sparse(m.data))], range(n))
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    inv = Matrix([[row.get(n + j, QI_ZERO) for j in range(n)] for _, row in pivots])
-    if m.mul(inv) != Matrix.identity(n):
-        raise AssertionError("invert produced a non-inverse")
-    return inv
 
 
 class Echelon:

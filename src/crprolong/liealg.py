@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, invert, kernel_basis, qi_from_json
+from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, kernel_basis, qi_from_json
+from .exact import _gaussian_apply, _gaussian_integers, _gaussian_inverse, _gaussian_matrix, _real_fixed_points
 from .freelie import (
     conjugate_tree,
     cumulative_dim,
@@ -466,11 +468,8 @@ def _top_conjugation_matrix(rho: int) -> Matrix:
     pos = {w.word: p for p, w in enumerate(top)}
     cols = []
     for w in top:
-        nf = {}
-        for word, coeff in tree_normal_form(conjugate_tree(w.tree)).items():
-            nf[word] = coeff
         col = [QI_ZERO] * len(top)
-        for word, coeff in nf.items():
+        for word, coeff in tree_normal_form(conjugate_tree(w.tree)).items():
             col[pos[word]] = as_qi(coeff)
         cols.append(col)
     return Matrix.from_columns(cols)
@@ -627,7 +626,8 @@ class RealForm:
     """Real form of a complex algebra: the fixed points of its conjugation.
 
     ``embedding`` holds the complex coordinates of each real basis vector
-    as matrix columns, so brackets and operators transport both ways.
+    as matrix columns, so brackets and operators transport both ways;
+    ``embedding_inv`` is its inverse.  Both are block-diagonal by degree.
     """
 
     algebra: GradedLieAlgebra
@@ -636,82 +636,81 @@ class RealForm:
 
 
 def real_form(algebra: GradedLieAlgebra) -> RealForm:
-    """Fixed-point real form of ``algebra`` under its conjugation.
+    """Fixed-point real form of ``algebra`` under its conjugation, computed on integer numerators.
 
-    Degree -1 always lands on the canonical pair x = g1 + g2 and
-    y = i(g1 - g2); deeper layers use the deterministic kernel ordering
-    with positive leading coefficients.  The structure constants and J
-    are the real-basis coordinates of complex brackets and J images, read
-    off the sparse columns of the inverse embedding; an imaginary
-    coordinate raises :class:`NotSelfConjugate`.
+    Each degree block of the real basis is the reduced kernel of the integer
+    fixed-point rows of its conjugation block (free coordinates 1, leading
+    coefficients positive): degree -1 lands on x = g1 + g2, y = i(g1 - g2).
+    E_d·F_d = I_d is solved and checked block by block.  Brackets and J
+    images move as Gaussian integer numerators over one denominator; each
+    real coordinate of F·w is one ``Fraction``, and an imaginary one raises
+    :class:`NotSelfConjugate`.
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
-    n = algebra.dim
-    columns = []
-    labels = []
-    degrees = []
-    counters = {}
+    conj = algebra.conjugation.data
+    columns, dens = [], []  # real basis vector c: {complex index: (re, im)} over dens[c]
+    inv_cols, inv_dens = {}, []  # complex index s: [(c, F[c][s] times inv_dens[c])]
+    owners = {}  # complex index a: [(c, numerator of a in column c)]
+    labels, degrees = [], []
     for d in algebra.degrees_present():
         block = algebra.indices_of_degree(d)
-        nb = len(block)
-        s_block = [[algebra.conjugation.data[a][b] for b in block] for a in block]
-        p = [[QI(x.re) for x in row] for row in s_block]
-        q = [[QI(x.im) for x in row] for row in s_block]
-        rows = []
-        for a in range(nb):
-            rows.append([p[a][b] - (QI_ONE if a == b else QI_ZERO) for b in range(nb)] + [q[a][b] for b in range(nb)])
-        for a in range(nb):
-            rows.append([q[a][b] for b in range(nb)] + [-(p[a][b] + (QI_ONE if a == b else QI_ZERO)) for b in range(nb)])
-        kern = kernel_basis(Matrix(rows))
-        if len(kern) != nb:
+        kern = _real_fixed_points([[conj[a][b] for b in block] for a in block])
+        if len(kern) != len(block):
             raise NotSelfConjugate(f"real form of degree {d} block has wrong dimension")
-        for vec in kern:
-            lead = next(i for i, x in enumerate(vec) if x)
-            if vec[lead].re < 0:
-                vec = [-x for x in vec]
-            col = {}
-            for pos, b in enumerate(block):
-                x = QI(vec[pos].re) + QI_I * vec[nb + pos]
-                if x:
-                    col[b] = x
-            columns.append(col)
+        first = len(columns)
+        n_rows = [{} for _ in block]  # E_d = N_d·diag(1/dens), so F_d = diag(dens)·N_d⁻¹
+        for c, (col, den) in enumerate(kern, first):
+            for p, z in col.items():
+                n_rows[p][c - first] = z
+                owners.setdefault(block[p], []).append((c, z))
+            columns.append({block[p]: z for p, z in col.items()})
+            dens.append(den)
             degrees.append(d)
-            if d == -1:
-                labels.append("x" if not labels else "y")
-            else:
-                counters[d] = counters.get(d, 0) + 1
-                labels.append(f"e{-d}_{counters[d]}")
-    emb = Matrix([[col.get(r, QI_ZERO) for col in columns] for r in range(n)])
-    emb_inv = invert(emb)
-    inv_cols = _sparse_columns(emb_inv)
+            labels.append(("y" if labels else "x") if d == -1 else f"e{-d}_{c - first + 1}")
+        for c, (g, den) in enumerate(_gaussian_inverse(n_rows), first):
+            inv_dens.append(den)
+            for p, (re, im) in g.items():
+                inv_cols.setdefault(block[p], []).append((c, (dens[c] * re, dens[c] * im)))
 
-    def real_coords(w: dict, message: str) -> dict:
-        coords = _combine(w, inv_cols)
-        if any(c.im for c in coords.values()):
+    def real_coords(w: dict, den: int, message: str) -> dict:
+        """F·(w / den) for Gaussian numerators w, as {c: Fraction} without zeros."""
+        acc = _gaussian_apply(inv_cols, w)
+        if any(im for _, im in acc.values()):
             raise NotSelfConjugate(message)
-        return coords
+        return {c: Fraction(re, inv_dens[c] * den) for c, (re, _) in sorted(acc.items()) if re}
 
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = algebra.bracket_vec(columns[i], columns[j])
-            entry = real_coords(w, "real form produced non-real structure constants")
-            if entry:
-                table[(i, j)] = entry
+    consts, tden = _gaussian_integers(((ij, k), x) for ij, terms in algebra.table.items() for k, x in terms.items())
+    brackets = {}  # (i, j), i < j: numerators of [E e_i, E e_j] over dens[i]·dens[j]·tden
+    for ((a, b), k), (cr, ci) in consts.items():
+        for i, (xr, xi) in owners.get(a, ()):
+            for j, (yr, yi) in owners.get(b, ()):
+                if i != j:  # the (a, b) and (b, a) terms of [E e_i, E e_i] cancel
+                    sign = 1 if i < j else -1
+                    ur, ui = sign * (xr * yr - xi * yi), sign * (xr * yi + xi * yr)
+                    z = brackets.setdefault((min(i, j), max(i, j)), {}).setdefault(k, [0, 0])
+                    z[0] += ur * cr - ui * ci
+                    z[1] += ur * ci + ui * cr
+    message = "real form produced non-real structure constants"
+    table = {(i, j): e for i, j in sorted(brackets) if (e := real_coords(brackets[i, j], dens[i] * dens[j] * tden, message))}
     j_real = None
     if algebra.J is not None:
         ones_c = algebra.indices_of_degree(-1)
-        ones_r = [i for i, d in enumerate(degrees) if d == -1]
-        j_cols = {c: {ones_c[p]: x for p, x in col.items()} for c, col in zip(ones_c, _sparse_columns(algebra.J))}
+        ones_r = [c for c, d in enumerate(degrees) if d == -1]
+        jm, jden = _gaussian_integers(((q, p), x) for p, row in enumerate(algebra.J.data) for q, x in enumerate(row))
+        j_cols = {}  # complex index a: [(t, numerator of J[t][a])] over jden
+        for (q, p), z in jm.items():
+            j_cols.setdefault(ones_c[q], []).append((ones_c[p], z))
         jr_cols = []
         for r in ones_r:
-            coords = real_coords(_combine(columns[r], j_cols), "J does not restrict to the real form")
+            coords = real_coords(_gaussian_apply(j_cols, columns[r]), dens[r] * jden, "J does not restrict to the real form")
             if any(t not in ones_r for t in coords):
                 raise NotSelfConjugate("J leaks outside the degree -1 block")
-            jr_cols.append([coords.get(t, QI_ZERO) for t in ones_r])
+            jr_cols.append([coords.get(t, 0) for t in ones_r])
         j_real = Matrix.from_columns(jr_cols)
     real = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=j_real, scalar_tag="Q")
+    emb = _gaussian_matrix(algebra.dim, ((a, c, z, dens[c]) for c, col in enumerate(columns) for a, z in col.items()))
+    emb_inv = _gaussian_matrix(algebra.dim, ((c, s, z, inv_dens[c]) for s, entries in inv_cols.items() for c, z in entries))
     return RealForm(real, emb, emb_inv)
 
 

@@ -5,12 +5,14 @@ Lyndon words are enumerated straight from the rotation-minimality
 definition, bracket expressions are expanded as iterated commutators
 in a hand-rolled free associative algebra, Lie brackets and the
 Jacobi identity are evaluated from a dense array of structure constants,
-prolongation components are solved for every full block map at once, and
-the group law is summed bracket by bracket over the series on plain
-exponent-tuple polynomials, and the origin values of Hall words are read
-off vector fields bracketed in full.  None of them imports ``crprolong``;
-``replaced_bracket``, the negative controls' corrupted copy of an
-algebra, builds it through the algebra's own type.
+prolongation components are solved for every full block map at once,
+real forms are built from dense fixed-point kernels, a dense inverse and
+dense transport of every bracket, the group law is summed bracket by
+bracket over the series on plain exponent-tuple polynomials, and the
+origin values of Hall words are read off vector fields bracketed in
+full.  None of them imports ``crprolong``; ``replaced_bracket``, the
+negative controls' corrupted copy of an algebra, builds it through the
+algebra's own type.
 """
 
 from fractions import Fraction
@@ -203,6 +205,83 @@ def replaced_bracket(algebra, i, j, terms):
     table = {k: dict(v) for k, v in algebra.table.items()}
     table[(i, j)] = dict(terms)
     return type(algebra)(algebra.labels, algebra.degrees, table, None, algebra.J, algebra.scalar_tag)
+
+
+# -- the real form by dense fixed points, dense inverse and dense transport --
+
+
+def dense_real_form(degrees, table, S, J=None):
+    """Real form of a complex algebra under its conjugation v -> S·conj(v), by textbook dense algebra.
+
+    ``table`` is {(i, j): {k: (re, im)}} with i < j; ``S`` and ``J`` (on
+    the degree -1 block, or None) are dense matrices of (re, im) pairs.
+    Per degree, in order of first appearance, the real basis is the
+    ``dense_kernel`` of the rows [P - I | Q] and [Q | -(P + I)] (S = P + iQ)
+    in the unknowns z = x + iy, each vector negated when its first nonzero
+    entry is negative.  E has those vectors as columns and F is
+    ``dense_inverse(E)``.  The real structure constants are F·[E e_i, E e_j]
+    and the real J is F·J·E on degree -1, each coordinate computed with
+    dense vectors; an imaginary coordinate raises ValueError.  Returns
+    ``(table, J, E, F)``: {(i, j): {k: Fraction}} without zeros, the real J
+    as dense rows of Fractions (None without J), and E and F as dense
+    rows of pairs.
+    """
+    n = len(degrees)
+    zero = Fraction(0)
+    E = [[C_ZERO] * n for _ in range(n)]
+    real_degrees = []
+    for d in dict.fromkeys(degrees):
+        block = [i for i in range(n) if degrees[i] == d]
+        rows = []
+        for a in block:
+            rows.append([(S[a][b][0] - (a == b), zero) for b in block] + [(S[a][b][1], zero) for b in block])
+            rows.append([(S[a][b][1], zero) for b in block] + [(-S[a][b][0] - (a == b), zero) for b in block])
+        for v in dense_kernel(rows, 2 * len(block)):
+            if next(x for x in v if x != C_ZERO)[0] < 0:
+                v = [c_sub(C_ZERO, x) for x in v]
+            c = len(real_degrees)
+            for p, a in enumerate(block):
+                E[a][c] = (v[p][0], v[len(block) + p][0])
+            real_degrees.append(d)
+    F = dense_inverse(E)
+    C = dense_structure_constants(n, table)
+
+    def real_coords(w):
+        out = [C_ZERO] * n
+        for s in range(n):
+            if w[s] != C_ZERO:
+                out = [c_add(o, c_mul(f[s], w[s])) for o, f in zip(out, F)]
+        if any(x[1] for x in out):
+            raise ValueError("imaginary real-basis coordinate")
+        return [x[0] for x in out]
+
+    column = [[E[r][c] for r in range(n)] for c in range(n)]
+    support = [[a for a, x in enumerate(col) if x != C_ZERO] for col in column]
+    real_table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = [C_ZERO] * n
+            for a in support[i]:
+                for b in support[j]:
+                    uv = c_mul(column[i][a], column[j][b])
+                    w = [c_add(x, c_mul(uv, y)) for x, y in zip(w, C[a][b])]
+            entry = {k: x for k, x in enumerate(real_coords(w)) if x}
+            if entry:
+                real_table[(i, j)] = entry
+    real_j = None
+    if J is not None:
+        ones = [i for i in range(n) if degrees[i] == -1]
+        real_ones = [c for c in range(n) if real_degrees[c] == -1]
+        images = []
+        for c in real_ones:
+            w = [C_ZERO] * n
+            for p, a in enumerate(ones):
+                for q, b in enumerate(ones):
+                    w[a] = c_add(w[a], c_mul(J[p][q], column[c][b]))
+            coords = real_coords(w)
+            images.append([coords[t] for t in real_ones])
+        real_j = [[images[c][t] for c in range(len(real_ones))] for t in range(len(real_ones))]
+    return real_table, real_j, E, F
 
 
 # -- prolongation components as the kernel of the full-block Leibniz system --

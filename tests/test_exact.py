@@ -3,9 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import C_ZERO, c_mul, dense_inverse, dense_kernel, dense_reduce, dense_rref
+from oracles import C_ZERO, c_mul, dense_kernel, dense_reduce, dense_rref
 
-from crprolong.exact import QI, Echelon, Matrix, _rref, integer_rref, invert, kernel_basis, qi_from_json, rank
+from crprolong.exact import QI, Echelon, Matrix, _rref, integer_rref, kernel_basis, qi_from_json, rank
 
 I = QI(0, 1)
 
@@ -131,14 +131,6 @@ def test_solve_random_consistent_systems():
         assert m.matvec(y) == b
 
 
-def test_invert_round_trip():
-    m = Matrix([[1, I, 0], [0, 1, 2], [1, 0, 1]])
-    inv = invert(m)
-    assert m.mul(inv) == Matrix.identity(3)
-    with pytest.raises(ValueError):
-        invert(Matrix([[1, 1], [1, 1]]))
-
-
 def test_echelon_reduction_right_preference():
     # span{(1,0,1), (0,1,0)} with trailing pivots: e3 reduces to -e1
     e = Echelon([[QI(1), QI(0), QI(1)], [QI(0), QI(1), QI(0)]], 3, col_order=range(2, -1, -1))
@@ -204,24 +196,6 @@ def test_kernel_and_rank_match_dense_oracle(complex_entries):
         m = Matrix([_qis(r) for r in data])
         assert [_pairs(v) for v in kernel_basis(m)] == dense_kernel(data, m.cols)
         assert rank(m) == len(dense_rref(data, range(m.cols))[0])
-
-
-@FIELDS
-def test_invert_matches_dense_oracle(complex_entries):
-    rng = random.Random(4301 + complex_entries)
-    singular = 0
-    for _ in range(60):
-        n = rng.randint(1, 8)
-        data = _oracle_matrix(rng, complex_entries, rows=n, cols=n)
-        want = dense_inverse(data)
-        m = Matrix([_qis(r) for r in data])
-        if want is None:
-            singular += 1
-            with pytest.raises(ValueError):
-                invert(m)
-        else:
-            assert [_pairs(r) for r in invert(m).data] == want
-    assert 0 < singular < 60
 
 
 @FIELDS

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import dense_bracket, dense_structure_constants, jacobi_violations, replaced_bracket
+from oracles import dense_bracket, dense_real_form, dense_structure_constants, jacobi_violations, replaced_bracket
 
-from crprolong import liealg
-from crprolong.exact import QI, Matrix
+from crprolong import exact, liealg
+from crprolong.exact import QI, Echelon, Matrix
+from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import (
     BadQuotient,
     GradedLieAlgebra,
@@ -17,6 +18,7 @@ from crprolong.liealg import (
     build_symbol_algebra,
     check_grading,
     check_jacobi,
+    conjugation_adapted_top_basis,
     first_bracket_mismatch,
     is_fundamental,
     is_nondegenerate_symbol,
@@ -24,7 +26,7 @@ from crprolong.liealg import (
     real_form,
     realify,
 )
-from crprolong.freelie import witt_dim
+from crprolong.freelie import cumulative_dim, min_length_for_codim, witt_dim
 from crprolong.prolong import LEVI_TANAKA, full_prolongation
 
 I = QI(0, 1)
@@ -378,6 +380,107 @@ def test_realify_round_trip_is_isomorphism():
                 for t, c in R.bracket_basis(i, j).items():
                     rhs = [x + c * y for x, y in zip(rhs, cols[t])]
                 assert lhs == {t: x for t, x in enumerate(rhs) if x}
+
+
+# -- real_form against the dense oracle in tests/oracles.py, and its negative controls --
+
+
+def random_quotient(k, seed):
+    """A seeded full-rank, conjugation-stable top-layer quotient for codimension k.
+
+    Each row is a combination, with small rational coefficients, of the
+    conjugation-fixed vectors of the top layer (v for a fixed adapted
+    vector, i·v for an anti-fixed one), so the span is conjugation-stable.
+    """
+    rho = min_length_for_codim(k)
+    n_top = witt_dim(rho)
+    need = n_top - (2 + k - cumulative_dim(rho - 1))
+    fixed = [[x if tag == 1 else I * x for x in v] for v, tag in conjugation_adapted_top_basis(rho)]
+    rng = random.Random(1000 * seed + k)
+    while True:
+        rows = []
+        for _ in range(need):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in fixed]
+            rows.append(tuple(sum((c * f[t] for c, f in zip(coeffs, fixed)), QI(0)) for t in range(n_top)))
+        if Echelon([list(r) for r in rows], n_top).rank == need:
+            return QuotientSpec(kind="explicit", rows=tuple(rows), provenance=f"seed {seed}")
+
+
+REAL_FORM_CASES = (
+    [f"k{k}" for k in (*range(1, 13), 21, 22)]
+    + [f"catalog-{name}" for name in sorted(builtin_catalog())]
+    + [f"random-k{k}-s{seed}" for k in (2, 4, 7, 9, 11) for seed in (1, 2)]
+)
+
+
+def _real_form_case(name):
+    if name.startswith("catalog-"):
+        return symbol_from_frame(builtin_catalog()[name[len("catalog-"):]]).algebra
+    if name.startswith("random-"):
+        k, seed = (int(part[1:]) for part in name.split("-")[1:])
+        algebra = build_symbol_algebra(k, random_quotient(k, seed)).algebra
+        assert any(c.re.denominator > 1 or c.im.denominator > 1 for t in algebra.table.values() for c in t.values())
+        return algebra
+    return build_symbol_algebra(int(name[1:])).algebra
+
+
+def _as_pairs(m):
+    return [[(x.re, x.im) for x in row] for row in m.data]
+
+
+@pytest.mark.parametrize("name", REAL_FORM_CASES)
+def test_real_form_matches_dense_oracle(name):
+    A = _real_form_case(name)
+    table, J, E, F = dense_real_form(
+        A.degrees, _pair_table(A), _as_pairs(A.conjugation), _as_pairs(A.J) if A.J is not None else None
+    )
+    rf = real_form(A)
+    assert all(not c.im for t in rf.algebra.table.values() for c in t.values())
+    assert {ij: {k: c.re for k, c in t.items()} for ij, t in rf.algebra.table.items()} == table
+    assert [[x.re for x in row] for row in rf.algebra.J.data] == J
+    assert all(not x.im for row in rf.algebra.J.data for x in row)
+    assert _as_pairs(rf.embedding) == E
+    assert _as_pairs(rf.embedding_inv) == F
+
+
+def test_real_form_refuses_j_that_does_not_commute_with_conjugation():
+    """J = [[0, -1], [1, 0]] in the coordinates g1, g2 sends x = g1 + g2 to i·y."""
+    A = build_symbol_algebra(4).algebra
+    bad = GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=A.conjugation, J=Matrix([[0, -1], [1, 0]]))
+    with pytest.raises(NotSelfConjugate, match="^J does not restrict to the real form$"):
+        real_form(bad)
+
+
+def _corrupt_call(monkeypatch, call, corrupt):
+    """Patch ``exact.integer_rref`` so that its ``call``-th result (from 0) has ``corrupt`` applied to its first row."""
+    calls = []
+    original = exact.integer_rref
+
+    def patched(rows):
+        pivots = original(rows)
+        if len(calls) == call:
+            col, row = pivots[0]
+            pivots[0] = (col, corrupt(row))
+        calls.append(rows)
+        return pivots
+
+    monkeypatch.setattr(exact, "integer_rref", patched)
+
+
+def test_real_form_corrupted_kernel_row_fails_the_substitution_check(monkeypatch):
+    """Degree -1 comes first: rows in (x1, x2, y1, y2), pivots at columns 0 and 2, column 1 free."""
+    A = build_symbol_algebra(3).algebra
+    _corrupt_call(monkeypatch, 0, lambda row: {**row, 1: row.get(1, 0) + 1})
+    with pytest.raises(AssertionError, match="non-kernel vector"):
+        real_form(A)
+
+
+def test_real_form_corrupted_inverse_row_fails_the_inverse_check(monkeypatch):
+    """The second solve inverts the degree -1 block; columns 4..7 of its rows hold the inverse."""
+    A = build_symbol_algebra(3).algebra
+    _corrupt_call(monkeypatch, 1, lambda row: {**row, 4: row.get(4, 0) + 1})
+    with pytest.raises(AssertionError, match="non-inverse"):
+        real_form(A)
 
 
 def test_realify_requires_conjugation():

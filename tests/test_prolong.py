@@ -4,7 +4,7 @@ import random
 import pytest
 
 from crprolong import prolong
-from crprolong.exact import Matrix, QI, integer_rref, invert, rank
+from crprolong.exact import Matrix, QI, integer_rref, rank
 from crprolong.liealg import (
     GradedLieAlgebra,
     build_symbol_algebra,
@@ -28,7 +28,7 @@ from crprolong.prolong import (
     _assemble,
     prolong_component,
 )
-from oracles import full_block_component, replaced_bracket
+from oracles import dense_inverse, full_block_component, replaced_bracket
 
 J_STANDARD = Matrix([[0, -1], [1, 0]])
 
@@ -358,9 +358,14 @@ def _random_graded_change(m, rng):
     return p
 
 
+def _inverse(m):
+    """The inverse of an invertible ``Matrix``, by the dense oracle."""
+    return Matrix([[QI(*z) for z in row] for row in dense_inverse([[(x.re, x.im) for x in row] for row in m.data])])
+
+
 def _transported(m, p):
     """m in the basis given by the columns of p, so p maps it back onto m; J becomes P^-1 J P on g_-1."""
-    pinv = invert(p)
+    pinv = _inverse(p)
     cols = [{r: x for r, x in enumerate(p.column(i)) if x} for i in range(m.dim)]
     table = {}
     for i in range(m.dim):
@@ -371,7 +376,7 @@ def _transported(m, p):
                 table[(i, j)] = entry
     ones = m.indices_of_degree(-1)
     p1 = Matrix([[p.data[r][c] for c in ones] for r in ones])
-    j = invert(p1).mul(m.J).mul(p1)
+    j = _inverse(p1).mul(m.J).mul(p1)
     return GradedLieAlgebra(m.labels, m.degrees, table, J=j, scalar_tag=m.scalar_tag)
 
 
