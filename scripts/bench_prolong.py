@@ -57,7 +57,7 @@ def _workload(key: str):
 
 def _sizes(run) -> dict:
     """System sizes of one run of ``run``, read by wrapping the solver's module globals."""
-    from crprolong import prolong
+    from crprolong import exact, prolong
 
     sizes = {"solves": 0, "unknowns": 0, "rank": 0, "component_dims": []}
     solve = prolong._solve_component
@@ -73,9 +73,9 @@ def _sizes(run) -> dict:
         return comp
 
     hooks = {"_solve_component": counted_solve}
-    if hasattr(prolong, "integer_rref"):
+    if hasattr(prolong, "_distinct_rows"):
         sizes.update(rows=0, distinct_rows=0, nonzeros=0, max_bits=0)
-        distinct, rref = prolong._distinct_rows, prolong.integer_rref
+        distinct = prolong._distinct_rows
 
         def counted_distinct(forms):
             forms = list(forms)
@@ -85,13 +85,24 @@ def _sizes(run) -> dict:
             sizes["nonzeros"] += sum(map(len, rows))
             return rows
 
-        def counted_rref(rows):
-            pivots = rref(rows)
+        def count_bits(rows):
+            pivots = exact.integer_rref(rows)
             entries = [x for row in (*rows, *(row for _, row in pivots)) for x in row.values()]
             sizes["max_bits"] = max([sizes["max_bits"], *(abs(x).bit_length() for x in entries)])
             return pivots
 
-        hooks |= {"_distinct_rows": counted_distinct, "integer_rref": counted_rref}
+        hooks["_distinct_rows"] = counted_distinct
+        # the component rows reach integer_rref through exact._integer_kernel, or directly in older trees
+        if hasattr(prolong, "_integer_kernel"):
+            kernel = prolong._integer_kernel
+
+            def counted_kernel(rows, width):
+                count_bits(rows)
+                return kernel(rows, width)
+
+            hooks["_integer_kernel"] = counted_kernel
+        else:
+            hooks["integer_rref"] = count_bits
     saved = {name: getattr(prolong, name) for name in hooks}
     for name, hook in hooks.items():
         setattr(prolong, name, hook)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import Matrix, QI, QI_ONE, QI_ZERO, as_qi, rank
+from .exact import Matrix, QI, QI_ONE, _axpy, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     RealForm,
@@ -76,10 +76,7 @@ class VerificationFailed(RuntimeError):
 
 def euler_derivation(realified: GradedLieAlgebra) -> Matrix:
     """Degree scaling v -> deg(v)·v, always a grade-preserving derivation."""
-    n = realified.dim
-    return Matrix(
-        [[as_qi(realified.degrees[i]) if i == j else QI_ZERO for j in range(n)] for i in range(n)]
-    )
+    return Matrix.sparse(realified.dim, [{i: d} for i, d in enumerate(realified.degrees)])
 
 
 def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
@@ -91,18 +88,15 @@ def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
     coords = _coordinates(component, block)
     if coords is None:
         return None
-    out = Matrix.zeros(m.dim, m.dim)
+    cols = [{} for _ in range(m.dim)]
     for c, dm in zip(coords, component.maps):
+        if not c:
+            continue
         for a, sub in dm.blocks.items():
             idx = m.indices_of_degree(a)
-            for t, tglob in enumerate(idx):
-                for s, sglob in enumerate(idx):
-                    out.data[tglob][sglob] = out.data[tglob][sglob] + c * sub.data[t][s]
-    return coords, out
-
-
-def _negated(a: Matrix) -> Matrix:
-    return Matrix([[-x for x in row] for row in a.data])
+            for s, sglob in enumerate(idx):
+                _axpy(cols[sglob], -c, {idx[t]: x for t, x in sub.sparse_column(s).items()})
+    return coords, Matrix.sparse(m.dim, cols)
 
 
 def _rotation_eigenvalue(word) -> QI:
@@ -151,11 +145,7 @@ def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
 
 def rotation_complex_matrix(symbol: SymbolAlgebra) -> Matrix:
     """Bidegree diagonal -i(n - nt) on the complex quotient basis."""
-    n = symbol.dim
-    out = Matrix.zeros(n, n)
-    for i, w in enumerate(symbol.words):
-        out.data[i][i] = _rotation_eigenvalue(w.word)
-    return out
+    return Matrix.sparse(symbol.dim, [{i: _rotation_eigenvalue(w.word)} for i, w in enumerate(symbol.words)])
 
 
 def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
@@ -183,13 +173,11 @@ def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
         degrees.append(0)
         r_c = rotation_complex_matrix(symbol)
         r_real = rf.embedding_inv.mul(r_c.mul(rf.embedding))
-        for row in r_real.data:
-            for x in row:
-                if x.im:
-                    raise AssertionError("rotation action is not real in the real basis")
         for i in range(n):
-            col = r_real.column(i)
-            entry = {k: -c for k, c in enumerate(col) if c}
+            col = r_real.sparse_column(i)
+            if any(x.im for x in col.values()):
+                raise AssertionError("rotation action is not real in the real basis")
+            entry = {k: -c for k, c in col.items()}
             if entry:
                 table[(i, r_index)] = entry
     aut = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=R.J, scalar_tag="Q")
@@ -301,7 +289,7 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     rf = real_form(symbol.algebra)
     prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
     g0 = prolonged.components[0]
-    rot = _g0_element(g0, rf.algebra, _negated(rf.algebra.J))
+    rot = _g0_element(g0, rf.algebra, -rf.algebra.J)
     aut = build_aut_cr(symbol, rf)
     model_id = f"k{symbol.codim}:{symbol.quotient.kind}"
     notes = []
@@ -322,23 +310,13 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         )
     n = rf.algebra.dim
     total = prolonged.dim
-    cols = []
-    for i in range(n):
-        v = [QI_ZERO] * total
-        v[i] = QI_ONE
-        cols.append(v)
-    euler = _g0_element(g0, rf.algebra, _negated(Matrix.identity(2)))
+    euler = _g0_element(g0, rf.algebra, -Matrix.identity(2))
     if euler is None or euler[1] != euler_derivation(rf.algebra):
         fail("Euler derivation is not in the computed grade-0 component")
-    # the d column, then the r column when G^0 has one
-    for found in (euler, rot):
-        if found is None:
-            continue
-        v = [QI_ZERO] * total
-        for pos, c in enumerate(found[0]):
-            v[n + pos] = c
-        cols.append(v)
-    iso = Matrix.from_columns(cols)
+    # g_- by the identity, then the d column, then the r column when G^0 has one
+    cols = [{i: QI_ONE} for i in range(n)]
+    cols += [{n + pos: c for pos, c in enumerate(found[0])} for found in (euler, rot) if found is not None]
+    iso = Matrix.sparse(total, cols)
     if rank(iso) != total:
         fail("candidate isomorphism is not bijective")
     mismatch = bracket_mismatch_pair(aut.algebra, prolonged.algebra, iso)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 __all__ = [
     "QI",
@@ -179,81 +180,111 @@ def qi_from_json(x, where: str) -> QI:
 
 
 class Matrix:
-    """Dense matrix over Q(i); the solvers convert its rows to sparse form."""
+    """Matrix over Q(i), stored as sparse columns ``{row: QI}`` without zeros, rows increasing.
 
-    __slots__ = ("rows", "cols", "data")
+    ``Matrix(rows)`` builds one from dense rows (JSON, tests) and
+    ``Matrix.sparse(rows, columns)`` from sparse columns; every product,
+    comparison and solve works on the nonzeros.  ``data`` is a read-only
+    dense view, a tuple of row tuples.
+    """
+
+    __slots__ = ("rows", "cols", "_columns")
 
     def __init__(self, data):
-        self.data = [[as_qi(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(row) != self.cols for row in self.data):
+        data = [[as_qi(x) for x in row] for row in data]
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+        if any(len(row) != self.cols for row in data):
             raise ValueError("ragged matrix")
+        self._columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(self.cols)]
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[QI_ZERO] * cols for _ in range(rows)])
+    def sparse(cls, rows: int, columns) -> "Matrix":
+        """The ``rows``-row matrix whose column j is ``columns[j]``, a dict {row: entry}; zeros are dropped."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self._columns = [{i: q for i, x in sorted(col.items()) if (q := as_qi(x))} for col in columns]
+        self.cols = len(self._columns)
+        if any(not 0 <= i < rows for col in self._columns for i in col):
+            raise ValueError("row index out of range")
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)])
+        return cls.sparse(n, [{j: QI_ONE} for j in range(n)])
 
     @classmethod
     def from_columns(cls, columns) -> "Matrix":
+        """The matrix with the given dense columns."""
         columns = [list(c) for c in columns]
-        if not columns:
-            return cls.zeros(0, 0)
-        n = len(columns[0])
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)])
+        n = len(columns[0]) if columns else 0
+        if any(len(c) != n for c in columns):
+            raise ValueError("ragged matrix")
+        return cls.sparse(n, [dict(enumerate(c)) for c in columns])
+
+    @property
+    def data(self):
+        out = [[QI_ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return tuple(map(tuple, out))
 
     def column(self, j: int):
-        return [self.data[i][j] for i in range(self.rows)]
+        """Column j as a dense list."""
+        col = self._columns[j]
+        return [col.get(i, QI_ZERO) for i in range(self.rows)]
+
+    def sparse_column(self, j: int) -> dict:
+        """Column j as a new dict {row: entry} without zeros, rows increasing."""
+        return dict(self._columns[j])
+
+    def conj(self) -> "Matrix":
+        return Matrix.sparse(self.rows, [{i: x.conj() for i, x in col.items()} for col in self._columns])
+
+    def __neg__(self) -> "Matrix":
+        return Matrix.sparse(self.rows, [{i: -x for i, x in col.items()} for col in self._columns])
 
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        support = [(j, x) for j, x in enumerate(v) if x]
-        out = []
-        for row in self.data:
-            acc = QI_ZERO
-            for j, x in support:
-                a = row[j]
-                if a:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
+        out = _combine({j: x for j, x in enumerate(v) if x}, self._columns)
+        return [out.get(i, QI_ZERO) for i in range(self.rows)]
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = Matrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            ri = self.data[i]
-            oi = out.data[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if not a:
-                    continue
-                rk = other.data[k]
-                for j in range(other.cols):
-                    if rk[j]:
-                        oi[j] = oi[j] + a * rk[j]
-        return out
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return Matrix.sparse(self.rows, [_combine(col, self._columns) for col in other._columns])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and all(self.data[i][j] == other.data[i][j] for i in range(self.rows) for j in range(self.cols))
+            and self._columns == other._columns
         )
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
+
+
+def _combine(coeffs: dict, cols) -> dict:
+    """The sum of c·cols[k] over {k: c} in ``coeffs``, for sparse columns ``cols``, with zeros dropped."""
+    out = {}
+    for k, c in coeffs.items():
+        for t, x in cols[k].items():
+            out[t] = out.get(t, QI_ZERO) + c * x
+    return {t: x for t, x in out.items() if x}
+
+
+def _sparse_rows(m: Matrix):
+    """The rows of ``m`` as dicts {col: QI} without zeros, columns increasing."""
+    rows = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m._columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
 
 
 def _axpy(row, f, other):
@@ -337,14 +368,6 @@ def _gaussian_apply(cols, w):
     return acc
 
 
-def _gaussian_matrix(n, entries):
-    """The n × n ``Matrix`` with (re + i·im)/den at (r, c) for each ``(r, c, (re, im), den)`` in ``entries``, else 0."""
-    data = [[QI_ZERO] * n for _ in range(n)]
-    for r, c, (re, im), den in entries:
-        data[r][c] = QI._raw(Fraction(re, den), Fraction(im, den))
-    return Matrix(data)
-
-
 def _int_eliminate(row, pivot_row, col):
     """A multiple of ``row`` minus a multiple of ``pivot_row``, zero at ``col``; int rows, without zeros."""
     p, x = pivot_row[col], row[col]
@@ -397,38 +420,58 @@ def integer_rref(rows):
     return sorted(pivots.items())
 
 
-def _real_fixed_points(s):
-    """Real basis of the fixed points of z -> S·conj(z), S a square list of ``QI`` rows, as ``[({p: (x_p, y_p)}, den)]``.
+def _dot(form, vec):
+    """form · vec for a sparse form {col: int} and a dense list ``vec``."""
+    return sum(map(mul, form.values(), map(vec.__getitem__, form)))
 
-    With S = P + iQ, z = x + iy is fixed iff (P - I)x + Qy = 0 and
-    Qx - (P + I)y = 0: integer rows, each times the lcm of its
-    denominators.  One reduced kernel vector per free column, free
-    coordinate 1 (``den`` over ``den``), checked by substitution against
-    every row and signed so that its leading coefficient is positive.
+
+def _integer_kernel(rows, width):
+    """Kernel basis of the integer rows ``{col: int}`` in ``width`` unknowns, as ``[(vec, den)]``.
+
+    One vector per free column f of ``integer_rref(rows)``, in increasing
+    f: the reduced kernel vector with 1 at f, times the lcm ``den`` of the
+    pivot entries it divides by, so ``vec`` is a dense int list with
+    ``den`` at f.  Each is checked by substitution, in integers, against
+    every row.
+    """
+    pivots = integer_rref(rows)
+    pivot_cols = {c for c, _ in pivots}
+    basis = []
+    for f in range(width):
+        if f in pivot_cols:
+            continue
+        hit = [(c, row) for c, row in pivots if f in row]
+        den = lcm(*(row[c] for c, row in hit))
+        vec = [0] * width
+        vec[f] = den
+        for c, row in hit:
+            vec[c] = -row[f] * (den // row[c])
+        if any(_dot(row, vec) for row in rows):
+            raise AssertionError("integer kernel produced a non-kernel vector")
+        basis.append((vec, den))
+    return basis
+
+
+def _real_fixed_points(s):
+    """Real basis of the fixed points of z -> S·conj(z), as ``[({p: (x_p, y_p)}, den)]``.
+
+    S is square, given by its rows ``{q: QI}``.  With S = P + iQ, z = x + iy
+    is fixed iff (P - I)x + Qy = 0 and Qx - (P + I)y = 0: integer rows,
+    each times the lcm of its denominators.  One reduced kernel vector per
+    free column (``_integer_kernel``), signed so that its leading
+    coefficient is positive.
     """
     nb = len(s)
     rows = []
     for p, row in enumerate(s):
-        num, den = _gaussian_integers(enumerate(row))
+        num, den = _gaussian_integers(row.items())
         fix, flip = {p: -den}, {nb + p: -den}
         for q, (re, im) in num.items():
             fix[q], fix[nb + q] = fix.get(q, 0) + re, im
             flip[q], flip[nb + q] = im, flip.get(nb + q, 0) - re
         rows += (fix, flip)
-    pivots = integer_rref(rows)
-    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for f in range(2 * nb):
-        if f in pivot_cols:
-            continue
-        hit = [(c, row) for c, row in pivots if f in row]
-        den = lcm(*(row[c] for c, row in hit))
-        vec = [0] * (2 * nb)
-        vec[f] = den
-        for c, row in hit:
-            vec[c] = -row[f] * (den // row[c])
-        if any(sum(x * vec[j] for j, x in row.items()) for row in rows):
-            raise AssertionError("_real_fixed_points produced a non-kernel vector")
+    for vec, den in _integer_kernel(rows, 2 * nb):
         if next(x for x in vec if x) < 0:
             vec = [-x for x in vec]
         basis.append(({p: (vec[p], vec[nb + p]) for p in range(nb) if vec[p] or vec[nb + p]}, den))
@@ -455,11 +498,6 @@ def _gaussian_inverse(rows):
     return inverse
 
 
-def _sparse(rows):
-    """Dense rows as sparse rows ``{col: QI}`` without zeros."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
 def kernel_basis(m: Matrix):
     """Basis of the null space of ``m``, as a list of column vectors.
 
@@ -467,7 +505,7 @@ def kernel_basis(m: Matrix):
     column, ordered by free column index, with the free coordinate set
     to 1.  Each vector is verified by substitution before being returned.
     """
-    pivots = _rref(_sparse(m.data), range(m.cols))
+    pivots = _rref(_sparse_rows(m), range(m.cols))
     pivot_cols = {c for c, _ in pivots}
     basis = []
     for f in range(m.cols):
@@ -484,7 +522,7 @@ def kernel_basis(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(_sparse(m.data), range(m.cols)))
+    return len(_rref(_sparse_rows(m), range(m.cols)))
 
 
 class Echelon:
@@ -501,7 +539,8 @@ class Echelon:
         rows = list(rows)
         if any(len(r) != cols for r in rows):
             raise ValueError("row width mismatch")
-        self._sparse = _rref(_sparse(map(as_qi, r) for r in rows), range(cols) if col_order is None else col_order)
+        sparse = [{j: q for j, x in enumerate(r) if (q := as_qi(x))} for r in rows]
+        self._sparse = _rref(sparse, range(cols) if col_order is None else col_order)
         self.cols = cols
         self.rows = [[row.get(j, QI_ZERO) for j in range(cols)] for _, row in self._sparse]
         self.pivots = [(i, c) for i, (c, _) in enumerate(self._sparse)]

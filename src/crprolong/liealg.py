@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, kernel_basis, qi_from_json
-from .exact import _gaussian_apply, _gaussian_integers, _gaussian_inverse, _gaussian_matrix, _real_fixed_points
+from .exact import _combine, _gaussian_apply, _gaussian_integers, _gaussian_inverse, _real_fixed_points, _sparse_rows
 from .freelie import (
     conjugate_tree,
     cumulative_dim,
@@ -102,21 +103,19 @@ class GradedLieAlgebra:
             m1 = self.indices_of_degree(-1)
             if J.rows != len(m1) or J.cols != len(m1):
                 raise ValueError("J must act on the degree -1 block")
-            sq = J.mul(J)
-            minus_id = Matrix([[-QI_ONE if a == b else QI_ZERO for b in range(len(m1))] for a in range(len(m1))])
-            if sq != minus_id:
+            if J.mul(J) != -Matrix.identity(len(m1)):
                 raise ValueError("J∘J must be -id on the degree -1 part")
         if conjugation is not None:
             s = conjugation
             if s.rows != n or s.cols != n:
                 raise NotSelfConjugate(f"conjugation must be a {n}x{n} matrix, got {s.rows}x{s.cols}")
-            if any(x and self.degrees[a] != self.degrees[b] for a, row in enumerate(s.data) for b, x in enumerate(row)):
+            if any(self.degrees[a] != self.degrees[b] for b in range(n) for a in s.sparse_column(b)):
                 raise NotSelfConjugate("conjugation does not preserve degrees")
-            if s.mul(Matrix([[x.conj() for x in row] for row in s.data])) != Matrix.identity(n):
+            if s.mul(s.conj()) != Matrix.identity(n):
                 raise NotSelfConjugate("conjugation is not an involution")
             # sigma[e_i, e_j] = S·conj(c_ij) must equal [S e_i, S e_j]
             conj_table = {ij: {k: c.conj() for k, c in terms.items()} for ij, terms in clean.items()}
-            if first_bracket_mismatch(GradedLieAlgebra(self.labels, self.degrees, conj_table), self, s) is not None:
+            if _table_mismatch(n, conj_table, self, s) is not None:
                 raise NotSelfConjugate("structure constants are not conjugation-stable")
 
     @property
@@ -334,14 +333,15 @@ def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
     One equation per (x in ``on``, coordinate t) that some [g, x] reaches;
     the coordinates no bracket reaches give only zero rows.
     """
-    rows = {}
+    rows = {}  # (x, t): row index
+    cols = [{} for _ in acting]
     for x in on:
         for pos, g in enumerate(acting):
             for t, c in algebra.bracket_basis(g, x).items():
-                rows.setdefault((x, t), [QI_ZERO] * len(acting))[pos] = c
+                cols[pos][rows.setdefault((x, t), len(rows))] = c
     if not rows:
         return not acting
-    return not kernel_basis(Matrix(list(rows.values())))
+    return not kernel_basis(Matrix.sparse(len(rows), cols))
 
 
 def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
@@ -355,26 +355,12 @@ def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:
     if algebra.J is None:
         raise MissingJ("algebra has no complex structure map")
     ones = algebra.indices_of_degree(-1)
-    jimg = [{ones[p]: x for p, x in col.items()} for col in _sparse_columns(algebra.J)]
+    jimg = [{ones[p]: x for p, x in algebra.J.sparse_column(q).items()} for q in range(len(ones))]
     for a in range(len(ones)):
         for b in range(a + 1, len(ones)):
             if algebra.bracket_basis(ones[a], ones[b]) != algebra.bracket_vec(jimg[a], jimg[b]):
                 return False
     return True
-
-
-def _sparse_columns(m: Matrix):
-    """The columns of ``m`` as {row: entry} dicts without zeros."""
-    return [{r: row[c] for r, row in enumerate(m.data) if row[c]} for c in range(m.cols)]
-
-
-def _combine(coeffs: dict, cols) -> dict:
-    """The sum of c·cols[k] over {k: c} in ``coeffs``, for sparse ``cols``, with zeros dropped."""
-    out = {}
-    for k, c in coeffs.items():
-        for t, x in cols[k].items():
-            out[t] = out.get(t, QI_ZERO) + c * x
-    return {t: x for t, x in out.items() if x}
 
 
 # -- symbol algebras ------------------------------------------------------
@@ -462,17 +448,14 @@ class SymbolAlgebra:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+@lru_cache(maxsize=None)
 def _top_conjugation_matrix(rho: int) -> Matrix:
-    """Generator swap on the top free layer, in Hall-basis coordinates."""
+    """Generator swap on the top free layer, in Hall-basis coordinates; built once per length."""
     top = [w for w in hall_basis(rho).words if w.length == rho]
     pos = {w.word: p for p, w in enumerate(top)}
-    cols = []
-    for w in top:
-        col = [QI_ZERO] * len(top)
-        for word, coeff in tree_normal_form(conjugate_tree(w.tree)).items():
-            col[pos[word]] = as_qi(coeff)
-        cols.append(col)
-    return Matrix.from_columns(cols)
+    return Matrix.sparse(
+        len(top), [{pos[word]: c for word, c in tree_normal_form(conjugate_tree(w.tree)).items()} for w in top]
+    )
 
 
 def conjugation_adapted_top_basis(rho: int):
@@ -483,11 +466,17 @@ def conjugation_adapted_top_basis(rho: int):
     Ordered by (leading Hall word, +1 before -1); leading coefficients
     positive.  This ordering is what "drop trailing" refers to.
     """
-    n = witt_dim(rho)
     s = _top_conjugation_matrix(rho)
-    ident = Matrix.identity(n)
-    plus = kernel_basis(Matrix([[s.data[a][b] - ident.data[a][b] for b in range(n)] for a in range(n)]))
-    minus = kernel_basis(Matrix([[s.data[a][b] + ident.data[a][b] for b in range(n)] for a in range(n)]))
+
+    def shifted(c):
+        """s + c·I."""
+        cols = [s.sparse_column(b) for b in range(s.cols)]
+        for b, col in enumerate(cols):
+            col[b] = col.get(b, QI_ZERO) + c
+        return Matrix.sparse(s.rows, cols)
+
+    plus = kernel_basis(shifted(-QI_ONE))
+    minus = kernel_basis(shifted(QI_ONE))
     tagged = [(v, 1) for v in plus] + [(v, -1) for v in minus]
     normed = []
     for v, tag in tagged:
@@ -586,18 +575,14 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
 
     # conjugation: generator swap extended as an antilinear bracket morphism,
     # defined on the quotient only when the quotient subspace is stable.
-    conj_cols = []
-    for w in words:
-        entry = project({word: c for word, c in tree_normal_form(conjugate_tree(w.tree)).items()})
-        col = [QI_ZERO] * n
-        for idx, c in entry.items():
-            col[idx] = c
-        conj_cols.append(col)
     top_conj = _top_conjugation_matrix(rho)
     stable = all(reducer.contains(top_conj.matvec([as_qi(x).conj() for x in row])) for row in spec.rows)
-    conjugation = Matrix.from_columns(conj_cols) if stable else None
+    conjugation = None
+    if stable:
+        conj_cols = [project(dict(tree_normal_form(conjugate_tree(w.tree)))) for w in words]
+        conjugation = Matrix.sparse(n, conj_cols)
 
-    j_mat = Matrix([[QI_I, QI_ZERO], [QI_ZERO, -QI_I]])
+    j_mat = Matrix.sparse(2, [{0: QI_I}, {1: -QI_I}])
     algebra = GradedLieAlgebra(labels, degrees, table, conjugation=conjugation, J=j_mat, scalar_tag="Qi")
 
     # invariant gate
@@ -648,14 +633,15 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
-    conj = algebra.conjugation.data
+    conj = _sparse_rows(algebra.conjugation)
     columns, dens = [], []  # real basis vector c: {complex index: (re, im)} over dens[c]
     inv_cols, inv_dens = {}, []  # complex index s: [(c, F[c][s] times inv_dens[c])]
     owners = {}  # complex index a: [(c, numerator of a in column c)]
     labels, degrees = [], []
     for d in algebra.degrees_present():
         block = algebra.indices_of_degree(d)
-        kern = _real_fixed_points([[conj[a][b] for b in block] for a in block])
+        pos = {a: p for p, a in enumerate(block)}
+        kern = _real_fixed_points([{pos[b]: x for b, x in conj[a].items()} for a in block])
         if len(kern) != len(block):
             raise NotSelfConjugate(f"real form of degree {d} block has wrong dimension")
         first = len(columns)
@@ -697,7 +683,8 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     if algebra.J is not None:
         ones_c = algebra.indices_of_degree(-1)
         ones_r = [c for c, d in enumerate(degrees) if d == -1]
-        jm, jden = _gaussian_integers(((q, p), x) for p, row in enumerate(algebra.J.data) for q, x in enumerate(row))
+        J = algebra.J
+        jm, jden = _gaussian_integers(((q, p), x) for q in range(J.cols) for p, x in J.sparse_column(q).items())
         j_cols = {}  # complex index a: [(t, numerator of J[t][a])] over jden
         for (q, p), z in jm.items():
             j_cols.setdefault(ones_c[q], []).append((ones_c[p], z))
@@ -706,12 +693,18 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
             coords = real_coords(_gaussian_apply(j_cols, columns[r]), dens[r] * jden, "J does not restrict to the real form")
             if any(t not in ones_r for t in coords):
                 raise NotSelfConjugate("J leaks outside the degree -1 block")
-            jr_cols.append([coords.get(t, 0) for t in ones_r])
-        j_real = Matrix.from_columns(jr_cols)
+            jr_cols.append({ones_r.index(t): x for t, x in coords.items()})
+        j_real = Matrix.sparse(len(ones_r), jr_cols)
     real = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=j_real, scalar_tag="Q")
-    emb = _gaussian_matrix(algebra.dim, ((a, c, z, dens[c]) for c, col in enumerate(columns) for a, z in col.items()))
-    emb_inv = _gaussian_matrix(algebra.dim, ((c, s, z, inv_dens[c]) for s, entries in inv_cols.items() for c, z in entries))
+    n = algebra.dim
+    emb = Matrix.sparse(n, [{a: _gaussian(z, dens[c]) for a, z in col.items()} for c, col in enumerate(columns)])
+    emb_inv = Matrix.sparse(n, [{c: _gaussian(z, inv_dens[c]) for c, z in inv_cols.get(s, ())} for s in range(n)])
     return RealForm(real, emb, emb_inv)
+
+
+def _gaussian(z, den: int) -> QI:
+    """(re + i·im)/den for ``z`` = (re, im)."""
+    return QI._raw(Fraction(z[0], den), Fraction(z[1], den))
 
 
 def realify(algebra: GradedLieAlgebra) -> GradedLieAlgebra:
@@ -728,11 +721,15 @@ def first_bracket_mismatch(src: GradedLieAlgebra, dst: GradedLieAlgebra, p: Matr
     Each column of P is read once as a sparse vector; P·c_ij and the
     bracket in ``dst`` of columns i and j are compared as sparse vectors.
     """
-    n = src.dim
-    cols = _sparse_columns(p)
+    return _table_mismatch(src.dim, src.table, dst, p)
+
+
+def _table_mismatch(n: int, table, dst: GradedLieAlgebra, p: Matrix):
+    """``first_bracket_mismatch`` for the structure constants ``table`` on n basis vectors."""
+    cols = [p.sparse_column(j) for j in range(p.cols)]
     for i in range(n):
         for j in range(i + 1, n):
-            if _combine(src.table.get((i, j), {}), cols) != dst.bracket_vec(cols[i], cols[j]):
+            if _combine(table.get((i, j), {}), cols) != dst.bracket_vec(cols[i], cols[j]):
                 return (i, j)
     return None
 

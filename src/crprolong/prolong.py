@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from operator import mul
 
-from .exact import QI, QI_ZERO, Matrix, _axpy, integer_rref
+from .exact import QI, QI_ZERO, Matrix, _axpy, _dot, _integer_kernel
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -143,11 +142,6 @@ def _sum_forms(terms):
     return {t: {v: x // g for v, x in form.items()} for t, form in out.items()}, den // g
 
 
-def _dot(form, vec):
-    """form · vec for a sparse form {unknown: int} and a dense list ``vec``."""
-    return sum(map(mul, form.values(), map(vec.__getitem__, form)))
-
-
 def _distinct_rows(forms):
     """Each nonzero integer form made primitive (gcd 1, first entry positive), one per class up to scale."""
     seen = {}
@@ -200,7 +194,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
             action = actions.get((sdeg, s, y))
             if action is None:
                 if sdeg >= 0:
-                    entries = enumerate(components[sdeg].maps[s].apply(m.degrees[y], loc[y]))
+                    entries = components[sdeg].maps[s].blocks[m.degrees[y]].sparse_column(loc[y]).items()
                 else:
                     entries = ((loc[k], c) for k, c in m.bracket_basis(blocks[sdeg][s], y).items())
                 action = actions[(sdeg, s, y)] = _integers(entries)
@@ -234,7 +228,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         terms += bracket(image[j], m.degrees[j] + l, i, -1)
         rows.extend(_sum_forms(terms)[0].values())
     if j_constraint:
-        jm, _ = _integers(((p, q), x) for p, row in enumerate(m.J.data) for q, x in enumerate(row))
+        jm, _ = _integers(((p, q), x) for q in range(nb) for p, x in m.J.sparse_column(q).items())
         for p, q in product(range(nb), repeat=2):
             # (D J - J D)[p][q] on the g_-1 block, times the denominator of J
             form = {}
@@ -243,22 +237,9 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
                     form[v] = form.get(v, 0) + c
             rows.append({v: c for v, c in form.items() if c})
     rows = _distinct_rows(form for form in rows if form)
-    pivots = integer_rref(rows)
-    pivot_cols = {c for c, _ in pivots}
     qis = {}  # one QI per distinct coefficient
     maps = []
-    for f in range(width):
-        if f in pivot_cols:
-            continue
-        hit = [(c, row) for c, row in pivots if f in row]
-        # the kernel vector with 1 at f, times the lcm of the pivots it divides by
-        vden = lcm(*(row[c] for c, row in hit))
-        vec = [0] * width
-        vec[f] = vden
-        for c, row in hit:
-            vec[c] = -row[f] * (vden // row[c])
-        if any(_dot(row, vec) for row in rows):
-            raise AssertionError("_solve_component produced a non-kernel vector")
+    for vec, vden in _integer_kernel(rows, width):
         out = {}
         for a, idx in blocks.items():
             cols = []
@@ -274,7 +255,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
                             q = qis[n, d] = QI(Fraction(n, d))
                         col[t] = q
                 cols.append(col)
-            out[a] = Matrix([[col.get(t, QI_ZERO) for col in cols] for t in range(dims.get(a + l, 0))])
+            out[a] = Matrix.sparse(dims.get(a + l, 0), cols)
         maps.append(DerivationMap(l, out))
     return ProlongationComponent(l, tuple(maps))
 
@@ -435,16 +416,17 @@ def _coordinates(component: ProlongationComponent, block: Matrix):
     pivots.  So the coordinates are the entries of ``block`` at the
     pivots, and ``block`` is in the component iff they recombine to it.
     """
+    rest = [block.sparse_column(s) for s in range(block.cols)]
     coords = []
     for dm in component.maps:
-        t, s = max((t, s) for t, row in enumerate(dm.blocks[-1].data) for s, x in enumerate(row) if x)
-        coords.append(block.data[t][s])
-    rest = [list(row) for row in block.data]
+        ones = dm.blocks[-1]
+        t, s = max((t, s) for s in range(ones.cols) for t in ones.sparse_column(s))
+        coords.append(rest[s].get(t, QI_ZERO))
     for c, dm in zip(coords, component.maps):
-        for t, row in enumerate(dm.blocks[-1].data):
-            for s, x in enumerate(row):
-                rest[t][s] = rest[t][s] - c * x
-    return None if any(any(row) for row in rest) else coords
+        if c:
+            for s, col in enumerate(rest):
+                _axpy(col, c, dm.blocks[-1].sparse_column(s))
+    return None if any(rest) else coords
 
 
 def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
@@ -490,7 +472,7 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
             g = comp_base[comp.degree] + idx
             for x in range(m.dim):
                 a = m.degrees[x]
-                entry = {t: -c for t, c in zip(slots.get(a + comp.degree, ()), dm.apply(a, loc[x])) if c}
+                entry = {slots[a + comp.degree][t]: -c for t, c in dm.blocks[a].sparse_column(loc[x]).items()}
                 if entry:
                     table[(x, g)] = entry
 
@@ -503,6 +485,7 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
     for k, l in pairs:
         s = k + l
         target = components[s] if s <= max_l else ProlongationComponent(s, ())
+        row = {t: r for r, t in enumerate(slots.get(s - 1, ()))}  # g_-1 block row of e_t in degree s - 1
         for ik in range(components[k].dim):
             gi = comp_base[k] + ik
             for il in range(ik + 1 if k == l else 0, components[l].dim):
@@ -523,7 +506,7 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
                             f"bracket of degrees {k} and {l} acts nontrivially beyond the terminal component"
                         )
                     continue
-                block = Matrix([[action[x].get(t, QI_ZERO) for x in ones] for t in slots[s - 1]])
+                block = Matrix.sparse(len(row), [{row[t]: c for t, c in action[x].items()} for x in ones])
                 coords = _coordinates(target, block)
                 if coords is None or any(combination(coords, comp_base[s], x) != action[x] for x in range(m.dim)):
                     raise RuntimeError(f"bracket of G^{k} and G^{l} escapes G^{s}")

@@ -144,6 +144,23 @@ def c_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
+def dense_matvec(rows, v):
+    """rows·v for dense rows of pairs, entry by entry."""
+    out = []
+    for row in rows:
+        acc = C_ZERO
+        for x, y in zip(row, v):
+            acc = c_add(acc, c_mul(x, y))
+        out.append(acc)
+    return out
+
+
+def dense_matmul(a, b, cols):
+    """a·b for dense rows of pairs, ``b`` with ``cols`` columns."""
+    b_cols = [[row[j] for row in b] for j in range(cols)]
+    return [[dense_matvec([row], col)[0] for col in b_cols] for row in a]
+
+
 # -- dense structure constants: table {(i, j): {k: (re, im)}} with i < j --
 
 

@@ -1,11 +1,14 @@
+import json
 import math
 import random
 from fractions import Fraction
+from operator import setitem
 
 import pytest
-from oracles import C_ZERO, c_mul, dense_kernel, dense_reduce, dense_rref
+from oracles import C_ONE, C_ZERO, c_add, c_mul, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
 
 from crprolong.exact import QI, Echelon, Matrix, _rref, integer_rref, kernel_basis, qi_from_json, rank
+from crprolong.liealg import _matrix_from_json, _matrix_to_json
 
 I = QI(0, 1)
 
@@ -81,7 +84,7 @@ def _solutions(m, b):
     The kernel has one such vector when b is in the column span (the last
     column is then free, and the other free coordinates are 0), none otherwise.
     """
-    aug = Matrix([row + [-x] for row, x in zip(m.data, b)])
+    aug = Matrix([[*row, -x] for row, x in zip(m.data, b)])
     return [v[:-1] for v in kernel_basis(aug) if v[-1] == 1]
 
 
@@ -283,3 +286,116 @@ def test_rref_matches_dense_oracle(order):
             assert _in_span(data, [_pairs([row.get(j, QI())])[0] for j in range(cols)])
         deficient += len(got) < min(len(data), len(col_order))
     assert deficient
+
+
+# -- Matrix against dense rows of pairs --------------------------------------
+
+SHAPES = [(0, 0), (3, 0), (0, 3), (1, 1), (2, 5), (5, 2), (4, 4)]
+
+
+def _dense_pairs(rng, rows, cols):
+    """Seeded dense rows of Gaussian pairs, about half of them zero."""
+    return [[_oracle_entry(rng, True, 0.5) for _ in range(cols)] for _ in range(rows)]
+
+
+def _matrix(data, rows, cols):
+    """The ``Matrix`` of dense pairs, built from sparse columns so that every shape, 0 x n included, is kept."""
+    return Matrix.sparse(rows, [{i: QI(*data[i][j]) for i in range(rows)} for j in range(cols)])
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_matrix_views_and_constructors_match_dense_rows(rows, cols):
+    rng = random.Random(4701 + 10 * rows + cols)
+    for _ in range(10):
+        data = _dense_pairs(rng, rows, cols)
+        m = _matrix(data, rows, cols)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert [_pairs(row) for row in m.data] == data
+        for j in range(cols):
+            assert _pairs(m.column(j)) == [row[j] for row in data]
+            col = m.sparse_column(j)
+            assert list(col) == sorted(col) and all(col.values())
+            nonzero = {i: row[j] for i, row in enumerate(data) if row[j] != C_ZERO}
+            assert {i: (x.re, x.im) for i, x in col.items()} == nonzero
+        if rows:
+            assert Matrix([_qis(row) for row in data]) == m
+        if cols:
+            assert Matrix.from_columns([_qis(row[j] for row in data) for j in range(cols)]) == m
+        assert -(-m) == m and m.conj().conj() == m
+        assert [_pairs(row) for row in (-m).data] == [[(-a, -b) for a, b in row] for row in data]
+        assert [_pairs(row) for row in m.conj().data] == [[(a, -b) for a, b in row] for row in data]
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_matrix_products_match_dense_oracle(rows, cols):
+    rng = random.Random(4801 + 10 * rows + cols)
+    for _ in range(10):
+        data = _dense_pairs(rng, rows, cols)
+        m = _matrix(data, rows, cols)
+        v = [_oracle_entry(rng, True, 0.5) for _ in range(cols)]
+        assert _pairs(m.matvec(_qis(v))) == dense_matvec(data, v)
+        for width in (0, 1, 3):
+            other = _dense_pairs(rng, cols, width)
+            product = m.mul(_matrix(other, cols, width))
+            assert (product.rows, product.cols) == (rows, width)
+            assert [_pairs(row) for row in product.data] == dense_matmul(data, other, width)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            m.mul(Matrix.identity(cols + 1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            m.matvec([QI()] * (cols + 1))
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_matrix_equality_is_entrywise_and_shape_aware(rows, cols):
+    rng = random.Random(4901 + 10 * rows + cols)
+    data = _dense_pairs(rng, rows, cols)
+    m = _matrix(data, rows, cols)
+    assert m == _matrix([list(row) for row in data], rows, cols)
+    for r, c in ((rows + 1, cols), (rows, cols + 1)):
+        assert m != _matrix([[C_ZERO] * c for _ in range(r)], r, c)
+    if rows and cols:
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        changed = [list(row) for row in data]
+        changed[i][j] = c_add(changed[i][j], (Fraction(1, 3), Fraction(0)))
+        assert m != _matrix(changed, rows, cols)
+    assert m != [list(row) for row in m.data]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_identity_matches_dense_oracle(n):
+    ident = Matrix.identity(n)
+    assert [_pairs(row) for row in ident.data] == [[C_ONE if i == j else C_ZERO for j in range(n)] for i in range(n)]
+    rng = random.Random(5001 + n)
+    m = _matrix(_dense_pairs(rng, n, 3), n, 3)
+    assert ident.mul(m) == m
+    assert m.mul(Matrix.identity(3)) == m
+
+
+@pytest.mark.parametrize("rows, cols", [s for s in SHAPES if s[0]] + [(0, 0)])
+def test_matrix_json_round_trip(rows, cols):
+    rng = random.Random(5101 + 10 * rows + cols)
+    m = _matrix(_dense_pairs(rng, rows, cols), rows, cols)
+    text = json.dumps(_matrix_to_json(m))
+    assert _matrix_from_json(json.loads(text), "m") == m
+
+
+def test_matrix_data_is_read_only():
+    m = Matrix([[1, I], [0, 2]])
+    with pytest.raises(TypeError):
+        setitem(m.data[0], 1, QI(5))
+    with pytest.raises(TypeError):
+        setitem(m.data, 0, (QI(5), QI(5)))
+    with pytest.raises(AttributeError):
+        m.data = ((QI(5), QI(5)), (QI(5), QI(5)))
+    assert m == Matrix([[1, I], [0, 2]])
+
+
+@pytest.mark.parametrize("columns", [[[1], [2, 3]], [[1, 2], [3]]], ids=["longer-last", "shorter-last"])
+def test_from_columns_refuses_ragged_input(columns):
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        Matrix.from_columns(columns)
+
+
+def test_sparse_refuses_rows_out_of_range():
+    with pytest.raises(ValueError, match="row index out of range"):
+        Matrix.sparse(2, [{2: QI(1)}])

@@ -263,13 +263,13 @@ def test_flipped_conjugation_entry_rejected_from_json():
 
 def test_conjugation_checked_once_per_theorem_input(monkeypatch):
     calls = []
-    original = liealg.first_bracket_mismatch
+    original = liealg._table_mismatch
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(liealg, "first_bracket_mismatch", counting)
+    monkeypatch.setattr(liealg, "_table_mismatch", counting)
     real_form(build_symbol_algebra(4).algebra)
     assert len(calls) == 1
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crprolong import prolong
+from crprolong import exact
 from crprolong.exact import Matrix, QI, integer_rref, rank
 from crprolong.liealg import (
     GradedLieAlgebra,
@@ -345,7 +345,7 @@ def test_assemble_checks_brackets_on_every_degree():
 
 def _random_graded_change(m, rng):
     """An invertible rational matrix that maps each degree block of m to itself."""
-    p = Matrix.zeros(m.dim, m.dim)
+    p = [[QI(0)] * m.dim for _ in range(m.dim)]
     for d in set(m.degrees):
         idx = m.indices_of_degree(d)
         while True:
@@ -354,8 +354,8 @@ def _random_graded_change(m, rng):
                 break
         for r, row in zip(idx, block):
             for c, x in zip(idx, row):
-                p.data[r][c] = x
-    return p
+                p[r][c] = x
+    return Matrix(p)
 
 
 def _inverse(m):
@@ -431,6 +431,6 @@ def test_corrupted_pivot_row_fails_the_substitution_check(monkeypatch):
 
     m = heis()
     assert grade0(m, j_constraint=True).dim == 2
-    monkeypatch.setattr(prolong, "integer_rref", corrupted)
+    monkeypatch.setattr(exact, "integer_rref", corrupted)
     with pytest.raises(AssertionError, match="non-kernel vector"):
         grade0(m, j_constraint=True)
