@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
 from .assoc import a_add, a_mul, expand_tree, lie_coordinates
-from .exact import QI
+from .exact import _integers, _qi, _sum_forms
 from .freelie import standard_tree
 from .liealg import GradedLieAlgebra
 from .poly import Poly, PolyVectorField, real_chart
@@ -85,17 +84,15 @@ class GroupLaw:
         self.algebra = algebra
         self.cap = -min(algebra.degrees)
         self.series = bch_series(self.cap)
-        den = lcm(*(c.re.denominator for terms in algebra.table.values() for c in terms.values()))
-        self._den = den
-        self._table = [
-            (i, j, [(k, c.re.numerator * (den // c.re.denominator)) for k, c in terms.items()])
-            for (i, j), terms in algebra.table.items()
-        ]
+        consts, self._den = _integers(((ij, k), c) for ij, terms in algebra.table.items() for k, c in terms.items())
+        self._table = {}  # (i, j): [(k, numerator)] over self._den
+        for (ij, k), x in consts.items():
+            self._table.setdefault(ij, []).append((k, x))
 
     def _bracket(self, u, v):
         (uc, ud), (vc, vd) = u, v
         out = [{} for _ in uc]
-        for i, j, terms in self._table:
+        for (i, j), terms in self._table.items():
             p = {}
             _mul_into(p, uc[i], vc[j], 1)
             _mul_into(p, uc[j], vc[i], -1)
@@ -114,11 +111,12 @@ class GroupLaw:
                 memo[tree] = self._bracket(value(tree[0]), value(tree[1]))
             return memo[tree]
 
-        summands = []
+        terms = []
         for word, coeff in self.series:
             comps, den = value(standard_tree(word))
-            summands.append((coeff.numerator, coeff.denominator * den, comps))
-        return _combination(summands)
+            terms += [(k, coeff.numerator, coeff.denominator * den, comp) for k, comp in enumerate(comps)]
+        forms, den = _sum_forms(terms)
+        return [forms.get(k, {}) for k in range(self.algebra.dim)], den
 
     def _width(self, top_exponent: int) -> int:
         # a bracket of at most cap leaves multiplies at most cap input
@@ -156,10 +154,11 @@ class GroupLaw:
         # the inner law's exponents reach cap, so the outer law's reach cap * cap
         width = self._width(self.cap)
         a, b, c = self._variables(3, width)
-        left, lden = self._apply(self._apply(a, b), c)
-        right, rden = self._apply(a, self._apply(b, c))
-        diff, den = _combination([(1, lden, left), (-1, rden, right)])
-        return [_poly(comp, den, 3 * n, width) for comp in diff]
+        left = self._apply(self._apply(a, b), c)
+        right = self._apply(a, self._apply(b, c))
+        terms = [(k, sign, d, comp) for sign, (comps, d) in ((1, left), (-1, right)) for k, comp in enumerate(comps)]
+        diff, den = _sum_forms(terms)
+        return [_poly(diff.get(k, {}), den, 3 * n, width) for k in range(n)]
 
 
 def _mul_into(acc: dict, p: dict, q: dict, sign: int):
@@ -171,34 +170,16 @@ def _mul_into(acc: dict, p: dict, q: dict, sign: int):
             acc[e] = acc.get(e, 0) + ca * cb
 
 
-def _combination(summands):
-    """Sum of num/den · comps over (num, den, comps), as numerators over one
-    denominator in lowest terms (the gcd is taken once, on the finished sum)."""
-    den = lcm(*(d for _, d, _ in summands))
-    out = [{} for _ in summands[0][2]]
-    for num, d, comps in summands:
-        scale = num * (den // d)
-        for acc, comp in zip(out, comps):
-            for e, x in comp.items():
-                acc[e] = acc.get(e, 0) + scale * x
-    out = [{e: x for e, x in acc.items() if x} for acc in out]
-    g = gcd(den, *(x for acc in out for x in acc.values()))
-    if g == 1:
-        return out, den
-    return [{e: x // g for e, x in acc.items()} for acc in out], den // g
-
-
 def _packed(vec, width: int):
     """A vector of real Polys as packed numerators over one denominator."""
     if any(c.im for p in vec for c in p.terms.values()):
         raise ValueError("group law needs real polynomial coefficients")
-    den = lcm(*(c.re.denominator for p in vec for c in p.terms.values()))
-    comps = []
-    for p in vec:
-        comp = {}
-        for e, c in p.terms.items():
-            comp[sum(x << (width * i) for i, x in enumerate(e))] = c.re.numerator * (den // c.re.denominator)
-        comps.append(comp)
+    nums, den = _integers(
+        ((k, sum(x << (width * i) for i, x in enumerate(e))), c) for k, p in enumerate(vec) for e, c in p.terms.items()
+    )
+    comps = [{} for _ in vec]
+    for (k, mono), x in nums.items():
+        comps[k][mono] = x
     return comps, den
 
 
@@ -208,7 +189,7 @@ def _unpack(mono: int, nvars: int, width: int) -> tuple:
 
 
 def _poly(comp: dict, den: int, nvars: int, width: int) -> Poly:
-    return Poly(nvars, {_unpack(e, nvars, width): QI(Fraction(x, den)) for e, x in comp.items()})
+    return Poly(nvars, {_unpack(e, nvars, width): _qi(x, 0, den) for e, x in comp.items()})
 
 
 def left_invariant_frame(m: GradedLieAlgebra):

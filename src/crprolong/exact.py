@@ -13,6 +13,15 @@ for a fixed column order is unique, so every basis, reducer and solution
 depends only on the input and the column order, never on row order or on
 how the elimination is scheduled; every downstream basis choice in the
 package inherits its reproducibility from this.
+
+This module also owns the fraction-free form that ``prolong``, ``bch``,
+``frames`` and ``liealg`` compute on: a vector of exact entries held as
+integer numerators over one positive denominator.  ``_integers`` (real
+entries, complex ones refused) and ``_gaussian_integers`` (Gaussian
+entries as ``(re, im)`` pairs) are the ways in, ``_sum_forms`` is the
+one scaled sum (the gcd taken once, on the finished sum), and
+``_qi(re, im, den)`` is the one way back to a ``QI``.  No other module
+takes a gcd or an lcm.
 """
 
 from __future__ import annotations
@@ -307,7 +316,7 @@ def _rref(rows, col_order):
     ``_gaussian_rref``.
     """
     return [
-        (c, {j: QI._raw(Fraction(a, den) if a else _F0, Fraction(b, den) if b else _F0) for j, (a, b) in row.items()})
+        (c, {j: _qi(a, b, den) for j, (a, b) in row.items()})
         for c, row, den in _gaussian_rref([_gaussian_integers(row.items())[0] for row in rows], col_order)
     ]
 
@@ -355,6 +364,48 @@ def _gaussian_integers(entries):
         key: (x.re._numerator * (den // x.re._denominator), x.im._numerator * (den // x.im._denominator))
         for key, x in entries
     }, den
+
+
+def _integers(entries):
+    """Real ``QI`` entries ``(key, x)`` as ``({key: int}, den)``, numerators over the lcm of the denominators.
+
+    Zeros are dropped; a complex entry is refused with ``ValueError``.
+    """
+    fracs = {}
+    for key, x in entries:
+        # the Fraction slots directly: Fraction.__bool__ and .numerator are Python-level calls
+        if x.im._numerator:
+            raise ValueError(f"expected real coefficients, got {x}")
+        if x.re._numerator:
+            fracs[key] = x.re
+    den = lcm(*(f._denominator for f in fracs.values()))
+    return {key: f._numerator * (den // f._denominator) for key, f in fracs.items()}, den
+
+
+def _sum_forms(terms):
+    """Sum of num/den · form at coordinate t over ``terms`` = [(t, num, den, form)], forms {key: int}.
+
+    Returns ``({t: form}, den)``: integer numerators over one common
+    denominator, zeros dropped, in lowest terms (the gcd is taken once, on
+    the finished sum).
+    """
+    den = lcm(*(d for _, _, d, _ in terms))
+    out = {}
+    for t, num, d, form in terms:
+        f = num * (den // d)
+        acc = out.setdefault(t, {})
+        for v, x in form.items():
+            acc[v] = acc.get(v, 0) + f * x
+    out = {t: form for t, acc in out.items() if (form := {v: x for v, x in acc.items() if x})}
+    g = gcd(den, *(x for form in out.values() for x in form.values()))
+    if g == 1:
+        return out, den
+    return {t: {v: x // g for v, x in form.items()} for t, form in out.items()}, den // g
+
+
+def _qi(re: int, im: int, den: int) -> QI:
+    """(re + i·im)/den as a ``QI``: the one way back from numerators."""
+    return QI._raw(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
 
 
 def _gaussian_apply(cols, w):

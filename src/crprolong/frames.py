@@ -25,11 +25,9 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 
 from .bch import _mul_into, left_invariant_frame
-from .exact import Echelon, Matrix, QI, QI_ZERO, _axpy, as_qi, kernel_basis
+from .exact import Echelon, Matrix, QI, QI_ZERO, _axpy, _gaussian_integers, _qi, as_qi, kernel_basis
 from .freelie import cumulative_dim, hall_basis, hall_rewrite, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
 from .poly import Poly, PolyVectorField, rigid_chart
@@ -255,17 +253,17 @@ def _word_values(L, Lb, max_length):
 
 def _packed_field(X: PolyVectorField, shifts):
     """X's components as packed numerators over one common denominator."""
-    den = lcm(*(d for p in X.comps for c in p.terms.values() for d in (c.re.denominator, c.im.denominator)))
-    comps = []
-    for p in X.comps:
-        comp = {}
-        for e, c in p.terms.items():
-            mono = sum(x << shifts[j] for j, x in enumerate(e) if x)
-            if c.re:
-                comp[mono] = c.re.numerator * (den // c.re.denominator)
-            if c.im:
-                comp[mono | 1] = c.im.numerator * (den // c.im.denominator)
-        comps.append(comp)
+    nums, den = _gaussian_integers(
+        ((i, sum(x << shifts[j] for j, x in enumerate(e) if x)), c)
+        for i, p in enumerate(X.comps)
+        for e, c in p.terms.items()
+    )
+    comps = [{} for _ in X.comps]
+    for (i, mono), (re, im) in nums.items():
+        if re:
+            comps[i][mono] = re
+        if im:
+            comps[i][mono | 1] = im
     return comps, den
 
 
@@ -320,10 +318,6 @@ def _top_value(U, V, shifts):
                 im += sign * (p * t + q * r)
         out.append(_qi(re, im, den))
     return out
-
-
-def _qi(re: int, im: int, den: int) -> QI:
-    return QI(Fraction(re, den), Fraction(im, den)) if re or im else QI_ZERO
 
 
 def growth_and_nondegeneracy(model: ModelSpec):

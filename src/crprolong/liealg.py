@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import QI, QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, kernel_basis, qi_from_json
-from .exact import _combine, _gaussian_apply, _gaussian_integers, _gaussian_inverse, _real_fixed_points, _sparse_rows
+from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, kernel_basis, qi_from_json
+from .exact import _combine, _gaussian_apply, _gaussian_integers, _gaussian_inverse, _qi, _real_fixed_points, _sparse_rows
 from .freelie import (
     conjugate_tree,
     cumulative_dim,
@@ -465,27 +465,21 @@ def conjugation_adapted_top_basis(rho: int):
     the rational vector itself is fixed, -1 means i times it is fixed.
     Ordered by (leading Hall word, +1 before -1); leading coefficients
     positive.  This ordering is what "drop trailing" refers to.
+
+    The swap S is real, so z = x + iy is fixed by z -> S·conj(z) iff
+    Sx = x and Sy = -y: one ``_real_fixed_points`` solve gives the
+    reduced kernel bases of S - I (tag +1) and S + I (tag -1), each
+    vector signed positive at its leading coefficient and checked by
+    substitution in integers.
     """
     s = _top_conjugation_matrix(rho)
-
-    def shifted(c):
-        """s + c·I."""
-        cols = [s.sparse_column(b) for b in range(s.cols)]
-        for b, col in enumerate(cols):
-            col[b] = col.get(b, QI_ZERO) + c
-        return Matrix.sparse(s.rows, cols)
-
-    plus = kernel_basis(shifted(-QI_ONE))
-    minus = kernel_basis(shifted(QI_ONE))
-    tagged = [(v, 1) for v in plus] + [(v, -1) for v in minus]
-    normed = []
-    for v, tag in tagged:
-        lead = next(i for i, x in enumerate(v) if x)
-        if v[lead].re < 0:
-            v = [-x for x in v]
-        normed.append((lead, -tag, tuple(v)))
-    normed.sort(key=lambda t: (t[0], t[1]))
-    return [(list(v), -negtag) for _, negtag, v in normed]
+    tagged = []
+    for vec, den in _real_fixed_points(_sparse_rows(s)):
+        # the system splits, so each vector lies in the x half (part 0) or the y half (part 1)
+        part = 0 if any(x for x, _ in vec.values()) else 1
+        tagged.append((min(vec), part, [_qi(vec.get(p, (0, 0))[part], 0, den) for p in range(s.cols)]))
+    tagged.sort(key=lambda t: t[:2])
+    return [(v, 1 - 2 * part) for _, part, v in tagged]
 
 
 def default_quotient_rows(k: int):
@@ -697,14 +691,9 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
         j_real = Matrix.sparse(len(ones_r), jr_cols)
     real = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=j_real, scalar_tag="Q")
     n = algebra.dim
-    emb = Matrix.sparse(n, [{a: _gaussian(z, dens[c]) for a, z in col.items()} for c, col in enumerate(columns)])
-    emb_inv = Matrix.sparse(n, [{c: _gaussian(z, inv_dens[c]) for c, z in inv_cols.get(s, ())} for s in range(n)])
+    emb = Matrix.sparse(n, [{a: _qi(*z, dens[c]) for a, z in col.items()} for c, col in enumerate(columns)])
+    emb_inv = Matrix.sparse(n, [{c: _qi(*z, inv_dens[c]) for c, z in inv_cols.get(s, ())} for s in range(n)])
     return RealForm(real, emb, emb_inv)
-
-
-def _gaussian(z, den: int) -> QI:
-    """(re + i·im)/den for ``z`` = (re, im)."""
-    return QI._raw(Fraction(z[0], den), Fraction(z[1], den))
 
 
 def realify(algebra: GradedLieAlgebra) -> GradedLieAlgebra:

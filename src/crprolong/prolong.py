@@ -25,11 +25,9 @@ it as the reference check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
 
-from .exact import QI, QI_ZERO, Matrix, _axpy, _dot, _integer_kernel
+from .exact import QI_ZERO, Matrix, _axpy, _dot, _integer_kernel, _integers, _primitive, _qi, _sum_forms
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -104,52 +102,11 @@ def _local_index(m: GradedLieAlgebra):
     return loc
 
 
-def _integers(entries):
-    """Real ``QI`` entries ``(key, c)`` as ``({key: int numerator}, denominator)``, zeros dropped.
-
-    The solve runs on integers, so a complex structure constant,
-    lower-component entry or J entry is refused with ``ValueError``.
-    """
-    fracs = {}
-    for key, c in entries:
-        # the Fraction slots directly: Fraction.__bool__ and .numerator are Python-level calls
-        if c.im._numerator:
-            raise ValueError(f"the prolongation solve needs real coefficients, got {c}")
-        if c.re._numerator:
-            fracs[key] = c.re
-    den = lcm(*(f._denominator for f in fracs.values()))
-    return {key: f._numerator * (den // f._denominator) for key, f in fracs.items()}, den
-
-
-def _sum_forms(terms):
-    """Sum of num/den · form at coordinate t over ``terms`` = [(t, num, den, form)], forms {unknown: int}.
-
-    Returns ``({t: form}, den)``: integer numerators over one common
-    denominator, zeros dropped, in lowest terms (the gcd is taken once, on
-    the finished sum).
-    """
-    den = lcm(*(d for _, _, d, _ in terms))
-    out = {}
-    for t, num, d, form in terms:
-        f = num * (den // d)
-        acc = out.setdefault(t, {})
-        for v, x in form.items():
-            acc[v] = acc.get(v, 0) + f * x
-    out = {t: form for t, acc in out.items() if (form := {v: x for v, x in acc.items() if x})}
-    g = gcd(den, *(x for form in out.values() for x in form.values()))
-    if g == 1:
-        return out, den
-    return {t: {v: x // g for v, x in form.items()} for t, form in out.items()}, den // g
-
-
 def _distinct_rows(forms):
     """Each nonzero integer form made primitive (gcd 1, first entry positive), one per class up to scale."""
     seen = {}
     for form in forms:
-        g = gcd(*form.values())
-        if form[min(form)] < 0:
-            g = -g
-        seen.setdefault(tuple(sorted((v, x // g) for v, x in form.items())), None)
+        seen.setdefault(tuple(sorted(_primitive(form, min(form)).items())), None)
     return [dict(row) for row in seen]
 
 
@@ -169,7 +126,8 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     deduplicated up to scale and solved by ``integer_rref``; every kernel
     vector is checked by substitution, in integers, against every
     distinct row, and each output coefficient becomes a ``QI`` once.
-    Complex coefficients are refused with ``ValueError``.  The unknowns
+    A complex structure constant, or a complex J entry under
+    ``j_constraint``, is refused up front with ``ValueError``.  The unknowns
     keep the order of the trailing g_-1 block of a solve for all blocks
     m_a -> V_(a+l).  No derivation has a zero g_-1 block, so every pivot
     of that solve's reduced kernel basis (the last nonzero entry of each
@@ -181,6 +139,12 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         raise NotFundamental("prolongation needs a fundamental algebra")
     if j_constraint and m.J is None:
         raise MissingJ("J-constrained prolongation needs a complex structure")
+    coeffs = [c for terms in m.table.values() for c in terms.values()]
+    if j_constraint:
+        coeffs += [x for q in range(m.J.cols) for x in m.J.sparse_column(q).values()]
+    for c in coeffs:
+        if c.im._numerator:
+            raise ValueError(f"the prolongation solve needs real coefficients, got {c}")
     blocks = {d: m.indices_of_degree(d) for d in sorted(set(m.degrees))}
     dims = {d: len(idx) for d, idx in blocks.items()} | {d: c.dim for d, c in enumerate(components[:l])}
     loc = _local_index(m)
@@ -252,7 +216,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
                     if n:
                         q = qis.get((n, d))
                         if q is None:
-                            q = qis[n, d] = QI(Fraction(n, d))
+                            q = qis[n, d] = _qi(n, 0, d)
                         col[t] = q
                 cols.append(col)
             out[a] = Matrix.sparse(dims.get(a + l, 0), cols)

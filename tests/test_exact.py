@@ -1,13 +1,16 @@
+import ast
 import json
 import math
 import random
 from fractions import Fraction
 from operator import setitem
+from pathlib import Path
 
 import pytest
 from oracles import C_ONE, C_ZERO, c_add, c_mul, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
 
-from crprolong.exact import QI, Echelon, Matrix, _rref, integer_rref, kernel_basis, qi_from_json, rank
+from crprolong import exact
+from crprolong.exact import QI, Echelon, Matrix, _integers, _qi, _rref, _sum_forms, integer_rref, kernel_basis, qi_from_json, rank
 from crprolong.liealg import _matrix_from_json, _matrix_to_json
 
 I = QI(0, 1)
@@ -286,6 +289,90 @@ def test_rref_matches_dense_oracle(order):
             assert _in_span(data, [_pairs([row.get(j, QI())])[0] for j in range(cols)])
         deficient += len(got) < min(len(data), len(col_order))
     assert deficient
+
+
+# -- the fraction-free form: numerators over one denominator ----------------
+
+
+def _random_terms(rng):
+    """Seeded terms (t, num, den, form) whose sums cancel at some coordinates and share factors at others."""
+    terms = []
+    for _ in range(rng.randint(0, 8)):
+        form = {v: x for v in range(4) if (x := rng.randint(-6, 6))}
+        terms.append((rng.randrange(3), rng.randint(-5, 5), rng.randint(1, 12), form))
+    if terms:
+        t, num, den, form = rng.choice(terms)
+        terms.append((t, -num, den, form))
+    return terms
+
+
+def test_sum_forms_matches_fraction_oracle():
+    rng = random.Random(4701)
+    reduced = 0
+    for _ in range(200):
+        terms = _random_terms(rng)
+        oracle = {}
+        for t, num, den, form in terms:
+            for v, x in form.items():
+                oracle[t, v] = oracle.get((t, v), Fraction(0)) + Fraction(num, den) * x
+        out, den = _sum_forms(terms)
+        assert den > 0
+        assert all(form and 0 not in form.values() for form in out.values())
+        assert {(t, v): Fraction(x, den) for t, form in out.items() for v, x in form.items()} == {
+            tv: x for tv, x in oracle.items() if x
+        }
+        assert math.gcd(den, *(x for form in out.values() for x in form.values())) == 1
+        reduced += den < math.lcm(*(d for _, _, d, _ in terms))
+    assert reduced
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        ([], ({}, 1)),
+        ([("a", 1, 2, {0: 3}), ("a", 1, 2, {0: 3})], ({"a": {0: 3}}, 1)),
+        ([("a", 2, 6, {0: 3, 1: 6}), ("b", 1, 3, {1: 0})], ({"a": {0: 1, 1: 2}}, 1)),
+        ([("a", 1, 4, {0: 2}), ("a", -1, 2, {0: 1})], ({}, 1)),
+        ([("a", 2, 9, {0: 3}), ("b", 1, 3, {1: 2})], ({"a": {0: 2}, "b": {1: 2}}, 3)),
+        ([("a", 1, 9, {0: 2}), ("b", 1, 3, {1: 1})], ({"a": {0: 2}, "b": {1: 3}}, 9)),
+    ],
+    ids=["empty", "shared-gcd", "zero-form", "cancelled", "partial-gcd", "lowest-terms"],
+)
+def test_sum_forms_cases(terms, expected):
+    assert _sum_forms(terms) == expected
+
+
+def test_integers_scales_real_entries_over_one_denominator():
+    entries = [("a", QI(Fraction(1, 2))), ("b", QI(0)), ("c", QI(Fraction(-2, 3))), ("d", QI(4))]
+    assert _integers(entries) == ({"a": 3, "c": -4, "d": 24}, 6)
+    assert _integers([]) == ({}, 1)
+
+
+def test_integers_refuses_a_complex_entry():
+    with pytest.raises(ValueError, match=r"^expected real coefficients, got 1/2\+i$"):
+        _integers([("a", QI(1)), ("b", QI(Fraction(1, 2), 1))])
+
+
+def test_qi_is_the_gaussian_rational_of_its_numerators():
+    rng = random.Random(4801)
+    for _ in range(200):
+        re, im, den = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 12)
+        assert _qi(re, im, den) == QI(Fraction(re, den), Fraction(im, den))
+
+
+def test_only_exact_takes_gcd_or_lcm():
+    """The fraction-free form lives in ``exact``: no other module imports ``gcd`` or ``lcm`` from ``math``."""
+    package = Path(exact.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                offenders += [(path.name, a.name) for a in node.names if a.name in ("gcd", "lcm", "*")]
+            elif isinstance(node, ast.Import):
+                offenders += [(path.name, a.name) for a in node.names if a.name == "math"]
+    assert offenders == []
 
 
 # -- Matrix against dense rows of pairs --------------------------------------

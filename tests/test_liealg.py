@@ -3,7 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import dense_bracket, dense_real_form, dense_structure_constants, jacobi_violations, replaced_bracket
+from oracles import (
+    C_ZERO,
+    c_sub,
+    dense_bracket,
+    dense_kernel,
+    dense_real_form,
+    dense_structure_constants,
+    jacobi_violations,
+    replaced_bracket,
+)
 
 from crprolong import exact, liealg
 from crprolong.exact import QI, Echelon, Matrix
@@ -26,7 +35,7 @@ from crprolong.liealg import (
     real_form,
     realify,
 )
-from crprolong.freelie import cumulative_dim, min_length_for_codim, witt_dim
+from crprolong.freelie import conjugate_tree, cumulative_dim, hall_basis, min_length_for_codim, tree_normal_form, witt_dim
 from crprolong.prolong import LEVI_TANAKA, full_prolongation
 
 I = QI(0, 1)
@@ -380,6 +389,50 @@ def test_realify_round_trip_is_isomorphism():
                 for t, c in R.bracket_basis(i, j).items():
                     rhs = [x + c * y for x, y in zip(rhs, cols[t])]
                 assert lhs == {t: x for t, x in enumerate(rhs) if x}
+
+
+# -- conjugation_adapted_top_basis against the dense oracle in tests/oracles.py --
+
+
+def _dense_top_conjugation(rho):
+    """The generator swap S on the top Hall layer, as dense rows of (re, im) pairs."""
+    top = [w for w in hall_basis(rho).words if w.length == rho]
+    pos = {w.word: p for p, w in enumerate(top)}
+    rows = [[C_ZERO] * len(top) for _ in top]
+    for b, w in enumerate(top):
+        for word, c in tree_normal_form(conjugate_tree(w.tree)).items():
+            rows[pos[word]][b] = (Fraction(c), Fraction(0))
+    return rows
+
+
+def _oracle_adapted_basis(rho):
+    """Kernels of S - I (tag +1) and S + I (tag -1), signed and ordered as documented."""
+    s = _dense_top_conjugation(rho)
+    tagged = []
+    for tag in (1, -1):
+        diagonal = (Fraction(tag), Fraction(0))
+        shifted = [[c_sub(x, diagonal) if a == b else x for b, x in enumerate(row)] for a, row in enumerate(s)]
+        for v in dense_kernel(shifted, len(s)):
+            lead = next(p for p, x in enumerate(v) if x != C_ZERO)
+            sign = 1 if v[lead][0] > 0 else -1
+            tagged.append((lead, -tag, [QI(sign * x[0], sign * x[1]) for x in v], tag))
+    tagged.sort(key=lambda t: t[:2])
+    return [(v, tag) for _, _, v, tag in tagged]
+
+
+@pytest.mark.parametrize("rho", [*range(2, 9), *(pytest.param(rho, marks=pytest.mark.slow) for rho in (9, 10))])
+def test_conjugation_adapted_top_basis_matches_dense_oracle(rho):
+    """Same vectors, tags, signs and order as the reduced kernels of S - I and S + I, and S·v = tag·v."""
+    adapted = conjugation_adapted_top_basis(rho)
+    assert adapted == _oracle_adapted_basis(rho)
+    assert len(adapted) == witt_dim(rho)
+    s = [(a, b, QI(*x)) for a, row in enumerate(_dense_top_conjugation(rho)) for b, x in enumerate(row) if x != C_ZERO]
+    for v, tag in adapted:
+        assert all(not x.im for x in v)
+        image = [QI(0)] * len(v)
+        for a, b, c in s:
+            image[a] += c * v[b]
+        assert image == [tag * x for x in v]
 
 
 # -- real_form against the dense oracle in tests/oracles.py, and its negative controls --

@@ -419,6 +419,14 @@ def test_grade0_refuses_complex_structure_constant():
         grade0(bad, j_constraint=False)
 
 
+def test_grade0_refuses_complex_j():
+    """The complex symbol algebra has real structure constants and J = diag(i, -i)."""
+    m = build_symbol_algebra(3).algebra
+    assert not any(c.im for terms in m.table.values() for c in terms.values())
+    with pytest.raises(ValueError, match="^the prolongation solve needs real coefficients, got i$"):
+        grade0(m, j_constraint=True)
+
+
 def test_corrupted_pivot_row_fails_the_substitution_check(monkeypatch):
     """Heisenberg grade 0 with J: 4 unknowns (the 2x2 g_-1 block), rank 2."""
 
