@@ -13,11 +13,12 @@ a failed verification.  The verification builds the map that is
 the identity on g_-, sends d to the Euler derivation and r to the Leibniz
 extension of -J, and checks bijectivity plus bracket preservation on every
 basis pair.  The symbol is fundamental, so an element of the J-commuting
-G^0 is fixed by its degree -1 block.  Both grade-0 images are read off the
-computed G^0 by a lookup on those blocks alone (``_g0_element``):
-d by the block -I, whose element must equal the Euler derivation on every
-block, and r by the block -J, whose element exists exactly when the
-rotation is a derivation of this quotient.
+G^0 is fixed by its degree -1 block.  Both grade-0 images are found in the
+computed G^0 from those blocks alone (``prolong._coordinates``): d by the
+block -I, and r by the block -J, whose element exists exactly when the
+rotation is a derivation of this quotient.  The action of the -I element
+is read from the assembled bracket table of the prolongation and must
+equal the Euler derivation on every basis vector of g_-.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import Matrix, QI, QI_ONE, _axpy, as_qi, rank
+from .exact import Matrix, QI, QI_ONE, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     RealForm,
@@ -37,7 +38,7 @@ from .liealg import (
     is_nondegenerate_symbol,
     real_form,
 )
-from .freelie import hall_basis
+from .freelie import HallWord, hall_basis
 from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, is_transitive
 
 __all__ = [
@@ -79,29 +80,8 @@ def euler_derivation(realified: GradedLieAlgebra) -> Matrix:
     return Matrix.sparse(realified.dim, [{i: d} for i, d in enumerate(realified.degrees)])
 
 
-def _g0_element(component, m: GradedLieAlgebra, block: Matrix):
-    """The element of a grade-0 component whose degree -1 block is ``block``.
-
-    Returns its coordinates (``prolong._coordinates``) and its full
-    matrix, or None when ``block`` is not in the component.
-    """
-    coords = _coordinates(component, block)
-    if coords is None:
-        return None
-    cols = [{} for _ in range(m.dim)]
-    for c, dm in zip(coords, component.maps):
-        if not c:
-            continue
-        for a, sub in dm.blocks.items():
-            idx = m.indices_of_degree(a)
-            for s, sglob in enumerate(idx):
-                _axpy(cols[sglob], -c, {idx[t]: x for t, x in sub.sparse_column(s).items()})
-    return coords, Matrix.sparse(m.dim, cols)
-
-
-def _rotation_eigenvalue(word) -> QI:
-    n = sum(1 for a in word if a == 1)
-    nt = len(word) - n
+def _rotation_eigenvalue(word: HallWord) -> QI:
+    n, nt = word.bidegree
     return QI(0, -(n - nt))
 
 
@@ -137,7 +117,7 @@ def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
         return True
     top_words = [w for w in hall_basis(symbol.length).words if w.length == symbol.length]
     for row in symbol.quotient.rows:
-        image = [as_qi(c) * _rotation_eigenvalue(top_words[t].word) for t, c in enumerate(row)]
+        image = [as_qi(c) * _rotation_eigenvalue(top_words[t]) for t, c in enumerate(row)]
         if not reducer.contains(image):
             return False
     return True
@@ -145,7 +125,7 @@ def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
 
 def rotation_complex_matrix(symbol: SymbolAlgebra) -> Matrix:
     """Bidegree diagonal -i(n - nt) on the complex quotient basis."""
-    return Matrix.sparse(symbol.dim, [{i: _rotation_eigenvalue(w.word)} for i, w in enumerate(symbol.words)])
+    return Matrix.sparse(symbol.dim, [{i: _rotation_eigenvalue(w)} for i, w in enumerate(symbol.words)])
 
 
 def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
@@ -274,9 +254,9 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     Both sides are computed independently, and the case (whether G^0 has
     the rotation) is the aut side's, decided from the quotient alone by
     :func:`build_aut_cr`.  The connecting map is the identity on g_-,
-    d -> the element of the computed G^0 whose degree -1 block is -I (it
-    must equal the Euler derivation), r -> the element whose degree -1
-    block is -J.
+    d -> the element of the computed G^0 whose degree -1 block is -I (its
+    action on g_-, read from the assembled table, must equal the Euler
+    derivation), r -> the element whose degree -1 block is -J.
     Raises :class:`VerificationFailed` (with the offending basis pair
     where there is one) if the dimensions, bijectivity or any bracket
     comparison fails; a case on which the two sides disagree fails one
@@ -289,7 +269,7 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     rf = real_form(symbol.algebra)
     prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
     g0 = prolonged.components[0]
-    rot = _g0_element(g0, rf.algebra, -rf.algebra.J)
+    rot = _coordinates(g0, -rf.algebra.J)
     aut = build_aut_cr(symbol, rf)
     model_id = f"k{symbol.codim}:{symbol.quotient.kind}"
     notes = []
@@ -310,12 +290,15 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         )
     n = rf.algebra.dim
     total = prolonged.dim
-    euler = _g0_element(g0, rf.algebra, -Matrix.identity(2))
-    if euler is None or euler[1] != euler_derivation(rf.algebra):
+    euler = _coordinates(g0, -Matrix.identity(2))
+    # the assembled table holds [G0_i, e_x] = (map i)(e_x)
+    d = {n + pos: c for pos, c in enumerate(euler or ())}
+    scaling = euler_derivation(rf.algebra)
+    if euler is None or any(prolonged.algebra.bracket_vec(d, {x: QI_ONE}) != scaling.sparse_column(x) for x in range(n)):
         fail("Euler derivation is not in the computed grade-0 component")
     # g_- by the identity, then the d column, then the r column when G^0 has one
     cols = [{i: QI_ONE} for i in range(n)]
-    cols += [{n + pos: c for pos, c in enumerate(found[0])} for found in (euler, rot) if found is not None]
+    cols += [{n + pos: c for pos, c in enumerate(found)} for found in (euler, rot) if found is not None]
     iso = Matrix.sparse(total, cols)
     if rank(iso) != total:
         fail("candidate isomorphism is not bijective")

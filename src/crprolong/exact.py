@@ -26,6 +26,7 @@ takes a gcd or an lcm.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -166,11 +167,16 @@ def as_qi(x) -> QI:
     return q
 
 
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+
+
 def qi_from_json(x, where: str) -> QI:
     """An entry {"re": "p/q", "im": "p/q"} of exact rational strings.
 
-    Anything else, a JSON number included, raises ValueError naming
-    ``where``, such as ``terms[0].re: must be an exact rational string``.
+    A part is ``[-+]N`` or ``[-+]N/D`` in decimal digits, as ``str(Fraction)``
+    writes it.  Anything else, a JSON number or a decimal or exponent string
+    such as ``"1e400"`` included, raises ValueError naming ``where``, such as
+    ``terms[0].re: must be an exact rational string``.
     """
     if not isinstance(x, dict):
         raise ValueError(f"{where}: must be an object with 're' and 'im'")
@@ -179,7 +185,7 @@ def qi_from_json(x, where: str) -> QI:
         if key not in x:
             raise ValueError(f"{where}: missing {key!r}")
         bad = f"{where}.{key}: must be an exact rational string, got {x[key]!r}"
-        if not isinstance(x[key], str):
+        if not isinstance(x[key], str) or not _RATIONAL.fullmatch(x[key]):
             raise ValueError(bad)
         try:
             parts.append(Fraction(x[key]))

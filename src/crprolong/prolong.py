@@ -17,9 +17,7 @@ usual induction [d, e](x) = [[d, x], e] + [d, [e, x]]; the coordinates of
 [d, e] are read off its g_-1 block at the basis pivots (``_coordinates``)
 and checked against its action on every basis vector of m, so the result
 is an honest structure-constant table that gets the same Jacobi and
-transitivity scrutiny as everything else.  ``derivation_residual``
-evaluates the Leibniz identity on a given map without solving; tests use
-it as the reference check.
+transitivity scrutiny as everything else.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "prolong_component",
     "full_prolongation",
     "is_transitive",
-    "derivation_residual",
 ]
 
 LEVI_TANAKA = "levi-tanaka"
@@ -71,9 +68,6 @@ class DerivationMap:
 
     degree: int
     blocks: dict
-
-    def apply(self, source_degree: int, local_index: int):
-        return self.blocks[source_degree].column(local_index)
 
     def flatten(self, source_degrees):
         out = []
@@ -243,61 +237,6 @@ def prolong_component(m: GradedLieAlgebra, components, l: int) -> ProlongationCo
     if len(components) < l:
         raise MissingLowerComponents(f"need components 0..{l - 1} before degree {l}")
     return _solve_component(m, components, l, j_constraint=False)
-
-
-def derivation_residual(m: GradedLieAlgebra, dmap: DerivationMap, components=()):
-    """Max-degree check data: list of nonzero Leibniz residuals (empty = derivation)."""
-    depth = -min(m.degrees)
-    l = dmap.degree
-
-    def vdim(jdeg):
-        if jdeg <= -1:
-            return len(m.indices_of_degree(jdeg))
-        if jdeg < len(components):
-            return components[jdeg].dim
-        return 0
-
-    bad = []
-    loc = _local_index(m)
-    for i in range(m.dim):
-        a = m.degrees[i]
-        for j in range(i + 1, m.dim):
-            b = m.degrees[j]
-            tdeg = a + b + l
-            if tdeg < -depth or vdim(tdeg) == 0:
-                continue
-            acc = [QI_ZERO] * vdim(tdeg)
-            if a + b >= -depth:
-                for k, gamma in m.bracket_basis(i, j).items():
-                    col = dmap.apply(a + b, loc[k])
-                    acc = [x + gamma * y for x, y in zip(acc, col)]
-            dcol = dmap.apply(a, loc[i])
-            for s, cs in enumerate(dcol):
-                if not cs:
-                    continue
-                if a + l <= -1:
-                    sglob = m.indices_of_degree(a + l)[s]
-                    w = m.bracket_basis(sglob, j)
-                    tblock = m.indices_of_degree(tdeg)
-                    acc = [x - cs * w.get(t, QI_ZERO) for x, t in zip(acc, tblock)]
-                else:
-                    coords = components[a + l].maps[s].apply(b, loc[j])
-                    acc = [x - cs * y for x, y in zip(acc, coords)]
-            dcol = dmap.apply(b, loc[j])
-            for s, cs in enumerate(dcol):
-                if not cs:
-                    continue
-                if b + l <= -1:
-                    sglob = m.indices_of_degree(b + l)[s]
-                    w = m.bracket_basis(i, sglob)
-                    tblock = m.indices_of_degree(tdeg)
-                    acc = [x - cs * w.get(t, QI_ZERO) for x, t in zip(acc, tblock)]
-                else:
-                    coords = components[b + l].maps[s].apply(a, loc[i])
-                    acc = [x + cs * y for x, y in zip(acc, coords)]
-            if any(acc):
-                bad.append((i, j, acc))
-    return bad
 
 
 @dataclass

@@ -12,8 +12,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from crprolong.cli import main as cli_main
-from crprolong.crmodels import _g0_element, build_aut_cr, euler_derivation, verify_theorem
-from crprolong.exact import Matrix
+from crprolong.crmodels import build_aut_cr, euler_derivation, verify_theorem
+from crprolong.exact import QI_ONE, Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.freelie import hall_basis, hall_rewrite, min_length_for_codim, witt_dim
 from crprolong.liealg import (
@@ -25,7 +25,7 @@ from crprolong.liealg import (
     is_pseudocomplex,
     real_form,
 )
-from crprolong.prolong import LEVI_TANAKA, full_prolongation, grade0, is_transitive
+from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation, is_transitive
 from crprolong.bch import GroupLaw, left_invariant_frame
 from crprolong.poly import vf_bracket
 from oracles import assoc_add, assoc_mul, brute_force_lyndon, expand_commutator
@@ -48,14 +48,17 @@ def sweep():
     for mid, model in sorted(builtin_catalog().items()):
         if model.codim >= 2:
             jobs.append((f"catalog:{mid}", symbol_from_frame(model)))
-    minus_identity = Matrix([[-x for x in row] for row in Matrix.identity(2).data])
     for name, symbol in jobs:
         rf = real_form(symbol.algebra)
+        n = rf.algebra.dim
         prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
-        minus_j = Matrix([[-x for x in row] for row in rf.algebra.J.data])
-        rot = _g0_element(grade0(rf.algebra, j_constraint=True), rf.algebra, minus_j)
-        euler = _g0_element(prolonged.components[0], rf.algebra, minus_identity)
-        euler_in_g0 = euler is not None and euler[1] == euler_derivation(rf.algebra)
+        g0 = prolonged.components[0]
+        rot = _coordinates(g0, -rf.algebra.J)
+        euler = _coordinates(g0, -Matrix.identity(2))
+        # the action of the -I element on g_-, read from the assembled table
+        d = {n + pos: c for pos, c in enumerate(euler or ())}
+        action = Matrix.sparse(n, [prolonged.algebra.bracket_vec(d, {x: QI_ONE}) for x in range(n)])
+        euler_in_g0 = euler is not None and action == euler_derivation(rf.algebra)
         report = verify_theorem(symbol)
         records.append(
             {

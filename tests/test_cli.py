@@ -70,6 +70,7 @@ def test_symbol_bad_quotient_exits_2(tmp_path, capsys):
         ('{"kind": "explicit", "rows": [[1]]}', "quotient.rows[0][0]: must be an object with 're' and 'im'"),
         ('{"kind": "explicit", "rows": [[{"re": "1", "im": "0"}, {"re": "1"}]]}', "quotient.rows[0][1]: missing 'im'"),
         ('{"kind": "explicit", "rows": [[{"re": "1/x", "im": "0"}]]}', "quotient.rows[0][0].re: must be an exact rational"),
+        ('{"kind": "explicit", "rows": [[{"re": "1e400", "im": "0"}]]}', "quotient.rows[0][0].re: must be an exact rational string, got '1e400'"),
         ('{"kind": "bogus", "rows": []}', "quotient.kind: must be one of"),
         ('{"kind": "default", "provenance": 5}', "quotient.provenance: must be a string, got 5"),
         ('{"kind": "default", "provenance": ["a"]}', "quotient.provenance: must be a string, got ['a']"),
@@ -80,6 +81,7 @@ def test_symbol_bad_quotient_exits_2(tmp_path, capsys):
         "entry-not-object",
         "missing-im",
         "bad-literal",
+        "exponent",
         "bad-kind",
         "provenance-number",
         "provenance-list",
@@ -296,6 +298,7 @@ def _with_phi(obj, *exps, re="1"):
         (lambda e: [_with_phi(e, [1, 1], re=0.1)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got 0.1"),
         (lambda e: [_with_phi(e, [1, 1], re=1)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got 1"),
         (lambda e: [_with_phi(e, [1, 1], re=None)], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got None"),
+        (lambda e: [_with_phi(e, [1, 1], re="1e400")], "catalog[0]: defining.phi[0]: terms[0].re: must be an exact rational string, got '1e400'"),
         (lambda e: [dict(e, rho=3)], "catalog[0]: rho: stated 3, but k = 1 has length 2"),
         (lambda e: [dict(_field_entry(), rho="2")], "catalog[0]: rho: stated '2', but k = 1 has length 2"),
         (lambda e: [dict(e, defining=dict(e["defining"], weights=[0]))], "catalog[0]: defining.weights: stated [0], but the polynomials have weights [2]"),
@@ -337,6 +340,7 @@ def _with_phi(obj, *exps, re="1"):
         "re-float",
         "re-integer",
         "re-null",
+        "re-exponent",
         "rho-rigid",
         "rho-field",
         "weights",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -9,7 +10,6 @@ from crprolong.crmodels import (
     REAL_ALPHA,
     RhoTooSmall,
     VerificationFailed,
-    _g0_element,
     bracket_mismatch_pair,
     build_aut_cr,
     check_bracket_isomorphism,
@@ -18,9 +18,9 @@ from crprolong.crmodels import (
     verify_heisenberg,
     verify_theorem,
 )
-from crprolong.exact import QI, Matrix
+from crprolong.exact import QI, QI_ONE, Matrix
 from crprolong.liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form, realify
-from crprolong.prolong import LEVI_TANAKA, full_prolongation, grade0
+from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
 
 
 def _aut(S):
@@ -28,10 +28,13 @@ def _aut(S):
 
 
 def _rotation(R):
-    """The Leibniz extension of -J read off the J-commuting G^0, or None."""
-    minus_j = Matrix([[-x for x in row] for row in R.J.data])
-    found = _g0_element(grade0(R, j_constraint=True), R, minus_j)
-    return None if found is None else found[1]
+    """The Leibniz extension of -J, read from the assembled Levi-Tanaka prolongation, or None."""
+    prolonged = full_prolongation(R, LEVI_TANAKA)
+    coords = _coordinates(prolonged.components[0], -R.J)
+    if coords is None:
+        return None
+    r = {R.dim + pos: c for pos, c in enumerate(coords)}
+    return Matrix.sparse(R.dim, [prolonged.algebra.bracket_vec(r, {x: QI_ONE}) for x in range(R.dim)])
 
 
 def test_build_aut_cr_heisenberg_complex_case():
@@ -158,6 +161,27 @@ def test_verify_theorem_k2_default():
     assert rep.verdict == "confirmed"
     assert rep.case == REAL_ALPHA
     assert rep.total_dim == (2 + 2) + 1
+
+
+def test_euler_gate_reads_the_assembled_table(monkeypatch):
+    """Negative control: doubling the degree -2 entry [e2_1, G0_1] of the assembled table trips the Euler gate.
+
+    The maps of G^0 are left as they are, so only a gate that reads the table sees it.
+    """
+    S = build_symbol_algebra(2)
+    R = real_form(S.algebra).algebra
+    x = R.indices_of_degree(-2)[0]
+    g = R.dim  # G0_1, the only grade-0 element of the real-alpha case
+
+    def doubled(m, flavor):
+        prolonged = full_prolongation(m, flavor)
+        assert prolonged.algebra.labels[g] == "G0_1"
+        terms = {k: 2 * c for k, c in prolonged.algebra.table[(x, g)].items()}
+        return dataclasses.replace(prolonged, algebra=replaced_bracket(prolonged.algebra, x, g, terms))
+
+    monkeypatch.setattr(crmodels, "full_prolongation", doubled)
+    with pytest.raises(VerificationFailed, match="^Euler derivation is not in the computed grade-0 component$"):
+        verify_theorem(S)
 
 
 def test_verify_theorem_routes_heisenberg():

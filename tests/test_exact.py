@@ -151,6 +151,13 @@ def test_fraction_string_round_trip():
     for s in ("0", "5", "-3/2", "22/7"):
         q = qi_from_json({"re": s, "im": s}, "x")
         assert (str(q.re), str(q.im)) == (s, s)
+    assert qi_from_json({"re": "+4/6", "im": "-007"}, "x") == QI(Fraction(2, 3), -7)
+
+
+@pytest.mark.parametrize("s", ["1e400", "1E3", "1.5", ".5", "1/2.0", " 1", "1 ", "1_000", "inf", "nan", "0x10", "1/-2", "\u0661", ""])
+def test_qi_from_json_refuses_other_forms(s):
+    with pytest.raises(ValueError, match=r"^x\.re: must be an exact rational string, got "):
+        qi_from_json({"re": s, "im": "0"}, "x")
 
 
 # -- the sparse kernel against the dense oracle in tests/oracles.py ----------

@@ -1,5 +1,7 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +22,12 @@ from crprolong.prolong import (
     GuardExceeded,
     MissingLowerComponents,
     NotFundamental,
-    derivation_residual,
     full_prolongation,
     grade0,
     is_transitive,
     ProlongationComponent,
     _assemble,
+    _coordinates,
     prolong_component,
 )
 from oracles import dense_inverse, full_block_component, replaced_bracket
@@ -53,10 +55,17 @@ def test_grade0_f23_dims_and_euler_membership():
     m = f23()
     comp = grade0(m, j_constraint=True)
     assert comp.dim == 2
-    # the degree-scaling map is in the span: check the Leibniz residual of
-    # each basis map and of the scaling map itself
-    for dm in comp.maps:
-        assert derivation_residual(m, dm) == []
+    # the degree-scaling map is in the span: the element whose g_-1 block
+    # is -I scales every layer by its degree
+    coords = _coordinates(comp, -Matrix.identity(2))
+    assert coords is not None
+    for a in (-1, -2, -3):
+        for s in range(len(m.indices_of_degree(a))):
+            col = {}
+            for c, dm in zip(coords, comp.maps):
+                for t, x in dm.blocks[a].sparse_column(s).items():
+                    col[t] = col.get(t, QI(0)) + c * x
+            assert {t: x for t, x in col.items() if x} == {s: QI(a)}
 
 
 def test_grade0_not_fundamental():
@@ -106,15 +115,6 @@ def test_full_prolongation_f23():
     P = full_prolongation(f23(), LEVI_TANAKA)
     assert P.dim == 7
     assert P.dims_by_degree() == {-3: 2, -2: 1, -1: 2, 0: 2}
-
-
-def test_derivation_residuals_exact_zero():
-    for k in (1, 2, 5):
-        m = realify(build_symbol_algebra(k).algebra)
-        P = full_prolongation(m, LEVI_TANAKA)
-        for comp in P.components:
-            for dm in comp.maps:
-                assert derivation_residual(m, dm, P.components) == []
 
 
 def test_abelian_full_tanaka_hits_guard():
@@ -251,6 +251,19 @@ def test_flavor_validation():
         full_prolongation(no_j, LEVI_TANAKA)
 
 
+def test_only_prolong_reads_derivation_blocks():
+    """The ``DerivationMap`` block layout stays in ``prolong``: no other module reads a ``.blocks`` attribute."""
+    package = Path(exact.__file__).parent
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "prolong.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "blocks"
+    ]
+    assert offenders == []
+
+
 # -- every component against the full-block Leibniz oracle in tests/oracles.py --
 
 
@@ -281,8 +294,15 @@ def test_grade0_matches_full_block_oracle(k, j_constraint):
 
 @pytest.mark.parametrize(
     "k, top, j_constraint",
-    [(1, 4, False), (2, 3, False), (3, 1, True)],
-    ids=["heisenberg-full-tanaka", "k2-full-tanaka", "f23-levi-tanaka"],
+    [(1, 4, False), (2, 3, False), (3, 1, True), (1, 3, True), (2, 1, True), (5, 1, True)],
+    ids=[
+        "heisenberg-full-tanaka",
+        "k2-full-tanaka",
+        "f23-levi-tanaka",
+        "heisenberg-levi-tanaka",
+        "k2-levi-tanaka",
+        "k5-levi-tanaka",
+    ],
 )
 def test_components_match_full_block_oracle(k, top, j_constraint):
     _assert_components_match_oracle(realify(build_symbol_algebra(k).algebra), top, j_constraint)
