@@ -6,7 +6,8 @@ isomorphism for a model, a codimension, or a whole sweep), ``models``
 (list the catalog with its CR fields; as JSON, a loadable catalog file).
 
 Exit codes: 0 success/confirmed, 1 verification failure, 2 usage or
-input error.
+input error.  ``symbol --k`` and ``verify --k`` refuse a k past the end of
+length ``MAX_LENGTH`` before any build.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ from .liealg import QuotientSpec, build_symbol_algebra
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+MAX_LENGTH = 12
+MAX_K = cumulative_dim(MAX_LENGTH) - 2
+
+
+def _bounded(k: int) -> int:
+    if k > MAX_K:
+        raise ValueError(f"--k {k} is past the work bound k <= {MAX_K}, the end of length {MAX_LENGTH}")
+    return k
 
 
 def _write_output(text: str, path):
@@ -69,6 +78,7 @@ def cmd_witt(args) -> int:
         lines = ["length  dim  cumulative  codims with this length"]
         for ell, wd, cum, krange in rows:
             lines.append(f"{ell:>6}  {wd:>3}  {cum:>10}  {krange}")
+        lines.append(f"symbol and verify accept k <= {MAX_K}, the end of length {MAX_LENGTH}")
         out = "\n".join(lines)
     _write_output(out, args.output)
     return 0
@@ -86,6 +96,7 @@ def _resolve_symbol(args):
         if args.quotient is not None:
             raise ValueError("--quotient applies to --k only; a --model symbol takes its quotient from the model")
         return symbol_from_frame(_catalog_model(args))
+    _bounded(args.k)
     quotient = None
     if args.quotient not in (None, "default"):
         with open(args.quotient, "r", encoding="utf-8") as fh:
@@ -131,7 +142,7 @@ def cmd_verify(args) -> int:
     elif args.model:
         reports.append(_verify_one(_catalog_model(args), args.model))
     else:
-        symbol = build_symbol_algebra(args.k)
+        symbol = build_symbol_algebra(_bounded(args.k))
         reports.append(_run_verify(symbol, f"k{args.k}:default"))
     failures = sum(1 for r in reports if r.verdict != "confirmed")
     if args.format == "json":

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exact import Matrix, QI, QI_ONE, as_qi, rank
+from .exact import Matrix, QI, QI_ONE, _gaussian_apply, _gaussian_columns, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     RealForm,
@@ -38,7 +39,7 @@ from .liealg import (
     is_nondegenerate_symbol,
     real_form,
 )
-from .freelie import HallWord, hall_basis
+from .freelie import hall_basis
 from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, is_transitive
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "verify_heisenberg",
     "bracket_mismatch_pair",
     "check_bracket_isomorphism",
-    "rotation_complex_matrix",
 ]
 
 REAL_ALPHA = "real-alpha"
@@ -78,11 +78,6 @@ class VerificationFailed(RuntimeError):
 def euler_derivation(realified: GradedLieAlgebra) -> Matrix:
     """Degree scaling v -> deg(v)·v, always a grade-preserving derivation."""
     return Matrix.sparse(realified.dim, [{i: d} for i, d in enumerate(realified.degrees)])
-
-
-def _rotation_eigenvalue(word: HallWord) -> QI:
-    n, nt = word.bidegree
-    return QI(0, -(n - nt))
 
 
 @dataclass
@@ -117,15 +112,11 @@ def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
         return True
     top_words = [w for w in hall_basis(symbol.length).words if w.length == symbol.length]
     for row in symbol.quotient.rows:
-        image = [as_qi(c) * _rotation_eigenvalue(top_words[t]) for t, c in enumerate(row)]
+        # the bidegree diagonal -i(n - nt)
+        image = [as_qi(c) * QI(0, w.bidegree[1] - w.bidegree[0]) for c, w in zip(row, top_words)]
         if not reducer.contains(image):
             return False
     return True
-
-
-def rotation_complex_matrix(symbol: SymbolAlgebra) -> Matrix:
-    """Bidegree diagonal -i(n - nt) on the complex quotient basis."""
-    return Matrix.sparse(symbol.dim, [{i: _rotation_eigenvalue(w)} for i, w in enumerate(symbol.words)])
 
 
 def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
@@ -151,13 +142,21 @@ def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
         r_index = n + 1
         labels.append("r")
         degrees.append(0)
-        r_c = rotation_complex_matrix(symbol)
-        r_real = rf.embedding_inv.mul(r_c.mul(rf.embedding))
+        # R is the bidegree diagonal -i(n - nt), so R·E_i is read off the complex
+        # coordinates of each real basis vector E_i, and F = embedding_inv takes
+        # it back to the real basis, on integer numerators
+        cols, den = _gaussian_columns(rf.embedding)
+        inverse, iden = _gaussian_columns(rf.embedding_inv)
         for i in range(n):
-            col = r_real.sparse_column(i)
-            if any(x.im for x in col.values()):
+            image = {}  # (zr + i·zi)·(-i·m) = m·zi - i·m·zr
+            for a, (zr, zi) in cols.get(i, {}).items():
+                m = symbol.words[a].bidegree[0] - symbol.words[a].bidegree[1]
+                if m:
+                    image[a] = (m * zi, -m * zr)
+            coords = _gaussian_apply(inverse, image)
+            if any(im for _, im in coords.values()):
                 raise AssertionError("rotation action is not real in the real basis")
-            entry = {k: -c for k, c in col.items()}
+            entry = {k: Fraction(-re, den * iden) for k, (re, _) in sorted(coords.items()) if re}
             if entry:
                 table[(i, r_index)] = entry
     aut = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=R.J, scalar_tag="Q")

@@ -167,16 +167,19 @@ def as_qi(x) -> QI:
     return q
 
 
-_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"[-+]?([0-9]+)(?:/([0-9]+))?")
+# Python's default bound on the digits of an int parsed from a string
+_MAX_DIGITS = 4300
 
 
 def qi_from_json(x, where: str) -> QI:
     """An entry {"re": "p/q", "im": "p/q"} of exact rational strings.
 
     A part is ``[-+]N`` or ``[-+]N/D`` in decimal digits, as ``str(Fraction)``
-    writes it.  Anything else, a JSON number or a decimal or exponent string
-    such as ``"1e400"`` included, raises ValueError naming ``where``, such as
-    ``terms[0].re: must be an exact rational string``.
+    writes it, N and D of at most ``_MAX_DIGITS`` digits.  Anything else, a
+    JSON number or a decimal or exponent string such as ``"1e400"`` included,
+    raises ValueError naming ``where``, such as ``terms[0].re: must be an
+    exact rational string``; too many digits are refused before parsing.
     """
     if not isinstance(x, dict):
         raise ValueError(f"{where}: must be an object with 're' and 'im'")
@@ -184,8 +187,11 @@ def qi_from_json(x, where: str) -> QI:
     for key in ("re", "im"):
         if key not in x:
             raise ValueError(f"{where}: missing {key!r}")
+        match = _RATIONAL.fullmatch(x[key]) if isinstance(x[key], str) else None
+        if match and any(len(g or "") > _MAX_DIGITS for g in match.groups()):
+            raise ValueError(f"{where}.{key}: more than {_MAX_DIGITS} digits in a numerator or denominator")
         bad = f"{where}.{key}: must be an exact rational string, got {x[key]!r}"
-        if not isinstance(x[key], str) or not _RATIONAL.fullmatch(x[key]):
+        if not match:
             raise ValueError(bad)
         try:
             parts.append(Fraction(x[key]))
@@ -253,9 +259,6 @@ class Matrix:
     def sparse_column(self, j: int) -> dict:
         """Column j as a new dict {row: entry} without zeros, rows increasing."""
         return dict(self._columns[j])
-
-    def conj(self) -> "Matrix":
-        return Matrix.sparse(self.rows, [{i: x.conj() for i, x in col.items()} for col in self._columns])
 
     def __neg__(self) -> "Matrix":
         return Matrix.sparse(self.rows, [{i: -x for i, x in col.items()} for col in self._columns])
@@ -372,6 +375,20 @@ def _gaussian_integers(entries):
     }, den
 
 
+def _gaussian_table(table):
+    """``{key: {k: QI}}`` as ``({key: {k: (re, im)}}, den)``, numerators over one denominator; zeros and empty keys dropped."""
+    flat, den = _gaussian_integers(((key, k), x) for key, terms in table.items() for k, x in terms.items())
+    out = {}
+    for (key, k), z in flat.items():
+        out.setdefault(key, {})[k] = z
+    return out, den
+
+
+def _gaussian_columns(m: Matrix):
+    """The columns of ``m`` as ``({j: {row: (re, im)}}, den)``, numerators over one denominator; zero columns dropped."""
+    return _gaussian_table(dict(enumerate(m._columns)))
+
+
 def _integers(entries):
     """Real ``QI`` entries ``(key, x)`` as ``({key: int}, den)``, numerators over the lcm of the denominators.
 
@@ -414,14 +431,20 @@ def _qi(re: int, im: int, den: int) -> QI:
     return QI._raw(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
 
 
+def _gaussian_axpy(acc, u, terms):
+    """acc += u·terms, in place, for Gaussian numerators ``acc`` = {t: [re, im]}, ``u`` = (re, im), ``terms`` = {t: (re, im)}."""
+    ur, ui = u
+    for t, (xr, xi) in terms.items():
+        z = acc.setdefault(t, [0, 0])
+        z[0] += ur * xr - ui * xi
+        z[1] += ur * xi + ui * xr
+
+
 def _gaussian_apply(cols, w):
-    """The sum of w[s]·cols[s] for ``w`` = {s: (re, im)} and ``cols`` = {s: [(t, (re, im))]}, as {t: [re, im]}."""
+    """The sum of w[s]·cols[s] for ``w`` = {s: (re, im)} and ``cols`` = {s: {t: (re, im)}}, as {t: [re, im]}."""
     acc = {}
-    for s, (wr, wi) in w.items():
-        for t, (fr, fi) in cols.get(s, ()):
-            z = acc.setdefault(t, [0, 0])
-            z[0] += fr * wr - fi * wi
-            z[1] += fr * wi + fi * wr
+    for s, u in w.items():
+        _gaussian_axpy(acc, u, cols.get(s, {}))
     return acc
 
 
@@ -548,7 +571,7 @@ def _gaussian_inverse(rows):
         raise ValueError("matrix is singular")
     inverse = [({s - n: z for s, z in row.items() if s >= n}, den) for _, row, den in pivots]
     scale = lcm(*(den for _, den in inverse))
-    scaled = {p: [(s, (x * (scale // d), y * (scale // d))) for s, (x, y) in g.items()] for p, (g, d) in enumerate(inverse)}
+    scaled = {p: {s: (x * (scale // d), y * (scale // d)) for s, (x, y) in g.items()} for p, (g, d) in enumerate(inverse)}
     for r, row in enumerate(rows):
         if {s: z for s, z in _gaussian_apply(scaled, row).items() if z[0] or z[1]} != {r: [scale, 0]}:
             raise AssertionError("_gaussian_inverse produced a non-inverse")

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, kernel_basis, qi_from_json
-from .exact import _combine, _gaussian_apply, _gaussian_integers, _gaussian_inverse, _qi, _real_fixed_points, _sparse_rows
+from .exact import _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_table, _qi
+from .exact import _real_fixed_points, _sparse_rows
 from .freelie import (
     conjugate_tree,
     cumulative_dim,
@@ -71,10 +72,12 @@ class GradedLieAlgebra:
     checked once, here, to be a degree-preserving involution and a bracket
     morphism, else :class:`NotSelfConjugate` is raised.  ``J`` (optional)
     is a complex structure on the degree -1 block and must square to -id.
+    ``_numerators`` = ({(i, j): {k: (re, im)}}, den) keeps the table once as
+    Gaussian integer numerators; every bracket gate runs on it.
     """
 
     # ``_expressions`` memoizes _generating_expressions as a 1-tuple, None until first use
-    __slots__ = ("labels", "degrees", "table", "conjugation", "J", "scalar_tag", "_expressions")
+    __slots__ = ("labels", "degrees", "table", "conjugation", "J", "scalar_tag", "_numerators", "_expressions")
 
     def __init__(self, labels, degrees, table, conjugation=None, J=None, scalar_tag="Qi"):
         self.labels = tuple(labels)
@@ -95,6 +98,7 @@ class GradedLieAlgebra:
             if entry:
                 clean[(i, j)] = entry
         self.table = clean
+        self._numerators = _gaussian_table(clean)
         self.conjugation = conjugation
         self.J = J
         self.scalar_tag = scalar_tag
@@ -109,13 +113,18 @@ class GradedLieAlgebra:
             s = conjugation
             if s.rows != n or s.cols != n:
                 raise NotSelfConjugate(f"conjugation must be a {n}x{n} matrix, got {s.rows}x{s.cols}")
-            if any(self.degrees[a] != self.degrees[b] for b in range(n) for a in s.sparse_column(b)):
+            cols, sden = _gaussian_columns(s)
+            if any(self.degrees[a] != self.degrees[b] for b, col in cols.items() for a in col):
                 raise NotSelfConjugate("conjugation does not preserve degrees")
-            if s.mul(s.conj()) != Matrix.identity(n):
-                raise NotSelfConjugate("conjugation is not an involution")
+            # S·conj(S) = I, column by column on the numerators over sden²
+            conj_cols = _conj(cols)
+            for j in range(n):
+                image = _gaussian_apply(cols, conj_cols.get(j, {}))
+                if {t: z for t, z in image.items() if z[0] or z[1]} != {j: [sden * sden, 0]}:
+                    raise NotSelfConjugate("conjugation is not an involution")
             # sigma[e_i, e_j] = S·conj(c_ij) must equal [S e_i, S e_j]
-            conj_table = {ij: {k: c.conj() for k, c in terms.items()} for ij, terms in clean.items()}
-            if _table_mismatch(n, conj_table, self, s) is not None:
+            nums, den = self._numerators
+            if _table_mismatch(_conj(nums), den, self, cols, sden) is not None:
                 raise NotSelfConjugate("structure constants are not conjugation-stable")
 
     @property
@@ -208,6 +217,11 @@ class GradedLieAlgebra:
         return json.dumps(self.to_json_dict(meta=meta), indent=2)
 
 
+def _conj(table):
+    """The conjugate of Gaussian numerators {key: {k: (re, im)}}."""
+    return {key: {k: (re, -im) for k, (re, im) in terms.items()} for key, terms in table.items()}
+
+
 def _matrix_to_json(m: Matrix):
     return [[{"re": str(x.re), "im": str(x.im)} for x in row] for row in m.data]
 
@@ -237,39 +251,37 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
     """``check_jacobi`` for a caller that has already run ``check_grading``.
 
     Triples whose degree sum lies below ``floor`` are skipped; with
-    ``floor`` None every triple is checked.
+    ``floor`` None every triple is checked.  The loop runs over the
+    support, on the numerators: each constant of [e_a, e_b] at e_t times
+    each nonzero [e_t, e_c] is a term of [[e_a, e_b], e_c], which enters
+    the Jacobiator of {a, b, c} with sign -1 when a < c < b.  A triple
+    reached by no term has a zero Jacobiator.  Sums are over den², and only
+    a violating triple goes back to ``QI``.
     """
-    violations = []
-    n = algebra.dim
-    table = algebra.table
+    nums, den = algebra._numerators
     degrees = algebra.degrees
-
-    def add(acc, outer, sign, x):
-        """acc += sign · [outer, e_x] for outer = {t: c} read off the table."""
-        if not outer:
-            return
-        for t, c in outer.items():
-            if t == x:
-                continue
-            inner = table.get((t, x) if t < x else (x, t))
-            if inner:
-                c = c if (t < x) == (sign > 0) else -c
-                for s, d in inner.items():
-                    acc[s] = acc.get(s, QI_ZERO) + c * d
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = table.get((i, j))
-            dij = degrees[i] + degrees[j]
-            for k in range(j + 1, n):
-                if floor is not None and dij + degrees[k] < floor:
+    rows = {}  # t: [(c, sign, terms)] with [e_t, e_c] = sign·terms
+    for (a, b), terms in nums.items():
+        rows.setdefault(a, []).append((b, 1, terms))
+        rows.setdefault(b, []).append((a, -1, terms))
+    sums = {}  # (i, j, k), i < j < k: {s: [re, im]}
+    for (a, b), outer in nums.items():
+        for t, (xr, xi) in outer.items():
+            for c, sign, inner in rows.get(t, ()):
+                if c == a or c == b:
                     continue
-                acc = {}
-                add(acc, bij, 1, k)
-                add(acc, table.get((j, k)), 1, i)
-                add(acc, table.get((i, k)), -1, j)
-                if any(acc.values()):
-                    violations.append((i, j, k, [acc.get(s, QI_ZERO) for s in range(n)]))
+                if floor is not None and degrees[a] + degrees[b] + degrees[c] < floor:
+                    continue
+                if a < c < b:
+                    key, sign = (a, c, b), -sign
+                else:
+                    key = (a, b, c) if b < c else (c, a, b)
+                _gaussian_axpy(sums.setdefault(key, {}), (sign * xr, sign * xi), inner)
+    violations = []
+    for key in sorted(sums):
+        acc = {s: _qi(re, im, den * den) for s, (re, im) in sums[key].items() if re or im}
+        if acc:
+            violations.append((*key, [acc.get(s, QI_ZERO) for s in range(algebra.dim)]))
     return violations
 
 
@@ -629,7 +641,7 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
         raise NotSelfConjugate("algebra has no conjugation involution")
     conj = _sparse_rows(algebra.conjugation)
     columns, dens = [], []  # real basis vector c: {complex index: (re, im)} over dens[c]
-    inv_cols, inv_dens = {}, []  # complex index s: [(c, F[c][s] times inv_dens[c])]
+    inv_cols, inv_dens = {}, []  # complex index s: {c: F[c][s] times inv_dens[c]}
     owners = {}  # complex index a: [(c, numerator of a in column c)]
     labels, degrees = [], []
     for d in algebra.degrees_present():
@@ -651,7 +663,7 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
         for c, (g, den) in enumerate(_gaussian_inverse(n_rows), first):
             inv_dens.append(den)
             for p, (re, im) in g.items():
-                inv_cols.setdefault(block[p], []).append((c, (dens[c] * re, dens[c] * im)))
+                inv_cols.setdefault(block[p], {})[c] = (dens[c] * re, dens[c] * im)
 
     def real_coords(w: dict, den: int, message: str) -> dict:
         """F·(w / den) for Gaussian numerators w, as {c: Fraction} without zeros."""
@@ -660,28 +672,16 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
             raise NotSelfConjugate(message)
         return {c: Fraction(re, inv_dens[c] * den) for c, (re, _) in sorted(acc.items()) if re}
 
-    consts, tden = _gaussian_integers(((ij, k), x) for ij, terms in algebra.table.items() for k, x in terms.items())
-    brackets = {}  # (i, j), i < j: numerators of [E e_i, E e_j] over dens[i]·dens[j]·tden
-    for ((a, b), k), (cr, ci) in consts.items():
-        for i, (xr, xi) in owners.get(a, ()):
-            for j, (yr, yi) in owners.get(b, ()):
-                if i != j:  # the (a, b) and (b, a) terms of [E e_i, E e_i] cancel
-                    sign = 1 if i < j else -1
-                    ur, ui = sign * (xr * yr - xi * yi), sign * (xr * yi + xi * yr)
-                    z = brackets.setdefault((min(i, j), max(i, j)), {}).setdefault(k, [0, 0])
-                    z[0] += ur * cr - ui * ci
-                    z[1] += ur * ci + ui * cr
+    consts, tden = algebra._numerators
+    brackets = _bracket_images(consts, owners)  # over dens[i]·dens[j]·tden
     message = "real form produced non-real structure constants"
     table = {(i, j): e for i, j in sorted(brackets) if (e := real_coords(brackets[i, j], dens[i] * dens[j] * tden, message))}
     j_real = None
     if algebra.J is not None:
         ones_c = algebra.indices_of_degree(-1)
         ones_r = [c for c, d in enumerate(degrees) if d == -1]
-        J = algebra.J
-        jm, jden = _gaussian_integers(((q, p), x) for q in range(J.cols) for p, x in J.sparse_column(q).items())
-        j_cols = {}  # complex index a: [(t, numerator of J[t][a])] over jden
-        for (q, p), z in jm.items():
-            j_cols.setdefault(ones_c[q], []).append((ones_c[p], z))
+        jm, jden = _gaussian_columns(algebra.J)
+        j_cols = {ones_c[q]: {ones_c[p]: z for p, z in col.items()} for q, col in jm.items()}  # over jden
         jr_cols = []
         for r in ones_r:
             coords = real_coords(_gaussian_apply(j_cols, columns[r]), dens[r] * jden, "J does not restrict to the real form")
@@ -692,7 +692,7 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     real = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=j_real, scalar_tag="Q")
     n = algebra.dim
     emb = Matrix.sparse(n, [{a: _qi(*z, dens[c]) for a, z in col.items()} for c, col in enumerate(columns)])
-    emb_inv = Matrix.sparse(n, [{c: _qi(*z, inv_dens[c]) for c, z in inv_cols.get(s, ())} for s in range(n)])
+    emb_inv = Matrix.sparse(n, [{c: _qi(*z, inv_dens[c]) for c, z in inv_cols.get(s, {}).items()} for s in range(n)])
     return RealForm(real, emb, emb_inv)
 
 
@@ -705,20 +705,41 @@ def realify(algebra: GradedLieAlgebra) -> GradedLieAlgebra:
 
 
 def first_bracket_mismatch(src: GradedLieAlgebra, dst: GradedLieAlgebra, p: Matrix):
-    """First basis pair (i, j) of ``src`` where P[a,b] != [Pa, Pb], or None.
+    """First basis pair (i, j) of ``src``, in (i, j) order, where P[a,b] != [Pa, Pb], or None."""
+    return _table_mismatch(*src._numerators, dst, *_gaussian_columns(p))
 
-    Each column of P is read once as a sparse vector; P·c_ij and the
-    bracket in ``dst`` of columns i and j are compared as sparse vectors.
+
+def _table_mismatch(nums, den, dst: GradedLieAlgebra, cols, pden):
+    """``first_bracket_mismatch`` for the numerators ``nums`` over ``den`` and the columns ``cols`` of P over ``pden``.
+
+    P·c_ij is over den·pden and [P e_i, P e_j] over pden²·dden, so they are
+    compared as integers, times pden·dden and den.  Both run over the support:
+    the constants of ``nums``, and each nonzero [e_a, e_b] of ``dst`` times
+    the entries of P in rows a and b.  A pair reached by neither is zero on
+    both sides.
     """
-    return _table_mismatch(src.dim, src.table, dst, p)
+    dnums, dden = dst._numerators
+    rows = {}  # a: [(j, P[a][j])]
+    for j, col in cols.items():
+        for a, z in col.items():
+            rows.setdefault(a, []).append((j, z))
+    diff = _bracket_images(dnums, rows, -den)  # pden·dden·(P·c_ij) - den·[P e_i, P e_j]
+    f = pden * dden
+    for ij, terms in nums.items():
+        for k, (cr, ci) in terms.items():
+            _gaussian_axpy(diff.setdefault(ij, {}), (f * cr, f * ci), cols.get(k, {}))
+    return min((ij for ij, acc in diff.items() if any(re or im for re, im in acc.values())), default=None)
 
 
-def _table_mismatch(n: int, table, dst: GradedLieAlgebra, p: Matrix):
-    """``first_bracket_mismatch`` for the structure constants ``table`` on n basis vectors."""
-    cols = [p.sparse_column(j) for j in range(p.cols)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _combine(table.get((i, j), {}), cols) != dst.bracket_vec(cols[i], cols[j]):
-                return (i, j)
-    return None
+def _bracket_images(nums, rows, scale=1):
+    """scale·[P e_i, P e_j] as {(i, j): {k: [re, im]}}, i < j, for the bracket numerators ``nums`` and the rows {a: [(i, P[a][i])]} of P."""
+    out = {}
+    for (a, b), terms in nums.items():
+        for i, (xr, xi) in rows.get(a, ()):
+            for j, (yr, yi) in rows.get(b, ()):
+                if i != j:  # the (a, b) and (b, a) terms of [P e_i, P e_i] cancel
+                    sign = scale if i < j else -scale
+                    u = (sign * (xr * yr - xi * yi), sign * (xr * yi + xi * yr))
+                    _gaussian_axpy(out.setdefault((min(i, j), max(i, j)), {}), u, terms)
+    return out
 

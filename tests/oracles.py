@@ -3,9 +3,10 @@
 These deliberately avoid the package's rewriting and series machinery:
 Lyndon words are enumerated straight from the rotation-minimality
 definition, bracket expressions are expanded as iterated commutators
-in a hand-rolled free associative algebra, Lie brackets and the
-Jacobi identity are evaluated from a dense array of structure constants,
-prolongation components are solved for every full block map at once,
+in a hand-rolled free associative algebra, Lie brackets, the Jacobi
+identity and bracket morphisms are evaluated from dense arrays of
+structure constants, prolongation components are solved for every full
+block map at once,
 real forms are built from dense fixed-point kernels, a dense inverse and
 dense transport of every bracket, the group law is summed bracket by
 bracket over the series on plain exponent-tuple polynomials, and the
@@ -209,6 +210,23 @@ def jacobi_violations(n, table):
                 if any(x != C_ZERO for x in acc):
                     out[(i, j, k)] = acc
     return out
+
+
+def bracket_mismatches(n, src_table, dst_table, P):
+    """Every basis pair i < j of the source where P[e_i, e_j] != [P e_i, P e_j], by a dense loop.
+
+    ``P`` is given by its dense rows of pairs: one row per target basis
+    vector, n columns.  Returns the pairs in (i, j) order.
+    """
+    C = dense_structure_constants(n, src_table)
+    D = dense_structure_constants(len(P), dst_table)
+    cols = [[row[j] for row in P] for j in range(n)]
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if dense_matvec(P, C[i][j]) != dense_bracket(D, cols[i], cols[j])
+    ]
 
 
 def replaced_bracket(algebra, i, j, terms):

@@ -232,13 +232,14 @@ def test_criterion_9_rewrite_oracle_equivalence():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("k", [*range(K_MAX + 1, 70), 70, 125])
+@pytest.mark.parametrize("k", [*range(K_MAX + 1, 70), 70, 125, 224, 410])
 def test_main_theorem_beyond_desk_scale(k):
     """Opt-in (``pytest -m slow``): the theorem check for k = 13..69, lengths 6, 7 and 8,
-    and spot checks at k = 70 (the first length-9 case) and k = 125.
+    and spot checks at k = 70 (the first length-9 case), k = 125, and k = 224 and
+    k = 410, the last quotients of lengths 10 and 11.
 
-    Budget: 60 s for the whole tier on 2 vCPUs (measured: about 47 s on a shared host).
-    k = 70 takes about 1.6 s and k = 125 about 6.5 s.
+    Budget: 60 s for the whole tier on 2 vCPUs (measured: about 16 s on a shared host).
+    k = 224 takes about 1.4 s and k = 410 about 5.2 s.
     """
     symbol = build_symbol_algebra(k)
     rep = verify_theorem(symbol)

@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # script, smallest key, the field naming the key in the BENCH file, timed key, BENCH file
 SCRIPTS = [
     ("bench_frames.py", "frame7", "model", "growth_s", "BENCH_frames.json"),
+    ("bench_gates.py", "verify21", "workload", "time_s", "BENCH_gates.json"),
     ("bench_group_law.py", 7, "k", "residual_s", "BENCH_group_law.json"),
     ("bench_prolong.py", "tower_contact", "workload", "solve_s", "BENCH_prolong.json"),
     ("bench_real_form.py", "real_form21", "workload", "time_s", "BENCH_real_form.json"),

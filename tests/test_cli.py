@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import crprolong
+from crprolong import cli
 from crprolong.cli import main
+from crprolong.freelie import cumulative_dim
 from crprolong.liealg import GradedLieAlgebra
 
 
@@ -27,6 +29,38 @@ def test_witt_table_rows(capsys):
     assert lines[1].split() == ["1", "2", "2", "-"]
     assert lines[2].split() == ["2", "1", "3", "k=1"]
     assert lines[4].split() == ["4", "3", "8", "k=4..6"]
+
+
+def test_witt_states_the_work_bound(capsys):
+    _, out, _ = run(capsys, "witt", "--max-length", "2")
+    assert out.strip().splitlines()[-1] == "symbol and verify accept k <= 745, the end of length 12"
+
+
+@pytest.mark.parametrize("command", ["verify", "symbol"])
+def test_k_past_the_work_bound_exits_2_before_any_build(monkeypatch, capsys, command):
+    assert cli.MAX_K == cumulative_dim(12) - 2 == 745
+    built = []
+
+    def builder(k, quotient=None):
+        built.append(k)
+        raise ValueError("stub builder")
+
+    monkeypatch.setattr(cli, "build_symbol_algebra", builder)
+    code, out, err = run(capsys, command, "--k", "746")
+    assert (code, out) == (2, "")
+    assert err == "error: --k 746 is past the work bound k <= 745, the end of length 12\n"
+    assert built == []
+    # the last quotient of length 12 is inside the bound: it reaches the (stub) builder
+    assert run(capsys, command, "--k", "745")[2] == "error: stub builder\n"
+    assert built == [745]
+
+
+def test_quotient_with_too_many_digits_exits_2(tmp_path, capsys):
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps({"kind": "explicit", "rows": [[{"re": "1" * 4301, "im": "0"}]]}))
+    code, out, err = run(capsys, "symbol", "--k", "3", "--quotient", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: quotient.rows[0][0].re: more than 4300 digits in a numerator or denominator\n"
 
 
 def test_witt_json(capsys):

@@ -14,7 +14,6 @@ from crprolong.crmodels import (
     build_aut_cr,
     check_bracket_isomorphism,
     euler_derivation,
-    rotation_complex_matrix,
     verify_heisenberg,
     verify_theorem,
 )
@@ -130,22 +129,23 @@ def test_wrong_aut_side_case_fails_verification_k3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_rotation_complex_eigenvalues(k):
-    # ad(r) acts on a bidegree-(n, nt) word by -i(n - nt)
+    # the r column of build_aut_cr, [r, e_i] = R e_i in the real basis,
+    # moved to the complex basis by the dense product E·R·E⁻¹, is the
+    # bidegree diagonal: ad(r) acts on a bidegree-(n, nt) word by -i(n - nt)
     S = build_symbol_algebra(k)
-    rc = rotation_complex_matrix(S)
-    for i, w in enumerate(S.words):
-        n, nt = w.bidegree
-        assert rc.data[i][i] == QI(0, -(n - nt))
-    # consistency with the real route, which shares no Leibniz code with
-    # the grade-0 solve: where the bidegree diagonal preserves the
-    # quotient, conjugating it by the embedding gives the extension of -J
-    # read off G^0; elsewhere that extension does not exist
     rf = real_form(S.algebra)
+    aut = build_aut_cr(S, rf)
     rot = _rotation(rf.algebra)
-    if build_aut_cr(S, rf).case == COMPLEX_ALPHA:
-        assert rot == rf.embedding_inv.mul(rc.mul(rf.embedding))
-    else:
-        assert rot is None
+    if aut.case != COMPLEX_ALPHA:
+        # the extension of -J does not exist in G^0 either
+        assert aut.r_index == -1 and rot is None
+        return
+    n = rf.algebra.dim
+    r_real = Matrix.sparse(n, [aut.algebra.bracket_basis(aut.r_index, i) for i in range(n)])
+    diagonal = [[QI(0, w.bidegree[1] - w.bidegree[0]) if a == b else 0 for b in range(n)] for a, w in enumerate(S.words)]
+    assert rf.embedding.mul(r_real.mul(rf.embedding_inv)) == Matrix(diagonal)
+    # consistency with the extension of -J read off G^0, which shares no code with the r column
+    assert rot == r_real
 
 
 def test_verify_theorem_k3():

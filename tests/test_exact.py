@@ -160,6 +160,16 @@ def test_qi_from_json_refuses_other_forms(s):
         qi_from_json({"re": s, "im": "0"}, "x")
 
 
+def test_qi_from_json_bounds_the_digits_before_parsing():
+    most = "9" * 4300
+    assert qi_from_json({"re": most, "im": f"-1/{most}"}, "x") == QI(int(most), Fraction(-1, int(most)))
+    for part in ("1" * 4301, "-" + "1" * 4301, f"1/{'0' * 4300}7"):
+        with pytest.raises(ValueError) as info:
+            qi_from_json({"re": "0", "im": part}, "terms[3]")
+        # the message names the field and the limit, not the value
+        assert str(info.value) == "terms[3].im: more than 4300 digits in a numerator or denominator"
+
+
 # -- the sparse kernel against the dense oracle in tests/oracles.py ----------
 
 FIELDS = pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "gaussian"])
@@ -415,9 +425,8 @@ def test_matrix_views_and_constructors_match_dense_rows(rows, cols):
             assert Matrix([_qis(row) for row in data]) == m
         if cols:
             assert Matrix.from_columns([_qis(row[j] for row in data) for j in range(cols)]) == m
-        assert -(-m) == m and m.conj().conj() == m
+        assert -(-m) == m
         assert [_pairs(row) for row in (-m).data] == [[(-a, -b) for a, b in row] for row in data]
-        assert [_pairs(row) for row in m.conj().data] == [[(a, -b) for a, b in row] for row in data]
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)

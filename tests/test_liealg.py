@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import (
     C_ZERO,
+    bracket_mismatches,
     c_sub,
     dense_bracket,
     dense_kernel,
@@ -15,6 +16,7 @@ from oracles import (
 )
 
 from crprolong import exact, liealg
+from crprolong.crmodels import build_aut_cr, verify_theorem
 from crprolong.exact import QI, Echelon, Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import (
@@ -83,6 +85,11 @@ def _levi_tanaka(k):
     return full_prolongation(realify(build_symbol_algebra(k).algebra), LEVI_TANAKA).algebra
 
 
+def _aut(k):
+    S = build_symbol_algebra(k)
+    return build_aut_cr(S, real_form(S.algebra)).algebra
+
+
 SL2 = ["e", "f", "h"], [1, -1, 0], {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
 
 JACOBI_CASES = {
@@ -90,6 +97,9 @@ JACOBI_CASES = {
     **{f"real-k{k}": lambda k=k: realify(build_symbol_algebra(k).algebra) for k in range(2, 9)},
     "levi-tanaka-k1": lambda: _levi_tanaka(1),
     "levi-tanaka-k5": lambda: _levi_tanaka(5),
+    # the aut_CR gate: grade 0 is {d} at k = 7 (real-alpha) and {d, r} at k = 8 (complex-alpha)
+    "aut-k7": lambda: _aut(7),
+    "aut-k8": lambda: _aut(8),
     "corrupted-sl2": lambda: replaced_bracket(GradedLieAlgebra(*SL2), 0, 2, {0: QI(-3)}),
     "corrupted-k6": lambda: replaced_bracket(build_symbol_algebra(6).algebra, 0, 2, {4: QI(1)}),
     # [e0, e1] gains an e1 term: the grading breaks, and the violating
@@ -152,6 +162,52 @@ def test_first_bracket_mismatch_finds_planted_pair():
     assert first_bracket_mismatch(replaced_bracket(A, 1, 4, {}), A, identity) == (1, 4)
     planted = replaced_bracket(rf.algebra, 1, 2, {3: QI(5)})
     assert first_bracket_mismatch(planted, A, rf.embedding) == (1, 2)
+
+
+def _dense_rows(m):
+    return [[(x.re, x.im) for x in row] for row in m.data]
+
+
+def _conjugated(algebra):
+    """A copy with conjugated structure constants: the source side of the conjugation check."""
+    return GradedLieAlgebra(algebra.labels, algebra.degrees, {ij: {k: c.conj() for k, c in t.items()} for ij, t in algebra.table.items()})
+
+
+def _flipped(m):
+    """``m`` with the sign of the last nonzero entry of its last column flipped."""
+    cols = [m.sparse_column(j) for j in range(m.cols)]
+    t = max(cols[-1])
+    cols[-1][t] = -cols[-1][t]
+    return Matrix.sparse(m.rows, cols)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_first_bracket_mismatch_matches_dense_oracle(k):
+    S = build_symbol_algebra(k)
+    A = S.algebra
+    rf = real_form(A)
+    aut = build_aut_cr(S, rf).algebra
+    prolonged = full_prolongation(rf.algebra, LEVI_TANAKA).algebra
+    iso = verify_theorem(S).iso_matrix
+    x, y = rf.algebra.indices_of_degree(-1)
+    planted = replaced_bracket(rf.algebra, x, y, {t: 2 * c for t, c in rf.algebra.table[(x, y)].items()})
+    last = max(prolonged.table)
+    cases = {
+        "conjugation": (_conjugated(A), A, A.conjugation),
+        "real-form": (rf.algebra, A, rf.embedding),
+        "theorem": (aut, prolonged, iso),
+        # negative controls: a planted pair on either side, and one flipped conjugation entry
+        "planted-src": (planted, A, rf.embedding),
+        "planted-dst": (aut, replaced_bracket(prolonged, *last, {}), iso),
+        "flipped-conjugation": (_conjugated(A), A, _flipped(A.conjugation)),
+    }
+    for name, (src, dst, p) in cases.items():
+        expected = bracket_mismatches(src.dim, _pair_table(src), _pair_table(dst), _dense_rows(p))
+        assert bool(expected) == (name not in ("conjugation", "real-form", "theorem")), name
+        assert first_bracket_mismatch(src, dst, p) == (expected[0] if expected else None), name
+    assert first_bracket_mismatch(planted, A, rf.embedding) == (x, y)
+    with pytest.raises(NotSelfConjugate):
+        GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=_flipped(A.conjugation))
 
 
 def test_acts_faithfully_when_no_bracket_reaches():
