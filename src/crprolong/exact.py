@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 __all__ = [
     "QI",
@@ -500,36 +499,41 @@ def integer_rref(rows):
     return sorted(pivots.items())
 
 
-def _dot(form, vec):
-    """form · vec for a sparse form {col: int} and a dense list ``vec``."""
-    return sum(map(mul, form.values(), map(vec.__getitem__, form)))
-
-
 def _integer_kernel(rows, width):
-    """Kernel basis of the integer rows ``{col: int}`` in ``width`` unknowns, as ``[(vec, den)]``.
+    """Kernel basis of the integer rows ``{col: int}`` in ``width`` unknowns, in column form ``(columns, dens)``.
 
-    One vector per free column f of ``integer_rref(rows)``, in increasing
-    f: the reduced kernel vector with 1 at f, times the lcm ``den`` of the
-    pivot entries it divides by, so ``vec`` is a dense int list with
-    ``den`` at f.  Each is checked by substitution, in integers, against
-    every row.
+    Vector v belongs to the v-th free column f of ``integer_rref(rows)``,
+    by increasing f: the reduced kernel vector with 1 at f, times the lcm
+    ``dens[v]`` of the pivot entries it divides by.  ``columns`` maps each
+    unknown to the nonzero integer entries ``{v: int}`` of every vector
+    there, so one ``_apply_kernel`` per row checks all vectors at once by
+    substitution, in integers.
     """
     pivots = integer_rref(rows)
     pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for f in range(width):
-        if f in pivot_cols:
-            continue
-        hit = [(c, row) for c, row in pivots if f in row]
-        den = lcm(*(row[c] for c, row in hit))
-        vec = [0] * width
-        vec[f] = den
-        for c, row in hit:
-            vec[c] = -row[f] * (den // row[c])
-        if any(_dot(row, vec) for row in rows):
-            raise AssertionError("integer kernel produced a non-kernel vector")
-        basis.append((vec, den))
-    return basis
+    index = {f: v for v, f in enumerate(f for f in range(width) if f not in pivot_cols)}
+    dens = [1] * len(index)
+    for c, row in pivots:
+        for f in row.keys() & index.keys():
+            dens[index[f]] = lcm(dens[index[f]], row[c])
+    columns = {f: {v: dens[v]} for f, v in index.items()}
+    for c, row in pivots:
+        col = {index[f]: -row[f] * (dens[index[f]] // row[c]) for f in row.keys() & index.keys()}
+        if col:
+            columns[c] = col
+    if any(x for row in rows for x in _apply_kernel(row, columns).values()):
+        raise AssertionError("integer kernel produced a non-kernel vector")
+    return columns, dens
+
+
+def _apply_kernel(form, columns):
+    """form · v for every kernel vector v of ``columns`` (``_integer_kernel``) at once, as {v: int}, zeros kept."""
+    out = {}
+    for u, c in form.items():
+        if u in columns:
+            for v, x in columns[u].items():
+                out[v] = out.get(v, 0) + c * x
+    return out
 
 
 def _real_fixed_points(s):
@@ -550,11 +554,15 @@ def _real_fixed_points(s):
             fix[q], fix[nb + q] = fix.get(q, 0) + re, im
             flip[q], flip[nb + q] = im, flip.get(nb + q, 0) - re
         rows += (fix, flip)
+    columns, dens = _integer_kernel(rows, 2 * nb)
+    vecs = [{} for _ in dens]
+    for u in sorted(columns):
+        for v, x in columns[u].items():
+            vecs[v][u] = x
     basis = []
-    for vec, den in _integer_kernel(rows, 2 * nb):
-        if next(x for x in vec if x) < 0:
-            vec = [-x for x in vec]
-        basis.append(({p: (vec[p], vec[nb + p]) for p in range(nb) if vec[p] or vec[nb + p]}, den))
+    for vec, den in zip(vecs, dens):
+        sign = 1 if next(iter(vec.values())) > 0 else -1
+        basis.append(({p: (sign * vec.get(p, 0), sign * vec.get(nb + p, 0)) for p in range(nb) if p in vec or nb + p in vec}, den))
     return basis
 
 

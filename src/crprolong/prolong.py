@@ -11,7 +11,9 @@ structure J on the degree -1 block for the grade-0 component of the
 Levi-Tanaka flavor.  The solve is fraction-free: integer linear forms
 over one denominator per image, primitive integer rows deduplicated up
 to scale, and ``exact.integer_rref``.  The reduced kernel basis is the
-one a solve for the full block maps m_a -> V_(a+l) would return.
+one a solve for the full block maps m_a -> V_(a+l) would return; it is
+built once in column form, {unknown: {vector: int}}, so one sparse
+product per coordinate form gives that coordinate of every basis map.
 Brackets between nonnegative components are assembled afterwards by the
 usual induction [d, e](x) = [[d, x], e] + [d, [e, x]]; the coordinates of
 [d, e] are read off its g_-1 block at the basis pivots (``_coordinates``)
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import QI_ZERO, Matrix, _axpy, _dot, _integer_kernel, _integers, _primitive, _qi, _sum_forms
+from .exact import QI_ZERO, Matrix, _apply_kernel, _axpy, _integer_kernel, _integers, _primitive, _qi, _sum_forms
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -117,9 +119,12 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     on a basis pair i < j is a row, so the kernel is the set of g_-1
     blocks of derivations without appeal to Jacobi; ``j_constraint``
     (grade 0) adds commutation with J.  The rows are made primitive,
-    deduplicated up to scale and solved by ``integer_rref``; every kernel
-    vector is checked by substitution, in integers, against every
-    distinct row, and each output coefficient becomes a ``QI`` once.
+    deduplicated up to scale and solved by ``integer_rref``, and
+    ``_integer_kernel`` returns the kernel in column form, checked by
+    substitution, in integers, one sparse product of each distinct row
+    with all kernel vectors.  Each coordinate form of each image is
+    applied to the kernel once (``_apply_kernel``), giving that coordinate
+    of every basis map, and each output coefficient becomes a ``QI`` once.
     A complex structure constant, or a complex J entry under
     ``j_constraint``, is refused up front with ``ValueError``.  The unknowns
     keep the order of the trailing g_-1 block of a solve for all blocks
@@ -195,27 +200,26 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
                     form[v] = form.get(v, 0) + c
             rows.append({v: c for v, c in form.items() if c})
     rows = _distinct_rows(form for form in rows if form)
+    columns, vdens = _integer_kernel(rows, width)
     qis = {}  # one QI per distinct coefficient
-    maps = []
-    for vec, vden in _integer_kernel(rows, width):
-        out = {}
-        for a, idx in blocks.items():
-            cols = []
-            for y in idx:
-                forms, den = image[y]
-                d = vden * den
-                col = {}
-                for t, form in forms.items():
-                    n = _dot(form, vec)
-                    if n:
-                        q = qis.get((n, d))
-                        if q is None:
-                            q = qis[n, d] = _qi(n, 0, d)
-                        col[t] = q
-                cols.append(col)
-            out[a] = Matrix.sparse(dims.get(a + l, 0), cols)
-        maps.append(DerivationMap(l, out))
-    return ProlongationComponent(l, tuple(maps))
+    maps = [{} for _ in vdens]
+    for a, idx in blocks.items():
+        cols = [[{} for _ in idx] for _ in vdens]
+        for p, y in enumerate(idx):
+            forms, den = image[y]
+            for t, form in forms.items():
+                # coordinate t of D(e_y) for every kernel vector v at once
+                for v, n in _apply_kernel(form, columns).items():
+                    if not n:
+                        continue
+                    d = vdens[v] * den
+                    q = qis.get((n, d))
+                    if q is None:
+                        q = qis[n, d] = _qi(n, 0, d)
+                    cols[v][p][t] = q
+        for out, vcols in zip(maps, cols):
+            out[a] = Matrix.sparse(dims.get(a + l, 0), vcols)
+    return ProlongationComponent(l, tuple(DerivationMap(l, out) for out in maps))
 
 
 def grade0(m: GradedLieAlgebra, j_constraint: bool) -> ProlongationComponent:

@@ -294,7 +294,17 @@ def test_grade0_matches_full_block_oracle(k, j_constraint):
 
 @pytest.mark.parametrize(
     "k, top, j_constraint",
-    [(1, 4, False), (2, 3, False), (3, 1, True), (1, 3, True), (2, 1, True), (5, 1, True)],
+    [
+        (1, 6, False),
+        (2, 5, False),
+        (3, 1, True),
+        (1, 3, True),
+        (2, 1, True),
+        (5, 1, True),
+        # the full-Tanaka towers of the `anchors` benchmark workload
+        pytest.param(1, 11, False, marks=pytest.mark.slow),
+        pytest.param(2, 11, False, marks=pytest.mark.slow),
+    ],
     ids=[
         "heisenberg-full-tanaka",
         "k2-full-tanaka",
@@ -302,6 +312,8 @@ def test_grade0_matches_full_block_oracle(k, j_constraint):
         "heisenberg-levi-tanaka",
         "k2-levi-tanaka",
         "k5-levi-tanaka",
+        "heisenberg-full-tanaka-11",
+        "k2-full-tanaka-11",
     ],
 )
 def test_components_match_full_block_oracle(k, top, j_constraint):
@@ -462,3 +474,30 @@ def test_corrupted_pivot_row_fails_the_substitution_check(monkeypatch):
     monkeypatch.setattr(exact, "integer_rref", corrupted)
     with pytest.raises(AssertionError, match="non-kernel vector"):
         grade0(m, j_constraint=True)
+
+
+def test_corrupted_last_kernel_vector_fails_the_substitution_check(monkeypatch):
+    """The contact full-Tanaka degree-3 component: 12 kernel vectors, and only the last one is corrupted.
+
+    Adding 1 to the first pivot row at the last free column changes the
+    kernel vector of that column alone, at a pivot unknown, so the batched
+    check must reach past the first vector to refuse it.
+    """
+    m = heis()
+    comps = [grade0(m, j_constraint=False)]
+    for l in (1, 2):
+        comps.append(prolong_component(m, comps, l))
+    assert prolong_component(m, comps, 3).dim == 12
+
+    def corrupted(rows):
+        pivots = integer_rref(rows)
+        width = 2 * comps[2].dim
+        last = max(set(range(width)) - {c for c, _ in pivots})
+        col, row = pivots[0]
+        assert col < last
+        pivots[0] = (col, {**row, last: row.get(last, 0) + 1})
+        return pivots
+
+    monkeypatch.setattr(exact, "integer_rref", corrupted)
+    with pytest.raises(AssertionError, match="non-kernel vector"):
+        prolong_component(m, comps, 3)
