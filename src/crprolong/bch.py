@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .assoc import a_add, a_mul, expand_tree, lie_coordinates
-from .exact import _integers, _qi, _sum_forms
+from .exact import _gaussian_integers, _qi, _sum_forms
 from .freelie import standard_tree
 from .liealg import GradedLieAlgebra
 from .poly import Poly, PolyVectorField, real_chart
@@ -79,15 +79,12 @@ class GroupLaw:
     def __init__(self, algebra: GradedLieAlgebra):
         if any(d >= 0 for d in algebra.degrees):
             raise NotNilpotent("group law needs strictly negative degrees")
-        if any(c.im for terms in algebra.table.values() for c in terms.values()):
+        self._table, self._den = algebra._numerators  # {(i, j): {k: (re, im)}} over self._den
+        if any(im for terms in self._table.values() for _, im in terms.values()):
             raise ValueError("group law needs real structure constants")
         self.algebra = algebra
         self.cap = -min(algebra.degrees)
         self.series = bch_series(self.cap)
-        consts, self._den = _integers(((ij, k), c) for ij, terms in algebra.table.items() for k, c in terms.items())
-        self._table = {}  # (i, j): [(k, numerator)] over self._den
-        for (ij, k), x in consts.items():
-            self._table.setdefault(ij, []).append((k, x))
 
     def _bracket(self, u, v):
         (uc, ud), (vc, vd) = u, v
@@ -96,7 +93,7 @@ class GroupLaw:
             p = {}
             _mul_into(p, uc[i], vc[j], 1)
             _mul_into(p, uc[j], vc[i], -1)
-            for k, c in terms:
+            for k, (c, _) in terms.items():
                 acc = out[k]
                 for e, x in p.items():
                     acc[e] = acc.get(e, 0) + c * x
@@ -174,11 +171,11 @@ def _packed(vec, width: int):
     """A vector of real Polys as packed numerators over one denominator."""
     if any(c.im for p in vec for c in p.terms.values()):
         raise ValueError("group law needs real polynomial coefficients")
-    nums, den = _integers(
+    nums, den = _gaussian_integers(
         ((k, sum(x << (width * i) for i, x in enumerate(e))), c) for k, p in enumerate(vec) for e, c in p.terms.items()
     )
     comps = [{} for _ in vec]
-    for (k, mono), x in nums.items():
+    for (k, mono), (x, _) in nums.items():
         comps[k][mono] = x
     return comps, den
 

@@ -16,12 +16,11 @@ package inherits its reproducibility from this.
 
 This module also owns the fraction-free form that ``prolong``, ``bch``,
 ``frames`` and ``liealg`` compute on: a vector of exact entries held as
-integer numerators over one positive denominator.  ``_integers`` (real
-entries, complex ones refused) and ``_gaussian_integers`` (Gaussian
-entries as ``(re, im)`` pairs) are the ways in, ``_sum_forms`` is the
-one scaled sum (the gcd taken once, on the finished sum), and
-``_qi(re, im, den)`` is the one way back to a ``QI``.  No other module
-takes a gcd or an lcm.
+integer numerators over one positive denominator.  ``_gaussian_integers``
+(entries as ``(re, im)`` pairs; a real caller reads ``re`` and refuses a
+nonzero ``im`` itself) is the way in, ``_sum_forms`` is the one scaled
+sum (the gcd taken once, on the finished sum), and ``_qi(re, im, den)`` is
+the one way back to a ``QI``.  No other module takes a gcd or an lcm.
 """
 
 from __future__ import annotations
@@ -386,22 +385,6 @@ def _gaussian_table(table):
 def _gaussian_columns(m: Matrix):
     """The columns of ``m`` as ``({j: {row: (re, im)}}, den)``, numerators over one denominator; zero columns dropped."""
     return _gaussian_table(dict(enumerate(m._columns)))
-
-
-def _integers(entries):
-    """Real ``QI`` entries ``(key, x)`` as ``({key: int}, den)``, numerators over the lcm of the denominators.
-
-    Zeros are dropped; a complex entry is refused with ``ValueError``.
-    """
-    fracs = {}
-    for key, x in entries:
-        # the Fraction slots directly: Fraction.__bool__ and .numerator are Python-level calls
-        if x.im._numerator:
-            raise ValueError(f"expected real coefficients, got {x}")
-        if x.re._numerator:
-            fracs[key] = x.re
-    den = lcm(*(f._denominator for f in fracs.values()))
-    return {key: f._numerator * (den // f._denominator) for key, f in fracs.items()}, den
 
 
 def _sum_forms(terms):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, _rref, as_qi, kernel_basis, qi_from_json
-from .exact import _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_table, _qi
+from .exact import QI_I, QI_ZERO, Echelon, Matrix, as_qi, kernel_basis, qi_from_json
+from .exact import _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_rref, _gaussian_table, _qi
 from .exact import _real_fixed_points, _sparse_rows
 from .freelie import (
     conjugate_tree,
@@ -305,9 +305,10 @@ def is_fundamental(algebra: GradedLieAlgebra) -> bool:
 def _generating_expressions(algebra: GradedLieAlgebra):
     """One expression e_x = sum of c·[e_g, e_y], deg g = -1, deg y = deg x + 1, per x of degree <= -2.
 
-    Returns ``{x: [(g, y, c), ...]}``, or None when some layer m_a is not
-    spanned by [g_-1, m_(a+1)], i.e. when the algebra is not fundamental.
-    One echelon per layer of the rows [e_g, e_y], each augmented by its
+    Returns ``{x: ([(g, y, (re, im)), ...], den)}``, c = (re + i·im)/den,
+    or None when some layer m_a is not spanned by [g_-1, m_(a+1)], i.e.
+    when the algebra is not fundamental.  One echelon per layer of the
+    rows [e_g, e_y], read from ``_numerators`` and each augmented by its
     own unit vector, with pivots on the layer coordinates only: pivot row
     x then reads e_x off its augmented part.  Zero brackets get no pivot.
     Computed once per algebra and kept on it.
@@ -320,6 +321,7 @@ def _generating_expressions(algebra: GradedLieAlgebra):
 
 
 def _solve_generating_expressions(algebra: GradedLieAlgebra):
+    nums, den = algebra._numerators
     ones = algebra.indices_of_degree(-1)
     out = {}
     for a in range(-2, min(algebra.degrees) - 1, -1):
@@ -327,15 +329,17 @@ def _solve_generating_expressions(algebra: GradedLieAlgebra):
         pos = {x: p for p, x in enumerate(block)}
         nb = len(block)
         pairs = [(g, y) for g in ones for y in algebra.indices_of_degree(a + 1)]
-        rows = [
-            {pos[k]: c for k, c in algebra.bracket_basis(g, y).items() if k in pos} | {nb + p: QI_ONE}
-            for p, (g, y) in enumerate(pairs)
-        ]
-        pivots = _rref(rows, range(nb))
+        rows = []
+        for p, (g, y) in enumerate(pairs):
+            # den·[e_g, e_y]; the table is keyed i < j, so a pair with g > y reads -[e_y, e_g]
+            sign = 1 if g < y else -1
+            terms = nums.get((min(g, y), max(g, y)), {})
+            rows.append({pos[k]: (sign * re, sign * im) for k, (re, im) in terms.items() if k in pos} | {nb + p: (den, 0)})
+        pivots = list(_gaussian_rref(rows, range(nb)))
         if len(pivots) != nb:
             return None
-        for c, row in pivots:
-            out[block[c]] = [(*pairs[p - nb], coef) for p, coef in row.items() if p >= nb]
+        for c, row, pden in pivots:
+            out[block[c]] = ([(*pairs[p - nb], z) for p, z in row.items() if p >= nb], pden)
     return out
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import QI_ZERO, Matrix, _apply_kernel, _axpy, _integer_kernel, _integers, _primitive, _qi, _sum_forms
+from .exact import QI_ZERO, Matrix, _apply_kernel, _axpy, _gaussian_columns, _integer_kernel, _primitive, _qi, _sum_forms
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -61,22 +61,30 @@ class GuardExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class DerivationMap:
-    """A degree-l graded map out of m, one matrix block per source degree.
+    """A degree-l graded map out of m, one block per source degree, kept in integers.
 
-    blocks[a] has vdim(a + l) rows and dim(m_a) columns; for a + l <= -1
-    the target coordinates are the m block, otherwise they are the basis
-    of the already-computed component of that degree.
+    blocks[a] = (dim V_(a+l), columns): column s, the image of basis
+    vector s of m_a, is ``({t: int}, den)``, its nonzero coordinates as
+    numerators over one positive denominator, t increasing.  V_(a+l) is
+    the m block for a + l <= -1, else the already-computed component of
+    that degree.  ``column`` is the one way to ``QI`` entries.
     """
 
     degree: int
     blocks: dict
 
+    def column(self, a: int, s: int) -> dict:
+        """The image of basis vector s of m_a as {t: QI}, zeros dropped, t increasing."""
+        nums, den = self.blocks[a][1][s]
+        return {t: _qi(n, 0, den) for t, n in nums.items()}
+
     def flatten(self, source_degrees):
         out = []
         for a in source_degrees:
-            block = self.blocks[a]
-            for col in range(block.cols):
-                out.extend(block.column(col))
+            rows, columns = self.blocks[a]
+            for s in range(len(columns)):
+                col = self.column(a, s)
+                out.extend(col.get(t, QI_ZERO) for t in range(rows))
         return out
 
 
@@ -114,70 +122,66 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     V_(l-1), is unknown t·dim(g_-1) + s.  D is extended along the
     expressions e_x = sum of c·[e_g, e_y] as D(e_x) = sum of
     c·([D e_g, e_y] + [e_g, D e_y]), each coordinate a sparse linear form
-    {unknown: int numerator}, the coordinates of one image over one
-    ``int`` denominator.  Each nonzero coordinate of the Leibniz residual
-    on a basis pair i < j is a row, so the kernel is the set of g_-1
-    blocks of derivations without appeal to Jacobi; ``j_constraint``
-    (grade 0) adds commutation with J.  The rows are made primitive,
-    deduplicated up to scale and solved by ``integer_rref``, and
-    ``_integer_kernel`` returns the kernel in column form, checked by
-    substitution, in integers, one sparse product of each distinct row
-    with all kernel vectors.  Each coordinate form of each image is
-    applied to the kernel once (``_apply_kernel``), giving that coordinate
-    of every basis map, and each output coefficient becomes a ``QI`` once.
-    A complex structure constant, or a complex J entry under
-    ``j_constraint``, is refused up front with ``ValueError``.  The unknowns
-    keep the order of the trailing g_-1 block of a solve for all blocks
-    m_a -> V_(a+l).  No derivation has a zero g_-1 block, so every pivot
-    of that solve's reduced kernel basis (the last nonzero entry of each
-    vector) lies in this block, and that basis is the extension of the
-    one found here.
+    {unknown: int numerator}, one ``int`` denominator per image.  Every
+    input is read as integers: ``m._numerators``, the Gaussian columns of
+    J, the coefficients of the expressions and the stored columns of the
+    lower components; a complex structure constant, or a complex J entry
+    under ``j_constraint``, is refused up front with ``ValueError``.  Each
+    nonzero coordinate of the Leibniz residual on a basis pair i < j is a
+    row, so the kernel is the set of g_-1 blocks of derivations without
+    appeal to Jacobi; ``j_constraint`` (grade 0) adds commutation with J.
+    The rows are made primitive, deduplicated up to scale and solved by
+    ``integer_rref``; ``_integer_kernel`` returns the kernel in column
+    form, checked by substitution in integers, and one ``_apply_kernel``
+    per coordinate form of each image gives that coordinate of every
+    basis map, stored as integer columns.  The unknowns keep the order of
+    the trailing g_-1 block of a solve for all blocks m_a -> V_(a+l).  No
+    derivation has a zero g_-1 block, so every pivot of that solve's
+    reduced kernel basis (the last nonzero entry of each vector) lies in
+    this block, and that basis is the extension of the one found here.
     """
     gens = _generating_expressions(m)
     if gens is None:
         raise NotFundamental("prolongation needs a fundamental algebra")
     if j_constraint and m.J is None:
         raise MissingJ("J-constrained prolongation needs a complex structure")
-    coeffs = [c for terms in m.table.values() for c in terms.values()]
-    if j_constraint:
-        coeffs += [x for q in range(m.J.cols) for x in m.J.sparse_column(q).values()]
-    for c in coeffs:
-        if c.im._numerator:
-            raise ValueError(f"the prolongation solve needs real coefficients, got {c}")
+    nums, mden = m._numerators
+    jcols, jden = _gaussian_columns(m.J) if j_constraint else ({}, 1)
+    for terms, den in [(terms, mden) for terms in nums.values()] + [(col, jden) for col in jcols.values()]:
+        for re, im in terms.values():
+            if im:
+                raise ValueError(f"the prolongation solve needs real coefficients, got {_qi(re, im, den)}")
     blocks = {d: m.indices_of_degree(d) for d in sorted(set(m.degrees))}
     dims = {d: len(idx) for d, idx in blocks.items()} | {d: c.dim for d, c in enumerate(components[:l])}
     loc = _local_index(m)
-    actions = {}
 
     def bracket(image, sdeg, y, sign):
         """Terms of sign·[D e, e_y] for ``image`` = ({s: form}, den), the coordinates of D e in V_sdeg."""
         forms, den = image
         terms = []
         for s, form in forms.items():
-            action = actions.get((sdeg, s, y))
-            if action is None:
-                if sdeg >= 0:
-                    entries = components[sdeg].maps[s].blocks[m.degrees[y]].sparse_column(loc[y]).items()
-                else:
-                    entries = ((loc[k], c) for k, c in m.bracket_basis(blocks[sdeg][s], y).items())
-                action = actions[(sdeg, s, y)] = _integers(entries)
-            coeffs, aden = action
-            terms.extend((t, sign * a, aden * den, form) for t, a in coeffs.items())
+            if sdeg >= 0:
+                coeffs, aden = components[sdeg].maps[s].blocks[m.degrees[y]][1][loc[y]]
+                terms.extend((t, sign * a, aden * den, form) for t, a in coeffs.items())
+            else:
+                # the table is keyed i < j: [e_x, e_y] = -[e_y, e_x]
+                x = blocks[sdeg][s]
+                f = sign if x < y else -sign
+                terms.extend((loc[k], f * a, mden * den, form) for k, (a, _) in nums.get((min(x, y), max(x, y)), {}).items())
         return terms
 
     nb = len(blocks[-1])
     width = dims.get(l - 1, 0) * nb
     image = {g: ({t: {t * nb + s: 1} for t in range(dims.get(l - 1, 0))}, 1) for s, g in enumerate(blocks[-1])}
     parts = {}
-    for x, expression in gens.items():
+    for x, (expression, cden) in gens.items():
         # parts[g, y] = -[D e_g, e_y] + [D e_y, e_g], shared within a layer; D(e_x) = -sum of c·parts[g, y]
-        coeffs, cden = _integers((n, c) for n, (_, _, c) in enumerate(expression))
         terms = []
-        for n, (g, y, _) in enumerate(expression):
+        for g, y, (c, _) in expression:
             if (g, y) not in parts:
                 parts[g, y] = _sum_forms(bracket(image[g], l - 1, y, -1) + bracket(image[y], m.degrees[y] + l, g, 1))
             forms, pden = parts[g, y]
-            terms.extend((t, -coeffs[n], cden * pden, form) for t, form in forms.items())
+            terms.extend((t, -c, cden * pden, form) for t, form in forms.items())
         image[x] = _sum_forms(terms)
 
     rows = []
@@ -185,13 +189,16 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         if not dims.get(m.degrees[i] + m.degrees[j] + l):
             continue
         # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
-        gammas, gden = _integers(m.table.get((i, j), {}).items())
-        terms = [(t, -gamma, gden * image[k][1], form) for k, gamma in gammas.items() for t, form in image[k][0].items()]
+        terms = [
+            (t, -gamma, mden * image[k][1], form)
+            for k, (gamma, _) in nums.get((i, j), {}).items()
+            for t, form in image[k][0].items()
+        ]
         terms += bracket(image[i], m.degrees[i] + l, j, 1)
         terms += bracket(image[j], m.degrees[j] + l, i, -1)
         rows.extend(_sum_forms(terms)[0].values())
     if j_constraint:
-        jm, _ = _integers(((p, q), x) for q in range(nb) for p, x in m.J.sparse_column(q).items())
+        jm = {(p, q): re for q, col in jcols.items() for p, (re, _) in col.items()}
         for p, q in product(range(nb), repeat=2):
             # (D J - J D)[p][q] on the g_-1 block, times the denominator of J
             form = {}
@@ -201,24 +208,17 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
             rows.append({v: c for v, c in form.items() if c})
     rows = _distinct_rows(form for form in rows if form)
     columns, vdens = _integer_kernel(rows, width)
-    qis = {}  # one QI per distinct coefficient
-    maps = [{} for _ in vdens]
-    for a, idx in blocks.items():
-        cols = [[{} for _ in idx] for _ in vdens]
-        for p, y in enumerate(idx):
-            forms, den = image[y]
-            for t, form in forms.items():
-                # coordinate t of D(e_y) for every kernel vector v at once
-                for v, n in _apply_kernel(form, columns).items():
-                    if not n:
-                        continue
-                    d = vdens[v] * den
-                    q = qis.get((n, d))
-                    if q is None:
-                        q = qis[n, d] = _qi(n, 0, d)
-                    cols[v][p][t] = q
-        for out, vcols in zip(maps, cols):
-            out[a] = Matrix.sparse(dims.get(a + l, 0), vcols)
+    maps = [{a: (dims.get(a + l, 0), []) for a in blocks} for _ in vdens]
+    for y in range(m.dim):  # by increasing index, so each block's columns come in local order
+        forms, den = image[y]
+        images = [{} for _ in vdens]
+        for t, form in sorted(forms.items()):
+            # coordinate t of D(e_y) for every kernel vector v at once
+            for v, n in _apply_kernel(form, columns).items():
+                if n:
+                    images[v][t] = n
+        for out, col, vden in zip(maps, images, vdens):
+            out[m.degrees[y]][1].append((col, vden * den))
     return ProlongationComponent(l, tuple(DerivationMap(l, out) for out in maps))
 
 
@@ -324,15 +324,15 @@ def _coordinates(component: ProlongationComponent, block: Matrix):
     pivots, and ``block`` is in the component iff they recombine to it.
     """
     rest = [block.sparse_column(s) for s in range(block.cols)]
+    ones = [[dm.column(-1, s) for s in range(block.cols)] for dm in component.maps]
     coords = []
-    for dm in component.maps:
-        ones = dm.blocks[-1]
-        t, s = max((t, s) for s in range(ones.cols) for t in ones.sparse_column(s))
+    for cols in ones:
+        t, s = max((t, s) for s, col in enumerate(cols) for t in col)
         coords.append(rest[s].get(t, QI_ZERO))
-    for c, dm in zip(coords, component.maps):
+    for c, cols in zip(coords, ones):
         if c:
-            for s, col in enumerate(rest):
-                _axpy(col, c, dm.blocks[-1].sparse_column(s))
+            for col, other in zip(rest, cols):
+                _axpy(col, c, other)
     return None if any(rest) else coords
 
 
@@ -379,7 +379,7 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
             g = comp_base[comp.degree] + idx
             for x in range(m.dim):
                 a = m.degrees[x]
-                entry = {slots[a + comp.degree][t]: -c for t, c in dm.blocks[a].sparse_column(loc[x]).items()}
+                entry = {slots[a + comp.degree][t]: -c for t, c in dm.column(a, loc[x]).items()}
                 if entry:
                     table[(x, g)] = entry
 

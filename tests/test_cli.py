@@ -36,6 +36,18 @@ def test_witt_states_the_work_bound(capsys):
     assert out.strip().splitlines()[-1] == "symbol and verify accept k <= 745, the end of length 12"
 
 
+def test_witt_past_the_work_bound_exits_2_before_any_computation(monkeypatch, capsys):
+    assert "witt accepts --max-length <= 200" in run(capsys, "witt", "--max-length", "1")[1].splitlines()
+
+    def refused(length):
+        raise AssertionError("witt_dim called past the bound")
+
+    monkeypatch.setattr(cli, "witt_dim", refused)
+    code, out, err = run(capsys, "witt", "--max-length", str(cli.MAX_WITT_LENGTH + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: --max-length 201 is past the work bound --max-length <= 200\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "symbol"])
 def test_k_past_the_work_bound_exits_2_before_any_build(monkeypatch, capsys, command):
     assert cli.MAX_K == cumulative_dim(12) - 2 == 745

@@ -10,7 +10,7 @@ import pytest
 from oracles import C_ONE, C_ZERO, c_add, c_mul, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
 
 from crprolong import exact
-from crprolong.exact import QI, Echelon, Matrix, _integers, _qi, _rref, _sum_forms, integer_rref, kernel_basis, qi_from_json, rank
+from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _qi, _rref, _sum_forms, integer_rref, kernel_basis, qi_from_json, rank
 from crprolong.liealg import _matrix_from_json, _matrix_to_json
 
 I = QI(0, 1)
@@ -359,15 +359,10 @@ def test_sum_forms_cases(terms, expected):
     assert _sum_forms(terms) == expected
 
 
-def test_integers_scales_real_entries_over_one_denominator():
-    entries = [("a", QI(Fraction(1, 2))), ("b", QI(0)), ("c", QI(Fraction(-2, 3))), ("d", QI(4))]
-    assert _integers(entries) == ({"a": 3, "c": -4, "d": 24}, 6)
-    assert _integers([]) == ({}, 1)
-
-
-def test_integers_refuses_a_complex_entry():
-    with pytest.raises(ValueError, match=r"^expected real coefficients, got 1/2\+i$"):
-        _integers([("a", QI(1)), ("b", QI(Fraction(1, 2), 1))])
+def test_gaussian_integers_scales_entries_over_one_denominator():
+    entries = [("a", QI(Fraction(1, 2))), ("b", QI(0)), ("c", QI(Fraction(-2, 3))), ("d", QI(4)), ("e", QI(0, Fraction(1, 4)))]
+    assert _gaussian_integers(entries) == ({"a": (6, 0), "c": (-8, 0), "d": (48, 0), "e": (0, 3)}, 12)
+    assert _gaussian_integers([]) == ({}, 1)
 
 
 def test_qi_is_the_gaussian_rational_of_its_numerators():

@@ -240,13 +240,13 @@ def test_generating_expressions_computed_once_per_algebra(monkeypatch):
     fundamental = GradedLieAlgebra(A.labels, A.degrees, A.table)
     not_fundamental = GradedLieAlgebra(["x", "y", "t", "s"], [-1, -1, -2, -2], {(0, 1): {2: 1}})
     calls = []
-    rref = liealg._rref
+    rref = liealg._gaussian_rref
 
     def counted(*args):
         calls.append(args)
         return rref(*args)
 
-    monkeypatch.setattr(liealg, "_rref", counted)
+    monkeypatch.setattr(liealg, "_gaussian_rref", counted)
     for algebra in (fundamental, not_fundamental):
         first = liealg._generating_expressions(algebra)
         made = len(calls)

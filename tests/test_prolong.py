@@ -63,7 +63,7 @@ def test_grade0_f23_dims_and_euler_membership():
         for s in range(len(m.indices_of_degree(a))):
             col = {}
             for c, dm in zip(coords, comp.maps):
-                for t, x in dm.blocks[a].sparse_column(s).items():
+                for t, x in dm.column(a, s).items():
                     col[t] = col.get(t, QI(0)) + c * x
             assert {t: x for t, x in col.items() if x} == {s: QI(a)}
 
@@ -264,11 +264,33 @@ def test_only_prolong_reads_derivation_blocks():
     assert offenders == []
 
 
+def test_solve_component_reads_only_integer_forms():
+    """``_solve_component`` reads no ``.table``, calls neither ``_integers`` nor ``Matrix.sparse`` and builds no ``Matrix``."""
+    tree = ast.parse((Path(exact.__file__).parent / "prolong.py").read_text())
+    solve = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_solve_component")
+    offenders = [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(solve)
+        if (isinstance(node, ast.Attribute) and node.attr in ("table", "_integers", "sparse"))
+        or (isinstance(node, ast.Name) and node.id in ("_integers", "Matrix"))
+    ]
+    assert offenders == []
+
+
 # -- every component against the full-block Leibniz oracle in tests/oracles.py --
 
 
 def _pairs(x):
     return (x.re, x.im)
+
+
+def _dense_blocks(dm):
+    """The blocks of ``dm`` as {a: rows of (re, im)}, read through ``DerivationMap.column``."""
+    out = {}
+    for a, (rows, columns) in dm.blocks.items():
+        cols = [dm.column(a, s) for s in range(len(columns))]
+        out[a] = [[_pairs(col.get(t, QI(0))) for col in cols] for t in range(rows)]
+    return out
 
 
 def _assert_components_match_oracle(m, top, j_constraint):
@@ -278,10 +300,7 @@ def _assert_components_match_oracle(m, top, j_constraint):
     comps = [grade0(m, j_constraint)]
     for l in range(1, top + 1):
         comps.append(prolong_component(m, comps, l))
-    maps = [
-        [{a: [[_pairs(x) for x in row] for row in block.data] for a, block in dm.blocks.items()} for dm in comp.maps]
-        for comp in comps
-    ]
+    maps = [[_dense_blocks(dm) for dm in comp.maps] for comp in comps]
     for l in range(top + 1):
         assert maps[l] == full_block_component(m.degrees, table, l, maps[:l], J if l == 0 else None), l
 
@@ -362,11 +381,14 @@ def test_assemble_rejects_bracket_beyond_terminal_component():
 
 
 def test_assemble_checks_brackets_on_every_degree():
-    """A corrupted degree -3 block leaves every g_-1 block, hence every read coordinate, as it was."""
+    """A corrupted degree -3 column leaves every g_-1 block, hence every read coordinate, as it was."""
     m, comps = _f23_full_tanaka_components()
     first = comps[0].maps[0]
-    doubled = Matrix([[2 * x for x in row] for row in first.blocks[-3].data])
-    corrupt = DerivationMap(0, {**first.blocks, -3: doubled})
+    rows, columns = first.blocks[-3]
+    (nums, den), rest = columns[0], columns[1:]
+    assert nums
+    doubled = ({t: 2 * n for t, n in nums.items()}, den)
+    corrupt = DerivationMap(0, {**first.blocks, -3: (rows, [doubled, *rest])})
     g0 = ProlongationComponent(0, (corrupt,) + comps[0].maps[1:])
     with pytest.raises(RuntimeError, match="bracket of G\\^0 and G\\^0 escapes G\\^0"):
         _assemble(m, [g0] + comps[1:])
