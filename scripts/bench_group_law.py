@@ -1,16 +1,18 @@
-"""Time ``GroupLaw.associativity_residual`` on two source trees and write the pair as JSON.
+"""Time the group law's two callers on two source trees and write the pair as JSON.
 
     python scripts/bench_group_law.py --before OLD_CHECKOUT/src --after src
 
-Each measurement runs in a fresh process of the same interpreter with the
-given ``src`` directory first on its path, so both sides use the same host
-and interpreter; the side that runs first alternates from one k to the next
-(``benchpair.py`` holds this harness).  For each k the real form of the
-default symbol is built, the residual is timed three times (the median is
-reported) and checked to be zero, and the sizes are read from the public output of ``GroupLaw.symbolic()``:
-the number of monomials in bch(a, b) and the bit length of the common
-denominator of its coefficients.  The pair goes to BENCH_group_law.json
-in the current directory.
+The keys are ``assoc<k>``, ``GroupLaw.associativity_residual``, and
+``frame<k>``, ``left_invariant_frame``, each on the real form of the
+default symbol of codimension k.  Each key is timed five times (the
+median is reported) in a fresh process per source tree, alternating which
+side runs first (``benchpair.py`` holds this harness); the residual is
+checked to be zero.  The sizes are read from public output only, so both
+trees report the same ones: for ``assoc<k>`` the number of monomials in
+bch(a, b) (``GroupLaw.symbolic()``) and the bit length of the common
+denominator of its coefficients, for ``frame<k>`` the number of terms over
+all the frame's component polynomials.  The pair goes to
+BENCH_group_law.json in the current directory.
 """
 
 from __future__ import annotations
@@ -21,39 +23,40 @@ from math import lcm
 
 import benchpair
 
-KS = (7, 12, 16, 21, 30)
-REPEATS = 3
+KEYS = ("assoc7", "assoc12", "assoc16", "assoc21", "assoc30", "frame16", "frame21")
+REPEATS = 5
 
 
-def measure(k: int) -> dict:
-    from crprolong.bch import GroupLaw
+def measure(key: str) -> dict:
+    from crprolong.bch import GroupLaw, left_invariant_frame
     from crprolong.liealg import build_symbol_algebra, realify
 
+    kind, k = key[:5], int(key[5:])
     algebra = realify(build_symbol_algebra(k).algebra)
     law = GroupLaw(algebra)
+    run = law.associativity_residual if kind == "assoc" else lambda: left_invariant_frame(algebra)
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        residual = law.associativity_residual()
+        out = run()
         times.append(time.perf_counter() - t0)
-        if not all(p.is_zero() for p in residual):
-            raise SystemExit(f"k={k}: the associativity residual is not zero")
-    _, z = law.symbolic()
-    den = lcm(*(c.re.denominator for p in z for c in p.terms.values()))
-    return {
-        "residual_s": round(statistics.median(times), 4),
-        "runs_s": [round(t, 4) for t in times],
-        "dim": algebra.dim,
-        "nilpotency_class": law.cap,
-        "residual_variables": 3 * algebra.dim,
-        "bch_monomials": sum(len(p.terms) for p in z),
-        "bch_denominator_bits": den.bit_length(),
-    }
+    sizes = {"dim": algebra.dim, "nilpotency_class": law.cap}
+    if kind == "assoc":
+        if not all(p.is_zero() for p in out):
+            raise SystemExit(f"{key}: the associativity residual is not zero")
+        _, z = law.symbolic()
+        den = lcm(*(c.re.denominator for p in z for c in p.terms.values()))
+        sizes.update(residual_variables=3 * algebra.dim, bch_monomials=sum(len(p.terms) for p in z))
+        sizes["bch_denominator_bits"] = den.bit_length()
+    else:
+        sizes["frame_terms"] = sum(len(p.terms) for field in out for p in field.comps)
+    return {"time_s": round(statistics.median(times), 4), "runs_s": [round(t, 4) for t in times], **sizes}
 
 
 if __name__ == "__main__":
     benchpair.main(
-        __file__, __doc__, measure, KS, "k", "residual_s",
-        "GroupLaw.associativity_residual wall time on the real form of the default symbol",
+        __file__, __doc__, measure, KEYS, "workload", "time_s",
+        "GroupLaw.associativity_residual (assoc<k>) and left_invariant_frame (frame<k>) wall time "
+        "on the real form of the default symbol",
         REPEATS, "BENCH_group_law.json",
     )

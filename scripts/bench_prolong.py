@@ -5,9 +5,12 @@
 The keys are the full-Tanaka towers of the k = 1 (contact) and k = 2
 symbols through degree 11 (``grade0`` then ``prolong_component``, as the
 benchmark's ``anchors`` workload builds them) and ``verify_theorem`` on
-the default symbols at k = 69, 125 and 224.  Each key is timed three
-times (the median is reported) in a fresh process per source tree,
-alternating which side runs first (``benchpair.py`` holds this harness).
+the default symbols at k = 125 and 224.  Each key is timed three times
+(the median is reported) in a fresh process per source tree, alternating
+which side runs first (``benchpair.py`` holds this harness).  There is no
+k = 69 key: its run takes about 0.1 s, and its median of three moved by
+30% between two measurements of the same tree on a shared host, while
+k = 125 and 224 run the same solves at sizes where the median holds.
 
 The sizes are summed over every component solve of one more, untimed
 run.  Both trees report ``solves``, ``unknowns`` (2·dim V_(l-1) per
@@ -27,7 +30,7 @@ import time
 
 import benchpair
 
-KEYS = ("tower_contact", "tower_k2", "verify69", "verify125", "verify224")
+KEYS = ("tower_contact", "tower_k2", "verify125", "verify224")
 TOWER_DEGREE = 11
 REPEATS = 3
 
@@ -131,6 +134,6 @@ def measure(key: str) -> dict:
 if __name__ == "__main__":
     benchpair.main(
         __file__, __doc__, measure, KEYS, "workload", "solve_s",
-        "prolongation component solves: full-Tanaka towers to degree 11 and verify_theorem at k = 69, 125, 224",
+        "prolongation component solves: full-Tanaka towers to degree 11 and verify_theorem at k = 125, 224",
         REPEATS, "BENCH_prolong.json",
     )

@@ -10,20 +10,23 @@ term by term.
 The series is then evaluated in a concrete real algebra, exactly and
 fraction-free: monomials are packed into single integers, coefficients
 are integer numerators over one common denominator per vector, and each
-coefficient of the result becomes a ``Fraction`` once.  The left-invariant
-frame is read off the law on 2N coordinates.  Complex structure constants
-or input coefficients are refused with ``ValueError``.
+coefficient of the result becomes a ``Fraction`` once.  Each caller gets
+only what it reads: the associativity residual evaluates the inner law
+once, and the left-invariant frame only the part of the law linear in b.
+Ungraded or complex structure constants and complex input coefficients
+are refused with ``ValueError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .assoc import a_add, a_mul, expand_tree, lie_coordinates
 from .exact import _gaussian_integers, _qi, _sum_forms
 from .freelie import standard_tree
-from .liealg import GradedLieAlgebra
+from .liealg import GradedLieAlgebra, check_grading
 from .poly import Poly, PolyVectorField, real_chart
 
 __all__ = ["NotNilpotent", "bch_series", "GroupLaw", "left_invariant_frame"]
@@ -42,11 +45,8 @@ def bch_series(cap: int):
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    fact = [Fraction(1)]
-    for i in range(1, cap + 1):
-        fact.append(fact[-1] * i)
-    exp_x = {(1,) * i: 1 / fact[i] for i in range(cap + 1)}
-    exp_y = {(2,) * i: 1 / fact[i] for i in range(cap + 1)}
+    exp_x = {(1,) * i: Fraction(1, factorial(i)) for i in range(cap + 1)}
+    exp_y = {(2,) * i: Fraction(1, factorial(i)) for i in range(cap + 1)}
     prod = a_mul(exp_x, exp_y, cap)
     eaten = a_add(prod, {(): Fraction(1)}, -1)
     log = {}
@@ -79,6 +79,8 @@ class GroupLaw:
     def __init__(self, algebra: GradedLieAlgebra):
         if any(d >= 0 for d in algebra.degrees):
             raise NotNilpotent("group law needs strictly negative degrees")
+        if check_grading(algebra):
+            raise ValueError("group law needs a graded algebra")
         self._table, self._den = algebra._numerators  # {(i, j): {k: (re, im)}} over self._den
         if any(im for terms in self._table.values() for _, im in terms.values()):
             raise ValueError("group law needs real structure constants")
@@ -90,17 +92,16 @@ class GroupLaw:
         (uc, ud), (vc, vd) = u, v
         out = [{} for _ in uc]
         for (i, j), terms in self._table.items():
-            p = {}
-            _mul_into(p, uc[i], vc[j], 1)
-            _mul_into(p, uc[j], vc[i], -1)
+            ui, uj, vi, vj = uc[i], uc[j], vc[i], vc[j]
+            if not (ui and vj or uj and vi):
+                continue
             for k, (c, _) in terms.items():
-                acc = out[k]
-                for e, x in p.items():
-                    acc[e] = acc.get(e, 0) + c * x
+                _mul_into(out[k], ui, vj, c)
+                _mul_into(out[k], uj, vi, -c)
         return [{e: x for e, x in acc.items() if x} for acc in out], ud * vd * self._den
 
-    def _apply(self, a, b):
-        """bch(a, b) on the private form, reduced to lowest terms."""
+    def _apply(self, a, b, series=None):
+        """bch(a, b) on the private form, reduced to lowest terms (only the words of ``series``, if given)."""
         memo = {1: a, 2: b}
 
         def value(tree):
@@ -109,7 +110,7 @@ class GroupLaw:
             return memo[tree]
 
         terms = []
-        for word, coeff in self.series:
+        for word, coeff in series or self.series:
             comps, den = value(standard_tree(word))
             terms += [(k, coeff.numerator, coeff.denominator * den, comp) for k, comp in enumerate(comps)]
         forms, den = _sum_forms(terms)
@@ -117,7 +118,7 @@ class GroupLaw:
 
     def _width(self, top_exponent: int) -> int:
         # a bracket of at most cap leaves multiplies at most cap input
-        # monomials, so no exponent of the result exceeds top_exponent * cap
+        # monomials, so no exponent of bch(a, b) exceeds top_exponent * cap
         return max(top_exponent * self.cap, 1).bit_length()
 
     def _variables(self, count: int, width: int):
@@ -145,23 +146,31 @@ class GroupLaw:
         names = [f"a_{l}" for l in self.algebra.labels] + [f"b_{l}" for l in self.algebra.labels]
         return names, [_poly(comp, den, 2 * n, width) for comp in comps]
 
+    def _associativity_sides(self):
+        """bch(bch(a, b), c) and bch(a, bch(b, c)) on the private form, and the packing width."""
+        n = self.algebra.dim
+        # each coordinate has weight -deg >= 1 and the graded bracket keeps a
+        # degree-d component at weight -d <= cap, so no exponent passes cap
+        width = self._width(1)
+        a, b, c = self._variables(3, width)
+        comps, den = ab = self._apply(a, b)
+        bc = [{e << (width * n): x for e, x in comp.items()} for comp in comps], den  # bch(b, c): a -> b, b -> c
+        return self._apply(ab, c), self._apply(a, bc), width
+
     def associativity_residual(self):
         """bch(bch(a, b), c) - bch(a, bch(b, c)) on 3N symbolic coordinates."""
         n = self.algebra.dim
-        # the inner law's exponents reach cap, so the outer law's reach cap * cap
-        width = self._width(self.cap)
-        a, b, c = self._variables(3, width)
-        left = self._apply(self._apply(a, b), c)
-        right = self._apply(a, self._apply(b, c))
-        terms = [(k, sign, d, comp) for sign, (comps, d) in ((1, left), (-1, right)) for k, comp in enumerate(comps)]
-        diff, den = _sum_forms(terms)
+        left, right, width = self._associativity_sides()
+        # both sides come in lowest terms, so equal forms are a zero residual and only a mismatch is summed
+        sides = () if left == right else ((1, left), (-1, right))
+        diff, den = _sum_forms([(k, s, d, comp) for s, (comps, d) in sides for k, comp in enumerate(comps)])
         return [_poly(diff.get(k, {}), den, 3 * n, width) for k in range(n)]
 
 
-def _mul_into(acc: dict, p: dict, q: dict, sign: int):
-    """acc += sign · p · q on packed monomials (zeros are dropped later)."""
+def _mul_into(acc: dict, p: dict, q: dict, scale: int):
+    """acc += scale · p · q on packed monomials (zeros are dropped later)."""
     for ea, ca in p.items():
-        ca *= sign
+        ca *= scale
         for eb, cb in q.items():
             e = ea + eb
             acc[e] = acc.get(e, 0) + ca * cb
@@ -180,13 +189,9 @@ def _packed(vec, width: int):
     return comps, den
 
 
-def _unpack(mono: int, nvars: int, width: int) -> tuple:
-    mask = (1 << width) - 1
-    return tuple((mono >> (width * i)) & mask for i in range(nvars))
-
-
 def _poly(comp: dict, den: int, nvars: int, width: int) -> Poly:
-    return Poly(nvars, {_unpack(e, nvars, width): _qi(x, 0, den) for e, x in comp.items()})
+    mask = (1 << width) - 1
+    return Poly(nvars, {tuple((e >> (width * i)) & mask for i in range(nvars)): _qi(x, 0, den) for e, x in comp.items()})
 
 
 def left_invariant_frame(m: GradedLieAlgebra):
@@ -197,15 +202,13 @@ def left_invariant_frame(m: GradedLieAlgebra):
     of ``m`` exactly (checked by the callers that rely on it).
     """
     law = GroupLaw(m)
-    n = m.dim
-    width = law._width(1)
-    comps, den = law._apply(*law._variables(2, width))
-    a_mask = (1 << (width * n)) - 1
+    n, width = m.dim, law._width(1)
+    shift, mask = width * n, (1 << width * n) - 1
+    # the part linear in b is the sum over the words with one letter 2
+    comps, den = law._apply(*law._variables(2, width), [t for t in law.series if t[0].count(2) == 1])
+    fields = [[{} for _ in comps] for _ in range(n)]
+    for k, comp in enumerate(comps):
+        for e, x in comp.items():  # e is b_j times a monomial in a
+            fields[((e >> shift).bit_length() - 1) // width][k][e & mask] = x
     chart = real_chart(m.labels)
-    fields = []
-    for j in range(n):
-        b_j = 1 << (width * j)
-        # the part of each component linear in b_j, as a polynomial in a
-        linear = [{e & a_mask: x for e, x in comp.items() if e >> (width * n) == b_j} for comp in comps]
-        fields.append(PolyVectorField(chart, [_poly(comp, den, n, width) for comp in linear]))
-    return fields
+    return [PolyVectorField(chart, [_poly(comp, den, n, width) for comp in field]) for field in fields]

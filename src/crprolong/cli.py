@@ -13,6 +13,7 @@ refuse a value past ``MAX_K`` or ``MAX_WITT_LENGTH`` before any work.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -192,6 +193,7 @@ def cmd_models(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crprolong",
@@ -229,28 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        if args.command == "witt":
-            return cmd_witt(args)
-        if args.command == "symbol":
-            return cmd_symbol(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "models":
-            return cmd_models(args)
-        parser.error(f"unknown command {args.command}")
+        return {"witt": cmd_witt, "symbol": cmd_symbol, "verify": cmd_verify, "models": cmd_models}[args.command](args)
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 __all__ = [
@@ -398,11 +399,13 @@ def _sum_forms(terms):
     out = {}
     for t, num, d, form in terms:
         f = num * (den // d)
-        acc = out.setdefault(t, {})
-        for v, x in form.items():
-            acc[v] = acc.get(v, 0) + f * x
+        if (acc := out.get(t)) is None:
+            out[t] = {v: f * x for v, x in form.items()}  # a new dict: no input form is aliased
+        else:
+            for v, x in form.items():
+                acc[v] = acc.get(v, 0) + f * x
     out = {t: form for t, acc in out.items() if (form := {v: x for v, x in acc.items() if x})}
-    g = gcd(den, *(x for form in out.values() for x in form.values()))
+    g = gcd(den, *chain.from_iterable(form.values() for form in out.values()))
     if g == 1:
         return out, den
     return {t: {v: x // g for v, x in form.items()} for t, form in out.items()}, den // g

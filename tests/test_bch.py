@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from crprolong.bch import GroupLaw, NotNilpotent, bch_series, left_invariant_frame
+from crprolong.bch import GroupLaw, NotNilpotent, _poly, bch_series, left_invariant_frame
 from crprolong.exact import QI
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import GradedLieAlgebra, build_symbol_algebra, check_jacobi, realify
@@ -192,6 +192,36 @@ def test_law_and_frame_match_textbook_oracle(case):
     assert [_real_terms(f.comps) for f in left_invariant_frame(R)] == left_invariant_fields(expect, n)
 
 
+def _oracle_sides(R):
+    """bch(bch(a, b), c) and bch(a, bch(b, c)) by the textbook oracle on 3N coordinates."""
+    n = R.dim
+    table = {ij: {k: c.re for k, c in terms.items()} for ij, terms in R.table.items()}
+    series = bch_series(-min(R.degrees))
+    coords = [{tuple(int(t == i) for t in range(3 * n)): Fraction(1)} for i in range(3 * n)]
+    a, b, c = coords[:n], coords[n : 2 * n], coords[2 * n :]
+    return bch_law(series, table, bch_law(series, table, a, b), c), bch_law(series, table, a, bch_law(series, table, b, c))
+
+
+@pytest.mark.parametrize("k", [4, 7])
+def test_packed_three_argument_laws_match_oracle(k):
+    # both sides unpacked from the narrow bit fields: an exponent that
+    # overflowed its field would land in the next variable and show here
+    R = realify(build_symbol_algebra(k).algebra)
+    n = R.dim
+    left, right, width = GroupLaw(R)._associativity_sides()
+    unpacked = [_real_terms([_poly(comp, den, 3 * n, width) for comp in comps]) for comps, den in (left, right)]
+    expect_left, expect_right = _oracle_sides(R)
+    assert unpacked == [expect_left, expect_right]
+    assert expect_left == expect_right
+
+
+def test_ungraded_table_is_refused():
+    # [p, q] lands in degree -1, not -2
+    A = GradedLieAlgebra(["p", "q", "t"], [-1, -1, -2], {(0, 1): {0: QI(1)}})
+    with pytest.raises(ValueError, match="group law needs a graded algebra"):
+        GroupLaw(A)
+
+
 @pytest.mark.parametrize("k", [4, 5, 7])
 def test_doubled_bracket_breaks_jacobi_and_associativity(k):
     # negative control: doubling [x, e2_1] in a real form with a degree -4
@@ -200,7 +230,11 @@ def test_doubled_bracket_breaks_jacobi_and_associativity(k):
     x, e = R.labels.index("x"), R.labels.index("e2_1")
     bad = replaced_bracket(R, x, e, {t: 2 * c for t, c in R.table[(x, e)].items()})
     assert check_jacobi(bad)
-    assert not all(p.is_zero() for p in GroupLaw(bad).associativity_residual())
+    residual = GroupLaw(bad).associativity_residual()
+    assert not all(p.is_zero() for p in residual)
+    if k == 4:
+        left, right = _oracle_sides(bad)
+        assert _real_terms(residual) == [assoc_add(l, r, -1) for l, r in zip(left, right)]
 
 
 def test_complex_scalars_are_refused():

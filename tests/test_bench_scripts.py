@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = [
     ("bench_frames.py", "frame7", "model", "growth_s", "BENCH_frames.json"),
     ("bench_gates.py", "verify21", "workload", "time_s", "BENCH_gates.json"),
-    ("bench_group_law.py", 7, "k", "residual_s", "BENCH_group_law.json"),
+    ("bench_group_law.py", "assoc7", "workload", "time_s", "BENCH_group_law.json"),
     ("bench_prolong.py", "tower_contact", "workload", "solve_s", "BENCH_prolong.json"),
     ("bench_real_form.py", "real_form21", "workload", "time_s", "BENCH_real_form.json"),
 ]

@@ -428,3 +428,20 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0].split()[:2] == ["length", "dim"]
+
+
+def test_cached_parser_answers_like_fresh_processes(capsys):
+    # the parser is built once per process; a usage error must leave it
+    # answering later commands exactly as a fresh process does
+    argvs = [("verify", "--k", "two"), ("verify", "--k", "2"), ("witt", "--max-length", "3")]
+    in_process = [run(capsys, *argv) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fresh = []
+    for argv in argvs:
+        done = subprocess.run(
+            [sys.executable, "-m", "crprolong", *argv], capture_output=True, text=True, env=env, timeout=60,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    assert in_process == fresh

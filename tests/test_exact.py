@@ -359,6 +359,17 @@ def test_sum_forms_cases(terms, expected):
     assert _sum_forms(terms) == expected
 
 
+def test_sum_forms_never_aliases_an_input_form():
+    # a lone form at scale 1 comes back equal but as a new dict, and adding
+    # into the sum leaves every input as it was
+    a, b = {0: 1, 1: 2}, {1: 3}
+    out, den = _sum_forms([("s", 1, 1, a), ("t", 1, 1, b), ("t", 1, 1, a)])
+    assert (out, den) == ({"s": {0: 1, 1: 2}, "t": {0: 1, 1: 5}}, 1)
+    assert all(form is not x for form in out.values() for x in (a, b))
+    out["s"][0] = out["t"][1] = 7
+    assert a == {0: 1, 1: 2} and b == {1: 3}
+
+
 def test_gaussian_integers_scales_entries_over_one_denominator():
     entries = [("a", QI(Fraction(1, 2))), ("b", QI(0)), ("c", QI(Fraction(-2, 3))), ("d", QI(4)), ("e", QI(0, Fraction(1, 4)))]
     assert _gaussian_integers(entries) == ({"a": (6, 0), "c": (-8, 0), "d": (48, 0), "e": (0, 3)}, 12)
