@@ -10,7 +10,7 @@ term by term.
 The series is then evaluated in a concrete real algebra, exactly and
 fraction-free: monomials are packed into single integers, coefficients
 are integer numerators over one common denominator per vector, and each
-coefficient of the result becomes a ``Fraction`` once.  Each caller gets
+coefficient of the result becomes a ``QI`` once.  Each caller gets
 only what it reads: the associativity residual evaluates the inner law
 once, and the left-invariant frame only the part of the law linear in b.
 Ungraded or complex structure constants and complex input coefficients
@@ -72,7 +72,7 @@ class GroupLaw:
     each monomial is one packed ``int`` (exponent i in bit field i of a
     fixed width, so a monomial product is one integer addition), and each
     vector is a list of ``{monomial: int numerator}`` dicts over one common
-    ``int`` denominator.  Every result coefficient becomes a ``Fraction``
+    ``int`` denominator.  Every result coefficient becomes a ``QI``
     once, in the conversion back to :class:`Poly`.
     """
 

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import Matrix, QI, QI_ONE, _gaussian_apply, _gaussian_columns, as_qi, rank
+from .exact import Matrix, QI, QI_ONE, _gaussian_apply, _gaussian_columns, _qi, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     RealForm,
@@ -156,7 +155,7 @@ def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
             coords = _gaussian_apply(inverse, image)
             if any(im for _, im in coords.values()):
                 raise AssertionError("rotation action is not real in the real basis")
-            entry = {k: Fraction(-re, den * iden) for k, (re, _) in sorted(coords.items()) if re}
+            entry = {k: _qi(-re, 0, den * iden) for k, (re, _) in sorted(coords.items()) if re}
             if entry:
                 table[(i, r_index)] = entry
     aut = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=R.J, scalar_tag="Q")

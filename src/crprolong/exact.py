@@ -1,26 +1,23 @@
 """Exact scalars and sparse exact linear algebra.
 
-Scalars are Gaussian rationals (elements of Q(i)) built on arbitrary
-precision ``fractions.Fraction`` parts, so nothing in the library ever
-rounds.  Every solve goes through one Gauss-Jordan kernel,
-``integer_rref``: fraction-free elimination on sparse rows ``{col: int}``,
-each row kept primitive.  The systems of ``prolong`` are real and go to it
-directly, and so do the block kernels and block inverses of
-``liealg.real_form`` (``_real_fixed_points``, ``_gaussian_inverse``);
-kernel, rank and echelon reducer over Q(i) go through ``_rref``, which
-realifies their rows onto it.  The reduced row echelon form of a matrix
-for a fixed column order is unique, so every basis, reducer and solution
-depends only on the input and the column order, never on row order or on
-how the elimination is scheduled; every downstream basis choice in the
-package inherits its reproducibility from this.
+Scalars are Gaussian rationals (elements of Q(i)), each held as its one
+integer normal form (a + b·i)/d with d > 0 and gcd(a, b, d) = 1, so
+nothing in the library ever rounds.  Every solve goes through one
+Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
+rows ``{col: int}``, each row kept primitive.  The systems of ``prolong``
+and the block kernels and inverses of ``liealg.real_form`` go to it
+directly; kernel, rank and echelon reducer over Q(i) go through ``_rref``,
+which realifies their rows onto it.  The reduced row echelon form for a
+fixed column order is unique, so every basis, reducer and solution depends
+only on the input and the column order, never on row order or on how the
+elimination is scheduled.
 
-This module also owns the fraction-free form that ``prolong``, ``bch``,
-``frames`` and ``liealg`` compute on: a vector of exact entries held as
-integer numerators over one positive denominator.  ``_gaussian_integers``
-(entries as ``(re, im)`` pairs; a real caller reads ``re`` and refuses a
-nonzero ``im`` itself) is the way in, ``_sum_forms`` is the one scaled
-sum (the gcd taken once, on the finished sum), and ``_qi(re, im, den)`` is
-the one way back to a ``QI``.  No other module takes a gcd or an lcm.
+This module owns the fraction-free form that ``prolong``, ``bch``,
+``frames`` and ``liealg`` compute on: integer numerators over one positive
+denominator.  ``_gaussian_integers`` is the way in (a real caller refuses
+a nonzero ``im`` itself), ``_sum_forms`` the one scaled sum (one gcd, on
+the finished sum), and ``_qi(re, im, den)`` the way back to a ``QI``.  No
+other module takes a gcd or an lcm, or reads the slots of a ``QI``.
 """
 
 from __future__ import annotations
@@ -41,9 +38,6 @@ __all__ = [
     "qi_from_json",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 # nothing in the package raises it; it stays public because
 # perfbench/tracer.py reads it when it installs its wrappers
@@ -52,79 +46,72 @@ class Inconsistent(ValueError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, Fraction, str)):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
 class QI:
-    """A Gaussian rational re + im*i."""
+    """A Gaussian rational (a + b·i)/d, stored as ints a, b, d with d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    The form is unique, so ``==`` compares three ints; ``re`` and ``im`` are the parts as ``Fraction``.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        re, im = _frac(re), _frac(im)
+        # parts in lowest terms, over the lcm of their denominators, have gcd 1
+        d = lcm(re._denominator, im._denominator)
+        self._a, self._b, self._d = re._numerator * (d // re._denominator), im._numerator * (d // im._denominator), d
 
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "QI":
-        self = object.__new__(cls)
-        self.re = re
-        self.im = im
-        return self
+    re = property(lambda self: Fraction(self._a, self._d))
+    im = property(lambda self: Fraction(self._b, self._d))
 
     def conj(self) -> "QI":
-        return QI._raw(self.re, -self.im)
+        return _form(self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
-        # the numerators directly: Fraction.__bool__ is a Python-level call
-        return self.re._numerator != 0 or self.im._numerator != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __neg__(self) -> "QI":
-        return QI._raw(-self.re, -self.im)
+        return _form(-self._a, -self._b, self._d)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QI._raw(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _qi(self._a + other._a, self._b + other._b, d)
+        return _qi(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QI._raw(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QI._raw(other.re - self.re, other.im - self.im)
+        return -self + other
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
         # real-by-real fast path: realified algebras live entirely here
-        if not self.im and not other.im:
-            return QI._raw(self.re * other.re, _F0)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return QI._raw(a * c - b * d, a * d + b * c)
+        if not b and not e:
+            return _qi(a * c, 0, self._d * other._d)
+        return _qi(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -132,31 +119,46 @@ class QI:
         return f"QI({self.re!s}, {self.im!s})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imtxt = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{imtxt}"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio(a, d)
+        im = ("+" if b > 0 else "-") + ("i" if abs(b) == d else _ratio(abs(b), d) + "i")
+        return _ratio(a, d) + im if a else im.removeprefix("+")
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d as ``str(Fraction(n, d))`` writes it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _form(a: int, b: int, d: int) -> QI:
+    """The ``QI`` with slots (a, b, d), which must already be the normal form."""
+    q = object.__new__(QI)
+    q._a, q._b, q._d = a, b, d
+    return q
+
+
+def _qi(re: int, im: int, den: int) -> QI:
+    """(re + i·im)/den as a ``QI``, for den > 0: the one way back from numerators."""
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    return _form(re, im, den)
 
 
 def _coerce(x):
     if isinstance(x, QI):
         return x
     if isinstance(x, (int, Fraction)):
-        return QI._raw(_frac(x), _F0)
+        return _form(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
-QI_ZERO = QI._raw(_F0, _F0)
-QI_ONE = QI._raw(_F1, _F0)
-QI_I = QI._raw(_F0, _F1)
+QI_ZERO = _form(0, 0, 1)
+QI_ONE = _form(1, 0, 1)
+QI_I = _form(0, 1, 1)
 
 
 def as_qi(x) -> QI:
@@ -367,11 +369,8 @@ def _gaussian_rref(rows, col_order):
 def _gaussian_integers(entries):
     """``QI`` entries ``(key, x)`` as ``({key: (re, im)}, den)``, numerators over the lcm of the denominators; zeros dropped."""
     entries = [(key, x) for key, x in entries if x]
-    den = lcm(*(x.re._denominator for _, x in entries), *(x.im._denominator for _, x in entries))
-    return {
-        key: (x.re._numerator * (den // x.re._denominator), x.im._numerator * (den // x.im._denominator))
-        for key, x in entries
-    }, den
+    den = lcm(*(x._d for _, x in entries))
+    return {key: (x._a * (s := den // x._d), x._b * s) for key, x in entries}, den
 
 
 def _gaussian_table(table):
@@ -409,11 +408,6 @@ def _sum_forms(terms):
     if g == 1:
         return out, den
     return {t: {v: x // g for v, x in form.items()} for t, form in out.items()}, den // g
-
-
-def _qi(re: int, im: int, den: int) -> QI:
-    """(re + i·im)/den as a ``QI``: the one way back from numerators."""
-    return QI._raw(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
 
 
 def _gaussian_axpy(acc, u, terms):

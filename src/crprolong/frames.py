@@ -13,7 +13,7 @@ filtration is as free as possible below the minimal length and fills the
 tangent space exactly there.  The word values are exact and computed
 fraction-free: the shorter words are bracketed on packed Gaussian
 monomials with integer numerators over one denominator per word, each
-origin coordinate becomes a ``Fraction`` once, and the words of the
+origin coordinate becomes a ``QI`` once, and the words of the
 minimal length are read at the origin only, from the constant and linear
 terms of their two factors.  When it holds, the length-rho evaluation
 kernel is the model-induced top-layer quotient and the symbol algebra is
@@ -225,7 +225,8 @@ def _word_values(L, Lb, max_length):
     linear terms of its factors.
     """
     n = L.chart.nvars
-    top = max((x for f in (L, Lb) for p in f.comps for e in p.terms for x in e), default=0)
+    # Lb = L.conj() only permutes the chart variables, so L alone gives the top exponent
+    top = max((x for p in L.comps for e in p.terms for x in e), default=0)
     # a word of length l multiplies l input monomials, so no exponent of
     # a field exceeds top * max_length
     width = max(top * max_length, 1).bit_length()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import QI_I, QI_ZERO, Echelon, Matrix, as_qi, kernel_basis, qi_from_json
@@ -638,7 +637,7 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     coefficients positive): degree -1 lands on x = g1 + g2, y = i(g1 - g2).
     E_d·F_d = I_d is solved and checked block by block.  Brackets and J
     images move as Gaussian integer numerators over one denominator; each
-    real coordinate of F·w is one ``Fraction``, and an imaginary one raises
+    real coordinate of F·w becomes one ``QI``, and an imaginary one raises
     :class:`NotSelfConjugate`.
     """
     if algebra.conjugation is None:
@@ -670,11 +669,11 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
                 inv_cols.setdefault(block[p], {})[c] = (dens[c] * re, dens[c] * im)
 
     def real_coords(w: dict, den: int, message: str) -> dict:
-        """F·(w / den) for Gaussian numerators w, as {c: Fraction} without zeros."""
+        """F·(w / den) for Gaussian numerators w, as {c: QI} without zeros."""
         acc = _gaussian_apply(inv_cols, w)
         if any(im for _, im in acc.values()):
             raise NotSelfConjugate(message)
-        return {c: Fraction(re, inv_dens[c] * den) for c, (re, _) in sorted(acc.items()) if re}
+        return {c: _qi(re, 0, inv_dens[c] * den) for c, (re, _) in sorted(acc.items()) if re}
 
     consts, tden = algebra._numerators
     brackets = _bracket_images(consts, owners)  # over dens[i]·dens[j]·tden

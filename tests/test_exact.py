@@ -7,7 +7,7 @@ from operator import setitem
 from pathlib import Path
 
 import pytest
-from oracles import C_ONE, C_ZERO, c_add, c_mul, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
+from oracles import C_ONE, C_ZERO, c_add, c_mul, c_sub, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
 
 from crprolong import exact
 from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _qi, _rref, _sum_forms, integer_rref, kernel_basis, qi_from_json, rank
@@ -32,7 +32,7 @@ def test_field_arithmetic():
         (QI("0"), False),
         (QI("0", "0/7"), False),
         (QI(Fraction(0, 5), Fraction(0, 5)), False),
-        (QI._raw(Fraction(0), Fraction(0)), False),
+        (QI(Fraction(0), Fraction(0)), False),
         (-QI(0), False),
         (QI(Fraction(2, 3), Fraction(-1, 4)) - QI(Fraction(4, 6), Fraction(-2, 8)), False),
         (QI(1, 1) * QI(0, 0), False),
@@ -41,7 +41,7 @@ def test_field_arithmetic():
         (QI(Fraction(-1, 5)), True),
         (QI(0, Fraction(3, 7)), True),
         (QI("-2/3", "5"), True),
-        (QI._raw(Fraction(0), Fraction(-1, 9)), True),
+        (QI(Fraction(0), Fraction(-1, 9)), True),
         (-QI(0, 2), True),
         (QI(1, 1) - QI(1, 0), True),
     ],
@@ -383,6 +383,79 @@ def test_qi_is_the_gaussian_rational_of_its_numerators():
         assert _qi(re, im, den) == QI(Fraction(re, den), Fraction(im, den))
 
 
+def _textbook_str(re, im):
+    """``str`` of re + im·i as the two-``Fraction`` form wrote it."""
+    if not im:
+        return str(re)
+    mag = abs(im)
+    imtxt = "i" if mag == 1 else f"{mag}i"
+    if not re:
+        return imtxt if im > 0 else "-" + imtxt
+    return f"{re}{'+' if im > 0 else '-'}{imtxt}"
+
+
+def _assert_is_pair(q, pair):
+    """``q`` is the normal form of the textbook pair, and reads like it."""
+    re, im = pair
+    assert type(q) is QI and q._d > 0 and math.gcd(q._a, q._b, q._d) == 1
+    assert (q.re, q.im) == pair and q == QI(re, im) and bool(q) is bool(re or im)
+    assert hash(q) == hash(pair) and str(q) == _textbook_str(re, im) and repr(q) == f"QI({re}, {im})"
+
+
+def test_qi_matches_the_textbook_fraction_pair():
+    rng = random.Random(2511)
+
+    def part():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+
+    def operand():
+        """An int, a Fraction, a real QI or a complex QI, with its textbook pair."""
+        kind = rng.randrange(4)
+        if kind < 2:
+            x = rng.randint(-4, 4) if kind == 0 else part()
+            return x, (Fraction(x), Fraction(0))
+        pair = (part(), part() if kind == 3 else Fraction(0))
+        return QI(*pair), pair
+
+    for _ in range(1500):
+        (_, p), (y, r) = operand(), operand()
+        x = QI(*p)
+        _assert_is_pair(x, p)
+        for q, pair in [
+            (x + y, c_add(p, r)),
+            (y + x, c_add(r, p)),
+            (x - y, c_sub(p, r)),
+            (y - x, c_sub(r, p)),
+            (x * y, c_mul(p, r)),
+            (y * x, c_mul(r, p)),
+            (-x, (-p[0], -p[1])),
+            (x.conj(), (p[0], -p[1])),
+        ]:
+            _assert_is_pair(q, pair)
+        assert (x == y) is (y == x) is (p == r)
+        assert (x != y) is (p != r)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "re, im, text",
+    [
+        (0, 0, "0"),
+        (1, 0, "1"),
+        (-1, 0, "-1"),
+        (0, 1, "i"),
+        (0, -1, "-i"),
+        (0, Fraction(1, 2), "1/2i"),
+        (0, Fraction(-1, 2), "-1/2i"),
+        (Fraction(-2, 3), 5, "-2/3+5i"),
+        (Fraction(1, 2), -1, "1/2-i"),
+    ],
+)
+def test_qi_str_is_pinned(re, im, text):
+    assert str(QI(re, im)) == text
+
+
 def test_only_exact_takes_gcd_or_lcm():
     """The fraction-free form lives in ``exact``: no other module imports ``gcd`` or ``lcm`` from ``math``."""
     package = Path(exact.__file__).parent
@@ -395,6 +468,20 @@ def test_only_exact_takes_gcd_or_lcm():
                 offenders += [(path.name, a.name) for a in node.names if a.name in ("gcd", "lcm", "*")]
             elif isinstance(node, ast.Import):
                 offenders += [(path.name, a.name) for a in node.names if a.name == "math"]
+    assert offenders == []
+
+
+def test_only_exact_reads_qi_slots():
+    """The normal form (a + b·i)/d stays in ``exact``: no other module names a slot of ``QI``."""
+    package = Path(exact.__file__).parent
+    slots = set(QI.__slots__)
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in slots) or (isinstance(node, ast.Constant) and node.value in slots)
+    ]
     assert offenders == []
 
 
