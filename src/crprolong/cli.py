@@ -97,7 +97,7 @@ def _catalog_model(args):
 
 
 def _resolve_symbol(args):
-    if args.model:
+    if args.model is not None:
         if args.quotient is not None:
             raise ValueError("--quotient applies to --k only; a --model symbol takes its quotient from the model")
         return symbol_from_frame(_catalog_model(args))
@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
             if models[mid].codim > args.all:
                 continue
             reports.append(_verify_one(models[mid], mid))
-    elif args.model:
+    elif args.model is not None:
         reports.append(_verify_one(_catalog_model(args), args.model))
     else:
         symbol = build_symbol_algebra(_bounded(args.k))

@@ -4,13 +4,13 @@ Scalars are Gaussian rationals (elements of Q(i)), each held as its one
 integer normal form (a + b·i)/d with d > 0 and gcd(a, b, d) = 1, so
 nothing in the library ever rounds.  Every solve goes through one
 Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
-rows ``{col: int}``, each row kept primitive.  The systems of ``prolong``
-and the block kernels and inverses of ``liealg.real_form`` go to it
-directly; kernel, rank and echelon reducer over Q(i) go through ``_rref``,
-which realifies their rows onto it.  The reduced row echelon form for a
-fixed column order is unique, so every basis, reducer and solution depends
-only on the input and the column order, never on row order or on how the
-elimination is scheduled.
+rows ``{col: int}``, each row kept primitive.  A system over Q(i) is
+scaled to Gaussian integers and realified onto it by ``_realify``: the
+kernel through ``_integer_kernel`` (as for ``prolong``), rank, echelon and
+the block solves of ``liealg.real_form`` through ``_gaussian_rref``.  The
+reduced row echelon form for a fixed column order is unique, so every
+basis, reducer and solution depends only on the input and the column
+order, never on row order or on how the elimination is scheduled.
 
 This module owns the fraction-free form that ``prolong``, ``bch``,
 ``frames`` and ``liealg`` compute on: integer numerators over one positive
@@ -264,12 +264,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix.sparse(self.rows, [{i: -x for i, x in col.items()} for col in self._columns])
 
-    def matvec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = _combine({j: x for j, x in enumerate(v) if x}, self._columns)
-        return [out.get(i, QI_ZERO) for i in range(self.rows)]
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -317,35 +311,17 @@ def _axpy(row, f, other):
             del row[j]
 
 
-def _rref(rows, col_order):
-    """Reduced row echelon form of sparse rows ``{col: QI}``; returns ``[(col, row)]``.
+def _realify(rows, col_order):
+    """Gaussian integer rows ``{col: (re, im)}`` as integer rows ``{col: int}``; returns ``(rows, cols)``.
 
-    Pivots are taken only in ``col_order`` and come back in that order,
-    each row ``{col: QI}`` without zeros, 1 at its pivot and 0 at every
-    other pivot.  Each row is scaled to Gaussian integers and solved by
-    ``_gaussian_rref``.
-    """
-    return [
-        (c, {j: _qi(a, b, den) for j, (a, b) in row.items()})
-        for c, row, den in _gaussian_rref([_gaussian_integers(row.items())[0] for row in rows], col_order)
-    ]
-
-
-def _gaussian_rref(rows, col_order):
-    """Reduced row echelon form of Gaussian integer rows ``{col: (re, im)}``, yielded as ``(col, row, den)``.
-
-    Pivots are taken only in ``col_order`` and come back in that order;
-    each row ``{col: [re, im]}``, over its positive ``den``, is 1 at its
-    pivot and 0 at every other pivot.  The rows are realified onto
-    ``integer_rref``: column ``col_order[p]`` becomes columns 2p (real
-    part) and 2p + 1 (imaginary part), the other columns follow in
-    increasing order, and each row r gives the rows of r and i·r.  That row
-    space is closed under i, so its reduced form is the complex one
-    realified: the pivot rows at even columns below 2·len(col_order), over
-    their pivot entry, are the complex rows.
+    Column ``cols[p]`` becomes columns 2p (real part) and 2p + 1
+    (imaginary part), where ``cols`` is ``col_order`` followed by the other
+    columns in increasing order.  Each row r gives the rows of r and i·r,
+    in the row convention (Re r, Im r): x is in the complex kernel iff X,
+    with X_{2p} = Re x_{cols[p]} and X_{2p+1} = -Im x_{cols[p]}, is in the
+    real one.
     """
     cols = list(col_order)
-    width = 2 * len(cols)
     cols += sorted({c for row in rows for c in row} - set(cols))
     position = {c: 2 * p for p, c in enumerate(cols)}
     real = []
@@ -358,6 +334,22 @@ def _gaussian_rref(rows, col_order):
             if b:
                 re[p + 1], im[p] = b, -b
         real += (re, im)
+    return real, cols
+
+
+def _gaussian_rref(rows, col_order):
+    """Reduced row echelon form of Gaussian integer rows ``{col: (re, im)}``, yielded as ``(col, row, den)``.
+
+    Pivots are taken only in ``col_order`` and come back in that order;
+    each row ``{col: [re, im]}``, over its positive ``den``, is 1 at its
+    pivot and 0 at every other pivot.  The rows are realified
+    (``_realify``) onto ``integer_rref``.  That row space is closed under
+    i, so its reduced form is the complex one realified: the pivot rows at
+    even columns below 2·len(col_order), over their pivot entry, are the
+    complex rows.
+    """
+    real, cols = _realify(rows, col_order)
+    width = 2 * len(col_order)
     for c, row in integer_rref(real):
         if c % 2 == 0 and c < width:
             parts = {}
@@ -571,26 +563,19 @@ def kernel_basis(m: Matrix):
 
     Deterministic: reduced echelon pivots, one basis vector per free
     column, ordered by free column index, with the free coordinate set
-    to 1.  Each vector is verified by substitution before being returned.
+    to 1.  The rows are realified (``_realify``) onto ``_integer_kernel``,
+    which checks every vector by substitution into every real row, in
+    integers.  Free columns come in pairs 2f, 2f + 1; vector v of 2f, read
+    back as x_c = X_{2c} - i·X_{2c+1}, is the complex vector of f.
     """
-    pivots = _rref(_sparse_rows(m), range(m.cols))
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_cols:
-            continue
-        v = [QI_ZERO] * m.cols
-        v[f] = QI_ONE
-        for c, row in pivots:
-            v[c] = -row.get(f, QI_ZERO)
-        if any(m.matvec(v)):
-            raise AssertionError("kernel_basis produced a non-kernel vector")
-        basis.append(v)
-    return basis
+    rows, _ = _realify([_gaussian_integers(row.items())[0] for row in _sparse_rows(m)], range(m.cols))
+    columns, dens = _integer_kernel(rows, 2 * m.cols)
+    parts = [columns.get(u, {}) for u in range(2 * m.cols)]
+    return [[_qi(parts[2 * c].get(v, 0), -parts[2 * c + 1].get(v, 0), dens[v]) for c in range(m.cols)] for v in range(0, len(dens), 2)]
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(_sparse_rows(m), range(m.cols)))
+    return sum(1 for _ in _gaussian_rref([_gaussian_integers(row.items())[0] for row in _sparse_rows(m)], range(m.cols)))
 
 
 class Echelon:
@@ -607,8 +592,9 @@ class Echelon:
         rows = list(rows)
         if any(len(r) != cols for r in rows):
             raise ValueError("row width mismatch")
-        sparse = [{j: q for j, x in enumerate(r) if (q := as_qi(x))} for r in rows]
-        self._sparse = _rref(sparse, range(cols) if col_order is None else col_order)
+        sparse = [_gaussian_integers((j, as_qi(x)) for j, x in enumerate(r))[0] for r in rows]
+        pivots = _gaussian_rref(sparse, range(cols) if col_order is None else col_order)
+        self._sparse = [(c, {j: _qi(a, b, den) for j, (a, b) in row.items()}) for c, row, den in pivots]
         self.cols = cols
         self.rows = [[row.get(j, QI_ZERO) for j in range(cols)] for _, row in self._sparse]
         self.pivots = [(i, c) for i, (c, _) in enumerate(self._sparse)]

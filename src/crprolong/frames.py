@@ -533,7 +533,7 @@ def load_catalog(text: str) -> dict:
             raise ValueError(f"{where}.k: must be a positive integer, got {k!r}")
         if not isinstance(obj.get("provenance", ""), str):
             raise ValueError(f"{where}.provenance: must be a string, got {obj['provenance']!r}")
-        if not isinstance(d, dict) or d.get("type") not in _PAYLOAD:
+        if not isinstance(d, dict) or not isinstance(d.get("type"), str) or d["type"] not in _PAYLOAD:
             raise ValueError(f"{where}.defining.type: must be one of {sorted(_PAYLOAD)}")
         if _PAYLOAD[d["type"]] not in d:
             raise ValueError(f"{where}.defining: missing {_PAYLOAD[d['type']]!r}")

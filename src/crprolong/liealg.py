@@ -585,7 +585,8 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     # conjugation: generator swap extended as an antilinear bracket morphism,
     # defined on the quotient only when the quotient subspace is stable.
     top_conj = _top_conjugation_matrix(rho)
-    stable = all(reducer.contains(top_conj.matvec([as_qi(x).conj() for x in row])) for row in spec.rows)
+    images = top_conj.mul(Matrix.sparse(n_top, [{t: as_qi(x).conj() for t, x in enumerate(row)} for row in spec.rows]))
+    stable = all(reducer.contains(images.column(r)) for r in range(images.cols))
     conjugation = None
     if stable:
         conj_cols = [project(dict(tree_normal_form(conjugate_tree(w.tree)))) for w in words]

@@ -203,6 +203,14 @@ def test_symbol_unknown_model_exits_2(capsys):
     assert err == "error: unknown model id 'nope'\n"
 
 
+@pytest.mark.parametrize("command", ["symbol", "verify"])
+def test_empty_model_id_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--model", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown model id ''\n"
+
+
 def test_models_listing(capsys):
     code, out, _ = run(capsys, "models")
     assert code == 0
@@ -349,6 +357,8 @@ def _with_phi(obj, *exps, re="1"):
         (lambda e: [dict(_field_entry(), rho="2")], "catalog[0]: rho: stated '2', but k = 1 has length 2"),
         (lambda e: [dict(e, defining=dict(e["defining"], weights=[0]))], "catalog[0]: defining.weights: stated [0], but the polynomials have weights [2]"),
         (lambda e: [dict(e, defining=dict(e["defining"], weights=[2, 2]))], "catalog[0]: defining.weights: stated [2, 2], but the polynomials have weights [2]"),
+        (lambda e: [dict(e, defining=dict(e["defining"], type=[]))], "catalog[0].defining.type: must be one of ['field', 'rigid']"),
+        (lambda e: [dict(e, defining=dict(e["defining"], type={}))], "catalog[0].defining.type: must be one of ['field', 'rigid']"),
     ],
     ids=[
         "object",
@@ -391,6 +401,8 @@ def _with_phi(obj, *exps, re="1"):
         "rho-field",
         "weights",
         "weights-long",
+        "type-list",
+        "type-dict",
     ],
 )
 def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):
@@ -401,6 +413,17 @@ def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert message in err
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "dict"])
+def test_unhashable_defining_type_fails_verify_all_with_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "catalog.json"
+    entry = _heisenberg_entry()
+    path.write_text(json.dumps([dict(entry, defining=dict(entry["defining"], type=kind))]))
+    code, out, err = run(capsys, "verify", "--all", "3", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: catalog[0].defining.type: must be one of ['field', 'rigid']\n"
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,15 @@ import pytest
 from oracles import C_ONE, C_ZERO, c_add, c_mul, c_sub, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
 
 from crprolong import exact
-from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _qi, _rref, _sum_forms, integer_rref, kernel_basis, qi_from_json, rank
+from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _gaussian_rref, _qi, _sum_forms, integer_rref, kernel_basis, qi_from_json, rank
 from crprolong.liealg import _matrix_from_json, _matrix_to_json
 
 I = QI(0, 1)
+
+
+def _apply(m, v):
+    """m·v for the dense vector ``v``, as a dense list: one ``mul`` by a one-column matrix."""
+    return m.mul(Matrix.from_columns([v])).column(0)
 
 
 def test_field_arithmetic():
@@ -78,7 +83,25 @@ def test_kernel_gaussian_example():
     basis = kernel_basis(m)
     assert len(basis) == 1
     assert basis[0] == [-I, QI(1)]
-    assert all(not x for x in m.matvec(basis[0]))
+    assert all(not x for x in _apply(m, basis[0]))
+
+
+def test_kernel_basis_runs_the_substitution_check(monkeypatch):
+    """A pivot row corrupted at a free column gives a non-kernel vector, which the integer check refuses."""
+    original = exact.integer_rref
+
+    def corrupted(rows):
+        pivots = original(rows)
+        col, row = pivots[0]
+        free = min(set(range(4)) - {c for c, _ in pivots})
+        pivots[0] = (col, {**row, free: row.get(free, 0) + 1})
+        return pivots
+
+    m = Matrix([[1, I], [-I, 1]])
+    assert len(kernel_basis(m)) == 1
+    monkeypatch.setattr(exact, "integer_rref", corrupted)
+    with pytest.raises(AssertionError, match="non-kernel vector"):
+        kernel_basis(m)
 
 
 def _solutions(m, b):
@@ -123,7 +146,7 @@ def test_rank_nullity_property():
         kern = kernel_basis(m)
         assert rank(m) + len(kern) == cols
         for v in kern:
-            assert all(not x for x in m.matvec(v))
+            assert all(not x for x in _apply(m, v))
 
 
 def test_solve_random_consistent_systems():
@@ -132,9 +155,9 @@ def test_solve_random_consistent_systems():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
         x = [QI(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(cols)]
-        b = m.matvec(x)
+        b = _apply(m, x)
         [y] = _solutions(m, b)
-        assert m.matvec(y) == b
+        assert _apply(m, y) == b
 
 
 def test_echelon_reduction_right_preference():
@@ -296,8 +319,8 @@ def test_rref_matches_dense_oracle(order):
             "reversed": range(cols - 1, -1, -1),
             "prefix": range(rng.randint(1, cols)),
         }[order]
-        sparse = [{j: QI(re, im) for j, (re, im) in enumerate(row) if (re, im) != C_ZERO} for row in data]
-        got = _rref(sparse, col_order)
+        sparse = [_gaussian_integers((j, QI(re, im)) for j, (re, im) in enumerate(row))[0] for row in data]
+        got = [(c, {j: _qi(a, b, den) for j, (a, b) in row.items()}) for c, row, den in _gaussian_rref(sparse, col_order)]
         pivot_cols, prows = dense_rref(data, col_order)
         assert [c for c, _ in got] == pivot_cols
         for (c, row), prow in zip(got, prows):
@@ -471,6 +494,22 @@ def test_only_exact_takes_gcd_or_lcm():
     assert offenders == []
 
 
+def test_only_exact_names_the_integer_elimination():
+    """Every solve enters through ``exact``'s adapters: no other module names ``integer_rref``, ``_realify`` or ``_int_eliminate``."""
+    package = Path(exact.__file__).parent
+    inner = {"integer_rref", "_realify", "_int_eliminate"}
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id in inner)
+        or (isinstance(node, ast.Attribute) and node.attr in inner)
+        or (isinstance(node, ast.alias) and node.name in inner)
+    ]
+    assert offenders == []
+
+
 def test_only_exact_reads_qi_slots():
     """The normal form (a + b·i)/d stays in ``exact``: no other module names a slot of ``QI``."""
     package = Path(exact.__file__).parent
@@ -529,7 +568,7 @@ def test_matrix_products_match_dense_oracle(rows, cols):
         data = _dense_pairs(rng, rows, cols)
         m = _matrix(data, rows, cols)
         v = [_oracle_entry(rng, True, 0.5) for _ in range(cols)]
-        assert _pairs(m.matvec(_qis(v))) == dense_matvec(data, v)
+        assert _pairs(_apply(m, _qis(v))) == dense_matvec(data, v)
         for width in (0, 1, 3):
             other = _dense_pairs(rng, cols, width)
             product = m.mul(_matrix(other, cols, width))
@@ -537,8 +576,6 @@ def test_matrix_products_match_dense_oracle(rows, cols):
             assert [_pairs(row) for row in product.data] == dense_matmul(data, other, width)
         with pytest.raises(ValueError, match="dimension mismatch"):
             m.mul(Matrix.identity(cols + 1))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            m.matvec([QI()] * (cols + 1))
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)

@@ -425,7 +425,7 @@ def _transported(m, p):
     for i in range(m.dim):
         for j in range(i + 1, m.dim):
             w = m.bracket_vec(cols[i], cols[j])
-            entry = {k: c for k, c in enumerate(pinv.matvec([w.get(t, QI(0)) for t in range(m.dim)])) if c}
+            entry = {k: c for k, c in enumerate(pinv.mul(Matrix.from_columns([[w.get(t, QI(0)) for t in range(m.dim)]])).column(0)) if c}
             if entry:
                 table[(i, j)] = entry
     ones = m.indices_of_degree(-1)
