@@ -1,17 +1,20 @@
-"""Time the group law's two callers on two source trees and write the pair as JSON.
+"""Time the group law and its series on two source trees and write the pair as JSON.
 
     python scripts/bench_group_law.py --before OLD_CHECKOUT/src --after src
 
 The keys are ``assoc<k>``, ``GroupLaw.associativity_residual``, and
 ``frame<k>``, ``left_invariant_frame``, each on the real form of the
-default symbol of codimension k.  Each key is timed five times (the
-median is reported) in a fresh process per source tree, alternating which
-side runs first (``benchpair.py`` holds this harness); the residual is
-checked to be zero.  The sizes are read from public output only, so both
-trees report the same ones: for ``assoc<k>`` the number of monomials in
-bch(a, b) (``GroupLaw.symbolic()``) and the bit length of the common
-denominator of its coefficients, for ``frame<k>`` the number of terms over
-all the frame's component polynomials.  The pair goes to
+default symbol of codimension k, and ``series<c>``, ``bch_series(c)``
+computed cold (its cache is cleared before every repeat).  Each key is
+timed five times (the median is reported) in a fresh process per source
+tree, alternating which side runs first (``benchpair.py`` holds this
+harness); the residual is checked to be zero.  The sizes are read from
+public output only, so both trees report the same ones: for ``assoc<k>``
+the number of monomials in bch(a, b) (``GroupLaw.symbolic()``) and the
+bit length of the common denominator of its coefficients, for
+``frame<k>`` the number of terms over all the frame's component
+polynomials, and for ``series<c>`` the number of words and the bit length
+of the common denominator of their coefficients.  The pair goes to
 BENCH_group_law.json in the current directory.
 """
 
@@ -23,23 +26,33 @@ from math import lcm
 
 import benchpair
 
-KEYS = ("assoc7", "assoc12", "assoc16", "assoc21", "assoc30", "frame16", "frame21")
+KEYS = ("assoc7", "assoc12", "assoc16", "assoc21", "assoc30", "frame16", "frame21", "series7", "series10", "series12")
 REPEATS = 5
 
 
-def measure(key: str) -> dict:
-    from crprolong.bch import GroupLaw, left_invariant_frame
-    from crprolong.liealg import build_symbol_algebra, realify
-
-    kind, k = key[:5], int(key[5:])
-    algebra = realify(build_symbol_algebra(k).algebra)
-    law = GroupLaw(algebra)
-    run = law.associativity_residual if kind == "assoc" else lambda: left_invariant_frame(algebra)
+def timed(run, reset=lambda: None):
+    """The last output of ``run`` and its median and single wall times over REPEATS calls, each after ``reset()``."""
     times = []
     for _ in range(REPEATS):
+        reset()
         t0 = time.perf_counter()
         out = run()
         times.append(time.perf_counter() - t0)
+    return out, {"time_s": round(statistics.median(times), 4), "runs_s": [round(t, 4) for t in times]}
+
+
+def measure(key: str) -> dict:
+    from crprolong.bch import GroupLaw, bch_series, left_invariant_frame
+    from crprolong.liealg import build_symbol_algebra, realify
+
+    kind = key.rstrip("0123456789")
+    k = int(key[len(kind):])
+    if kind == "series":
+        series, timing = timed(lambda: bch_series(k), bch_series.cache_clear)
+        return {**timing, "words": len(series), "denominator_bits": lcm(*(c.denominator for _, c in series)).bit_length()}
+    algebra = realify(build_symbol_algebra(k).algebra)
+    law = GroupLaw(algebra)
+    out, timing = timed(law.associativity_residual if kind == "assoc" else lambda: left_invariant_frame(algebra))
     sizes = {"dim": algebra.dim, "nilpotency_class": law.cap}
     if kind == "assoc":
         if not all(p.is_zero() for p in out):
@@ -50,13 +63,13 @@ def measure(key: str) -> dict:
         sizes["bch_denominator_bits"] = den.bit_length()
     else:
         sizes["frame_terms"] = sum(len(p.terms) for field in out for p in field.comps)
-    return {"time_s": round(statistics.median(times), 4), "runs_s": [round(t, 4) for t in times], **sizes}
+    return {**timing, **sizes}
 
 
 if __name__ == "__main__":
     benchpair.main(
         __file__, __doc__, measure, KEYS, "workload", "time_s",
         "GroupLaw.associativity_residual (assoc<k>) and left_invariant_frame (frame<k>) wall time "
-        "on the real form of the default symbol",
+        "on the real form of the default symbol, and cold bch_series(c) (series<c>)",
         REPEATS, "BENCH_group_law.json",
     )

@@ -1,73 +1,72 @@
-"""Truncated free associative algebra on two letters.
+"""Truncated free associative algebra on two letters, over the integers.
 
-Elements are sparse {word tuple: Fraction} maps with all words of length
-at most a fixed cap.  This is the workhorse behind the exponential-log
+Elements are sparse {word tuple: int} maps with all words of length at
+most a fixed cap; a rational element is such a map over one denominator
+that its caller keeps.  This is the workhorse behind the exponential-log
 computation of the group-law series: Lie elements are recognized and
-re-expressed in the Lyndon bracket basis by triangular elimination
-(the expansion of a standard bracketing starts with its own word, and
-every other word in the expansion is lexicographically larger).
+re-expressed in the Lyndon bracket basis by triangular elimination (the
+expansion of a standard bracketing starts with its own word, with
+coefficient 1, and every other word in the expansion is lexicographically
+larger), so the elimination never leaves the integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .freelie import is_lyndon, standard_tree
+from .freelie import lyndon_words, standard_tree
 
 __all__ = ["a_mul", "a_add", "expand_tree", "lie_coordinates"]
 
 
-def a_add(a: dict, b: dict, mult=1) -> dict:
-    out = dict(a)
+def a_add(acc: dict, b: dict, mult=1) -> dict:
+    """acc += mult · b, in place (zeros dropped); returns ``acc``."""
     for w, c in b.items():
-        c = c * mult
-        nc = out.get(w, 0) + c
+        nc = acc.get(w, 0) + c * mult
         if nc:
-            out[w] = nc
+            acc[w] = nc
         else:
-            out.pop(w, None)
-    return out
+            acc.pop(w, None)
+    return acc
 
 
 def a_mul(a: dict, b: dict, cap: int) -> dict:
+    """a · b without the words longer than ``cap``."""
+    right = sorted(b.items(), key=lambda t: len(t[0]))
     out: dict = {}
     for wa, ca in a.items():
-        la = len(wa)
-        for wb, cb in b.items():
-            if la + len(wb) > cap:
-                continue
+        room = cap - len(wa)
+        for wb, cb in right:
+            if len(wb) > room:
+                break
             w = wa + wb
-            nc = out.get(w, 0) + ca * cb
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-    return out
+            out[w] = out.get(w, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
 
 
-def expand_tree(tree, cap: int) -> dict:
-    """Iterated-commutator expansion of a bracket tree."""
-    if isinstance(tree, int):
-        return {(tree,): Fraction(1)}
-    left = expand_tree(tree[0], cap)
-    right = expand_tree(tree[1], cap)
-    return a_add(a_mul(left, right, cap), a_mul(right, left, cap), -1)
+def expand_tree(tree, cap: int, memo: dict) -> dict:
+    """Iterated-commutator expansion of a bracket tree, kept in ``memo`` ({tree: expansion}; never changed)."""
+    if tree not in memo:
+        if isinstance(tree, int):
+            memo[tree] = {(tree,): 1}
+        else:
+            left, right = expand_tree(tree[0], cap, memo), expand_tree(tree[1], cap, memo)
+            memo[tree] = a_add(a_mul(left, right, cap), a_mul(right, left, cap), -1)
+    return memo[tree]
 
 
-def lie_coordinates(elem: dict, cap: int) -> dict:
-    """Coordinates of a Lie element in the Lyndon basis: {word: Fraction}.
+def lie_coordinates(elem: dict, cap: int, memo: dict) -> dict:
+    """Coordinates of a Lie element in the Lyndon basis: {word: int}.
 
-    Works degree by degree; raises if the input fails to be a Lie element
-    (a leftover leading word that is not Lyndon, or a nonzero residue).
+    Works degree by degree, through the Lyndon words in lexicographic
+    order; ``memo`` is passed to :func:`expand_tree`.  Raises if the input
+    fails to be a Lie element: the least word left over is then not Lyndon.
     """
     coords: dict = {}
     for degree in range(1, cap + 1):
         part = {w: c for w, c in elem.items() if len(w) == degree}
-        while part:
-            w = min(part)
-            if not is_lyndon(w):
-                raise ValueError(f"not a Lie element: leading word {w} is not Lyndon")
-            c = part[w]
-            coords[w] = c
-            part = a_add(part, expand_tree(standard_tree(w), cap), -c)
+        for w in lyndon_words(degree):
+            if c := part.get(w):
+                coords[w] = c
+                a_add(part, expand_tree(standard_tree(w), cap, memo), -c)
+        if part:
+            raise ValueError(f"not a Lie element: leading word {min(part)} is not Lyndon")
     return coords

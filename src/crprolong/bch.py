@@ -3,18 +3,20 @@
 The universal series is obtained the honest way: multiply the two
 truncated exponentials in the free associative algebra, take the
 truncated logarithm, and read the Lie coordinates off in the Lyndon
-basis by triangular elimination.  The extraction is certified on every
-call by re-expanding the bracket series and comparing with the logarithm
-term by term.
+basis by triangular elimination.  All of it runs on integer coefficients
+over one denominator, and the extraction is certified on every call by
+re-expanding the bracket series and comparing with the logarithm term by
+term.
 
 The series is then evaluated in a concrete real algebra, exactly and
 fraction-free: monomials are packed into single integers, coefficients
 are integer numerators over one common denominator per vector, and each
 coefficient of the result becomes a ``QI`` once.  Each caller gets
 only what it reads: the associativity residual evaluates the inner law
-once, and the left-invariant frame only the part of the law linear in b.
-Ungraded or complex structure constants and complex input coefficients
-are refused with ``ValueError``.
+once, the left-invariant frame only the part of the law linear in b, and
+each bracket of the series is taken only at the degrees that its parent
+bracket reads.  Ungraded or complex structure constants and complex
+input coefficients are refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from functools import lru_cache
 from math import factorial
 
 from .assoc import a_add, a_mul, expand_tree, lie_coordinates
-from .exact import _gaussian_integers, _qi, _sum_forms
-from .freelie import standard_tree
+from .exact import _gaussian_integers, _lowest_terms, _over_one_denominator, _qi, _sum_forms
+from .freelie import standard_factorization, standard_tree
 from .liealg import GradedLieAlgebra, check_grading
 from .poly import Poly, PolyVectorField, real_chart
 
@@ -41,28 +43,36 @@ def bch_series(cap: int):
     """Universal log(exp X · exp Y) through bracket length ``cap``.
 
     Returns a tuple of (Lyndon word, Fraction coefficient) sorted by
-    (length, word); each word stands for its standard bracketing.
+    (length, word); each word stands for its standard bracketing.  The
+    series is computed in integers: with N = cap!, N·(exp X · exp Y - 1)
+    has the integer coefficients N/(i!·j!), and the logarithm is summed
+    over the one denominator N^(cap+1), a multiple of every n·N^n since n
+    divides N.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    exp_x = {(1,) * i: Fraction(1, factorial(i)) for i in range(cap + 1)}
-    exp_y = {(2,) * i: Fraction(1, factorial(i)) for i in range(cap + 1)}
-    prod = a_mul(exp_x, exp_y, cap)
-    eaten = a_add(prod, {(): Fraction(1)}, -1)
+    n_fact = factorial(cap)
+    eaten = {
+        (1,) * i + (2,) * j: n_fact // (factorial(i) * factorial(j))
+        for i in range(cap + 1)
+        for j in range(cap + 1 - i)
+        if i + j
+    }
     log = {}
-    power = {(): Fraction(1)}
+    power = {(): 1}
     for n in range(1, cap + 1):
         power = a_mul(power, eaten, cap)
-        log = a_add(log, power, Fraction((-1) ** (n + 1), n))
-    coords = lie_coordinates(log, cap)
-    series = tuple(sorted(coords.items(), key=lambda t: (len(t[0]), t[0])))
+        a_add(log, power, (-1) ** (n + 1) * n_fact ** (cap - n) * (n_fact // n))
+    den = n_fact ** (cap + 1)
+    memo = {}
+    coords = lie_coordinates(log, cap, memo)
     # certify the extraction: the bracket series must re-expand to the log
     expanded = {}
-    for word, coeff in series:
-        expanded = a_add(expanded, expand_tree(standard_tree(word), cap), coeff)
+    for word, coeff in coords.items():
+        a_add(expanded, expand_tree(standard_tree(word), cap, memo), coeff)
     if expanded != log:
         raise AssertionError("Lyndon extraction failed to reproduce the logarithm")
-    return series
+    return tuple((word, Fraction(coeff, den)) for word, coeff in sorted(coords.items(), key=lambda t: (len(t[0]), t[0])))
 
 
 class GroupLaw:
@@ -81,40 +91,92 @@ class GroupLaw:
             raise NotNilpotent("group law needs strictly negative degrees")
         if check_grading(algebra):
             raise ValueError("group law needs a graded algebra")
-        self._table, self._den = algebra._numerators  # {(i, j): {k: (re, im)}} over self._den
-        if any(im for terms in self._table.values() for _, im in terms.values()):
+        table, self._den = algebra._numerators  # {(i, j): {k: (re, im)}} over self._den
+        if any(im for terms in table.values() for _, im in terms.values()):
             raise ValueError("group law needs real structure constants")
         self.algebra = algebra
         self.cap = -min(algebra.degrees)
         self.series = bch_series(self.cap)
+        # ((i, j), [(k, c)], deg i + deg j) of each table pair, by decreasing degree
+        self._pairs = sorted(
+            (((i, j), [(k, c) for k, (c, _) in terms.items()], algebra.degrees[i] + algebra.degrees[j])
+             for (i, j), terms in table.items()),
+            key=lambda pair: -pair[2],
+        )
 
-    def _bracket(self, u, v):
-        (uc, ud), (vc, vd) = u, v
-        out = [{} for _ in uc]
-        for (i, j), terms in self._table.items():
-            ui, uj, vi, vj = uc[i], uc[j], vc[i], vc[j]
+    def _bracket_into(self, out, u, v, floor: int, scale: int):
+        """out[k] += scale · [u, v]_k on numerators, only for the degrees of k at or above ``floor``."""
+        for (i, j), terms, degree in self._pairs:
+            if degree < floor:
+                break
+            ui, uj, vi, vj = u[i], u[j], v[i], v[j]
             if not (ui and vj or uj and vi):
                 continue
-            for k, (c, _) in terms.items():
+            for k, c in terms:
+                c *= scale
                 _mul_into(out[k], ui, vj, c)
                 _mul_into(out[k], uj, vi, -c)
+
+    def _bracket(self, u, v, floor: int):
+        (uc, ud), (vc, vd) = u, v
+        out = [{} for _ in uc]
+        self._bracket_into(out, uc, vc, floor, 1)
         return [{e: x for e, x in acc.items() if x} for acc in out], ud * vd * self._den
 
+    def _plan(self, series):
+        """The lowest degree read of each tree that ``series`` needs, each tree's factors, and the trees to store.
+
+        Trees are named by their Lyndon words.  A series word is read at
+        every degree.  A factor t of a parent [t, s] or [s, t] is read only
+        at degrees >= floor(parent) + len(s), since s lies in degrees
+        <= -len(s); its floor is the least such bound over its parents.
+        The stored trees are the factors longer than a letter, shortest
+        first.
+        """
+        floors = dict.fromkeys((word for word, _ in series), -self.cap)
+        factors = {}
+        for length in range(self.cap, 1, -1):  # every parent is longer than its factors
+            for word in [w for w in floors if len(w) == length]:
+                u, v = factors[word] = standard_factorization(word)
+                # every floor is negative, so 0 stands for a factor not yet seen
+                floors[u] = min(floors.get(u, 0), floors[word] + len(v))
+                floors[v] = min(floors.get(v, 0), floors[word] + len(u))
+        stored = sorted({t for pair in factors.values() for t in pair if len(t) > 1}, key=len)
+        return floors, factors, stored
+
     def _apply(self, a, b, series=None):
-        """bch(a, b) on the private form, reduced to lowest terms (only the words of ``series``, if given)."""
-        memo = {1: a, 2: b}
+        """bch(a, b) on the private form, reduced to lowest terms (only the words of ``series``, if given).
 
-        def value(tree):
-            if tree not in memo:
-                memo[tree] = self._bracket(value(tree[0]), value(tree[1]))
-            return memo[tree]
+        The stored trees are evaluated each only at the degrees its parents
+        read.  Every series word is summed into one output, scaled by its
+        coefficient over the common denominator; a word that is no factor
+        is bracketed straight into it.
+        """
+        series = series or self.series
+        floors, factors, stored = self._plan(series)
+        values = {(1,): a, (2,): b}
+        for word in stored:
+            u, v = factors[word]
+            values[word] = self._bracket(values[u], values[v], floors[word])
 
-        terms = []
-        for word, coeff in series or self.series:
-            comps, den = value(standard_tree(word))
-            terms += [(k, coeff.numerator, coeff.denominator * den, comp) for k, comp in enumerate(comps)]
-        forms, den = _sum_forms(terms)
-        return [forms.get(k, {}) for k in range(self.algebra.dim)], den
+        def den(word):  # of the value of ``word``, known before a word that is no factor is bracketed
+            if word in values:
+                return values[word][1]
+            u, v = factors[word]
+            return values[u][1] * values[v][1] * self._den
+
+        scales, common = _over_one_denominator((c.numerator, c.denominator * den(word)) for word, c in series)
+        out = {k: {} for k in range(self.algebra.dim)}
+        for (word, _), f in zip(series, scales):
+            if word in values:
+                for acc, comp in zip(out.values(), values[word][0]):
+                    for e, x in comp.items():
+                        acc[e] = acc.get(e, 0) + f * x
+            else:
+                u, v = factors[word]
+                self._bracket_into(out, values[u][0], values[v][0], floors[word], f)
+        forms, common = _lowest_terms(out, common)
+        return [forms.get(k, {}) for k in range(self.algebra.dim)], common
 
     def _width(self, top_exponent: int) -> int:
         # a bracket of at most cap leaves multiplies at most cap input

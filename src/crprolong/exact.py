@@ -16,8 +16,10 @@ This module owns the fraction-free form that ``prolong``, ``bch``,
 ``frames`` and ``liealg`` compute on: integer numerators over one positive
 denominator.  ``_gaussian_integers`` is the way in (a real caller refuses
 a nonzero ``im`` itself), ``_sum_forms`` the one scaled sum (one gcd, on
-the finished sum), and ``_qi(re, im, den)`` the way back to a ``QI``.  No
-other module takes a gcd or an lcm, or reads the slots of a ``QI``.
+the finished sum; a caller that accumulates its own sum uses its two
+steps, ``_over_one_denominator`` and ``_lowest_terms``), and
+``_qi(re, im, den)`` the way back to a ``QI``.  No other module takes a
+gcd or an lcm, or reads the slots of a ``QI``.
 """
 
 from __future__ import annotations
@@ -395,7 +397,19 @@ def _sum_forms(terms):
         else:
             for v, x in form.items():
                 acc[v] = acc.get(v, 0) + f * x
-    out = {t: form for t, acc in out.items() if (form := {v: x for v, x in acc.items() if x})}
+    return _lowest_terms(out, den)
+
+
+def _over_one_denominator(fractions):
+    """Fractions ``(num, den)`` as ``([num'], den')``: their numerators over the lcm of their denominators."""
+    fractions = list(fractions)
+    den = lcm(*(d for _, d in fractions))
+    return [num * (den // d) for num, d in fractions], den
+
+
+def _lowest_terms(forms, den):
+    """Forms ``{t: {key: int}}`` over ``den`` with zeros dropped, divided by one gcd; returns ``(forms, den)``."""
+    out = {t: form for t, acc in forms.items() if (form := {v: x for v, x in acc.items() if x})}
     g = gcd(den, *chain.from_iterable(form.values() for form in out.values()))
     if g == 1:
         return out, den

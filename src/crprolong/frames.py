@@ -116,10 +116,9 @@ class ModelSpec:
                 raise ValueError(f"defining.weights: stated {d['weights']!r}, but the polynomials have weights {list(m.weights)}")
         else:
             try:
-                cr = PolyVectorField.from_json_dict(d["cr"])
+                m = field_model(obj["id"], obj["k"], PolyVectorField.from_json_dict(d["cr"]), obj.get("provenance", ""))
             except ValueError as exc:
                 raise ValueError(f"defining.cr: {exc}") from exc
-            m = field_model(obj["id"], obj["k"], cr, provenance=obj.get("provenance", ""))
         if "rho" in obj and obj["rho"] != m.length:
             raise ValueError(f"rho: stated {obj['rho']!r}, but k = {m.codim} has length {m.length}")
         return m
@@ -161,11 +160,23 @@ def rigid_model(model_id: str, k: int, phis, provenance: str = "") -> ModelSpec:
 
 
 def field_model(model_id: str, k: int, cr: PolyVectorField, provenance: str = "") -> ModelSpec:
+    """Explicit-field model: the CR field ``cr`` on a (2 + k)-dimensional chart.
+
+    In a weighted-homogeneous field of length rho every variable has
+    weight at least 1, so no exponent passes rho - 1; a larger one is
+    refused here, before any bracket is taken.
+    """
     if cr.chart.nvars != 2 + k:
         raise ValueError("explicit field must live on a (2+k)-dimensional chart")
-    return ModelSpec(
-        model_id, k, min_length_for_codim(k), cr=cr, provenance=provenance
-    )
+    rho = min_length_for_codim(k)
+    for i, comp in enumerate(cr.comps):
+        for e in comp.terms:
+            if (top := max(e, default=0)) > rho - 1:
+                var = cr.chart.names[e.index(top)]
+                raise ValueError(
+                    f"components[{i}]: exponent {top} of {var} exceeds {rho - 1}, the bound for length {rho}"
+                )
+    return ModelSpec(model_id, k, rho, cr=cr, provenance=provenance)
 
 
 def tangential_cr_field(model: ModelSpec) -> PolyVectorField:

@@ -3,7 +3,8 @@
 These deliberately avoid the package's rewriting and series machinery:
 Lyndon words are enumerated straight from the rotation-minimality
 definition, bracket expressions are expanded as iterated commutators
-in a hand-rolled free associative algebra, Lie brackets, the Jacobi
+in a hand-rolled free associative algebra, the group-law series comes
+from exp-log in ``Fraction`` arithmetic, Lie brackets, the Jacobi
 identity and bracket morphisms are evaluated from dense arrays of
 structure constants, prolongation components are solved for every full
 block map at once,
@@ -60,6 +61,58 @@ def expand_commutator(tree):
     left = expand_commutator(tree[0])
     right = expand_commutator(tree[1])
     return assoc_add(assoc_mul(left, right), assoc_mul(right, left), -1)
+
+
+# -- the universal group-law series by exp-log in Fraction arithmetic --
+
+
+def bch_log_oracle(cap):
+    """log(exp X · exp Y) through word length ``cap``: {word over {1, 2}: Fraction}, zeros dropped."""
+    fact = [Fraction(1)]
+    for i in range(1, cap + 1):
+        fact.append(fact[-1] * i)
+    prod = {}
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            w = (1,) * i + (2,) * j
+            prod[w] = prod.get(w, Fraction(0)) + 1 / (fact[i] * fact[j])
+    prod.pop((), None)
+    log = {}
+    power = {(): Fraction(1)}
+    for n in range(1, cap + 1):
+        new = {}
+        for wa, ca in power.items():
+            for wb, cb in prod.items():
+                if len(wa) + len(wb) > cap:
+                    continue
+                w = wa + wb
+                new[w] = new.get(w, Fraction(0)) + ca * cb
+        power = {w: c for w, c in new.items() if c}
+        for w, c in power.items():
+            log[w] = log.get(w, Fraction(0)) + Fraction((-1) ** (n + 1), n) * c
+    return {w: c for w, c in log.items() if c}
+
+
+def bch_series_oracle(cap):
+    """The Lyndon coordinates of :func:`bch_log_oracle` as (word, Fraction) pairs, by (length, word).
+
+    Each length is solved against the iterated-commutator expansions of
+    the standard bracketings of its Lyndon words, least word first; the
+    expansion of a Lyndon word's bracketing starts with that word, so each
+    step zeroes the least word left.  A residue raises.
+    """
+    log = bch_log_oracle(cap)
+    series = []
+    for length in range(1, cap + 1):
+        part = {w: c for w, c in log.items() if len(w) == length}
+        for w in brute_force_lyndon(length):
+            c = part.get(w, 0)
+            if c:
+                series.append((w, c))
+                part = assoc_add(part, expand_commutator(standard_bracketing(w)), -c)
+        if part:
+            raise AssertionError(f"log(exp X exp Y) is not a Lie element at length {length}")
+    return tuple(series)
 
 
 # -- dense Gauss-Jordan over Q(i), entries as (re, im) pairs of Fractions --

@@ -2,12 +2,23 @@ from fractions import Fraction
 
 import pytest
 
+from crprolong import bch
+from crprolong.assoc import lie_coordinates
 from crprolong.bch import GroupLaw, NotNilpotent, _poly, bch_series, left_invariant_frame
 from crprolong.exact import QI
 from crprolong.frames import builtin_catalog, symbol_from_frame
+from crprolong.freelie import standard_tree
 from crprolong.liealg import GradedLieAlgebra, build_symbol_algebra, check_jacobi, realify
 from crprolong.poly import Poly, vf_bracket
-from oracles import assoc_add, bch_law, expand_commutator, left_invariant_fields, replaced_bracket
+from oracles import (
+    assoc_add,
+    bch_law,
+    bch_log_oracle,
+    bch_series_oracle,
+    expand_commutator,
+    left_invariant_fields,
+    replaced_bracket,
+)
 
 
 def test_series_through_degree_three():
@@ -33,38 +44,36 @@ def test_series_degree_four_matches_classical_term():
 def test_series_reexpands_to_the_logarithm():
     # independent re-expansion with the test-side commutator oracle
     cap = 5
-    series = bch_series(cap)
     expanded = {}
-    for word, coeff in series:
-        from crprolong.freelie import standard_tree
-
+    for word, coeff in bch_series(cap):
         expanded = assoc_add(expanded, expand_commutator(standard_tree(word)), coeff)
     expanded = {w: c for w, c in expanded.items() if len(w) <= cap}
-    # rebuild log(exp X exp Y) directly
-    fact = [Fraction(1)]
-    for i in range(1, cap + 1):
-        fact.append(fact[-1] * i)
-    prod = {}
-    for i in range(cap + 1):
-        for j in range(cap + 1 - i):
-            w = (1,) * i + (2,) * j
-            prod[w] = prod.get(w, Fraction(0)) + 1 / (fact[i] * fact[j])
-    prod.pop((), None)
-    log = {}
-    power = {(): Fraction(1)}
-    for n in range(1, cap + 1):
-        new = {}
-        for wa, ca in power.items():
-            for wb, cb in prod.items():
-                if len(wa) + len(wb) > cap:
-                    continue
-                w = wa + wb
-                new[w] = new.get(w, Fraction(0)) + ca * cb
-        power = {w: c for w, c in new.items() if c}
-        for w, c in power.items():
-            log[w] = log.get(w, Fraction(0)) + Fraction((-1) ** (n + 1), n) * c
-    log = {w: c for w, c in log.items() if c}
-    assert expanded == log
+    assert expanded == bch_log_oracle(cap)
+
+
+@pytest.mark.parametrize("cap", range(1, 9))
+def test_series_matches_the_fraction_oracle(cap):
+    # the integer series against exp-log in Fractions, words and coefficients alike
+    assert bch_series(cap) == bch_series_oracle(cap)
+
+
+def test_lie_coordinates_refuse_an_element_that_is_not_lie():
+    # 12 alone is [1, 2] + 21, and 21 is no Lyndon word
+    with pytest.raises(ValueError, match=r"not a Lie element: leading word \(2, 1\) is not Lyndon"):
+        lie_coordinates({(1, 2): 1}, 2, {})
+    assert lie_coordinates({(1, 2): 3, (2, 1): -3}, 2, {}) == {(1, 2): 3}
+
+
+def test_series_certification_catches_a_wrong_coordinate(monkeypatch):
+    # one Lyndon coordinate off by one no longer re-expands to the logarithm
+    def off_by_one(elem, cap, memo):
+        coords = lie_coordinates(elem, cap, memo)
+        coords[(1, 2)] += 1
+        return coords
+
+    monkeypatch.setattr(bch, "lie_coordinates", off_by_one)
+    with pytest.raises(AssertionError, match="Lyndon extraction failed to reproduce the logarithm"):
+        bch_series.__wrapped__(3)
 
 
 def test_abelian_law_is_addition():
@@ -202,10 +211,13 @@ def _oracle_sides(R):
     return bch_law(series, table, bch_law(series, table, a, b), c), bch_law(series, table, a, bch_law(series, table, b, c))
 
 
-@pytest.mark.parametrize("k", [4, 7])
+@pytest.mark.parametrize("k", [4, 7, 17])
 def test_packed_three_argument_laws_match_oracle(k):
     # both sides unpacked from the narrow bit fields: an exponent that
-    # overflowed its field would land in the next variable and show here
+    # overflowed its field would land in the next variable and show here.
+    # At k = 17 (length 6) raising any one degree floor of GroupLaw._plan
+    # by 1 changes a side; at k = 13..16 the degree -6 layer is too small
+    # to show four of the 17 floors
     R = realify(build_symbol_algebra(k).algebra)
     n = R.dim
     left, right, width = GroupLaw(R)._associativity_sides()

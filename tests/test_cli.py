@@ -426,6 +426,22 @@ def test_unhashable_defining_type_fails_verify_all_with_exit_2(tmp_path, capsys,
     assert err == "error: catalog[0].defining.type: must be one of ['field', 'rigid']\n"
 
 
+@pytest.mark.parametrize("exponent", [60, 1000000])
+def test_field_exponent_past_the_length_exits_2(tmp_path, capsys, exponent):
+    # in a weighted-homogeneous field of length 5 no exponent passes 4; the
+    # entry is refused when loaded, before any bracket of the field is taken
+    from crprolong.frames import builtin_catalog
+
+    entry = builtin_catalog()["quintic7"].to_json_dict()
+    entry["defining"]["cr"]["components"][8]["terms"].append({"re": "1", "im": "0", "exp": [0, exponent, 0, 0, 0, 0, 0, 0, 0]})
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run(capsys, "verify", "--model", "quintic7", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: catalog[0]: defining.cr: components[8]: exponent {exponent} of y exceeds 4, the bound for length 5\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -217,10 +217,14 @@ def test_word_values_match_textbook_oracle(case):
 def test_word_values_exponents_beyond_the_input_maximum():
     # [L, Lbar]_t1 has an x^8 term although no input exponent exceeds 7; a
     # packed exponent field sized for 7 alone would carry it into y's field
-    # and read it as a linear y term of the length-2 word
+    # and read it as a linear y term of the length-2 word.  The entry is built
+    # directly: field_model refuses an exponent past rho - 1 = 2, and the
+    # packing must stay wide enough for any field it is handed
     comps = [{(0, 0, 0, 0): 1, (2, 0, 0, 0): 1}, {(0, 0, 0, 0): I}, {(7, 0, 0, 0): I}, {(1, 1, 0, 0): I}]
     L = PolyVectorField(real_chart(("x", "y", "t1", "t2")), [Poly(4, c) for c in comps])
-    m = field_model("x7", 2, L)
+    m = ModelSpec("x7", 2, 3, cr=L)
+    with pytest.raises(ValueError, match=r"components\[2\]: exponent 7 of x exceeds 2, the bound for length 3"):
+        field_model("x7", 2, L)
     assert max(x for p in L.comps for e in p.terms for x in e) == 7
     assert max(e[0] for e in L.bracket(L.conj()).comps[2].terms) == 8
     _assert_word_values_match_oracle(m)
