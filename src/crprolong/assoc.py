@@ -12,20 +12,9 @@ larger), so the elimination never leaves the integers.
 
 from __future__ import annotations
 
-from .freelie import lyndon_words, standard_tree
+from .freelie import _merge as a_add, lyndon_words, standard_tree
 
 __all__ = ["a_mul", "a_add", "expand_tree", "lie_coordinates"]
-
-
-def a_add(acc: dict, b: dict, mult=1) -> dict:
-    """acc += mult · b, in place (zeros dropped); returns ``acc``."""
-    for w, c in b.items():
-        nc = acc.get(w, 0) + c * mult
-        if nc:
-            acc[w] = nc
-        else:
-            acc.pop(w, None)
-    return acc
 
 
 def a_mul(a: dict, b: dict, cap: int) -> dict:

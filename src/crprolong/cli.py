@@ -7,7 +7,8 @@ isomorphism for a model, a codimension, or a whole sweep), ``models``
 
 Exit codes: 0 success/confirmed, 1 verification failure, 2 usage or
 input error.  ``symbol --k``, ``verify --k`` and ``witt --max-length``
-refuse a value past ``MAX_K`` or ``MAX_WITT_LENGTH`` before any work.
+refuse a value past ``MAX_K`` or ``MAX_WITT_LENGTH`` before any work, and
+a ``--catalog`` file is refused if any of its models has k past ``MAX_K``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ MAX_K = cumulative_dim(MAX_LENGTH) - 2
 MAX_WITT_LENGTH = 200  # 0.5 s and 27 KB of table on a 2-vCPU host; 1000 takes 22 s and prints 612 KB
 
 
-def _bounded(k: int) -> int:
+def _bounded(k: int, what: str = "--k") -> int:
     if k > MAX_K:
-        raise ValueError(f"--k {k} is past the work bound k <= {MAX_K}, the end of length {MAX_LENGTH}")
+        raise ValueError(f"{what} {k} is past the work bound k <= {MAX_K}, the end of length {MAX_LENGTH}")
     return k
 
 
@@ -46,10 +47,14 @@ def _write_output(text: str, path):
 
 
 def _load_models(path):
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_catalog(fh.read())
-    return builtin_catalog()
+    """The built-in catalog, or the one in ``path`` with every model's k held to ``MAX_K``."""
+    if not path:
+        return builtin_catalog()
+    with open(path, "r", encoding="utf-8") as fh:
+        models = load_catalog(fh.read())
+    for mid, model in models.items():
+        _bounded(model.codim, f"catalog model {mid!r}: k =")
+    return models
 
 
 def cmd_witt(args) -> int:

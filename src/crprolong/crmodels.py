@@ -6,7 +6,11 @@ d acting by -(length), plus (when the quotient is compatible with it) a
 rotation element r whose complex-basis action is the bidegree diagonal
 -i(n - nt).  Which of the two cases holds is decided on this side, from
 the quotient alone: r is added exactly when the bidegree diagonal
-preserves the top-layer quotient.  The prolongation side is computed
+preserves the top-layer quotient, that is, when every reduced row of the
+quotient touches top words of one bidegree only.  That test is exact: a
+stable subspace splits into its parts in the eigenspaces of the diagonal,
+and the reduced echelon form, unique for a fixed column order, is then
+the union of theirs.  The prolongation side is computed
 independently by the exact kernel solves in :mod:`.prolong`, and the two
 sides meet only in the checks below, so a disagreement about the case is
 a failed verification.  The verification builds the map that is
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import Matrix, QI, QI_ONE, _gaussian_apply, _gaussian_columns, _qi, as_qi, rank
+from .exact import Matrix, QI_ONE, _gaussian_apply, _gaussian_columns, _qi, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     RealForm,
@@ -106,16 +110,18 @@ class AutCRAlgebra:
 
 
 def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
-    reducer = symbol.reducer
-    if reducer.rank == 0:
-        return True
-    top_words = [w for w in hall_basis(symbol.length).words if w.length == symbol.length]
-    for row in symbol.quotient.rows:
-        # the bidegree diagonal -i(n - nt)
-        image = [as_qi(c) * QI(0, w.bidegree[1] - w.bidegree[0]) for c, w in zip(row, top_words)]
-        if not reducer.contains(image):
-            return False
-    return True
+    """Whether the bidegree diagonal -i(n - nt) maps the top-layer quotient into itself.
+
+    It does exactly when every reduced row of ``symbol.reducer`` touches top
+    words of one bidegree only.  The diagonal is diagonalizable, so a
+    stable subspace is the direct sum of its parts in the eigenspaces; the
+    reduced rows of those parts, put together, are a reduced echelon form
+    of the whole, and that form is unique for the fixed column order.  A
+    homogeneous row is an eigenvector, so the converse is clear.  The zero
+    quotient has no rows and passes.
+    """
+    top = [w for w in hall_basis(symbol.length).words if w.length == symbol.length]
+    return all(len({top[t].bidegree for t, x in enumerate(row) if x}) == 1 for row in symbol.reducer.rows)
 
 
 def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:

@@ -527,8 +527,8 @@ def load_catalog(text: str) -> dict:
     ``catalog[0]: missing 'defining'``.
     """
     entries = json.loads(text)
-    if not isinstance(entries, list):
-        raise ValueError("catalog: top level must be a list of models")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("catalog: top level must be a list of at least one model")
     out = {}
     for n, obj in enumerate(entries):
         where = f"catalog[{n}]"

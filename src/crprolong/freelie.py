@@ -198,15 +198,15 @@ def _is_normal_pair(u, v) -> bool:
     return u2 >= v
 
 
-def _merge(dst: dict, src: dict, mult: int = 1) -> dict:
-    for w, c in src.items():
-        c = c * mult
-        nc = dst.get(w, 0) + c
+def _merge(acc: dict, b: dict, mult=1) -> dict:
+    """acc += mult · b, in place (zeros dropped); returns ``acc``.  ``assoc`` re-exports it as ``a_add``."""
+    for w, c in b.items():
+        nc = acc.get(w, 0) + c * mult
         if nc:
-            dst[w] = nc
+            acc[w] = nc
         else:
-            dst.pop(w, None)
-    return dst
+            acc.pop(w, None)
+    return acc
 
 
 @lru_cache(maxsize=None)

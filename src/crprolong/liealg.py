@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .exact import QI_I, QI_ZERO, Echelon, Matrix, as_qi, kernel_basis, qi_from_json
-from .exact import _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_rref, _gaussian_table, _qi
+from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, kernel_basis, qi_from_json
+from .exact import _combine, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_rref, _gaussian_table, _qi
 from .exact import _real_fixed_points, _sparse_rows
 from .freelie import (
     conjugate_tree,
@@ -511,9 +511,12 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     """Symbol algebra of codimension ``k`` for a chosen top-layer quotient.
 
     ``quotient`` is None for the canonical conjugation-adapted trailing
-    drop, or a :class:`QuotientSpec` with explicit rows.  All
-    invariants (grading, Jacobi, fundamentality, nondegeneracy, layer
-    dimensions) are verified before returning.
+    drop, or a :class:`QuotientSpec` with explicit rows.  The quotient map
+    π is read once off the reduced rows of the quotient (``reducer``): it
+    gives every structure constant, the conjugation-stability test and the
+    conjugation's top columns, with no further reduction.  All invariants
+    (grading, Jacobi, fundamentality, nondegeneracy, layer dimensions) are
+    verified before returning.
     """
     if k < 1:
         raise ValueError("codimension must be positive")
@@ -549,27 +552,17 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     words = list(low_words) + [top_words[t] for t in retained]
     labels = [f"L{w.length}_{i + 1}" for i, w in enumerate(words)]
     degrees = [-w.length for w in words]
-    pos_low = {w.word: i for i, w in enumerate(low_words)}
     pos_top_retained = {t: len(low_words) + r for r, t in enumerate(retained)}
-    top_index = {w.word: t for t, w in enumerate(top_words)}
 
-    def project(word_coeffs: dict):
-        """Free-algebra combination -> quotient coordinates."""
-        out = {}
-        topvec = [QI_ZERO] * n_top
-        have_top = False
-        for word, coeff in word_coeffs.items():
-            if len(word) < rho:
-                out[pos_low[word]] = out.get(pos_low[word], QI_ZERO) + as_qi(coeff)
-            else:
-                topvec[top_index[word]] = topvec[top_index[word]] + as_qi(coeff)
-                have_top = True
-        if have_top:
-            red = reducer.reduce(topvec)
-            for t in retained:
-                if red[t]:
-                    out[pos_top_retained[t]] = out.get(pos_top_retained[t], QI_ZERO) + red[t]
-        return {i: c for i, c in out.items() if c}
+    # the quotient map π on words, read once off the reduced rows: a lower or
+    # retained word keeps its coordinate, and a pivot top word c goes to minus
+    # the rest of its row, which is zero at every other pivot; a combination
+    # {word: coefficient} then projects by one _combine over pi
+    pi = {w.word: {i: QI_ONE} for i, w in enumerate(low_words)}
+    pi.update((top_words[t].word, {pos: QI_ONE}) for t, pos in pos_top_retained.items())
+    for r, c in reducer.pivots:
+        row = reducer.rows[r]
+        pi[top_words[c].word] = {pos_top_retained[t]: -row[t] for t in retained if row[t]}
 
     table = {}
     n = len(words)
@@ -578,18 +571,18 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
             if words[i].length + words[j].length > rho:
                 continue
             raw = hall_rewrite(words[i], words[j])
-            entry = project({w.word: c for w, c in raw.items()})
+            entry = _combine({w.word: c for w, c in raw.items()}, pi)
             if entry:
                 table[(i, j)] = entry
 
-    # conjugation: generator swap extended as an antilinear bracket morphism,
-    # defined on the quotient only when the quotient subspace is stable.
-    top_conj = _top_conjugation_matrix(rho)
-    images = top_conj.mul(Matrix.sparse(n_top, [{t: as_qi(x).conj() for t, x in enumerate(row)} for row in spec.rows]))
-    stable = all(reducer.contains(images.column(r)) for r in range(images.cols))
+    # conjugation: generator swap S extended as an antilinear bracket morphism,
+    # defined on the quotient only when the quotient subspace is stable, i.e.
+    # when π(S·conj(q)) = Σ_t conj(q_t)·π(S·e_t) vanishes for every quotient row q
+    swapped = [_combine(tree_normal_form(conjugate_tree(w.tree)), pi) for w in top_words]
+    stable = not any(_combine({t: x.conj() for t, x in enumerate(row) if x}, swapped) for row in reducer.rows)
     conjugation = None
     if stable:
-        conj_cols = [project(dict(tree_normal_form(conjugate_tree(w.tree)))) for w in words]
+        conj_cols = [_combine(tree_normal_form(conjugate_tree(w.tree)), pi) for w in low_words] + [swapped[t] for t in retained]
         conjugation = Matrix.sparse(n, conj_cols)
 
     j_mat = Matrix.sparse(2, [{0: QI_I}, {1: -QI_I}])

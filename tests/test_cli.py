@@ -426,6 +426,36 @@ def test_unhashable_defining_type_fails_verify_all_with_exit_2(tmp_path, capsys,
     assert err == "error: catalog[0].defining.type: must be one of ['field', 'rigid']\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["models"], ["verify", "--all", "3"], ["symbol", "--model", "heisenberg"]], ids=["models", "verify", "symbol"]
+)
+def test_empty_catalog_exits_2(tmp_path, capsys, argv):
+    # an empty catalog has nothing to list or verify; it is refused, never
+    # reported as a confirmed sweep of no models
+    path = tmp_path / "catalog.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, *argv, "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: catalog: top level must be a list of at least one model\n"
+
+
+@pytest.mark.parametrize("argv", [["models"], ["verify", "--all", "3"]], ids=["models", "verify"])
+def test_catalog_model_past_the_work_bound_exits_2(tmp_path, capsys, argv):
+    # a well-formed rigid entry of codimension MAX_K + 1: its phis have
+    # weights 2, ..., 2, 13, the length of that k; it is refused once loaded
+    k = cli.MAX_K + 1
+    low = {"terms": [{"re": "1", "im": "0", "exp": [1, 1]}]}
+    top = {"terms": [{"re": "1", "im": "0", "exp": [7, 6]}, {"re": "1", "im": "0", "exp": [6, 7]}]}
+    entry = {"id": "wide", "k": k, "defining": {"type": "rigid", "phi": [low] * (k - 1) + [top]}}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run(capsys, *argv, "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: catalog model 'wide': k = {k} is past the work bound k <= {cli.MAX_K}, the end of length 12\n"
+
+
 @pytest.mark.parametrize("exponent", [60, 1000000])
 def test_field_exponent_past_the_length_exits_2(tmp_path, capsys, exponent):
     # in a weighted-homogeneous field of length 5 no exponent passes 4; the

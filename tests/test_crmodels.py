@@ -3,6 +3,7 @@ import json
 
 import pytest
 from oracles import replaced_bracket
+from quotients import random_quotient, rotation_stable, rotation_stable_quotient, swap_stable, unstable_quotient
 
 from crprolong import cli, crmodels
 from crprolong.crmodels import (
@@ -17,7 +18,7 @@ from crprolong.crmodels import (
     verify_heisenberg,
     verify_theorem,
 )
-from crprolong.exact import QI, QI_ONE, Matrix
+from crprolong.exact import QI, QI_ONE, Echelon, Matrix
 from crprolong.liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form, realify
 from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
 
@@ -102,6 +103,54 @@ def test_rotation_fails_on_mixed_bidegree_quotient():
     R = realify(S.algebra)
     assert _rotation(R) is None
     assert _aut(S).case == REAL_ALPHA
+
+
+def _check_stabilities_against_dense_oracle(k, seed):
+    """Both quotient stabilities of three seeded draws, each against dense membership in ``quotients``.
+
+    The symbol has a conjugation iff the quotient is swap-stable, and
+    ``_rotation_preserves_quotient`` holds iff it is rotation-stable.  Each
+    draw is of the kind it claims, and a rotation-stable one verifies as
+    ``complex-alpha``.
+    """
+    for kind, draw in (("conjugation", random_quotient), ("rotation", rotation_stable_quotient), ("neither", unstable_quotient)):
+        spec = draw(k, seed)
+        if spec is None:  # no quotient of this kind has the dimension k asks for
+            continue
+        swap, rotation = swap_stable(k, spec), rotation_stable(k, spec)
+        assert swap == (kind != "neither")
+        if kind != "conjugation":
+            assert rotation == (kind == "rotation")
+        S = build_symbol_algebra(k, spec)
+        assert (S.algebra.conjugation is not None) == swap
+        assert crmodels._rotation_preserves_quotient(S) == rotation
+        if kind == "rotation":
+            rep = verify_theorem(S)
+            assert (rep.verdict, rep.case) == ("confirmed", COMPLEX_ALPHA)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("k", (2, 4, 5, 7, 8))
+def test_quotient_stabilities_match_dense_oracle(k, seed):
+    _check_stabilities_against_dense_oracle(k, seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("k", (9, 11, 13, 16, 20, 22))
+def test_quotient_stabilities_match_dense_oracle_slow(k, seed):
+    _check_stabilities_against_dense_oracle(k, seed)
+
+
+def test_quotient_map_is_read_off_the_reduced_rows(monkeypatch):
+    # the symbol build and both stability tests reduce nothing against the quotient
+    def refused(*args):
+        raise AssertionError("re-reduction against the quotient")
+
+    monkeypatch.setattr(Echelon, "reduce", refused)
+    monkeypatch.setattr(Echelon, "contains", refused)
+    for k, spec in ((7, None), (8, random_quotient(8, 1)), (8, rotation_stable_quotient(8, 1)), (5, unstable_quotient(5, 1))):
+        crmodels._rotation_preserves_quotient(build_symbol_algebra(k, spec))
 
 
 def test_case_mismatch_on_default_k2(monkeypatch):

@@ -3,8 +3,12 @@
 Each digest is the sha256 of the canonical JSON (sorted keys, no spaces)
 of one computed object: the symbol algebra, its Levi-Tanaka prolongation
 and the ``verify_theorem`` report for the default quotients k = 2..8, 13
-(length 6), 21 (length 6) and 22 (length 7) and the catalog model
-``quintic7``, plus the full Tanaka tower of the
+(length 6), 21 (length 6) and 22 (length 7), the catalog model ``quintic7`` and three
+explicit quotients (a seeded conjugation-stable one at k = 8, a seeded
+rotation-stable one at k = 8 and the mixed-bidegree k = 5 line
+(1, 1, 1), which is ``real-alpha``), the symbol of the k = 2 quotient by
+its trailing Hall word, which has no conjugation, plus the full Tanaka
+tower of the
 Heisenberg algebra through degree 3 and two assembled prolongations whose
 nonnegative components bracket nontrivially: Levi-Tanaka of k = 1 (up to
 G^2) and full Tanaka of k = 3 (G2, up to G^3).  A change to any basis, bracket,
@@ -17,9 +21,12 @@ import json
 
 import pytest
 
+from quotients import random_quotient, rotation_stable_quotient
+
 from crprolong.crmodels import verify_theorem
+from crprolong.exact import QI
 from crprolong.frames import builtin_catalog, symbol_from_frame
-from crprolong.liealg import build_symbol_algebra, real_form, realify
+from crprolong.liealg import QuotientSpec, build_symbol_algebra, real_form, realify
 from crprolong.prolong import FULL_TANAKA, LEVI_TANAKA, full_prolongation, grade0, prolong_component
 
 THEOREM_GOLDEN = {
@@ -80,6 +87,32 @@ THEOREM_GOLDEN = {
     },
 }
 
+EXPLICIT_QUOTIENTS = {
+    "random-k8-s1": (8, lambda: random_quotient(8, 1)),
+    "rotation-k8-s1": (8, lambda: rotation_stable_quotient(8, 1)),
+    "line-k5-111": (5, lambda: QuotientSpec(kind="explicit", rows=((QI(1), QI(1), QI(1)),))),
+}
+
+EXPLICIT_GOLDEN = {
+    "random-k8-s1": {
+        "symbol": "c4b14f316d55842690c26cca1fa5ebb3dffcf0bcb1a540332a8ef56aa2bd4c09",
+        "prolongation": "fbb1331cc7373244daeebd0a1beccac4f45583c96c7622de53e0453299dd7a3f",
+        "report": "5fda79d76d0418a5497c5b4853409b1fa5bb7d146c4cdcefa4004111eddf8c05",
+    },
+    "rotation-k8-s1": {
+        "symbol": "2b5ddb22b664e8418cac4e4d89a6775151ca66da14f49da8792079ad56ebf2d0",
+        "prolongation": "e23dfede351472655b8b56b9616767bf82965dd1abb8ffa599b793ff8909514c",
+        "report": "3cdae863ee1a9dd76176b80c093052fe998c6cd82efc74602ef34652401dce72",
+    },
+    "line-k5-111": {
+        "symbol": "55c7fc47f08e4f1a64a83e6277b9fe0a95e042c60be5bbbddb2f81da2ce924e5",
+        "prolongation": "a6f55d5f043c7b80ff27536433b5cf6328815361a244da00f9c1476b373d82be",
+        "report": "84833b4af9a8440e795d55c7c28e6a2e583c51a982103ce4cbba76f002b56677",
+    },
+}
+
+TRAILING_K2_SYMBOL_GOLDEN = "47faa463cfe19c4cef248743b380a92b3c8632c48f7c44f013ffef336bac41bc"
+
 HEISENBERG_TOWER_GOLDEN = "5bee2e33d234c4e879b7e8e28a85b2de2cbe3730835b04c87bc056fe8412f416"
 
 ASSEMBLED_GOLDEN = {
@@ -94,6 +127,9 @@ def _digest(obj) -> str:
 
 
 def _symbol(name):
+    if name in EXPLICIT_QUOTIENTS:
+        k, quotient = EXPLICIT_QUOTIENTS[name]
+        return build_symbol_algebra(k, quotient())
     if name.startswith("k"):
         return build_symbol_algebra(int(name[1:]))
     return symbol_from_frame(builtin_catalog()[name])
@@ -121,6 +157,17 @@ def heisenberg_tower_digest() -> str:
 @pytest.mark.parametrize("name", sorted(THEOREM_GOLDEN))
 def test_theorem_outputs_match_golden(name):
     assert theorem_digests(name) == THEOREM_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_GOLDEN))
+def test_explicit_quotient_outputs_match_golden(name):
+    assert theorem_digests(name) == EXPLICIT_GOLDEN[name]
+
+
+def test_trailing_k2_symbol_matches_golden():
+    symbol = build_symbol_algebra(2, QuotientSpec(kind="explicit", rows=((QI(0), QI(1)),)))
+    assert symbol.algebra.conjugation is None
+    assert _digest(symbol.to_json_dict()) == TRAILING_K2_SYMBOL_GOLDEN
 
 
 def test_heisenberg_full_tanaka_tower_matches_golden():

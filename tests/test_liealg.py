@@ -14,10 +14,11 @@ from oracles import (
     jacobi_violations,
     replaced_bracket,
 )
+from quotients import random_quotient
 
 from crprolong import exact, liealg
 from crprolong.crmodels import build_aut_cr, verify_theorem
-from crprolong.exact import QI, Echelon, Matrix
+from crprolong.exact import QI, Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import (
     BadQuotient,
@@ -37,7 +38,7 @@ from crprolong.liealg import (
     real_form,
     realify,
 )
-from crprolong.freelie import conjugate_tree, cumulative_dim, hall_basis, min_length_for_codim, tree_normal_form, witt_dim
+from crprolong.freelie import conjugate_tree, hall_basis, tree_normal_form, witt_dim
 from crprolong.prolong import LEVI_TANAKA, full_prolongation
 
 I = QI(0, 1)
@@ -492,27 +493,6 @@ def test_conjugation_adapted_top_basis_matches_dense_oracle(rho):
 
 
 # -- real_form against the dense oracle in tests/oracles.py, and its negative controls --
-
-
-def random_quotient(k, seed):
-    """A seeded full-rank, conjugation-stable top-layer quotient for codimension k.
-
-    Each row is a combination, with small rational coefficients, of the
-    conjugation-fixed vectors of the top layer (v for a fixed adapted
-    vector, i·v for an anti-fixed one), so the span is conjugation-stable.
-    """
-    rho = min_length_for_codim(k)
-    n_top = witt_dim(rho)
-    need = n_top - (2 + k - cumulative_dim(rho - 1))
-    fixed = [[x if tag == 1 else I * x for x in v] for v, tag in conjugation_adapted_top_basis(rho)]
-    rng = random.Random(1000 * seed + k)
-    while True:
-        rows = []
-        for _ in range(need):
-            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in fixed]
-            rows.append(tuple(sum((c * f[t] for c, f in zip(coeffs, fixed)), QI(0)) for t in range(n_top)))
-        if Echelon([list(r) for r in rows], n_top).rank == need:
-            return QuotientSpec(kind="explicit", rows=tuple(rows), provenance=f"seed {seed}")
 
 
 REAL_FORM_CASES = (
