@@ -8,7 +8,7 @@ vector-field realizations of the models (tangential CR fields, growth
 vectors, group laws in exponential coordinates, left-invariant frames).
 """
 
-from .exact import QI, Echelon, Inconsistent, Matrix, kernel_basis
+from .exact import QI, Echelon, Inconsistent, Matrix
 from .freelie import (
     HallBasis,
     HallWord,

@@ -198,9 +198,16 @@ def cmd_models(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error, so ``main`` reports it as one ``error:`` line; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crprolong",
         description=(
             "Exact computation of symbol algebras, Levi-Tanaka prolongations and "
@@ -210,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--output", "-o", default=None, help="write output to a file")
-    catalog = argparse.ArgumentParser(add_help=False)
+    catalog = _Parser(add_help=False)
     catalog.add_argument("--catalog", default=None, help="path to a JSON model catalog")
 
     p = sub.add_parser("witt", parents=[common], help="dimension and length table")
@@ -238,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else USAGE_ERROR
-    try:
         return {"witt": cmd_witt, "symbol": cmd_symbol, "verify": cmd_verify, "models": cmd_models}[args.command](args)
+    except SystemExit as exc:  # --help
+        return exc.code if exc.code is not None else USAGE_ERROR
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR

@@ -4,10 +4,11 @@ Scalars are Gaussian rationals (elements of Q(i)), each held as its one
 integer normal form (a + b·i)/d with d > 0 and gcd(a, b, d) = 1, so
 nothing in the library ever rounds.  Every solve goes through one
 Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
-rows ``{col: int}``, each row kept primitive.  A system over Q(i) is
-scaled to Gaussian integers and realified onto it by ``_realify``: the
-kernel through ``_integer_kernel`` (as for ``prolong``), rank, echelon and
-the block solves of ``liealg.real_form`` through ``_gaussian_rref``.  The
+rows ``{col: int}``, each row kept primitive; ``_integer_kernel`` reads
+a kernel off it (as for ``prolong``).  A system over Q(i) is scaled to
+Gaussian integers and realified onto it by ``_gaussian_rref``: rank,
+echelon, the frame filtration, faithfulness and the block solves of
+``liealg.real_form`` read that reduced form.  The
 reduced row echelon form for a fixed column order is unique, so every
 basis, reducer and solution depends only on the input and the column
 order, never on row order or on how the elimination is scheduled.
@@ -34,7 +35,6 @@ __all__ = [
     "Matrix",
     "Echelon",
     "Inconsistent",
-    "kernel_basis",
     "rank",
     "integer_rref",
     "qi_from_json",
@@ -319,9 +319,7 @@ def _realify(rows, col_order):
     Column ``cols[p]`` becomes columns 2p (real part) and 2p + 1
     (imaginary part), where ``cols`` is ``col_order`` followed by the other
     columns in increasing order.  Each row r gives the rows of r and i·r,
-    in the row convention (Re r, Im r): x is in the complex kernel iff X,
-    with X_{2p} = Re x_{cols[p]} and X_{2p+1} = -Im x_{cols[p]}, is in the
-    real one.
+    in the row convention (Re r, Im r).
     """
     cols = list(col_order)
     cols += sorted({c for row in rows for c in row} - set(cols))
@@ -570,22 +568,6 @@ def _gaussian_inverse(rows):
         if {s: z for s, z in _gaussian_apply(scaled, row).items() if z[0] or z[1]} != {r: [scale, 0]}:
             raise AssertionError("_gaussian_inverse produced a non-inverse")
     return inverse
-
-
-def kernel_basis(m: Matrix):
-    """Basis of the null space of ``m``, as a list of column vectors.
-
-    Deterministic: reduced echelon pivots, one basis vector per free
-    column, ordered by free column index, with the free coordinate set
-    to 1.  The rows are realified (``_realify``) onto ``_integer_kernel``,
-    which checks every vector by substitution into every real row, in
-    integers.  Free columns come in pairs 2f, 2f + 1; vector v of 2f, read
-    back as x_c = X_{2c} - i·X_{2c+1}, is the complex vector of f.
-    """
-    rows, _ = _realify([_gaussian_integers(row.items())[0] for row in _sparse_rows(m)], range(m.cols))
-    columns, dens = _integer_kernel(rows, 2 * m.cols)
-    parts = [columns.get(u, {}) for u in range(2 * m.cols)]
-    return [[_qi(parts[2 * c].get(v, 0), -parts[2 * c + 1].get(v, 0), dens[v]) for c in range(m.cols)] for v in range(0, len(dens), 2)]
 
 
 def rank(m: Matrix) -> int:

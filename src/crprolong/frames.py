@@ -15,7 +15,9 @@ fraction-free: the shorter words are bracketed on packed Gaussian
 monomials with integer numerators over one denominator per word, each
 origin coordinate becomes a ``QI`` once, and the words of the
 minimal length are read at the origin only, from the constant and linear
-terms of their two factors.  When it holds, the length-rho evaluation
+terms of their two factors.  The growth vector, the verdict, the quotient
+and the check of its constants are all read off one reduced echelon form
+of those values.  When the verdict holds, the length-rho evaluation
 kernel is the model-induced top-layer quotient and the symbol algebra is
 rebuilt from it through the same constructor as every other quotient.
 """
@@ -27,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from .bch import _mul_into, left_invariant_frame
-from .exact import Echelon, Matrix, QI, QI_ZERO, _axpy, _gaussian_integers, _qi, as_qi, kernel_basis
+from .exact import QI, QI_ONE, QI_ZERO, Echelon, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_table, _qi
 from .freelie import cumulative_dim, hall_basis, hall_rewrite, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
 from .poly import Poly, PolyVectorField, rigid_chart
@@ -215,10 +217,16 @@ def cr_field(model: ModelSpec) -> PolyVectorField:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Origin values of the bracket filtration: growth vector and spans."""
+    """Origin values of the bracket filtration: growth vector and reduced form.
+
+    ``reduced`` is the reduced row echelon form of the word values, one
+    ``(col, {col: [re, im]}, den)`` per pivot word: ``col`` indexes the
+    words of ``word_values`` in Hall order, and the row, over its positive
+    ``den``, is 1 at its pivot and 0 at every other pivot.
+    """
 
     growth: tuple
-    spans: tuple = field(repr=False, default=())
+    reduced: tuple = field(repr=False, default=())
     word_values: dict = field(repr=False, default=None)
 
 
@@ -337,37 +345,34 @@ def growth_and_nondegeneracy(model: ModelSpec):
 
     Totally nondegenerate means: each D_l for l below the minimal length
     rho(k) has the full free dimension, and D_rho is the whole complexified
-    tangent space.
+    tangent space.  One reduced echelon form of the word values (rows the
+    2 + k coordinates, columns the Hall words in Hall order, which is
+    sorted by length) gives every D_l: its pivots are the first basis among
+    the columns, taken in order, so dim D_l is the number of pivot words of
+    length at most l.
     """
     k = model.codim
     rho = min_length_for_codim(k)
     L = cr_field(model)
-    Lb = L.conj()
-    full_dim = 2 + k
-    values = _word_values(L, Lb, rho)
-    growth = []
-    spans = []
-    vectors = []
-    verdict = True
-    for ell in range(1, rho + 1):
-        vectors.extend(values[w] for w in values if len(w) == ell)
-        ech = Echelon(list(vectors), full_dim)
-        growth.append(ech.rank)
-        spans.append(ech)
-        expected = cumulative_dim(ell) if ell < rho else full_dim
-        if ech.rank != expected:
-            verdict = False
-    filt = Filtration(tuple(growth), tuple(spans), values)
-    return filt, verdict
+    values = _word_values(L, L.conj(), rho)
+    rows, _ = _gaussian_table({t: {c: vec[t] for c, vec in enumerate(values.values())} for t in range(2 + k)})
+    reduced = tuple(_gaussian_rref(list(rows.values()), range(len(values))))
+    lengths = [len(w) for w in values]
+    growth = tuple(sum(1 for c, _, _ in reduced if lengths[c] <= ell) for ell in range(1, rho + 1))
+    expected = tuple(cumulative_dim(ell) for ell in range(1, rho)) + (2 + k,)
+    return Filtration(growth, reduced, values), growth == expected
 
 
 def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
     """Model-induced symbol algebra, as a quotient spec fed to the builder.
 
-    The kernel of "evaluate length-rho words at the origin modulo lower
-    lengths" is exactly the top-layer subspace the model quotients away.
-    The induced constants are cross-checked against the vector-field
-    brackets at the origin before returning.
+    The top words whose values vanish modulo D_(rho-1) at the origin span
+    exactly the top-layer subspace the model quotients away.  Under total
+    nondegeneracy every lower word is a pivot of ``filt.reduced``, so each
+    free top word f gives one such combination, e_f minus its column of the
+    top pivot rows; their forward echelon form is the quotient.  The
+    induced constants are cross-checked against the vector-field brackets
+    at the origin before returning.
     """
     filt, ok = growth_and_nondegeneracy(model)
     if not ok:
@@ -375,55 +380,45 @@ def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
             f"model {model.model_id} has growth {filt.growth}, not totally nondegenerate"
         )
     k = model.codim
-    rho = min_length_for_codim(k)
-    full_dim = 2 + k
-    values = filt.word_values
-    low_words = [w for w in hall_basis(rho).words if w.length < rho]
-    top_words = [w for w in hall_basis(rho).words if w.length == rho]
-    n_low, n_top = len(low_words), len(top_words)
-    # kernel of [low values | top values]; rows of the quotient are the
-    # top-coordinate parts of kernel vectors
-    cols = [values[w.word] for w in low_words] + [values[w.word] for w in top_words]
-    big = Matrix.from_columns(cols)
-    rows = []
-    for vec in kernel_basis(big):
-        rows.append(tuple(vec[n_low:]))
-    reducer = Echelon([list(r) for r in rows], n_top)
-    need = n_top - (full_dim - cumulative_dim(rho - 1))
-    if reducer.rank != need:
-        raise AssertionError("frame quotient has unexpected dimension")
-    spec = QuotientSpec(kind="frame", rows=tuple(tuple(r) for r in reducer.rows), provenance=f"frame:{model.model_id}")
+    n_low = cumulative_dim(min_length_for_codim(k) - 1)
+    n_top = len(filt.word_values) - n_low
+    top = [(c, row, den) for c, row, den in filt.reduced if c >= n_low]
+    free = sorted(set(range(n_low, n_low + n_top)) - {c for c, _, _ in top})
+    # e_f minus column f of the top pivot rows, at their pivots
+    vecs = [{f: QI_ONE} | {c: _qi(-row[f][0], -row[f][1], den) for c, row, den in top if f in row} for f in free]
+    reducer = Echelon([[v.get(n_low + t, QI_ZERO) for t in range(n_top)] for v in vecs], n_top)
+    spec = QuotientSpec(kind="frame", rows=tuple(map(tuple, reducer.rows)), provenance=f"frame:{model.model_id}")
     symbol = build_symbol_algebra(k, spec)
-    _check_frame_constants(symbol, values, full_dim, filt.spans[rho - 2])
+    _check_frame_constants(symbol, filt)
     return symbol
 
 
-def _check_frame_constants(symbol: SymbolAlgebra, values, full_dim, lower_span):
+def _check_frame_constants(symbol: SymbolAlgebra, filt: Filtration):
     """Origin values must satisfy the quotient's structure constants.
 
     Top-degree brackets live in D_rho / D_(rho-1) at the origin, so the
-    two evaluations are compared modulo the lower filtration span.  Each
-    difference is accumulated sparse and densified once, for the span test.
+    two evaluations are compared modulo the lower filtration span: a
+    combination of top words has its value there iff every top pivot row
+    of ``filt.reduced`` vanishes on it.  Each difference is taken times
+    the table's denominator, in Gaussian integers.
     """
-    sparse = {}
-
-    def value(word):
-        """Origin value of ``word`` as {coordinate: QI} without zeros."""
-        if word not in sparse:
-            sparse[word] = {t: v for t, v in enumerate(values[word]) if v}
-        return sparse[word]
-
+    col = {w: c for c, w in enumerate(filt.word_values)}
+    n_low = cumulative_dim(symbol.length - 1)
+    # the top pivot rows by column: {word column: {pivot row: (re, im)}}
+    top = {}
+    for p, (c, row, _) in enumerate(filt.reduced):
+        if c >= n_low:
+            for j, z in row.items():
+                top.setdefault(j, {})[p] = z
+    nums, den = symbol.algebra._numerators
     for i, wi in enumerate(symbol.words):
         for j in range(i + 1, symbol.dim):
             wj = symbol.words[j]
             if wi.length + wj.length != symbol.length:
                 continue
-            diff = {}
-            for w, c in hall_rewrite(wi, wj).items():
-                _axpy(diff, as_qi(-c), value(w.word))
-            for kdx, c in symbol.algebra.bracket_basis(i, j).items():
-                _axpy(diff, c, value(symbol.words[kdx].word))
-            if not lower_span.contains([diff.get(t, QI_ZERO) for t in range(full_dim)]):
+            diff = {col[w.word]: [-c * den, 0] for w, c in hall_rewrite(wi, wj).items()}
+            _gaussian_axpy(diff, (1, 0), {col[symbol.words[t].word]: z for t, z in nums.get((i, j), {}).items()})
+            if any(re or im for re, im in _gaussian_apply(top, diff).values()):
                 raise AssertionError(f"frame constants disagree at ({wi}, {wj})")
 
 

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, kernel_basis, qi_from_json
+from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
 from .exact import _combine, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_rref, _gaussian_table, _qi
 from .exact import _real_fixed_points, _sparse_rows
 from .freelie import (
@@ -345,18 +345,19 @@ def _solve_generating_expressions(algebra: GradedLieAlgebra):
 def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
     """True iff no nonzero combination of ``acting`` basis vectors brackets all of ``on`` to zero.
 
-    One equation per (x in ``on``, coordinate t) that some [g, x] reaches;
-    the coordinates no bracket reaches give only zero rows.
+    One Gaussian row per (x in ``on``, coordinate t) that some [g, x]
+    reaches, read from ``_numerators``: the action is faithful iff every
+    acting column is a pivot.
     """
-    rows = {}  # (x, t): row index
-    cols = [{} for _ in acting]
+    nums, _ = algebra._numerators
+    rows = {}  # (x, t): {position of g in acting: den·[g, x]_t}
     for x in on:
         for pos, g in enumerate(acting):
-            for t, c in algebra.bracket_basis(g, x).items():
-                cols[pos][rows.setdefault((x, t), len(rows))] = c
-    if not rows:
-        return not acting
-    return not kernel_basis(Matrix.sparse(len(rows), cols))
+            # the table is keyed i < j, so a pair with g > x reads -[e_x, e_g]
+            sign = 1 if g < x else -1
+            for t, (re, im) in nums.get((min(g, x), max(g, x)), {}).items():
+                rows.setdefault((x, t), {})[pos] = (sign * re, sign * im)
+    return sum(1 for _ in _gaussian_rref(list(rows.values()), range(len(acting)))) == len(acting)
 
 
 def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
@@ -473,13 +474,15 @@ def _top_conjugation_matrix(rho: int) -> Matrix:
     )
 
 
+@lru_cache(maxsize=None)
 def conjugation_adapted_top_basis(rho: int):
-    """Real basis of the top layer adapted to the generator-swap involution.
+    """Real basis of the top layer adapted to the generator-swap involution; built once per length.
 
-    Returns a list of (vector over Q, eigentype) where eigentype +1 means
-    the rational vector itself is fixed, -1 means i times it is fixed.
-    Ordered by (leading Hall word, +1 before -1); leading coefficients
-    positive.  This ordering is what "drop trailing" refers to.
+    Returns a tuple of (vector over Q, eigentype), each vector a tuple,
+    where eigentype +1 means the rational vector itself is fixed, -1 means
+    i times it is fixed.  Ordered by (leading Hall word, +1 before -1);
+    leading coefficients positive.  This ordering is what "drop trailing"
+    refers to.
 
     The swap S is real, so z = x + iy is fixed by z -> S·conj(z) iff
     Sx = x and Sy = -y: one ``_real_fixed_points`` solve gives the
@@ -492,9 +495,9 @@ def conjugation_adapted_top_basis(rho: int):
     for vec, den in _real_fixed_points(_sparse_rows(s)):
         # the system splits, so each vector lies in the x half (part 0) or the y half (part 1)
         part = 0 if any(x for x, _ in vec.values()) else 1
-        tagged.append((min(vec), part, [_qi(vec.get(p, (0, 0))[part], 0, den) for p in range(s.cols)]))
+        tagged.append((min(vec), part, tuple(_qi(vec.get(p, (0, 0))[part], 0, den) for p in range(s.cols))))
     tagged.sort(key=lambda t: t[:2])
-    return [(v, 1 - 2 * part) for _, part, v in tagged]
+    return tuple((v, 1 - 2 * part) for _, part, v in tagged)
 
 
 def default_quotient_rows(k: int):
@@ -504,7 +507,7 @@ def default_quotient_rows(k: int):
     keep = (2 + k) - cumulative_dim(rho - 1)
     adapted = conjugation_adapted_top_basis(rho)
     assert len(adapted) == n_top
-    return tuple(tuple(v) for v, _tag in adapted[keep:])
+    return tuple(v for v, _tag in adapted[keep:])
 
 
 def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:

@@ -514,3 +514,26 @@ def test_cached_parser_answers_like_fresh_processes(capsys):
         fresh.append((done.returncode, done.stdout, done.stderr))
     assert [code for code, _, _ in in_process] == [2, 0, 0]
     assert in_process == fresh
+
+
+USAGE_ERRORS = [
+    (("verify", "--k", "3", "3"), "error: unrecognized arguments: 3\n"),
+    (("verify", "--k", "x"), "error: argument --k: invalid int value: 'x'\n"),
+    ((), "error: the following arguments are required: command\n"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=["extra-argument", "bad-int", "bare"])
+def test_usage_errors_end_in_one_error_line(capsys, argv, message):
+    # argparse would print a usage line and "crprolong: error: ..." first
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_usage_errors_of_python_dash_m_are_one_line_and_help_exits_0():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, message in [*USAGE_ERRORS, (("verify", "--help"), "")]:
+        done = subprocess.run(
+            [sys.executable, "-m", "crprolong", *argv], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == ((2, message) if message else (0, "")), argv
+        assert bool(done.stdout) == (not message), argv

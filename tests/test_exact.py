@@ -10,7 +10,7 @@ import pytest
 from oracles import C_ONE, C_ZERO, c_add, c_mul, c_sub, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
 
 from crprolong import exact
-from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _gaussian_rref, _qi, _sum_forms, integer_rref, kernel_basis, qi_from_json, rank
+from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _gaussian_rref, _qi, _sum_forms, integer_rref, qi_from_json, rank
 from crprolong.liealg import _matrix_from_json, _matrix_to_json
 
 I = QI(0, 1)
@@ -69,24 +69,41 @@ def test_conjugation_involution_and_norm():
         assert norm.re >= 0
 
 
+def _kernel(m):
+    """The reduced kernel basis of ``m``, read off its ``Echelon``.
+
+    One vector per free column f, by increasing f: 1 at f, minus the pivot
+    rows' entries at f at their pivots, and 0 at the other free columns.
+    """
+    e = Echelon(m.data, m.cols)
+    basis = []
+    for f in e.free_cols:
+        v = [QI(0)] * m.cols
+        v[f] = QI(1)
+        for i, c in e.pivots:
+            v[c] = -e.rows[i][f]
+        basis.append(v)
+    return basis
+
+
 def test_kernel_zero_map():
-    assert kernel_basis(Matrix([[0]])) == [[QI(1)]]
+    assert _kernel(Matrix([[0]])) == [[QI(1)]]
 
 
 def test_kernel_injective_map():
-    assert kernel_basis(Matrix.identity(3)) == []
+    assert _kernel(Matrix.identity(3)) == []
 
 
 def test_kernel_gaussian_example():
     # hand row-reduction: x1 + i·x2 = 0, so the kernel is spanned by (-i, 1)
     m = Matrix([[1, I], [-I, 1]])
-    basis = kernel_basis(m)
+    basis = _kernel(m)
     assert len(basis) == 1
     assert basis[0] == [-I, QI(1)]
     assert all(not x for x in _apply(m, basis[0]))
 
 
-def test_kernel_basis_runs_the_substitution_check(monkeypatch):
+def test_integer_kernel_runs_the_substitution_check(monkeypatch):
     """A pivot row corrupted at a free column gives a non-kernel vector, which the integer check refuses."""
     original = exact.integer_rref
 
@@ -97,11 +114,12 @@ def test_kernel_basis_runs_the_substitution_check(monkeypatch):
         pivots[0] = (col, {**row, free: row.get(free, 0) + 1})
         return pivots
 
-    m = Matrix([[1, I], [-I, 1]])
-    assert len(kernel_basis(m)) == 1
+    # [[1, i], [-i, 1]] realified: the complex kernel (-i, 1) is two real vectors
+    rows, _ = exact._realify([{0: (1, 0), 1: (0, 1)}, {0: (0, -1), 1: (1, 0)}], range(2))
+    assert len(exact._integer_kernel(rows, 4)[1]) == 2
     monkeypatch.setattr(exact, "integer_rref", corrupted)
     with pytest.raises(AssertionError, match="non-kernel vector"):
-        kernel_basis(m)
+        exact._integer_kernel(rows, 4)
 
 
 def _solutions(m, b):
@@ -111,7 +129,7 @@ def _solutions(m, b):
     column is then free, and the other free coordinates are 0), none otherwise.
     """
     aug = Matrix([[*row, -x] for row, x in zip(m.data, b)])
-    return [v[:-1] for v in kernel_basis(aug) if v[-1] == 1]
+    return [v[:-1] for v in _kernel(aug) if v[-1] == 1]
 
 
 def test_solve_identity():
@@ -143,7 +161,7 @@ def test_rank_nullity_property():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
-        kern = kernel_basis(m)
+        kern = _kernel(m)
         assert rank(m) + len(kern) == cols
         for v in kern:
             assert all(not x for x in _apply(m, v))
@@ -240,7 +258,7 @@ def test_kernel_and_rank_match_dense_oracle(complex_entries):
     for _ in range(40):
         data = _oracle_matrix(rng, complex_entries)
         m = Matrix([_qis(r) for r in data])
-        assert [_pairs(v) for v in kernel_basis(m)] == dense_kernel(data, m.cols)
+        assert [_pairs(v) for v in _kernel(m)] == dense_kernel(data, m.cols)
         assert rank(m) == len(dense_rref(data, range(m.cols))[0])
 
 

@@ -19,9 +19,9 @@ from crprolong.frames import (
     tangential_cr_field,
 )
 from crprolong.freelie import cumulative_dim
-from crprolong.liealg import build_symbol_algebra
+from crprolong.liealg import SymbolAlgebra, build_symbol_algebra
 from crprolong.poly import Poly, PolyVectorField, real_chart
-from oracles import hall_word_origin_values
+from oracles import dense_rref, hall_word_origin_values, replaced_bracket
 
 I = QI(0, 1)
 
@@ -238,15 +238,69 @@ def test_word_values_gaussian_coefficients_with_unequal_denominators():
     assert ok and filt.growth == (2, 3, 4)
 
 
-def test_word_values_top_length_degeneracy():
+def _twin_model():
     # phi_2 = phi_3: the two length-3 words have dependent origin values
     cubic = _phi({(2, 1): 1, (1, 2): 1})
-    m = rigid_model("twin", 3, [_phi({(1, 1): 1}), cubic, cubic])
+    return rigid_model("twin", 3, [_phi({(1, 1): 1}), cubic, cubic])
+
+
+def test_word_values_top_length_degeneracy():
+    m = _twin_model()
     filt, ok = _assert_word_values_match_oracle(m)
     assert filt.growth == (2, 3, 4)
     assert not ok
     with pytest.raises(NotTotallyNondegenerate):
         symbol_from_frame(m)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *sorted(builtin_catalog()),
+        7,
+        12,
+        *(pytest.param(k, marks=pytest.mark.slow) for k in (22, 30)),
+        "phi_zero",
+        "levi_flat",
+        "twin",
+    ],
+)
+def test_growth_matches_dense_rank_per_length(case):
+    # dim D_l is the textbook rank of the values of the words of length <= l,
+    # not the pivot count of the one reduced form growth_and_nondegeneracy reads
+    if isinstance(case, int):
+        m = frames._frame_realized_model(f"frame{case}", case)
+    else:
+        m = {"phi_zero": _phi_zero_model, "levi_flat": _levi_flat_model, "twin": _twin_model}.get(
+            case, lambda: builtin_catalog()[case]
+        )()
+    filt, ok = growth_and_nondegeneracy(m)
+    values = [[(x.re, x.im) for x in vec] for vec in filt.word_values.values()]
+    lengths = [len(w) for w in filt.word_values]
+    expect = tuple(
+        len(dense_rref([v for v, n in zip(values, lengths) if n <= ell], range(2 + m.codim))[0])
+        for ell in range(1, max(lengths) + 1)
+    )
+    assert filt.growth == expect
+    free = tuple(cumulative_dim(ell) for ell in range(1, len(expect))) + (2 + m.codim,)
+    assert ok == (expect == free)
+
+
+@pytest.mark.parametrize("mid", ["heisenberg", "cubic2", "quartic4", "quintic7"])
+def test_corrupted_top_constant_is_refused_by_the_frame_check(mid):
+    m = builtin_catalog()[mid]
+    filt, _ = growth_and_nondegeneracy(m)
+    S = symbol_from_frame(m)
+    frames._check_frame_constants(S, filt)
+    A = S.algebra
+    i, j = min((i, j) for i, j in A.table if A.degrees[i] + A.degrees[j] == -S.length)
+    # a retained top word is nonzero modulo D_(rho-1), so adding one breaks the bracket
+    t = A.indices_of_degree(-S.length)[0]
+    terms = dict(A.table[(i, j)])
+    terms[t] = terms.get(t, QI(0)) + 1
+    bad = SymbolAlgebra(replaced_bracket(A, i, j, terms), S.codim, S.length, S.words, S.quotient, S.retained_top, S.reducer)
+    with pytest.raises(AssertionError, match=rf"frame constants disagree at \({S.words[i]}, {S.words[j]}\)"):
+        frames._check_frame_constants(bad, filt)
 
 
 @pytest.mark.parametrize("k", [13, *(pytest.param(k, marks=pytest.mark.slow) for k in (22, 30, 39))])

@@ -1,10 +1,14 @@
-"""Seeded input fuzzer: mutated catalogs and quotient specs through ``cli.main``.
+"""Seeded input fuzzer: mutated catalogs, quotient specs and arguments through ``cli.main``.
 
 Each case mutates a built-in catalog (one entry or the whole list) or a
 quotient spec once or twice: a value is replaced by one of another type
 or by an extreme, a key or list item is dropped, or a list item is
 duplicated.  A mutated catalog runs through ``models --catalog`` and
 ``verify --all``, a mutated quotient through ``symbol --k K --quotient``.
+An argument case mutates a valid command line once or twice: a token is
+dropped, a flag is duplicated with its value, a flag value is replaced by
+one of another type, an extreme ``--k`` is added, or an unknown flag is
+inserted.
 Every run must end in exit code 0 or 1 with a report on stdout, or in exit
 code 2 with one ``error:`` line on stderr and nothing on stdout; it must
 not raise, and it must finish within ``LIMIT_S`` (an ``ITIMER_REAL``
@@ -146,4 +150,63 @@ def test_mutated_inputs_end_in_a_report_or_one_error_line(tmp_path, seed):
         code, out, err = _run(argv)
         if not _well_ended(code, out, err):
             failures.append(f"{what}: exit {code!r}, stderr {err.strip()[:200]!r}")
+    assert not failures, "\n".join(failures)
+
+
+# valid command lines, each cheap enough to run whole within LIMIT_S
+COMMAND_LINES = [
+    ["witt", "--max-length", "3"],
+    ["witt", "--format", "json"],
+    ["symbol", "--k", "3", "--format", "json"],
+    ["symbol", "--model", "cubic2"],
+    ["symbol", "--k", "2", "--quotient", "default"],
+    ["verify", "--k", "2"],
+    ["verify", "--model", "heisenberg", "--format", "json"],
+    ["verify", "--all", "3"],
+    ["models"],
+    ["models", "--format", "json"],
+]
+FLAG_VALUES = ["x", "", "-1", "0", "2.5", "1e3", "[]", "json", "heisenberg", "--k", "9" * 5000, "\x00"]
+UNKNOWN_FLAGS = ["--bogus", "-z", "--kk", "--Model", "--k=", "--format=", "---", "-"]
+
+
+def _mutate_argv(argv, rng):
+    """A mutated copy of the command line ``argv`` and a description of the mutation."""
+    argv = list(argv)
+    kind = rng.choice(["drop", "duplicate", "retype", "extreme", "unknown"])
+    flags = [p for p, a in enumerate(argv) if a.startswith("--")]
+    values = [p for p in range(1, len(argv)) if not argv[p].startswith("--")]
+    if kind == "drop":
+        del argv[rng.randrange(len(argv))]
+    elif kind == "duplicate" and flags:
+        p = rng.choice(flags)
+        pair = argv[p : p + 2] if p + 1 in values else argv[p : p + 1]
+        at = rng.randint(1, len(argv))
+        argv[at:at] = pair
+    elif kind == "retype" and values:
+        argv[rng.choice(values)] = rng.choice(FLAG_VALUES)
+    elif kind == "extreme":
+        k = str(rng.choice([x for x in EXTREMES if isinstance(x, int)]))
+        if "--k" in argv and argv.index("--k") + 1 < len(argv):
+            argv[argv.index("--k") + 1] = k
+        else:
+            argv += ["--k", k]
+    elif kind == "unknown":
+        argv.insert(rng.randint(0, len(argv)), rng.choice(UNKNOWN_FLAGS))
+    return argv, kind
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_arguments_end_in_a_report_or_one_error_line(seed):
+    assert threading.current_thread() is threading.main_thread()  # the alarm is delivered there
+    rng = random.Random(seed)
+    failures = []
+    for case in range(CASES_PER_SEED):
+        argv, how = _mutate_argv(rng.choice(COMMAND_LINES), rng)
+        if rng.random() < 0.5:
+            argv, again = _mutate_argv(argv, rng)
+            how += f"; {again}"
+        code, out, err = _run(argv)
+        if not _well_ended(code, out, err):
+            failures.append(f"case {case} ({how}) {[a[:40] for a in argv]}: exit {code!r}, stderr {err.strip()[:200]!r}")
     assert not failures, "\n".join(failures)

@@ -472,9 +472,9 @@ def _oracle_adapted_basis(rho):
         for v in dense_kernel(shifted, len(s)):
             lead = next(p for p, x in enumerate(v) if x != C_ZERO)
             sign = 1 if v[lead][0] > 0 else -1
-            tagged.append((lead, -tag, [QI(sign * x[0], sign * x[1]) for x in v], tag))
+            tagged.append((lead, -tag, tuple(QI(sign * x[0], sign * x[1]) for x in v), tag))
     tagged.sort(key=lambda t: t[:2])
-    return [(v, tag) for _, _, v, tag in tagged]
+    return tuple((v, tag) for _, _, v, tag in tagged)
 
 
 @pytest.mark.parametrize("rho", [*range(2, 9), *(pytest.param(rho, marks=pytest.mark.slow) for rho in (9, 10))])
@@ -482,6 +482,7 @@ def test_conjugation_adapted_top_basis_matches_dense_oracle(rho):
     """Same vectors, tags, signs and order as the reduced kernels of S - I and S + I, and S·v = tag·v."""
     adapted = conjugation_adapted_top_basis(rho)
     assert adapted == _oracle_adapted_basis(rho)
+    assert conjugation_adapted_top_basis(rho) is adapted  # built once per length, immutable
     assert len(adapted) == witt_dim(rho)
     s = [(a, b, QI(*x)) for a, row in enumerate(_dense_top_conjugation(rho)) for b, x in enumerate(row) if x != C_ZERO]
     for v, tag in adapted:
