@@ -11,18 +11,19 @@ quotient touches top words of one bidegree only.  That test is exact: a
 stable subspace splits into its parts in the eigenspaces of the diagonal,
 and the reduced echelon form, unique for a fixed column order, is then
 the union of theirs.  The prolongation side is computed
-independently by the exact kernel solves in :mod:`.prolong`, and the two
-sides meet only in the checks below, so a disagreement about the case is
-a failed verification.  The verification builds the map that is
-the identity on g_-, sends d to the Euler derivation and r to the Leibniz
-extension of -J, and checks bijectivity plus bracket preservation on every
-basis pair.  The symbol is fundamental, so an element of the J-commuting
-G^0 is fixed by its degree -1 block.  Both grade-0 images are found in the
-computed G^0 from those blocks alone (``prolong._coordinates``): d by the
-block -I, and r by the block -J, whose element exists exactly when the
-rotation is a derivation of this quotient.  The action of the -I element
-is read from the assembled bracket table of the prolongation and must
-equal the Euler derivation on every basis vector of g_-.
+independently by the exact kernel solves in :mod:`.prolong`, on the
+symbol's own Hall basis, and the two sides meet only in the checks below,
+so a disagreement about the case is a failed verification.  The
+verification builds the map that is ``real_form``'s embedding on g_-,
+sends d to the Euler derivation and r to the Leibniz extension of -J, and
+checks bijectivity plus bracket preservation on every basis pair.  The
+symbol is fundamental, so an element of the J-commuting G^0 is fixed by
+its degree -1 block.  Both grade-0 images are found in the computed G^0
+from those blocks alone (``prolong._coordinates``): d by the block -I,
+and r by the block -J, whose element exists exactly when the rotation is
+a derivation of this quotient.  The action of the -I element is read from
+the assembled bracket table of the prolongation and must equal the Euler
+derivation on every basis vector of g_-.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import Matrix, QI_ONE, _gaussian_apply, _gaussian_columns, _qi, as_qi, rank
+from .exact import QI_ONE, QI_ZERO, Matrix, _axpy, _gaussian_apply, _gaussian_columns, _gaussian_integers, _gaussian_rref, _qi, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     RealForm,
@@ -252,15 +253,53 @@ def check_bracket_isomorphism(src: GradedLieAlgebra, dst: GradedLieAlgebra, iso:
         raise VerificationFailed(f"bracket mismatch at pair {pair}", pair=pair)
 
 
+def _real_grade0_coordinates(g0, rf: RealForm, blocks):
+    """Coordinates of real degree -1 ``blocks`` in the real form of the complex grade-0 component ``g0``.
+
+    ``g0`` is the J-commuting grade 0 of a fundamental complex algebra, so
+    each element is fixed by its 2 x 2 degree -1 block B; moved by the
+    degree -1 block E of ``rf.embedding`` (F that of ``rf.embedding_inv``),
+    it acts on the real basis by F·B·E.  Those blocks span a
+    conjugation-stable space, whose reduced basis for the pivot at the last
+    entry of the row-major block is real, and is the basis a solve on the
+    real form would return (``prolong._solve_component``): 1 at its pivot
+    and 0 at the others.  Returns one coordinate list per block, read at
+    the pivots, or None for a block outside the span.
+    """
+    e = Matrix.sparse(2, [rf.embedding.sparse_column(c) for c in range(2)])
+    f = Matrix.sparse(2, [rf.embedding_inv.sparse_column(c) for c in range(2)])
+    moved = [f.mul(Matrix.sparse(2, [dm.column(-1, s) for s in range(2)])).mul(e) for dm in g0.maps]
+    rows = [_gaussian_integers((2 * t + s, x) for s in range(2) for t, x in b.sparse_column(s).items())[0] for b in moved]
+    basis = sorted(_gaussian_rref(rows, range(3, -1, -1)))
+    if len(basis) != g0.dim or any(im for _, row, _ in basis for _, im in row.values()):
+        raise VerificationFailed("grade-0 component has no real form of the same dimension")
+    out = []
+    for block in blocks:
+        flat = {2 * t + s: x for s in range(2) for t, x in block.sparse_column(s).items()}
+        coords = [flat.get(c, QI_ZERO) for c, _, _ in basis]
+        rest = dict(flat)
+        for x, (_, row, den) in zip(coords, basis):
+            if x:
+                _axpy(rest, x, {j: _qi(re, 0, den) for j, (re, _) in row.items()})
+        out.append(None if rest else coords)
+    return out
+
+
 def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     """Check aut_CR(M) = Levi-Tanaka prolongation of the symbol algebra.
 
     Both sides are computed independently, and the case (whether G^0 has
     the rotation) is the aut side's, decided from the quotient alone by
-    :func:`build_aut_cr`.  The connecting map is the identity on g_-,
-    d -> the element of the computed G^0 whose degree -1 block is -I (its
-    action on g_-, read from the assembled table, must equal the Euler
-    derivation), r -> the element whose degree -1 block is -J.
+    :func:`build_aut_cr`.  The prolongation is computed on the symbol's
+    own Hall basis, where J = diag(i, -i); extending scalars commutes with
+    taking the kernel of the Leibniz system, so it is the complexified
+    prolongation of the real form, and the real form is read off at the
+    end.  The connecting map is ``real_form``'s embedding on g_-, d -> the
+    element of the computed G^0 whose degree -1 block is -I (its action on
+    g_-, read from the assembled table, must equal the Euler derivation),
+    r -> the element whose degree -1 block is -J.  The report's matrix
+    gives d and r in the real G^0 basis (``_real_grade0_coordinates``),
+    the basis a prolongation of the real form would have.
     Raises :class:`VerificationFailed` (with the offending basis pair
     where there is one) if the dimensions, bijectivity or any bracket
     comparison fails; a case on which the two sides disagree fails one
@@ -270,10 +309,10 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         if symbol.codim == 1:
             return verify_heisenberg()
         raise RhoTooSmall("theorem verification needs length >= 3")
-    rf = real_form(symbol.algebra)
-    prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
+    m = symbol.algebra
+    rf = real_form(m)
+    prolonged = full_prolongation(m, LEVI_TANAKA)
     g0 = prolonged.components[0]
-    rot = _coordinates(g0, -rf.algebra.J)
     aut = build_aut_cr(symbol, rf)
     model_id = f"k{symbol.codim}:{symbol.quotient.kind}"
     notes = []
@@ -292,21 +331,25 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         fail(
             f"dimension mismatch: aut_CR has {aut.dim}, prolongation has {prolonged.dim}",
         )
-    n = rf.algebra.dim
+    n = m.dim
     total = prolonged.dim
-    euler = _coordinates(g0, -Matrix.identity(2))
+    minus_one = -Matrix.identity(2)
+    euler = _coordinates(g0, minus_one)
+    rot = _coordinates(g0, -m.J)
     # the assembled table holds [G0_i, e_x] = (map i)(e_x)
     d = {n + pos: c for pos, c in enumerate(euler or ())}
-    scaling = euler_derivation(rf.algebra)
+    scaling = euler_derivation(m)
     if euler is None or any(prolonged.algebra.bracket_vec(d, {x: QI_ONE}) != scaling.sparse_column(x) for x in range(n)):
         fail("Euler derivation is not in the computed grade-0 component")
-    # g_- by the identity, then the d column, then the r column when G^0 has one
-    cols = [{i: QI_ONE} for i in range(n)]
-    cols += [{n + pos: c for pos, c in enumerate(found)} for found in (euler, rot) if found is not None]
-    iso = Matrix.sparse(total, cols)
-    if rank(iso) != total:
+    real = [c for c in _real_grade0_coordinates(g0, rf, [minus_one, -rf.algebra.J]) if c is not None]
+    found = [c for c in (euler, rot) if c is not None]
+    # g_- by the identity, then the d column, then the r column when G^0 has one, in the real G^0 basis
+    iso = Matrix.sparse(total, [{i: QI_ONE} for i in range(n)] + [{n + pos: c for pos, c in enumerate(x)} for x in real])
+    if len(real) != len(found) or rank(Matrix.sparse(g0.dim, [dict(enumerate(x)) for x in real])) != g0.dim:
         fail("candidate isomorphism is not bijective")
-    mismatch = bracket_mismatch_pair(aut.algebra, prolonged.algebra, iso)
+    # the same map into the Hall basis: real_form's embedding on g_-, the complex coordinates on G^0
+    into_hall = Matrix.sparse(total, [rf.embedding.sparse_column(i) for i in range(n)] + [{n + pos: c for pos, c in enumerate(x)} for x in found])
+    mismatch = bracket_mismatch_pair(aut.algebra, prolonged.algebra, into_hall)
     # build_aut_cr and full_prolongation raise on any Jacobi or
     # transitivity violation, so both gates have already passed here
     residuals = {
@@ -343,9 +386,7 @@ def verify_heisenberg() -> TheoremReport:
     prolongation itself, so the report records its per-degree dimensions
     and compares the total against the documented value 8.
     """
-    symbol = build_symbol_algebra(1)
-    rf = real_form(symbol.algebra)
-    prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
+    prolonged = full_prolongation(build_symbol_algebra(1).algebra, LEVI_TANAKA)
     dims = prolonged.dims_by_degree()
     ok = prolonged.dim == HEISENBERG_TOTAL_DIM and dims == HEISENBERG_DIMS
     # full_prolongation raises on any Jacobi or transitivity violation

@@ -5,7 +5,8 @@ integer normal form (a + b·i)/d with d > 0 and gcd(a, b, d) = 1, so
 nothing in the library ever rounds.  Every solve goes through one
 Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
 rows ``{col: int}``, each row kept primitive; ``_integer_kernel`` reads
-a kernel off it (as for ``prolong``).  A system over Q(i) is scaled to
+a kernel over Q(i) off it (as for ``prolong``), realifying only rows
+with an imaginary part.  A system over Q(i) is scaled to
 Gaussian integers and realified onto it by ``_gaussian_rref``: rank,
 echelon, the frame filtration, faithfulness and the block solves of
 ``liealg.real_form`` read that reduced form.  The
@@ -15,8 +16,10 @@ order, never on row order or on how the elimination is scheduled.
 
 This module owns the fraction-free form that ``prolong``, ``bch``,
 ``frames`` and ``liealg`` compute on: integer numerators over one positive
-denominator.  ``_gaussian_integers`` is the way in (a real caller refuses
-a nonzero ``im`` itself), ``_sum_forms`` the one scaled sum (one gcd, on
+denominator, Gaussian numerators as ``(re, im)`` pairs or packed into one
+dict, re at key k and im at key ~k (``_times_i``).  ``_gaussian_integers``
+is the way in (a real caller refuses a nonzero ``im`` itself),
+``_sum_forms`` the one scaled sum (one gcd, on
 the finished sum; a caller that accumulates its own sum uses its two
 steps, ``_over_one_denominator`` and ``_lowest_terms``), and
 ``_qi(re, im, den)`` the way back to a ``QI``.  No other module takes a
@@ -236,15 +239,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls.sparse(n, [{j: QI_ONE} for j in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns) -> "Matrix":
-        """The matrix with the given dense columns."""
-        columns = [list(c) for c in columns]
-        n = len(columns[0]) if columns else 0
-        if any(len(c) != n for c in columns):
-            raise ValueError("ragged matrix")
-        return cls.sparse(n, [dict(enumerate(c)) for c in columns])
 
     @property
     def data(self):
@@ -484,25 +478,40 @@ def integer_rref(rows):
 
 
 def _integer_kernel(rows, width):
-    """Kernel basis of the integer rows ``{col: int}`` in ``width`` unknowns, in column form ``(columns, dens)``.
+    """Kernel basis over Q(i) of the rows in ``width`` unknowns, in column form ``(columns, dens)``.
 
-    Vector v belongs to the v-th free column f of ``integer_rref(rows)``,
-    by increasing f: the reduced kernel vector with 1 at f, times the lcm
-    ``dens[v]`` of the pivot entries it divides by.  ``columns`` maps each
-    unknown to the nonzero integer entries ``{v: int}`` of every vector
-    there, so one ``_apply_kernel`` per row checks all vectors at once by
-    substitution, in integers.
+    The rows, the columns and every vector are packed Gaussian integers
+    (``_times_i``): key u holds the real part of entry u and key ~u its
+    imaginary part.  Rows without an imaginary part are reduced by
+    ``integer_rref`` and have a rational kernel, whose complexification is
+    their kernel over Q(i); rows with one are realified once and reduced by
+    ``_gaussian_rref``.  Vector v belongs to the v-th free column f of the
+    reduced rows, by increasing f: the reduced kernel vector with 1 at f,
+    times the lcm ``dens[v]`` of the pivot entries it divides by.
+    ``columns`` maps each unknown to the nonzero packed entries of every
+    vector there, so one ``_apply_kernel`` per row checks all vectors at
+    once by substitution, in integers.
     """
-    pivots = integer_rref(rows)
+    if any(u < 0 for row in rows for u in row):
+        gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in rows]
+        pivots = [
+            (c, {u: x for u, (x, _) in row.items() if x} | {~u: y for u, (_, y) in row.items() if y})
+            for c, row, _ in _gaussian_rref(gaussian, range(width))
+        ]
+    else:
+        pivots = integer_rref(rows)
     pivot_cols = {c for c, _ in pivots}
     index = {f: v for v, f in enumerate(f for f in range(width) if f not in pivot_cols)}
     dens = [1] * len(index)
     for c, row in pivots:
-        for f in row.keys() & index.keys():
+        for f in {u if u >= 0 else ~u for u in row} & index.keys():
             dens[index[f]] = lcm(dens[index[f]], row[c])
     columns = {f: {v: dens[v]} for f, v in index.items()}
     for c, row in pivots:
-        col = {index[f]: -row[f] * (dens[index[f]] // row[c]) for f in row.keys() & index.keys()}
+        col = {}
+        for u, x in row.items():
+            if (v := index.get(u if u >= 0 else ~u)) is not None:
+                col[v if u >= 0 else ~v] = -x * (dens[v] // row[c])
         if col:
             columns[c] = col
     if any(x for row in rows for x in _apply_kernel(row, columns).values()):
@@ -510,13 +519,21 @@ def _integer_kernel(rows, width):
     return columns, dens
 
 
+def _times_i(form):
+    """i·``form`` for a packed Gaussian form: re at key k and im at key ~k become -im at k and re at ~k."""
+    return {~k: x if k >= 0 else -x for k, x in form.items()}
+
+
 def _apply_kernel(form, columns):
-    """form · v for every kernel vector v of ``columns`` (``_integer_kernel``) at once, as {v: int}, zeros kept."""
+    """form · v for every kernel vector v of ``columns`` (``_integer_kernel``) at once, packed, zeros kept."""
     out = {}
     for u, c in form.items():
-        if u in columns:
-            for v, x in columns[u].items():
+        if u >= 0:
+            for v, x in columns.get(u, {}).items():
                 out[v] = out.get(v, 0) + c * x
+        else:  # i·c times the column of unknown ~u
+            for v, x in columns.get(~u, {}).items():
+                out[~v] = out.get(~v, 0) + (c * x if v >= 0 else -c * x)
     return out
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .bch import _mul_into, left_invariant_frame
 from .exact import QI, QI_ONE, QI_ZERO, Echelon, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_table, _qi
-from .freelie import cumulative_dim, hall_basis, hall_rewrite, min_length_for_codim, standard_factorization
+from .freelie import _bracket_basis, cumulative_dim, hall_basis, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
 from .poly import Poly, PolyVectorField, rigid_chart
 
@@ -230,7 +230,7 @@ class Filtration:
     word_values: dict = field(repr=False, default=None)
 
 
-def _word_values(L, Lb, max_length):
+def _word_values(L, max_length):
     """Origin values {word: [QI]} of the basis bracket words of (L, Lbar).
 
     The words come in Hall basis order.  Each word shorter than
@@ -241,16 +241,18 @@ def _word_values(L, Lb, max_length):
     components over one ``int`` denominator.  A word of length
     ``max_length`` is only needed at the origin, where its value is
     sum_j U_j(0)·d_jV_i(0) - V_j(0)·d_jU_i(0), read off the constant and
-    linear terms of its factors.
+    linear terms of its factors.  Lbar = ``L.conj()`` is packed from L's
+    packed form (``_conjugate_packed``).
     """
     n = L.chart.nvars
-    # Lb = L.conj() only permutes the chart variables, so L alone gives the top exponent
+    # Lbar only permutes the chart variables, so L alone gives the top exponent
     top = max((x for p in L.comps for e in p.terms for x in e), default=0)
     # a word of length l multiplies l input monomials, so no exponent of
     # a field exceeds top * max_length
     width = max(top * max_length, 1).bit_length()
     shifts = [2 + width * j for j in range(n)]
-    fields = {(1,): _packed_field(L, shifts), (2,): _packed_field(Lb, shifts)}
+    packed = _packed_field(L, shifts)
+    fields = {(1,): packed, (2,): _conjugate_packed(packed, L.chart.conj_perm, shifts, width)}
     partials = {}
 
     def diff(word):
@@ -285,6 +287,23 @@ def _packed_field(X: PolyVectorField, shifts):
         if im:
             comps[i][mono | 1] = im
     return comps, den
+
+
+def _conjugate_packed(X, perm, shifts, width):
+    """The formal conjugate of the packed field X: chart variable j moves to perm[j], and imaginary parts change sign."""
+    comps, den = X
+    mask = (1 << width) - 1
+    out = [None] * len(comps)
+    for i, comp in enumerate(comps):
+        conj = {}
+        for e, x in comp.items():
+            mono = e & 3
+            for j, s in enumerate(shifts):
+                if a := (e >> s) & mask:
+                    mono |= a << shifts[perm[j]]
+            conj[mono] = -x if e & 1 else x
+        out[perm[i]] = conj
+    return out, den
 
 
 def _partials(comps, width):
@@ -354,7 +373,7 @@ def growth_and_nondegeneracy(model: ModelSpec):
     k = model.codim
     rho = min_length_for_codim(k)
     L = cr_field(model)
-    values = _word_values(L, L.conj(), rho)
+    values = _word_values(L, rho)
     rows, _ = _gaussian_table({t: {c: vec[t] for c, vec in enumerate(values.values())} for t in range(2 + k)})
     reduced = tuple(_gaussian_rref(list(rows.values()), range(len(values))))
     lengths = [len(w) for w in values]
@@ -416,7 +435,8 @@ def _check_frame_constants(symbol: SymbolAlgebra, filt: Filtration):
             wj = symbol.words[j]
             if wi.length + wj.length != symbol.length:
                 continue
-            diff = {col[w.word]: [-c * den, 0] for w, c in hall_rewrite(wi, wj).items()}
+            # a Hall word's standard bracketing is its own normal form
+            diff = {col[w]: [-c * den, 0] for w, c in _bracket_basis(wi.word, wj.word)}
             _gaussian_axpy(diff, (1, 0), {col[symbol.words[t].word]: z for t, z in nums.get((i, j), {}).items()})
             if any(re or im for re, im in _gaussian_apply(top, diff).values()):
                 raise AssertionError(f"frame constants disagree at ({wi}, {wj})")

@@ -31,6 +31,7 @@ __all__ = [
     "standard_tree",
     "tree_normal_form",
     "conjugate_tree",
+    "conjugate_normal_form",
 ]
 
 GEN1, GEN2 = 1, 2
@@ -243,6 +244,12 @@ def tree_normal_form(tree) -> dict:
         return {(tree,): 1}
     left, right = tree
     return _bracket_combos(tree_normal_form(left), tree_normal_form(right))
+
+
+@lru_cache(maxsize=None)
+def conjugate_normal_form(word) -> tuple:
+    """The basis word ``word`` with its generators swapped, in normal form: a tuple of (word, integer coeff)."""
+    return tuple(sorted(tree_normal_form(conjugate_tree(standard_tree(word))).items()))
 
 
 def _as_tree(x):

@@ -19,15 +19,7 @@ from functools import lru_cache
 from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
 from .exact import _combine, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_rref, _gaussian_table, _qi
 from .exact import _real_fixed_points, _sparse_rows
-from .freelie import (
-    conjugate_tree,
-    cumulative_dim,
-    hall_basis,
-    hall_rewrite,
-    min_length_for_codim,
-    tree_normal_form,
-    witt_dim,
-)
+from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
 __all__ = [
     "GradedLieAlgebra",
@@ -469,9 +461,7 @@ def _top_conjugation_matrix(rho: int) -> Matrix:
     """Generator swap on the top free layer, in Hall-basis coordinates; built once per length."""
     top = [w for w in hall_basis(rho).words if w.length == rho]
     pos = {w.word: p for p, w in enumerate(top)}
-    return Matrix.sparse(
-        len(top), [{pos[word]: c for word, c in tree_normal_form(conjugate_tree(w.tree)).items()} for w in top]
-    )
+    return Matrix.sparse(len(top), [{pos[word]: c for word, c in conjugate_normal_form(w.word)} for w in top])
 
 
 @lru_cache(maxsize=None)
@@ -573,19 +563,19 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
         for j in range(i + 1, n):
             if words[i].length + words[j].length > rho:
                 continue
-            raw = hall_rewrite(words[i], words[j])
-            entry = _combine({w.word: c for w, c in raw.items()}, pi)
+            # a Hall word's standard bracketing is its own normal form
+            entry = _combine(dict(_bracket_basis(words[i].word, words[j].word)), pi)
             if entry:
                 table[(i, j)] = entry
 
     # conjugation: generator swap S extended as an antilinear bracket morphism,
     # defined on the quotient only when the quotient subspace is stable, i.e.
     # when π(S·conj(q)) = Σ_t conj(q_t)·π(S·e_t) vanishes for every quotient row q
-    swapped = [_combine(tree_normal_form(conjugate_tree(w.tree)), pi) for w in top_words]
+    swapped = [_combine(dict(conjugate_normal_form(w.word)), pi) for w in top_words]
     stable = not any(_combine({t: x.conj() for t, x in enumerate(row) if x}, swapped) for row in reducer.rows)
     conjugation = None
     if stable:
-        conj_cols = [_combine(tree_normal_form(conjugate_tree(w.tree)), pi) for w in low_words] + [swapped[t] for t in retained]
+        conj_cols = [_combine(dict(conjugate_normal_form(w.word)), pi) for w in low_words] + [swapped[t] for t in retained]
         conjugation = Matrix.sparse(n, conj_cols)
 
     j_mat = Matrix.sparse(2, [{0: QI_I}, {1: -QI_I}])

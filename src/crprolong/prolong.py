@@ -8,9 +8,14 @@ along one fixed expression of each basis element as a bracket with
 g_-1, and the component is the exact kernel of the Leibniz identity
 evaluated on all basis pairs of m, plus commutation with the complex
 structure J on the degree -1 block for the grade-0 component of the
-Levi-Tanaka flavor.  The solve is fraction-free: integer linear forms
-over one denominator per image, primitive integer rows deduplicated up
-to scale, and ``exact.integer_rref``.  The reduced kernel basis is the
+Levi-Tanaka flavor.  The solve is fraction-free and works over Q(i):
+Gaussian integer linear forms, packed so that a real input stays in
+plain integers, over one denominator per image, primitive rows
+deduplicated up to scale, and ``exact._integer_kernel``, which realifies
+only a row set with complex entries.  A complex algebra such as a symbol
+on its Hall basis is prolonged as it is: extending scalars commutes with
+taking the kernel, so its prolongation is the complexification of the
+real form's.  The reduced kernel basis is the
 one a solve for the full block maps m_a -> V_(a+l) would return; it is
 built once in column form, {unknown: {vector: int}}, so one sparse
 product per coordinate form gives that coordinate of every basis map.
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import QI_ZERO, Matrix, _apply_kernel, _axpy, _gaussian_columns, _integer_kernel, _primitive, _qi, _sum_forms
+from .exact import QI_ZERO, Matrix, _apply_kernel, _axpy, _gaussian_columns, _integer_kernel, _primitive, _qi, _sum_forms, _times_i
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -64,10 +69,11 @@ class DerivationMap:
     """A degree-l graded map out of m, one block per source degree, kept in integers.
 
     blocks[a] = (dim V_(a+l), columns): column s, the image of basis
-    vector s of m_a, is ``({t: int}, den)``, its nonzero coordinates as
-    numerators over one positive denominator, t increasing.  V_(a+l) is
-    the m block for a + l <= -1, else the already-computed component of
-    that degree.  ``column`` is the one way to ``QI`` entries.
+    vector s of m_a, is ``(nums, den)``, its nonzero coordinates as packed
+    Gaussian numerators (``exact._times_i``: the real part of coordinate t
+    at key t, the imaginary part at key ~t) over one positive denominator.
+    V_(a+l) is the m block for a + l <= -1, else the already-computed
+    component of that degree.  ``column`` is the one way to ``QI`` entries.
     """
 
     degree: int
@@ -76,7 +82,7 @@ class DerivationMap:
     def column(self, a: int, s: int) -> dict:
         """The image of basis vector s of m_a as {t: QI}, zeros dropped, t increasing."""
         nums, den = self.blocks[a][1][s]
-        return {t: _qi(n, 0, den) for t, n in nums.items()}
+        return {t: _qi(nums.get(t, 0), nums.get(~t, 0), den) for t in sorted({t if t >= 0 else ~t for t in nums})}
 
     def flatten(self, source_degrees):
         out = []
@@ -107,9 +113,14 @@ def _local_index(m: GradedLieAlgebra):
 
 
 def _distinct_rows(forms):
-    """Each nonzero integer form made primitive (gcd 1, first entry positive), one per class up to scale."""
+    """Each nonzero packed form made primitive (gcd 1, first entry positive), one per class up to scale.
+
+    A form with only imaginary parts is turned by i onto a real one first.
+    """
     seen = {}
     for form in forms:
+        if max(form) < 0:
+            form = _times_i(form)
         seen.setdefault(tuple(sorted(_primitive(form, min(form)).items())), None)
     return [dict(row) for row in seen]
 
@@ -122,23 +133,27 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     V_(l-1), is unknown t·dim(g_-1) + s.  D is extended along the
     expressions e_x = sum of c·[e_g, e_y] as D(e_x) = sum of
     c·([D e_g, e_y] + [e_g, D e_y]), each coordinate a sparse linear form
-    {unknown: int numerator}, one ``int`` denominator per image.  Every
-    input is read as integers: ``m._numerators``, the Gaussian columns of
+    over the unknowns, one ``int`` denominator per image.  Every input is
+    read as Gaussian integers: ``m._numerators``, the Gaussian columns of
     J, the coefficients of the expressions and the stored columns of the
-    lower components; a complex structure constant, or a complex J entry
-    under ``j_constraint``, is refused up front with ``ValueError``.  Each
-    nonzero coordinate of the Leibniz residual on a basis pair i < j is a
-    row, so the kernel is the set of g_-1 blocks of derivations without
-    appeal to Jacobi; ``j_constraint`` (grade 0) adds commutation with J.
-    The rows are made primitive, deduplicated up to scale and solved by
-    ``integer_rref``; ``_integer_kernel`` returns the kernel in column
-    form, checked by substitution in integers, and one ``_apply_kernel``
-    per coordinate form of each image gives that coordinate of every
-    basis map, stored as integer columns.  The unknowns keep the order of
-    the trailing g_-1 block of a solve for all blocks m_a -> V_(a+l).  No
-    derivation has a zero g_-1 block, so every pivot of that solve's
-    reduced kernel basis (the last nonzero entry of each vector) lies in
-    this block, and that basis is the extension of the one found here.
+    lower components.  A form is packed (``exact._times_i``): the real
+    part of the coefficient of unknown u at key u, the imaginary part at
+    key ~u, so a real input leaves every imaginary part empty and runs in
+    plain integers.  Each nonzero coordinate of the Leibniz residual on a
+    basis pair i < j is a row, so the kernel is the set of g_-1 blocks of
+    derivations without appeal to Jacobi; ``j_constraint`` (grade 0) adds
+    the rows of commutation with J.  A J row on one unknown sets it to
+    zero, and that unknown is dropped before the extension: with J
+    diagonal, as on the (L, L̄) basis of a symbol, that leaves the two
+    diagonal entries.  The rows are made primitive, deduplicated up to
+    scale and solved by ``_integer_kernel`` over Q(i), checked by
+    substitution in integers, and one ``_apply_kernel`` per coordinate
+    form of each image gives that coordinate of every basis map, stored as
+    packed integer columns.  The unknowns keep the order of the trailing
+    g_-1 block of a solve for all blocks m_a -> V_(a+l).  No derivation
+    has a zero g_-1 block, so every pivot of that solve's reduced kernel
+    basis (the last nonzero entry of each vector) lies in this block, and
+    that basis is the extension of the one found here.
     """
     gens = _generating_expressions(m)
     if gens is None:
@@ -146,14 +161,17 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     if j_constraint and m.J is None:
         raise MissingJ("J-constrained prolongation needs a complex structure")
     nums, mden = m._numerators
-    jcols, jden = _gaussian_columns(m.J) if j_constraint else ({}, 1)
-    for terms, den in [(terms, mden) for terms in nums.values()] + [(col, jden) for col in jcols.values()]:
-        for re, im in terms.values():
-            if im:
-                raise ValueError(f"the prolongation solve needs real coefficients, got {_qi(re, im, den)}")
     blocks = {d: m.indices_of_degree(d) for d in sorted(set(m.degrees))}
     dims = {d: len(idx) for d, idx in blocks.items()} | {d: c.dim for d, c in enumerate(components[:l])}
     loc = _local_index(m)
+
+    def scaled(t, z, den, form):
+        """The terms of z/den·form at coordinate t, for Gaussian numerators z = (re, im)."""
+        re, im = z
+        out = [(t, re, den, form)] if re else []
+        if im:
+            out.append((t, im, den, _times_i(form)))
+        return out
 
     def bracket(image, sdeg, y, sign):
         """Terms of sign·[D e, e_y] for ``image`` = ({s: form}, den), the coordinates of D e in V_sdeg."""
@@ -162,50 +180,64 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         for s, form in forms.items():
             if sdeg >= 0:
                 coeffs, aden = components[sdeg].maps[s].blocks[m.degrees[y]][1][loc[y]]
-                terms.extend((t, sign * a, aden * den, form) for t, a in coeffs.items())
+                for t, a in coeffs.items():
+                    # a packed key ~t holds the imaginary part of coordinate t
+                    terms.append((t, sign * a, aden * den, form) if t >= 0 else (~t, sign * a, aden * den, _times_i(form)))
             else:
                 # the table is keyed i < j: [e_x, e_y] = -[e_y, e_x]
                 x = blocks[sdeg][s]
                 f = sign if x < y else -sign
-                terms.extend((loc[k], f * a, mden * den, form) for k, (a, _) in nums.get((min(x, y), max(x, y)), {}).items())
+                for k, (a, b) in nums.get((min(x, y), max(x, y)), {}).items():
+                    terms += scaled(loc[k], (f * a, f * b), mden * den, form)
         return terms
 
     nb = len(blocks[-1])
     width = dims.get(l - 1, 0) * nb
-    image = {g: ({t: {t * nb + s: 1} for t in range(dims.get(l - 1, 0))}, 1) for s, g in enumerate(blocks[-1])}
+    rows, zero = [], set()
+    if j_constraint:
+        jcols, jden = _gaussian_columns(m.J)
+        jm = {(p, q): z for q, col in jcols.items() for p, z in col.items()}
+        for p, q in product(range(nb), repeat=2):
+            # (D J - J D)[p][q] on the g_-1 block, times the denominator of J
+            acc = {}
+            for s in range(nb):
+                for v, (re, im), c in ((p * nb + s, jm.get((s, q), (0, 0)), 1), (s * nb + q, jm.get((p, s), (0, 0)), -1)):
+                    acc[v] = acc.get(v, 0) + c * re
+                    acc[~v] = acc.get(~v, 0) + c * im
+            form = {v: x for v, x in acc.items() if x}
+            support = {v if v >= 0 else ~v for v in form}
+            if len(support) == 1:
+                zero |= support
+                form = {v: 1 for v in support}
+            rows.append(form)
+    image = {
+        g: ({t: {v: 1} for t in range(dims.get(l - 1, 0)) if (v := t * nb + s) not in zero}, 1)
+        for s, g in enumerate(blocks[-1])
+    }
     parts = {}
     for x, (expression, cden) in gens.items():
         # parts[g, y] = -[D e_g, e_y] + [D e_y, e_g], shared within a layer; D(e_x) = -sum of c·parts[g, y]
         terms = []
-        for g, y, (c, _) in expression:
+        for g, y, (cr, ci) in expression:
             if (g, y) not in parts:
                 parts[g, y] = _sum_forms(bracket(image[g], l - 1, y, -1) + bracket(image[y], m.degrees[y] + l, g, 1))
             forms, pden = parts[g, y]
-            terms.extend((t, -c, cden * pden, form) for t, form in forms.items())
+            for t, form in forms.items():
+                terms += scaled(t, (-cr, -ci), cden * pden, form)
         image[x] = _sum_forms(terms)
 
-    rows = []
     for i, j in combinations(range(m.dim), 2):
         if not dims.get(m.degrees[i] + m.degrees[j] + l):
             continue
         # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
-        terms = [
-            (t, -gamma, mden * image[k][1], form)
-            for k, (gamma, _) in nums.get((i, j), {}).items()
-            for t, form in image[k][0].items()
-        ]
+        terms = []
+        for k, (gr, gi) in nums.get((i, j), {}).items():
+            forms, den = image[k]
+            for t, form in forms.items():
+                terms += scaled(t, (-gr, -gi), mden * den, form)
         terms += bracket(image[i], m.degrees[i] + l, j, 1)
         terms += bracket(image[j], m.degrees[j] + l, i, -1)
         rows.extend(_sum_forms(terms)[0].values())
-    if j_constraint:
-        jm = {(p, q): re for q, col in jcols.items() for p, (re, _) in col.items()}
-        for p, q in product(range(nb), repeat=2):
-            # (D J - J D)[p][q] on the g_-1 block, times the denominator of J
-            form = {}
-            for s in range(nb):
-                for v, c in ((p * nb + s, jm.get((s, q), 0)), (s * nb + q, -jm.get((p, s), 0))):
-                    form[v] = form.get(v, 0) + c
-            rows.append({v: c for v, c in form.items() if c})
     rows = _distinct_rows(form for form in rows if form)
     columns, vdens = _integer_kernel(rows, width)
     maps = [{a: (dims.get(a + l, 0), []) for a in blocks} for _ in vdens]
@@ -213,10 +245,13 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         forms, den = image[y]
         images = [{} for _ in vdens]
         for t, form in sorted(forms.items()):
-            # coordinate t of D(e_y) for every kernel vector v at once
+            # coordinate t of D(e_y) for every kernel vector v at once; key ~v is its imaginary part
             for v, n in _apply_kernel(form, columns).items():
                 if n:
-                    images[v][t] = n
+                    if v >= 0:
+                        images[v][t] = n
+                    else:
+                        images[~v][~t] = n
         for out, col, vden in zip(maps, images, vdens):
             out[m.degrees[y]][1].append((col, vden * den))
     return ProlongationComponent(l, tuple(DerivationMap(l, out) for out in maps))

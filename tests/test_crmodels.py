@@ -19,7 +19,7 @@ from crprolong.crmodels import (
     verify_theorem,
 )
 from crprolong.exact import QI, QI_ONE, Echelon, Matrix
-from crprolong.liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form, realify
+from crprolong.liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, first_bracket_mismatch, real_form, realify
 from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
 
 
@@ -213,14 +213,13 @@ def test_verify_theorem_k2_default():
 
 
 def test_euler_gate_reads_the_assembled_table(monkeypatch):
-    """Negative control: doubling the degree -2 entry [e2_1, G0_1] of the assembled table trips the Euler gate.
+    """Negative control: doubling the degree -2 entry [L2_3, G0_1] of the assembled table trips the Euler gate.
 
     The maps of G^0 are left as they are, so only a gate that reads the table sees it.
     """
     S = build_symbol_algebra(2)
-    R = real_form(S.algebra).algebra
-    x = R.indices_of_degree(-2)[0]
-    g = R.dim  # G0_1, the only grade-0 element of the real-alpha case
+    x = S.algebra.indices_of_degree(-2)[0]
+    g = S.dim  # G0_1, the only grade-0 element of the real-alpha case
 
     def doubled(m, flavor):
         prolonged = full_prolongation(m, flavor)
@@ -258,6 +257,88 @@ def test_corrupted_bracket_fails_naming_pair():
     with pytest.raises(VerificationFailed) as err:
         check_bracket_isomorphism(bad, P.algebra, rep.iso_matrix)
     assert err.value.pair == ("x", "d")
+
+
+def test_verify_theorem_checks_brackets_through_the_embedding(monkeypatch):
+    """Negative control: a corrupted [x, d] on the aut side fails the check against the Hall-basis prolongation."""
+    honest = crmodels.build_aut_cr
+
+    def corrupted(symbol, rf):
+        aut = honest(symbol, rf)
+        bad = replaced_bracket(aut.algebra, 0, aut.d_index, {0: QI(2)})
+        return dataclasses.replace(aut, algebra=bad)
+
+    monkeypatch.setattr(crmodels, "build_aut_cr", corrupted)
+    with pytest.raises(VerificationFailed) as err:
+        verify_theorem(build_symbol_algebra(8, random_quotient(8, 1)))
+    assert err.value.pair == ("x", "d")
+    assert err.value.report.verdict == "failed"
+
+
+# -- the Hall-basis prolongation against the prolongation of the real form --
+
+
+def _hall_and_real(symbol):
+    """The Levi-Tanaka prolongations of the symbol on its Hall basis and of its real form, with the real form."""
+    rf = real_form(symbol.algebra)
+    return full_prolongation(symbol.algebra, LEVI_TANAKA), full_prolongation(rf.algebra, LEVI_TANAKA), rf
+
+
+def _transported_grade0(hall, real, rf):
+    """Real G^0 basis element i, with degree -1 block X_i in the real basis, as the complex element with block E·X_i·F."""
+    e = Matrix([[rf.embedding.data[a][c] for c in range(2)] for a in range(2)])
+    f = Matrix([[rf.embedding_inv.data[a][c] for c in range(2)] for a in range(2)])
+    out = []
+    for dm in real.components[0].maps:
+        block = Matrix.sparse(2, [dm.column(-1, s) for s in range(2)])
+        out.append(_coordinates(hall.components[0], e.mul(block).mul(f)))
+    return out
+
+
+HALL_CASES = [pytest.param(k, None, id=f"k{k}") for k in (*range(3, 13), 21, 22)] + [
+    pytest.param(8, seed, id=f"k8-seed{seed}") for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("k, seed", HALL_CASES)
+def test_hall_prolongation_is_the_complexified_real_form_prolongation(k, seed):
+    """Same dimensions by degree, and real_form's embedding plus the transported G^0 is a bracket isomorphism.
+
+    The seeded draws come from ``tests/quotients.py``; at k = 8 twelve of
+    their 21 structure constants are complex.  ``verify_theorem``'s d and
+    r columns are checked against the coordinates a prolongation of the
+    real form gives.
+    """
+    symbol = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed))
+    hall, real, rf = _hall_and_real(symbol)
+    assert hall.dims_by_degree() == real.dims_by_degree()
+    assert all(c.degree <= 0 for c in real.components if c.dim)
+    n = symbol.dim
+    g0 = _transported_grade0(hall, real, rf)
+    assert None not in g0
+    iso = Matrix.sparse(hall.dim, [rf.embedding.sparse_column(i) for i in range(n)] + [{n + p: c for p, c in enumerate(x)} for x in g0])
+    assert first_bracket_mismatch(real.algebra, hall.algebra, iso) is None
+    report = verify_theorem(symbol)
+    g0_real = real.components[0]
+    found = [c for c in (_coordinates(g0_real, -Matrix.identity(2)), _coordinates(g0_real, -rf.algebra.J)) if c is not None]
+    want = Matrix.sparse(real.dim, [{i: QI_ONE} for i in range(n)] + [{n + p: c for p, c in enumerate(x)} for x in found])
+    assert report.iso_matrix == want
+
+
+DRAWS = [(k, seed) for k in (2, 4, 5, 7, 8, 9, 10, 11) for seed in (1, 2, 3)] + [
+    pytest.param(k, seed, marks=pytest.mark.slow) for k in (13, 16, 20, 22, 30, 39) for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("k, seed", DRAWS)
+def test_verify_theorem_on_conjugation_stable_draws(k, seed):
+    """Seeded conjugation-stable quotients (``tests/quotients.py``) are confirmed, with total 2 + k + dim G^0.
+
+    k <= 11 in tier-1; lengths 6 to 7 (k = 13..39) in ``slow``.
+    """
+    report = verify_theorem(build_symbol_algebra(k, random_quotient(k, seed)))
+    assert report.verdict == "confirmed"
+    assert report.total_dim == 2 + k + report.residuals["g0_dim"]
 
 
 def test_verify_heisenberg_report():

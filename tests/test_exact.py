@@ -18,7 +18,7 @@ I = QI(0, 1)
 
 def _apply(m, v):
     """m·v for the dense vector ``v``, as a dense list: one ``mul`` by a one-column matrix."""
-    return m.mul(Matrix.from_columns([v])).column(0)
+    return m.mul(Matrix.sparse(len(v), [dict(enumerate(v))])).column(0)
 
 
 def test_field_arithmetic():
@@ -260,6 +260,25 @@ def test_kernel_and_rank_match_dense_oracle(complex_entries):
         m = Matrix([_qis(r) for r in data])
         assert [_pairs(v) for v in _kernel(m)] == dense_kernel(data, m.cols)
         assert rank(m) == len(dense_rref(data, range(m.cols))[0])
+
+
+@FIELDS
+def test_integer_kernel_matches_dense_oracle(complex_entries):
+    """``_integer_kernel`` on packed Gaussian integer rows (re at key u, im at key ~u) gives the oracle's kernel over Q(i)."""
+    rng = random.Random(4151 + complex_entries)
+    for _ in range(40):
+        data = _oracle_matrix(rng, complex_entries)
+        cols = len(data[0])
+        rows = []
+        for row in data:
+            nums, _ = _gaussian_integers((j, QI(re, im)) for j, (re, im) in enumerate(row))
+            rows.append({j: re for j, (re, _) in nums.items() if re} | {~j: im for j, (_, im) in nums.items() if im})
+        columns, dens = exact._integer_kernel(rows, cols)
+        basis = [
+            [(Fraction(columns.get(u, {}).get(v, 0), d), Fraction(columns.get(u, {}).get(~v, 0), d)) for u in range(cols)]
+            for v, d in enumerate(dens)
+        ]
+        assert basis == dense_kernel(data, cols)
 
 
 @FIELDS
@@ -573,8 +592,6 @@ def test_matrix_views_and_constructors_match_dense_rows(rows, cols):
             assert {i: (x.re, x.im) for i, x in col.items()} == nonzero
         if rows:
             assert Matrix([_qis(row) for row in data]) == m
-        if cols:
-            assert Matrix.from_columns([_qis(row[j] for row in data) for j in range(cols)]) == m
         assert -(-m) == m
         assert [_pairs(row) for row in (-m).data] == [[(-a, -b) for a, b in row] for row in data]
 
@@ -642,9 +659,10 @@ def test_matrix_data_is_read_only():
 
 
 @pytest.mark.parametrize("columns", [[[1], [2, 3]], [[1, 2], [3]]], ids=["longer-last", "shorter-last"])
-def test_from_columns_refuses_ragged_input(columns):
-    with pytest.raises(ValueError, match="^ragged matrix$"):
-        Matrix.from_columns(columns)
+def test_sparse_refuses_ragged_columns(columns):
+    """Dense columns of unequal length, read at the length of the shorter: the longer one leaves the matrix."""
+    with pytest.raises(ValueError, match="^row index out of range$"):
+        Matrix.sparse(min(map(len, columns)), [dict(enumerate(c)) for c in columns])
 
 
 def test_sparse_refuses_rows_out_of_range():

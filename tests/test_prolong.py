@@ -31,6 +31,7 @@ from crprolong.prolong import (
     prolong_component,
 )
 from oracles import dense_inverse, full_block_component, replaced_bracket
+from quotients import random_quotient, rotation_stable_quotient
 
 J_STANDARD = Matrix([[0, -1], [1, 0]])
 
@@ -184,7 +185,7 @@ def test_levi_tanaka_embeds_in_full_tanaka():
         ft = grade0(m, False)
         degrees = sorted(set(m.degrees))
         cols = [dm.flatten(degrees) for dm in ft.maps] + [dm.flatten(degrees) for dm in lt.maps]
-        assert rank(Matrix.from_columns(cols)) == ft.dim
+        assert rank(Matrix.sparse(len(cols[0]), [dict(enumerate(c)) for c in cols])) == ft.dim
 
 
 def test_is_transitive_negative_control():
@@ -397,13 +398,13 @@ def test_assemble_checks_brackets_on_every_degree():
 # -- property oracle: the prolongation does not depend on the chosen basis --
 
 
-def _random_graded_change(m, rng):
-    """An invertible rational matrix that maps each degree block of m to itself."""
+def _random_graded_change(m, rng, gaussian=False):
+    """An invertible rational (or, with ``gaussian``, Gaussian integer) matrix that maps each degree block of m to itself."""
     p = [[QI(0)] * m.dim for _ in range(m.dim)]
     for d in set(m.degrees):
         idx = m.indices_of_degree(d)
         while True:
-            block = [[QI(rng.randint(-3, 3), 0) for _ in idx] for _ in idx]
+            block = [[QI(rng.randint(-3, 3), rng.randint(-3, 3) if gaussian else 0) for _ in idx] for _ in idx]
             if rank(Matrix(block)) == len(idx):
                 break
         for r, row in zip(idx, block):
@@ -425,7 +426,7 @@ def _transported(m, p):
     for i in range(m.dim):
         for j in range(i + 1, m.dim):
             w = m.bracket_vec(cols[i], cols[j])
-            entry = {k: c for k, c in enumerate(pinv.mul(Matrix.from_columns([[w.get(t, QI(0)) for t in range(m.dim)]])).column(0)) if c}
+            entry = {k: c for k, c in enumerate(pinv.mul(Matrix.sparse(m.dim, [w])).column(0)) if c}
             if entry:
                 table[(i, j)] = entry
     ones = m.indices_of_degree(-1)
@@ -461,24 +462,41 @@ def test_components_match_full_block_oracle_with_denominators(k, top, j_constrai
     _assert_components_match_oracle(moved, top, j_constraint)
 
 
-# -- negative controls: the integer solve refuses complex entries and checks its kernel --
+# -- the Gaussian solve: complex entries are solved, and the kernel is checked --
 
 
-def test_grade0_refuses_complex_structure_constant():
+@pytest.mark.parametrize("k", [3, 8], ids=["f23", "k8-rotation-stable"])
+def test_components_match_full_block_oracle_after_a_gaussian_change_of_basis(k):
+    """A Gaussian graded change of basis of a Hall-basis symbol with a 2-dimensional grade 0: complex rows, J and kernel vectors.
+
+    On the Hall basis itself every kernel has a rational basis, so only a
+    basis like this one needs the complex branch of ``_integer_kernel``.
+    """
+    m = build_symbol_algebra(k, None if k == 3 else rotation_stable_quotient(k, 1)).algebra
+    moved = _transported(m, _random_graded_change(m, random.Random(3000 + k), gaussian=True))
+    degrees = sorted(set(moved.degrees))
+    assert any(x.re and x.im for dm in grade0(moved, True).maps for x in dm.flatten(degrees))
+    _assert_components_match_oracle(moved, 1, True)
+    assert full_prolongation(moved, LEVI_TANAKA).dims_by_degree() == full_prolongation(m, LEVI_TANAKA).dims_by_degree()
+
+
+def test_grade0_solves_complex_structure_constant():
+    """f23 with one structure constant times i: the rows are complex, and grade 0 is the oracle's kernel over Q(i)."""
     m = f23()
     (i, j), terms = next(iter(m.table.items()))
     k, c = next(iter(terms.items()))
     bad = replaced_bracket(m, i, j, {**terms, k: QI(0, 1) * c})
-    with pytest.raises(ValueError, match="^the prolongation solve needs real coefficients, got [^\n]*$"):
-        grade0(bad, j_constraint=False)
+    assert is_fundamental(bad)
+    _assert_components_match_oracle(bad, 0, False)
 
 
-def test_grade0_refuses_complex_j():
-    """The complex symbol algebra has real structure constants and J = diag(i, -i)."""
-    m = build_symbol_algebra(3).algebra
-    assert not any(c.im for terms in m.table.values() for c in terms.values())
-    with pytest.raises(ValueError, match="^the prolongation solve needs real coefficients, got i$"):
-        grade0(m, j_constraint=True)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_complex_hall_algebra_matches_full_block_oracle_with_j(seed):
+    """A conjugation-stable quotient at k = 8 on its Hall basis: complex structure constants and J = diag(i, -i)."""
+    m = build_symbol_algebra(8, random_quotient(8, seed)).algebra
+    assert sum(1 for terms in m.table.values() for c in terms.values() if c.im) == 12
+    assert m.J == Matrix([[QI(0, 1), 0], [0, QI(0, -1)]])
+    _assert_components_match_oracle(m, 1, True)
 
 
 def test_corrupted_pivot_row_fails_the_substitution_check(monkeypatch):
