@@ -13,14 +13,18 @@ per source tree, alternating which side runs first (``benchpair.py``
 holds this harness).
 
 The sizes are read from public API only: ``n`` (the dimension of the
-symbol), and, as lists over the symbol and aut_CR, ``bracket_entries``
-(the nonzero brackets of basis pairs) and ``nonzero_constants`` (the
-nonzero structure constants); both trees report the same ones.  A tree
-that prolongs the symbol on its Hall basis also reports the sizes of that
-prolongation, the one ``verify_theorem`` then checks against:
-``prolongation_dim``, ``prolongation_bracket_entries`` and
-``prolongation_nonzero_constants``.  A tree whose solver refuses complex
-coefficients cannot, and reports none.  The summary records whether
+symbol), ``symbol_bracket_entries`` (its nonzero brackets of basis
+pairs) and ``symbol_nonzero_constants`` (its nonzero structure
+constants); both trees report the same ones.  A tree that prolongs the
+symbol on its Hall basis also reports the sizes of that prolongation,
+the one ``verify_theorem`` then checks against: ``prolongation_dim``,
+``prolongation_bracket_entries`` and ``prolongation_nonzero_constants``.
+A tree whose solver refuses complex coefficients cannot, and reports
+none.  A tree that builds aut_CR on the Hall basis too (its
+``build_aut_cr`` takes the symbol alone) reports ``aut_bracket_entries``
+and ``aut_nonzero_constants``; a tree that builds it in the real basis
+of the real form has other sizes, which are not comparable, and reports
+none.  The summary records whether
 build + verify meets the targets of at most 1.5 s at k = 410 and at most
 5 s at k = 745.  The pair goes to BENCH_gates.json in the current
 directory.
@@ -28,6 +32,7 @@ directory.
 
 from __future__ import annotations
 
+import inspect
 import statistics
 import time
 
@@ -50,21 +55,22 @@ def _sizes(k: int) -> dict:
     from crprolong import crmodels, liealg, prolong
 
     symbol = liealg.build_symbol_algebra(k)
-    algebras = [symbol.algebra, crmodels.build_aut_cr(symbol, liealg.real_form(symbol.algebra)).algebra]
-    sizes = {
-        "k": k,
-        "n": symbol.dim,
-        "bracket_entries": [len(a.table) for a in algebras],
-        "nonzero_constants": [sum(map(len, a.table.values())) for a in algebras],
-    }
+    sizes = {"k": k, "n": symbol.dim, **_table_sizes("symbol", symbol.algebra)}
     try:
         hall = prolong.full_prolongation(symbol.algebra, prolong.LEVI_TANAKA).algebra
     except ValueError:
-        return sizes
-    return sizes | {
-        "prolongation_dim": hall.dim,
-        "prolongation_bracket_entries": len(hall.table),
-        "prolongation_nonzero_constants": sum(map(len, hall.table.values())),
+        pass
+    else:
+        sizes |= {"prolongation_dim": hall.dim, **_table_sizes("prolongation", hall)}
+    if len(inspect.signature(crmodels.build_aut_cr).parameters) == 1:
+        sizes |= _table_sizes("aut", crmodels.build_aut_cr(symbol).algebra)
+    return sizes
+
+
+def _table_sizes(name: str, algebra) -> dict:
+    return {
+        f"{name}_bracket_entries": len(algebra.table),
+        f"{name}_nonzero_constants": sum(map(len, algebra.table.values())),
     }
 
 

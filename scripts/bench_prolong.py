@@ -19,7 +19,9 @@ solve), ``rank`` (unknowns minus the component's dimension) and the
 rows also reports the Leibniz and J rows before (``rows``) and after
 (``distinct_rows``) deduplication up to scale, the ``nonzeros`` of the
 distinct rows, and ``max_bits``, the largest numerator bit length in the
-distinct rows and in their reduced echelon form.  The pair goes to
+distinct rows and in their reduced echelon form; rows with complex
+entries are counted realified, their real and imaginary parts as integer
+columns, the form in which they are reduced.  The pair goes to
 BENCH_prolong.json in the current directory.
 """
 
@@ -88,7 +90,12 @@ def _sizes(run) -> dict:
             sizes["nonzeros"] += sum(map(len, rows))
             return rows
 
-        def count_bits(rows):
+        def count_bits(rows, width=0):
+            # packed Gaussian rows hold the imaginary part of unknown u at key ~u: count the
+            # realified rows, both parts as integer columns, as exact._integer_kernel reduces them
+            if any(u < 0 for row in rows for u in row):
+                gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in rows]
+                rows = exact._realify(gaussian, range(width))[0]
             pivots = exact.integer_rref(rows)
             entries = [x for row in (*rows, *(row for _, row in pivots)) for x in row.values()]
             sizes["max_bits"] = max([sizes["max_bits"], *(abs(x).bit_length() for x in entries)])
@@ -100,7 +107,7 @@ def _sizes(run) -> dict:
             kernel = prolong._integer_kernel
 
             def counted_kernel(rows, width):
-                count_bits(rows)
+                count_bits(rows, width)
                 return kernel(rows, width)
 
             hooks["_integer_kernel"] = counted_kernel

@@ -1,29 +1,29 @@
 """Infinitesimal CR automorphism algebras of the models, and the check
 that they coincide with the Levi-Tanaka prolongation of the symbol.
 
-The abstract side is g_- plus an abelian grade-0 part: the grading element
-d acting by -(length), plus (when the quotient is compatible with it) a
-rotation element r whose complex-basis action is the bidegree diagonal
--i(n - nt).  Which of the two cases holds is decided on this side, from
-the quotient alone: r is added exactly when the bidegree diagonal
-preserves the top-layer quotient, that is, when every reduced row of the
-quotient touches top words of one bidegree only.  That test is exact: a
-stable subspace splits into its parts in the eigenspaces of the diagonal,
-and the reduced echelon form, unique for a fixed column order, is then
-the union of theirs.  The prolongation side is computed
-independently by the exact kernel solves in :mod:`.prolong`, on the
-symbol's own Hall basis, and the two sides meet only in the checks below,
-so a disagreement about the case is a failed verification.  The
-verification builds the map that is ``real_form``'s embedding on g_-,
-sends d to the Euler derivation and r to the Leibniz extension of -J, and
-checks bijectivity plus bracket preservation on every basis pair.  The
-symbol is fundamental, so an element of the J-commuting G^0 is fixed by
-its degree -1 block.  Both grade-0 images are found in the computed G^0
-from those blocks alone (``prolong._coordinates``): d by the block -I,
-and r by the block -J, whose element exists exactly when the rotation is
-a derivation of this quotient.  The action of the -I element is read from
-the assembled bracket table of the prolongation and must equal the Euler
-derivation on every basis vector of g_-.
+The abstract side is g_- on the symbol's own Hall basis plus an abelian
+grade-0 part: the grading element d, [e_a, d] = -deg(e_a)·e_a, and (when
+the quotient is compatible with it) a rotation element r, the diagonal
+[e_a, r] = i(n_a - nt_a)·e_a on words of bidegree (n_a, nt_a).  Which
+case holds is decided on this side, from the quotient alone: r is added
+exactly when every reduced row of the quotient touches top words of one
+bidegree only.  That test is exact: a subspace stable under the diagonal
+splits into its parts in the eigenspaces, and the reduced echelon form,
+unique for a fixed column order, is then the union of theirs.  The
+prolongation side is computed independently by the exact kernel solves
+in :mod:`.prolong`, on the same basis, and the two sides meet only in
+the checks below, so a disagreement about the case is a failed
+verification.  The checked map is the identity on g_- and sends d and r
+to the elements of the computed G^0 whose degree -1 blocks are -I and
+-J = diag(-i, i): the symbol is fundamental, so an element of the
+J-commuting G^0 is fixed by that block (``prolong._coordinates``), and
+the -J element exists exactly when the rotation is a derivation of the
+quotient.  The action of the -I element, read from the assembled table,
+must equal the Euler derivation on g_-.  Both sides are complex, and the
+map commutes with their conjugations (S on g_-, the identity on d and r,
+whose degree -1 blocks -I and -J_R in the real basis are real), so it
+restricts to an isomorphism of the real fixed points (Tanaka 1970); no
+real form of the whole algebra is built.
 """
 
 from __future__ import annotations
@@ -31,17 +31,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import QI_ONE, QI_ZERO, Matrix, _axpy, _gaussian_apply, _gaussian_columns, _gaussian_integers, _gaussian_rref, _qi, as_qi, rank
+from .exact import QI, QI_ONE, QI_ZERO, Matrix, _axpy, _gaussian_integers, _gaussian_rref, _qi, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
-    RealForm,
+    NotSelfConjugate,
     SymbolAlgebra,
     _jacobi_violations,
+    _real_block,
     build_symbol_algebra,
     check_grading,
     first_bracket_mismatch,
     is_nondegenerate_symbol,
-    real_form,
 )
 from .freelie import hall_basis
 from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, is_transitive
@@ -79,19 +79,18 @@ class VerificationFailed(RuntimeError):
         self.report = report
 
 
-def euler_derivation(realified: GradedLieAlgebra) -> Matrix:
+def euler_derivation(algebra: GradedLieAlgebra) -> Matrix:
     """Degree scaling v -> deg(v)·v, always a grade-preserving derivation."""
-    return Matrix.sparse(realified.dim, [{i: d} for i, d in enumerate(realified.degrees)])
+    return Matrix.sparse(algebra.dim, [{i: d} for i, d in enumerate(algebra.degrees)])
 
 
 @dataclass
 class AutCRAlgebra:
-    """g_- (realified) extended by the abelian grade-0 part {d} or {d, r}."""
+    """g_- on the symbol's Hall basis, extended by the abelian grade-0 part {d} or {d, r}."""
 
     algebra: GradedLieAlgebra
     case: str
     symbol: SymbolAlgebra
-    real: RealForm
     d_index: int
     r_index: int = -1
 
@@ -125,63 +124,51 @@ def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
     return all(len({top[t].bidegree for t, x in enumerate(row) if x}) == 1 for row in symbol.reducer.rows)
 
 
-def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
-    """The abstract g_- + g_0 algebra with the structure-equation brackets.
+def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
+    """The abstract g_- + g_0 algebra with the structure-equation brackets, on the Hall basis of ``symbol``.
 
-    ``rf`` is the real form of ``symbol.algebra``.  The case is decided
-    from the quotient alone: the rotation element r is added exactly when
+    The table is ``symbol.algebra``'s, plus d with [e_a, d] = -deg(e_a)·e_a
+    and, in the complex-alpha case, r with [e_a, r] = i(n_a - nt_a)·e_a.
+    The case is decided from the quotient alone: r is added exactly when
     the bidegree diagonal preserves the top-layer quotient; no
     prolongation is consulted.
     """
     case = COMPLEX_ALPHA if _rotation_preserves_quotient(symbol) else REAL_ALPHA
-    R = rf.algebra
-    n = R.dim
-    labels = list(R.labels) + ["d"]
-    degrees = list(R.degrees) + [0]
+    m = symbol.algebra
+    n = m.dim
+    labels = list(m.labels) + ["d"]
+    degrees = list(m.degrees) + [0]
     d_index = n
     r_index = -1
-    table = {k: dict(v) for k, v in R.table.items()}
+    table = dict(m.table)
     for i in range(n):
         # [e_i, d] = -[d, e_i] = -deg(e_i)·e_i
-        table[(i, d_index)] = {i: as_qi(-R.degrees[i])}
+        table[(i, d_index)] = {i: as_qi(-m.degrees[i])}
     if case == COMPLEX_ALPHA:
         r_index = n + 1
         labels.append("r")
         degrees.append(0)
-        # R is the bidegree diagonal -i(n - nt), so R·E_i is read off the complex
-        # coordinates of each real basis vector E_i, and F = embedding_inv takes
-        # it back to the real basis, on integer numerators
-        cols, den = _gaussian_columns(rf.embedding)
-        inverse, iden = _gaussian_columns(rf.embedding_inv)
-        for i in range(n):
-            image = {}  # (zr + i·zi)·(-i·m) = m·zi - i·m·zr
-            for a, (zr, zi) in cols.get(i, {}).items():
-                m = symbol.words[a].bidegree[0] - symbol.words[a].bidegree[1]
-                if m:
-                    image[a] = (m * zi, -m * zr)
-            coords = _gaussian_apply(inverse, image)
-            if any(im for _, im in coords.values()):
-                raise AssertionError("rotation action is not real in the real basis")
-            entry = {k: _qi(-re, 0, den * iden) for k, (re, _) in sorted(coords.items()) if re}
-            if entry:
-                table[(i, r_index)] = entry
-    aut = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=R.J, scalar_tag="Q")
+        for i, w in enumerate(symbol.words):
+            if w.bidegree[0] != w.bidegree[1]:
+                table[(i, r_index)] = {i: QI(0, w.bidegree[0] - w.bidegree[1])}
+    aut = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=m.J, scalar_tag="Qi")
 
-    # invariant gate: graded, Jacobi, the pinned degree -1 brackets,
+    # invariant gate: graded, Jacobi, the pinned degree -1 brackets
+    # [d, L] = -L, [d, Lb] = -Lb, [r, L] = -iL, [r, Lb] = iLb and [d, r] = 0,
     # nondegeneracy and transitivity
     if check_grading(aut):
         raise AssertionError("aut algebra violates grading")
     if _jacobi_violations(aut, min(aut.degrees)):
         raise AssertionError("aut algebra violates Jacobi")
-    x_i, y_i = aut.indices_of_degree(-1)
+    l_i, lb_i = aut.indices_of_degree(-1)
     pinned = [
-        (aut.bracket_basis(d_index, x_i), {x_i: as_qi(-1)}),
-        (aut.bracket_basis(d_index, y_i), {y_i: as_qi(-1)}),
+        (aut.bracket_basis(d_index, l_i), {l_i: as_qi(-1)}),
+        (aut.bracket_basis(d_index, lb_i), {lb_i: as_qi(-1)}),
     ]
     if case == COMPLEX_ALPHA:
         pinned += [
-            (aut.bracket_basis(r_index, x_i), {y_i: as_qi(-1)}),
-            (aut.bracket_basis(r_index, y_i), {x_i: as_qi(1)}),
+            (aut.bracket_basis(r_index, l_i), {l_i: QI(0, -1)}),
+            (aut.bracket_basis(r_index, lb_i), {lb_i: QI(0, 1)}),
             (aut.bracket_basis(d_index, r_index), {}),
         ]
     for got, want in pinned:
@@ -191,7 +178,7 @@ def build_aut_cr(symbol: SymbolAlgebra, rf: RealForm) -> AutCRAlgebra:
         raise AssertionError("aut algebra is degenerate")
     if not is_transitive(aut):
         raise AssertionError("aut algebra is not transitive")
-    return AutCRAlgebra(aut, case, symbol, rf, d_index, r_index)
+    return AutCRAlgebra(aut, case, symbol, d_index, r_index)
 
 
 @dataclass
@@ -253,28 +240,34 @@ def check_bracket_isomorphism(src: GradedLieAlgebra, dst: GradedLieAlgebra, iso:
         raise VerificationFailed(f"bracket mismatch at pair {pair}", pair=pair)
 
 
-def _real_grade0_coordinates(g0, rf: RealForm, blocks):
-    """Coordinates of real degree -1 ``blocks`` in the real form of the complex grade-0 component ``g0``.
+def _real_grade0_coordinates(g0, m: GradedLieAlgebra):
+    """Coordinates of d and r in the real form of ``g0``, the complex grade-0 component of ``m``'s prolongation.
 
-    ``g0`` is the J-commuting grade 0 of a fundamental complex algebra, so
-    each element is fixed by its 2 x 2 degree -1 block B; moved by the
-    degree -1 block E of ``rf.embedding`` (F that of ``rf.embedding_inv``),
-    it acts on the real basis by F·B·E.  Those blocks span a
-    conjugation-stable space, whose reduced basis for the pivot at the last
-    entry of the row-major block is real, and is the basis a solve on the
-    real form would return (``prolong._solve_component``): 1 at its pivot
-    and 0 at the others.  Returns one coordinate list per block, read at
-    the pivots, or None for a block outside the span.
+    E is the 2 x 2 degree -1 block of the embedding of ``real_form(m)``
+    and F that of its inverse (``liealg._real_block``, no other degree
+    solved); d has the real degree -1 block -I and r the block -J_R,
+    J_R = F·J·E.  ``g0`` is the J-commuting grade 0 of a fundamental
+    algebra, so each element is fixed by its degree -1 block B, and acts
+    on the real basis by F·B·E.  Those blocks span a conjugation-stable
+    space, whose reduced basis for the pivot at the last entry of the
+    row-major block is real, and is the basis a solve on the real form
+    would return (``prolong._solve_component``): 1 at its pivot and 0 at
+    the others.  Returns the coordinates of d and of r, read at the
+    pivots, each None when its block is outside the span.
     """
-    e = Matrix.sparse(2, [rf.embedding.sparse_column(c) for c in range(2)])
-    f = Matrix.sparse(2, [rf.embedding_inv.sparse_column(c) for c in range(2)])
+    basis, inverse = _real_block(m.conjugation, m.indices_of_degree(-1))
+    e = Matrix.sparse(2, [{p: _qi(*z, den) for p, z in col.items()} for col, den in basis])
+    f = Matrix.sparse(2, [{c: _qi(*row[p], den) for c, (row, den) in enumerate(inverse) if p in row} for p in range(2)])
+    j_real = f.mul(m.J).mul(e)
+    if any(x.im for row in j_real.data for x in row):
+        raise NotSelfConjugate("J does not restrict to the real form")
     moved = [f.mul(Matrix.sparse(2, [dm.column(-1, s) for s in range(2)])).mul(e) for dm in g0.maps]
     rows = [_gaussian_integers((2 * t + s, x) for s in range(2) for t, x in b.sparse_column(s).items())[0] for b in moved]
     basis = sorted(_gaussian_rref(rows, range(3, -1, -1)))
     if len(basis) != g0.dim or any(im for _, row, _ in basis for _, im in row.values()):
         raise VerificationFailed("grade-0 component has no real form of the same dimension")
     out = []
-    for block in blocks:
+    for block in (-Matrix.identity(2), -j_real):
         flat = {2 * t + s: x for s in range(2) for t, x in block.sparse_column(s).items()}
         coords = [flat.get(c, QI_ZERO) for c, _, _ in basis]
         rest = dict(flat)
@@ -288,32 +281,32 @@ def _real_grade0_coordinates(g0, rf: RealForm, blocks):
 def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     """Check aut_CR(M) = Levi-Tanaka prolongation of the symbol algebra.
 
-    Both sides are computed independently, and the case (whether G^0 has
-    the rotation) is the aut side's, decided from the quotient alone by
-    :func:`build_aut_cr`.  The prolongation is computed on the symbol's
-    own Hall basis, where J = diag(i, -i); extending scalars commutes with
-    taking the kernel of the Leibniz system, so it is the complexified
-    prolongation of the real form, and the real form is read off at the
-    end.  The connecting map is ``real_form``'s embedding on g_-, d -> the
-    element of the computed G^0 whose degree -1 block is -I (its action on
-    g_-, read from the assembled table, must equal the Euler derivation),
-    r -> the element whose degree -1 block is -J.  The report's matrix
-    gives d and r in the real G^0 basis (``_real_grade0_coordinates``),
-    the basis a prolongation of the real form would have.
-    Raises :class:`VerificationFailed` (with the offending basis pair
-    where there is one) if the dimensions, bijectivity or any bracket
-    comparison fails; a case on which the two sides disagree fails one
-    of these.
+    Both sides are computed independently on the symbol's Hall basis,
+    and the case (whether G^0 has the rotation) is the aut side's,
+    decided from the quotient alone by :func:`build_aut_cr`.  A symbol
+    without a conjugation has no real form and raises
+    :class:`NotSelfConjugate` before any prolongation.  The map checked
+    is the identity on g_-, d -> the element of the computed G^0 whose
+    degree -1 block is -I (its action on g_-, read from the assembled
+    table, must equal the Euler derivation), r -> the element whose
+    block is -J.  The report's matrix gives d and r in the real G^0
+    basis, the basis a prolongation of the real form would have, read
+    off the degree -1 blocks of the real form
+    (``_real_grade0_coordinates``).  Raises :class:`VerificationFailed`
+    (with the offending pair of Hall labels where there is one) if the
+    dimensions, bijectivity or any bracket comparison fails; a case on
+    which the two sides disagree fails one of these.
     """
     if symbol.length < 3:
         if symbol.codim == 1:
             return verify_heisenberg()
         raise RhoTooSmall("theorem verification needs length >= 3")
     m = symbol.algebra
-    rf = real_form(m)
+    if m.conjugation is None:
+        raise NotSelfConjugate("algebra has no conjugation involution")
     prolonged = full_prolongation(m, LEVI_TANAKA)
     g0 = prolonged.components[0]
-    aut = build_aut_cr(symbol, rf)
+    aut = build_aut_cr(symbol)
     model_id = f"k{symbol.codim}:{symbol.quotient.kind}"
     notes = []
     higher = {c.degree: c.dim for c in prolonged.components if c.degree >= 1}
@@ -333,23 +326,24 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         )
     n = m.dim
     total = prolonged.dim
-    minus_one = -Matrix.identity(2)
-    euler = _coordinates(g0, minus_one)
+    euler = _coordinates(g0, -Matrix.identity(2))
     rot = _coordinates(g0, -m.J)
     # the assembled table holds [G0_i, e_x] = (map i)(e_x)
     d = {n + pos: c for pos, c in enumerate(euler or ())}
     scaling = euler_derivation(m)
     if euler is None or any(prolonged.algebra.bracket_vec(d, {x: QI_ONE}) != scaling.sparse_column(x) for x in range(n)):
         fail("Euler derivation is not in the computed grade-0 component")
-    real = [c for c in _real_grade0_coordinates(g0, rf, [minus_one, -rf.algebra.J]) if c is not None]
+    real = [c for c in _real_grade0_coordinates(g0, m) if c is not None]
     found = [c for c in (euler, rot) if c is not None]
-    # g_- by the identity, then the d column, then the r column when G^0 has one, in the real G^0 basis
-    iso = Matrix.sparse(total, [{i: QI_ONE} for i in range(n)] + [{n + pos: c for pos, c in enumerate(x)} for x in real])
     if len(real) != len(found) or rank(Matrix.sparse(g0.dim, [dict(enumerate(x)) for x in real])) != g0.dim:
         fail("candidate isomorphism is not bijective")
-    # the same map into the Hall basis: real_form's embedding on g_-, the complex coordinates on G^0
-    into_hall = Matrix.sparse(total, [rf.embedding.sparse_column(i) for i in range(n)] + [{n + pos: c for pos, c in enumerate(x)} for x in found])
-    mismatch = bracket_mismatch_pair(aut.algebra, prolonged.algebra, into_hall)
+
+    def columns(grade0):
+        # g_- by the identity, then the d column, then the r column when G^0 has one
+        return [{i: QI_ONE} for i in range(n)] + [{n + pos: c for pos, c in enumerate(x)} for x in grade0]
+
+    iso = Matrix.sparse(total, columns(real))
+    mismatch = bracket_mismatch_pair(aut.algebra, prolonged.algebra, Matrix.sparse(total, columns(found)))
     # build_aut_cr and full_prolongation raise on any Jacobi or
     # transitivity violation, so both gates have already passed here
     residuals = {

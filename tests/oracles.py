@@ -9,7 +9,8 @@ identity and bracket morphisms are evaluated from dense arrays of
 structure constants, prolongation components are solved for every full
 block map at once,
 real forms are built from dense fixed-point kernels, a dense inverse and
-dense transport of every bracket, the group law is summed bracket by
+dense transport of every bracket, aut_CR in the real basis moves the
+rotation by dense products with the embedding, the group law is summed bracket by
 bracket over the series on plain exponent-tuple polynomials, and the
 origin values of Hall words are read off vector fields bracketed in
 full.  None of them imports ``crprolong``; ``replaced_bracket``, the
@@ -370,6 +371,42 @@ def dense_real_form(degrees, table, S, J=None):
             images.append([coords[t] for t in real_ones])
         real_j = [[images[c][t] for c in range(len(real_ones))] for t in range(len(real_ones))]
     return real_table, real_j, E, F
+
+
+# -- aut_CR in the real basis: the real form plus d, and r moved by dense products --
+
+
+def real_basis_aut_table(degrees, table, E, F, weights=None):
+    """Structure constants of aut_CR in the real basis of the symbol's real form.
+
+    ``table`` is the real form's {(i, j): {k: Fraction}} with i < j and
+    ``degrees`` its degrees; ``E`` and ``F`` are the embedding and its
+    inverse as dense rows of (re, im) pairs.  The grading element d is
+    index n, with [e_i, d] = -deg(e_i)·e_i.  ``weights`` (None when there
+    is no rotation) are the n - nt of the complex basis words: r is index
+    n + 1, and its action is the bidegree diagonal D = -i·diag(weights)
+    moved to the real basis by the dense product F·D·E, so that
+    [e_i, r] = -(F·D·E)e_i.  An imaginary entry raises ValueError.
+    Returns {(i, j): {k: Fraction}} without zeros.
+    """
+    n = len(degrees)
+    out = {ij: dict(terms) for ij, terms in table.items()}
+    for i in range(n):
+        out[(i, n)] = {i: Fraction(-degrees[i])}
+    if weights is None:
+        return out
+    for i in range(n):
+        image = [C_ZERO] * n
+        for a in range(n):
+            de = c_mul((Fraction(0), Fraction(-weights[a])), E[a][i])
+            if de != C_ZERO:
+                image = [c_add(x, c_mul(F[c][a], de)) for c, x in enumerate(image)]
+        if any(x[1] for x in image):
+            raise ValueError("rotation action is not real in the real basis")
+        entry = {c: -x[0] for c, x in enumerate(image) if x[0]}
+        if entry:
+            out[(i, n + 1)] = entry
+    return out
 
 
 # -- prolongation components as the kernel of the full-block Leibniz system --

@@ -130,7 +130,7 @@ def test_criterion_4_main_theorem_sweep(sweep):
             ok = False
         # the report carries the aut side's case, inferred from the
         # quotient alone with no solve ...
-        if rep.case != build_aut_cr(rec["symbol"], rec["rf"]).case:
+        if rep.case != build_aut_cr(rec["symbol"]).case:
             ok = False
         # ... and it must agree with the rotation read off a J-commuting
         # grade-0 solve: the element whose degree -1 block is -J

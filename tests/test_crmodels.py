@@ -1,11 +1,13 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
-from oracles import replaced_bracket
+from oracles import real_basis_aut_table, replaced_bracket
 from quotients import random_quotient, rotation_stable, rotation_stable_quotient, swap_stable, unstable_quotient
 
-from crprolong import cli, crmodels
+import crprolong
+from crprolong import cli, crmodels, liealg
 from crprolong.crmodels import (
     COMPLEX_ALPHA,
     REAL_ALPHA,
@@ -19,12 +21,21 @@ from crprolong.crmodels import (
     verify_theorem,
 )
 from crprolong.exact import QI, QI_ONE, Echelon, Matrix
-from crprolong.liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, first_bracket_mismatch, real_form, realify
+from crprolong.liealg import (
+    GradedLieAlgebra,
+    NotSelfConjugate,
+    QuotientSpec,
+    SymbolAlgebra,
+    build_symbol_algebra,
+    first_bracket_mismatch,
+    real_form,
+    realify,
+)
 from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
 
 
 def _aut(S):
-    return build_aut_cr(S, real_form(S.algebra))
+    return build_aut_cr(S)
 
 
 def _rotation(R):
@@ -37,16 +48,24 @@ def _rotation(R):
     return Matrix.sparse(R.dim, [prolonged.algebra.bracket_vec(r, {x: QI_ONE}) for x in range(R.dim)])
 
 
+def _hall_map(symbol, prolonged):
+    """The map ``verify_theorem`` checks: the identity on g_-, d and r to the G^0 elements with degree -1 blocks -I and -J."""
+    m = symbol.algebra
+    g0 = prolonged.components[0]
+    found = [c for c in (_coordinates(g0, -Matrix.identity(2)), _coordinates(g0, -m.J)) if c is not None]
+    return Matrix.sparse(prolonged.dim, [{i: QI_ONE} for i in range(m.dim)] + [{m.dim + p: c for p, c in enumerate(x)} for x in found])
+
+
 def test_build_aut_cr_heisenberg_complex_case():
     aut = _aut(build_symbol_algebra(1))
     assert aut.case == COMPLEX_ALPHA
     assert aut.dim == 5
-    assert aut.algebra.labels == ("x", "y", "e2_1", "d", "r")
-    # pinned degree -1 brackets
+    assert aut.algebra.labels == ("L1_1", "L1_2", "L2_3", "d", "r")
+    # pinned degree -1 brackets: [d, L] = -L, [d, Lb] = -Lb, [r, L] = -iL, [r, Lb] = iLb
     assert aut.algebra.bracket_basis(aut.d_index, 0) == {0: QI(-1)}
     assert aut.algebra.bracket_basis(aut.d_index, 1) == {1: QI(-1)}
-    assert aut.algebra.bracket_basis(aut.r_index, 0) == {1: QI(-1)}
-    assert aut.algebra.bracket_basis(aut.r_index, 1) == {0: QI(1)}
+    assert aut.algebra.bracket_basis(aut.r_index, 0) == {0: QI(0, -1)}
+    assert aut.algebra.bracket_basis(aut.r_index, 1) == {1: QI(0, 1)}
     # g0 is abelian
     assert aut.algebra.bracket_basis(aut.d_index, aut.r_index) == {}
 
@@ -157,10 +176,10 @@ def test_case_mismatch_on_default_k2(monkeypatch):
     S = build_symbol_algebra(2)
     assert _aut(S).case == REAL_ALPHA
     # negative control: told that the rotation preserves this quotient, the
-    # aut side cannot build a real rotation and the check raises, never
-    # confirms
+    # aut side adds the bidegree diagonal, which is no derivation of this
+    # quotient, and its Jacobi gate raises, never confirms
     monkeypatch.setattr(crmodels, "_rotation_preserves_quotient", lambda symbol: True)
-    with pytest.raises(AssertionError, match="rotation action is not real"):
+    with pytest.raises(AssertionError, match="aut algebra violates Jacobi"):
         verify_theorem(S)
 
 
@@ -178,23 +197,21 @@ def test_wrong_aut_side_case_fails_verification_k3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_rotation_complex_eigenvalues(k):
-    # the r column of build_aut_cr, [r, e_i] = R e_i in the real basis,
-    # moved to the complex basis by the dense product E·R·E⁻¹, is the
-    # bidegree diagonal: ad(r) acts on a bidegree-(n, nt) word by -i(n - nt)
+    # the r column of build_aut_cr on the Hall basis is the bidegree
+    # diagonal: ad(r) acts on a bidegree-(n, nt) word by -i(n - nt)
     S = build_symbol_algebra(k)
-    rf = real_form(S.algebra)
-    aut = build_aut_cr(S, rf)
-    rot = _rotation(rf.algebra)
+    aut = build_aut_cr(S)
+    rot = _rotation(S.algebra)
     if aut.case != COMPLEX_ALPHA:
-        # the extension of -J does not exist in G^0 either
+        # the extension of -J does not exist in the Hall G^0 either
         assert aut.r_index == -1 and rot is None
         return
-    n = rf.algebra.dim
-    r_real = Matrix.sparse(n, [aut.algebra.bracket_basis(aut.r_index, i) for i in range(n)])
+    n = S.dim
+    r_hall = Matrix.sparse(n, [aut.algebra.bracket_basis(aut.r_index, i) for i in range(n)])
     diagonal = [[QI(0, w.bidegree[1] - w.bidegree[0]) if a == b else 0 for b in range(n)] for a, w in enumerate(S.words)]
-    assert rf.embedding.mul(r_real.mul(rf.embedding_inv)) == Matrix(diagonal)
-    # consistency with the extension of -J read off G^0, which shares no code with the r column
-    assert rot == r_real
+    assert r_hall == Matrix(diagonal)
+    # consistency with the extension of -J read off the Hall G^0, which shares no code with the r column
+    assert rot == r_hall
 
 
 def test_verify_theorem_k3():
@@ -247,32 +264,115 @@ def test_rho_too_small_for_hand_built_symbol():
 
 def test_corrupted_bracket_fails_naming_pair():
     S = build_symbol_algebra(3)
-    rep = verify_theorem(S)
     aut = _aut(S)
-    P = full_prolongation(realify(S.algebra), LEVI_TANAKA)
+    P = full_prolongation(S.algebra, LEVI_TANAKA)
+    iso = _hall_map(S, P)
     # honest map passes
-    assert bracket_mismatch_pair(aut.algebra, P.algebra, rep.iso_matrix) is None
-    # corrupt [d, x] in the abstract algebra and re-run the same check
+    assert bracket_mismatch_pair(aut.algebra, P.algebra, iso) is None
+    # corrupt [L1_1, d] in the abstract algebra and re-run the same check
     bad = replaced_bracket(aut.algebra, 0, aut.d_index, {0: QI(2)})
     with pytest.raises(VerificationFailed) as err:
-        check_bracket_isomorphism(bad, P.algebra, rep.iso_matrix)
-    assert err.value.pair == ("x", "d")
+        check_bracket_isomorphism(bad, P.algebra, iso)
+    assert err.value.pair == ("L1_1", "d")
 
 
 def test_verify_theorem_checks_brackets_through_the_embedding(monkeypatch):
-    """Negative control: a corrupted [x, d] on the aut side fails the check against the Hall-basis prolongation."""
+    """Negative control: a corrupted [L1_1, d] on the aut side fails the check against the Hall-basis prolongation."""
     honest = crmodels.build_aut_cr
 
-    def corrupted(symbol, rf):
-        aut = honest(symbol, rf)
+    def corrupted(symbol):
+        aut = honest(symbol)
         bad = replaced_bracket(aut.algebra, 0, aut.d_index, {0: QI(2)})
         return dataclasses.replace(aut, algebra=bad)
 
     monkeypatch.setattr(crmodels, "build_aut_cr", corrupted)
     with pytest.raises(VerificationFailed) as err:
         verify_theorem(build_symbol_algebra(8, random_quotient(8, 1)))
-    assert err.value.pair == ("x", "d")
+    assert err.value.pair == ("L1_1", "d")
     assert err.value.report.verdict == "failed"
+
+
+@pytest.mark.parametrize("k, seed", [(k, seed) for k in (2, 4, 5, 7, 8) for seed in (1, 2)])
+def test_symbol_without_conjugation_is_refused_before_any_prolongation(monkeypatch, k, seed):
+    """Negative control: a quotient stable under neither the swap nor the rotation raises the pinned error, unprolonged."""
+
+    def refused(*args):
+        raise AssertionError("full_prolongation called")
+
+    monkeypatch.setattr(crmodels, "full_prolongation", refused)
+    S = build_symbol_algebra(k, unstable_quotient(k, seed))
+    with pytest.raises(NotSelfConjugate, match="^algebra has no conjugation involution$"):
+        verify_theorem(S)
+
+
+def test_verify_theorem_refuses_j_that_does_not_commute_with_conjugation():
+    """Negative control: J = [[0, -1], [1, 0]] in the coordinates L1_1, L1_2 has no real form on degree -1."""
+    S = build_symbol_algebra(4)
+    A = S.algebra
+    bad = GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=A.conjugation, J=Matrix([[0, -1], [1, 0]]))
+    fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient, S.retained_top, S.reducer)
+    with pytest.raises(NotSelfConjugate, match="^J does not restrict to the real form$"):
+        verify_theorem(fake)
+
+
+def test_verify_theorem_builds_no_real_form(monkeypatch):
+    """``verify_theorem`` calls no ``real_form`` and solves the real basis of the degree -1 block only."""
+
+    def refused(*args):
+        raise AssertionError("real form built")
+
+    for module in (liealg, crprolong):
+        monkeypatch.setattr(module, "real_form", refused)
+        monkeypatch.setattr(module, "realify", refused)
+    assert not hasattr(crmodels, "real_form")
+    blocks = []
+    honest = crmodels._real_block
+
+    def counted(s, block):
+        blocks.append(list(block))
+        return honest(s, block)
+
+    monkeypatch.setattr(crmodels, "_real_block", counted)
+    for S in (build_symbol_algebra(3), build_symbol_algebra(12), build_symbol_algebra(8, random_quotient(8, 1))):
+        assert verify_theorem(S).verdict == "confirmed"
+    assert blocks == [[0, 1]] * 3
+
+
+AUT_ORACLE_CASES = [pytest.param(k, None, id=f"k{k}") for k in range(2, 13)] + [
+    pytest.param(8, seed, id=f"k8-seed{seed}") for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("k, seed", AUT_ORACLE_CASES)
+def test_hall_aut_real_form_matches_the_real_basis_oracle(k, seed):
+    """The Hall-basis aut_CR with the conjugation S + I on (d, r) has the real form of the real-basis construction.
+
+    ``GradedLieAlgebra`` accepts that conjugation, bracket-morphism check
+    included, and ``real_form`` of the result has the table of
+    ``oracles.real_basis_aut_table``: the real form of the symbol plus d,
+    and r moved to the real basis through the embedding and its inverse.
+    """
+    symbol = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed))
+    aut = build_aut_cr(symbol)
+    A = aut.algebra
+    n = symbol.dim
+    s = symbol.algebra.conjugation
+    conjugation = Matrix.sparse(A.dim, [s.sparse_column(j) for j in range(n)] + [{j: QI_ONE} for j in range(n, A.dim)])
+    conjugated = GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=conjugation, J=A.J)
+    rf = real_form(symbol.algebra)
+
+    def pairs(m):
+        return [[(Fraction(x.re), Fraction(x.im)) for x in row] for row in m.data]
+
+    def fractions(algebra):
+        assert all(not c.im for terms in algebra.table.values() for c in terms.values())
+        return {ij: {k: Fraction(c.re) for k, c in terms.items()} for ij, terms in algebra.table.items()}
+
+    weights = [w.bidegree[0] - w.bidegree[1] for w in symbol.words] if aut.case == COMPLEX_ALPHA else None
+    want = real_basis_aut_table(rf.algebra.degrees, fractions(rf.algebra), pairs(rf.embedding), pairs(rf.embedding_inv), weights)
+    got = real_form(conjugated).algebra
+    assert got.J == rf.algebra.J
+    assert fractions(got) == want
 
 
 # -- the Hall-basis prolongation against the prolongation of the real form --

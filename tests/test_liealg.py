@@ -17,7 +17,7 @@ from oracles import (
 from quotients import random_quotient
 
 from crprolong import exact, liealg
-from crprolong.crmodels import build_aut_cr, verify_theorem
+from crprolong.crmodels import build_aut_cr
 from crprolong.exact import QI, Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import (
@@ -39,7 +39,7 @@ from crprolong.liealg import (
     realify,
 )
 from crprolong.freelie import conjugate_tree, hall_basis, tree_normal_form, witt_dim
-from crprolong.prolong import LEVI_TANAKA, full_prolongation
+from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
 
 I = QI(0, 1)
 J_STANDARD = Matrix([[0, -1], [1, 0]])
@@ -87,8 +87,7 @@ def _levi_tanaka(k):
 
 
 def _aut(k):
-    S = build_symbol_algebra(k)
-    return build_aut_cr(S, real_form(S.algebra)).algebra
+    return build_aut_cr(build_symbol_algebra(k)).algebra
 
 
 SL2 = ["e", "f", "h"], [1, -1, 0], {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
@@ -187,9 +186,13 @@ def test_first_bracket_mismatch_matches_dense_oracle(k):
     S = build_symbol_algebra(k)
     A = S.algebra
     rf = real_form(A)
-    aut = build_aut_cr(S, rf).algebra
-    prolonged = full_prolongation(rf.algebra, LEVI_TANAKA).algebra
-    iso = verify_theorem(S).iso_matrix
+    aut = build_aut_cr(S).algebra
+    hall = full_prolongation(A, LEVI_TANAKA)
+    prolonged = hall.algebra
+    # the map verify_theorem checks: the identity on g_-, d and r to the G^0 elements with degree -1 blocks -I and -J
+    g0 = hall.components[0]
+    grade0 = [c for c in (_coordinates(g0, -Matrix.identity(2)), _coordinates(g0, -A.J)) if c is not None]
+    iso = Matrix.sparse(hall.dim, [{i: 1} for i in range(A.dim)] + [{A.dim + p: c for p, c in enumerate(x)} for x in grade0])
     x, y = rf.algebra.indices_of_degree(-1)
     planted = replaced_bracket(rf.algebra, x, y, {t: 2 * c for t, c in rf.algebra.table[(x, y)].items()})
     last = max(prolonged.table)
