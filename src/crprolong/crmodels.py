@@ -31,13 +31,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import QI, QI_ONE, QI_ZERO, Matrix, _axpy, _gaussian_integers, _gaussian_rref, _qi, as_qi, rank
+from .exact import QI, QI_ONE, Matrix, _gaussian_apply, _gaussian_columns, _gaussian_integers, _gaussian_rref, _qi, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     NotSelfConjugate,
     SymbolAlgebra,
     _jacobi_violations,
     _real_block,
+    _table_mismatch,
     build_symbol_algebra,
     check_grading,
     first_bracket_mismatch,
@@ -136,26 +137,21 @@ def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
     case = COMPLEX_ALPHA if _rotation_preserves_quotient(symbol) else REAL_ALPHA
     m = symbol.algebra
     n = m.dim
-    labels = list(m.labels) + ["d"]
-    degrees = list(m.degrees) + [0]
     d_index = n
     r_index = -1
-    table = dict(m.table)
-    for i in range(n):
-        # [e_i, d] = -[d, e_i] = -deg(e_i)·e_i
-        table[(i, d_index)] = {i: as_qi(-m.degrees[i])}
+    # [e_i, d] = -[d, e_i] = -deg(e_i)·e_i
+    entries = [((i, d_index), {i: (-m.degrees[i], 0)}, 1) for i in range(n)]
     if case == COMPLEX_ALPHA:
         r_index = n + 1
-        labels.append("r")
-        degrees.append(0)
-        for i, w in enumerate(symbol.words):
-            if w.bidegree[0] != w.bidegree[1]:
-                table[(i, r_index)] = {i: QI(0, w.bidegree[0] - w.bidegree[1])}
-    aut = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=m.J, scalar_tag="Qi")
+        entries += [((i, r_index), {i: (0, w.bidegree[0] - w.bidegree[1])}, 1) for i, w in enumerate(symbol.words)]
+    labels = ["d", "r"][: 1 + (r_index > 0)]
+    aut = m._extended(labels, [0] * len(labels), entries, J=m.J, scalar_tag="Qi")
 
     # invariant gate: graded, Jacobi, the pinned degree -1 brackets
     # [d, L] = -L, [d, Lb] = -Lb, [r, L] = -iL, [r, Lb] = iLb and [d, r] = 0,
-    # nondegeneracy and transitivity
+    # nondegeneracy and transitivity; aut extends the symbol's table, so the
+    # Jacobi gate visits only triples with d or r, and the symbol's own
+    # degree -1 brackets keep its nondegeneracy verdict
     if check_grading(aut):
         raise AssertionError("aut algebra violates grading")
     if _jacobi_violations(aut, min(aut.degrees)):
@@ -252,29 +248,53 @@ def _real_grade0_coordinates(g0, m: GradedLieAlgebra):
     space, whose reduced basis for the pivot at the last entry of the
     row-major block is real, and is the basis a solve on the real form
     would return (``prolong._solve_component``): 1 at its pivot and 0 at
-    the others.  Returns the coordinates of d and of r, read at the
-    pivots, each None when its block is outside the span.
+    the others.  Every product is taken in Gaussian integers, B straight
+    from the maps' stored columns (``DerivationMap.numerators``), and a
+    block is only ever scaled, which changes neither its span nor its
+    membership in one.  Returns the coordinates of d and of r, read at the
+    pivots, each None when its block is outside the span; only they become
+    ``QI``.
     """
     basis, inverse = _real_block(m.conjugation, m.indices_of_degree(-1))
-    e = Matrix.sparse(2, [{p: _qi(*z, den) for p, z in col.items()} for col, den in basis])
-    f = Matrix.sparse(2, [{c: _qi(*row[p], den) for c, (row, den) in enumerate(inverse) if p in row} for p in range(2)])
-    j_real = f.mul(m.J).mul(e)
-    if any(x.im for row in j_real.data for x in row):
+    scale = 1
+    for _, den in basis + inverse:
+        scale *= den
+    f_cols = {}  # column t of F, {c: (re, im)}, row c over its own denominator
+    for c, (row, _) in enumerate(inverse):
+        for t, z in row.items():
+            f_cols.setdefault(t, {})[c] = z
+
+    def moved(cols):
+        """F·B·E as a row-major {2c + c': (re, im)} over scale·b_0·b_1, for B with the Gaussian columns ``cols`` = [({t: (re, im)}, b_s)]."""
+        b = cols[0][1] * cols[1][1]
+        b_cols = {s: {t: (re * (b // d), im * (b // d)) for t, (re, im) in col.items()} for s, (col, d) in enumerate(cols)}
+        out = {}
+        for c2, (e_col, e_den) in enumerate(basis):
+            # entry c of F·B·(column c2 of E) is over inverse[c][1]·b·e_den
+            for c, (re, im) in _gaussian_apply(f_cols, _gaussian_apply(b_cols, e_col)).items():
+                if re or im:
+                    w = scale // (inverse[c][1] * e_den)
+                    out[2 * c + c2] = (re * w, im * w)
+        return out
+
+    jcols, jden = _gaussian_columns(m.J)
+    j_real = moved([(jcols.get(s, {}), jden) for s in range(2)])
+    if any(im for _, im in j_real.values()):
         raise NotSelfConjugate("J does not restrict to the real form")
-    moved = [f.mul(Matrix.sparse(2, [dm.column(-1, s) for s in range(2)])).mul(e) for dm in g0.maps]
-    rows = [_gaussian_integers((2 * t + s, x) for s in range(2) for t, x in b.sparse_column(s).items())[0] for b in moved]
-    basis = sorted(_gaussian_rref(rows, range(3, -1, -1)))
-    if len(basis) != g0.dim or any(im for _, row, _ in basis for _, im in row.values()):
+    rows = [moved([dm.numerators(-1, s) for s in range(2)]) for dm in g0.maps]
+    basis_rows = sorted(_gaussian_rref(rows, range(3, -1, -1)))
+    if len(basis_rows) != g0.dim or any(im for _, row, _ in basis_rows for _, im in row.values()):
         raise VerificationFailed("grade-0 component has no real form of the same dimension")
     out = []
-    for block in (-Matrix.identity(2), -j_real):
-        flat = {2 * t + s: x for s in range(2) for t, x in block.sparse_column(s).items()}
-        coords = [flat.get(c, QI_ZERO) for c, _, _ in basis]
+    for flat, den in (({0: -1, 3: -1}, 1), ({c: -re for c, (re, _) in j_real.items()}, scale * jden * jden)):
         rest = dict(flat)
-        for x, (_, row, den) in zip(coords, basis):
-            if x:
-                _axpy(rest, x, {j: _qi(re, 0, den) for j, (re, _) in row.items()})
-        out.append(None if rest else coords)
+        for c, row, rden in basis_rows:
+            # rest·rden - rest[c]·row is 0 at the pivot c and keeps the others' ratios
+            if x := rest.get(c):
+                rest = {j: v * rden for j, v in rest.items()}
+                for j, (re, _) in row.items():
+                    rest[j] = rest.get(j, 0) - x * re
+        out.append(None if any(rest.values()) else [_qi(flat.get(c, 0), 0, den) for c, _, _ in basis_rows])
     return out
 
 
@@ -326,24 +346,32 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         )
     n = m.dim
     total = prolonged.dim
-    euler = _coordinates(g0, -Matrix.identity(2))
-    rot = _coordinates(g0, -m.J)
-    # the assembled table holds [G0_i, e_x] = (map i)(e_x)
-    d = {n + pos: c for pos, c in enumerate(euler or ())}
-    scaling = euler_derivation(m)
-    if euler is None or any(prolonged.algebra.bracket_vec(d, {x: QI_ONE}) != scaling.sparse_column(x) for x in range(n)):
+    coords = [_coordinates(g0, -Matrix.identity(2)), _coordinates(g0, -m.J)]
+    found = [_gaussian_integers(enumerate(c)) for c in coords if c is not None]  # ({i: (re, im)}, den) each
+    nums, den = prolonged.algebra._numerators
+
+    def is_euler(x):
+        # [d, e_x] = -sum of c_i·[e_x, G0_i] must be deg(x)·e_x, read off the assembled table in integers
+        c, cden = found[0]
+        acc = _gaussian_apply({i: nums.get((x, n + i), {}) for i in c}, {i: (-re, -im) for i, (re, im) in c.items()})
+        return {t: z for t, z in acc.items() if z[0] or z[1]} == {x: [m.degrees[x] * cden * den, 0]}
+
+    if coords[0] is None or not all(is_euler(x) for x in range(n)):
         fail("Euler derivation is not in the computed grade-0 component")
     real = [c for c in _real_grade0_coordinates(g0, m) if c is not None]
-    found = [c for c in (euler, rot) if c is not None]
     if len(real) != len(found) or rank(Matrix.sparse(g0.dim, [dict(enumerate(x)) for x in real])) != g0.dim:
         fail("candidate isomorphism is not bijective")
-
-    def columns(grade0):
-        # g_- by the identity, then the d column, then the r column when G^0 has one
-        return [{i: QI_ONE} for i in range(n)] + [{n + pos: c for pos, c in enumerate(x)} for x in grade0]
-
-    iso = Matrix.sparse(total, columns(real))
-    mismatch = bracket_mismatch_pair(aut.algebra, prolonged.algebra, Matrix.sparse(total, columns(found)))
+    # g_- by the identity, then the d column, then the r column when G^0 has one
+    iso = Matrix.sparse(total, [{i: QI_ONE} for i in range(n)] + [{n + pos: c for pos, c in enumerate(x)} for x in real])
+    # the checked map, the same columns with the computed coordinates, over one denominator
+    pden = 1
+    for _, cden in found:
+        pden *= cden
+    cols = {i: {i: (pden, 0)} for i in range(n)}
+    for j, (c, cden) in enumerate(found):
+        cols[n + j] = {n + i: (re * (pden // cden), im * (pden // cden)) for i, (re, im) in c.items()}
+    pair = _table_mismatch(*aut.algebra._numerators, prolonged.algebra, cols, pden)
+    mismatch = None if pair is None else (aut.algebra.labels[pair[0]], aut.algebra.labels[pair[1]])
     # build_aut_cr and full_prolongation raise on any Jacobi or
     # transitivity violation, so both gates have already passed here
     residuals = {

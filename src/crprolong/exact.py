@@ -340,16 +340,25 @@ def _gaussian_rref(rows, col_order):
     (``_realify``) onto ``integer_rref``.  That row space is closed under
     i, so its reduced form is the complex one realified: the pivot rows at
     even columns below 2·len(col_order), over their pivot entry, are the
-    complex rows.
+    complex rows.  Rows without an imaginary part realify to two copies of
+    the same rational system, one on the even columns and one on the odd,
+    so they are reduced once, on their real parts, with the same result.
     """
-    real, cols = _realify(rows, col_order)
-    width = 2 * len(col_order)
+    if any(im for row in rows for _, im in row.values()):
+        real, cols = _realify(rows, col_order)
+        step = 2
+    else:
+        cols = list(col_order)
+        cols += sorted({c for row in rows for c in row} - set(cols))
+        position = {c: p for p, c in enumerate(cols)}
+        real, step = [{position[c]: re for c, (re, _) in row.items() if re} for row in rows], 1
+    width = step * len(col_order)
     for c, row in integer_rref(real):
-        if c % 2 == 0 and c < width:
+        if c % step == 0 and c < width:
             parts = {}
             for j, x in row.items():
-                parts.setdefault(cols[j // 2], [0, 0])[j % 2] = x
-            yield cols[c // 2], parts, row[c]
+                parts.setdefault(cols[j // step], [0, 0])[j % step] = x
+            yield cols[c // step], parts, row[c]
 
 
 def _gaussian_integers(entries):
@@ -365,6 +374,23 @@ def _gaussian_table(table):
     out = {}
     for (key, k), z in flat.items():
         out.setdefault(key, {})[k] = z
+    return out, den
+
+
+def _extend_numerators(base, entries):
+    """The numerator table ``base`` = ({key: {k: (re, im)}}, den) plus ``entries`` = [(key, {k: (re, im)}, den)], over the lcm of the denominators.
+
+    Zero terms of the entries are dropped, and ``base`` is rescaled only
+    when that lcm exceeds its denominator; its entries are shared otherwise.
+    """
+    nums, bden = base
+    den = lcm(bden, *(d for _, _, d in entries))
+    s = den // bden
+    out = dict(nums) if s == 1 else {key: {k: (re * s, im * s) for k, (re, im) in terms.items()} for key, terms in nums.items()}
+    for key, terms, d in entries:
+        f = den // d
+        if terms := {k: (re * f, im * f) for k, (re, im) in terms.items() if re or im}:
+            out[key] = terms
     return out, den
 
 

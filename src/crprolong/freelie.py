@@ -68,8 +68,9 @@ def _mobius(n: int) -> int:
     return -1 if len(primes) % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def witt_dim(length: int) -> int:
-    """Dimension of the length-homogeneous component, two generators."""
+    """Dimension of the length-homogeneous component, two generators; computed once per length."""
     if length < 1:
         raise ValueError("length must be positive")
     total = 0
@@ -80,8 +81,9 @@ def witt_dim(length: int) -> int:
     return total // length
 
 
+@lru_cache(maxsize=None)
 def cumulative_dim(length: int) -> int:
-    """Total number of independent brackets of length at most ``length``."""
+    """Total number of independent brackets of length at most ``length``; computed once per length."""
     return sum(witt_dim(j) for j in range(1, length + 1))
 
 

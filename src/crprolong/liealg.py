@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
-from .exact import _combine, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_rref, _gaussian_table, _qi
+from .exact import _combine, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_rref, _gaussian_table, _qi
 from .exact import _real_fixed_points, _sparse_rows
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
@@ -64,37 +64,76 @@ class GradedLieAlgebra:
     morphism, else :class:`NotSelfConjugate` is raised.  ``J`` (optional)
     is a complex structure on the degree -1 block and must square to -id.
     ``_numerators`` = ({(i, j): {k: (re, im)}}, den) keeps the table once as
-    Gaussian integer numerators; every bracket gate runs on it.
+    Gaussian integer numerators; every bracket gate runs on it.  Every
+    algebra goes through one validation path, ``_build``, which starts from
+    numerators and writes each ``QI`` of ``table`` from them once: the
+    constructor converts its table first, and ``_extended`` appends basis
+    vectors to an algebra already built.
+
+    A passed gate is recorded on the object, like ``_expressions``:
+    ``_jacobi_prefix`` is the number of leading basis vectors on whose
+    triples the Jacobi identity is known to hold (the whole dimension once
+    the Jacobi gate has passed here), and ``_nondegenerate`` records a
+    passed nondegeneracy gate.  An extension keeps both for its prefix,
+    since its brackets there are the prefix algebra's own; another algebra
+    built from the same table starts with neither.
     """
 
     # ``_expressions`` memoizes _generating_expressions as a 1-tuple, None until first use
-    __slots__ = ("labels", "degrees", "table", "conjugation", "J", "scalar_tag", "_numerators", "_expressions")
+    __slots__ = ("labels", "degrees", "table", "conjugation", "J", "scalar_tag", "_numerators", "_expressions", "_jacobi_prefix", "_nondegenerate")
 
     def __init__(self, labels, degrees, table, conjugation=None, J=None, scalar_tag="Qi"):
+        nums = _gaussian_table({ij: {k: as_qi(c) for k, c in terms.items()} for ij, terms in table.items()})
+        self._build(labels, degrees, None, nums, table, conjugation, J, scalar_tag)  # a key without terms is validated too
+
+    def _extended(self, labels, degrees, entries, J=None, scalar_tag="Qi") -> "GradedLieAlgebra":
+        """This algebra with the basis vectors ``labels``/``degrees`` appended and the brackets ``entries`` added.
+
+        ``entries`` = [((i, j), {k: (re, im)}, den)] are Gaussian numerators,
+        each key with an appended index j, so the table on this algebra's
+        indices stays its own.  The extension has no conjugation.
+        """
+        out = object.__new__(type(self))
+        nums = _extend_numerators(self._numerators, entries)
+        out._build(self.labels + tuple(labels), self.degrees + tuple(degrees), self, nums, [key for key, _, _ in entries], None, J, scalar_tag)
+        return out
+
+    def _build(self, labels, degrees, base, numerators, new, conjugation, J, scalar_tag):
+        """The one validation path, from the whole table's ``numerators``: ``base`` (None or the algebra extended) plus the keys ``new``.
+
+        Each new key and its targets are checked and its terms written to
+        ``table`` as ``QI`` once; ``base``'s brackets, J and verdicts carry
+        over unchecked, J only when the degree -1 block is unchanged.
+        """
         self.labels = tuple(labels)
         self.degrees = tuple(degrees)
         n = len(self.labels)
         if len(self.degrees) != n:
             raise ValueError("labels/degrees length mismatch")
-        clean = {}
-        for (i, j), terms in table.items():
+        own = 0 if base is None else base.dim
+        table = {} if base is None else dict(base.table)
+        nums, den = self._numerators = numerators
+        for i, j in new:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bracket index out of range: {(i, j)}")
             if i >= j:
                 raise ValueError("table keys must have i < j")
-            entry = {k: q for k, c in terms.items() if (q := as_qi(c))}
-            for k in entry:
-                if not 0 <= k < n:
-                    raise ValueError(f"target index out of range: {k}")
-            if entry:
-                clean[(i, j)] = entry
-        self.table = clean
-        self._numerators = _gaussian_table(clean)
+            if j < own:
+                raise ValueError(f"an extension cannot change the bracket {(i, j)} of its prefix")
+            if terms := nums.get((i, j)):
+                for k in terms:
+                    if not 0 <= k < n:
+                        raise ValueError(f"target index out of range: {k}")
+                table[(i, j)] = {k: _qi(re, im, den) for k, (re, im) in terms.items()}
+        self.table = table
         self.conjugation = conjugation
         self.J = J
         self.scalar_tag = scalar_tag
         self._expressions = None
-        if J is not None:
+        same_ones = base is not None and -1 not in self.degrees[own:]
+        self._jacobi_prefix = 0 if base is None else base._jacobi_prefix
+        self._nondegenerate = same_ones and base._nondegenerate
+        if J is not None and not (same_ones and J is base.J):
             m1 = self.indices_of_degree(-1)
             if J.rows != len(m1) or J.cols != len(m1):
                 raise ValueError("J must act on the degree -1 block")
@@ -114,7 +153,6 @@ class GradedLieAlgebra:
                 if {t: z for t, z in image.items() if z[0] or z[1]} != {j: [sden * sden, 0]}:
                     raise NotSelfConjugate("conjugation is not an involution")
             # sigma[e_i, e_j] = S·conj(c_ij) must equal [S e_i, S e_j]
-            nums, den = self._numerators
             if _table_mismatch(_conj(nums), den, self, cols, sden) is not None:
                 raise NotSelfConjugate("structure constants are not conjugation-stable")
 
@@ -242,23 +280,37 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
     """``check_jacobi`` for a caller that has already run ``check_grading``.
 
     Triples whose degree sum lies below ``floor`` are skipped; with
-    ``floor`` None every triple is checked.  The loop runs over the
-    support, on the numerators: each constant of [e_a, e_b] at e_t times
-    each nonzero [e_t, e_c] is a term of [[e_a, e_b], e_c], which enters
-    the Jacobiator of {a, b, c} with sign -1 when a < c < b.  A triple
-    reached by no term has a zero Jacobiator.  Sums are over den², and only
-    a violating triple goes back to ``QI``.
+    ``floor`` None every triple is checked.  So are the triples of the
+    first ``algebra._jacobi_prefix`` basis vectors, on which the identity
+    is known to hold: only triples with an index past that prefix are
+    visited, and an empty result records a passed gate on the algebra.
+    The loop runs over the support, on the numerators: each constant of
+    [e_a, e_b] at e_t times each nonzero [e_t, e_c] is a term of
+    [[e_a, e_b], e_c], which enters the Jacobiator of {a, b, c} with sign
+    -1 when a < c < b.  A triple reached by no term has a zero Jacobiator.
+    A pair (a, b) inside the prefix brackets into it, so its terms with a
+    c past the prefix come from the rows of those c alone.  Sums are over
+    den², and only a violating triple goes back to ``QI``.
     """
+    known = algebra._jacobi_prefix
+    if known == algebra.dim:
+        return []
     nums, den = algebra._numerators
     degrees = algebra.degrees
     rows = {}  # t: [(c, sign, terms)] with [e_t, e_c] = sign·terms
+    new_rows = {}  # the same, for c past the prefix only
     for (a, b), terms in nums.items():
         rows.setdefault(a, []).append((b, 1, terms))
         rows.setdefault(b, []).append((a, -1, terms))
+        if b >= known:
+            new_rows.setdefault(a, []).append((b, 1, terms))
+            if a >= known:
+                new_rows.setdefault(b, []).append((a, -1, terms))
     sums = {}  # (i, j, k), i < j < k: {s: [re, im]}
     for (a, b), outer in nums.items():
+        reach = rows if b >= known else new_rows
         for t, (xr, xi) in outer.items():
-            for c, sign, inner in rows.get(t, ()):
+            for c, sign, inner in reach.get(t, ()):
                 if c == a or c == b:
                     continue
                 if floor is not None and degrees[a] + degrees[b] + degrees[c] < floor:
@@ -273,6 +325,8 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
         acc = {s: _qi(re, im, den * den) for s, (re, im) in sums[key].items() if re or im}
         if acc:
             violations.append((*key, [acc.get(s, QI_ZERO) for s in range(algebra.dim)]))
+    if not violations:
+        algebra._jacobi_prefix = algebra.dim
     return violations
 
 
@@ -353,9 +407,15 @@ def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
 
 
 def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
-    """True iff no nonzero degree -1 element annihilates the degree -1 part."""
-    ones = algebra.indices_of_degree(-1)
-    return _acts_faithfully(algebra, ones, ones)
+    """True iff no nonzero degree -1 element annihilates the degree -1 part.
+
+    A pass is recorded on the algebra (``_nondegenerate``), and an
+    extension with the same degree -1 block keeps it.
+    """
+    if not algebra._nondegenerate:
+        ones = algebra.indices_of_degree(-1)
+        algebra._nondegenerate = _acts_faithfully(algebra, ones, ones)
+    return algebra._nondegenerate
 
 
 def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import QI_ZERO, Matrix, _apply_kernel, _axpy, _gaussian_columns, _integer_kernel, _primitive, _qi, _sum_forms, _times_i
+from .exact import QI_ZERO, Matrix, _apply_kernel, _axpy, _gaussian_columns, _gaussian_integers, _integer_kernel, _primitive, _qi, _sum_forms, _times_i
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -73,16 +73,22 @@ class DerivationMap:
     Gaussian numerators (``exact._times_i``: the real part of coordinate t
     at key t, the imaginary part at key ~t) over one positive denominator.
     V_(a+l) is the m block for a + l <= -1, else the already-computed
-    component of that degree.  ``column`` is the one way to ``QI`` entries.
+    component of that degree.  ``numerators`` reads a column as Gaussian
+    integers, and ``column`` is the one way to ``QI`` entries.
     """
 
     degree: int
     blocks: dict
 
+    def numerators(self, a: int, s: int):
+        """The image of basis vector s of m_a as ``({t: (re, im)}, den)``, zeros dropped, t increasing."""
+        nums, den = self.blocks[a][1][s]
+        return {t: (nums.get(t, 0), nums.get(~t, 0)) for t in sorted({t if t >= 0 else ~t for t in nums})}, den
+
     def column(self, a: int, s: int) -> dict:
         """The image of basis vector s of m_a as {t: QI}, zeros dropped, t increasing."""
-        nums, den = self.blocks[a][1][s]
-        return {t: _qi(nums.get(t, 0), nums.get(~t, 0), den) for t in sorted({t if t >= 0 else ~t for t in nums})}
+        nums, den = self.numerators(a, s)
+        return {t: _qi(re, im, den) for t, (re, im) in nums.items()}
 
     def flatten(self, source_degrees):
         out = []
@@ -372,20 +378,23 @@ def _coordinates(component: ProlongationComponent, block: Matrix):
 
 
 def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
-    """Structure-constant table of m plus all computed components.
+    """Structure-constant table of m plus all computed components, as an extension of m.
 
-    [e_x, d] = -d(e_x) is read off the maps.  For nonnegative d, e the
-    action [[d, e], e_x] = [[d, e_x], e] + [d, [e, e_x]] is built from the
-    entries assembled so far, pairs taken by increasing degree sum; its
-    coordinates are read at the g_-1 pivots (``_coordinates``) and must
+    [e_x, d] = -d(e_x) is read off the maps' stored columns as Gaussian
+    numerators, which extend m's own.  For nonnegative d, e the action
+    [[d, e], e_x] = [d, [e, e_x]] - [e, [d, e_x]] is built from the maps and
+    the brackets assembled so far, pairs taken by increasing degree sum;
+    its coordinates are read at the g_-1 pivots (``_coordinates``) and must
     reproduce the action on every basis vector x of m.
     """
     labels = list(m.labels)
     degrees = list(m.degrees)
     comp_base = {}
+    maps = {}  # index of each component basis vector: its map
     for comp in components:
         comp_base[comp.degree] = len(labels)
-        for idx in range(comp.dim):
+        for idx, dm in enumerate(comp.maps):
+            maps[len(labels)] = dm
             labels.append(f"G{comp.degree}_{idx + 1}")
             degrees.append(comp.degree)
     slots = {}
@@ -393,13 +402,27 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
         slots.setdefault(d, []).append(g)
     loc = _local_index(m)
     max_l = components[-1].degree
-    table = {ij: dict(terms) for ij, terms in m.table.items()}
+    n = m.dim
+    entries = []  # the brackets with a component basis vector, as Gaussian numerators
+    for g, dm in maps.items():
+        for x in range(n):
+            a = m.degrees[x]
+            col, den = dm.numerators(a, loc[x])
+            if col:
+                # [e_x, d] = -d(e_x)
+                entries.append(((x, g), {slots[a + dm.degree][t]: (-re, -im) for t, (re, im) in col.items()}, den))
+    numerators = {(g, x): (terms, den) for (x, g), terms, den in entries}
+    images = {}  # [e_g, e_x] = g(e_x) as ``QI``, for the pairs the induction reads
+    found = {}  # brackets of two component basis vectors, assembled so far
 
-    def bracket(p, q):
-        """[e_p, e_q] from the entries assembled so far, as {index: coefficient}."""
-        if p < q:
-            return table.get((p, q), {})
-        return {k: -c for k, c in table.get((q, p), {}).items()}
+    def bracket(g, y):
+        """[e_g, e_y] for a component basis vector g, from the maps and ``found``, as {index: coefficient}."""
+        if y >= n:
+            return found.get((g, y)) or {k: -c for k, c in found.get((y, g), {}).items()}
+        if (g, y) not in images:
+            terms, den = numerators.get((g, y), ({}, 1))
+            images[g, y] = {k: _qi(-re, -im, den) for k, (re, im) in terms.items()}
+        return images[g, y]
 
     def combination(coords, base, x):
         """Sum of c_i·[e_(base+i), e_x]."""
@@ -408,15 +431,6 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
             if c:
                 _axpy(out, -c, bracket(base + i, x))
         return out
-
-    for comp in components:
-        for idx, dm in enumerate(comp.maps):
-            g = comp_base[comp.degree] + idx
-            for x in range(m.dim):
-                a = m.degrees[x]
-                entry = {slots[a + comp.degree][t]: -c for t, c in dm.column(a, loc[x]).items()}
-                if entry:
-                    table[(x, g)] = entry
 
     # by increasing degree sum, so the induction only consults finished entries
     pairs = sorted(
@@ -433,12 +447,13 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
             for il in range(ik + 1 if k == l else 0, components[l].dim):
                 gj = comp_base[l] + il
                 action = {}
-                for x in range(m.dim):
+                for x in range(n):
+                    # [[d, e], e_x] = [d, [e, e_x]] - [e, [d, e_x]]
                     act = {}
-                    for t, c in bracket(gi, x).items():
-                        _axpy(act, -c, bracket(t, gj))
                     for t, c in bracket(gj, x).items():
                         _axpy(act, -c, bracket(gi, t))
+                    for t, c in bracket(gi, x).items():
+                        _axpy(act, c, bracket(gj, t))
                     if any(degrees[t] != m.degrees[x] + s for t in act):
                         raise RuntimeError("bracket action landed outside its degree slot")
                     action[x] = act
@@ -450,13 +465,14 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
                     continue
                 block = Matrix.sparse(len(row), [{row[t]: c for t, c in action[x].items()} for x in ones])
                 coords = _coordinates(target, block)
-                if coords is None or any(combination(coords, comp_base[s], x) != action[x] for x in range(m.dim)):
+                if coords is None or any(combination(coords, comp_base[s], x) != action[x] for x in range(n)):
                     raise RuntimeError(f"bracket of G^{k} and G^{l} escapes G^{s}")
                 entry = {comp_base[s] + i: c for i, c in enumerate(coords) if c}
                 if entry:
-                    table[(gi, gj)] = entry
+                    found[(gi, gj)] = entry
+                    entries.append(((gi, gj), *_gaussian_integers(entry.items())))
 
-    return GradedLieAlgebra(labels, degrees, table, conjugation=None, J=None, scalar_tag=m.scalar_tag)
+    return m._extended(labels[n:], degrees[n:], entries, scalar_tag=m.scalar_tag)
 
 
 def is_transitive(algebra: GradedLieAlgebra) -> bool:

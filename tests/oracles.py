@@ -10,7 +10,9 @@ structure constants, prolongation components are solved for every full
 block map at once,
 real forms are built from dense fixed-point kernels, a dense inverse and
 dense transport of every bracket, aut_CR in the real basis moves the
-rotation by dense products with the embedding, the group law is summed bracket by
+rotation by dense products with the embedding, the real coordinates of d
+and r in a grade-0 component come from dense 2 x 2 products and a dense
+reduction, the group law is summed bracket by
 bracket over the series on plain exponent-tuple polynomials, and the
 origin values of Hall words are read off vector fields bracketed in
 full.  None of them imports ``crprolong``; ``replaced_bracket``, the
@@ -299,6 +301,26 @@ def replaced_bracket(algebra, i, j, terms):
 # -- the real form by dense fixed points, dense inverse and dense transport --
 
 
+def dense_fixed_basis(S, block):
+    """Real basis of the fixed points of z -> S·conj(z) on the indices ``block``, which S preserves.
+
+    ``dense_kernel`` of the rows [P - I | Q] and [Q | -(P + I)] (S = P + iQ)
+    in the unknowns z = x + iy, each vector negated when its first nonzero
+    entry is negative; returns the vectors z as lists of (re, im) pairs.
+    """
+    zero = Fraction(0)
+    rows = []
+    for a in block:
+        rows.append([(S[a][b][0] - (a == b), zero) for b in block] + [(S[a][b][1], zero) for b in block])
+        rows.append([(S[a][b][1], zero) for b in block] + [(-S[a][b][0] - (a == b), zero) for b in block])
+    out = []
+    for v in dense_kernel(rows, 2 * len(block)):
+        if next(x for x in v if x != C_ZERO)[0] < 0:
+            v = [c_sub(C_ZERO, x) for x in v]
+        out.append([(v[p][0], v[len(block) + p][0]) for p in range(len(block))])
+    return out
+
+
 def dense_real_form(degrees, table, S, J=None):
     """Real form of a complex algebra under its conjugation v -> S·conj(v), by textbook dense algebra.
 
@@ -316,21 +338,14 @@ def dense_real_form(degrees, table, S, J=None):
     rows of pairs.
     """
     n = len(degrees)
-    zero = Fraction(0)
     E = [[C_ZERO] * n for _ in range(n)]
     real_degrees = []
     for d in dict.fromkeys(degrees):
         block = [i for i in range(n) if degrees[i] == d]
-        rows = []
-        for a in block:
-            rows.append([(S[a][b][0] - (a == b), zero) for b in block] + [(S[a][b][1], zero) for b in block])
-            rows.append([(S[a][b][1], zero) for b in block] + [(-S[a][b][0] - (a == b), zero) for b in block])
-        for v in dense_kernel(rows, 2 * len(block)):
-            if next(x for x in v if x != C_ZERO)[0] < 0:
-                v = [c_sub(C_ZERO, x) for x in v]
+        for v in dense_fixed_basis(S, block):
             c = len(real_degrees)
             for p, a in enumerate(block):
-                E[a][c] = (v[p][0], v[len(block) + p][0])
+                E[a][c] = v[p]
             real_degrees.append(d)
     F = dense_inverse(E)
     C = dense_structure_constants(n, table)
@@ -371,6 +386,46 @@ def dense_real_form(degrees, table, S, J=None):
             images.append([coords[t] for t in real_ones])
         real_j = [[images[c][t] for c in range(len(real_ones))] for t in range(len(real_ones))]
     return real_table, real_j, E, F
+
+
+# -- the real coordinates of d and r in a complex grade-0 component, by dense 2 x 2 products --
+
+
+def real_grade0_coordinates(S1, J, blocks):
+    """Coordinates of d and r in the real basis of a complex grade-0 component.
+
+    ``S1`` and ``J`` are the degree -1 blocks of the conjugation and of J,
+    and ``blocks`` the degree -1 blocks of the component's basis maps, all
+    dense 2 x 2 rows of (re, im) pairs.  E has the ``dense_fixed_basis``
+    vectors as columns, F = ``dense_inverse(E)`` and J_R = F·J·E, which
+    must be real.  Each block B moves to F·B·E, whose row-major entries are
+    one row of a ``dense_rref`` with pivots taken from the last entry back;
+    the reduced rows must be real and as many as the blocks.  d has the
+    block -I and r the block -J_R; the coordinates of each are its entries
+    at the pivots, by increasing pivot, or None when they do not recombine
+    to the block.  A failed requirement raises ValueError.  Returns
+    [coordinates of d, coordinates of r], each a list of Fractions or None.
+    """
+    E = [list(row) for row in zip(*dense_fixed_basis(S1, [0, 1]))]
+    F = dense_inverse(E)
+
+    def moved(B):
+        return dense_matmul(dense_matmul(F, B, 2), E, 2)
+
+    j_real = moved(J)
+    if any(x[1] for row in j_real for x in row):
+        raise ValueError("J does not restrict to the real form")
+    pivots, rows = dense_rref([[x for row in moved(B) for x in row] for B in blocks], range(3, -1, -1))
+    if len(pivots) != len(blocks) or any(x[1] for row in rows for x in row):
+        raise ValueError("grade-0 component has no real form of the same dimension")
+    basis = sorted(zip(pivots, rows))
+    out = []
+    for block in ([[(-1, 0), C_ZERO], [C_ZERO, (-1, 0)]], [[c_sub(C_ZERO, x) for x in row] for row in j_real]):
+        flat = [x for row in block for x in row]
+        coords = [flat[c] for c, _ in basis]
+        rest = dense_reduce([c for c, _ in basis], [row for _, row in basis], flat)
+        out.append(None if any(x != C_ZERO for x in rest) else [Fraction(x[0]) for x in coords])
+    return out
 
 
 # -- aut_CR in the real basis: the real form plus d, and r moved by dense products --

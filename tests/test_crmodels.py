@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from oracles import real_basis_aut_table, replaced_bracket
+from oracles import C_ZERO, real_basis_aut_table, real_grade0_coordinates, replaced_bracket
 from quotients import random_quotient, rotation_stable, rotation_stable_quotient, swap_stable, unstable_quotient
 
 import crprolong
@@ -21,6 +21,7 @@ from crprolong.crmodels import (
     verify_theorem,
 )
 from crprolong.exact import QI, QI_ONE, Echelon, Matrix
+from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import (
     GradedLieAlgebra,
     NotSelfConjugate,
@@ -28,10 +29,11 @@ from crprolong.liealg import (
     SymbolAlgebra,
     build_symbol_algebra,
     first_bracket_mismatch,
+    is_nondegenerate_symbol,
     real_form,
     realify,
 )
-from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
+from crprolong.prolong import LEVI_TANAKA, DerivationMap, ProlongationComponent, _coordinates, full_prolongation
 
 
 def _aut(S):
@@ -249,6 +251,40 @@ def test_euler_gate_reads_the_assembled_table(monkeypatch):
         verify_theorem(S)
 
 
+@pytest.mark.parametrize("k, seed, target", [(3, None, "d"), (8, None, "d"), (8, None, "r"), (12, None, "r"), (8, 1, "d")])
+def test_corrupted_grade0_constant_fails_the_aut_jacobi_gate(monkeypatch, k, seed, target):
+    """Negative control: aut_CR extends the verified symbol, and a wrong [e_x, d] or [e_x, r] on a top word still trips its Jacobi gate."""
+    symbol = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed))
+    m = symbol.algebra
+    assert m._jacobi_prefix == m.dim
+    # the last basis word, or for r the last one of unequal bidegree, where [e_x, r] is nonzero
+    x = max(i for i, w in enumerate(symbol.words) if target == "d" or w.bidegree[0] != w.bidegree[1])
+    index = m.dim + (target == "r")
+    assert target == "d" or build_aut_cr(symbol).r_index == index
+    honest = GradedLieAlgebra._extended
+
+    def corrupted(self, labels, degrees, entries, **kw):
+        entries = [(key, {t: (2 * re, 2 * im) for t, (re, im) in terms.items()} if key == (x, index) else terms, den) for key, terms, den in entries]
+        return honest(self, labels, degrees, entries, **kw)
+
+    monkeypatch.setattr(GradedLieAlgebra, "_extended", corrupted)
+    with pytest.raises(AssertionError, match="^aut algebra violates Jacobi$"):
+        build_aut_cr(symbol)
+
+
+def test_hand_built_degenerate_symbol_fails_build_aut_cr():
+    """Negative control: a hand-built symbol with zero degree -1 brackets has no nondegeneracy verdict to lend aut_CR, which is refused."""
+    S = build_symbol_algebra(1)
+    A = S.algebra
+    flat = GradedLieAlgebra(A.labels, A.degrees, {}, conjugation=A.conjugation, J=A.J)
+    fake = SymbolAlgebra(flat, S.codim, S.length, S.words, S.quotient, S.retained_top, S.reducer)
+    assert not flat._nondegenerate
+    with pytest.raises(AssertionError, match="^aut algebra is degenerate$"):
+        build_aut_cr(fake)
+    # the honest symbol lends its verdict, and aut_CR passes
+    assert is_nondegenerate_symbol(build_aut_cr(S).algebra) and A._nondegenerate
+
+
 def test_verify_theorem_routes_heisenberg():
     rep = verify_theorem(build_symbol_algebra(1))
     assert rep.model_id == "heisenberg"
@@ -313,6 +349,9 @@ def test_verify_theorem_refuses_j_that_does_not_commute_with_conjugation():
     fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient, S.retained_top, S.reducer)
     with pytest.raises(NotSelfConjugate, match="^J does not restrict to the real form$"):
         verify_theorem(fake)
+    # the dense oracle refuses that J on the swap's real basis too
+    with pytest.raises(ValueError, match="^J does not restrict to the real form$"):
+        real_grade0_coordinates([[C_ZERO, (1, 0)], [(1, 0), C_ZERO]], _pairs(bad.J), [])
 
 
 def test_verify_theorem_builds_no_real_form(monkeypatch):
@@ -423,6 +462,68 @@ def test_hall_prolongation_is_the_complexified_real_form_prolongation(k, seed):
     found = [c for c in (_coordinates(g0_real, -Matrix.identity(2)), _coordinates(g0_real, -rf.algebra.J)) if c is not None]
     want = Matrix.sparse(real.dim, [{i: QI_ONE} for i in range(n)] + [{n + p: c for p, c in enumerate(x)} for x in found])
     assert report.iso_matrix == want
+
+
+def _pairs(m):
+    return [[(Fraction(x.re), Fraction(x.im)) for x in row] for row in m.data]
+
+
+def _skew_heisenberg():
+    """The length-2 algebra with a conjugation whose real basis has columns over 2 and 1.
+
+    S·conj on degree -1 is e1 -> e1 + 4·e2, e2 -> -e2, and J = i·[[2, -1],
+    [3, -2]] commutes with it; a symbol's swap gives both columns over 1.
+    """
+    S = Matrix([[1, 0, 0], [4, -1, 0], [0, 0, -1]])
+    J = Matrix([[QI(0, 2), QI(0, -1)], [QI(0, 3), QI(0, -2)]])
+    return GradedLieAlgebra(["L1_1", "L1_2", "L2_3"], [-1, -1, -2], {(0, 1): {2: 1}}, conjugation=S, J=J)
+
+
+def _real_grade0_algebras():
+    yield from (pytest.param(lambda k=k: build_symbol_algebra(k).algebra, id=f"k{k}") for k in (*range(2, 13), 21, 22))
+    yield from (pytest.param(lambda mid=mid: symbol_from_frame(builtin_catalog()[mid]).algebra, id=mid) for mid in sorted(builtin_catalog()))
+    for k in (2, 4, 5, 7, 8, 9, 10, 11):
+        for seed in (1, 2, 3):
+            yield pytest.param(lambda k=k, seed=seed: build_symbol_algebra(k, random_quotient(k, seed)).algebra, id=f"k{k}-draw{seed}")
+    for k in (2, 4, 5, 7, 8, 9):
+        for seed in (1, 2):
+            if rotation_stable_quotient(k, seed) is not None:
+                yield pytest.param(lambda k=k, seed=seed: build_symbol_algebra(k, rotation_stable_quotient(k, seed)).algebra, id=f"k{k}-rot{seed}")
+    yield pytest.param(_skew_heisenberg, id="skew-conjugation")
+
+
+@pytest.mark.parametrize("make", _real_grade0_algebras())
+def test_real_grade0_coordinates_match_the_dense_oracle(make):
+    """The Gaussian-integer real G^0 coordinates of d and r equal the dense 2 x 2 formula of ``oracles.real_grade0_coordinates``.
+
+    The oracle takes the degree -1 blocks of the conjugation, of J and of
+    each basis map of the computed G^0 as dense pairs and solves its own
+    real basis, inverse, products and reduction.
+    """
+    m = make()
+    g0 = full_prolongation(m, LEVI_TANAKA).components[0]
+    ones = m.indices_of_degree(-1)
+    s1 = [[(Fraction(m.conjugation.data[a][b].re), Fraction(m.conjugation.data[a][b].im)) for b in ones] for a in ones]
+    blocks = [_pairs(Matrix.sparse(2, [dm.column(-1, s) for s in range(2)])) for dm in g0.maps]
+    want = real_grade0_coordinates(s1, _pairs(m.J), blocks)
+    got = crmodels._real_grade0_coordinates(g0, m)
+    assert [None if c is None else [Fraction(x.re) for x in c] for c in got] == want
+    assert all(not x.im for c in got if c is not None for x in c)
+    assert want[0] is not None
+
+
+def test_real_grade0_coordinates_refuse_a_grade0_without_real_form():
+    """Negative control: a G^0 spanned by the projection onto L1_1 has no real form; a repeated map drops the rank."""
+    m = build_symbol_algebra(4).algebra
+    g0 = full_prolongation(m, LEVI_TANAKA).components[0]
+    projection = DerivationMap(0, {-1: (2, [({0: 1}, 1), ({}, 1)])})
+    for bad in (ProlongationComponent(0, (projection,)), ProlongationComponent(0, (g0.maps[0], g0.maps[0]))):
+        with pytest.raises(VerificationFailed, match="^grade-0 component has no real form of the same dimension$"):
+            crmodels._real_grade0_coordinates(bad, m)
+    # the dense oracle refuses both too
+    for blocks in ([[[(1, 0), C_ZERO], [C_ZERO, C_ZERO]]], [_pairs(Matrix.sparse(2, [g0.maps[0].column(-1, s) for s in range(2)]))] * 2):
+        with pytest.raises(ValueError, match="no real form"):
+            real_grade0_coordinates([[C_ZERO, (1, 0)], [(1, 0), C_ZERO]], _pairs(m.J), blocks)
 
 
 DRAWS = [(k, seed) for k in (2, 4, 5, 7, 8, 9, 10, 11) for seed in (1, 2, 3)] + [

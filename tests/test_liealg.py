@@ -603,3 +603,96 @@ def test_json_canonical_ordering_is_diff_stable():
     a = build_symbol_algebra(5).to_json()
     b = build_symbol_algebra(5).to_json()
     assert a == b
+
+
+# -- gate verdicts: recorded on the object, kept by an extension, not by a copy --
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ``liealg.<name>``."""
+    calls = []
+    honest = getattr(liealg, name)
+
+    def counted(*args):
+        calls.append(1)
+        return honest(*args)
+
+    monkeypatch.setattr(liealg, name, counted)
+    return calls
+
+
+def _copy(algebra):
+    """The same algebra built again from its table, with no verdict."""
+    return GradedLieAlgebra(algebra.labels, algebra.degrees, algebra.table, algebra.conjugation, algebra.J, algebra.scalar_tag)
+
+
+@pytest.mark.parametrize("k, seed", [(8, None), (12, None), (8, 1)])
+def test_a_copy_of_a_verified_table_runs_the_full_gates(monkeypatch, k, seed):
+    """The symbol's passed Jacobi and nondegeneracy gates are recorded on it; an algebra built separately from its table runs both in full."""
+    A = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed)).algebra
+    B, C = _copy(A), _copy(A)
+    assert B._jacobi_prefix == 0 and not B._nondegenerate
+    terms = _counting(monkeypatch, "_gaussian_axpy")
+    faithful = _counting(monkeypatch, "_acts_faithfully")
+    assert check_jacobi(A) == [] and is_nondegenerate_symbol(A)
+    assert not terms and not faithful
+    assert check_jacobi(B) == [] and is_nondegenerate_symbol(B)
+    full = len(terms)
+    assert full and len(faithful) == 1
+    # B now has its own verdicts; C, built from the same table, runs the same full gates again
+    assert check_jacobi(B) == [] and is_nondegenerate_symbol(B) and len(terms) == full
+    assert check_jacobi(C) == [] and is_nondegenerate_symbol(C)
+    assert len(terms) == 2 * full and len(faithful) == 2
+
+
+def _grading_extension(A, scale=1):
+    """A plus d, [e_i, d] = -deg(e_i)·e_i, and the last one times ``scale``, through ``_extended``."""
+    n = A.dim
+    entries = [((i, n), {i: (-A.degrees[i] * (scale if i == n - 1 else 1), 0)}, 1) for i in range(n)]
+    return A._extended(["d"], [0], entries, J=A.J)
+
+
+@pytest.mark.parametrize("k, seed", [(8, None), (12, None), (8, 1)])
+def test_an_extension_checks_only_the_triples_with_an_own_index(monkeypatch, k, seed):
+    """The extension of a verified symbol visits fewer terms than the full gate on a copy, and finds what the dense oracle finds."""
+    A = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed)).algebra
+    for scale in (1, 2):
+        ext = _grading_extension(A, scale)
+        copy = _copy(ext)
+        assert ext._jacobi_prefix == A.dim and ext._nondegenerate
+        terms = _counting(monkeypatch, "_gaussian_axpy")
+        got = check_jacobi(ext)
+        restricted = len(terms)
+        want = check_jacobi(copy)
+        assert 0 < restricted < len(terms) - restricted
+        assert got == want
+        table = {ij: {k: (c.re, c.im) for k, c in terms_.items()} for ij, terms_ in ext.table.items()}
+        oracle = jacobi_violations(ext.dim, table)
+        assert {(i, j, k) for i, j, k, _ in got} == set(oracle)
+        assert bool(got) == (scale != 1)
+        # every violating triple has the new index
+        assert all(k == A.dim for _, _, k, _ in got)
+        monkeypatch.undo()
+
+
+def test_a_planted_violation_in_the_prefix_of_an_unverified_table_is_found():
+    """Negative control: an extension of an algebra with no verdict checks every triple, so a violation among the old indices surfaces."""
+    free = build_symbol_algebra(12).algebra
+    bad = replaced_bracket(free, 2, 3, {k: 2 * c for k, c in free.table[(2, 3)].items()})
+    assert bad._jacobi_prefix == 0
+    want = check_jacobi(_copy(bad))
+    assert want and all(k < bad.dim for _, _, k, _ in want)
+    got = check_jacobi(_grading_extension(bad))
+    assert [v[:3] for v in got] == [v[:3] for v in want]
+
+
+def test_an_extension_keeps_the_prefix_brackets():
+    """An extension may only add brackets with an appended index, and keeps the degree -1 verdict only when degree -1 is unchanged."""
+    A = build_symbol_algebra(4).algebra
+    with pytest.raises(ValueError, match="cannot change the bracket"):
+        A._extended(["d"], [0], [((0, 1), {2: (1, 0)}, 1)])
+    with pytest.raises(ValueError, match="target index out of range"):
+        A._extended(["d"], [0], [((0, A.dim), {A.dim + 1: (1, 0)}, 1)])
+    ext = A._extended(["z"], [-1], [], J=None)
+    assert not ext._nondegenerate and not is_nondegenerate_symbol(ext)
+    assert ext.table == A.table and ext._numerators == A._numerators

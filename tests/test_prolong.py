@@ -356,6 +356,43 @@ def test_grade0_matches_oracle_without_jacobi(j_constraint):
     _assert_components_match_oracle(bad, 0, j_constraint)
 
 
+# -- negative controls: the Jacobi gate of the assembled table --
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: realify(build_symbol_algebra(12).algebra), id="realified-k12"),
+        pytest.param(lambda: build_symbol_algebra(12).algebra, id="hall-k12"),
+    ],
+)
+@pytest.mark.parametrize("flavor", [LEVI_TANAKA, FULL_TANAKA])
+def test_planted_jacobi_violation_in_a_hand_built_algebra_fails_full_prolongation(make, flavor):
+    """A hand-built algebra carries no Jacobi verdict, so the assembled table is checked on every triple, the old ones included."""
+    m = make()
+    bad = replaced_bracket(m, 2, 3, {k: 2 * c for k, c in m.table[(2, 3)].items()})
+    assert bad._jacobi_prefix == 0
+    with pytest.raises(RuntimeError, match=r"^assembled prolongation violates Jacobi at \(0, 1, 3\)$"):
+        full_prolongation(bad, flavor)
+
+
+@pytest.mark.parametrize("k, seed", [(2, None), (8, None), (8, 1)])
+def test_corrupted_grade0_constant_fails_the_assembled_jacobi_gate(monkeypatch, k, seed):
+    """Negative control: doubling one [e_x, G0_1] entry of the assembled table, on the extension of a verified symbol, trips its gate."""
+    m = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed)).algebra
+    assert m._jacobi_prefix == m.dim
+    honest = GradedLieAlgebra._extended
+    x = m.indices_of_degree(-2)[0]
+
+    def corrupted(self, labels, degrees, entries, **kw):
+        entries = [(key, {t: (2 * re, 2 * im) for t, (re, im) in terms.items()} if key == (x, m.dim) else terms, den) for key, terms, den in entries]
+        return honest(self, labels, degrees, entries, **kw)
+
+    monkeypatch.setattr(GradedLieAlgebra, "_extended", corrupted)
+    with pytest.raises(RuntimeError, match="^assembled prolongation violates Jacobi at "):
+        full_prolongation(m, LEVI_TANAKA)
+
+
 # -- negative controls: _assemble refuses components that are not closed --
 
 
