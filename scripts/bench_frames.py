@@ -5,9 +5,9 @@
 The models are the left-invariant frame models of the default symbols at
 k = 7, 12, 16, 21, 30 and 39 (``frame<k>``, CR field (X - iY)/2 of the
 real form's frame, as the catalog builds its length-5 entries) and the
-catalog entry ``quintic12``.  Each model is timed five times (the median
-is reported) in a fresh process per source tree, alternating which side
-runs first (``benchpair.py`` holds this harness).  The sizes are read from
+catalog entry ``quintic12``.  Each model is timed five times per source
+tree, one run per fresh process, the two trees taking turns run by run
+(the median is reported; ``benchpair.py`` holds this harness).  The sizes are read from
 public API only, so both trees report the same ones: the chart variables,
 the Hall words up to the length, the terms of the largest word field below
 the length (``vf_bracket`` fields, counting the real and imaginary part
@@ -62,12 +62,12 @@ def _sizes(model) -> dict:
     }
 
 
-def measure(name: str) -> dict:
+def measure(name: str, runs: int = REPEATS) -> dict:
     from crprolong.frames import growth_and_nondegeneracy
 
     model = _model(name)
     times = []
-    for _ in range(REPEATS):
+    for _ in range(runs):
         t0 = time.perf_counter()
         filt, ok = growth_and_nondegeneracy(model)
         times.append(time.perf_counter() - t0)
@@ -85,7 +85,7 @@ def measure(name: str) -> dict:
 
 if __name__ == "__main__":
     benchpair.main(
-        __file__, __doc__, measure, MODELS, "model", "growth_s",
+        __file__, __doc__, measure, MODELS, "model",
         "frames.growth_and_nondegeneracy wall time on left-invariant frame models and quintic12",
         REPEATS, "BENCH_frames.json",
     )

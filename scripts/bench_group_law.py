@@ -6,9 +6,9 @@ The keys are ``assoc<k>``, ``GroupLaw.associativity_residual``, and
 ``frame<k>``, ``left_invariant_frame``, each on the real form of the
 default symbol of codimension k, and ``series<c>``, ``bch_series(c)``
 computed cold (its cache is cleared before every repeat).  Each key is
-timed five times (the median is reported) in a fresh process per source
-tree, alternating which side runs first (``benchpair.py`` holds this
-harness); the residual is checked to be zero.  The sizes are read from
+timed five times per source tree, one run per fresh process, the two
+trees taking turns run by run (the median is reported; ``benchpair.py``
+holds this harness); the residual is checked to be zero.  The sizes are read from
 public output only, so both trees report the same ones: for ``assoc<k>``
 the number of monomials in bch(a, b) (``GroupLaw.symbolic()``) and the
 bit length of the common denominator of its coefficients, for
@@ -30,10 +30,10 @@ KEYS = ("assoc7", "assoc12", "assoc16", "assoc21", "assoc30", "frame16", "frame2
 REPEATS = 5
 
 
-def timed(run, reset=lambda: None):
-    """The last output of ``run`` and its median and single wall times over REPEATS calls, each after ``reset()``."""
+def timed(run, runs, reset=lambda: None):
+    """The last output of ``run`` and its median and single wall times over ``runs`` calls, each after ``reset()``."""
     times = []
-    for _ in range(REPEATS):
+    for _ in range(runs):
         reset()
         t0 = time.perf_counter()
         out = run()
@@ -41,18 +41,18 @@ def timed(run, reset=lambda: None):
     return out, {"time_s": round(statistics.median(times), 4), "runs_s": [round(t, 4) for t in times]}
 
 
-def measure(key: str) -> dict:
+def measure(key: str, runs: int = REPEATS) -> dict:
     from crprolong.bch import GroupLaw, bch_series, left_invariant_frame
     from crprolong.liealg import build_symbol_algebra, realify
 
     kind = key.rstrip("0123456789")
     k = int(key[len(kind):])
     if kind == "series":
-        series, timing = timed(lambda: bch_series(k), bch_series.cache_clear)
+        series, timing = timed(lambda: bch_series(k), runs, bch_series.cache_clear)
         return {**timing, "words": len(series), "denominator_bits": lcm(*(c.denominator for _, c in series)).bit_length()}
     algebra = realify(build_symbol_algebra(k).algebra)
     law = GroupLaw(algebra)
-    out, timing = timed(law.associativity_residual if kind == "assoc" else lambda: left_invariant_frame(algebra))
+    out, timing = timed(law.associativity_residual if kind == "assoc" else lambda: left_invariant_frame(algebra), runs)
     sizes = {"dim": algebra.dim, "nilpotency_class": law.cap}
     if kind == "assoc":
         if not all(p.is_zero() for p in out):
@@ -68,7 +68,7 @@ def measure(key: str) -> dict:
 
 if __name__ == "__main__":
     benchpair.main(
-        __file__, __doc__, measure, KEYS, "workload", "time_s",
+        __file__, __doc__, measure, KEYS, "workload",
         "GroupLaw.associativity_residual (assoc<k>) and left_invariant_frame (frame<k>) wall time "
         "on the real form of the default symbol, and cold bch_series(c) (series<c>)",
         REPEATS, "BENCH_group_law.json",

@@ -6,8 +6,8 @@ The keys are the full-Tanaka towers of the k = 1 (contact) and k = 2
 symbols through degree 11 (``grade0`` then ``prolong_component``, as the
 benchmark's ``anchors`` workload builds them) and ``verify_theorem`` on
 the default symbols at k = 125 and 224.  Each key is timed three times
-(the median is reported) in a fresh process per source tree, alternating
-which side runs first (``benchpair.py`` holds this harness).  There is no
+per source tree, one run per fresh process, the two trees taking turns
+run by run (the median is reported; ``benchpair.py`` holds this harness).  There is no
 k = 69 key: its run takes about 0.1 s, and its median of three moved by
 30% between two measurements of the same tree on a shared host, while
 k = 125 and 224 run the same solves at sizes where the median holds.
@@ -124,10 +124,10 @@ def _sizes(run) -> dict:
     return sizes
 
 
-def measure(key: str) -> dict:
+def measure(key: str, runs: int = REPEATS) -> dict:
     run = _workload(key)
     times = []
-    for _ in range(REPEATS):
+    for _ in range(runs):
         t0 = time.perf_counter()
         run()
         times.append(time.perf_counter() - t0)
@@ -140,7 +140,7 @@ def measure(key: str) -> dict:
 
 if __name__ == "__main__":
     benchpair.main(
-        __file__, __doc__, measure, KEYS, "workload", "solve_s",
+        __file__, __doc__, measure, KEYS, "workload",
         "prolongation component solves: full-Tanaka towers to degree 11 and verify_theorem at k = 125, 224",
         REPEATS, "BENCH_prolong.json",
     )

@@ -5,9 +5,9 @@
 For each k in 21, 22, 69, 125 and 224 there are two keys on the default
 symbol: ``real_form<k>`` times ``real_form`` alone on the prebuilt complex
 symbol, and ``verify<k>`` times ``build_symbol_algebra`` followed by
-``verify_theorem``.  Each key is timed five times (the median is reported)
-in a fresh process per source tree, alternating which side runs first
-(``benchpair.py`` holds this harness).
+``verify_theorem``.  Each key is timed five times per source tree, one
+run per fresh process, the two trees taking turns run by run (the median
+is reported; ``benchpair.py`` holds this harness).
 
 The sizes are read from public API only, so both trees report the same
 ones: ``n`` (the dimension), ``largest_block`` (the largest degree
@@ -71,10 +71,10 @@ def _sizes(key: str) -> dict:
     }
 
 
-def measure(key: str) -> dict:
+def measure(key: str, runs: int = REPEATS) -> dict:
     run = _workload(key)
     times = []
-    for _ in range(REPEATS):
+    for _ in range(runs):
         t0 = time.perf_counter()
         run()
         times.append(time.perf_counter() - t0)
@@ -92,7 +92,7 @@ def summary(entries) -> dict:
 
 if __name__ == "__main__":
     benchpair.main(
-        __file__, __doc__, measure, KEYS, "workload", "time_s",
+        __file__, __doc__, measure, KEYS, "workload",
         "real_form alone and build_symbol_algebra + verify_theorem on the default symbols at k = 21, 22, 69, 125, 224",
         REPEATS, "BENCH_real_form.json", summary,
     )

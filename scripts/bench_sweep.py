@@ -9,9 +9,10 @@ with JSON output written to a scratch file: ``sweep`` is
 models, and ``verify224`` is ``crprolong verify --k 224 --format json``,
 the last quotient of length 10, where the solves run on integer rows and
 the scalar type has little left to do, so it guards against a slowdown
-there.  Each key runs once untimed, to fill the caches, and is then timed
-15 times (the median is reported) in a fresh process per source tree,
-alternating which side runs first (``benchpair.py`` holds this harness).
+there.  Each key is timed 15 times per source tree, one run per fresh
+process after one untimed run that fills the caches, the two trees taking
+turns run by run (the median is reported; ``benchpair.py`` holds this
+harness).
 
 The sizes are read from the JSON reports, so both trees report the same
 ones: ``reports`` (the number of reports written) and ``total_dim`` (the
@@ -58,13 +59,13 @@ def _run(commands, out: str) -> list:
     return reports
 
 
-def measure(key: str) -> dict:
+def measure(key: str, runs: int = REPEATS) -> dict:
     commands = _commands(key)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         reports = _run(commands, out)  # untimed: fills the caches a longer session would have filled
         times = []
-        for _ in range(REPEATS):
+        for _ in range(runs):
             t0 = time.perf_counter()
             _run(commands, out)
             times.append(time.perf_counter() - t0)
@@ -78,7 +79,7 @@ def measure(key: str) -> dict:
 
 if __name__ == "__main__":
     benchpair.main(
-        __file__, __doc__, measure, KEYS, "workload", "time_s",
+        __file__, __doc__, measure, KEYS, "workload",
         "crprolong verify through cli.main: k = 2..12, the 8 built-in models, and k = 224",
         REPEATS, "BENCH_sweep.json",
     )

@@ -1,60 +1,68 @@
-"""Fresh-process, alternating before/after timing shared by the ``bench_*.py`` scripts.
+"""Fresh-process, interleaved before/after timing shared by the ``bench_*.py`` scripts.
 
-A script defines ``measure(key) -> dict``: its median wall time under one
-key ending in ``_s``, the single runs under ``runs_s`` and the system sizes
-under every other key.  :func:`main` runs each key once per source tree,
-each time in a fresh process of the same interpreter with that tree's
-``src`` directory first on its path, so both sides use the same host and
-interpreter; the side that runs first alternates from one key to the
-next.  The sizes both sides report must agree; a size only the after side
-reports (a counter of code the before side lacks) is recorded from it.
+A script defines ``measure(key, runs=REPEATS) -> dict``: the median of
+``runs`` wall times under one key ending in ``_s``, the single runs under
+``runs_s`` and the system sizes under every other key.  :func:`compare`
+times each key in REPEATS rounds; a round runs the key once on each
+source tree, each time in a fresh process of the same interpreter
+(``--runs 1``) with that tree's ``src`` directory first on its path, and
+the side that runs first alternates from one round to the next, so host
+drift falls on both sides alike.  Each side's single runs are pooled and
+their median is its time.  The sizes both sides report must agree; a
+size only the after side reports (a counter of code the before side
+lacks) is recorded from it.
 """
-
 from __future__ import annotations
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
 
-def run_side(script: str, src: str, key) -> dict:
+def run_side(script: str, src: str, key, runs: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run(
-        [sys.executable, script, "--measure", str(key)],
+        [sys.executable, script, "--measure", str(key), "--runs", str(runs)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
 
 
-def compare(script: str, before: str, after: str, keys, key_name: str, timed: str) -> list:
-    """One entry per key: the sizes, both median times and runs, and the speedup."""
+def compare(script: str, before: str, after: str, keys, key_name: str, repeats: int) -> list:
+    """One entry per key: the sizes, both median times and pooled runs, and the speedup."""
     entries = []
-    for n, key in enumerate(keys):
+    for key in keys:
         sides = [("before", before), ("after", after)]
-        got = {name: run_side(script, src, key) for name, src in (sides if n % 2 == 0 else sides[::-1])}
-        old, new = got["before"], got["after"]
+        runs, last = {"before": [], "after": []}, {}
+        for r in range(repeats):
+            for name, src in sides if r % 2 == 0 else sides[::-1]:
+                last[name] = run_side(script, src, key, 1)
+                runs[name] += last[name]["runs_s"]
+        old, new = last["before"], last["after"]
         sizes = {name: value for name, value in new.items() if not name.endswith("_s")}
         shared = [name for name in sizes if name in old]
         if any(old[name] != sizes[name] for name in shared):
             raise SystemExit(f"{key_name}={key}: the two sides disagree on the sizes: {old} vs {new}")
+        before_s, after_s = (round(statistics.median(runs[name]), 4) for name in ("before", "after"))
         entries.append({
             key_name: key,
             **sizes,
-            "before_s": old[timed],
-            "after_s": new[timed],
-            "before_runs_s": old["runs_s"],
-            "after_runs_s": new["runs_s"],
-            "speedup": round(old[timed] / new[timed], 1),
+            "before_s": before_s,
+            "after_s": after_s,
+            "before_runs_s": runs["before"],
+            "after_runs_s": runs["after"],
+            "speedup": round(before_s / after_s, 1),
         })
-        print(f"{key_name}={key}: {old[timed]} s -> {new[timed]} s", file=sys.stderr)
+        print(f"{key_name}={key}: {before_s} s -> {after_s} s", file=sys.stderr)
     return entries
 
 
 def main(
-    script: str, doc: str, measure, keys, key_name: str, timed: str, description: str, repeats: int, path: str,
+    script: str, doc: str, measure, keys, key_name: str, description: str, repeats: int, path: str,
     summary=None,
 ) -> None:
     """The command line of a ``bench_*.py`` script: ``--before SRC --after SRC`` writes ``path``.
@@ -65,9 +73,10 @@ def main(
     parser.add_argument("--before", help="src directory of the baseline checkout")
     parser.add_argument("--after", help="src directory of the changed checkout")
     parser.add_argument("--measure", type=type(keys[0]), help=argparse.SUPPRESS)
+    parser.add_argument("--runs", type=int, default=repeats, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure is not None:
-        print(json.dumps(measure(args.measure)))
+        print(json.dumps(measure(args.measure, args.runs)))
         return
     if not (args.before and args.after):
         parser.error("--before and --after are required")
@@ -75,7 +84,7 @@ def main(
         "measure": description,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "repeats": repeats,
-        "entries": compare(script, args.before, args.after, keys, key_name, timed),
+        "entries": compare(script, args.before, args.after, keys, key_name, repeats),
     }
     if summary is not None:
         report["summary"] = summary(report["entries"])

@@ -22,8 +22,10 @@ quotient.  The action of the -I element, read from the assembled table,
 must equal the Euler derivation on g_-.  Both sides are complex, and the
 map commutes with their conjugations (S on g_-, the identity on d and r,
 whose degree -1 blocks -I and -J_R in the real basis are real), so it
-restricts to an isomorphism of the real fixed points (Tanaka 1970); no
-real form of the whole algebra is built.
+restricts to an isomorphism of the real fixed points (Tanaka 1970).  No
+real form is built or solved, not even of the degree -1 block: every
+symbol has the swap as its degree -1 conjugation and J = diag(i, -i), so
+the real G^0 coordinates of d and r are fixed by dim G^0 alone.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import QI, QI_ONE, Matrix, _gaussian_apply, _gaussian_columns, _gaussian_integers, _gaussian_rref, _qi, as_qi, rank
+from .exact import QI, QI_I, QI_ONE, Matrix, _gaussian_apply, _gaussian_integers, as_qi, rank
 from .liealg import (
     GradedLieAlgebra,
     NotSelfConjugate,
     SymbolAlgebra,
     _jacobi_violations,
-    _real_block,
     _table_mismatch,
     build_symbol_algebra,
     check_grading,
@@ -236,66 +237,16 @@ def check_bracket_isomorphism(src: GradedLieAlgebra, dst: GradedLieAlgebra, iso:
         raise VerificationFailed(f"bracket mismatch at pair {pair}", pair=pair)
 
 
-def _real_grade0_coordinates(g0, m: GradedLieAlgebra):
-    """Coordinates of d and r in the real form of ``g0``, the complex grade-0 component of ``m``'s prolongation.
-
-    E is the 2 x 2 degree -1 block of the embedding of ``real_form(m)``
-    and F that of its inverse (``liealg._real_block``, no other degree
-    solved); d has the real degree -1 block -I and r the block -J_R,
-    J_R = F·J·E.  ``g0`` is the J-commuting grade 0 of a fundamental
-    algebra, so each element is fixed by its degree -1 block B, and acts
-    on the real basis by F·B·E.  Those blocks span a conjugation-stable
-    space, whose reduced basis for the pivot at the last entry of the
-    row-major block is real, and is the basis a solve on the real form
-    would return (``prolong._solve_component``): 1 at its pivot and 0 at
-    the others.  Every product is taken in Gaussian integers, B straight
-    from the maps' stored columns (``DerivationMap.numerators``), and a
-    block is only ever scaled, which changes neither its span nor its
-    membership in one.  Returns the coordinates of d and of r, read at the
-    pivots, each None when its block is outside the span; only they become
-    ``QI``.
-    """
-    basis, inverse = _real_block(m.conjugation, m.indices_of_degree(-1))
-    scale = 1
-    for _, den in basis + inverse:
-        scale *= den
-    f_cols = {}  # column t of F, {c: (re, im)}, row c over its own denominator
-    for c, (row, _) in enumerate(inverse):
-        for t, z in row.items():
-            f_cols.setdefault(t, {})[c] = z
-
-    def moved(cols):
-        """F·B·E as a row-major {2c + c': (re, im)} over scale·b_0·b_1, for B with the Gaussian columns ``cols`` = [({t: (re, im)}, b_s)]."""
-        b = cols[0][1] * cols[1][1]
-        b_cols = {s: {t: (re * (b // d), im * (b // d)) for t, (re, im) in col.items()} for s, (col, d) in enumerate(cols)}
-        out = {}
-        for c2, (e_col, e_den) in enumerate(basis):
-            # entry c of F·B·(column c2 of E) is over inverse[c][1]·b·e_den
-            for c, (re, im) in _gaussian_apply(f_cols, _gaussian_apply(b_cols, e_col)).items():
-                if re or im:
-                    w = scale // (inverse[c][1] * e_den)
-                    out[2 * c + c2] = (re * w, im * w)
-        return out
-
-    jcols, jden = _gaussian_columns(m.J)
-    j_real = moved([(jcols.get(s, {}), jden) for s in range(2)])
-    if any(im for _, im in j_real.values()):
-        raise NotSelfConjugate("J does not restrict to the real form")
-    rows = [moved([dm.numerators(-1, s) for s in range(2)]) for dm in g0.maps]
-    basis_rows = sorted(_gaussian_rref(rows, range(3, -1, -1)))
-    if len(basis_rows) != g0.dim or any(im for _, row, _ in basis_rows for _, im in row.values()):
-        raise VerificationFailed("grade-0 component has no real form of the same dimension")
-    out = []
-    for flat, den in (({0: -1, 3: -1}, 1), ({c: -re for c, (re, _) in j_real.items()}, scale * jden * jden)):
-        rest = dict(flat)
-        for c, row, rden in basis_rows:
-            # rest·rden - rest[c]·row is 0 at the pivot c and keeps the others' ratios
-            if x := rest.get(c):
-                rest = {j: v * rden for j, v in rest.items()}
-                for j, (re, _) in row.items():
-                    rest[j] = rest.get(j, 0) - x * re
-        out.append(None if any(rest.values()) else [_qi(flat.get(c, 0), 0, den) for c, _, _ in basis_rows])
-    return out
+# The report's coordinates of d and r in the real G^0 basis, by dim G^0.
+# Every symbol checked has the degree -1 conjugation S(L1_1) = L1_2 and
+# J = diag(i, -i) (the gate in ``verify_theorem``), so its real degree -1
+# basis is x = L1_1 + L1_2, y = i(L1_1 - L1_2), on which J acts as
+# J_R = [[0, -1], [1, 0]].  The real G^0 commutes with J_R and contains -I
+# (the Euler gate), so it is span{I} or span{J_R, I}; a solve on the real
+# form reduces its blocks with pivots from the last row-major entry back
+# (``prolong._solve_component``), which gives the basis I, or J_R then I.
+# d = -I and r = -J_R in that basis:
+_REAL_GRADE0 = {1: ((-1,),), 2: ((0, -1), (-1, 0))}
 
 
 def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
@@ -304,18 +255,18 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     Both sides are computed independently on the symbol's Hall basis,
     and the case (whether G^0 has the rotation) is the aut side's,
     decided from the quotient alone by :func:`build_aut_cr`.  A symbol
-    without a conjugation has no real form and raises
-    :class:`NotSelfConjugate` before any prolongation.  The map checked
-    is the identity on g_-, d -> the element of the computed G^0 whose
-    degree -1 block is -I (its action on g_-, read from the assembled
-    table, must equal the Euler derivation), r -> the element whose
-    block is -J.  The report's matrix gives d and r in the real G^0
-    basis, the basis a prolongation of the real form would have, read
-    off the degree -1 blocks of the real form
-    (``_real_grade0_coordinates``).  Raises :class:`VerificationFailed`
-    (with the offending pair of Hall labels where there is one) if the
-    dimensions, bijectivity or any bracket comparison fails; a case on
-    which the two sides disagree fails one of these.
+    without a conjugation, or whose degree -1 block is not the swap
+    L1_1 <-> L1_2 with J = diag(i, -i), raises :class:`NotSelfConjugate`
+    before any prolongation.  The map checked is the identity on g_-,
+    d -> the element of the computed G^0 whose degree -1 block is -I (its
+    action on g_-, read from the assembled table, must equal the Euler
+    derivation), r -> the element whose block is -J.  The report's matrix
+    gives d and r in the real G^0 basis, the basis a prolongation of the
+    real form would have, which that fixed degree -1 block determines
+    (``_REAL_GRADE0``).  Raises :class:`VerificationFailed` (with the
+    offending pair of Hall labels where there is one) if the dimensions,
+    bijectivity or any bracket comparison fails; a case on which the two
+    sides disagree fails one of these.
     """
     if symbol.length < 3:
         if symbol.codim == 1:
@@ -324,6 +275,10 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     m = symbol.algebra
     if m.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
+    l_i, lb_i = m.indices_of_degree(-1)
+    swap = m.conjugation.sparse_column(l_i) == {lb_i: QI_ONE} and m.conjugation.sparse_column(lb_i) == {l_i: QI_ONE}
+    if not swap or m.J != Matrix.sparse(2, [{0: QI_I}, {1: -QI_I}]):
+        raise NotSelfConjugate("degree -1 block is not the swap with J = diag(i, -i)")
     prolonged = full_prolongation(m, LEVI_TANAKA)
     g0 = prolonged.components[0]
     aut = build_aut_cr(symbol)
@@ -358,11 +313,11 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
 
     if coords[0] is None or not all(is_euler(x) for x in range(n)):
         fail("Euler derivation is not in the computed grade-0 component")
-    real = [c for c in _real_grade0_coordinates(g0, m) if c is not None]
-    if len(real) != len(found) or rank(Matrix.sparse(g0.dim, [dict(enumerate(x)) for x in real])) != g0.dim:
+    # the elements with blocks -I and -J must span G^0, so dim G^0 is a key of _REAL_GRADE0
+    if rank(Matrix.sparse(g0.dim, [dict(enumerate(c)) for c in coords if c is not None])) != g0.dim:
         fail("candidate isomorphism is not bijective")
     # g_- by the identity, then the d column, then the r column when G^0 has one
-    iso = Matrix.sparse(total, [{i: QI_ONE} for i in range(n)] + [{n + pos: c for pos, c in enumerate(x)} for x in real])
+    iso = Matrix.sparse(total, [{i: QI_ONE} for i in range(n)] + [{n + p: c for p, c in enumerate(x)} for x in _REAL_GRADE0[g0.dim]])
     # the checked map, the same columns with the computed coordinates, over one denominator
     pden = 1
     for _, cden in found:

@@ -676,43 +676,17 @@ class RealForm:
     embedding_inv: Matrix = field(repr=False, default=None)
 
 
-def _real_block(s: Matrix, block):
-    """One degree block of the real form: the real basis of the fixed points of v -> S·conj(v) and its inverse.
-
-    ``s`` is the conjugation matrix S and ``block`` the indices of one
-    degree, which S preserves.  The real basis E_d is the reduced kernel of
-    the integer fixed-point rows of that block (``_real_fixed_points``:
-    free coordinates 1, leading coefficients positive), and F_d = E_d⁻¹ is
-    solved and checked in Gaussian integers.  Returns ``(basis, inverse)``,
-    both on the positions p of ``block``: ``basis`` = [({p: (re, im)}, den)],
-    column c of E_d, and ``inverse`` = [({p: (re, im)}, den)], row c of F_d.
-    """
-    pos = {a: p for p, a in enumerate(block)}
-    rows = [{} for _ in block]
-    for q, b in enumerate(block):
-        for a, x in s.sparse_column(b).items():
-            rows[pos[a]][q] = x
-    basis = _real_fixed_points(rows)
-    if len(basis) != len(block):
-        raise NotSelfConjugate("real form of a degree block has wrong dimension")
-    n_rows = [{} for _ in block]  # E_d = N_d·diag(1/dens), so F_d = diag(dens)·N_d⁻¹
-    for c, (col, _) in enumerate(basis):
-        for p, z in col.items():
-            n_rows[p][c] = z
-    inverse = []
-    for (g, gden), (_, den) in zip(_gaussian_inverse(n_rows), basis):
-        inverse.append(({p: (den * re, den * im) for p, (re, im) in g.items()}, gden))
-    return basis, inverse
-
-
 def real_form(algebra: GradedLieAlgebra) -> RealForm:
     """Fixed-point real form of ``algebra`` under its conjugation, computed on integer numerators.
 
-    Each degree block of the real basis and of its inverse comes from
-    ``_real_block``: degree -1 lands on x = g1 + g2, y = i(g1 - g2).
-    Brackets and J images move as Gaussian integer numerators over one
-    denominator; each real coordinate of F·w becomes one ``QI``, and an
-    imaginary one raises :class:`NotSelfConjugate`.
+    Per degree d, which the conjugation S preserves, the real basis E_d is
+    the reduced kernel of the integer fixed-point rows of S on that block
+    (``_real_fixed_points``: free coordinates 1, leading coefficients
+    positive), and F_d = E_d⁻¹ is solved and checked in Gaussian integers;
+    degree -1 lands on x = g1 + g2, y = i(g1 - g2).  Brackets and J images
+    move as Gaussian integer numerators over one denominator; each real
+    coordinate of F·w becomes one ``QI``, and an imaginary one raises
+    :class:`NotSelfConjugate`.
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
@@ -722,19 +696,28 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     labels, degrees = [], []
     for d in algebra.degrees_present():
         block = algebra.indices_of_degree(d)
-        basis, inverse = _real_block(algebra.conjugation, block)
+        pos = {a: p for p, a in enumerate(block)}
+        rows = [{} for _ in block]
+        for q, b in enumerate(block):
+            for a, x in algebra.conjugation.sparse_column(b).items():
+                rows[pos[a]][q] = x
+        basis = _real_fixed_points(rows)  # column c of E_d, [({p: (re, im)}, den)] on the positions p of block
+        if len(basis) != len(block):
+            raise NotSelfConjugate("real form of a degree block has wrong dimension")
+        n_rows = [{} for _ in block]  # E_d = N_d·diag(1/dens), so F_d = diag(dens)·N_d⁻¹
         first = len(columns)
         for c, (col, den) in enumerate(basis, first):
             for p, z in col.items():
+                n_rows[p][c - first] = z
                 owners.setdefault(block[p], []).append((c, z))
             columns.append({block[p]: z for p, z in col.items()})
             dens.append(den)
             degrees.append(d)
             labels.append(("y" if labels else "x") if d == -1 else f"e{-d}_{c - first + 1}")
-        for c, (row, den) in enumerate(inverse, first):
-            inv_dens.append(den)
-            for p, z in row.items():
-                inv_cols.setdefault(block[p], {})[c] = z
+        for c, ((g, gden), (_, den)) in enumerate(zip(_gaussian_inverse(n_rows), basis), first):
+            inv_dens.append(gden)
+            for p, (re, im) in g.items():
+                inv_cols.setdefault(block[p], {})[c] = (den * re, den * im)
 
     def real_coords(w: dict, den: int, message: str) -> dict:
         """F·(w / den) for Gaussian numerators w, as {c: QI} without zeros."""

@@ -1,0 +1,56 @@
+"""``scripts/benchpair.py`` interleaves the two source trees run by run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def benchpair(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import benchpair
+
+    return benchpair
+
+
+def test_compare_alternates_the_side_that_runs_first(benchpair, monkeypatch):
+    """Each round runs one single-run process per side, the first side alternating; the runs pool into each median."""
+    calls = []
+    times = {"OLD": iter([0.5, 0.7, 0.6, 0.5, 0.9, 0.8]), "NEW": iter([0.2, 0.4, 0.3, 0.2, 0.1, 0.3])}
+
+    def fake(script, src, key, runs):
+        calls.append((key, src, runs))
+        t = next(times[src])
+        return {"time_s": t, "runs_s": [t], "n": 4}
+
+    monkeypatch.setattr(benchpair, "run_side", fake)
+    entries = benchpair.compare("bench.py", "OLD", "NEW", ["a", "b"], "workload", 3)
+    order = ["OLD", "NEW", "NEW", "OLD", "OLD", "NEW"]
+    assert calls == [("a", src, 1) for src in order] + [("b", src, 1) for src in order]
+    assert entries[0] == {
+        "workload": "a", "n": 4, "before_s": 0.6, "after_s": 0.3,
+        "before_runs_s": [0.5, 0.7, 0.6], "after_runs_s": [0.2, 0.4, 0.3], "speedup": 2.0,
+    }
+    assert entries[1]["before_runs_s"] == [0.5, 0.9, 0.8] and entries[1]["after_s"] == 0.2
+
+
+def test_compare_refuses_sides_that_disagree_on_the_sizes(benchpair, monkeypatch):
+    monkeypatch.setattr(benchpair, "run_side", lambda script, src, key, runs: {"time_s": 1.0, "runs_s": [1.0], "n": len(src)})
+    with pytest.raises(SystemExit, match="disagree on the sizes"):
+        benchpair.compare("bench.py", "OLD", "NEWER", ["a"], "workload", 2)
+
+
+def test_hidden_runs_option_sets_the_number_of_timed_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_real_form.py"), "--measure", "real_form21", "--runs", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["runs_s"]) == 2

@@ -7,7 +7,7 @@ from oracles import C_ZERO, real_basis_aut_table, real_grade0_coordinates, repla
 from quotients import random_quotient, rotation_stable, rotation_stable_quotient, swap_stable, unstable_quotient
 
 import crprolong
-from crprolong import cli, crmodels, liealg
+from crprolong import cli, crmodels, exact, liealg
 from crprolong.crmodels import (
     COMPLEX_ALPHA,
     REAL_ALPHA,
@@ -33,7 +33,7 @@ from crprolong.liealg import (
     real_form,
     realify,
 )
-from crprolong.prolong import LEVI_TANAKA, DerivationMap, ProlongationComponent, _coordinates, full_prolongation
+from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
 
 
 def _aut(S):
@@ -341,40 +341,81 @@ def test_symbol_without_conjugation_is_refused_before_any_prolongation(monkeypat
         verify_theorem(S)
 
 
-def test_verify_theorem_refuses_j_that_does_not_commute_with_conjugation():
-    """Negative control: J = [[0, -1], [1, 0]] in the coordinates L1_1, L1_2 has no real form on degree -1."""
+def test_verify_theorem_refuses_j_that_does_not_commute_with_conjugation(monkeypatch):
+    """Negative control: J = [[0, -1], [1, 0]] in the coordinates L1_1, L1_2 has no real form on degree -1.
+
+    ``verify_theorem`` refuses it, unprolonged, as it refuses every J but
+    the symbol's diag(i, -i), such as diag(-i, i), which does restrict.
+    """
+
+    def refused(*args):
+        raise AssertionError("full_prolongation called")
+
+    monkeypatch.setattr(crmodels, "full_prolongation", refused)
     S = build_symbol_algebra(4)
     A = S.algebra
-    bad = GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=A.conjugation, J=Matrix([[0, -1], [1, 0]]))
-    fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient, S.retained_top, S.reducer)
-    with pytest.raises(NotSelfConjugate, match="^J does not restrict to the real form$"):
-        verify_theorem(fake)
-    # the dense oracle refuses that J on the swap's real basis too
+    for J in (Matrix([[0, -1], [1, 0]]), -A.J):
+        bad = GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=A.conjugation, J=J)
+        fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient, S.retained_top, S.reducer)
+        with pytest.raises(NotSelfConjugate, match=r"^degree -1 block is not the swap with J = diag\(i, -i\)$"):
+            verify_theorem(fake)
+    # the dense oracle refuses the first J on the swap's real basis too
     with pytest.raises(ValueError, match="^J does not restrict to the real form$"):
-        real_grade0_coordinates([[C_ZERO, (1, 0)], [(1, 0), C_ZERO]], _pairs(bad.J), [])
+        real_grade0_coordinates([[C_ZERO, (1, 0)], [(1, 0), C_ZERO]], _pairs(Matrix([[0, -1], [1, 0]])), [])
+
+
+def test_verify_theorem_refuses_a_degree_minus_one_conjugation_other_than_the_swap(monkeypatch):
+    """Negative control: the swap composed with e -> (-1)^deg·e is refused before any prolongation.
+
+    That map is an involutive antilinear bracket morphism commuting with
+    J = diag(i, -i), so ``GradedLieAlgebra`` accepts it as the conjugation
+    of the k = 4 symbol; its degree -1 block is minus the swap, whose
+    real basis is x = L1_1 - L1_2, y = i(L1_1 + L1_2).
+    """
+
+    def refused(*args):
+        raise AssertionError("full_prolongation called")
+
+    monkeypatch.setattr(crmodels, "full_prolongation", refused)
+    S = build_symbol_algebra(4)
+    A = S.algebra
+    skew = Matrix.sparse(A.dim, [{a: -x if A.degrees[b] % 2 else x for a, x in A.conjugation.sparse_column(b).items()} for b in range(A.dim)])
+    bad = GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=skew, J=A.J)
+    assert bad.conjugation.sparse_column(0) == {1: -QI_ONE}
+    fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient, S.retained_top, S.reducer)
+    with pytest.raises(NotSelfConjugate, match=r"^degree -1 block is not the swap with J = diag\(i, -i\)$"):
+        verify_theorem(fake)
 
 
 def test_verify_theorem_builds_no_real_form(monkeypatch):
-    """``verify_theorem`` calls no ``real_form`` and solves the real basis of the degree -1 block only."""
+    """``verify_theorem`` builds no ``real_form`` and solves no real basis, not even of the degree -1 block.
+
+    ``_real_fixed_points`` and ``_gaussian_inverse`` are counted in
+    ``exact`` and where ``liealg`` imports them; a ``real_form`` solve
+    that the patch does not refuse shows that the counters see a call.
+    """
 
     def refused(*args):
         raise AssertionError("real form built")
 
+    symbols = (build_symbol_algebra(3), build_symbol_algebra(12), build_symbol_algebra(8, random_quotient(8, 1)))
+    calls = []
+    for module in (exact, liealg):
+        for name in ("_real_fixed_points", "_gaussian_inverse"):
+            honest = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, honest=honest: calls.append(name) or honest(*args))
+    liealg.real_form(symbols[0].algebra)
+    assert set(calls) == {"_real_fixed_points", "_gaussian_inverse"}
+    calls.clear()
     for module in (liealg, crprolong):
         monkeypatch.setattr(module, "real_form", refused)
         monkeypatch.setattr(module, "realify", refused)
-    assert not hasattr(crmodels, "real_form")
-    blocks = []
-    honest = crmodels._real_block
-
-    def counted(s, block):
-        blocks.append(list(block))
-        return honest(s, block)
-
-    monkeypatch.setattr(crmodels, "_real_block", counted)
-    for S in (build_symbol_algebra(3), build_symbol_algebra(12), build_symbol_algebra(8, random_quotient(8, 1))):
+    for name in ("real_form", "_real_block", "_real_fixed_points", "_gaussian_inverse"):
+        assert not hasattr(crmodels, name)
+    assert not hasattr(liealg, "_real_block")
+    for S in symbols:
         assert verify_theorem(S).verdict == "confirmed"
-    assert blocks == [[0, 1]] * 3
+    assert calls == []
 
 
 AUT_ORACLE_CASES = [pytest.param(k, None, id=f"k{k}") for k in range(2, 13)] + [
@@ -468,62 +509,46 @@ def _pairs(m):
     return [[(Fraction(x.re), Fraction(x.im)) for x in row] for row in m.data]
 
 
-def _skew_heisenberg():
-    """The length-2 algebra with a conjugation whose real basis has columns over 2 and 1.
-
-    S·conj on degree -1 is e1 -> e1 + 4·e2, e2 -> -e2, and J = i·[[2, -1],
-    [3, -2]] commutes with it; a symbol's swap gives both columns over 1.
-    """
-    S = Matrix([[1, 0, 0], [4, -1, 0], [0, 0, -1]])
-    J = Matrix([[QI(0, 2), QI(0, -1)], [QI(0, 3), QI(0, -2)]])
-    return GradedLieAlgebra(["L1_1", "L1_2", "L2_3"], [-1, -1, -2], {(0, 1): {2: 1}}, conjugation=S, J=J)
-
-
-def _real_grade0_algebras():
-    yield from (pytest.param(lambda k=k: build_symbol_algebra(k).algebra, id=f"k{k}") for k in (*range(2, 13), 21, 22))
-    yield from (pytest.param(lambda mid=mid: symbol_from_frame(builtin_catalog()[mid]).algebra, id=mid) for mid in sorted(builtin_catalog()))
+def _real_grade0_symbols():
+    yield from (pytest.param(lambda k=k: build_symbol_algebra(k), id=f"k{k}") for k in (*range(2, 13), 21, 22))
+    yield from (pytest.param(lambda mid=mid: symbol_from_frame(builtin_catalog()[mid]), id=mid) for mid in sorted(builtin_catalog()))
     for k in (2, 4, 5, 7, 8, 9, 10, 11):
         for seed in (1, 2, 3):
-            yield pytest.param(lambda k=k, seed=seed: build_symbol_algebra(k, random_quotient(k, seed)).algebra, id=f"k{k}-draw{seed}")
+            yield pytest.param(lambda k=k, seed=seed: build_symbol_algebra(k, random_quotient(k, seed)), id=f"k{k}-draw{seed}")
     for k in (2, 4, 5, 7, 8, 9):
         for seed in (1, 2):
             if rotation_stable_quotient(k, seed) is not None:
-                yield pytest.param(lambda k=k, seed=seed: build_symbol_algebra(k, rotation_stable_quotient(k, seed)).algebra, id=f"k{k}-rot{seed}")
-    yield pytest.param(_skew_heisenberg, id="skew-conjugation")
+                yield pytest.param(lambda k=k, seed=seed: build_symbol_algebra(k, rotation_stable_quotient(k, seed)), id=f"k{k}-rot{seed}")
 
 
-@pytest.mark.parametrize("make", _real_grade0_algebras())
+@pytest.mark.parametrize("make", _real_grade0_symbols())
 def test_real_grade0_coordinates_match_the_dense_oracle(make):
-    """The Gaussian-integer real G^0 coordinates of d and r equal the dense 2 x 2 formula of ``oracles.real_grade0_coordinates``.
+    """The report's d and r columns in the real G^0 basis equal the dense 2 x 2 formula of ``oracles.real_grade0_coordinates``.
 
     The oracle takes the degree -1 blocks of the conjugation, of J and of
     each basis map of the computed G^0 as dense pairs and solves its own
-    real basis, inverse, products and reduction.
+    real basis, inverse, products and reduction.  The length-2 report is
+    the prolongation itself and has no d or r column, so there the row
+    of ``_REAL_GRADE0`` for its G^0 is compared.
     """
-    m = make()
+    symbol = make()
+    m = symbol.algebra
     g0 = full_prolongation(m, LEVI_TANAKA).components[0]
     ones = m.indices_of_degree(-1)
-    s1 = [[(Fraction(m.conjugation.data[a][b].re), Fraction(m.conjugation.data[a][b].im)) for b in ones] for a in ones]
+    s1 = [[(Fraction(m.conjugation.sparse_column(b).get(a, QI(0)).re), Fraction(m.conjugation.sparse_column(b).get(a, QI(0)).im)) for b in ones] for a in ones]
     blocks = [_pairs(Matrix.sparse(2, [dm.column(-1, s) for s in range(2)])) for dm in g0.maps]
     want = real_grade0_coordinates(s1, _pairs(m.J), blocks)
-    got = crmodels._real_grade0_coordinates(g0, m)
-    assert [None if c is None else [Fraction(x.re) for x in c] for c in got] == want
-    assert all(not x.im for c in got if c is not None for x in c)
     assert want[0] is not None
-
-
-def test_real_grade0_coordinates_refuse_a_grade0_without_real_form():
-    """Negative control: a G^0 spanned by the projection onto L1_1 has no real form; a repeated map drops the rank."""
-    m = build_symbol_algebra(4).algebra
-    g0 = full_prolongation(m, LEVI_TANAKA).components[0]
-    projection = DerivationMap(0, {-1: (2, [({0: 1}, 1), ({}, 1)])})
-    for bad in (ProlongationComponent(0, (projection,)), ProlongationComponent(0, (g0.maps[0], g0.maps[0]))):
-        with pytest.raises(VerificationFailed, match="^grade-0 component has no real form of the same dimension$"):
-            crmodels._real_grade0_coordinates(bad, m)
-    # the dense oracle refuses both too
-    for blocks in ([[[(1, 0), C_ZERO], [C_ZERO, C_ZERO]]], [_pairs(Matrix.sparse(2, [g0.maps[0].column(-1, s) for s in range(2)]))] * 2):
-        with pytest.raises(ValueError, match="no real form"):
-            real_grade0_coordinates([[C_ZERO, (1, 0)], [(1, 0), C_ZERO]], _pairs(m.J), blocks)
+    report = verify_theorem(symbol)
+    if symbol.length < 3:
+        assert report.model_id == "heisenberg"
+        got = [[QI(x) for x in c] for c in crmodels._REAL_GRADE0[g0.dim]]
+    else:
+        n = m.dim
+        assert report.iso_matrix.cols == n + g0.dim
+        got = [[report.iso_matrix.sparse_column(n + j).get(n + p, QI(0)) for p in range(g0.dim)] for j in range(g0.dim)]
+    assert all(not x.im for c in got for x in c)
+    assert [[Fraction(x.re) for x in c] for c in got] + [None] * (2 - len(got)) == want
 
 
 DRAWS = [(k, seed) for k in (2, 4, 5, 7, 8, 9, 10, 11) for seed in (1, 2, 3)] + [

@@ -34,3 +34,50 @@ def test_unused_import_check_flags_a_leftover_name():
 @pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert _unused_imports(ast.parse((PACKAGE / path).read_text())) == []
+
+
+def _orphan_helpers(sources) -> list:
+    """(module, name) of every private top-level function, class or constant that no module reads outside its own definition.
+
+    ``sources`` maps module names to source text.  A read is a loaded
+    name or an attribute of that name anywhere in the package; a read
+    inside the definition itself (a recursive call) does not count.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = []  # (module, name, the node that defines it)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend((module, t.id, node) for t in targets if isinstance(t, ast.Name))
+    private = [(m, name, node) for m, name, node in defined if name.startswith("_") and not name.startswith("__")]
+    reads = {}  # name: the reading nodes
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    orphans = []
+    for module, name, node in private:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(id(n) not in inside for n in reads.get(name, ())):
+            orphans.append((module, name))
+    return sorted(orphans)
+
+
+def test_orphan_check_flags_a_planted_helper():
+    sources = {
+        "a": "_LIMIT = 3\n_unused = 1\ndef _loop(n):\n    return _loop(n - 1) if n else 0\ndef _used():\n    return _LIMIT\nclass _Gone:\n    pass\n",
+        "b": "from . import a\nfrom .a import _used\nprint(_used(), a._loop)\n",
+    }
+    assert _orphan_helpers(sources) == [("a", "_Gone"), ("a", "_unused")]
+    # a recursive call alone is no read
+    sources["b"] = "from .a import _used\nprint(_used())\n"
+    assert _orphan_helpers(sources) == [("a", "_Gone"), ("a", "_loop"), ("a", "_unused")]
+
+
+def test_every_private_helper_is_read_somewhere_in_the_package():
+    assert _orphan_helpers({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
