@@ -6,8 +6,9 @@ The models are the left-invariant frame models of the default symbols at
 k = 7, 12, 16, 21, 30 and 39 (``frame<k>``, CR field (X - iY)/2 of the
 real form's frame, as the catalog builds its length-5 entries) and the
 catalog entry ``quintic12``.  Each model is timed five times per source
-tree, one run per fresh process, the two trees taking turns run by run
-(the median is reported; ``benchpair.py`` holds this harness).  The sizes are read from
+tree, one run per fresh process after one untimed call, the two trees
+taking turns run by run (the median is reported; ``benchpair.py`` holds
+this harness).  The sizes are read from
 public API only, so both trees report the same ones: the chart variables,
 the Hall words up to the length, the terms of the largest word field below
 the length (``vf_bracket`` fields, counting the real and imaginary part
@@ -19,8 +20,6 @@ current directory.
 
 from __future__ import annotations
 
-import statistics
-import time
 from math import lcm
 
 import benchpair
@@ -66,16 +65,11 @@ def measure(name: str, runs: int = REPEATS) -> dict:
     from crprolong.frames import growth_and_nondegeneracy
 
     model = _model(name)
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        filt, ok = growth_and_nondegeneracy(model)
-        times.append(time.perf_counter() - t0)
-        if not ok:
-            raise SystemExit(f"{name}: not totally nondegenerate, growth {filt.growth}")
+    (filt, ok), timing = benchpair.timed(lambda: growth_and_nondegeneracy(model), runs, "growth_s")
+    if not ok:
+        raise SystemExit(f"{name}: not totally nondegenerate, growth {filt.growth}")
     return {
-        "growth_s": round(statistics.median(times), 4),
-        "runs_s": [round(t, 4) for t in times],
+        **timing,
         "codim": model.codim,
         "length": model.length,
         "growth": list(filt.growth),

@@ -9,8 +9,8 @@ aut_CR and on the prolongation, the conjugation check of the symbol, and
 the bracket-isomorphism check of aut_CR against the prolongation.
 k = 224, 410 and 745 are the last quotients of lengths 10, 11 and 12.
 Each key is timed five times per source tree, one run per fresh
-process after the untimed size count, the two trees taking turns run by
-run (the median is reported; ``benchpair.py`` holds this harness).
+process after the untimed size count and one untimed call, the two trees
+taking turns run by run (the median is reported; ``benchpair.py`` holds this harness).
 
 The sizes are read from public API only: ``n`` (the dimension of the
 symbol), ``symbol_bracket_entries`` (its nonzero brackets of basis
@@ -33,8 +33,6 @@ directory.
 from __future__ import annotations
 
 import inspect
-import statistics
-import time
 
 import benchpair
 
@@ -76,17 +74,9 @@ def _table_sizes(name: str, algebra) -> dict:
 
 def measure(key: str, runs: int = REPEATS) -> dict:
     k = int(key.removeprefix("verify"))
-    sizes = _sizes(k)  # untimed: imports the package, so a single timed run does not include it
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        _verify(k)
-        times.append(time.perf_counter() - t0)
-    return {
-        "time_s": round(statistics.median(times), 4),
-        "runs_s": [round(t, 4) for t in times],
-        **sizes,
-    }
+    sizes = _sizes(k)
+    _, timing = benchpair.timed(lambda: _verify(k), runs)
+    return {**timing, **sizes}
 
 
 def summary(entries) -> dict:

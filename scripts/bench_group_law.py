@@ -5,9 +5,9 @@
 The keys are ``assoc<k>``, ``GroupLaw.associativity_residual``, and
 ``frame<k>``, ``left_invariant_frame``, each on the real form of the
 default symbol of codimension k, and ``series<c>``, ``bch_series(c)``
-computed cold (its cache is cleared before every repeat).  Each key is
-timed five times per source tree, one run per fresh process, the two
-trees taking turns run by run (the median is reported; ``benchpair.py``
+computed cold (its cache is cleared before every call).  Each key is
+timed five times per source tree, one run per fresh process after one
+untimed call, the two trees taking turns run by run (the median is reported; ``benchpair.py``
 holds this harness); the residual is checked to be zero.  The sizes are read from
 public output only, so both trees report the same ones: for ``assoc<k>``
 the number of monomials in bch(a, b) (``GroupLaw.symbolic()``) and the
@@ -20,25 +20,12 @@ BENCH_group_law.json in the current directory.
 
 from __future__ import annotations
 
-import statistics
-import time
 from math import lcm
 
 import benchpair
 
 KEYS = ("assoc7", "assoc12", "assoc16", "assoc21", "assoc30", "frame16", "frame21", "series7", "series10", "series12")
 REPEATS = 5
-
-
-def timed(run, runs, reset=lambda: None):
-    """The last output of ``run`` and its median and single wall times over ``runs`` calls, each after ``reset()``."""
-    times = []
-    for _ in range(runs):
-        reset()
-        t0 = time.perf_counter()
-        out = run()
-        times.append(time.perf_counter() - t0)
-    return out, {"time_s": round(statistics.median(times), 4), "runs_s": [round(t, 4) for t in times]}
 
 
 def measure(key: str, runs: int = REPEATS) -> dict:
@@ -48,11 +35,11 @@ def measure(key: str, runs: int = REPEATS) -> dict:
     kind = key.rstrip("0123456789")
     k = int(key[len(kind):])
     if kind == "series":
-        series, timing = timed(lambda: bch_series(k), runs, bch_series.cache_clear)
+        series, timing = benchpair.timed(lambda: bch_series(k), runs, reset=bch_series.cache_clear)
         return {**timing, "words": len(series), "denominator_bits": lcm(*(c.denominator for _, c in series)).bit_length()}
     algebra = realify(build_symbol_algebra(k).algebra)
     law = GroupLaw(algebra)
-    out, timing = timed(law.associativity_residual if kind == "assoc" else lambda: left_invariant_frame(algebra), runs)
+    out, timing = benchpair.timed(law.associativity_residual if kind == "assoc" else lambda: left_invariant_frame(algebra), runs)
     sizes = {"dim": algebra.dim, "nilpotency_class": law.cap}
     if kind == "assoc":
         if not all(p.is_zero() for p in out):

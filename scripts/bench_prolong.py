@@ -6,33 +6,38 @@ The keys are the full-Tanaka towers of the k = 1 (contact) and k = 2
 symbols through degree 11 (``grade0`` then ``prolong_component``, as the
 benchmark's ``anchors`` workload builds them) and ``verify_theorem`` on
 the default symbols at k = 125 and 224.  Each key is timed three times
-per source tree, one run per fresh process, the two trees taking turns
-run by run (the median is reported; ``benchpair.py`` holds this harness).  There is no
+per source tree, one run per fresh process after one untimed call, the
+two trees taking turns run by run (the median is reported;
+``benchpair.py`` holds this harness).  There is no
 k = 69 key: its run takes about 0.1 s, and its median of three moved by
 30% between two measurements of the same tree on a shared host, while
 k = 125 and 224 run the same solves at sizes where the median holds.
 
 The sizes are summed over every component solve of one more, untimed
-run.  Both trees report ``solves``, ``unknowns`` (2·dim V_(l-1) per
-solve), ``rank`` (unknowns minus the component's dimension) and the
-``component_dims`` in solve order.  A tree whose solve runs on integer
-rows also reports the Leibniz and J rows before (``rows``) and after
-(``distinct_rows``) deduplication up to scale, the ``nonzeros`` of the
-distinct rows, and ``max_bits``, the largest numerator bit length in the
-distinct rows and in their reduced echelon form; rows with complex
-entries are counted realified, their real and imaginary parts as integer
-columns, the form in which they are reduced.  The pair goes to
-BENCH_prolong.json in the current directory.
+run.  The sizes of the solved systems, which must agree on both trees
+(``SHARED``), are ``solves``, ``unknowns`` (2·dim V_(l-1) per solve),
+``rank`` (unknowns minus the component's dimension) and the
+``component_dims`` in solve order.  The work counters, recorded per tree
+since a solver that stops at full rank reads fewer rows, are counted as
+the solver reads its row stream: the Leibniz and J rows before
+(``rows``) and after (``distinct_rows``) deduplication up to scale, the
+``nonzeros`` of the distinct rows, and ``max_bits``, the largest
+numerator bit length in the distinct rows and in their reduced echelon
+form; rows with complex entries are counted realified, their real and
+imaginary parts as integer columns, the form in which they are reduced.
+A tree whose ``exact.integer_rref`` takes one argument reads every row
+as a list, and is counted whole.  The pair goes to BENCH_prolong.json in
+the current directory.
 """
 
 from __future__ import annotations
 
-import statistics
-import time
+import inspect
 
 import benchpair
 
 KEYS = ("tower_contact", "tower_k2", "verify125", "verify224")
+SHARED = ("solves", "unknowns", "rank", "component_dims")
 TOWER_DEGREE = 11
 REPEATS = 3
 
@@ -60,12 +65,20 @@ def _workload(key: str):
     return verify
 
 
+def _recording(rows, read):
+    """The rows of ``rows``, each appended to ``read`` as the consumer takes it."""
+    for row in rows:
+        read.append(row)
+        yield row
+
+
 def _sizes(run) -> dict:
     """System sizes of one run of ``run``, read by wrapping the solver's module globals."""
     from crprolong import exact, prolong
 
-    sizes = {"solves": 0, "unknowns": 0, "rank": 0, "component_dims": []}
-    solve = prolong._solve_component
+    sizes = {"solves": 0, "unknowns": 0, "rank": 0, "component_dims": [], "rows": 0, "distinct_rows": 0, "nonzeros": 0, "max_bits": 0}
+    solve, distinct, kernel = prolong._solve_component, prolong._distinct_rows, prolong._integer_kernel
+    streams = len(inspect.signature(exact.integer_rref).parameters) == 2
 
     def counted_solve(m, components, l, j_constraint):
         comp = solve(m, components, l, j_constraint)
@@ -77,70 +90,50 @@ def _sizes(run) -> dict:
         sizes["component_dims"].append(comp.dim)
         return comp
 
-    hooks = {"_solve_component": counted_solve}
-    if hasattr(prolong, "_distinct_rows"):
-        sizes.update(rows=0, distinct_rows=0, nonzeros=0, max_bits=0)
-        distinct = prolong._distinct_rows
+    taken = []  # every form the solves take from their row streams
 
-        def counted_distinct(forms):
-            forms = list(forms)
-            rows = distinct(forms)
-            sizes["rows"] += len(forms)
-            sizes["distinct_rows"] += len(rows)
-            sizes["nonzeros"] += sum(map(len, rows))
-            return rows
+    def counted_distinct(forms):
+        return distinct(_recording(forms, taken))
 
-        def count_bits(rows, width=0):
+    def counted_kernel(rows, width):
+        # a tree that streams its rows stops reading them at full rank: count the rows it reads
+        read = [] if streams else rows
+        out = kernel(_recording(rows, read) if streams else rows, width)
+        sizes["distinct_rows"] += len(read)
+        sizes["nonzeros"] += sum(map(len, read))
+        real, real_width = read, width
+        if any(u < 0 for row in read for u in row):
             # packed Gaussian rows hold the imaginary part of unknown u at key ~u: count the
             # realified rows, both parts as integer columns, as exact._integer_kernel reduces them
-            if any(u < 0 for row in rows for u in row):
-                gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in rows]
-                rows = exact._realify(gaussian, range(width))[0]
-            pivots = exact.integer_rref(rows)
-            entries = [x for row in (*rows, *(row for _, row in pivots)) for x in row.values()]
-            sizes["max_bits"] = max([sizes["max_bits"], *(abs(x).bit_length() for x in entries)])
-            return pivots
+            gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in read]
+            real, cols = exact._realify(gaussian, range(width))
+            real_width = 2 * len(cols)
+        pivots = exact.integer_rref(real, real_width) if streams else exact.integer_rref(real)
+        entries = [x for row in (*real, *(row for _, row in pivots)) for x in row.values()]
+        sizes["max_bits"] = max([sizes["max_bits"], *(abs(x).bit_length() for x in entries)])
+        return out
 
-        hooks["_distinct_rows"] = counted_distinct
-        # the component rows reach integer_rref through exact._integer_kernel, or directly in older trees
-        if hasattr(prolong, "_integer_kernel"):
-            kernel = prolong._integer_kernel
-
-            def counted_kernel(rows, width):
-                count_bits(rows, width)
-                return kernel(rows, width)
-
-            hooks["_integer_kernel"] = counted_kernel
-        else:
-            hooks["integer_rref"] = count_bits
-    saved = {name: getattr(prolong, name) for name in hooks}
+    hooks = {"_solve_component": counted_solve, "_distinct_rows": counted_distinct, "_integer_kernel": counted_kernel}
     for name, hook in hooks.items():
         setattr(prolong, name, hook)
     try:
         run()
     finally:
-        for name, orig in saved.items():
+        for name, orig in zip(hooks, (solve, distinct, kernel)):
             setattr(prolong, name, orig)
+    sizes["rows"] = len(taken)
     return sizes
 
 
 def measure(key: str, runs: int = REPEATS) -> dict:
     run = _workload(key)
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return {
-        "solve_s": round(statistics.median(times), 4),
-        "runs_s": [round(t, 4) for t in times],
-        **_sizes(run),
-    }
+    _, timing = benchpair.timed(run, runs, "solve_s")
+    return {**timing, **_sizes(run)}
 
 
 if __name__ == "__main__":
     benchpair.main(
         __file__, __doc__, measure, KEYS, "workload",
         "prolongation component solves: full-Tanaka towers to degree 11 and verify_theorem at k = 125, 224",
-        REPEATS, "BENCH_prolong.json",
+        REPEATS, "BENCH_prolong.json", shared=SHARED,
     )

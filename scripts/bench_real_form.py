@@ -6,7 +6,8 @@ For each k in 21, 22, 69, 125 and 224 there are two keys on the default
 symbol: ``real_form<k>`` times ``real_form`` alone on the prebuilt complex
 symbol, and ``verify<k>`` times ``build_symbol_algebra`` followed by
 ``verify_theorem``.  Each key is timed five times per source tree, one
-run per fresh process, the two trees taking turns run by run (the median
+run per fresh process after one untimed call, the two trees taking turns
+run by run (the median
 is reported; ``benchpair.py`` holds this harness).
 
 The sizes are read from public API only, so both trees report the same
@@ -22,9 +23,6 @@ BENCH_real_form.json in the current directory.
 """
 
 from __future__ import annotations
-
-import statistics
-import time
 
 import benchpair
 
@@ -72,17 +70,8 @@ def _sizes(key: str) -> dict:
 
 
 def measure(key: str, runs: int = REPEATS) -> dict:
-    run = _workload(key)
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return {
-        "time_s": round(statistics.median(times), 4),
-        "runs_s": [round(t, 4) for t in times],
-        **_sizes(key),
-    }
+    _, timing = benchpair.timed(_workload(key), runs)
+    return {**timing, **_sizes(key)}
 
 
 def summary(entries) -> dict:

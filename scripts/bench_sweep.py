@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import tempfile
-import time
 
 import benchpair
 
@@ -63,15 +61,9 @@ def measure(key: str, runs: int = REPEATS) -> dict:
     commands = _commands(key)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        reports = _run(commands, out)  # untimed: fills the caches a longer session would have filled
-        times = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            _run(commands, out)
-            times.append(time.perf_counter() - t0)
+        reports, timing = benchpair.timed(lambda: _run(commands, out), runs)
     return {
-        "time_s": round(statistics.median(times), 4),
-        "runs_s": [round(t, 4) for t in times],
+        **timing,
         "reports": len(reports),
         "total_dim": sum(r["total_dim"] for r in reports),
     }

@@ -2,7 +2,9 @@
 
 A script defines ``measure(key, runs=REPEATS) -> dict``: the median of
 ``runs`` wall times under one key ending in ``_s``, the single runs under
-``runs_s`` and the system sizes under every other key.  :func:`compare`
+``runs_s`` and the system sizes under every other key.  :func:`timed`
+takes those times after one untimed call, so first-call costs in a fresh
+process stay out of them.  :func:`compare`
 times each key in REPEATS rounds; a round runs the key once on each
 source tree, each time in a fresh process of the same interpreter
 (``--runs 1``) with that tree's ``src`` directory first on its path, and
@@ -10,7 +12,10 @@ the side that runs first alternates from one round to the next, so host
 drift falls on both sides alike.  Each side's single runs are pooled and
 their median is its time.  The sizes both sides report must agree; a
 size only the after side reports (a counter of code the before side
-lacks) is recorded from it.
+lacks) is recorded from it.  A script may instead name the sizes that
+must agree (``shared``): those are recorded once, and every other size
+is a work counter that may change with the code, recorded per side under
+``before_sizes`` and ``after_sizes``.
 """
 from __future__ import annotations
 
@@ -21,6 +26,23 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
+
+
+def timed(run, runs: int, key: str = "time_s", reset=lambda: None):
+    """The last output of ``run`` and ``{key: median, "runs_s": [...]}`` over ``runs`` timed calls.
+
+    ``run`` is called once untimed first; ``reset()`` runs before every call.
+    """
+    reset()
+    out = run()
+    times = []
+    for _ in range(runs):
+        reset()
+        t0 = time.perf_counter()
+        out = run()
+        times.append(time.perf_counter() - t0)
+    return out, {key: round(statistics.median(times), 4), "runs_s": [round(t, 4) for t in times]}
 
 
 def run_side(script: str, src: str, key, runs: int) -> dict:
@@ -32,8 +54,11 @@ def run_side(script: str, src: str, key, runs: int) -> dict:
     return json.loads(done.stdout)
 
 
-def compare(script: str, before: str, after: str, keys, key_name: str, repeats: int) -> list:
-    """One entry per key: the sizes, both median times and pooled runs, and the speedup."""
+def compare(script: str, before: str, after: str, keys, key_name: str, repeats: int, shared=None) -> list:
+    """One entry per key: the sizes, both median times and pooled runs, and the speedup.
+
+    ``shared`` names the sizes that must agree; None means every size both sides report.
+    """
     entries = []
     for key in keys:
         sides = [("before", before), ("after", after)]
@@ -42,11 +67,13 @@ def compare(script: str, before: str, after: str, keys, key_name: str, repeats: 
             for name, src in sides if r % 2 == 0 else sides[::-1]:
                 last[name] = run_side(script, src, key, 1)
                 runs[name] += last[name]["runs_s"]
-        old, new = last["before"], last["after"]
-        sizes = {name: value for name, value in new.items() if not name.endswith("_s")}
-        shared = [name for name in sizes if name in old]
-        if any(old[name] != sizes[name] for name in shared):
+        old, new = ({n: v for n, v in last[side].items() if not n.endswith("_s")} for side in ("before", "after"))
+        agree = [n for n in new if n in old] if shared is None else shared
+        if any(old.get(n) != new.get(n) for n in agree):
             raise SystemExit(f"{key_name}={key}: the two sides disagree on the sizes: {old} vs {new}")
+        sizes = new if shared is None else {n: new[n] for n in shared}
+        if shared is not None:
+            sizes["before_sizes"], sizes["after_sizes"] = ({n: v for n, v in side.items() if n not in shared} for side in (old, new))
         before_s, after_s = (round(statistics.median(runs[name]), 4) for name in ("before", "after"))
         entries.append({
             key_name: key,
@@ -63,11 +90,12 @@ def compare(script: str, before: str, after: str, keys, key_name: str, repeats: 
 
 def main(
     script: str, doc: str, measure, keys, key_name: str, description: str, repeats: int, path: str,
-    summary=None,
+    summary=None, shared=None,
 ) -> None:
     """The command line of a ``bench_*.py`` script: ``--before SRC --after SRC`` writes ``path``.
 
-    ``summary``, if given, maps the entries to a dict recorded under ``"summary"``.
+    ``summary``, if given, maps the entries to a dict recorded under
+    ``"summary"``; ``shared`` is passed to :func:`compare`.
     """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--before", help="src directory of the baseline checkout")
@@ -84,7 +112,7 @@ def main(
         "measure": description,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "repeats": repeats,
-        "entries": compare(script, args.before, args.after, keys, key_name, repeats),
+        "entries": compare(script, args.before, args.after, keys, key_name, repeats, shared),
     }
     if summary is not None:
         report["summary"] = summary(report["entries"])

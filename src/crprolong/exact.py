@@ -5,8 +5,8 @@ integer normal form (a + b·i)/d with d > 0 and gcd(a, b, d) = 1, so
 nothing in the library ever rounds.  Every solve goes through one
 Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
 rows ``{col: int}``, each row kept primitive; ``_integer_kernel`` reads
-a kernel over Q(i) off it (as for ``prolong``), realifying only rows
-with an imaginary part.  A system over Q(i) is scaled to
+a kernel over Q(i) off a stream of rows (as for ``prolong``), realifying
+only rows with an imaginary part.  A system over Q(i) is scaled to
 Gaussian integers and realified onto it by ``_gaussian_rref``: rank,
 echelon, the frame filtration, faithfulness and the block solves of
 ``liealg.real_form`` read that reduced form.  The
@@ -353,7 +353,7 @@ def _gaussian_rref(rows, col_order):
         position = {c: p for p, c in enumerate(cols)}
         real, step = [{position[c]: re for c, (re, _) in row.items() if re} for row in rows], 1
     width = step * len(col_order)
-    for c, row in integer_rref(real):
+    for c, row in integer_rref(real, step * len(cols)):
         if c % step == 0 and c < width:
             parts = {}
             for j, x in row.items():
@@ -474,17 +474,18 @@ def _primitive(row, col):
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def integer_rref(rows):
-    """Reduced row echelon form of integer rows ``{col: int}``, columns in increasing order.
+def integer_rref(rows, width):
+    """Reduced row echelon form of integer rows ``{col: int}`` on the columns ``range(width)``, in increasing order.
 
     Fraction-free Gauss-Jordan: an incoming row is reduced by the pivot
     rows whose columns it touches (cross-multiplied, so it stays integral),
     takes its first nonzero column as its pivot, and that column is
-    cleared from the earlier pivot rows.  Returns ``[(col, row)]`` by
-    increasing ``col``, each row without zeros, primitive (its entries have
-    gcd 1), positive at its pivot and zero at every other pivot.  Divided
-    by its pivot entry, each row is the row of the unique reduced echelon
-    form for the column order ``range(width)``.
+    cleared from the earlier pivot rows; reading stops at ``width`` pivots,
+    which no later row can change.  Returns ``[(col, row)]`` by increasing
+    ``col``, each row without zeros, primitive (its entries have gcd 1),
+    positive at its pivot and zero at every other pivot.  Divided by its
+    pivot entry, each row is the row of the unique reduced echelon form for
+    the column order ``range(width)``.
     """
     pivots = {}
     for row in rows:
@@ -500,6 +501,8 @@ def integer_rref(rows):
             if lead in other:
                 pivots[c] = _primitive(_int_eliminate(other, row, lead), c)
         pivots[lead] = row
+        if len(pivots) == width:
+            break
     return sorted(pivots.items())
 
 
@@ -508,24 +511,35 @@ def _integer_kernel(rows, width):
 
     The rows, the columns and every vector are packed Gaussian integers
     (``_times_i``): key u holds the real part of entry u and key ~u its
-    imaginary part.  Rows without an imaginary part are reduced by
-    ``integer_rref`` and have a rational kernel, whose complexification is
-    their kernel over Q(i); rows with one are realified once and reduced by
-    ``_gaussian_rref``.  Vector v belongs to the v-th free column f of the
-    reduced rows, by increasing f: the reduced kernel vector with 1 at f,
-    times the lcm ``dens[v]`` of the pivot entries it divides by.
+    imaginary part.  Real rows, read lazily from any iterable, go to
+    ``integer_rref``, which stops at full rank (the kernel of all the rows
+    lies inside that of any subset; a rational kernel complexifies to the
+    kernel over Q(i)); the first row with an imaginary part sends every
+    row, realified once, to ``_gaussian_rref``.  Vector v belongs to the
+    v-th free column f of the reduced rows, by increasing f: the reduced
+    kernel vector with 1 at f, times the lcm ``dens[v]`` of the pivot
+    entries it divides by.
     ``columns`` maps each unknown to the nonzero packed entries of every
     vector there, so one ``_apply_kernel`` per row checks all vectors at
-    once by substitution, in integers.
+    once by substitution, in integers, on every row read.
     """
-    if any(u < 0 for row in rows for u in row):
-        gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in rows]
+    rows, read = iter(rows), []
+
+    def real():
+        for row in rows:
+            read.append(row)
+            if row and min(row) < 0:
+                return
+            yield row
+
+    pivots = integer_rref(real(), width)
+    if read and read[-1] and min(read[-1]) < 0:
+        read += rows
+        gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in read]
         pivots = [
             (c, {u: x for u, (x, _) in row.items() if x} | {~u: y for u, (_, y) in row.items() if y})
             for c, row, _ in _gaussian_rref(gaussian, range(width))
         ]
-    else:
-        pivots = integer_rref(rows)
     pivot_cols = {c for c, _ in pivots}
     index = {f: v for v, f in enumerate(f for f in range(width) if f not in pivot_cols)}
     dens = [1] * len(index)
@@ -540,7 +554,7 @@ def _integer_kernel(rows, width):
                 col[v if u >= 0 else ~v] = -x * (dens[v] // row[c])
         if col:
             columns[c] = col
-    if any(x for row in rows for x in _apply_kernel(row, columns).values()):
+    if any(x for row in read for x in _apply_kernel(row, columns).values()):
         raise AssertionError("integer kernel produced a non-kernel vector")
     return columns, dens
 

@@ -3,19 +3,21 @@
 Every nonnegative component comes from one solver, ``_solve_component``.
 The negative part m is fundamental, so a degree-l derivation is fixed by
 its restriction to g_-1 (Tanaka 1970): the unknown is that block alone,
-2·dim V_(l-1) entries for a CR symbol.  It is extended to every layer
-along one fixed expression of each basis element as a bracket with
-g_-1, and the component is the exact kernel of the Leibniz identity
-evaluated on all basis pairs of m, plus commutation with the complex
-structure J on the degree -1 block for the grade-0 component of the
-Levi-Tanaka flavor.  The solve is fraction-free and works over Q(i):
+2·dim V_(l-1) entries for a CR symbol.  It is extended to the other
+layers on demand, along one fixed expression of each basis element as a
+bracket with g_-1, and the component is the exact kernel of the Leibniz
+identity evaluated on all basis pairs of m, plus commutation with the
+complex structure J on the degree -1 block for the grade-0 component of
+the Levi-Tanaka flavor; the rows stream into a kernel that stops at full
+rank, so a zero component (G^1 of a CR symbol) reads a prefix of them.
+The solve is fraction-free and works over Q(i):
 Gaussian integer linear forms, packed so that a real input stays in
 plain integers, over one denominator per image, primitive rows
-deduplicated up to scale, and ``exact._integer_kernel``, which realifies
-only a row set with complex entries.  A complex algebra such as a symbol
-on its Hall basis is prolonged as it is: extending scalars commutes with
-taking the kernel, so its prolongation is the complexification of the
-real form's.  The reduced kernel basis is the
+deduplicated up to scale as they come, and ``exact._integer_kernel``,
+which realifies only a row set with complex entries.  A complex algebra
+such as a symbol on its Hall basis is prolonged as it is: extending
+scalars commutes with taking the kernel, so its prolongation is the
+complexification of the real form's.  The reduced kernel basis is the
 one a solve for the full block maps m_a -> V_(a+l) would return; it is
 built once in column form, {unknown: {vector: int}}, so one sparse
 product per coordinate form gives that coordinate of every basis map.
@@ -119,16 +121,18 @@ def _local_index(m: GradedLieAlgebra):
 
 
 def _distinct_rows(forms):
-    """Each nonzero packed form made primitive (gcd 1, first entry positive), one per class up to scale.
+    """Each nonzero packed form made primitive (gcd 1, first entry positive), yielded once per class up to scale.
 
     A form with only imaginary parts is turned by i onto a real one first.
     """
-    seen = {}
+    seen = set()
     for form in forms:
         if max(form) < 0:
             form = _times_i(form)
-        seen.setdefault(tuple(sorted(_primitive(form, min(form)).items())), None)
-    return [dict(row) for row in seen]
+        row = tuple(sorted(_primitive(form, min(form)).items()))
+        if row not in seen:
+            seen.add(row)
+            yield dict(row)
 
 
 def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool) -> ProlongationComponent:
@@ -145,21 +149,24 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     lower components.  A form is packed (``exact._times_i``): the real
     part of the coefficient of unknown u at key u, the imaginary part at
     key ~u, so a real input leaves every imaginary part empty and runs in
-    plain integers.  Each nonzero coordinate of the Leibniz residual on a
-    basis pair i < j is a row, so the kernel is the set of g_-1 blocks of
+    plain integers.  Each nonzero coordinate of the Leibniz residual on a basis
+    pair i < j is a row, so the kernel is the set of g_-1 blocks of
     derivations without appeal to Jacobi; ``j_constraint`` (grade 0) adds
     the rows of commutation with J.  A J row on one unknown sets it to
     zero, and that unknown is dropped before the extension: with J
     diagonal, as on the (L, L̄) basis of a symbol, that leaves the two
-    diagonal entries.  The rows are made primitive, deduplicated up to
-    scale and solved by ``_integer_kernel`` over Q(i), checked by
-    substitution in integers, and one ``_apply_kernel`` per coordinate
-    form of each image gives that coordinate of every basis map, stored as
-    packed integer columns.  The unknowns keep the order of the trailing
-    g_-1 block of a solve for all blocks m_a -> V_(a+l).  No derivation
-    has a zero g_-1 block, so every pivot of that solve's reduced kernel
-    basis (the last nonzero entry of each vector) lies in this block, and
-    that basis is the extension of the one found here.
+    diagonal entries.  The J rows, then the Leibniz rows pair by pair, are
+    made primitive, deduplicated up to scale and streamed into
+    ``_integer_kernel`` over Q(i), which stops at full rank: the component
+    is then zero, and no later row or image is built.  Otherwise every row
+    is checked by substitution in integers, and one ``_apply_kernel`` per
+    coordinate form of each image gives that coordinate of every basis
+    map, stored as packed integer columns.  The
+    unknowns keep the order of the trailing g_-1 block of a solve for all
+    blocks m_a -> V_(a+l).  No derivation has a zero g_-1 block, so every
+    pivot of that solve's reduced kernel basis (the last nonzero entry of
+    each vector) lies in this block, and that basis is the extension of
+    the one found here.
     """
     gens = _generating_expressions(m)
     if gens is None:
@@ -199,7 +206,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
 
     nb = len(blocks[-1])
     width = dims.get(l - 1, 0) * nb
-    rows, zero = [], set()
+    jrows, zero = [], set()
     if j_constraint:
         jcols, jden = _gaussian_columns(m.J)
         jm = {(p, q): z for q, col in jcols.items() for p, z in col.items()}
@@ -215,40 +222,49 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
             if len(support) == 1:
                 zero |= support
                 form = {v: 1 for v in support}
-            rows.append(form)
+            if form:
+                jrows.append(form)
     image = {
         g: ({t: {v: 1} for t in range(dims.get(l - 1, 0)) if (v := t * nb + s) not in zero}, 1)
         for s, g in enumerate(blocks[-1])
     }
     parts = {}
-    for x, (expression, cden) in gens.items():
-        # parts[g, y] = -[D e_g, e_y] + [D e_y, e_g], shared within a layer; D(e_x) = -sum of c·parts[g, y]
-        terms = []
-        for g, y, (cr, ci) in expression:
-            if (g, y) not in parts:
-                parts[g, y] = _sum_forms(bracket(image[g], l - 1, y, -1) + bracket(image[y], m.degrees[y] + l, g, 1))
-            forms, pden = parts[g, y]
-            for t, form in forms.items():
-                terms += scaled(t, (-cr, -ci), cden * pden, form)
-        image[x] = _sum_forms(terms)
 
-    for i, j in combinations(range(m.dim), 2):
-        if not dims.get(m.degrees[i] + m.degrees[j] + l):
-            continue
-        # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
-        terms = []
-        for k, (gr, gi) in nums.get((i, j), {}).items():
-            forms, den = image[k]
-            for t, form in forms.items():
-                terms += scaled(t, (-gr, -gi), mden * den, form)
-        terms += bracket(image[i], m.degrees[i] + l, j, 1)
-        terms += bracket(image[j], m.degrees[j] + l, i, -1)
-        rows.extend(_sum_forms(terms)[0].values())
-    rows = _distinct_rows(form for form in rows if form)
-    columns, vdens = _integer_kernel(rows, width)
+    def image_of(x):
+        """D(e_x) as ({t: form}, den), extended along the expression of e_x on first use and kept."""
+        if x not in image:
+            # parts[g, y] = -[D e_g, e_y] + [D e_y, e_g], shared within a layer; D(e_x) = -sum of c·parts[g, y]
+            expression, cden = gens[x]
+            terms = []
+            for g, y, (cr, ci) in expression:
+                if (g, y) not in parts:
+                    parts[g, y] = _sum_forms(bracket(image_of(g), l - 1, y, -1) + bracket(image_of(y), m.degrees[y] + l, g, 1))
+                forms, pden = parts[g, y]
+                for t, form in forms.items():
+                    terms += scaled(t, (-cr, -ci), cden * pden, form)
+            image[x] = _sum_forms(terms)
+        return image[x]
+
+    def rows():
+        """The J rows, then the nonzero coordinates of the Leibniz residual, pair by pair."""
+        yield from jrows
+        for i, j in combinations(range(m.dim), 2):
+            if not dims.get(m.degrees[i] + m.degrees[j] + l):
+                continue
+            # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
+            terms = []
+            for k, (gr, gi) in nums.get((i, j), {}).items():
+                forms, den = image_of(k)
+                for t, form in forms.items():
+                    terms += scaled(t, (-gr, -gi), mden * den, form)
+            terms += bracket(image_of(i), m.degrees[i] + l, j, 1)
+            terms += bracket(image_of(j), m.degrees[j] + l, i, -1)
+            yield from _sum_forms(terms)[0].values()
+
+    columns, vdens = _integer_kernel(_distinct_rows(rows()), width)
     maps = [{a: (dims.get(a + l, 0), []) for a in blocks} for _ in vdens]
-    for y in range(m.dim):  # by increasing index, so each block's columns come in local order
-        forms, den = image[y]
+    for y in range(m.dim if vdens else 0):  # by increasing index, so each block's columns come in local order
+        forms, den = image_of(y)
         images = [{} for _ in vdens]
         for t, form in sorted(forms.items()):
             # coordinate t of D(e_y) for every kernel vector v at once; key ~v is its imaginary part
@@ -260,6 +276,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
                         images[~v][~t] = n
         for out, col, vden in zip(maps, images, vdens):
             out[m.degrees[y]][1].append((col, vden * den))
+    del image_of  # it calls itself: free that reference cycle, and the images, now
     return ProlongationComponent(l, tuple(DerivationMap(l, out) for out in maps))
 
 

@@ -11,6 +11,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from crprolong.cli import MAX_K
 from crprolong.cli import main as cli_main
 from crprolong.crmodels import build_aut_cr, euler_derivation, verify_theorem
 from crprolong.exact import QI_ONE, Matrix
@@ -232,14 +233,14 @@ def test_criterion_9_rewrite_oracle_equivalence():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("k", [*range(K_MAX + 1, 70), 70, 125, 224, 410])
+@pytest.mark.parametrize("k", [*range(K_MAX + 1, 70), 70, 125, 224, 410, MAX_K])
 def test_main_theorem_beyond_desk_scale(k):
     """Opt-in (``pytest -m slow``): the theorem check for k = 13..69, lengths 6, 7 and 8,
-    and spot checks at k = 70 (the first length-9 case), k = 125, and k = 224 and
-    k = 410, the last quotients of lengths 10 and 11.
+    and spot checks at k = 70 (the first length-9 case), k = 125, and k = 224,
+    k = 410 and k = 745 (``MAX_K``), the last quotients of lengths 10, 11 and 12.
 
-    Budget: 60 s for the whole tier on 2 vCPUs (measured: about 16 s on a shared host).
-    k = 224 takes about 1.4 s and k = 410 about 5.2 s.
+    Budget: 60 s for the whole tier on 2 vCPUs (measured: about 17 s on a shared host).
+    Build and verify take about 0.1 s at k = 224, 0.3 s at k = 410 and 1 s at k = 745.
     """
     symbol = build_symbol_algebra(k)
     rep = verify_theorem(symbol)

@@ -3,9 +3,11 @@
 The scripts reach into module globals and ``Matrix`` views that a refactor
 can move, so each one runs its smallest key in a fresh process, on the
 ``src`` of this checkout, and must print its timed key and the same sizes
-as the entry recorded for that key in its ``BENCH_*.json``.  The size
-counters of ``bench_prolong.py`` are also checked against a dense
-reduction on a symbol with complex structure constants.
+as the entry recorded for that key in its ``BENCH_*.json``: its shared
+sizes and, for a script that records work counters per side, the after
+side's counters.  The size counters of ``bench_prolong.py`` are also
+checked against a dense reduction on a symbol with complex structure
+constants.
 """
 
 import json
@@ -44,7 +46,8 @@ def test_bench_script_measures_the_current_tree(script, key, key_name, timed, be
     got = json.loads(done.stdout)
     assert got[timed] > 0 and len(got["runs_s"]) > 0
     [recorded] = [e for e in json.loads((ROOT / bench).read_text())["entries"] if e[key_name] == key]
-    sizes = {name: value for name, value in recorded.items() if name != key_name and not name.endswith(("_s", "speedup"))}
+    sizes = {name: value for name, value in recorded.items() if name != key_name and not name.endswith(("_s", "speedup", "_sizes"))}
+    sizes |= recorded.get("after_sizes", {})
     assert {name: value for name, value in got.items() if name not in (timed, "runs_s")} == sizes
 
 
@@ -71,9 +74,11 @@ def _max_bits_oracle(solves):
 
 @pytest.mark.parametrize("seed", (None, 1), ids=("default-k8", "k8-seed1"))
 def test_bench_prolong_counts_bits_on_both_parts(monkeypatch, seed):
-    """``max_bits`` of ``bench_prolong`` matches a dense Q(i) reduction of the solved rows.
+    """``max_bits`` of ``bench_prolong`` matches a dense Q(i) reduction of the rows each solve reads.
 
-    The k = 8, seed 1 draw of ``tests/quotients.py`` has complex structure
+    The rows are recorded as ``_integer_kernel`` reads them from its stream,
+    so a solve that stops at full rank is counted up to the row that
+    completes the rank.  The k = 8, seed 1 draw of ``tests/quotients.py`` has complex structure
     constants and packed rows with imaginary keys ~u; the default k = 8
     symbol is real, and its count is the one ``exact.integer_rref`` gives.
     """
@@ -87,8 +92,9 @@ def test_bench_prolong_counts_bits_on_both_parts(monkeypatch, seed):
     kernel = prolong._integer_kernel
 
     def recorded(rows, width):
-        solves.append((list(rows), width))
-        return kernel(rows, width)
+        read = []
+        solves.append((read, width))
+        return kernel(bench_prolong._recording(rows, read), width)
 
     with monkeypatch.context() as patch:
         patch.setattr(prolong, "_integer_kernel", recorded)
@@ -97,8 +103,9 @@ def test_bench_prolong_counts_bits_on_both_parts(monkeypatch, seed):
     complex_rows = any(u < 0 for rows, _ in solves for row in rows for u in row)
     assert complex_rows == (seed is not None)
     assert sizes["max_bits"] == _max_bits_oracle(solves)
+    assert sizes["distinct_rows"] == sum(len(rows) for rows, _ in solves)
     if seed is None:
-        direct = [x for rows, _ in solves for row in (*rows, *(r for _, r in exact.integer_rref(rows))) for x in row.values()]
+        direct = [x for rows, w in solves for row in (*rows, *(r for _, r in exact.integer_rref(rows, w))) for x in row.values()]
         assert sizes["max_bits"] == max(abs(x).bit_length() for x in direct)
         return
     # on this draw the largest entries are in the rows themselves; read as a column, the

@@ -54,3 +54,25 @@ def test_hidden_runs_option_sets_the_number_of_timed_runs():
     )
     assert done.returncode == 0, done.stderr
     assert len(json.loads(done.stdout)["runs_s"]) == 2
+
+
+def test_compare_records_work_counters_per_side_when_the_shared_sizes_are_named(benchpair, monkeypatch):
+    """Only the ``shared`` sizes must agree; every other size is recorded under ``before_sizes`` and ``after_sizes``."""
+
+    def fake(script, src, key, runs):
+        return {"time_s": 1.0, "runs_s": [1.0], "rank": 6, "rows": 1493 if src == "OLD" else 7}
+
+    monkeypatch.setattr(benchpair, "run_side", fake)
+    [entry] = benchpair.compare("bench.py", "OLD", "NEW", ["a"], "workload", 2, shared=("rank",))
+    assert entry["rank"] == 6 and "rows" not in entry
+    assert entry["before_sizes"] == {"rows": 1493} and entry["after_sizes"] == {"rows": 7}
+    with pytest.raises(SystemExit, match="disagree on the sizes"):
+        benchpair.compare("bench.py", "OLD", "NEW", ["a"], "workload", 2, shared=("rank", "rows"))
+
+
+def test_timed_makes_one_untimed_call_first(benchpair):
+    """``timed`` calls ``run`` once before the timed runs, each call after ``reset()``, and reports only the timed runs."""
+    calls = []
+    out, timing = benchpair.timed(lambda: calls.append("run") or len(calls), 3, "solve_s", reset=lambda: calls.append("reset"))
+    assert calls == ["reset", "run"] * 4
+    assert out == 8 and set(timing) == {"solve_s", "runs_s"} and len(timing["runs_s"]) == 3

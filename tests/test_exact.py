@@ -107,8 +107,8 @@ def test_integer_kernel_runs_the_substitution_check(monkeypatch):
     """A pivot row corrupted at a free column gives a non-kernel vector, which the integer check refuses."""
     original = exact.integer_rref
 
-    def corrupted(rows):
-        pivots = original(rows)
+    def corrupted(rows, width):
+        pivots = original(rows, width)
         col, row = pivots[0]
         free = min(set(range(4)) - {c for c, _ in pivots})
         pivots[0] = (col, {**row, free: row.get(free, 0) + 1})
@@ -323,7 +323,7 @@ def test_integer_rref_matches_dense_oracle(rows, cols):
         r = rng.randint(1, 12) if rows is None else rows
         c = rng.randint(1, 16) if cols is None else cols
         data = _integer_system(rng, r, c)
-        got = integer_rref(data)
+        got = integer_rref(data, c)
         for col, row in got:
             assert row[col] > 0 and 0 not in row.values() and min(row) == col
             assert math.gcd(*row.values()) == 1
@@ -333,6 +333,76 @@ def test_integer_rref_matches_dense_oracle(rows, cols):
         assert [[Fraction(row.get(j, 0), row[col]) for j in range(c)] for col, row in got] == [[x for x, _ in prow] for prow in prows]
         deficient += len(got) < min(r, c)
     assert rows == 0 or deficient
+
+
+# -- the streamed integer kernel ---------------------------------------------
+
+
+def _packed_system(rng, kind, rows, cols):
+    """Seeded packed Gaussian rows (re at key u, im at key ~u) of one ``kind``.
+
+    ``real`` rows have no imaginary part, ``complex`` rows all have one,
+    ``complex-after-real`` rows have one from the middle row on, and
+    ``full-rank`` rows start with ``cols`` real rows of full rank (1 on the
+    diagonal, random entries after it) followed by random real rows.
+    """
+    re, im = _integer_system(rng, rows, cols), _integer_system(rng, rows, cols)
+    if kind == "full-rank":
+        head = [{p: 1} | {j: x for j in range(p + 1, cols) if (x := rng.randint(-3, 3))} for p in range(cols)]
+        return head + re
+    start = {"real": rows, "complex": 0, "complex-after-real": rows // 2}[kind]
+    out = [r | {~u: x for u, x in i.items()} if n >= start else r for n, (r, i) in enumerate(zip(re, im))]
+    if kind != "real":
+        # a row with an imaginary part, so the kind holds even when the random parts are empty
+        out[start] = out[start] | {~0: 1}
+    return out
+
+
+def _counted(rows, read):
+    """The rows of ``rows``, counting in ``read[0]`` how many the consumer takes."""
+    for row in rows:
+        read[0] += 1
+        yield row
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "complex-after-real", "full-rank"])
+def test_integer_kernel_of_a_stream_equals_the_kernel_of_its_list(kind):
+    """``_integer_kernel`` reads a generator of rows as it reads the same rows in a list, and agrees with the oracle."""
+    rng = random.Random(4601 + len(kind))
+    for _ in range(40):
+        cols = rng.randint(1, 10)
+        rows = _packed_system(rng, kind, rng.randint(2, 12), cols)
+        read = [0]
+        got = exact._integer_kernel(_counted(rows, read), cols)
+        assert got == exact._integer_kernel(list(rows), cols)
+        columns, dens = got
+        basis = [
+            [(Fraction(columns.get(u, {}).get(v, 0), d), Fraction(columns.get(u, {}).get(~v, 0), d)) for u in range(cols)]
+            for v, d in enumerate(dens)
+        ]
+        data = [[(Fraction(row.get(u, 0)), Fraction(row.get(~u, 0))) for u in range(cols)] for row in rows]
+        assert basis == dense_kernel(data, cols)
+        # real rows are read up to the one that completes the rank, if that comes before any
+        # row with an imaginary part; otherwise the whole stream is read and reduced
+        start = next((n for n, row in enumerate(rows) if min(row, default=0) < 0), len(rows))
+        need = next((n for n in range(1, start + 1) if len(integer_rref(rows[:n], cols)) == cols), len(rows))
+        assert read[0] == need
+        if kind == "full-rank":
+            assert dens == [] and need == cols < len(rows)
+
+
+def test_integer_rref_stops_at_the_row_that_completes_the_rank():
+    """``integer_rref`` returns once it holds ``width`` pivots, and the rows read up to then give the full reduction."""
+    rng = random.Random(4651)
+    for _ in range(40):
+        cols = rng.randint(1, 10)
+        rows = _packed_system(rng, "full-rank", rng.randint(0, 6), cols)
+        rng.shuffle(rows)
+        read = [0]
+        got = integer_rref(_counted(rows, read), cols)
+        need = next(n for n in range(1, len(rows) + 1) if len(integer_rref(rows[:n], cols)) == cols)
+        assert read[0] == need
+        assert got == integer_rref(rows[:need], cols) and [c for c, _ in got] == list(range(cols))
 
 
 # -- the realifying Q(i) adapter against the dense oracle --------------------

@@ -549,8 +549,8 @@ def _corrupt_call(monkeypatch, call, corrupt):
     calls = []
     original = exact.integer_rref
 
-    def patched(rows):
-        pivots = original(rows)
+    def patched(rows, width):
+        pivots = original(rows, width)
         if len(calls) == call:
             col, row = pivots[0]
             pivots[0] = (col, corrupt(row))

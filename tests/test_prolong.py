@@ -1,11 +1,12 @@
 import ast
+import gc
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from crprolong import exact
+from crprolong import exact, prolong
 from crprolong.exact import Matrix, QI, integer_rref, rank
 from crprolong.liealg import (
     GradedLieAlgebra,
@@ -31,7 +32,7 @@ from crprolong.prolong import (
     prolong_component,
 )
 from oracles import dense_inverse, full_block_component, replaced_bracket
-from quotients import random_quotient, rotation_stable_quotient
+from quotients import random_quotient, rotation_stable_quotient, unstable_quotient
 
 J_STANDARD = Matrix([[0, -1], [1, 0]])
 
@@ -536,11 +537,85 @@ def test_complex_hall_algebra_matches_full_block_oracle_with_j(seed):
     _assert_components_match_oracle(m, 1, True)
 
 
+# -- zero components stop reading rows at full rank ---------------------------
+
+
+def _assert_zero_component_matches_oracle(m):
+    """The Levi-Tanaka prolongation ends in G^1 = 0, and grade 0 and that zero component are the oracle's."""
+    assert [c.dim for c in full_prolongation(m, LEVI_TANAKA).components][1:] == [0]
+    _assert_components_match_oracle(m, 1, True)
+
+
+@pytest.mark.parametrize("k", [*range(2, 13), pytest.param(21, marks=pytest.mark.slow), pytest.param(22, marks=pytest.mark.slow)])
+def test_zero_component_of_a_default_symbol_matches_full_block_oracle(k):
+    _assert_zero_component_matches_oracle(build_symbol_algebra(k).algebra)
+
+
+_DRAWS = [
+    (make, k, seed)
+    for make in (random_quotient, rotation_stable_quotient, unstable_quotient)
+    for k, seed in ((2, 1), (4, 1), (5, 1), (7, 1), (8, 1), (8, 2), (9, 1))
+    if make(k, seed) is not None
+]
+
+
+@pytest.mark.parametrize("make, k, seed", _DRAWS, ids=[f"{make.__name__}-k{k}-seed{seed}" for make, k, seed in _DRAWS])
+def test_zero_component_of_a_drawn_symbol_matches_full_block_oracle(make, k, seed):
+    """Conjugation-stable, rotation-stable and unstable draws; the conjugation-stable k = 8 ones have complex constants."""
+    _assert_zero_component_matches_oracle(build_symbol_algebra(k, make(k, seed)).algebra)
+
+
+def test_degree_one_solve_at_k21_stops_reading_rows_at_full_rank(monkeypatch):
+    """The zero G^1 of the k = 21 symbol is certified by a prefix of its Leibniz rows.
+
+    The rows are counted as the solve takes them from its stream, once as
+    it runs and once with a kernel that reads the whole stream first.
+    """
+    m = build_symbol_algebra(21).algebra
+    g0 = grade0(m, j_constraint=True)
+    streams = []
+    distinct, kernel = prolong._distinct_rows, prolong._integer_kernel
+
+    def counted(forms):
+        read = []
+        streams.append(read)
+
+        def counting():
+            for form in forms:
+                read.append(form)
+                yield form
+
+        return distinct(counting())
+
+    monkeypatch.setattr(prolong, "_distinct_rows", counted)
+    assert prolong_component(m, [g0], 1).dim == 0
+    monkeypatch.setattr(prolong, "_integer_kernel", lambda rows, width: kernel(list(rows), width))
+    assert prolong_component(m, [g0], 1).dim == 0
+    read, every = streams
+    assert 0 < len(read) < len(every) and read == every[: len(read)]
+    # the rows read already have full rank: their kernel, which contains the full kernel, is zero
+    width = 2 * g0.dim
+    assert len(integer_rref(distinct(iter(read)), width)) == width
+
+
+def test_component_solves_leave_no_reference_cycles():
+    """The lazily built images go with the solve: a nonzero and a zero component leave nothing for the cyclic collector."""
+    m = build_symbol_algebra(8).algebra
+    gc.collect()
+    gc.disable()
+    try:
+        g0 = grade0(m, j_constraint=True)
+        assert g0.dim == 2 and prolong_component(m, [g0], 1).dim == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_corrupted_pivot_row_fails_the_substitution_check(monkeypatch):
     """Heisenberg grade 0 with J: 4 unknowns (the 2x2 g_-1 block), rank 2."""
 
-    def corrupted(rows):
-        pivots = integer_rref(rows)
+    def corrupted(rows, width):
+        pivots = integer_rref(rows, width)
         col, row = pivots[0]
         free = min(set(range(4)) - {c for c, _ in pivots})
         pivots[0] = (col, {**row, free: row.get(free, 0) + 1})
@@ -566,9 +641,9 @@ def test_corrupted_last_kernel_vector_fails_the_substitution_check(monkeypatch):
         comps.append(prolong_component(m, comps, l))
     assert prolong_component(m, comps, 3).dim == 12
 
-    def corrupted(rows):
-        pivots = integer_rref(rows)
-        width = 2 * comps[2].dim
+    def corrupted(rows, width):
+        pivots = integer_rref(rows, width)
+        assert width == 2 * comps[2].dim
         last = max(set(range(width)) - {c for c, _ in pivots})
         col, row = pivots[0]
         assert col < last
