@@ -1,25 +1,23 @@
-"""Time ``liealg.real_form`` and the theorem check on two source trees and write the pair as JSON.
+"""Time ``liealg.real_form`` on two source trees and write the pair as JSON.
 
     python scripts/bench_real_form.py --before OLD_CHECKOUT/src --after src
 
-For each k in 21, 22, 69, 125 and 224 there are two keys on the default
-symbol: ``real_form<k>`` times ``real_form`` alone on the prebuilt complex
-symbol, and ``verify<k>`` times ``build_symbol_algebra`` followed by
-``verify_theorem``.  Each key is timed five times per source tree, one
-run per fresh process after one untimed call, the two trees taking turns
-run by run (the median
-is reported; ``benchpair.py`` holds this harness).
+For each k in 21, 22, 69, 125 and 224 the key ``real_form<k>`` times
+``real_form`` alone on the prebuilt complex default symbol.  The theorem
+check on the same symbols is timed by ``bench_gates.py``.  Each key is
+timed five times per source tree, one run per fresh process after one
+untimed call, the two trees taking turns run by run (the median is
+reported; ``benchpair.py`` holds this harness).
 
 The sizes are read from public API only, so both trees report the same
 ones: ``n`` (the dimension), ``largest_block`` (the largest degree
-block, the size of the largest fixed-point kernel and block inverse),
-``pairs`` (the n(n - 1)/2 pairs of real basis vectors),
-``bracket_entries`` (the nonzero brackets of the real form),
-``nonzero_constants`` (its nonzero structure constants) and ``max_bits``
-(the largest numerator or denominator bit length among those constants
-and the entries of the embedding and its inverse).  The summary records
-whether ``verify224`` meets the target of at most 5 s.  The pair goes to
-BENCH_real_form.json in the current directory.
+block, the size of the largest fixed-point kernel), ``pairs`` (the
+n(n - 1)/2 pairs of real basis vectors), ``bracket_entries`` (the
+nonzero brackets of the real form), ``nonzero_constants`` (its nonzero
+structure constants) and ``max_bits`` (the largest numerator or
+denominator bit length among those constants and the entries of the
+embedding).  The pair goes to BENCH_real_form.json in the current
+directory.
 """
 
 from __future__ import annotations
@@ -27,37 +25,27 @@ from __future__ import annotations
 import benchpair
 
 KS = (21, 22, 69, 125, 224)
-KEYS = tuple(f"{kind}{k}" for k in KS for kind in ("real_form", "verify"))
+KEYS = tuple(f"real_form{k}" for k in KS)
 REPEATS = 5
-TARGET_S = 5.0
 
 
 def _workload(key: str):
-    """The timed call for ``key``; for ``real_form<k>`` its input is built beforehand."""
-    from crprolong import crmodels, liealg
+    """The timed call for ``key``; its input is built beforehand."""
+    from crprolong import liealg
 
-    if key.startswith("real_form"):
-        algebra = liealg.build_symbol_algebra(int(key[len("real_form"):])).algebra
-        return lambda: liealg.real_form(algebra)
-    k = int(key[len("verify"):])
-
-    def verify():
-        report = crmodels.verify_theorem(liealg.build_symbol_algebra(k))
-        if report.verdict != "confirmed":
-            raise SystemExit(f"{key}: verdict {report.verdict}")
-
-    return verify
+    algebra = liealg.build_symbol_algebra(int(key[len("real_form"):])).algebra
+    return lambda: liealg.real_form(algebra)
 
 
 def _sizes(key: str) -> dict:
     from crprolong import liealg
 
-    k = int(key.removeprefix("real_form").removeprefix("verify"))
+    k = int(key[len("real_form"):])
     complex_algebra = liealg.build_symbol_algebra(k).algebra
     rf = liealg.real_form(complex_algebra)
     n = rf.algebra.dim
     constants = [c.re for terms in rf.algebra.table.values() for c in terms.values()]
-    entries = [f for m in (rf.embedding, rf.embedding_inv) for row in m.data for x in row for f in (x.re, x.im)]
+    entries = [f for row in rf.embedding.data for x in row for f in (x.re, x.im)]
     return {
         "k": k,
         "n": n,
@@ -74,14 +62,9 @@ def measure(key: str, runs: int = REPEATS) -> dict:
     return {**timing, **_sizes(key)}
 
 
-def summary(entries) -> dict:
-    verify = next(e for e in entries if e["workload"] == "verify224")
-    return {"verify224_target_s": TARGET_S, "verify224_after_s": verify["after_s"], "target_met": verify["after_s"] <= TARGET_S}
-
-
 if __name__ == "__main__":
     benchpair.main(
         __file__, __doc__, measure, KEYS, "workload",
-        "real_form alone and build_symbol_algebra + verify_theorem on the default symbols at k = 21, 22, 69, 125, 224",
-        REPEATS, "BENCH_real_form.json", summary,
+        "real_form alone on the default symbols at k = 21, 22, 69, 125, 224",
+        REPEATS, "BENCH_real_form.json",
     )

@@ -53,7 +53,6 @@ from .crmodels import (
     TheoremReport,
     VerificationFailed,
     build_aut_cr,
-    euler_derivation,
     verify_heisenberg,
     verify_theorem,
 )

@@ -42,7 +42,6 @@ from .liealg import (
     _table_mismatch,
     build_symbol_algebra,
     check_grading,
-    first_bracket_mismatch,
     is_nondegenerate_symbol,
 )
 from .freelie import hall_basis
@@ -56,11 +55,8 @@ __all__ = [
     "REAL_ALPHA",
     "COMPLEX_ALPHA",
     "build_aut_cr",
-    "euler_derivation",
     "verify_theorem",
     "verify_heisenberg",
-    "bracket_mismatch_pair",
-    "check_bracket_isomorphism",
 ]
 
 REAL_ALPHA = "real-alpha"
@@ -81,11 +77,6 @@ class VerificationFailed(RuntimeError):
         self.report = report
 
 
-def euler_derivation(algebra: GradedLieAlgebra) -> Matrix:
-    """Degree scaling v -> deg(v)·v, always a grade-preserving derivation."""
-    return Matrix.sparse(algebra.dim, [{i: d} for i, d in enumerate(algebra.degrees)])
-
-
 @dataclass
 class AutCRAlgebra:
     """g_- on the symbol's Hall basis, extended by the abelian grade-0 part {d} or {d, r}."""
@@ -99,10 +90,6 @@ class AutCRAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    @property
-    def g0_dim(self) -> int:
-        return 2 if self.case == COMPLEX_ALPHA else 1
 
     def dims_by_degree(self) -> dict:
         out = {}
@@ -220,21 +207,6 @@ class TheoremReport:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
-
-
-def bracket_mismatch_pair(src: GradedLieAlgebra, dst: GradedLieAlgebra, iso: Matrix):
-    """First failing bracket pair of the candidate map, as labels, or None."""
-    pair = first_bracket_mismatch(src, dst, iso)
-    if pair is None:
-        return None
-    return (src.labels[pair[0]], src.labels[pair[1]])
-
-
-def check_bracket_isomorphism(src: GradedLieAlgebra, dst: GradedLieAlgebra, iso: Matrix):
-    """Raise :class:`VerificationFailed` naming the first failing pair."""
-    pair = bracket_mismatch_pair(src, dst, iso)
-    if pair is not None:
-        raise VerificationFailed(f"bracket mismatch at pair {pair}", pair=pair)
 
 
 # The report's coordinates of d and r in the real G^0 basis, by dim G^0.

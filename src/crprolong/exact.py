@@ -8,8 +8,9 @@ rows ``{col: int}``, each row kept primitive; ``_integer_kernel`` reads
 a kernel over Q(i) off a stream of rows (as for ``prolong``), realifying
 only rows with an imaginary part.  A system over Q(i) is scaled to
 Gaussian integers and realified onto it by ``_gaussian_rref``: rank,
-echelon, the frame filtration, faithfulness and the block solves of
-``liealg.real_form`` read that reduced form.  The
+echelon, the frame filtration and faithfulness read that reduced form;
+``liealg.real_form`` reads coordinates in its real basis, a reduced kernel
+per block, at the free columns, with no inverse (``_real_coordinates``).  The
 reduced row echelon form for a fixed column order is unique, so every
 basis, reducer and solution depends only on the input and the column
 order, never on row order or on how the elimination is scheduled.
@@ -86,7 +87,8 @@ class QI:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real QI equals its Fraction and int, so it hashes as they do
+        return hash((self.re, self.im)) if self._b else hash(Fraction(self._a, self._d))
 
     def __neg__(self) -> "QI":
         return _form(-self._a, -self._b, self._d)
@@ -578,13 +580,15 @@ def _apply_kernel(form, columns):
 
 
 def _real_fixed_points(s):
-    """Real basis of the fixed points of z -> S·conj(z), as ``[({p: (x_p, y_p)}, den)]``.
+    """Real basis of the fixed points of z -> S·conj(z), as ``[({p: (x_p, y_p)}, den, (p, part))]``.
 
     S is square, given by its rows ``{q: QI}``.  With S = P + iQ, z = x + iy
     is fixed iff (P - I)x + Qy = 0 and Qx - (P + I)y = 0: integer rows,
     each times the lcm of its denominators.  One reduced kernel vector per
     free column (``_integer_kernel``), signed so that its leading
-    coefficient is positive.
+    coefficient is positive.  Its free column, its last nonzero entry in
+    the order x_0..y_{nb-1}, is part 0 (x) or 1 (y) of entry p; there it
+    is ±den and every other vector is 0.
     """
     nb = len(s)
     rows = []
@@ -603,28 +607,31 @@ def _real_fixed_points(s):
     basis = []
     for vec, den in zip(vecs, dens):
         sign = 1 if next(iter(vec.values())) > 0 else -1
-        basis.append(({p: (sign * vec.get(p, 0), sign * vec.get(nb + p, 0)) for p in range(nb) if p in vec or nb + p in vec}, den))
+        part, p = divmod(max(vec), nb)
+        basis.append(({q: (sign * vec.get(q, 0), sign * vec.get(nb + q, 0)) for q in range(nb) if q in vec or nb + q in vec}, den, (p, part)))
     return basis
 
 
-def _gaussian_inverse(rows):
-    """Rows ``({col: [re, im]}, den)`` of N⁻¹ for the rows ``{col: (re, im)}`` of a square Gaussian integer N.
+def _real_coordinates(w, den, columns, dens, free):
+    """The real coordinates {c: QI} of w/den in the basis ``columns`` over ``dens``, without zeros, or None if it has none.
 
-    Row p of N⁻¹ is read off the reduced row of [N | I] with pivot p
-    (``_gaussian_rref``), and N·N⁻¹ = I is checked on the sparse rows,
-    over their supports.
+    All are Gaussian numerators {a: (re, im)}.  ``free`` = {a: [(c, part)]}
+    names each vector's free column (``_real_fixed_points``), where it is
+    ±1 and the others are 0, so the coordinate of c is ±w[a][part]/den;
+    w must equal that real combination, checked in integers.
     """
-    n = len(rows)
-    pivots = list(_gaussian_rref([row | {n + r: (1, 0)} for r, row in enumerate(rows)], range(n)))
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    inverse = [({s - n: z for s, z in row.items() if s >= n}, den) for _, row, den in pivots]
-    scale = lcm(*(den for _, den in inverse))
-    scaled = {p: {s: (x * (scale // d), y * (scale // d)) for s, (x, y) in g.items()} for p, (g, d) in enumerate(inverse)}
-    for r, row in enumerate(rows):
-        if {s: z for s, z in _gaussian_apply(scaled, row).items() if z[0] or z[1]} != {r: [scale, 0]}:
-            raise AssertionError("_gaussian_inverse produced a non-inverse")
-    return inverse
+    coords = {}
+    for a, z in w.items():
+        for c, part in free.get(a, ()):
+            if x := z[part]:
+                coords[c] = x if columns[c][a][part] > 0 else -x
+    scale = lcm(*(dens[c] for c in coords))
+    acc = {}
+    for c, x in coords.items():
+        _gaussian_axpy(acc, (x * (scale // dens[c]), 0), columns[c])
+    if {a: z for a, z in acc.items() if z[0] or z[1]} != {a: [scale * re, scale * im] for a, (re, im) in w.items() if re or im}:
+        return None
+    return {c: _qi(x, 0, den) for c, x in sorted(coords.items())}
 
 
 def rank(m: Matrix) -> int:
@@ -669,6 +676,3 @@ class Echelon:
                 for j, y in row.items():
                     v[j] = v[j] - f * y
         return v
-
-    def contains(self, vec) -> bool:
-        return all(not x for x in self.reduce(vec))

@@ -166,19 +166,10 @@ class HallWord:
 
 @dataclass(frozen=True)
 class HallBasis:
-    max_length: int
     words: tuple
-    index: dict
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def position(self, word) -> int:
-        return self.index[tuple(word)]
-
-    def label(self, pos: int) -> str:
-        """Frame label L<length>_<global index>, indices starting at 1."""
-        return f"L{self.words[pos].length}_{pos + 1}"
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +179,7 @@ def hall_basis(max_length: int) -> HallBasis:
     words = []
     for length in range(1, max_length + 1):
         words.extend(HallWord(w) for w in lyndon_words(length))
-    index = {w.word: i for i, w in enumerate(words)}
-    return HallBasis(max_length, tuple(words), index)
+    return HallBasis(tuple(words))
 
 
 def _is_normal_pair(u, v) -> bool:

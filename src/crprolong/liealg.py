@@ -13,12 +13,12 @@ validated construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
-from .exact import _combine, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_inverse, _gaussian_rref, _gaussian_table, _qi
-from .exact import _real_fixed_points, _sparse_rows
+from .exact import _combine, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_rref, _gaussian_table, _qi
+from .exact import _real_coordinates, _real_fixed_points, _sparse_rows
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
 __all__ = [
@@ -485,15 +485,14 @@ _QUOTIENT_KINDS = ("default", "explicit", "frame")
 class SymbolAlgebra:
     """The graded nilpotent algebra attached to a codimension-k model."""
 
-    __slots__ = ("algebra", "codim", "length", "words", "quotient", "retained_top", "reducer")
+    __slots__ = ("algebra", "codim", "length", "words", "quotient", "reducer")
 
-    def __init__(self, algebra, codim, length, words, quotient, retained_top, reducer):
+    def __init__(self, algebra, codim, length, words, quotient, reducer):
         self.algebra = algebra
         self.codim = codim
         self.length = length
         self.words = tuple(words)
         self.quotient = quotient
-        self.retained_top = tuple(retained_top)
         self.reducer = reducer
 
     @property
@@ -542,7 +541,7 @@ def conjugation_adapted_top_basis(rho: int):
     """
     s = _top_conjugation_matrix(rho)
     tagged = []
-    for vec, den in _real_fixed_points(_sparse_rows(s)):
+    for vec, den, _ in _real_fixed_points(_sparse_rows(s)):
         # the system splits, so each vector lies in the x half (part 0) or the y half (part 1)
         part = 0 if any(x for x, _ in vec.values()) else 1
         tagged.append((min(vec), part, tuple(_qi(vec.get(p, (0, 0))[part], 0, den) for p in range(s.cols))))
@@ -656,7 +655,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     if not is_nondegenerate_symbol(algebra):
         raise AssertionError("symbol algebra is degenerate")
 
-    return SymbolAlgebra(algebra, k, rho, words, spec, [top_words[t] for t in retained], reducer)
+    return SymbolAlgebra(algebra, k, rho, words, spec, reducer)
 
 
 # -- real forms ------------------------------------------------------------
@@ -667,13 +666,12 @@ class RealForm:
     """Real form of a complex algebra: the fixed points of its conjugation.
 
     ``embedding`` holds the complex coordinates of each real basis vector
-    as matrix columns, so brackets and operators transport both ways;
-    ``embedding_inv`` is its inverse.  Both are block-diagonal by degree.
+    as matrix columns, block-diagonal by degree, so brackets and operators
+    transport both ways.
     """
 
     algebra: GradedLieAlgebra
     embedding: Matrix
-    embedding_inv: Matrix = field(repr=False, default=None)
 
 
 def real_form(algebra: GradedLieAlgebra) -> RealForm:
@@ -681,17 +679,18 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
 
     Per degree d, which the conjugation S preserves, the real basis E_d is
     the reduced kernel of the integer fixed-point rows of S on that block
-    (``_real_fixed_points``: free coordinates 1, leading coefficients
-    positive), and F_d = E_d⁻¹ is solved and checked in Gaussian integers;
-    degree -1 lands on x = g1 + g2, y = i(g1 - g2).  Brackets and J images
-    move as Gaussian integer numerators over one denominator; each real
-    coordinate of F·w becomes one ``QI``, and an imaginary one raises
-    :class:`NotSelfConjugate`.
+    (``_real_fixed_points``: ±1 at its free columns, leading coefficients
+    positive); degree -1 lands on x = g1 + g2, y = i(g1 - g2).  Brackets
+    and J images move as Gaussian integer numerators over one denominator;
+    their real coordinates are read at the free columns, where each basis
+    vector is ±1 and the others are 0, and each image must equal that real
+    combination (``exact._real_coordinates``); one that does not raises
+    :class:`NotSelfConjugate`.  Each real coordinate becomes one ``QI``.
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
     columns, dens = [], []  # real basis vector c: {complex index: (re, im)} over dens[c]
-    inv_cols, inv_dens = {}, []  # complex index s: {c: F[c][s] times inv_dens[c]}
+    free = {}  # complex index a: [(c, part)], the free columns of the real basis vectors at a
     owners = {}  # complex index a: [(c, numerator of a in column c)]
     labels, degrees = [], []
     for d in algebra.degrees_present():
@@ -701,30 +700,25 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
         for q, b in enumerate(block):
             for a, x in algebra.conjugation.sparse_column(b).items():
                 rows[pos[a]][q] = x
-        basis = _real_fixed_points(rows)  # column c of E_d, [({p: (re, im)}, den)] on the positions p of block
+        basis = _real_fixed_points(rows)  # column c of E_d, [({p: (re, im)}, den, free column)] on the positions p of block
         if len(basis) != len(block):
             raise NotSelfConjugate("real form of a degree block has wrong dimension")
-        n_rows = [{} for _ in block]  # E_d = N_d·diag(1/dens), so F_d = diag(dens)·N_d⁻¹
         first = len(columns)
-        for c, (col, den) in enumerate(basis, first):
-            for p, z in col.items():
-                n_rows[p][c - first] = z
-                owners.setdefault(block[p], []).append((c, z))
-            columns.append({block[p]: z for p, z in col.items()})
+        for c, (col, den, (p, part)) in enumerate(basis, first):
+            for q, z in col.items():
+                owners.setdefault(block[q], []).append((c, z))
+            free.setdefault(block[p], []).append((c, part))
+            columns.append({block[q]: z for q, z in col.items()})
             dens.append(den)
             degrees.append(d)
             labels.append(("y" if labels else "x") if d == -1 else f"e{-d}_{c - first + 1}")
-        for c, ((g, gden), (_, den)) in enumerate(zip(_gaussian_inverse(n_rows), basis), first):
-            inv_dens.append(gden)
-            for p, (re, im) in g.items():
-                inv_cols.setdefault(block[p], {})[c] = (den * re, den * im)
 
     def real_coords(w: dict, den: int, message: str) -> dict:
-        """F·(w / den) for Gaussian numerators w, as {c: QI} without zeros."""
-        acc = _gaussian_apply(inv_cols, w)
-        if any(im for _, im in acc.values()):
+        """The real coordinates of w / den for Gaussian numerators w, as {c: QI} without zeros."""
+        coords = _real_coordinates(w, den, columns, dens, free)
+        if coords is None:
             raise NotSelfConjugate(message)
-        return {c: _qi(re, 0, inv_dens[c] * den) for c, (re, _) in sorted(acc.items()) if re}
+        return coords
 
     consts, tden = algebra._numerators
     brackets = _bracket_images(consts, owners)  # over dens[i]·dens[j]·tden
@@ -739,15 +733,11 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
         jr_cols = []
         for r in ones_r:
             coords = real_coords(_gaussian_apply(j_cols, columns[r]), dens[r] * jden, "J does not restrict to the real form")
-            if any(t not in ones_r for t in coords):
-                raise NotSelfConjugate("J leaks outside the degree -1 block")
             jr_cols.append({ones_r.index(t): x for t, x in coords.items()})
         j_real = Matrix.sparse(len(ones_r), jr_cols)
     real = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=j_real, scalar_tag="Q")
-    n = algebra.dim
-    emb = Matrix.sparse(n, [{a: _qi(*z, dens[c]) for a, z in col.items()} for c, col in enumerate(columns)])
-    emb_inv = Matrix.sparse(n, [{c: _qi(*z, inv_dens[c]) for c, z in inv_cols.get(s, {}).items()} for s in range(n)])
-    return RealForm(real, emb, emb_inv)
+    emb = Matrix.sparse(algebra.dim, [{a: _qi(*z, dens[c]) for a, z in col.items()} for c, col in enumerate(columns)])
+    return RealForm(real, emb)
 
 
 def realify(algebra: GradedLieAlgebra) -> GradedLieAlgebra:

@@ -435,8 +435,9 @@ def real_basis_aut_table(degrees, table, E, F, weights=None):
     """Structure constants of aut_CR in the real basis of the symbol's real form.
 
     ``table`` is the real form's {(i, j): {k: Fraction}} with i < j and
-    ``degrees`` its degrees; ``E`` and ``F`` are the embedding and its
-    inverse as dense rows of (re, im) pairs.  The grading element d is
+    ``degrees`` its degrees; ``E`` is the embedding and ``F`` its inverse,
+    ``dense_inverse(E)``, as dense rows of (re, im) pairs (``real_form``
+    itself forms no inverse).  The grading element d is
     index n, with [e_i, d] = -deg(e_i)·e_i.  ``weights`` (None when there
     is no rotation) are the n - nt of the complex basis words: r is index
     n + 1, and its action is the bidegree diagonal D = -i·diag(weights)

@@ -13,7 +13,7 @@ import pytest
 
 from crprolong.cli import MAX_K
 from crprolong.cli import main as cli_main
-from crprolong.crmodels import build_aut_cr, euler_derivation, verify_theorem
+from crprolong.crmodels import build_aut_cr, verify_theorem
 from crprolong.exact import QI_ONE, Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.freelie import hall_basis, hall_rewrite, min_length_for_codim, witt_dim
@@ -59,7 +59,8 @@ def sweep():
         # the action of the -I element on g_-, read from the assembled table
         d = {n + pos: c for pos, c in enumerate(euler or ())}
         action = Matrix.sparse(n, [prolonged.algebra.bracket_vec(d, {x: QI_ONE}) for x in range(n)])
-        euler_in_g0 = euler is not None and action == euler_derivation(rf.algebra)
+        degree_scaling = Matrix.sparse(n, [{i: d} for i, d in enumerate(rf.algebra.degrees)])
+        euler_in_g0 = euler is not None and action == degree_scaling
         report = verify_theorem(symbol)
         records.append(
             {

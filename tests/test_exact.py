@@ -184,8 +184,9 @@ def test_echelon_reduction_right_preference():
     assert e.rank == 2
     assert e.free_cols == [0]
     assert e.reduce([QI(0), QI(0), QI(1)]) == [QI(-1), QI(0), QI(0)]
-    assert e.contains([QI(1), QI(0), QI(1)])
-    assert not e.contains([QI(1), QI(0), QI(0)])
+    # a vector of the span reduces to zero, one outside it does not
+    assert e.reduce([QI(1), QI(0), QI(1)]) == [QI(0)] * 3
+    assert e.reduce([QI(1), QI(0), QI(0)]) == [QI(1), QI(0), QI(0)]
 
 
 def test_fraction_string_round_trip():
@@ -535,11 +536,33 @@ def _textbook_str(re, im):
 
 
 def _assert_is_pair(q, pair):
-    """``q`` is the normal form of the textbook pair, and reads like it."""
+    """``q`` is the normal form of the textbook pair, reads like it, and hashes like the number it equals.
+
+    A real ``q`` equals the ``Fraction`` re, so it hashes as re does;
+    nothing but a ``QI`` equals one with an imaginary part, which hashes
+    as the pair.
+    """
     re, im = pair
     assert type(q) is QI and q._d > 0 and math.gcd(q._a, q._b, q._d) == 1
     assert (q.re, q.im) == pair and q == QI(re, im) and bool(q) is bool(re or im)
-    assert hash(q) == hash(pair) and str(q) == _textbook_str(re, im) and repr(q) == f"QI({re}, {im})"
+    assert hash(q) == (hash(pair) if im else hash(re))
+    assert str(q) == _textbook_str(re, im) and repr(q) == f"QI({re}, {im})"
+
+
+def test_a_real_qi_hashes_like_the_fraction_and_int_it_equals():
+    """``==`` and ``hash`` agree across ``QI``, ``Fraction`` and ``int``, so dict and set lookups do too."""
+    rng = random.Random(3607)
+    for _ in range(300):
+        x = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 4, 7, 12)))
+        same = [QI(x), x] + ([x.numerator] if x.denominator == 1 else [])
+        for a in same:
+            for b in same:
+                assert a == b and hash(a) == hash(b)
+                assert {a: "v"}[b] == "v"
+        assert len(set(same)) == 1
+        z = QI(x, rng.choice((-3, -1, 1, 2)))
+        assert hash(z) == hash((z.re, z.im)) and z not in set(same) and len({z, *same}) == 2
+    assert {QI(2): "a"}[2] == "a" and len({QI(1), 1}) == 1 and {Fraction(1, 2): "b"}[QI("1/2")] == "b"
 
 
 def test_qi_matches_the_textbook_fraction_pair():

@@ -149,7 +149,7 @@ def test_symbol_from_frame_cubic2_specific_quotient():
     assert S.quotient.kind == "frame"
     # the model kills the sum of the two length-3 words
     assert S.quotient.rows == ((QI(1), QI(1)),)
-    assert [w.word for w in S.retained_top] == [(1, 1, 2)]
+    assert [w.word for w in S.words[cumulative_dim(S.length - 1):]] == [(1, 1, 2)]
     # this differs from the default quotient (which kills the difference)
     assert build_symbol_algebra(2).quotient.rows == ((QI(1), QI(-1)),)
 
@@ -298,7 +298,7 @@ def test_corrupted_top_constant_is_refused_by_the_frame_check(mid):
     t = A.indices_of_degree(-S.length)[0]
     terms = dict(A.table[(i, j)])
     terms[t] = terms.get(t, QI(0)) + 1
-    bad = SymbolAlgebra(replaced_bracket(A, i, j, terms), S.codim, S.length, S.words, S.quotient, S.retained_top, S.reducer)
+    bad = SymbolAlgebra(replaced_bracket(A, i, j, terms), S.codim, S.length, S.words, S.quotient, S.reducer)
     with pytest.raises(AssertionError, match=rf"frame constants disagree at \({S.words[i]}, {S.words[j]}\)"):
         frames._check_frame_constants(bad, filt)
 

@@ -17,6 +17,7 @@ from crprolong.freelie import (
     tree_normal_form,
     witt_dim,
 )
+from crprolong.liealg import build_symbol_algebra
 from oracles import assoc_add, assoc_mul, brute_force_lyndon, expand_commutator
 
 W = HallWord
@@ -58,9 +59,10 @@ def test_hall_basis_small():
     # the two length-3 words carry the standard bracketings
     assert b3.words[3].tree == (1, (1, 2))
     assert b3.words[4].tree == ((1, 2), 2)
-    # generator positions and frame labels
-    assert b3.position((1,)) == 0 and b3.position((2,)) == 1
-    assert b3.label(0) == "L1_1" and b3.label(2) == "L2_3" and b3.label(4) == "L3_5"
+    # the free k = 3 symbol keeps every word, labelled L<length>_<position from 1>
+    S = build_symbol_algebra(3)
+    assert S.words == b3.words
+    assert S.algebra.labels == ("L1_1", "L1_2", "L2_3", "L3_4", "L3_5")
 
 
 def test_hall_word_counts_match_witt():

@@ -38,7 +38,7 @@ from crprolong.liealg import (
     real_form,
     realify,
 )
-from crprolong.freelie import conjugate_tree, hall_basis, tree_normal_form, witt_dim
+from crprolong.freelie import conjugate_tree, cumulative_dim, hall_basis, tree_normal_form, witt_dim
 from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
 
 I = QI(0, 1)
@@ -366,7 +366,7 @@ def test_default_quotient_k2_identifies_top_words():
     labels = S.algebra.labels
     assert labels == ("L1_1", "L1_2", "L2_3", "L3_4")
     # retained word is 112; the other length-3 word reduces to +L3_4
-    assert [w.word for w in S.retained_top] == [(1, 1, 2)]
+    assert [w.word for w in S.words[cumulative_dim(S.length - 1):]] == [(1, 1, 2)]
     assert S.algebra.bracket_basis(0, 2) == {3: QI(1)}
     assert S.algebra.bracket_basis(1, 2) == {3: QI(-1)}
 
@@ -524,7 +524,7 @@ def _as_pairs(m):
 @pytest.mark.parametrize("name", REAL_FORM_CASES)
 def test_real_form_matches_dense_oracle(name):
     A = _real_form_case(name)
-    table, J, E, F = dense_real_form(
+    table, J, E, _ = dense_real_form(
         A.degrees, _pair_table(A), _as_pairs(A.conjugation), _as_pairs(A.J) if A.J is not None else None
     )
     rf = real_form(A)
@@ -533,7 +533,6 @@ def test_real_form_matches_dense_oracle(name):
     assert [[x.re for x in row] for row in rf.algebra.J.data] == J
     assert all(not x.im for row in rf.algebra.J.data for x in row)
     assert _as_pairs(rf.embedding) == E
-    assert _as_pairs(rf.embedding_inv) == F
 
 
 def test_real_form_refuses_j_that_does_not_commute_with_conjugation():
@@ -568,12 +567,37 @@ def test_real_form_corrupted_kernel_row_fails_the_substitution_check(monkeypatch
         real_form(A)
 
 
-def test_real_form_corrupted_inverse_row_fails_the_inverse_check(monkeypatch):
-    """The second solve inverts the degree -1 block; columns 4..7 of its rows hold the inverse."""
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (0, "J does not restrict to the real form"),
+        (1, "real form produced non-real structure constants"),
+        (2, "real form produced non-real structure constants"),
+    ],
+    ids=["degree-1", "degree-2", "degree-3"],
+)
+def test_real_form_scaled_basis_vector_fails_the_substitution_check(monkeypatch, block, message):
+    """A real basis vector scaled by 2 is still a fixed point, but ±2 at its free column, so coordinates read there are wrong and refused.
+
+    On the free k = 3 symbol the degree -2 and -3 vectors are reached by
+    brackets; x, the first degree -1 vector, only by the J image of y.
+    """
     A = build_symbol_algebra(3).algebra
-    _corrupt_call(monkeypatch, 1, lambda row: {**row, 4: row.get(4, 0) + 1})
-    with pytest.raises(AssertionError, match="non-inverse"):
+    honest = exact._real_fixed_points
+    calls = []
+
+    def scaled(rows):
+        basis = honest(rows)
+        if len(calls) == block:
+            col, den, free = basis[0]
+            basis[0] = ({p: (2 * x, 2 * y) for p, (x, y) in col.items()}, den, free)
+        calls.append(rows)
+        return basis
+
+    monkeypatch.setattr(liealg, "_real_fixed_points", scaled)
+    with pytest.raises(NotSelfConjugate, match=f"^{message}$"):
         real_form(A)
+    assert len(calls) == 3
 
 
 def test_realify_requires_conjugation():
