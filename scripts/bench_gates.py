@@ -12,7 +12,8 @@ Each key is timed five times per source tree, one run per fresh
 process after the untimed size count and one untimed call, the two trees
 taking turns run by run (the median is reported; ``benchpair.py`` holds this harness).
 
-The sizes are read from public API only: ``n`` (the dimension of the
+The sizes are counted on each algebra's stored numerators, so no ``QI``
+table view is built for them: ``n`` (the dimension of the
 symbol), ``symbol_bracket_entries`` (its nonzero brackets of basis
 pairs) and ``symbol_nonzero_constants`` (its nonzero structure
 constants); both trees report the same ones.  A tree that prolongs the
@@ -66,9 +67,10 @@ def _sizes(k: int) -> dict:
 
 
 def _table_sizes(name: str, algebra) -> dict:
+    nums, _ = algebra._numerators
     return {
-        f"{name}_bracket_entries": len(algebra.table),
-        f"{name}_nonzero_constants": sum(map(len, algebra.table.values())),
+        f"{name}_bracket_entries": len(nums),
+        f"{name}_nonzero_constants": sum(map(len, nums.values())),
     }
 
 

@@ -9,9 +9,11 @@ timed five times per source tree, one run per fresh process after one
 untimed call, the two trees taking turns run by run (the median is
 reported; ``benchpair.py`` holds this harness).
 
-The sizes are read from public API only, so both trees report the same
-ones: ``n`` (the dimension), ``largest_block`` (the largest degree
-block, the size of the largest fixed-point kernel), ``pairs`` (the
+The sizes are read from the real form's stored numerators and its
+embedding, which both trees keep, so both report the same ones and no
+``QI`` table view is built: ``n`` (the dimension), ``largest_block``
+(the largest degree block, the size of the largest fixed-point
+kernel), ``pairs`` (the
 n(n - 1)/2 pairs of real basis vectors), ``bracket_entries`` (the
 nonzero brackets of the real form), ``nonzero_constants`` (its nonzero
 structure constants) and ``max_bits`` (the largest numerator or
@@ -21,6 +23,8 @@ directory.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import benchpair
 
@@ -44,14 +48,15 @@ def _sizes(key: str) -> dict:
     complex_algebra = liealg.build_symbol_algebra(k).algebra
     rf = liealg.real_form(complex_algebra)
     n = rf.algebra.dim
-    constants = [c.re for terms in rf.algebra.table.values() for c in terms.values()]
+    nums, den = rf.algebra._numerators
+    constants = [Fraction(re, den) for terms in nums.values() for re, _ in terms.values()]
     entries = [f for row in rf.embedding.data for x in row for f in (x.re, x.im)]
     return {
         "k": k,
         "n": n,
         "largest_block": max(len(complex_algebra.indices_of_degree(d)) for d in complex_algebra.degrees_present()),
         "pairs": n * (n - 1) // 2,
-        "bracket_entries": len(rf.algebra.table),
+        "bracket_entries": len(nums),
         "nonzero_constants": len(constants),
         "max_bits": max(max(abs(f.numerator).bit_length(), f.denominator.bit_length()) for f in constants + entries),
     }

@@ -15,8 +15,8 @@ coefficient of the result becomes a ``QI`` once.  Each caller gets
 only what it reads: the associativity residual evaluates the inner law
 once, the left-invariant frame only the part of the law linear in b, and
 each bracket of the series is taken only at the degrees that its parent
-bracket reads.  Ungraded or complex structure constants and complex
-input coefficients are refused with ``ValueError``.
+bracket reads.  Ungraded or complex structure constants are refused
+with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial
 
 from .assoc import a_add, a_mul, expand_tree, lie_coordinates
-from .exact import _gaussian_integers, _lowest_terms, _over_one_denominator, _qi, _sum_forms
+from .exact import _lowest_terms, _over_one_denominator, _qi, _sum_forms
 from .freelie import standard_factorization, standard_tree
 from .liealg import GradedLieAlgebra, check_grading
 from .poly import Poly, PolyVectorField, real_chart
@@ -96,6 +96,9 @@ class GroupLaw:
             raise ValueError("group law needs real structure constants")
         self.algebra = algebra
         self.cap = -min(algebra.degrees)
+        # the packing width: on variables of exponent 1, a bracket of at most
+        # cap leaves multiplies at most cap of them, so no exponent passes cap
+        self._width = max(self.cap, 1).bit_length()
         self.series = bch_series(self.cap)
         # ((i, j), [(k, c)], deg i + deg j) of each table pair, by decreasing degree
         self._pairs = sorted(
@@ -178,32 +181,14 @@ class GroupLaw:
         forms, common = _lowest_terms(out, common)
         return [forms.get(k, {}) for k in range(self.algebra.dim)], common
 
-    def _width(self, top_exponent: int) -> int:
-        # a bracket of at most cap leaves multiplies at most cap input
-        # monomials, so no exponent of bch(a, b) exceeds top_exponent * cap
-        return max(top_exponent * self.cap, 1).bit_length()
-
     def _variables(self, count: int, width: int):
         n = self.algebra.dim
         return [([{1 << (width * (s * n + i)): 1} for i in range(n)], 1) for s in range(count)]
 
-    def apply(self, avec, bvec):
-        """bch(a, b) as a vector of polynomials with real coefficients."""
-        n = self.algebra.dim
-        if len(avec) != n or len(bvec) != n:
-            raise ValueError("vectors must match the algebra dimension")
-        nvars = avec[0].nvars
-        if any(p.nvars != nvars for p in (*avec, *bvec)):
-            raise ValueError("variable count mismatch")
-        top = max((x for p in (*avec, *bvec) for e in p.terms for x in e), default=0)
-        width = self._width(top)
-        comps, den = self._apply(_packed(avec, width), _packed(bvec, width))
-        return [_poly(comp, den, nvars, width) for comp in comps]
-
     def symbolic(self):
         """The law on 2N symbolic coordinates (a_1..a_N, b_1..b_N)."""
         n = self.algebra.dim
-        width = self._width(1)
+        width = self._width
         comps, den = self._apply(*self._variables(2, width))
         names = [f"a_{l}" for l in self.algebra.labels] + [f"b_{l}" for l in self.algebra.labels]
         return names, [_poly(comp, den, 2 * n, width) for comp in comps]
@@ -213,7 +198,7 @@ class GroupLaw:
         n = self.algebra.dim
         # each coordinate has weight -deg >= 1 and the graded bracket keeps a
         # degree-d component at weight -d <= cap, so no exponent passes cap
-        width = self._width(1)
+        width = self._width
         a, b, c = self._variables(3, width)
         comps, den = ab = self._apply(a, b)
         bc = [{e << (width * n): x for e, x in comp.items()} for comp in comps], den  # bch(b, c): a -> b, b -> c
@@ -238,19 +223,6 @@ def _mul_into(acc: dict, p: dict, q: dict, scale: int):
             acc[e] = acc.get(e, 0) + ca * cb
 
 
-def _packed(vec, width: int):
-    """A vector of real Polys as packed numerators over one denominator."""
-    if any(c.im for p in vec for c in p.terms.values()):
-        raise ValueError("group law needs real polynomial coefficients")
-    nums, den = _gaussian_integers(
-        ((k, sum(x << (width * i) for i, x in enumerate(e))), c) for k, p in enumerate(vec) for e, c in p.terms.items()
-    )
-    comps = [{} for _ in vec]
-    for (k, mono), (x, _) in nums.items():
-        comps[k][mono] = x
-    return comps, den
-
-
 def _poly(comp: dict, den: int, nvars: int, width: int) -> Poly:
     mask = (1 << width) - 1
     return Poly(nvars, {tuple((e >> (width * i)) & mask for i in range(nvars)): _qi(x, 0, den) for e, x in comp.items()})
@@ -264,7 +236,7 @@ def left_invariant_frame(m: GradedLieAlgebra):
     of ``m`` exactly (checked by the callers that rely on it).
     """
     law = GroupLaw(m)
-    n, width = m.dim, law._width(1)
+    n, width = m.dim, law._width
     shift, mask = width * n, (1 << width * n) - 1
     # the part linear in b is the sum over the words with one letter 2
     comps, den = law._apply(*law._variables(2, width), [t for t in law.series if t[0].count(2) == 1])

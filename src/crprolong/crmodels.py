@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import QI, QI_I, QI_ONE, Matrix, _gaussian_apply, _gaussian_integers, as_qi, rank
+from .exact import QI_I, QI_ONE, Matrix, _gaussian_apply, _gaussian_columns, _qi, rank
 from .liealg import (
     GradedLieAlgebra,
     NotSelfConjugate,
@@ -144,20 +144,15 @@ def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
         raise AssertionError("aut algebra violates grading")
     if _jacobi_violations(aut, min(aut.degrees)):
         raise AssertionError("aut algebra violates Jacobi")
+    # read on the numerators over den, keyed i < j: [e_a, d] = -[d, e_a] = e_a
+    # for a of degree -1, and [L, r] = iL, [Lb, r] = -iLb
     l_i, lb_i = aut.indices_of_degree(-1)
-    pinned = [
-        (aut.bracket_basis(d_index, l_i), {l_i: as_qi(-1)}),
-        (aut.bracket_basis(d_index, lb_i), {lb_i: as_qi(-1)}),
-    ]
+    nums, den = aut._numerators
+    pinned = [((l_i, d_index), {l_i: (den, 0)}), ((lb_i, d_index), {lb_i: (den, 0)})]
     if case == COMPLEX_ALPHA:
-        pinned += [
-            (aut.bracket_basis(r_index, l_i), {l_i: QI(0, -1)}),
-            (aut.bracket_basis(r_index, lb_i), {lb_i: QI(0, 1)}),
-            (aut.bracket_basis(d_index, r_index), {}),
-        ]
-    for got, want in pinned:
-        if got != want:
-            raise AssertionError("grade-0 brackets deviate from the pinned convention")
+        pinned += [((l_i, r_index), {l_i: (0, den)}), ((lb_i, r_index), {lb_i: (0, -den)}), ((d_index, r_index), {})]
+    if any(nums.get(key, {}) != want for key, want in pinned):
+        raise AssertionError("grade-0 brackets deviate from the pinned convention")
     if not is_nondegenerate_symbol(aut):
         raise AssertionError("aut algebra is degenerate")
     if not is_transitive(aut):
@@ -273,8 +268,8 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         )
     n = m.dim
     total = prolonged.dim
-    coords = [_coordinates(g0, -Matrix.identity(2)), _coordinates(g0, -m.J)]
-    found = [_gaussian_integers(enumerate(c)) for c in coords if c is not None]  # ({i: (re, im)}, den) each
+    coords = [_coordinates(g0, _gaussian_columns(-Matrix.identity(2))), _coordinates(g0, _gaussian_columns(-m.J))]
+    found = [c for c in coords if c is not None]  # ({i: (re, im)}, den) each
     nums, den = prolonged.algebra._numerators
 
     def is_euler(x):
@@ -286,7 +281,7 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     if coords[0] is None or not all(is_euler(x) for x in range(n)):
         fail("Euler derivation is not in the computed grade-0 component")
     # the elements with blocks -I and -J must span G^0, so dim G^0 is a key of _REAL_GRADE0
-    if rank(Matrix.sparse(g0.dim, [dict(enumerate(c)) for c in coords if c is not None])) != g0.dim:
+    if rank(Matrix.sparse(g0.dim, [{i: _qi(re, im, cden) for i, (re, im) in c.items()} for c, cden in found])) != g0.dim:
         fail("candidate isomorphism is not bijective")
     # g_- by the identity, then the d column, then the r column when G^0 has one
     iso = Matrix.sparse(total, [{i: QI_ONE} for i in range(n)] + [{n + p: c for p, c in enumerate(x)} for x in _REAL_GRADE0[g0.dim]])

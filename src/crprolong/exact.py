@@ -20,9 +20,11 @@ This module owns the fraction-free form that ``prolong``, ``bch``,
 denominator, Gaussian numerators as ``(re, im)`` pairs or packed into one
 dict, re at key k and im at key ~k (``_times_i``).  ``_gaussian_integers``
 is the way in (a real caller refuses a nonzero ``im`` itself),
-``_sum_forms`` the one scaled sum (one gcd, on
-the finished sum; a caller that accumulates its own sum uses its two
-steps, ``_over_one_denominator`` and ``_lowest_terms``), and
+``_sum_forms`` the one scaled sum of packed forms and ``_gaussian_sum``
+of ``(re, im)`` vectors (one gcd each, on the finished sum; a caller that
+accumulates its own sum uses the two steps, ``_over_one_denominator``
+and ``_lowest_terms``), ``_numerator_table`` the one table of
+structure constants in lowest terms, and
 ``_qi(re, im, den)`` the way back to a ``QI``.  No other module takes a
 gcd or an lcm, or reads the slots of a ``QI``.
 """
@@ -298,17 +300,6 @@ def _sparse_rows(m: Matrix):
     return rows
 
 
-def _axpy(row, f, other):
-    """row -= f * other, in place, on sparse rows; drops entries that cancel."""
-    for j, y in other.items():
-        x = row.get(j)
-        x = -(f * y) if x is None else x - f * y
-        if x:
-            row[j] = x
-        else:
-            del row[j]
-
-
 def _realify(rows, col_order):
     """Gaussian integer rows ``{col: (re, im)}`` as integer rows ``{col: int}``; returns ``(rows, cols)``.
 
@@ -371,12 +362,8 @@ def _gaussian_integers(entries):
 
 
 def _gaussian_table(table):
-    """``{key: {k: QI}}`` as ``({key: {k: (re, im)}}, den)``, numerators over one denominator; zeros and empty keys dropped."""
-    flat, den = _gaussian_integers(((key, k), x) for key, terms in table.items() for k, x in terms.items())
-    out = {}
-    for (key, k), z in flat.items():
-        out.setdefault(key, {})[k] = z
-    return out, den
+    """``{key: {k: QI}}`` as ``({key: {k: (re, im)}}, den)``, in lowest terms; zeros and empty keys dropped."""
+    return _numerator_table([(key, *_gaussian_integers(terms.items())) for key, terms in table.items()])
 
 
 def _extend_numerators(base, entries):
@@ -394,6 +381,19 @@ def _extend_numerators(base, entries):
         if terms := {k: (re * f, im * f) for k, (re, im) in terms.items() if re or im}:
             out[key] = terms
     return out, den
+
+
+def _numerator_table(entries):
+    """``entries`` = [(key, {k: (re, im)}, den)] as one table ``({key: {k: (re, im)}}, den)``.
+
+    In lowest terms: den is the lcm of the terms' reduced denominators.
+    Zero terms and empty keys are dropped.
+    """
+    nums, den = _extend_numerators(({}, 1), entries)
+    g = gcd(den, *(x for terms in nums.values() for z in terms.values() for x in z))
+    if g == 1:
+        return nums, den
+    return {key: {k: (re // g, im // g) for k, (re, im) in terms.items()} for key, terms in nums.items()}, den // g
 
 
 def _gaussian_columns(m: Matrix):
@@ -443,6 +443,23 @@ def _gaussian_axpy(acc, u, terms):
         z = acc.setdefault(t, [0, 0])
         z[0] += ur * xr - ui * xi
         z[1] += ur * xi + ui * xr
+
+
+def _gaussian_sum(terms):
+    """The sum of u/d·vec over ``terms`` = [(u, d, vec)], u = (re, im), vec = {k: (re, im)}, as ``({k: (re, im)}, den)``.
+
+    In lowest terms without zeros, so equal sums have equal results; zero is ``({}, 1)``.
+    """
+    den = lcm(*(d for _, d, _ in terms))
+    acc = {}
+    for (ur, ui), d, vec in terms:
+        f = den // d
+        _gaussian_axpy(acc, (ur * f, ui * f), vec)
+    out = {k: (re, im) for k, (re, im) in acc.items() if re or im}
+    g = gcd(den, *chain.from_iterable(out.values()))
+    if g == 1:
+        return out, den
+    return {k: (re // g, im // g) for k, (re, im) in out.items()}, den // g
 
 
 def _gaussian_apply(cols, w):
@@ -613,12 +630,13 @@ def _real_fixed_points(s):
 
 
 def _real_coordinates(w, den, columns, dens, free):
-    """The real coordinates {c: QI} of w/den in the basis ``columns`` over ``dens``, without zeros, or None if it has none.
+    """The real coordinates of w/den in the basis ``columns`` over ``dens``, as numerators {c: (x, 0)} over den, or None if it has none.
 
     All are Gaussian numerators {a: (re, im)}.  ``free`` = {a: [(c, part)]}
     names each vector's free column (``_real_fixed_points``), where it is
     ±1 and the others are 0, so the coordinate of c is ±w[a][part]/den;
-    w must equal that real combination, checked in integers.
+    w must equal that real combination, checked in integers.  Zeros are
+    dropped and c increases.
     """
     coords = {}
     for a, z in w.items():
@@ -631,7 +649,7 @@ def _real_coordinates(w, den, columns, dens, free):
         _gaussian_axpy(acc, (x * (scale // dens[c]), 0), columns[c])
     if {a: z for a, z in acc.items() if z[0] or z[1]} != {a: [scale * re, scale * im] for a, (re, im) in w.items() if re or im}:
         return None
-    return {c: _qi(x, 0, den) for c, x in sorted(coords.items())}
+    return {c: (x, 0) for c, x in sorted(coords.items())}
 
 
 def rank(m: Matrix) -> int:

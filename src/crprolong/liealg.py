@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
 from .exact import _combine, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_rref, _gaussian_table, _qi
-from .exact import _real_coordinates, _real_fixed_points, _sparse_rows
+from .exact import _numerator_table, _real_coordinates, _real_fixed_points, _sparse_rows
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
 __all__ = [
@@ -55,19 +56,23 @@ class MissingJ(ValueError):
 
 
 class GradedLieAlgebra:
-    """Finite dimensional graded Lie algebra as structure-constant tables.
+    """Finite dimensional graded Lie algebra by structure constants.
 
-    ``table`` maps index pairs (i, j) with i < j to {k: coefficient}; the
-    other half follows by antisymmetry.  ``conjugation`` (optional) is the
-    matrix S of the antilinear map v -> S·conj(v) in the given basis; it is
-    checked once, here, to be a degree-preserving involution and a bracket
-    morphism, else :class:`NotSelfConjugate` is raised.  ``J`` (optional)
-    is a complex structure on the degree -1 block and must square to -id.
-    ``_numerators`` = ({(i, j): {k: (re, im)}}, den) keeps the table once as
-    Gaussian integer numerators; every bracket gate runs on it.  Every
-    algebra goes through one validation path, ``_build``, which starts from
-    numerators and writes each ``QI`` of ``table`` from them once: the
-    constructor converts its table first, and ``_extended`` appends basis
+    The constructor's ``table`` maps index pairs (i, j) with i < j to
+    {k: coefficient}; the other half follows by antisymmetry.
+    ``conjugation`` (optional) is the matrix S of the antilinear map
+    v -> S·conj(v) in the given basis; it is checked once, here, to be a
+    degree-preserving involution and a bracket morphism, else
+    :class:`NotSelfConjugate` is raised.  ``J`` (optional) is a complex
+    structure on the degree -1 block and must square to -id.
+
+    The structure constants are stored once, as Gaussian integer
+    numerators ``_numerators`` = ({(i, j): {k: (re, im)}}, den), and every
+    engine path reads them.  ``table``, ``bracket_basis`` and
+    ``bracket_vec`` are ``QI`` views for output (JSON, text, ``==``) and
+    tests.  Every algebra goes through one validation path, ``_build``,
+    from numerators: the constructor converts its ``QI`` table,
+    ``_from_numerators`` takes numerators, and ``_extended`` appends basis
     vectors to an algebra already built.
 
     A passed gate is recorded on the object, like ``_expressions``:
@@ -80,11 +85,18 @@ class GradedLieAlgebra:
     """
 
     # ``_expressions`` memoizes _generating_expressions as a 1-tuple, None until first use
-    __slots__ = ("labels", "degrees", "table", "conjugation", "J", "scalar_tag", "_numerators", "_expressions", "_jacobi_prefix", "_nondegenerate")
+    __slots__ = ("labels", "degrees", "conjugation", "J", "scalar_tag", "_numerators", "_table", "_expressions", "_jacobi_prefix", "_nondegenerate")
 
     def __init__(self, labels, degrees, table, conjugation=None, J=None, scalar_tag="Qi"):
         nums = _gaussian_table({ij: {k: as_qi(c) for k, c in terms.items()} for ij, terms in table.items()})
         self._build(labels, degrees, None, nums, table, conjugation, J, scalar_tag)  # a key without terms is validated too
+
+    @classmethod
+    def _from_numerators(cls, labels, degrees, numerators, conjugation=None, J=None, scalar_tag="Qi") -> "GradedLieAlgebra":
+        """The algebra whose ``_numerators`` are ``numerators``, in the constructor's form (``exact._numerator_table``), validated as by it."""
+        out = object.__new__(cls)
+        out._build(labels, degrees, None, numerators, list(numerators[0]), conjugation, J, scalar_tag)
+        return out
 
     def _extended(self, labels, degrees, entries, J=None, scalar_tag="Qi") -> "GradedLieAlgebra":
         """This algebra with the basis vectors ``labels``/``degrees`` appended and the brackets ``entries`` added.
@@ -101,9 +113,9 @@ class GradedLieAlgebra:
     def _build(self, labels, degrees, base, numerators, new, conjugation, J, scalar_tag):
         """The one validation path, from the whole table's ``numerators``: ``base`` (None or the algebra extended) plus the keys ``new``.
 
-        Each new key and its targets are checked and its terms written to
-        ``table`` as ``QI`` once; ``base``'s brackets, J and verdicts carry
-        over unchecked, J only when the degree -1 block is unchanged.
+        Each new key and its targets are checked; ``base``'s brackets, J
+        and verdicts carry over unchecked, J only when the degree -1 block
+        is unchanged.  No ``QI`` is written.
         """
         self.labels = tuple(labels)
         self.degrees = tuple(degrees)
@@ -111,7 +123,6 @@ class GradedLieAlgebra:
         if len(self.degrees) != n:
             raise ValueError("labels/degrees length mismatch")
         own = 0 if base is None else base.dim
-        table = {} if base is None else dict(base.table)
         nums, den = self._numerators = numerators
         for i, j in new:
             if not (0 <= i < n and 0 <= j < n):
@@ -120,12 +131,10 @@ class GradedLieAlgebra:
                 raise ValueError("table keys must have i < j")
             if j < own:
                 raise ValueError(f"an extension cannot change the bracket {(i, j)} of its prefix")
-            if terms := nums.get((i, j)):
-                for k in terms:
-                    if not 0 <= k < n:
-                        raise ValueError(f"target index out of range: {k}")
-                table[(i, j)] = {k: _qi(re, im, den) for k, (re, im) in terms.items()}
-        self.table = table
+            for k in nums.get((i, j), ()):
+                if not 0 <= k < n:
+                    raise ValueError(f"target index out of range: {k}")
+        self._table = None
         self.conjugation = conjugation
         self.J = J
         self.scalar_tag = scalar_tag
@@ -170,7 +179,16 @@ class GradedLieAlgebra:
     def indices_of_degree(self, d: int):
         return [i for i, deg in enumerate(self.degrees) if deg == d]
 
+    @property
+    def table(self) -> dict:
+        """{(i, j): {k: QI}} for i < j: a read-only view of ``_numerators``, in its order, built on first read."""
+        if self._table is None:
+            nums, den = self._numerators
+            self._table = {ij: {k: _qi(re, im, den) for k, (re, im) in terms.items()} for ij, terms in nums.items()}
+        return self._table
+
     def bracket_basis(self, i: int, j: int) -> dict:
+        """[e_i, e_j] as {k: QI}, a view of ``table``."""
         if i == j:
             return {}
         if i < j:
@@ -331,14 +349,15 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
 
 
 def check_grading(algebra: GradedLieAlgebra):
-    """Structure constants landing outside degree deg(a)+deg(b)."""
+    """Structure constants landing outside degree deg(a)+deg(b), as (i, j, k, coefficient), read from ``_numerators``."""
     violations = []
     degrees = algebra.degrees
-    for (i, j), terms in algebra.table.items():
+    nums, den = algebra._numerators
+    for (i, j), terms in nums.items():
         target = degrees[i] + degrees[j]
-        for k, c in terms.items():
+        for k, (re, im) in terms.items():
             if degrees[k] != target:
-                violations.append((i, j, k, c))
+                violations.append((i, j, k, _qi(re, im, den)))
     return violations
 
 
@@ -419,15 +438,22 @@ def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
 
 
 def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:
-    """Check [x, y] = [Jx, Jy] on the degree -1 part."""
+    """Check [x, y] = [Jx, Jy] on the degree -1 part, as jden²·[e_a, e_b] = [J e_a, J e_b] over jden²·den for J over jden."""
     if algebra.J is None:
         raise MissingJ("algebra has no complex structure map")
     ones = algebra.indices_of_degree(-1)
-    jimg = [{ones[p]: x for p, x in algebra.J.sparse_column(q).items()} for q in range(len(ones))]
-    for a in range(len(ones)):
-        for b in range(a + 1, len(ones)):
-            if algebra.bracket_basis(ones[a], ones[b]) != algebra.bracket_vec(jimg[a], jimg[b]):
-                return False
+    nums, _ = algebra._numerators
+    jcols, jden = _gaussian_columns(algebra.J)
+    rows = {}  # a: [(b, J[a][b])] on the indices of the algebra
+    for q, col in jcols.items():
+        for p, z in col.items():
+            rows.setdefault(ones[p], []).append((ones[q], z))
+    images = _bracket_images(nums, rows)
+    f = jden * jden
+    for a, b in combinations(ones, 2):
+        want = {k: [f * re, f * im] for k, (re, im) in nums.get((a, b), {}).items()}
+        if {k: z for k, z in images.get((a, b), {}).items() if z[0] or z[1]} != want:
+            return False
     return True
 
 
@@ -563,7 +589,9 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     """Symbol algebra of codimension ``k`` for a chosen top-layer quotient.
 
     ``quotient`` is None for the canonical conjugation-adapted trailing
-    drop, or a :class:`QuotientSpec` with explicit rows.  The quotient map
+    drop, or a :class:`QuotientSpec` with explicit rows; a spec of kind
+    "default" with rows must span the default subspace, else
+    :class:`BadQuotient` is raised.  The quotient map
     π is read once off the reduced rows of the quotient (``reducer``): it
     gives every structure constant, the conjugation-stability test and the
     conjugation's top columns, with no further reduction.  All invariants
@@ -598,6 +626,8 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     reducer = Echelon([list(r) for r in spec.rows], n_top, col_order=range(n_top - 1, -1, -1))
     if reducer.rank != need:
         raise BadQuotient(f"quotient must have dimension {need}, got rank {reducer.rank}")
+    if spec is quotient and spec.kind == "default" and any(any(reducer.reduce(row)) for row in default_quotient_rows(k)):
+        raise BadQuotient("a quotient of kind 'default' must span the default quotient subspace")
     retained = sorted(reducer.free_cols)
     assert len(retained) == keep
 
@@ -609,23 +639,23 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     # the quotient map π on words, read once off the reduced rows: a lower or
     # retained word keeps its coordinate, and a pivot top word c goes to minus
     # the rest of its row, which is zero at every other pivot; a combination
-    # {word: coefficient} then projects by one _combine over pi
+    # {word: coefficient} then projects by one _combine over pi, and a bracket
+    # of two words in integers, over the Gaussian numerators of pi
     pi = {w.word: {i: QI_ONE} for i, w in enumerate(low_words)}
     pi.update((top_words[t].word, {pos: QI_ONE}) for t, pos in pos_top_retained.items())
     for r, c in reducer.pivots:
         row = reducer.rows[r]
         pi[top_words[c].word] = {pos_top_retained[t]: -row[t] for t in retained if row[t]}
+    pi_nums, pden = _gaussian_table(pi)
 
-    table = {}
     n = len(words)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if words[i].length + words[j].length > rho:
-                continue
-            # a Hall word's standard bracketing is its own normal form
-            entry = _combine(dict(_bracket_basis(words[i].word, words[j].word)), pi)
-            if entry:
-                table[(i, j)] = entry
+    # a Hall word's standard bracketing is its own normal form
+    entries = [
+        ((i, j), _gaussian_apply(pi_nums, {w: (c, 0) for w, c in _bracket_basis(words[i].word, words[j].word)}), pden)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if words[i].length + words[j].length <= rho
+    ]
 
     # conjugation: generator swap S extended as an antilinear bracket morphism,
     # defined on the quotient only when the quotient subspace is stable, i.e.
@@ -638,7 +668,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
         conjugation = Matrix.sparse(n, conj_cols)
 
     j_mat = Matrix.sparse(2, [{0: QI_I}, {1: -QI_I}])
-    algebra = GradedLieAlgebra(labels, degrees, table, conjugation=conjugation, J=j_mat, scalar_tag="Qi")
+    algebra = GradedLieAlgebra._from_numerators(labels, degrees, _numerator_table(entries), conjugation=conjugation, J=j_mat, scalar_tag="Qi")
 
     # invariant gate
     if check_grading(algebra):
@@ -685,7 +715,8 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     their real coordinates are read at the free columns, where each basis
     vector is ±1 and the others are 0, and each image must equal that real
     combination (``exact._real_coordinates``); one that does not raises
-    :class:`NotSelfConjugate`.  Each real coordinate becomes one ``QI``.
+    :class:`NotSelfConjugate`.  The real brackets enter the algebra as
+    numerators, and only J's and the embedding's entries become ``QI``.
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
@@ -714,7 +745,7 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
             labels.append(("y" if labels else "x") if d == -1 else f"e{-d}_{c - first + 1}")
 
     def real_coords(w: dict, den: int, message: str) -> dict:
-        """The real coordinates of w / den for Gaussian numerators w, as {c: QI} without zeros."""
+        """The real coordinates of w / den for Gaussian numerators w, as numerators {c: (x, 0)} over den without zeros."""
         coords = _real_coordinates(w, den, columns, dens, free)
         if coords is None:
             raise NotSelfConjugate(message)
@@ -723,7 +754,10 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     consts, tden = algebra._numerators
     brackets = _bracket_images(consts, owners)  # over dens[i]·dens[j]·tden
     message = "real form produced non-real structure constants"
-    table = {(i, j): e for i, j in sorted(brackets) if (e := real_coords(brackets[i, j], dens[i] * dens[j] * tden, message))}
+    entries = []
+    for (i, j), w in sorted(brackets.items()):
+        den = dens[i] * dens[j] * tden
+        entries.append(((i, j), real_coords(w, den, message), den))
     j_real = None
     if algebra.J is not None:
         ones_c = algebra.indices_of_degree(-1)
@@ -732,10 +766,11 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
         j_cols = {ones_c[q]: {ones_c[p]: z for p, z in col.items()} for q, col in jm.items()}  # over jden
         jr_cols = []
         for r in ones_r:
-            coords = real_coords(_gaussian_apply(j_cols, columns[r]), dens[r] * jden, "J does not restrict to the real form")
-            jr_cols.append({ones_r.index(t): x for t, x in coords.items()})
+            den = dens[r] * jden
+            coords = real_coords(_gaussian_apply(j_cols, columns[r]), den, "J does not restrict to the real form")
+            jr_cols.append({ones_r.index(t): _qi(*z, den) for t, z in coords.items()})
         j_real = Matrix.sparse(len(ones_r), jr_cols)
-    real = GradedLieAlgebra(labels, degrees, table, conjugation=None, J=j_real, scalar_tag="Q")
+    real = GradedLieAlgebra._from_numerators(labels, degrees, _numerator_table(entries), J=j_real, scalar_tag="Q")
     emb = Matrix.sparse(algebra.dim, [{a: _qi(*z, dens[c]) for a, z in col.items()} for c, col in enumerate(columns)])
     return RealForm(real, emb)
 

@@ -247,12 +247,6 @@ class PolyVectorField:
     def zero(cls, chart: Chart) -> "PolyVectorField":
         return cls(chart, [Poly.zero(chart.nvars)] * chart.nvars)
 
-    @classmethod
-    def coordinate(cls, chart: Chart, i: int, c=1) -> "PolyVectorField":
-        comps = [Poly.zero(chart.nvars) for _ in range(chart.nvars)]
-        comps[i] = Poly.const(chart.nvars, c)
-        return cls(chart, comps)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 

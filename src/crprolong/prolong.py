@@ -26,7 +26,8 @@ usual induction [d, e](x) = [[d, x], e] + [d, [e, x]]; the coordinates of
 [d, e] are read off its g_-1 block at the basis pivots (``_coordinates``)
 and checked against its action on every basis vector of m, so the result
 is an honest structure-constant table that gets the same Jacobi and
-transitivity scrutiny as everything else.
+transitivity scrutiny as everything else.  All of it runs on Gaussian
+integer numerators; ``DerivationMap.flatten`` writes the one ``QI``, for output.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import QI_ZERO, Matrix, _apply_kernel, _axpy, _gaussian_columns, _gaussian_integers, _integer_kernel, _primitive, _qi, _sum_forms, _times_i
+from .exact import _apply_kernel, _gaussian_columns, _gaussian_sum, _integer_kernel, _numerator_table, _primitive, _qi, _sum_forms, _times_i
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -76,7 +77,7 @@ class DerivationMap:
     at key t, the imaginary part at key ~t) over one positive denominator.
     V_(a+l) is the m block for a + l <= -1, else the already-computed
     component of that degree.  ``numerators`` reads a column as Gaussian
-    integers, and ``column`` is the one way to ``QI`` entries.
+    integers, and ``flatten`` is the one way to ``QI`` entries, for output.
     """
 
     degree: int
@@ -87,18 +88,14 @@ class DerivationMap:
         nums, den = self.blocks[a][1][s]
         return {t: (nums.get(t, 0), nums.get(~t, 0)) for t in sorted({t if t >= 0 else ~t for t in nums})}, den
 
-    def column(self, a: int, s: int) -> dict:
-        """The image of basis vector s of m_a as {t: QI}, zeros dropped, t increasing."""
-        nums, den = self.numerators(a, s)
-        return {t: _qi(re, im, den) for t, (re, im) in nums.items()}
-
     def flatten(self, source_degrees):
+        """Every block in ``source_degrees`` order as one list of ``QI``, column by column, zeros included."""
         out = []
         for a in source_degrees:
             rows, columns = self.blocks[a]
             for s in range(len(columns)):
-                col = self.column(a, s)
-                out.extend(col.get(t, QI_ZERO) for t in range(rows))
+                nums, den = self.numerators(a, s)
+                out.extend(_qi(*nums.get(t, (0, 0)), den) for t in range(rows))
         return out
 
 
@@ -371,8 +368,8 @@ def full_prolongation(m: GradedLieAlgebra, flavor: str = LEVI_TANAKA) -> Prolong
     return ProlongedAlgebra(m, tuple(components), flavor, algebra)
 
 
-def _coordinates(component: ProlongationComponent, block: Matrix):
-    """Coordinates in ``component`` of the element with g_-1 block ``block``, or None.
+def _coordinates(component: ProlongationComponent, block):
+    """Coordinates ({i: (re, im)}, den) in ``component`` of the element with g_-1 block ``block`` = ({s: {t: (re, im)}}, den), or None.
 
     The negative part is fundamental, so a derivation is fixed by its g_-1
     block (Tanaka 1970), and ``_solve_component`` returns each basis
@@ -381,17 +378,16 @@ def _coordinates(component: ProlongationComponent, block: Matrix):
     pivots.  So the coordinates are the entries of ``block`` at the
     pivots, and ``block`` is in the component iff they recombine to it.
     """
-    rest = [block.sparse_column(s) for s in range(block.cols)]
-    ones = [[dm.column(-1, s) for s in range(block.cols)] for dm in component.maps]
-    coords = []
-    for cols in ones:
-        t, s = max((t, s) for s, col in enumerate(cols) for t in col)
-        coords.append(rest[s].get(t, QI_ZERO))
-    for c, cols in zip(coords, ones):
-        if c:
-            for col, other in zip(rest, cols):
-                _axpy(col, c, other)
-    return None if any(rest) else coords
+    cols, den = block
+    coords = {}
+    rest = [((1, 0), den, {(s, t): z for s, col in cols.items() for t, z in col.items()})]  # block minus the recombination
+    for i, dm in enumerate(component.maps):
+        ones = [dm.numerators(-1, s) for s in range(len(dm.blocks[-1][1]))]
+        t, s = max((t, s) for s, (col, _) in enumerate(ones) for t in col)
+        if z := cols.get(s, {}).get(t):
+            coords[i] = z
+            rest += [((-z[0], -z[1]), den * d, {(q, r): w for r, w in col.items()}) for q, (col, d) in enumerate(ones)]
+    return None if _gaussian_sum(rest)[0] else _gaussian_sum([((1, 0), den, coords)])
 
 
 def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
@@ -399,10 +395,12 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
 
     [e_x, d] = -d(e_x) is read off the maps' stored columns as Gaussian
     numerators, which extend m's own.  For nonnegative d, e the action
-    [[d, e], e_x] = [d, [e, e_x]] - [e, [d, e_x]] is built from the maps and
+    [e_x, [d, e]] = [d, [e_x, e]] + [e, [d, e_x]] is built from the maps and
     the brackets assembled so far, pairs taken by increasing degree sum;
-    its coordinates are read at the g_-1 pivots (``_coordinates``) and must
-    reproduce the action on every basis vector x of m.
+    the coordinates of [d, e] are read at the g_-1 pivots (``_coordinates``),
+    and [e_x, [d, e]] taken from them must reproduce the action on every
+    basis vector x of m.  Every vector is Gaussian numerators in lowest
+    terms (``exact._gaussian_sum``), so the two are compared as they are.
     """
     labels = list(m.labels)
     degrees = list(m.degrees)
@@ -420,34 +418,24 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
     loc = _local_index(m)
     max_l = components[-1].degree
     n = m.dim
-    entries = []  # the brackets with a component basis vector, as Gaussian numerators
+    brackets = {}  # (a, b): [e_a, e_b] for a or b a component basis vector, from the maps and the pairs assembled so far
     for g, dm in maps.items():
         for x in range(n):
             a = m.degrees[x]
             col, den = dm.numerators(a, loc[x])
             if col:
-                # [e_x, d] = -d(e_x)
-                entries.append(((x, g), {slots[a + dm.degree][t]: (-re, -im) for t, (re, im) in col.items()}, den))
-    numerators = {(g, x): (terms, den) for (x, g), terms, den in entries}
-    images = {}  # [e_g, e_x] = g(e_x) as ``QI``, for the pairs the induction reads
-    found = {}  # brackets of two component basis vectors, assembled so far
+                # [e_g, e_x] = g(e_x) = -[e_x, e_g]
+                brackets[g, x] = {slots[a + dm.degree][t]: z for t, z in col.items()}, den
+                brackets[x, g] = {slots[a + dm.degree][t]: (-re, -im) for t, (re, im) in col.items()}, den
 
-    def bracket(g, y):
-        """[e_g, e_y] for a component basis vector g, from the maps and ``found``, as {index: coefficient}."""
-        if y >= n:
-            return found.get((g, y)) or {k: -c for k, c in found.get((y, g), {}).items()}
-        if (g, y) not in images:
-            terms, den = numerators.get((g, y), ({}, 1))
-            images[g, y] = {k: _qi(-re, -im, den) for k, (re, im) in terms.items()}
-        return images[g, y]
-
-    def combination(coords, base, x):
-        """Sum of c_i·[e_(base+i), e_x]."""
-        out = {}
-        for i, c in enumerate(coords):
-            if c:
-                _axpy(out, -c, bracket(base + i, x))
-        return out
+    def acting(pairs):
+        """The sum of [e_g, v] over ``pairs`` = [(g, v)], v = ({t: (re, im)}, den), read from ``brackets``, in lowest terms."""
+        out = []
+        for g, (vec, vden) in pairs:
+            for t, z in vec.items():
+                image, den = brackets.get((g, t), ({}, 1))
+                out.append((z, vden * den, image))
+        return _gaussian_sum(out)
 
     # by increasing degree sum, so the induction only consults finished entries
     pairs = sorted(
@@ -465,30 +453,27 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
                 gj = comp_base[l] + il
                 action = {}
                 for x in range(n):
-                    # [[d, e], e_x] = [d, [e, e_x]] - [e, [d, e_x]]
-                    act = {}
-                    for t, c in bracket(gj, x).items():
-                        _axpy(act, -c, bracket(gi, t))
-                    for t, c in bracket(gi, x).items():
-                        _axpy(act, c, bracket(gj, t))
-                    if any(degrees[t] != m.degrees[x] + s for t in act):
+                    # [e_x, [d, e]] = [d, [e_x, e]] + [e, [d, e_x]]
+                    action[x] = acting([(gi, brackets.get((x, gj), ({}, 1))), (gj, brackets.get((gi, x), ({}, 1)))])
+                    if any(degrees[t] != m.degrees[x] + s for t in action[x][0]):
                         raise RuntimeError("bracket action landed outside its degree slot")
-                    action[x] = act
                 if not target.dim:
-                    if any(action.values()):
+                    if any(act for act, _ in action.values()):
                         raise RuntimeError(
                             f"bracket of degrees {k} and {l} acts nontrivially beyond the terminal component"
                         )
                     continue
-                block = Matrix.sparse(len(row), [{row[t]: c for t, c in action[x].items()} for x in ones])
-                coords = _coordinates(target, block)
-                if coords is None or any(combination(coords, comp_base[s], x) != action[x] for x in range(n)):
+                # column x of the g_-1 block of [d, e] is [[d, e], e_x] = -[e_x, [d, e]]
+                columns = [(p, {row[t]: (-re, -im) for t, (re, im) in action[x][0].items()}, action[x][1]) for p, x in enumerate(ones)]
+                coords = _coordinates(target, _numerator_table(columns))
+                element = None if coords is None else ({comp_base[s] + i: z for i, z in coords[0].items()}, coords[1])
+                if element is None or any(acting([(x, element)]) != action[x] for x in range(n)):
                     raise RuntimeError(f"bracket of G^{k} and G^{l} escapes G^{s}")
-                entry = {comp_base[s] + i: c for i, c in enumerate(coords) if c}
-                if entry:
-                    found[(gi, gj)] = entry
-                    entries.append(((gi, gj), *_gaussian_integers(entry.items())))
+                if element[0]:
+                    brackets[gi, gj] = element
+                    brackets[gj, gi] = {t: (-re, -im) for t, (re, im) in element[0].items()}, element[1]
 
+    entries = [(key, *value) for key, value in brackets.items() if key[0] < key[1]]
     return m._extended(labels[n:], degrees[n:], entries, scalar_tag=m.scalar_tag)
 
 

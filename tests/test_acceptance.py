@@ -26,9 +26,10 @@ from crprolong.liealg import (
     is_pseudocomplex,
     real_form,
 )
-from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation, is_transitive
+from crprolong.prolong import LEVI_TANAKA, full_prolongation, is_transitive
 from crprolong.bch import GroupLaw, left_invariant_frame
 from crprolong.poly import vf_bracket
+from coordinates import block_coordinates
 from oracles import assoc_add, assoc_mul, brute_force_lyndon, expand_commutator
 
 K_MAX = 12
@@ -54,8 +55,8 @@ def sweep():
         n = rf.algebra.dim
         prolonged = full_prolongation(rf.algebra, LEVI_TANAKA)
         g0 = prolonged.components[0]
-        rot = _coordinates(g0, -rf.algebra.J)
-        euler = _coordinates(g0, -Matrix.identity(2))
+        rot = block_coordinates(g0, -rf.algebra.J)
+        euler = block_coordinates(g0, -Matrix.identity(2))
         # the action of the -I element on g_-, read from the assembled table
         d = {n + pos: c for pos, c in enumerate(euler or ())}
         action = Matrix.sparse(n, [prolonged.algebra.bracket_vec(d, {x: QI_ONE}) for x in range(n)])

@@ -169,15 +169,21 @@ def test_left_invariant_frame_f23():
 
 
 def test_group_law_identity_and_inverse():
+    """bch(a, 0) = a, bch(0, b) = b and bch(a, -a) = 0, read off the symbolic law on (a, b)."""
     R = realify(build_symbol_algebra(2).algebra)
-    law = GroupLaw(R)
     n = R.dim
-    avec = [Poly.var(n, i) for i in range(n)]
-    zero = [Poly.zero(n) for _ in range(n)]
-    assert law.apply(avec, zero) == avec
-    assert law.apply(zero, avec) == avec
-    neg = [p.scale(-1) for p in avec]
-    assert all(p.is_zero() for p in law.apply(avec, neg))
+    _, law = GroupLaw(R).symbolic()
+    unit = [tuple(int(i == k) for i in range(2 * n)) for k in range(2 * n)]
+    for k, p in enumerate(law):
+        # b = 0 keeps the monomials in a alone, and a = 0 those in b alone
+        assert {e: c for e, c in p.terms.items() if not any(e[n:])} == {unit[k]: QI(1)}
+        assert {e: c for e, c in p.terms.items() if not any(e[:n])} == {unit[n + k]: QI(1)}
+        # b = -a takes a^u·b^v to (-1)^|v|·a^(u + v)
+        inverse = {}
+        for e, c in p.terms.items():
+            key = tuple(x + y for x, y in zip(e[:n], e[n:]))
+            inverse[key] = inverse.get(key, QI(0)) + (c if sum(e[n:]) % 2 == 0 else -c)
+        assert not any(inverse.values())
 
 
 def _real_terms(polys):
@@ -253,10 +259,6 @@ def test_complex_scalars_are_refused():
     A = GradedLieAlgebra(["p", "q", "t"], [-1, -1, -2], {(0, 1): {2: QI(0, 1)}})
     with pytest.raises(ValueError, match="real structure constants"):
         GroupLaw(A)
-    law = GroupLaw(realify(build_symbol_algebra(1).algebra))
-    avec = [Poly.var(3, i) for i in range(3)]
-    with pytest.raises(ValueError, match="real polynomial coefficients"):
-        law.apply(avec, [p.scale(QI(0, 1)) for p in avec])
 
 
 @pytest.mark.slow

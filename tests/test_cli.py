@@ -90,6 +90,17 @@ def test_symbol_k1_json_round_trip(capsys):
     assert [b["label"] for b in obj["basis"]] == ["L1_1", "L1_2", "L2_3"]
 
 
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_symbol_json_quotient_is_accepted_back(tmp_path, capsys, k):
+    """The ``meta.quotient`` that ``symbol --format json`` writes, kind "default" with its rows, builds the same symbol."""
+    code, out, _ = run(capsys, "symbol", "--k", str(k), "--format", "json")
+    assert code == 0
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(json.loads(out)["meta"]["quotient"]))
+    code, again, err = run(capsys, "symbol", "--k", str(k), "--format", "json", "--quotient", str(path))
+    assert (code, err, again) == (0, "", out)
+
+
 def test_symbol_model_matches_symbol_k(capsys):
     code1, out1, _ = run(capsys, "symbol", "--model", "heisenberg", "--format", "json")
     code2, out2, _ = run(capsys, "symbol", "--k", "1", "--format", "json")
@@ -120,6 +131,10 @@ def test_symbol_bad_quotient_exits_2(tmp_path, capsys):
         ('{"kind": "bogus", "rows": []}', "quotient.kind: must be one of"),
         ('{"kind": "default", "provenance": 5}', "quotient.provenance: must be a string, got 5"),
         ('{"kind": "default", "provenance": ["a"]}', "quotient.provenance: must be a string, got ['a']"),
+        (
+            '{"kind": "default", "rows": [[{"re": "1", "im": "0"}, {"re": "0", "im": "0"}]]}',
+            "a quotient of kind 'default' must span the default quotient subspace",
+        ),
     ],
     ids=[
         "rows-not-list",
@@ -131,12 +146,13 @@ def test_symbol_bad_quotient_exits_2(tmp_path, capsys):
         "bad-kind",
         "provenance-number",
         "provenance-list",
+        "default-mislabelled",
     ],
 )
 def test_malformed_quotient_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "quotient.json"
     path.write_text(text)
-    code, out, err = run(capsys, "symbol", "--k", "3", "--quotient", str(path))
+    code, out, err = run(capsys, "symbol", "--k", "2", "--quotient", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

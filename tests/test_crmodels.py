@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from coordinates import block_coordinates, map_column
 from oracles import C_ZERO, dense_inverse, real_basis_aut_table, real_grade0_coordinates, replaced_bracket
 from quotients import random_quotient, rotation_stable, rotation_stable_quotient, swap_stable, unstable_quotient
 
@@ -30,7 +31,7 @@ from crprolong.liealg import (
     real_form,
     realify,
 )
-from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
+from crprolong.prolong import LEVI_TANAKA, full_prolongation
 
 
 def _aut(S):
@@ -40,7 +41,7 @@ def _aut(S):
 def _rotation(R):
     """The Leibniz extension of -J, read from the assembled Levi-Tanaka prolongation, or None."""
     prolonged = full_prolongation(R, LEVI_TANAKA)
-    coords = _coordinates(prolonged.components[0], -R.J)
+    coords = block_coordinates(prolonged.components[0], -R.J)
     if coords is None:
         return None
     r = {R.dim + pos: c for pos, c in enumerate(coords)}
@@ -51,7 +52,7 @@ def _hall_map(symbol, prolonged):
     """The map ``verify_theorem`` checks: the identity on g_-, d and r to the G^0 elements with degree -1 blocks -I and -J."""
     m = symbol.algebra
     g0 = prolonged.components[0]
-    found = [c for c in (_coordinates(g0, -Matrix.identity(2)), _coordinates(g0, -m.J)) if c is not None]
+    found = [c for c in (block_coordinates(g0, -Matrix.identity(2)), block_coordinates(g0, -m.J)) if c is not None]
     return Matrix.sparse(prolonged.dim, [{i: QI_ONE} for i in range(m.dim)] + [{m.dim + p: c for p, c in enumerate(x)} for x in found])
 
 
@@ -101,7 +102,7 @@ def test_euler_on_heisenberg():
     """The -I element of G^0 acts on g_- as the degree scaling v -> deg(v)·v, read from the assembled prolongation."""
     R = realify(build_symbol_algebra(1).algebra)
     prolonged = full_prolongation(R, LEVI_TANAKA)
-    coords = _coordinates(prolonged.components[0], -Matrix.identity(2))
+    coords = block_coordinates(prolonged.components[0], -Matrix.identity(2))
     d = {R.dim + pos: c for pos, c in enumerate(coords)}
     E = Matrix.sparse(R.dim, [prolonged.algebra.bracket_vec(d, {x: QI_ONE}) for x in range(R.dim)])
     assert E == Matrix([[-1, 0, 0], [0, -1, 0], [0, 0, -2]])
@@ -470,8 +471,8 @@ def _transported_grade0(hall, real, rf):
     f = Matrix([[QI(*z) for z in row[:2]] for row in dense_inverse(_pairs(rf.embedding))[:2]])
     out = []
     for dm in real.components[0].maps:
-        block = Matrix.sparse(2, [dm.column(-1, s) for s in range(2)])
-        out.append(_coordinates(hall.components[0], e.mul(block).mul(f)))
+        block = Matrix.sparse(2, [map_column(dm, -1, s) for s in range(2)])
+        out.append(block_coordinates(hall.components[0], e.mul(block).mul(f)))
     return out
 
 
@@ -500,7 +501,7 @@ def test_hall_prolongation_is_the_complexified_real_form_prolongation(k, seed):
     assert first_bracket_mismatch(real.algebra, hall.algebra, iso) is None
     report = verify_theorem(symbol)
     g0_real = real.components[0]
-    found = [c for c in (_coordinates(g0_real, -Matrix.identity(2)), _coordinates(g0_real, -rf.algebra.J)) if c is not None]
+    found = [c for c in (block_coordinates(g0_real, -Matrix.identity(2)), block_coordinates(g0_real, -rf.algebra.J)) if c is not None]
     want = Matrix.sparse(real.dim, [{i: QI_ONE} for i in range(n)] + [{n + p: c for p, c in enumerate(x)} for x in found])
     assert report.iso_matrix == want
 
@@ -536,7 +537,7 @@ def test_real_grade0_coordinates_match_the_dense_oracle(make):
     g0 = full_prolongation(m, LEVI_TANAKA).components[0]
     ones = m.indices_of_degree(-1)
     s1 = [[(Fraction(m.conjugation.sparse_column(b).get(a, QI(0)).re), Fraction(m.conjugation.sparse_column(b).get(a, QI(0)).im)) for b in ones] for a in ones]
-    blocks = [_pairs(Matrix.sparse(2, [dm.column(-1, s) for s in range(2)])) for dm in g0.maps]
+    blocks = [_pairs(Matrix.sparse(2, [map_column(dm, -1, s) for s in range(2)])) for dm in g0.maps]
     want = real_grade0_coordinates(s1, _pairs(m.J), blocks)
     assert want[0] is not None
     report = verify_theorem(symbol)

@@ -1,6 +1,8 @@
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import (
@@ -14,10 +16,11 @@ from oracles import (
     jacobi_violations,
     replaced_bracket,
 )
+from coordinates import block_coordinates
 from quotients import random_quotient
 
 from crprolong import exact, liealg
-from crprolong.crmodels import build_aut_cr
+from crprolong.crmodels import build_aut_cr, verify_theorem
 from crprolong.exact import QI, Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import (
@@ -39,7 +42,7 @@ from crprolong.liealg import (
     realify,
 )
 from crprolong.freelie import conjugate_tree, cumulative_dim, hall_basis, tree_normal_form, witt_dim
-from crprolong.prolong import LEVI_TANAKA, _coordinates, full_prolongation
+from crprolong.prolong import FULL_TANAKA, LEVI_TANAKA, full_prolongation
 
 I = QI(0, 1)
 J_STANDARD = Matrix([[0, -1], [1, 0]])
@@ -191,7 +194,7 @@ def test_first_bracket_mismatch_matches_dense_oracle(k):
     prolonged = hall.algebra
     # the map verify_theorem checks: the identity on g_-, d and r to the G^0 elements with degree -1 blocks -I and -J
     g0 = hall.components[0]
-    grade0 = [c for c in (_coordinates(g0, -Matrix.identity(2)), _coordinates(g0, -A.J)) if c is not None]
+    grade0 = [c for c in (block_coordinates(g0, -Matrix.identity(2)), block_coordinates(g0, -A.J)) if c is not None]
     iso = Matrix.sparse(hall.dim, [{i: 1} for i in range(A.dim)] + [{A.dim + p: c for p, c in enumerate(x)} for x in grade0])
     x, y = rf.algebra.indices_of_degree(-1)
     planted = replaced_bracket(rf.algebra, x, y, {t: 2 * c for t, c in rf.algebra.table[(x, y)].items()})
@@ -720,3 +723,33 @@ def test_an_extension_keeps_the_prefix_brackets():
     ext = A._extended(["z"], [-1], [], J=None)
     assert not ext._nondegenerate and not is_nondegenerate_symbol(ext)
     assert ext.table == A.table and ext._numerators == A._numerators
+
+
+def test_engine_reads_no_qi_table(monkeypatch):
+    """The symbol build, ``verify_theorem`` and G2's full prolongation run with the ``table`` view unreadable.
+
+    ``table`` is a ``QI`` view for output and tests; every engine path reads
+    ``_numerators``.
+    """
+
+    def unreadable(self):
+        raise AssertionError("the engine read the QI table view")
+
+    monkeypatch.setattr(GradedLieAlgebra, "table", property(unreadable))
+    assert build_symbol_algebra(8).dim == 10
+    assert verify_theorem(build_symbol_algebra(8)).verdict == "confirmed"
+    assert verify_theorem(symbol_from_frame(builtin_catalog()["quintic7"])).verdict == "confirmed"
+    g2 = full_prolongation(realify(build_symbol_algebra(3).algebra), FULL_TANAKA)
+    assert g2.dims_by_degree() == {-3: 2, -2: 1, -1: 2, 0: 4, 1: 2, 2: 1, 3: 2}
+
+
+def test_only_output_reads_the_qi_views():
+    """No function of the package reads ``table``, ``bracket_basis`` or ``bracket_vec`` but the views and the output paths."""
+    views = {"table", "bracket_basis", "bracket_vec"}
+    allowed = {("liealg.py", name) for name in (*views, "__eq__", "to_json_dict")} | {("cli.py", "_symbol_text")}
+    offenders = []
+    for path in sorted(Path(liealg.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) not in allowed:
+                offenders += [(path.name, func.name, node.lineno) for node in ast.walk(func) if isinstance(node, ast.Attribute) and node.attr in views]
+    assert offenders == []

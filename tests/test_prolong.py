@@ -28,9 +28,9 @@ from crprolong.prolong import (
     is_transitive,
     ProlongationComponent,
     _assemble,
-    _coordinates,
     prolong_component,
 )
+from coordinates import block_coordinates, map_column
 from oracles import dense_inverse, full_block_component, replaced_bracket
 from quotients import random_quotient, rotation_stable_quotient, unstable_quotient
 
@@ -59,13 +59,13 @@ def test_grade0_f23_dims_and_euler_membership():
     assert comp.dim == 2
     # the degree-scaling map is in the span: the element whose g_-1 block
     # is -I scales every layer by its degree
-    coords = _coordinates(comp, -Matrix.identity(2))
+    coords = block_coordinates(comp, -Matrix.identity(2))
     assert coords is not None
     for a in (-1, -2, -3):
         for s in range(len(m.indices_of_degree(a))):
             col = {}
             for c, dm in zip(coords, comp.maps):
-                for t, x in dm.column(a, s).items():
+                for t, x in map_column(dm, a, s).items():
                     col[t] = col.get(t, QI(0)) + c * x
             assert {t: x for t, x in col.items() if x} == {s: QI(a)}
 
@@ -287,10 +287,10 @@ def _pairs(x):
 
 
 def _dense_blocks(dm):
-    """The blocks of ``dm`` as {a: rows of (re, im)}, read through ``DerivationMap.column``."""
+    """The blocks of ``dm`` as {a: rows of (re, im)}, read through ``coordinates.map_column``."""
     out = {}
     for a, (rows, columns) in dm.blocks.items():
-        cols = [dm.column(a, s) for s in range(len(columns))]
+        cols = [map_column(dm, a, s) for s in range(len(columns))]
         out[a] = [[_pairs(col.get(t, QI(0))) for col in cols] for t in range(rows)]
     return out
 
