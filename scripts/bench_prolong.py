@@ -4,8 +4,12 @@
 
 The keys are the full-Tanaka towers of the k = 1 (contact) and k = 2
 symbols through degree 11 (``grade0`` then ``prolong_component``, as the
-benchmark's ``anchors`` workload builds them) and ``verify_theorem`` on
-the default symbols at k = 125 and 224.  Each key is timed three times
+benchmark's ``anchors`` workload builds them), ``g2_full``, the
+``full_prolongation`` of the realified k = 3 symbol with the full Tanaka
+flavor (the benchmark's ``g2_full`` unit: its solves, then the bracket
+assembly and the Jacobi and transitivity gates of the assembled table,
+which take most of its time), and ``verify_theorem`` on the default
+symbols at k = 125 and 224.  Each key is timed three times
 per source tree, one run per fresh process after one untimed call, the
 two trees taking turns run by run (the median is reported;
 ``benchpair.py`` holds this harness).  There is no
@@ -36,7 +40,7 @@ import inspect
 
 import benchpair
 
-KEYS = ("tower_contact", "tower_k2", "verify125", "verify224")
+KEYS = ("tower_contact", "tower_k2", "g2_full", "verify125", "verify224")
 SHARED = ("solves", "unknowns", "rank", "component_dims")
 TOWER_DEGREE = 11
 REPEATS = 3
@@ -55,6 +59,9 @@ def _workload(key: str):
                 comps.append(prolong.prolong_component(m, comps, l))
 
         return tower
+    if key == "g2_full":
+        g2 = liealg.realify(liealg.build_symbol_algebra(3).algebra)
+        return lambda: prolong.full_prolongation(g2, prolong.FULL_TANAKA)
     symbol = liealg.build_symbol_algebra(int(key[len("verify"):]))
 
     def verify():
@@ -134,6 +141,6 @@ def measure(key: str, runs: int = REPEATS) -> dict:
 if __name__ == "__main__":
     benchpair.main(
         __file__, __doc__, measure, KEYS, "workload",
-        "prolongation component solves: full-Tanaka towers to degree 11 and verify_theorem at k = 125, 224",
+        "prolongation component solves: full-Tanaka towers to degree 11, the full-Tanaka G2 prolongation and verify_theorem at k = 125, 224",
         REPEATS, "BENCH_prolong.json", shared=SHARED,
     )

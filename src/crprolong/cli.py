@@ -110,7 +110,11 @@ def _resolve_symbol(args):
     quotient = None
     if args.quotient not in (None, "default"):
         with open(args.quotient, "r", encoding="utf-8") as fh:
-            quotient = QuotientSpec.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:  # the JSON parser's own limit; engine recursion is not caught here
+                raise ValueError("quotient: JSON nested too deeply to parse") from None
+        quotient = QuotientSpec.from_json_dict(data)
     return build_symbol_algebra(args.k, quotient)
 
 

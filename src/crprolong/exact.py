@@ -252,11 +252,6 @@ class Matrix:
                 out[i][j] = x
         return tuple(map(tuple, out))
 
-    def column(self, j: int):
-        """Column j as a dense list."""
-        col = self._columns[j]
-        return [col.get(i, QI_ZERO) for i in range(self.rows)]
-
     def sparse_column(self, j: int) -> dict:
         """Column j as a new dict {row: entry} without zeros, rows increasing."""
         return dict(self._columns[j])

@@ -541,7 +541,10 @@ def load_catalog(text: str) -> dict:
     A malformed entry raises ValueError naming its field path, such as
     ``catalog[0]: missing 'defining'``.
     """
-    entries = json.loads(text)
+    try:
+        entries = json.loads(text)
+    except RecursionError:  # the JSON parser's own limit; engine recursion is not caught here
+        raise ValueError("catalog: JSON nested too deeply to parse") from None
     if not isinstance(entries, list) or not entries:
         raise ValueError("catalog: top level must be a list of at least one model")
     out = {}

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
 from .exact import _combine, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_rref, _gaussian_table, _qi
-from .exact import _numerator_table, _real_coordinates, _real_fixed_points, _sparse_rows
+from .exact import _numerator_table, _real_coordinates, _real_fixed_points
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
 __all__ = [
@@ -542,14 +542,6 @@ class SymbolAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _top_conjugation_matrix(rho: int) -> Matrix:
-    """Generator swap on the top free layer, in Hall-basis coordinates; built once per length."""
-    top = [w for w in hall_basis(rho).words if w.length == rho]
-    pos = {w.word: p for p, w in enumerate(top)}
-    return Matrix.sparse(len(top), [{pos[word]: c for word, c in conjugate_normal_form(w.word)} for w in top])
-
-
-@lru_cache(maxsize=None)
 def conjugation_adapted_top_basis(rho: int):
     """Real basis of the top layer adapted to the generator-swap involution; built once per length.
 
@@ -565,12 +557,17 @@ def conjugation_adapted_top_basis(rho: int):
     vector signed positive at its leading coefficient and checked by
     substitution in integers.
     """
-    s = _top_conjugation_matrix(rho)
+    top = [w for w in hall_basis(rho).words if w.length == rho]
+    pos = {w.word: p for p, w in enumerate(top)}
+    rows = [{} for _ in top]  # row q of S: column j is the coefficient of top word q in the swap of top word j
+    for j, w in enumerate(top):
+        for word, c in conjugate_normal_form(w.word):
+            rows[pos[word]][j] = as_qi(c)
     tagged = []
-    for vec, den, _ in _real_fixed_points(_sparse_rows(s)):
+    for vec, den, _ in _real_fixed_points(rows):
         # the system splits, so each vector lies in the x half (part 0) or the y half (part 1)
         part = 0 if any(x for x, _ in vec.values()) else 1
-        tagged.append((min(vec), part, tuple(_qi(vec.get(p, (0, 0))[part], 0, den) for p in range(s.cols))))
+        tagged.append((min(vec), part, tuple(_qi(vec.get(p, (0, 0))[part], 0, den) for p in range(len(top)))))
     tagged.sort(key=lambda t: t[:2])
     return tuple((v, 1 - 2 * part) for _, part, v in tagged)
 

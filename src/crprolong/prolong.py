@@ -22,12 +22,12 @@ one a solve for the full block maps m_a -> V_(a+l) would return; it is
 built once in column form, {unknown: {vector: int}}, so one sparse
 product per coordinate form gives that coordinate of every basis map.
 Brackets between nonnegative components are assembled afterwards by the
-usual induction [d, e](x) = [[d, x], e] + [d, [e, x]]; the coordinates of
-[d, e] are read off its g_-1 block at the basis pivots (``_coordinates``)
-and checked against its action on every basis vector of m, so the result
-is an honest structure-constant table that gets the same Jacobi and
-transitivity scrutiny as everything else.  All of it runs on Gaussian
-integer numerators; ``DerivationMap.flatten`` writes the one ``QI``, for output.
+usual induction [d, e](x) = [[d, x], e] + [d, [e, x]] on g_-1 alone, and
+the coordinates of [d, e] are read off that block at the basis pivots
+(``_coordinates``); its action on the rest of m is the Jacobi identity on
+(e_x, d, e), left to the Jacobi gate of the assembled table.  All
+of it runs on Gaussian integer numerators; ``DerivationMap.flatten``
+writes the one ``QI``, for output.
 """
 
 from __future__ import annotations
@@ -394,13 +394,12 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
     """Structure-constant table of m plus all computed components, as an extension of m.
 
     [e_x, d] = -d(e_x) is read off the maps' stored columns as Gaussian
-    numerators, which extend m's own.  For nonnegative d, e the action
-    [e_x, [d, e]] = [d, [e_x, e]] + [e, [d, e_x]] is built from the maps and
-    the brackets assembled so far, pairs taken by increasing degree sum;
-    the coordinates of [d, e] are read at the g_-1 pivots (``_coordinates``),
-    and [e_x, [d, e]] taken from them must reproduce the action on every
-    basis vector x of m.  Every vector is Gaussian numerators in lowest
-    terms (``exact._gaussian_sum``), so the two are compared as they are.
+    numerators, which extend m's own.  For nonnegative d, e of degrees k, l
+    the g_-1 block of [d, e], from [e_x, [d, e]] = [d, [e_x, e]] + [e, [d, e_x]]
+    on the maps and the pairs assembled so far (by increasing degree sum),
+    must lie in G^(k+l), and its coordinates are read at the pivots
+    (``_coordinates``).  That they act on the rest of m as the induction
+    says is the Jacobi identity on (e_x, d, e): the gate of ``full_prolongation``.
     """
     labels = list(m.labels)
     degrees = list(m.degrees)
@@ -428,15 +427,6 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
                 brackets[g, x] = {slots[a + dm.degree][t]: z for t, z in col.items()}, den
                 brackets[x, g] = {slots[a + dm.degree][t]: (-re, -im) for t, (re, im) in col.items()}, den
 
-    def acting(pairs):
-        """The sum of [e_g, v] over ``pairs`` = [(g, v)], v = ({t: (re, im)}, den), read from ``brackets``, in lowest terms."""
-        out = []
-        for g, (vec, vden) in pairs:
-            for t, z in vec.items():
-                image, den = brackets.get((g, t), ({}, 1))
-                out.append((z, vden * den, image))
-        return _gaussian_sum(out)
-
     # by increasing degree sum, so the induction only consults finished entries
     pairs = sorted(
         ((k, l) for k in range(max_l + 1) for l in range(k, max_l + 1)),
@@ -451,27 +441,26 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
             gi = comp_base[k] + ik
             for il in range(ik + 1 if k == l else 0, components[l].dim):
                 gj = comp_base[l] + il
-                action = {}
-                for x in range(n):
-                    # [e_x, [d, e]] = [d, [e_x, e]] + [e, [d, e_x]]
-                    action[x] = acting([(gi, brackets.get((x, gj), ({}, 1))), (gj, brackets.get((gi, x), ({}, 1)))])
-                    if any(degrees[t] != m.degrees[x] + s for t in action[x][0]):
+                columns = []
+                for p, x in enumerate(ones):
+                    # column p of the g_-1 block of [d, e] is [[d, e], e_x] = -[d, [e_x, e]] - [e, [d, e_x]]
+                    terms = []
+                    for g, (vec, vden) in ((gi, brackets.get((x, gj), ({}, 1))), (gj, brackets.get((gi, x), ({}, 1)))):
+                        for t, (re, im) in vec.items():
+                            image, den = brackets.get((g, t), ({}, 1))
+                            terms.append(((-re, -im), vden * den, image))
+                    col, den = _gaussian_sum(terms)
+                    if any(degrees[t] != s - 1 for t in col):
                         raise RuntimeError("bracket action landed outside its degree slot")
-                if not target.dim:
-                    if any(act for act, _ in action.values()):
-                        raise RuntimeError(
-                            f"bracket of degrees {k} and {l} acts nontrivially beyond the terminal component"
-                        )
-                    continue
-                # column x of the g_-1 block of [d, e] is [[d, e], e_x] = -[e_x, [d, e]]
-                columns = [(p, {row[t]: (-re, -im) for t, (re, im) in action[x][0].items()}, action[x][1]) for p, x in enumerate(ones)]
+                    columns.append((p, {row[t]: z for t, z in col.items()}, den))
                 coords = _coordinates(target, _numerator_table(columns))
-                element = None if coords is None else ({comp_base[s] + i: z for i, z in coords[0].items()}, coords[1])
-                if element is None or any(acting([(x, element)]) != action[x] for x in range(n)):
+                if coords is None and not target.dim:
+                    raise RuntimeError(f"bracket of degrees {k} and {l} acts nontrivially beyond the terminal component")
+                if coords is None:
                     raise RuntimeError(f"bracket of G^{k} and G^{l} escapes G^{s}")
-                if element[0]:
-                    brackets[gi, gj] = element
-                    brackets[gj, gi] = {t: (-re, -im) for t, (re, im) in element[0].items()}, element[1]
+                if coords[0]:
+                    brackets[gi, gj] = {comp_base[s] + i: z for i, z in coords[0].items()}, coords[1]
+                    brackets[gj, gi] = {comp_base[s] + i: (-re, -im) for i, (re, im) in coords[0].items()}, coords[1]
 
     entries = [(key, *value) for key, value in brackets.items() if key[0] < key[1]]
     return m._extended(labels[n:], degrees[n:], entries, scalar_tag=m.scalar_tag)

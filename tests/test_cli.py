@@ -135,6 +135,7 @@ def test_symbol_bad_quotient_exits_2(tmp_path, capsys):
             '{"kind": "default", "rows": [[{"re": "1", "im": "0"}, {"re": "0", "im": "0"}]]}',
             "a quotient of kind 'default' must span the default quotient subspace",
         ),
+        ("[" * 100000, "quotient: JSON nested too deeply to parse"),
     ],
     ids=[
         "rows-not-list",
@@ -147,6 +148,7 @@ def test_symbol_bad_quotient_exits_2(tmp_path, capsys):
         "provenance-number",
         "provenance-list",
         "default-mislabelled",
+        "nested-too-deeply",
     ],
 )
 def test_malformed_quotient_exits_2(tmp_path, capsys, text, message):
@@ -429,6 +431,14 @@ def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert message in err
+
+
+def test_catalog_nested_past_the_parser_limit_exits_2(tmp_path, capsys):
+    """A catalog nested too deeply for the JSON parser is refused in one line, not with a RecursionError traceback."""
+    path = tmp_path / "catalog.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "models", "--catalog", str(path))
+    assert (code, out, err) == (2, "", "error: catalog: JSON nested too deeply to parse\n")
 
 
 @pytest.mark.parametrize("kind", [[], {}], ids=["list", "dict"])

@@ -113,9 +113,9 @@ def test_rotation_on_heisenberg():
     rot = _rotation(R)
     assert rot is not None
     # restriction is -J: r(x) = -y, r(y) = x; the center is annihilated
-    assert rot.column(0) == [QI(0), QI(-1), QI(0)]
-    assert rot.column(1) == [QI(1), QI(0), QI(0)]
-    assert rot.column(2) == [QI(0), QI(0), QI(0)]
+    assert rot.sparse_column(0) == {1: QI(-1)}
+    assert rot.sparse_column(1) == {0: QI(1)}
+    assert rot.sparse_column(2) == {}
 
 
 def test_rotation_fails_on_mixed_bidegree_quotient():

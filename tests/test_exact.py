@@ -18,7 +18,7 @@ I = QI(0, 1)
 
 def _apply(m, v):
     """m·v for the dense vector ``v``, as a dense list: one ``mul`` by a one-column matrix."""
-    return m.mul(Matrix.sparse(len(v), [dict(enumerate(v))])).column(0)
+    return [row[0] for row in m.mul(Matrix.sparse(len(v), [dict(enumerate(v))])).data]
 
 
 def test_field_arithmetic():
@@ -688,7 +688,6 @@ def test_matrix_views_and_constructors_match_dense_rows(rows, cols):
         assert (m.rows, m.cols) == (rows, cols)
         assert [_pairs(row) for row in m.data] == data
         for j in range(cols):
-            assert _pairs(m.column(j)) == [row[j] for row in data]
             col = m.sparse_column(j)
             assert list(col) == sorted(col) and all(col.values())
             nonzero = {i: row[j] for i, row in enumerate(data) if row[j] != C_ZERO}

@@ -422,9 +422,9 @@ def test_realify_heisenberg():
     # x = g1 + g2, y = i(g1 - g2), center i·[g1,g2]; [x, y] = -2·center
     assert R.table == {(0, 1): {2: QI(-2)}}
     assert R.J == J_STANDARD
-    assert rf.embedding.column(0) == [QI(1), QI(1), QI(0)]
-    assert rf.embedding.column(1) == [I, -I, QI(0)]
-    assert rf.embedding.column(2) == [QI(0), QI(0), I]
+    assert rf.embedding.sparse_column(0) == {0: QI(1), 1: QI(1)}
+    assert rf.embedding.sparse_column(1) == {0: I, 1: -I}
+    assert rf.embedding.sparse_column(2) == {2: I}
 
 
 def test_realify_abelian():
@@ -443,8 +443,8 @@ def test_realify_round_trip_is_isomorphism():
         A = build_symbol_algebra(k).algebra
         rf = real_form(A)
         R = rf.algebra
-        cols = [rf.embedding.column(i) for i in range(R.dim)]
-        sparse = [{t: x for t, x in enumerate(col) if x} for col in cols]
+        cols = list(zip(*rf.embedding.data))
+        sparse = [rf.embedding.sparse_column(i) for i in range(R.dim)]
         for i in range(R.dim):
             for j in range(i + 1, R.dim):
                 lhs = A.bracket_vec(sparse[i], sparse[j])

@@ -419,8 +419,12 @@ def test_assemble_rejects_bracket_beyond_terminal_component():
         _assemble(m, comps[:3])
 
 
-def test_assemble_checks_brackets_on_every_degree():
-    """A corrupted degree -3 column leaves every g_-1 block, hence every read coordinate, as it was."""
+def test_corrupted_deep_column_fails_the_assembled_jacobi_gate(monkeypatch):
+    """A corrupted degree -3 column leaves every g_-1 block, hence every read coordinate, as it was.
+
+    ``_assemble`` reads only those blocks, so it returns a table; its
+    Jacobi identity on (e_x, d, e) fails, and ``full_prolongation`` refuses it.
+    """
     m, comps = _f23_full_tanaka_components()
     first = comps[0].maps[0]
     rows, columns = first.blocks[-3]
@@ -429,8 +433,34 @@ def test_assemble_checks_brackets_on_every_degree():
     doubled = ({t: 2 * n for t, n in nums.items()}, den)
     corrupt = DerivationMap(0, {**first.blocks, -3: (rows, [doubled, *rest])})
     g0 = ProlongationComponent(0, (corrupt,) + comps[0].maps[1:])
-    with pytest.raises(RuntimeError, match="bracket of G\\^0 and G\\^0 escapes G\\^0"):
-        _assemble(m, [g0] + comps[1:])
+    assert check_jacobi(_assemble(m, [g0] + comps[1:]))
+    honest = prolong._assemble
+    monkeypatch.setattr(prolong, "_assemble", lambda m, components: honest(m, [g0, *components[1:]]))
+    with pytest.raises(RuntimeError, match="^assembled prolongation violates Jacobi at "):
+        full_prolongation(m, FULL_TANAKA)
+
+
+def test_corrupted_component_bracket_fails_the_assembled_jacobi_gate(monkeypatch):
+    """Negative control: doubling any one bracket of two component vectors in the assembled full-Tanaka G2 table trips its gate.
+
+    ``_assemble`` reads each such bracket off its g_-1 block alone, so the
+    gate is the one check of its action on the rest of m.
+    """
+    m = f23()
+    nums, _ = full_prolongation(m, FULL_TANAKA).algebra._numerators
+    keys = [key for key in nums if key[0] >= m.dim]
+    assert len(keys) == 20
+    honest = GradedLieAlgebra._extended
+    for bad in keys:
+
+        def corrupted(self, labels, degrees, entries, **kw):
+            entries = [(key, {t: (2 * re, 2 * im) for t, (re, im) in terms.items()} if key == bad else terms, den) for key, terms, den in entries]
+            return honest(self, labels, degrees, entries, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedLieAlgebra, "_extended", corrupted)
+            with pytest.raises(RuntimeError, match="^assembled prolongation violates Jacobi at "):
+                full_prolongation(m, FULL_TANAKA)
 
 
 # -- property oracle: the prolongation does not depend on the chosen basis --
@@ -459,12 +489,12 @@ def _inverse(m):
 def _transported(m, p):
     """m in the basis given by the columns of p, so p maps it back onto m; J becomes P^-1 J P on g_-1."""
     pinv = _inverse(p)
-    cols = [{r: x for r, x in enumerate(p.column(i)) if x} for i in range(m.dim)]
+    cols = [p.sparse_column(i) for i in range(m.dim)]
     table = {}
     for i in range(m.dim):
         for j in range(i + 1, m.dim):
             w = m.bracket_vec(cols[i], cols[j])
-            entry = {k: c for k, c in enumerate(pinv.mul(Matrix.sparse(m.dim, [w])).column(0)) if c}
+            entry = pinv.mul(Matrix.sparse(m.dim, [w])).sparse_column(0)
             if entry:
                 table[(i, j)] = entry
     ones = m.indices_of_degree(-1)
