@@ -13,10 +13,11 @@ fraction-free: monomials are packed into single integers, coefficients
 are integer numerators over one common denominator per vector, and each
 coefficient of the result becomes a ``QI`` once.  Each caller gets
 only what it reads: the associativity residual evaluates the inner law
-once, the left-invariant frame only the part of the law linear in b, and
-each bracket of the series is taken only at the degrees that its parent
-bracket reads.  Ungraded or complex structure constants are refused
-with ``ValueError``.
+and one outer side once, and reads the other side off the law's inverse
+symmetry bch(x, y) = -bch(-y, -x); the left-invariant frame evaluates
+only the part of the law linear in b; and each bracket of the series is
+taken only at the degrees that its parent bracket reads.  Ungraded or
+complex structure constants are refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -194,7 +195,14 @@ class GroupLaw:
         return names, [_poly(comp, den, 2 * n, width) for comp in comps]
 
     def _associativity_sides(self):
-        """bch(bch(a, b), c) and bch(a, bch(b, c)) on the private form, and the packing width."""
+        """bch(bch(a, b), c) and bch(a, bch(b, c)) on the private form, and the packing width.
+
+        If bch(a, b) passes the check bch(x, y) = -bch(-y, -x), that identity
+        on polynomial arguments gives bch(bch(a, b), c) = -bch(-c, bch(-b, -a)),
+        which ``_mirror`` reads off the right side.  An associative law passes
+        it (bch(x, -x) = 0), so only a law with a nonzero residual has its
+        left side evaluated directly.
+        """
         n = self.algebra.dim
         # each coordinate has weight -deg >= 1 and the graded bracket keeps a
         # degree-d component at weight -d <= cap, so no exponent passes cap
@@ -202,10 +210,12 @@ class GroupLaw:
         a, b, c = self._variables(3, width)
         comps, den = ab = self._apply(a, b)
         bc = [{e << (width * n): x for e, x in comp.items()} for comp in comps], den  # bch(b, c): a -> b, b -> c
-        return self._apply(ab, c), self._apply(a, bc), width
+        right = self._apply(a, bc)
+        left = _mirror(right, 3, n, width) if _mirror(ab, 2, n, width) == ab else self._apply(ab, c)
+        return left, right, width
 
     def associativity_residual(self):
-        """bch(bch(a, b), c) - bch(a, bch(b, c)) on 3N symbolic coordinates."""
+        """bch(bch(a, b), c) - bch(a, bch(b, c)) on 3N symbolic coordinates, the left side read off the right where it may be."""
         n = self.algebra.dim
         left, right, width = self._associativity_sides()
         # both sides come in lowest terms, so equal forms are a zero residual and only a mismatch is summed
@@ -221,6 +231,16 @@ def _mul_into(acc: dict, p: dict, q: dict, scale: int):
         for eb, cb in q.items():
             e = ea + eb
             acc[e] = acc.get(e, 0) + ca * cb
+
+
+def _mirror(form, groups: int, n: int, width: int):
+    """-f(-z, ..., -x) of a packed form f(x, ..., z) on ``groups`` groups of n variables: the outer groups swap, each term takes (-1)^(deg+1)."""
+    comps, den = form
+    last = width * n * (groups - 1)
+    first, shift = (1 << width * n) - 1, (1 << last) - 1
+    low = sum(1 << (width * i) for i in range(groups * n))  # deg is odd iff an odd number of exponents have this low bit set
+    # adding (first group - last group)·(2^last - 1) puts each outer group in the other's place
+    return [{e + ((e & first) - (e >> last)) * shift: x if (e & low).bit_count() & 1 else -x for e, x in comp.items()} for comp in comps], den
 
 
 def _poly(comp: dict, den: int, nvars: int, width: int) -> Poly:

@@ -166,7 +166,11 @@ def field_model(model_id: str, k: int, cr: PolyVectorField, provenance: str = ""
 
     In a weighted-homogeneous field of length rho every variable has
     weight at least 1, so no exponent passes rho - 1; a larger one is
-    refused here, before any bracket is taken.
+    refused here, before any bracket is taken.  Then the weights are read
+    in chart order and the field is refused unless it is weighted
+    homogeneous: the first two coordinates have weight 1 and constant
+    components, and each later component is nonzero, reads only earlier
+    coordinates, and has one weighted degree, its coordinate's weight - 1.
     """
     if cr.chart.nvars != 2 + k:
         raise ValueError("explicit field must live on a (2+k)-dimensional chart")
@@ -178,6 +182,17 @@ def field_model(model_id: str, k: int, cr: PolyVectorField, provenance: str = ""
                 raise ValueError(
                     f"components[{i}]: exponent {top} of {var} exceeds {rho - 1}, the bound for length {rho}"
                 )
+    weights = []
+    for j, comp in enumerate(cr.comps):
+        # None stands for a term that reads coordinate j or a later one
+        degrees = {None if any(e[j:]) else sum(x * w for x, w in zip(e, weights)) for e in comp.terms}
+        if j < 2 and degrees <= {0}:
+            weights.append(1)
+        elif j >= 2 and len(degrees) == 1 and None not in degrees:
+            weights.append(degrees.pop() + 1)
+        else:
+            rule = "be constant" if j < 2 else "be a nonzero polynomial in the earlier coordinates, of one weighted degree"
+            raise ValueError(f"components[{j}]: the field is not weighted homogeneous: the component of {cr.chart.names[j]} must {rule}")
     return ModelSpec(model_id, k, rho, cr=cr, provenance=provenance)
 
 

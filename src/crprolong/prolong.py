@@ -33,6 +33,7 @@ writes the one ``QI``, for output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from .exact import _apply_kernel, _gaussian_columns, _gaussian_sum, _integer_kernel, _numerator_table, _primitive, _qi, _sum_forms, _times_i
@@ -107,6 +108,12 @@ class ProlongationComponent:
     @property
     def dim(self) -> int:
         return len(self.maps)
+
+    @cached_property
+    def pivots(self):
+        """Each map's pivot (t, s) and its g_-1 columns ``numerators(-1, s)``, read once for ``_coordinates``."""
+        ones = [[dm.numerators(-1, s) for s in range(len(dm.blocks[-1][1]))] for dm in self.maps]
+        return tuple((max((t, s) for s, (col, _) in enumerate(cols) for t in col), cols) for cols in ones)
 
 
 def _local_index(m: GradedLieAlgebra):
@@ -381,9 +388,7 @@ def _coordinates(component: ProlongationComponent, block):
     cols, den = block
     coords = {}
     rest = [((1, 0), den, {(s, t): z for s, col in cols.items() for t, z in col.items()})]  # block minus the recombination
-    for i, dm in enumerate(component.maps):
-        ones = [dm.numerators(-1, s) for s in range(len(dm.blocks[-1][1]))]
-        t, s = max((t, s) for s, (col, _) in enumerate(ones) for t in col)
+    for i, ((t, s), ones) in enumerate(component.pivots):
         if z := cols.get(s, {}).get(t):
             coords[i] = z
             rest += [((-z[0], -z[1]), den * d, {(q, r): w for r, w in col.items()}) for q, (col, d) in enumerate(ones)]

@@ -233,6 +233,46 @@ def test_packed_three_argument_laws_match_oracle(k):
     assert expect_left == expect_right
 
 
+def _pack(*exps, width=2):
+    return sum(x << (width * i) for i, x in enumerate(exps))
+
+
+def test_mirror_swaps_the_outer_groups_and_signs_by_degree():
+    # -f(-z, -y, -x) of f(x, y, z) on three groups of two variables, 2-bit
+    # exponent fields: x and z trade places, y stays, and each term takes the
+    # sign (-1)^(deg+1)
+    f = [
+        {_pack(1, 0, 0, 0, 0, 0): 3, _pack(0, 1, 2, 0, 1, 1): 5},
+        {_pack(1, 1, 0, 0, 0, 0): 7, _pack(0, 0, 0, 0, 0, 0): 2, _pack(0, 0, 3, 0, 0, 0): -4},
+    ], 6
+    want = [
+        {_pack(0, 0, 0, 0, 1, 0): 3, _pack(1, 1, 2, 0, 0, 1): 5},
+        {_pack(0, 0, 0, 0, 1, 1): -7, _pack(0, 0, 0, 0, 0, 0): -2, _pack(0, 0, 3, 0, 0, 0): -4},
+    ], 6
+    assert bch._mirror(f, 3, 2, 2) == want
+    assert bch._mirror(want, 3, 2, 2) == f
+    # on two groups of one variable: x + y is fixed, x·y is not
+    assert bch._mirror(([{_pack(1, 0): 1, _pack(0, 1): 1}], 1), 2, 1, 2) == ([{_pack(0, 1): 1, _pack(1, 0): 1}], 1)
+    assert bch._mirror(([{_pack(1, 1): 1}], 2), 2, 1, 2) == ([{_pack(1, 1): -1}], 2)
+
+
+@pytest.mark.parametrize("doubled, calls", [(False, 2), (True, 3)], ids=["real-form", "doubled-bracket"])
+def test_associativity_sides_evaluate_the_left_side_only_off_the_symmetry(monkeypatch, doubled, calls):
+    # the k = 7 real form passes bch(x, y) = -bch(-y, -x), so its left side is
+    # read off the right; the doubled-bracket table fails it and evaluates both
+    R = realify(build_symbol_algebra(7).algebra)
+    if doubled:
+        x, e = R.labels.index("x"), R.labels.index("e2_1")
+        R = replaced_bracket(R, x, e, {t: 2 * c for t, c in R.table[(x, e)].items()})
+    law = GroupLaw(R)
+    seen = []
+    apply = GroupLaw._apply
+    monkeypatch.setattr(GroupLaw, "_apply", lambda self, *args: seen.append(args) or apply(self, *args))
+    left, right, _ = law._associativity_sides()
+    assert len(seen) == calls
+    assert (left == right) is not doubled
+
+
 def test_ungraded_table_is_refused():
     # [p, q] lands in degree -1, not -2
     A = GradedLieAlgebra(["p", "q", "t"], [-1, -1, -2], {(0, 1): {0: QI(1)}})

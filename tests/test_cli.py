@@ -433,6 +433,22 @@ def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):
     assert message in err
 
 
+def test_catalog_field_not_weighted_homogeneous_exits_2(tmp_path, capsys):
+    # a y^3 term in the weight-5 component of quintic7's field has weighted
+    # degree 3, not 4; verify must refuse the entry, not confirm it
+    _, out, _ = run(capsys, "models", "--format", "json")
+    entry = next(e for e in json.loads(out) if e["id"] == "quintic7")
+    entry["defining"]["cr"]["components"][8]["terms"].append({"re": "1", "im": "0", "exp": [0, 3, 0, 0, 0, 0, 0, 0, 0]})
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run(capsys, "verify", "--model", "quintic7", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: catalog[0]: defining.cr: components[8]: the field is not weighted homogeneous: "
+        "the component of e5_1 must be a nonzero polynomial in the earlier coordinates, of one weighted degree\n"
+    )
+
+
 def test_catalog_nested_past_the_parser_limit_exits_2(tmp_path, capsys):
     """A catalog nested too deeply for the JSON parser is refused in one line, not with a RecursionError traceback."""
     path = tmp_path / "catalog.json"

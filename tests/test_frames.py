@@ -309,6 +309,26 @@ def test_left_invariant_frame_round_trips_to_the_default_symbol(k):
     assert symbol_from_frame(m).algebra == build_symbol_algebra(k).algebra
 
 
+@pytest.mark.parametrize(
+    "j, extra",
+    [
+        (0, (1, 0, 0, 0, 0, 0, 0, 0, 0)),  # x in the component of x
+        (1, (0, 1, 0, 0, 0, 0, 0, 0, 0)),  # y in the component of y
+        (2, (0, 0, 1, 0, 0, 0, 0, 0, 0)),  # e2_1 reads itself
+        (5, (0, 0, 0, 0, 0, 0, 0, 0, 1)),  # e4_1 reads the later e5_1
+        (8, (0, 3, 0, 0, 0, 0, 0, 0, 0)),  # y^3 has weighted degree 3, not 4
+        (8, None),  # a zero component has no weighted degree
+    ],
+)
+def test_field_model_refuses_a_field_that_is_not_weighted_homogeneous(j, extra):
+    cr = builtin_catalog()["quintic7"].cr
+    assert field_model("q", 7, cr).cr is cr
+    comp = Poly.zero(9) if extra is None else cr.comps[j] + Poly(9, {extra: 1})
+    rule = "be constant" if j < 2 else "be a nonzero polynomial in the earlier coordinates, of one weighted degree"
+    with pytest.raises(ValueError, match=rf"^components\[{j}\]: the field is not weighted homogeneous: the component of {cr.chart.names[j]} must {rule}$"):
+        field_model("q", 7, PolyVectorField(cr.chart, [comp if i == j else p for i, p in enumerate(cr.comps)]))
+
+
 def test_field_model_chart_dimension_check():
     from crprolong.poly import PolyVectorField, real_chart
 
