@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import QI_I, QI_ONE, Matrix, _gaussian_apply, _gaussian_columns, _qi, rank
+from .exact import Matrix, _gaussian_apply, rank
 from .liealg import (
     GradedLieAlgebra,
     NotSelfConjugate,
@@ -243,8 +243,9 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     if m.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
     l_i, lb_i = m.indices_of_degree(-1)
-    swap = m.conjugation.sparse_column(l_i) == {lb_i: QI_ONE} and m.conjugation.sparse_column(lb_i) == {l_i: QI_ONE}
-    if not swap or m.J != Matrix.sparse(2, [{0: QI_I}, {1: -QI_I}]):
+    sc, sden = m.conjugation._numerators
+    swap = sc.get(l_i) == {lb_i: (sden, 0)} and sc.get(lb_i) == {l_i: (sden, 0)}
+    if not swap or m.J._numerators != ({0: {0: (0, 1)}, 1: {1: (0, -1)}}, 1):
         raise NotSelfConjugate("degree -1 block is not the swap with J = diag(i, -i)")
     prolonged = full_prolongation(m, LEVI_TANAKA)
     g0 = prolonged.components[0]
@@ -268,7 +269,7 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         )
     n = m.dim
     total = prolonged.dim
-    coords = [_coordinates(g0, _gaussian_columns(-Matrix.identity(2))), _coordinates(g0, _gaussian_columns(-m.J))]
+    coords = [_coordinates(g0, (-Matrix.identity(2))._numerators), _coordinates(g0, (-m.J)._numerators)]
     found = [c for c in coords if c is not None]  # ({i: (re, im)}, den) each
     nums, den = prolonged.algebra._numerators
 
@@ -281,10 +282,11 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     if coords[0] is None or not all(is_euler(x) for x in range(n)):
         fail("Euler derivation is not in the computed grade-0 component")
     # the elements with blocks -I and -J must span G^0, so dim G^0 is a key of _REAL_GRADE0
-    if rank(Matrix.sparse(g0.dim, [{i: _qi(re, im, cden) for i, (re, im) in c.items()} for c, cden in found])) != g0.dim:
+    if rank(Matrix._from_numerators(g0.dim, len(found), [(j, c, cden) for j, (c, cden) in enumerate(found)])) != g0.dim:
         fail("candidate isomorphism is not bijective")
     # g_- by the identity, then the d column, then the r column when G^0 has one
-    iso = Matrix.sparse(total, [{i: QI_ONE} for i in range(n)] + [{n + p: c for p, c in enumerate(x)} for x in _REAL_GRADE0[g0.dim]])
+    g0_cols = [(n + j, {n + p: (c, 0) for p, c in enumerate(x)}, 1) for j, x in enumerate(_REAL_GRADE0[g0.dim])]
+    iso = Matrix._from_numerators(total, n + g0.dim, [(i, {i: (1, 0)}, 1) for i in range(n)] + g0_cols)
     # the checked map, the same columns with the computed coordinates, over one denominator
     pden = 1
     for _, cden in found:

@@ -17,16 +17,19 @@ order, never on row order or on how the elimination is scheduled.
 
 This module owns the fraction-free form that ``prolong``, ``bch``,
 ``frames`` and ``liealg`` compute on: integer numerators over one positive
-denominator, Gaussian numerators as ``(re, im)`` pairs or packed into one
-dict, re at key k and im at key ~k (``_times_i``).  ``_gaussian_integers``
-is the way in (a real caller refuses a nonzero ``im`` itself),
-``_sum_forms`` the one scaled sum of packed forms and ``_gaussian_sum``
-of ``(re, im)`` vectors (one gcd each, on the finished sum; a caller that
-accumulates its own sum uses the two steps, ``_over_one_denominator``
-and ``_lowest_terms``), ``_numerator_table`` the one table of
-structure constants in lowest terms, and
-``_qi(re, im, den)`` the way back to a ``QI``.  No other module takes a
-gcd or an lcm, or reads the slots of a ``QI``.
+denominator, Gaussian numerators as ``(re, im)`` pairs.  A structure-
+constant table, a ``Matrix`` (columns ``({col: {row: (re, im)}}, den)``)
+and a derivation map's column (``({t: (re, im)}, den)``) are stored in
+it.  Only the solves pack a Gaussian form into one dict, re at key k and
+im at key ~k (``_times_i``): the prolongation's linear forms and
+``_integer_kernel``.  ``_gaussian_integers`` is the way in (a real caller
+refuses a nonzero ``im`` itself), ``_sum_forms`` the one scaled sum of
+packed forms and ``_gaussian_sum`` of ``(re, im)`` vectors (one gcd
+each, on the finished sum; a caller that accumulates its own sum uses
+the two steps, ``_over_one_denominator`` and ``_lowest_terms``),
+``_numerator_table`` the one table in lowest terms, and ``_qi(re, im,
+den)`` the way back to a ``QI``.  No other module takes a gcd or an
+lcm, or reads the slots of a ``QI``.
 """
 
 from __future__ import annotations
@@ -167,7 +170,6 @@ def _coerce(x):
 
 QI_ZERO = _form(0, 0, 1)
 QI_ONE = _form(1, 0, 1)
-QI_I = _form(0, 1, 1)
 
 
 def as_qi(x) -> QI:
@@ -211,88 +213,85 @@ def qi_from_json(x, where: str) -> QI:
 
 
 class Matrix:
-    """Matrix over Q(i), stored as sparse columns ``{row: QI}`` without zeros, rows increasing.
+    """Matrix over Q(i), stored once as Gaussian numerator columns ``({col: {row: (re, im)}}, den)``.
 
-    ``Matrix(rows)`` builds one from dense rows (JSON, tests) and
-    ``Matrix.sparse(rows, columns)`` from sparse columns; every product,
-    comparison and solve works on the nonzeros.  ``data`` is a read-only
-    dense view, a tuple of row tuples.
+    That is the structure-constant table's form (``_numerator_table``): in
+    lowest terms, without zero entries or empty columns.  ``Matrix(rows)``
+    builds one from dense rows (JSON, tests), ``Matrix.sparse(rows,
+    columns)`` from sparse columns, each converting its ``QI`` input once,
+    and ``_from_numerators`` from numerators, for the engine.  Every
+    product, comparison and solve works on the numerators; ``data``, a
+    read-only dense tuple of row tuples, and ``sparse_column`` are ``QI``
+    views for output and tests.
     """
 
-    __slots__ = ("rows", "cols", "_columns")
+    __slots__ = ("rows", "cols", "_numerators")
 
     def __init__(self, data):
         data = [[as_qi(x) for x in row] for row in data]
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        if any(len(row) != self.cols for row in data):
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
             raise ValueError("ragged matrix")
-        self._columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(self.cols)]
+        self.rows, self.cols = len(data), cols
+        self._numerators = _numerator_table([(j, *_gaussian_integers((i, row[j]) for i, row in enumerate(data))) for j in range(cols)])
 
     @classmethod
     def sparse(cls, rows: int, columns) -> "Matrix":
         """The ``rows``-row matrix whose column j is ``columns[j]``, a dict {row: entry}; zeros are dropped."""
+        columns = [_gaussian_integers((i, as_qi(x)) for i, x in col.items()) for col in columns]
+        return cls._from_numerators(rows, len(columns), [(j, *col) for j, col in enumerate(columns)])
+
+    @classmethod
+    def _from_numerators(cls, rows: int, cols: int, entries) -> "Matrix":
+        """The ``rows`` x ``cols`` matrix whose column j is nums/den for ``entries`` = [(j, {row: (re, im)}, den)], brought to lowest terms."""
         self = object.__new__(cls)
-        self.rows = rows
-        self._columns = [{i: q for i, x in sorted(col.items()) if (q := as_qi(x))} for col in columns]
-        self.cols = len(self._columns)
-        if any(not 0 <= i < rows for col in self._columns for i in col):
+        self.rows, self.cols = rows, cols
+        self._numerators = _numerator_table(entries)
+        if any(not 0 <= i < rows for col in self._numerators[0].values() for i in col):
             raise ValueError("row index out of range")
         return self
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.sparse(n, [{j: QI_ONE} for j in range(n)])
+        return cls._from_numerators(n, n, [(j, {j: (1, 0)}, 1) for j in range(n)])
 
     @property
     def data(self):
+        nums, den = self._numerators
         out = [[QI_ZERO] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self._columns):
-            for i, x in col.items():
-                out[i][j] = x
+        for j, col in nums.items():
+            for i, (re, im) in col.items():
+                out[i][j] = _qi(re, im, den)
         return tuple(map(tuple, out))
 
     def sparse_column(self, j: int) -> dict:
-        """Column j as a new dict {row: entry} without zeros, rows increasing."""
-        return dict(self._columns[j])
+        """Column j as a new dict {row: QI} without zeros, rows increasing."""
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        nums, den = self._numerators
+        return {i: _qi(re, im, den) for i, (re, im) in sorted(nums.get(j, {}).items())}
 
     def __neg__(self) -> "Matrix":
-        return Matrix.sparse(self.rows, [{i: -x for i, x in col.items()} for col in self._columns])
+        nums, den = self._numerators
+        return Matrix._from_numerators(self.rows, self.cols, [(j, {i: (-re, -im) for i, (re, im) in col.items()}, den) for j, col in nums.items()])
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        return Matrix.sparse(self.rows, [_combine(col, self._columns) for col in other._columns])
+        (nums, den), (onums, oden) = self._numerators, other._numerators
+        return Matrix._from_numerators(self.rows, other.cols, [(j, _gaussian_apply(nums, col), den * oden) for j, col in onums.items()])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._columns == other._columns
+            and self._numerators == other._numerators
         )
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
-
-
-def _combine(coeffs: dict, cols) -> dict:
-    """The sum of c·cols[k] over {k: c} in ``coeffs``, for sparse columns ``cols``, with zeros dropped."""
-    out = {}
-    for k, c in coeffs.items():
-        for t, x in cols[k].items():
-            out[t] = out.get(t, QI_ZERO) + c * x
-    return {t: x for t, x in out.items() if x}
-
-
-def _sparse_rows(m: Matrix):
-    """The rows of ``m`` as dicts {col: QI} without zeros, columns increasing."""
-    rows = [{} for _ in range(m.rows)]
-    for j, col in enumerate(m._columns):
-        for i, x in col.items():
-            rows[i][j] = x
-    return rows
 
 
 def _realify(rows, col_order):
@@ -389,11 +388,6 @@ def _numerator_table(entries):
     if g == 1:
         return nums, den
     return {key: {k: (re // g, im // g) for k, (re, im) in terms.items()} for key, terms in nums.items()}, den // g
-
-
-def _gaussian_columns(m: Matrix):
-    """The columns of ``m`` as ``({j: {row: (re, im)}}, den)``, numerators over one denominator; zero columns dropped."""
-    return _gaussian_table(dict(enumerate(m._columns)))
 
 
 def _sum_forms(terms):
@@ -594,23 +588,23 @@ def _apply_kernel(form, columns):
 def _real_fixed_points(s):
     """Real basis of the fixed points of z -> S·conj(z), as ``[({p: (x_p, y_p)}, den, (p, part))]``.
 
-    S is square, given by its rows ``{q: QI}``.  With S = P + iQ, z = x + iy
-    is fixed iff (P - I)x + Qy = 0 and Qx - (P + I)y = 0: integer rows,
-    each times the lcm of its denominators.  One reduced kernel vector per
-    free column (``_integer_kernel``), signed so that its leading
-    coefficient is positive.  Its free column, its last nonzero entry in
+    S is square, given as Gaussian numerator columns ``({q: {p: (re, im)}},
+    den)``, one column per q in range(nb).  With S = P + iQ, z = x + iy is
+    fixed iff (P - I)x + Qy = 0 and Qx - (P + I)y = 0: integer rows, times
+    den.  One reduced kernel vector per free column (``_integer_kernel``),
+    signed so that its leading coefficient is positive.  Its free column, its last nonzero entry in
     the order x_0..y_{nb-1}, is part 0 (x) or 1 (y) of entry p; there it
     is ±den and every other vector is 0.
     """
-    nb = len(s)
-    rows = []
-    for p, row in enumerate(s):
-        num, den = _gaussian_integers(row.items())
-        fix, flip = {p: -den}, {nb + p: -den}
-        for q, (re, im) in num.items():
-            fix[q], fix[nb + q] = fix.get(q, 0) + re, im
-            flip[q], flip[nb + q] = im, flip.get(nb + q, 0) - re
-        rows += (fix, flip)
+    cols, den = s
+    nb = len(cols)
+    fix = [{p: -den} for p in range(nb)]
+    flip = [{nb + p: -den} for p in range(nb)]
+    for q, col in cols.items():
+        for p, (re, im) in col.items():
+            fix[p][q], fix[p][nb + q] = fix[p].get(q, 0) + re, im
+            flip[p][q], flip[p][nb + q] = im, flip[p].get(nb + q, 0) - re
+    rows = [row for pair in zip(fix, flip) for row in pair]
     columns, dens = _integer_kernel(rows, 2 * nb)
     vecs = [{} for _ in dens]
     for u in sorted(columns):
@@ -648,7 +642,8 @@ def _real_coordinates(w, den, columns, dens, free):
 
 
 def rank(m: Matrix) -> int:
-    return sum(1 for _ in _gaussian_rref([_gaussian_integers(row.items())[0] for row in _sparse_rows(m)], range(m.cols)))
+    """The rank of ``m``: that of its transpose, whose rows are the stored numerator columns."""
+    return sum(1 for _ in _gaussian_rref(list(m._numerators[0].values()), range(m.rows)))
 
 
 class Echelon:

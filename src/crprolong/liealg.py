@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exact import QI_I, QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
-from .exact import _combine, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_columns, _gaussian_rref, _gaussian_table, _qi
+from .exact import QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
+from .exact import _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_table, _qi
 from .exact import _numerator_table, _real_coordinates, _real_fixed_points
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
@@ -152,7 +152,7 @@ class GradedLieAlgebra:
             s = conjugation
             if s.rows != n or s.cols != n:
                 raise NotSelfConjugate(f"conjugation must be a {n}x{n} matrix, got {s.rows}x{s.cols}")
-            cols, sden = _gaussian_columns(s)
+            cols, sden = s._numerators
             if any(self.degrees[a] != self.degrees[b] for b, col in cols.items() for a in col):
                 raise NotSelfConjugate("conjugation does not preserve degrees")
             # S·conj(S) = I, column by column on the numerators over sden²
@@ -443,7 +443,7 @@ def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:
         raise MissingJ("algebra has no complex structure map")
     ones = algebra.indices_of_degree(-1)
     nums, _ = algebra._numerators
-    jcols, jden = _gaussian_columns(algebra.J)
+    jcols, jden = algebra.J._numerators
     rows = {}  # a: [(b, J[a][b])] on the indices of the algebra
     for q, col in jcols.items():
         for p, z in col.items():
@@ -559,12 +559,10 @@ def conjugation_adapted_top_basis(rho: int):
     """
     top = [w for w in hall_basis(rho).words if w.length == rho]
     pos = {w.word: p for p, w in enumerate(top)}
-    rows = [{} for _ in top]  # row q of S: column j is the coefficient of top word q in the swap of top word j
-    for j, w in enumerate(top):
-        for word, c in conjugate_normal_form(w.word):
-            rows[pos[word]][j] = as_qi(c)
+    # column j of S: the coefficients of the top words in the swap of top word j
+    swap = {j: {pos[word]: (c, 0) for word, c in conjugate_normal_form(w.word)} for j, w in enumerate(top)}
     tagged = []
-    for vec, den, _ in _real_fixed_points(rows):
+    for vec, den, _ in _real_fixed_points((swap, 1)):
         # the system splits, so each vector lies in the x half (part 0) or the y half (part 1)
         part = 0 if any(x for x, _ in vec.values()) else 1
         tagged.append((min(vec), part, tuple(_qi(vec.get(p, (0, 0))[part], 0, den) for p in range(len(top)))))
@@ -636,8 +634,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     # the quotient map π on words, read once off the reduced rows: a lower or
     # retained word keeps its coordinate, and a pivot top word c goes to minus
     # the rest of its row, which is zero at every other pivot; a combination
-    # {word: coefficient} then projects by one _combine over pi, and a bracket
-    # of two words in integers, over the Gaussian numerators of pi
+    # {word: integer} then projects in integers, over the Gaussian numerators of pi
     pi = {w.word: {i: QI_ONE} for i, w in enumerate(low_words)}
     pi.update((top_words[t].word, {pos: QI_ONE}) for t, pos in pos_top_retained.items())
     for r, c in reducer.pivots:
@@ -657,14 +654,19 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     # conjugation: generator swap S extended as an antilinear bracket morphism,
     # defined on the quotient only when the quotient subspace is stable, i.e.
     # when π(S·conj(q)) = Σ_t conj(q_t)·π(S·e_t) vanishes for every quotient row q
-    swapped = [_combine(dict(conjugate_normal_form(w.word)), pi) for w in top_words]
-    stable = not any(_combine({t: x.conj() for t, x in enumerate(row) if x}, swapped) for row in reducer.rows)
+    def swap(w):
+        """π(S·w) over pden."""
+        return _gaussian_apply(pi_nums, {v: (c, 0) for v, c in conjugate_normal_form(w.word)})
+
+    swapped = {t: swap(w) for t, w in enumerate(top_words)}
+    conj_rows = ({t: (re, -im) for t, (re, im) in _gaussian_integers(enumerate(row))[0].items()} for row in reducer.rows)
+    stable = not any(any(re or im for re, im in _gaussian_apply(swapped, q).values()) for q in conj_rows)
     conjugation = None
     if stable:
-        conj_cols = [_combine(dict(conjugate_normal_form(w.word)), pi) for w in low_words] + [swapped[t] for t in retained]
-        conjugation = Matrix.sparse(n, conj_cols)
+        conj_cols = [swap(w) for w in low_words] + [swapped[t] for t in retained]
+        conjugation = Matrix._from_numerators(n, n, [(j, col, pden) for j, col in enumerate(conj_cols)])
 
-    j_mat = Matrix.sparse(2, [{0: QI_I}, {1: -QI_I}])
+    j_mat = Matrix._from_numerators(2, 2, [(0, {0: (0, 1)}, 1), (1, {1: (0, -1)}, 1)])
     algebra = GradedLieAlgebra._from_numerators(labels, degrees, _numerator_table(entries), conjugation=conjugation, J=j_mat, scalar_tag="Qi")
 
     # invariant gate
@@ -712,23 +714,21 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     their real coordinates are read at the free columns, where each basis
     vector is ±1 and the others are 0, and each image must equal that real
     combination (``exact._real_coordinates``); one that does not raises
-    :class:`NotSelfConjugate`.  The real brackets enter the algebra as
-    numerators, and only J's and the embedding's entries become ``QI``.
+    :class:`NotSelfConjugate`.  The real brackets, J_R and the embedding
+    are built from numerators, and no ``QI`` is written.
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
     columns, dens = [], []  # real basis vector c: {complex index: (re, im)} over dens[c]
+    sc, sden = algebra.conjugation._numerators
     free = {}  # complex index a: [(c, part)], the free columns of the real basis vectors at a
     owners = {}  # complex index a: [(c, numerator of a in column c)]
     labels, degrees = [], []
     for d in algebra.degrees_present():
         block = algebra.indices_of_degree(d)
         pos = {a: p for p, a in enumerate(block)}
-        rows = [{} for _ in block]
-        for q, b in enumerate(block):
-            for a, x in algebra.conjugation.sparse_column(b).items():
-                rows[pos[a]][q] = x
-        basis = _real_fixed_points(rows)  # column c of E_d, [({p: (re, im)}, den, free column)] on the positions p of block
+        s = {q: {pos[a]: z for a, z in sc.get(b, {}).items()} for q, b in enumerate(block)}  # S on the block, over sden
+        basis = _real_fixed_points((s, sden))  # column c of E_d, [({p: (re, im)}, den, free column)] on the positions p of block
         if len(basis) != len(block):
             raise NotSelfConjugate("real form of a degree block has wrong dimension")
         first = len(columns)
@@ -759,16 +759,16 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     if algebra.J is not None:
         ones_c = algebra.indices_of_degree(-1)
         ones_r = [c for c, d in enumerate(degrees) if d == -1]
-        jm, jden = _gaussian_columns(algebra.J)
+        jm, jden = algebra.J._numerators
         j_cols = {ones_c[q]: {ones_c[p]: z for p, z in col.items()} for q, col in jm.items()}  # over jden
         jr_cols = []
-        for r in ones_r:
+        for q, r in enumerate(ones_r):
             den = dens[r] * jden
             coords = real_coords(_gaussian_apply(j_cols, columns[r]), den, "J does not restrict to the real form")
-            jr_cols.append({ones_r.index(t): _qi(*z, den) for t, z in coords.items()})
-        j_real = Matrix.sparse(len(ones_r), jr_cols)
+            jr_cols.append((q, {ones_r.index(t): z for t, z in coords.items()}, den))
+        j_real = Matrix._from_numerators(len(ones_r), len(ones_r), jr_cols)
     real = GradedLieAlgebra._from_numerators(labels, degrees, _numerator_table(entries), J=j_real, scalar_tag="Q")
-    emb = Matrix.sparse(algebra.dim, [{a: _qi(*z, dens[c]) for a, z in col.items()} for c, col in enumerate(columns)])
+    emb = Matrix._from_numerators(algebra.dim, len(columns), [(c, col, dens[c]) for c, col in enumerate(columns)])
     return RealForm(real, emb)
 
 
@@ -781,8 +781,13 @@ def realify(algebra: GradedLieAlgebra) -> GradedLieAlgebra:
 
 
 def first_bracket_mismatch(src: GradedLieAlgebra, dst: GradedLieAlgebra, p: Matrix):
-    """First basis pair (i, j) of ``src``, in (i, j) order, where P[a,b] != [Pa, Pb], or None."""
-    return _table_mismatch(*src._numerators, dst, *_gaussian_columns(p))
+    """First basis pair (i, j) of ``src``, in (i, j) order, where P[a,b] != [Pa, Pb], or None.
+
+    P must be ``dst.dim`` x ``src.dim``, else ValueError is raised.
+    """
+    if (p.rows, p.cols) != (dst.dim, src.dim):
+        raise ValueError(f"P must be {dst.dim}x{src.dim}, got {p.rows}x{p.cols}")
+    return _table_mismatch(*src._numerators, dst, *p._numerators)
 
 
 def _table_mismatch(nums, den, dst: GradedLieAlgebra, cols, pden):

@@ -26,8 +26,11 @@ usual induction [d, e](x) = [[d, x], e] + [d, [e, x]] on g_-1 alone, and
 the coordinates of [d, e] are read off that block at the basis pivots
 (``_coordinates``); its action on the rest of m is the Jacobi identity on
 (e_x, d, e), left to the Jacobi gate of the assembled table.  All
-of it runs on Gaussian integer numerators; ``DerivationMap.flatten``
-writes the one ``QI``, for output.
+of it runs on Gaussian integer numerators: a derivation map keeps its
+columns in the form of the structure constants and of a ``Matrix``
+(``({t: (re, im)}, den)``), the packed form lives only inside the solve's
+linear forms, and ``DerivationMap.flatten`` writes the one ``QI``, for
+output.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
-from .exact import _apply_kernel, _gaussian_columns, _gaussian_sum, _integer_kernel, _numerator_table, _primitive, _qi, _sum_forms, _times_i
+from .exact import _apply_kernel, _gaussian_sum, _integer_kernel, _numerator_table, _primitive, _qi, _sum_forms, _times_i
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
 
 __all__ = [
@@ -73,30 +76,24 @@ class DerivationMap:
     """A degree-l graded map out of m, one block per source degree, kept in integers.
 
     blocks[a] = (dim V_(a+l), columns): column s, the image of basis
-    vector s of m_a, is ``(nums, den)``, its nonzero coordinates as packed
-    Gaussian numerators (``exact._times_i``: the real part of coordinate t
-    at key t, the imaginary part at key ~t) over one positive denominator.
-    V_(a+l) is the m block for a + l <= -1, else the already-computed
-    component of that degree.  ``numerators`` reads a column as Gaussian
-    integers, and ``flatten`` is the one way to ``QI`` entries, for output.
+    vector s of m_a, is ``({t: (re, im)}, den)``, its nonzero coordinates
+    as Gaussian integer numerators, t increasing, over one positive
+    denominator: the form of a ``Matrix`` column and of the structure
+    constants.  V_(a+l) is the m block for a + l <= -1, else the
+    already-computed component of that degree.  ``flatten`` is the one way
+    to ``QI`` entries, for output.
     """
 
     degree: int
     blocks: dict
-
-    def numerators(self, a: int, s: int):
-        """The image of basis vector s of m_a as ``({t: (re, im)}, den)``, zeros dropped, t increasing."""
-        nums, den = self.blocks[a][1][s]
-        return {t: (nums.get(t, 0), nums.get(~t, 0)) for t in sorted({t if t >= 0 else ~t for t in nums})}, den
 
     def flatten(self, source_degrees):
         """Every block in ``source_degrees`` order as one list of ``QI``, column by column, zeros included."""
         out = []
         for a in source_degrees:
             rows, columns = self.blocks[a]
-            for s in range(len(columns)):
-                nums, den = self.numerators(a, s)
-                out.extend(_qi(*nums.get(t, (0, 0)), den) for t in range(rows))
+            for col, den in columns:
+                out.extend(_qi(*col.get(t, (0, 0)), den) for t in range(rows))
         return out
 
 
@@ -111,8 +108,8 @@ class ProlongationComponent:
 
     @cached_property
     def pivots(self):
-        """Each map's pivot (t, s) and its g_-1 columns ``numerators(-1, s)``, read once for ``_coordinates``."""
-        ones = [[dm.numerators(-1, s) for s in range(len(dm.blocks[-1][1]))] for dm in self.maps]
+        """Each map's pivot (t, s) and its g_-1 columns, read once for ``_coordinates``."""
+        ones = [dm.blocks[-1][1] for dm in self.maps]
         return tuple((max((t, s) for s, (col, _) in enumerate(cols) for t in col), cols) for cols in ones)
 
 
@@ -148,9 +145,9 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     expressions e_x = sum of c·[e_g, e_y] as D(e_x) = sum of
     c·([D e_g, e_y] + [e_g, D e_y]), each coordinate a sparse linear form
     over the unknowns, one ``int`` denominator per image.  Every input is
-    read as Gaussian integers: ``m._numerators``, the Gaussian columns of
-    J, the coefficients of the expressions and the stored columns of the
-    lower components.  A form is packed (``exact._times_i``): the real
+    read as stored, in Gaussian integer numerators: ``m._numerators``, the
+    columns of J, the coefficients of the expressions and the columns of
+    the lower components.  A form is packed (``exact._times_i``): the real
     part of the coefficient of unknown u at key u, the imaginary part at
     key ~u, so a real input leaves every imaginary part empty and runs in
     plain integers.  Each nonzero coordinate of the Leibniz residual on a basis
@@ -165,7 +162,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     is then zero, and no later row or image is built.  Otherwise every row
     is checked by substitution in integers, and one ``_apply_kernel`` per
     coordinate form of each image gives that coordinate of every basis
-    map, stored as packed integer columns.  The
+    map, stored as Gaussian numerator columns.  The
     unknowns keep the order of the trailing g_-1 block of a solve for all
     blocks m_a -> V_(a+l).  No derivation has a zero g_-1 block, so every
     pivot of that solve's reduced kernel basis (the last nonzero entry of
@@ -182,13 +179,12 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     dims = {d: len(idx) for d, idx in blocks.items()} | {d: c.dim for d, c in enumerate(components[:l])}
     loc = _local_index(m)
 
-    def scaled(t, z, den, form):
-        """The terms of z/den·form at coordinate t, for Gaussian numerators z = (re, im)."""
-        re, im = z
-        out = [(t, re, den, form)] if re else []
+    def scaled(terms, t, re, im, den, form):
+        """Append to ``terms`` those of (re + i·im)/den·form at coordinate t."""
+        if re:
+            terms.append((t, re, den, form))
         if im:
-            out.append((t, im, den, _times_i(form)))
-        return out
+            terms.append((t, im, den, _times_i(form)))
 
     def bracket(image, sdeg, y, sign):
         """Terms of sign·[D e, e_y] for ``image`` = ({s: form}, den), the coordinates of D e in V_sdeg."""
@@ -197,22 +193,21 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         for s, form in forms.items():
             if sdeg >= 0:
                 coeffs, aden = components[sdeg].maps[s].blocks[m.degrees[y]][1][loc[y]]
-                for t, a in coeffs.items():
-                    # a packed key ~t holds the imaginary part of coordinate t
-                    terms.append((t, sign * a, aden * den, form) if t >= 0 else (~t, sign * a, aden * den, _times_i(form)))
+                for t, (a, b) in coeffs.items():
+                    scaled(terms, t, sign * a, sign * b, aden * den, form)
             else:
                 # the table is keyed i < j: [e_x, e_y] = -[e_y, e_x]
                 x = blocks[sdeg][s]
                 f = sign if x < y else -sign
                 for k, (a, b) in nums.get((min(x, y), max(x, y)), {}).items():
-                    terms += scaled(loc[k], (f * a, f * b), mden * den, form)
+                    scaled(terms, loc[k], f * a, f * b, mden * den, form)
         return terms
 
     nb = len(blocks[-1])
     width = dims.get(l - 1, 0) * nb
     jrows, zero = [], set()
     if j_constraint:
-        jcols, jden = _gaussian_columns(m.J)
+        jcols, jden = m.J._numerators
         jm = {(p, q): z for q, col in jcols.items() for p, z in col.items()}
         for p, q in product(range(nb), repeat=2):
             # (D J - J D)[p][q] on the g_-1 block, times the denominator of J
@@ -245,7 +240,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
                     parts[g, y] = _sum_forms(bracket(image_of(g), l - 1, y, -1) + bracket(image_of(y), m.degrees[y] + l, g, 1))
                 forms, pden = parts[g, y]
                 for t, form in forms.items():
-                    terms += scaled(t, (-cr, -ci), cden * pden, form)
+                    scaled(terms, t, -cr, -ci, cden * pden, form)
             image[x] = _sum_forms(terms)
         return image[x]
 
@@ -260,7 +255,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
             for k, (gr, gi) in nums.get((i, j), {}).items():
                 forms, den = image_of(k)
                 for t, form in forms.items():
-                    terms += scaled(t, (-gr, -gi), mden * den, form)
+                    scaled(terms, t, -gr, -gi, mden * den, form)
             terms += bracket(image_of(i), m.degrees[i] + l, j, 1)
             terms += bracket(image_of(j), m.degrees[j] + l, i, -1)
             yield from _sum_forms(terms)[0].values()
@@ -274,10 +269,9 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
             # coordinate t of D(e_y) for every kernel vector v at once; key ~v is its imaginary part
             for v, n in _apply_kernel(form, columns).items():
                 if n:
-                    if v >= 0:
-                        images[v][t] = n
-                    else:
-                        images[~v][~t] = n
+                    col = images[v if v >= 0 else ~v]
+                    re, im = col.get(t, (0, 0))
+                    col[t] = (n, im) if v >= 0 else (re, n)
         for out, col, vden in zip(maps, images, vdens):
             out[m.degrees[y]][1].append((col, vden * den))
     del image_of  # it calls itself: free that reference cycle, and the images, now
@@ -426,7 +420,7 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
     for g, dm in maps.items():
         for x in range(n):
             a = m.degrees[x]
-            col, den = dm.numerators(a, loc[x])
+            col, den = dm.blocks[a][1][loc[x]]
             if col:
                 # [e_g, e_x] = g(e_x) = -[e_x, e_g]
                 brackets[g, x] = {slots[a + dm.degree][t]: z for t, z in col.items()}, den

@@ -1,19 +1,19 @@
 """Derivation maps and their coordinates in the tests' ``QI`` terms.
 
-``map_column`` reads a column of a ``prolong.DerivationMap`` as ``QI``, and
-``block_coordinates`` calls ``prolong._coordinates`` with a ``Matrix``
-block and gives one ``QI`` per map back.
+``map_column`` reads a stored column of a ``prolong.DerivationMap`` as
+``QI``, and ``block_coordinates`` calls ``prolong._coordinates`` with the
+numerator columns of a ``Matrix`` block and gives one ``QI`` per map back.
 """
 
 from fractions import Fraction
 
-from crprolong.exact import QI, _gaussian_columns
+from crprolong.exact import QI
 from crprolong.prolong import _coordinates
 
 
 def block_coordinates(component, block):
     """Coordinates in ``component`` of the element whose g_-1 block is the ``Matrix`` ``block``, one ``QI`` per map, or None."""
-    found = _coordinates(component, _gaussian_columns(block))
+    found = _coordinates(component, block._numerators)
     if found is None:
         return None
     nums, den = found
@@ -22,5 +22,5 @@ def block_coordinates(component, block):
 
 def map_column(dm, a, s):
     """The image of basis vector s of m_a under the derivation map ``dm``, as {t: QI} without zeros."""
-    nums, den = dm.numerators(a, s)
+    nums, den = dm.blocks[a][1][s]
     return {t: QI(Fraction(re, den), Fraction(im, den)) for t, (re, im) in nums.items()}

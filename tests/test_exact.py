@@ -634,6 +634,30 @@ def test_only_exact_takes_gcd_or_lcm():
     assert offenders == []
 
 
+def _attribute_scopes(tree, names, scope=""):
+    """The enclosing qualified name of every read of an attribute in ``names`` under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _attribute_scopes(node, names, f"{scope}{node.name}.")
+        else:
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                yield scope.rstrip(".")
+            yield from _attribute_scopes(node, names, scope)
+
+
+def test_only_output_code_reads_matrix_views():
+    """A ``Matrix`` is stored as numerators: outside ``exact``, only the JSON writers read its ``QI`` views ``data`` and ``sparse_column``."""
+    package = Path(exact.__file__).parent
+    allowed = {("liealg.py", "_matrix_to_json"), ("crmodels.py", "TheoremReport.to_json_dict")}
+    reads = {
+        (path.name, scope)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "exact.py"
+        for scope in _attribute_scopes(ast.parse(path.read_text()), {"data", "sparse_column"})
+    }
+    assert reads <= allowed, sorted(reads - allowed)
+
+
 def test_only_exact_names_the_integer_elimination():
     """Every solve enters through ``exact``'s adapters: no other module names ``integer_rref``, ``_realify`` or ``_int_eliminate``."""
     package = Path(exact.__file__).parent
@@ -679,6 +703,15 @@ def _matrix(data, rows, cols):
     return Matrix.sparse(rows, [{i: QI(*data[i][j]) for i in range(rows)} for j in range(cols)])
 
 
+def _unreduced(rng, data, rows, cols):
+    """The ``Matrix`` of dense pairs from ``_from_numerators``: each column over a multiple of its denominators' lcm, zeros kept."""
+    entries = []
+    for j in range(cols):
+        den = math.lcm(*(x.denominator for i in range(rows) for x in data[i][j])) * rng.choice((1, 2, 6))
+        entries.append((j, {i: (int(data[i][j][0] * den), int(data[i][j][1] * den)) for i in range(rows)}, den))
+    return Matrix._from_numerators(rows, cols, entries)
+
+
 @pytest.mark.parametrize("rows, cols", SHAPES)
 def test_matrix_views_and_constructors_match_dense_rows(rows, cols):
     rng = random.Random(4701 + 10 * rows + cols)
@@ -696,6 +729,17 @@ def test_matrix_views_and_constructors_match_dense_rows(rows, cols):
             assert Matrix([_qis(row) for row in data]) == m
         assert -(-m) == m
         assert [_pairs(row) for row in (-m).data] == [[(-a, -b) for a, b in row] for row in data]
+        # numerators over an unreduced denominator: the same matrix, stored in lowest terms
+        u = _unreduced(rng, data, rows, cols)
+        assert u == m and u._numerators == m._numerators and (u.rows, u.cols) == (rows, cols)
+        assert u.data == m.data and (-u).data == (-m).data and -u == -m
+        assert [u.sparse_column(j) for j in range(cols)] == [m.sparse_column(j) for j in range(cols)]
+        nums, den = u._numerators
+        assert math.gcd(den, *(x for col in nums.values() for z in col.values() for x in z)) == 1
+        assert all(z != (0, 0) for col in nums.values() for z in col.values()) and all(nums.values())
+        other = _dense_pairs(rng, cols, 3)
+        assert u.mul(_matrix(other, cols, 3)) == m.mul(_matrix(other, cols, 3))
+        assert [_pairs(row) for row in u.mul(_matrix(other, cols, 3)).data] == dense_matmul(data, other, 3)
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)

@@ -167,6 +167,16 @@ def test_first_bracket_mismatch_finds_planted_pair():
     assert first_bracket_mismatch(planted, A, rf.embedding) == (1, 2)
 
 
+@pytest.mark.parametrize("rows, cols", [(9, 5), (3, 3), (5, 4), (4, 5)])
+def test_first_bracket_mismatch_refuses_a_map_of_the_wrong_shape(rows, cols):
+    """P must be dst.dim x src.dim: a 9 x 5 map of unit columns into a 5-dimensional algebra is no homomorphism into it."""
+    A = build_symbol_algebra(3).algebra
+    assert A.dim == 5
+    p = Matrix.sparse(rows, [{j % rows: 1} for j in range(cols)])
+    with pytest.raises(ValueError, match=f"^P must be 5x5, got {rows}x{cols}$"):
+        first_bracket_mismatch(A, A, p)
+
+
 def _dense_rows(m):
     return [[(x.re, x.im) for x in row] for row in m.data]
 

@@ -430,7 +430,7 @@ def test_corrupted_deep_column_fails_the_assembled_jacobi_gate(monkeypatch):
     rows, columns = first.blocks[-3]
     (nums, den), rest = columns[0], columns[1:]
     assert nums
-    doubled = ({t: 2 * n for t, n in nums.items()}, den)
+    doubled = ({t: (2 * re, 2 * im) for t, (re, im) in nums.items()}, den)
     corrupt = DerivationMap(0, {**first.blocks, -3: (rows, [doubled, *rest])})
     g0 = ProlongationComponent(0, (corrupt,) + comps[0].maps[1:])
     assert check_jacobi(_assemble(m, [g0] + comps[1:]))
