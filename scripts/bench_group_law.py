@@ -24,7 +24,7 @@ from math import lcm
 
 import benchpair
 
-KEYS = ("assoc7", "assoc12", "assoc16", "assoc21", "assoc30", "frame16", "frame21", "series7", "series10", "series12")
+KEYS = ("assoc7", "assoc12", "assoc16", "assoc21", "assoc30", "assoc39", "frame16", "frame21", "series7", "series10", "series12")
 REPEATS = 5
 
 

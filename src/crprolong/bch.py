@@ -11,13 +11,15 @@ term.
 The series is then evaluated in a concrete real algebra, exactly and
 fraction-free: monomials are packed into single integers, coefficients
 are integer numerators over one common denominator per vector, and each
-coefficient of the result becomes a ``QI`` once.  Each caller gets
-only what it reads: the associativity residual evaluates the inner law
-and one outer side once, and reads the other side off the law's inverse
-symmetry bch(x, y) = -bch(-y, -x); the left-invariant frame evaluates
-only the part of the law linear in b; and each bracket of the series is
-taken only at the degrees that its parent bracket reads.  Ungraded or
-complex structure constants are refused with ``ValueError``.
+coefficient of the result becomes a ``QI`` once, decoded only through
+the nonzero bit fields of its monomial.  Each caller gets only what it
+reads: the associativity residual evaluates the law bch(a, b) once, gets
+bch(a, bch(b, c)) by substituting bch(b, c) into it, and reads the other
+side off the law's inverse symmetry bch(x, y) = -bch(-y, -x); the
+left-invariant frame evaluates only the part of the law linear in b; and
+each bracket of the series is taken only at the degrees that its parent
+bracket reads.  Ungraded or complex structure constants are refused with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ class GroupLaw:
         coefficient over the common denominator; a word that is no factor
         is bracketed straight into it.
         """
-        series = series or self.series
+        if series is None:
+            series = self.series
         floors, factors, stored = self._plan(series)
         values = {(1,): a, (2,): b}
         for word in stored:
@@ -197,6 +200,9 @@ class GroupLaw:
     def _associativity_sides(self):
         """bch(bch(a, b), c) and bch(a, bch(b, c)) on the private form, and the packing width.
 
+        The right side is bch(a, y) = bch(a, b) with y := bch(b, c)
+        substituted (``_compose``), so the series is evaluated once.
+
         If bch(a, b) passes the check bch(x, y) = -bch(-y, -x), that identity
         on polynomial arguments gives bch(bch(a, b), c) = -bch(-c, bch(-b, -a)),
         which ``_mirror`` reads off the right side.  An associative law passes
@@ -210,7 +216,7 @@ class GroupLaw:
         a, b, c = self._variables(3, width)
         comps, den = ab = self._apply(a, b)
         bc = [{e << (width * n): x for e, x in comp.items()} for comp in comps], den  # bch(b, c): a -> b, b -> c
-        right = self._apply(a, bc)
+        right = _compose(ab, bc, width * n, width)  # bch(a, y) at y = bch(b, c)
         left = _mirror(right, 3, n, width) if _mirror(ab, 2, n, width) == ab else self._apply(ab, c)
         return left, right, width
 
@@ -233,6 +239,45 @@ def _mul_into(acc: dict, p: dict, q: dict, scale: int):
             acc[e] = acc.get(e, 0) + ca * cb
 
 
+def _compose(form, inner, shift: int, width: int):
+    """f(a, Y) on the private form, for a form f(a, y) whose y-variables start at bit ``shift`` and the vector Y = ``inner``.
+
+    Each component of Y is brought to its own lowest terms, and each
+    product of Y components that a y-part of f names is built once, from
+    the product of the y-part less its lowest variable, in a memo keyed by
+    the y-part.  The terms are summed over the lcm of the products'
+    denominators, and one gcd closes the sum.  Substituting y := Y is a
+    ring map on the coefficients and every bracket is bilinear over them,
+    so f(a, Y) equals the law evaluated on (a, Y) for any graded bilinear
+    table.
+    """
+    comps, den = form
+    ys, yden = inner
+    ys = [(forms.get(0, {}), d) for forms, d in (_lowest_terms({0: comp}, yden) for comp in ys)]
+    low = (1 << shift) - 1
+    products = {0: ({0: 1}, 1)}  # y-part: (numerators, denominator) of its product
+
+    def product(part):
+        if (got := products.get(part)) is None:
+            j = ((part & -part).bit_length() - 1) // width
+            (rest, d), (y, dy) = product(part - (1 << width * j)), ys[j]
+            acc = {}
+            _mul_into(acc, rest, y, 1)
+            got = products[part] = acc, d * dy
+        return got
+
+    terms = [(k, e & low, product(e >> shift), x) for k, comp in enumerate(comps) for e, x in comp.items()]
+    scales, common = _over_one_denominator((x, d) for _, _, (_, d), x in terms)
+    out = {k: {} for k in range(len(comps))}
+    for (k, a, (prod, _), _), x in zip(terms, scales):
+        acc = out[k]
+        for e, y in prod.items():
+            e += a
+            acc[e] = acc.get(e, 0) + x * y
+    forms, den = _lowest_terms(out, den * common)
+    return [forms.get(k, {}) for k in range(len(comps))], den
+
+
 def _mirror(form, groups: int, n: int, width: int):
     """-f(-z, ..., -x) of a packed form f(x, ..., z) on ``groups`` groups of n variables: the outer groups swap, each term takes (-1)^(deg+1)."""
     comps, den = form
@@ -244,8 +289,18 @@ def _mirror(form, groups: int, n: int, width: int):
 
 
 def _poly(comp: dict, den: int, nvars: int, width: int) -> Poly:
+    """The packed form comp/den as a Poly on ``nvars`` variables; each monomial is decoded only through its nonzero bit fields."""
     mask = (1 << width) - 1
-    return Poly(nvars, {tuple((e >> (width * i)) & mask for i in range(nvars)): _qi(x, 0, den) for e, x in comp.items()})
+    terms = {}
+    for e, x in comp.items():
+        if x:
+            exps = [0] * nvars
+            while e:
+                i = ((e & -e).bit_length() - 1) // width
+                exps[i] = f = (e >> (width * i)) & mask
+                e -= f << (width * i)
+            terms[tuple(exps)] = _qi(x, 0, den)
+    return Poly._from_terms(nvars, terms)
 
 
 def left_invariant_frame(m: GradedLieAlgebra):

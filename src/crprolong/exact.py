@@ -410,8 +410,8 @@ def _sum_forms(terms):
 
 
 def _over_one_denominator(fractions):
-    """Fractions ``(num, den)`` as ``([num'], den')``: their numerators over the lcm of their denominators."""
-    fractions = list(fractions)
+    """Fractions ``(num, den)`` as ``([num'], den')``: their numerators over the lcm of their denominators, each in lowest terms first."""
+    fractions = [(num // g, d // g) for num, d in fractions for g in (gcd(num, d),)]
     den = lcm(*(d for _, d in fractions))
     return [num * (den // d) for num, d in fractions], den
 

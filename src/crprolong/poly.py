@@ -81,6 +81,14 @@ class Poly:
         self.terms = clean
 
     @classmethod
+    def _from_terms(cls, nvars: int, terms: dict) -> "Poly":
+        """The polynomial whose ``terms`` are already {exponent tuple: nonzero QI}, taken as they are."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "Poly":
         return cls(nvars)
 
@@ -110,10 +118,7 @@ class Poly:
                 terms[e] = nc
             else:
                 terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return Poly._from_terms(self.nvars, terms)
 
     def __neg__(self) -> "Poly":
         return self.scale(-1)
@@ -123,10 +128,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = as_qi(c)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {e: x * c for e, x in self.terms.items()} if c else {}
-        return out
+        return Poly._from_terms(self.nvars, {e: x * c for e, x in self.terms.items()} if c else {})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -147,10 +149,7 @@ class Poly:
                     terms[e] = nc
                 else:
                     terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return Poly._from_terms(self.nvars, terms)
 
     def diff(self, i: int) -> "Poly":
         terms = {}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -256,21 +257,68 @@ def test_mirror_swaps_the_outer_groups_and_signs_by_degree():
     assert bch._mirror(([{_pack(1, 1): 1}], 2), 2, 1, 2) == ([{_pack(1, 1): -1}], 2)
 
 
-@pytest.mark.parametrize("doubled, calls", [(False, 2), (True, 3)], ids=["real-form", "doubled-bracket"])
+def _doubled(k):
+    """The k real form with [x, e2_1] doubled: a graded bilinear table that fails Jacobi."""
+    R = realify(build_symbol_algebra(k).algebra)
+    x, e = R.labels.index("x"), R.labels.index("e2_1")
+    return replaced_bracket(R, x, e, {t: 2 * c for t, c in R.table[(x, e)].items()})
+
+
+@pytest.mark.parametrize("doubled, calls", [(False, 1), (True, 2)], ids=["real-form", "doubled-bracket"])
 def test_associativity_sides_evaluate_the_left_side_only_off_the_symmetry(monkeypatch, doubled, calls):
-    # the k = 7 real form passes bch(x, y) = -bch(-y, -x), so its left side is
-    # read off the right; the doubled-bracket table fails it and evaluates both
-    R = realify(build_symbol_algebra(7).algebra)
-    if doubled:
-        x, e = R.labels.index("x"), R.labels.index("e2_1")
-        R = replaced_bracket(R, x, e, {t: 2 * c for t, c in R.table[(x, e)].items()})
-    law = GroupLaw(R)
+    # the right side is bch(a, b) composed with bch(b, c), so the law is
+    # evaluated once; the k = 7 real form passes bch(x, y) = -bch(-y, -x), so
+    # its left side is read off the right, and the doubled-bracket table fails
+    # it and evaluates the left side too
+    law = GroupLaw(_doubled(7) if doubled else realify(build_symbol_algebra(7).algebra))
     seen = []
     apply = GroupLaw._apply
     monkeypatch.setattr(GroupLaw, "_apply", lambda self, *args: seen.append(args) or apply(self, *args))
     left, right, _ = law._associativity_sides()
     assert len(seen) == calls
     assert (left == right) is not doubled
+
+
+@pytest.mark.parametrize(
+    "k, doubled",
+    [(4, False), (7, False), (12, False), *(pytest.param(k, False, marks=pytest.mark.slow) for k in (21, 30, 39)), (7, True)],
+)
+def test_compose_equals_the_law_on_the_inner_vector(k, doubled):
+    # bch(a, y) with y := bch(b, c) substituted is bch(a, bch(b, c)) evaluated
+    # by the series, term for term in lowest terms, Jacobi or not
+    R = _doubled(k) if doubled else realify(build_symbol_algebra(k).algebra)
+    law = GroupLaw(R)
+    n, width = R.dim, law._width
+    a, b, c = law._variables(3, width)
+    bc = law._apply(b, c)
+    assert bch._compose(law._apply(a, b), bc, width * n, width) == law._apply(a, bc)
+
+
+def test_apply_on_no_words_is_zero():
+    # an empty word list is no request for the whole series
+    R = realify(build_symbol_algebra(4).algebra)
+    law = GroupLaw(R)
+    a, b = law._variables(2, law._width)
+    assert law._apply(a, b, []) == ([{}] * R.dim, 1)
+    assert law._apply(a, b, None) == law._apply(a, b) != law._apply(a, b, [])
+
+
+def test_poly_decodes_packed_monomials_as_field_by_field():
+    # 69 variables (3N at k = 21) in 3-bit fields, exponents 0..cap = 6,
+    # against the decode of every field in turn
+    nvars, width, cap = 69, 3, 6
+    rng = random.Random(5)
+    monomials = [0, *(x << (width * i) for i in (0, 1, 34, 68) for x in range(1, cap + 1))]
+    for _ in range(200):
+        fields = rng.sample(range(nvars), rng.randint(1, cap))
+        monomials.append(sum(rng.randint(1, cap) << (width * i) for i in fields))
+    comp = {e: rng.choice([-3, -1, 1, 2, 7]) for e in monomials}
+    comp[monomials[-1]] = 0  # a zero numerator does not get through
+    mask = (1 << width) - 1
+    expect = Poly(nvars, {tuple((e >> (width * i)) & mask for i in range(nvars)): QI(Fraction(x, 6)) for e, x in comp.items()})
+    got = _poly(comp, 6, nvars, width)
+    assert got == expect
+    assert len(got.terms) == len(comp) - 1 and all(got.terms.values())
 
 
 def test_ungraded_table_is_refused():
@@ -284,9 +332,7 @@ def test_ungraded_table_is_refused():
 def test_doubled_bracket_breaks_jacobi_and_associativity(k):
     # negative control: doubling [x, e2_1] in a real form with a degree -4
     # layer leaves a bracket table that is no Lie algebra
-    R = realify(build_symbol_algebra(k).algebra)
-    x, e = R.labels.index("x"), R.labels.index("e2_1")
-    bad = replaced_bracket(R, x, e, {t: 2 * c for t, c in R.table[(x, e)].items()})
+    bad = _doubled(k)
     assert check_jacobi(bad)
     residual = GroupLaw(bad).associativity_residual()
     assert not all(p.is_zero() for p in residual)

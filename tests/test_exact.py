@@ -511,6 +511,12 @@ def test_sum_forms_never_aliases_an_input_form():
     assert a == {0: 1, 1: 2} and b == {1: 3}
 
 
+def test_over_one_denominator_reduces_each_fraction_first():
+    # 2/4, 0/6, -3/9 and 5/1 are 1/2, 0, -1/3 and 5: over 6, not over lcm(4, 6, 9) = 36
+    assert exact._over_one_denominator([(2, 4), (0, 6), (-3, 9), (5, 1)]) == ([3, 0, -2, 30], 6)
+    assert exact._over_one_denominator([]) == ([], 1)
+
+
 def test_gaussian_integers_scales_entries_over_one_denominator():
     entries = [("a", QI(Fraction(1, 2))), ("b", QI(0)), ("c", QI(Fraction(-2, 3))), ("d", QI(4)), ("e", QI(0, Fraction(1, 4)))]
     assert _gaussian_integers(entries) == ({"a": (6, 0), "c": (-8, 0), "d": (48, 0), "e": (0, 3)}, 12)
