@@ -3,7 +3,7 @@
     python scripts/bench_frames.py --before OLD_CHECKOUT/src --after src
 
 The models are the left-invariant frame models of the default symbols at
-k = 7, 12, 16, 21, 30 and 39 (``frame<k>``, CR field (X - iY)/2 of the
+k = 7, 12, 16, 21, 30, 39 and 69 (``frame<k>``, CR field (X - iY)/2 of the
 real form's frame, as the catalog builds its length-5 entries) and the
 catalog entry ``quintic12``.  Each model is timed five times per source
 tree, one run per fresh process after one untimed call, the two trees
@@ -24,7 +24,7 @@ from math import lcm
 
 import benchpair
 
-MODELS = ("frame7", "frame12", "frame16", "frame21", "frame30", "frame39", "quintic12")
+MODELS = ("frame7", "frame12", "frame16", "frame21", "frame30", "frame39", "frame69", "quintic12")
 REPEATS = 5
 
 

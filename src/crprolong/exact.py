@@ -5,12 +5,14 @@ integer normal form (a + b·i)/d with d > 0 and gcd(a, b, d) = 1, so
 nothing in the library ever rounds.  Every solve goes through one
 Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
 rows ``{col: int}``, each row kept primitive; ``_integer_kernel`` reads
-a kernel over Q(i) off a stream of rows (as for ``prolong``), realifying
+the prolongation's kernels over Q(i) off a stream of rows, realifying
 only rows with an imaginary part.  A system over Q(i) is scaled to
 Gaussian integers and realified onto it by ``_gaussian_rref``: rank,
-echelon, the frame filtration and faithfulness read that reduced form;
-``liealg.real_form`` reads coordinates in its real basis, a reduced kernel
-per block, at the free columns, with no inverse (``_real_coordinates``).  The
+echelon, the frame filtration and faithfulness read that reduced form.
+The real basis of a conjugation block, the fixed points of the involution
+F(z) = S·conj(z), is read off one ``integer_rref`` of the image of F + I
+(``_real_fixed_points``), and ``liealg.real_form`` reads coordinates in
+it at the free columns, with no inverse (``_real_coordinates``).  The
 reduced row echelon form for a fixed column order is unique, so every
 basis, reducer and solution depends only on the input and the column
 order, never on row order or on how the elimination is scheduled.
@@ -586,35 +588,37 @@ def _apply_kernel(form, columns):
 
 
 def _real_fixed_points(s):
-    """Real basis of the fixed points of z -> S·conj(z), as ``[({p: (x_p, y_p)}, den, (p, part))]``.
+    """Real basis of the fixed points of F(z) = S·conj(z), as ``[({p: (x_p, y_p)}, den, (p, part))]``.
 
     S is square, given as Gaussian numerator columns ``({q: {p: (re, im)}},
-    den)``, one column per q in range(nb).  With S = P + iQ, z = x + iy is
-    fixed iff (P - I)x + Qy = 0 and Qx - (P + I)y = 0: integer rows, times
-    den.  One reduced kernel vector per free column (``_integer_kernel``),
-    signed so that its leading coefficient is positive.  Its free column, its last nonzero entry in
-    the order x_0..y_{nb-1}, is part 0 (x) or 1 (y) of entry p; there it
-    is ±den and every other vector is 0.
+    den)``, one column per q in range(nb).  F is an involution, so its
+    fixed space is the image of F + I, spanned by the 2nb real vectors
+    (F + I)e_q and (F + I)(i·e_q) = i·(e_q - S e_q), times den.  One
+    ``integer_rref`` of them with the real columns x_0..y_{nb-1} in
+    reverse order pivots each basis vector at its last nonzero entry, its
+    free column, part 0 (x) or 1 (y) of entry p; there it is ±den and
+    every other vector is 0.  Each vector is signed so that its leading
+    coefficient is positive and checked F·v = v, in integers.
     """
     cols, den = s
     nb = len(cols)
-    fix = [{p: -den} for p in range(nb)]
-    flip = [{nb + p: -den} for p in range(nb)]
+    last = 2 * nb - 1  # x_p is real column p and y_p column nb + p; u -> last - u reverses them
+    rows = []
     for q, col in cols.items():
+        fix, flip = {last - q: den}, {last - nb - q: den}
         for p, (re, im) in col.items():
-            fix[p][q], fix[p][nb + q] = fix[p].get(q, 0) + re, im
-            flip[p][q], flip[p][nb + q] = im, flip[p].get(nb + q, 0) - re
-    rows = [row for pair in zip(fix, flip) for row in pair]
-    columns, dens = _integer_kernel(rows, 2 * nb)
-    vecs = [{} for _ in dens]
-    for u in sorted(columns):
-        for v, x in columns[u].items():
-            vecs[v][u] = x
+            fix[last - p], fix[last - nb - p] = fix.get(last - p, 0) + re, im
+            flip[last - p], flip[last - nb - p] = im, flip.get(last - nb - p, 0) - re
+        rows += fix, flip
     basis = []
-    for vec, den in zip(vecs, dens):
-        sign = 1 if next(iter(vec.values())) > 0 else -1
-        part, p = divmod(max(vec), nb)
-        basis.append(({q: (sign * vec.get(q, 0), sign * vec.get(nb + q, 0)) for q in range(nb) if q in vec or nb + q in vec}, den, (p, part)))
+    for f, row in reversed(integer_rref(rows, 2 * nb)):
+        sign = 1 if row[max(row)] > 0 else -1  # the leading coefficient, at the highest reversed column
+        z = {q: (sign * row.get(last - q, 0), sign * row.get(last - nb - q, 0)) for q in sorted({(last - u) % nb for u in row})}
+        fixed = _gaussian_apply(cols, {q: (x, -y) for q, (x, y) in z.items()})
+        if {q: w for q, w in fixed.items() if w[0] or w[1]} != {q: [den * x, den * y] for q, (x, y) in z.items()}:
+            raise AssertionError("real fixed-point basis vector is not fixed by z -> S·conj(z)")
+        part, p = divmod(last - f, nb)
+        basis.append((z, row[f], (p, part)))
     return basis
 
 

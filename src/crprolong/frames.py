@@ -11,15 +11,15 @@ The growth vector is computed by evaluating the basis bracket words of
 the field and its conjugate at the origin; total nondegeneracy means the
 filtration is as free as possible below the minimal length and fills the
 tangent space exactly there.  The word values are exact and computed
-fraction-free: the shorter words are bracketed on packed Gaussian
-monomials with integer numerators over one denominator per word, each
-origin coordinate becomes a ``QI`` once, and the words of the
-minimal length are read at the origin only, from the constant and linear
-terms of their two factors.  The growth vector, the verdict, the quotient
-and the check of its constants are all read off one reduced echelon form
-of those values.  When the verdict holds, the length-rho evaluation
-kernel is the model-induced top-layer quotient and the symbol algebra is
-rebuilt from it through the same constructor as every other quotient.
+fraction-free: every word is bracketed on packed Gaussian monomials with
+integer numerators over one denominator per word, and each origin
+coordinate, a constant term, becomes a ``QI`` once (on a weighted-
+homogeneous field every word of the minimal length is a constant field).
+The growth vector, the verdict, the quotient and the check of its
+constants are all read off one reduced echelon form of those values.
+When the verdict holds, the length-rho evaluation kernel is the
+model-induced top-layer quotient and the symbol algebra is rebuilt from
+it through the same constructor as every other quotient.
 """
 
 from __future__ import annotations
@@ -61,7 +61,12 @@ class NotTotallyNondegenerate(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A catalog entry: either defining polynomials or an explicit CR field."""
+    """A catalog entry: either defining polynomials or an explicit CR field.
+
+    ``weights`` are the weights of the defining polynomials phi_1..phi_k
+    for a rigid model, and the chart weights that ``field_model`` infers,
+    one per coordinate, for a field model.
+    """
 
     model_id: str
     codim: int
@@ -171,6 +176,7 @@ def field_model(model_id: str, k: int, cr: PolyVectorField, provenance: str = ""
     homogeneous: the first two coordinates have weight 1 and constant
     components, and each later component is nonzero, reads only earlier
     coordinates, and has one weighted degree, its coordinate's weight - 1.
+    The model keeps those chart weights.
     """
     if cr.chart.nvars != 2 + k:
         raise ValueError("explicit field must live on a (2+k)-dimensional chart")
@@ -193,7 +199,7 @@ def field_model(model_id: str, k: int, cr: PolyVectorField, provenance: str = ""
         else:
             rule = "be constant" if j < 2 else "be a nonzero polynomial in the earlier coordinates, of one weighted degree"
             raise ValueError(f"components[{j}]: the field is not weighted homogeneous: the component of {cr.chart.names[j]} must {rule}")
-    return ModelSpec(model_id, k, rho, cr=cr, provenance=provenance)
+    return ModelSpec(model_id, k, rho, weights=tuple(weights), cr=cr, provenance=provenance)
 
 
 def tangential_cr_field(model: ModelSpec) -> PolyVectorField:
@@ -248,16 +254,14 @@ class Filtration:
 def _word_values(L, max_length):
     """Origin values {word: [QI]} of the basis bracket words of (L, Lbar).
 
-    The words come in Hall basis order.  Each word shorter than
-    ``max_length`` is evaluated as a field on a packed form that never
-    becomes a :class:`Poly`: a monomial is one ``int`` whose lowest 2 bits
-    hold the power of i and whose bit field j holds the exponent of
-    variable j, and a field is a list of ``{monomial: int numerator}``
-    components over one ``int`` denominator.  A word of length
-    ``max_length`` is only needed at the origin, where its value is
-    sum_j U_j(0)·d_jV_i(0) - V_j(0)·d_jU_i(0), read off the constant and
-    linear terms of its factors.  Lbar = ``L.conj()`` is packed from L's
-    packed form (``_conjugate_packed``).
+    The words come in Hall basis order.  Each word is evaluated as a field
+    on a packed form that never becomes a :class:`Poly`: a monomial is one
+    ``int`` whose lowest 2 bits hold the power of i and whose bit field j
+    holds the exponent of variable j, and a field is a list of
+    ``{monomial: int numerator}`` components over one ``int`` denominator.
+    A word of length at least 2 is ``_packed_bracket`` of its two factors,
+    and its origin value is its constant terms.  Lbar = ``L.conj()`` is
+    packed from L's packed form (``_conjugate_packed``).
     """
     n = L.chart.nvars
     # Lbar only permutes the chart variables, so L alone gives the top exponent
@@ -279,9 +283,6 @@ def _word_values(L, max_length):
     for w in hall_basis(max_length).words:
         if w.length > 1:
             u, v = standard_factorization(w.word)
-            if w.length == max_length:
-                values[w.word] = _top_value(fields[u], fields[v], shifts)
-                continue
             fields[w.word] = _packed_bracket(fields[u], fields[v], diff(u), diff(v))
         comps, den = fields[w.word]
         values[w.word] = [_qi(c.get(0, 0), c.get(1, 0), den) for c in comps]
@@ -354,24 +355,6 @@ def _packed_bracket(U, V, dU, dV):
         for e in [e for e in acc if e & 2]:
             acc[e - 2] = acc.get(e - 2, 0) - acc.pop(e)
     return [{e: x for e, x in acc.items() if x} for acc in out], ud * vd
-
-
-def _top_value(U, V, shifts):
-    """[U, V] at the origin, from the constant and linear terms of U and V."""
-    (uc, ud), (vc, vd) = U, V
-    # each factor's nonzero X_j(0), next to the packed monomial x_j
-    u0, v0 = ([(1 << s, c.get(0, 0), c.get(1, 0)) for c, s in zip(X, shifts) if 0 in c or 1 in c] for X in (uc, vc))
-    den = ud * vd
-    out = []
-    for i in range(len(uc)):
-        re = im = 0
-        for sign, origin, lin in ((1, u0, vc[i]), (-1, v0, uc[i])):
-            for m, p, q in origin:
-                r, t = lin.get(m, 0), lin.get(m | 1, 0)
-                re += sign * (p * r - q * t)
-                im += sign * (p * t + q * r)
-        out.append(_qi(re, im, den))
-    return out
 
 
 def growth_and_nondegeneracy(model: ModelSpec):

@@ -551,11 +551,11 @@ def conjugation_adapted_top_basis(rho: int):
     leading coefficients positive.  This ordering is what "drop trailing"
     refers to.
 
-    The swap S is real, so z = x + iy is fixed by z -> S·conj(z) iff
-    Sx = x and Sy = -y: one ``_real_fixed_points`` solve gives the
-    reduced kernel bases of S - I (tag +1) and S + I (tag -1), each
-    vector signed positive at its leading coefficient and checked by
-    substitution in integers.
+    The swap S is real, so z = x + iy is fixed by F(z) = S·conj(z) iff
+    Sx = x and Sy = -y: one ``_real_fixed_points`` elimination of the
+    image of F + I gives the reduced bases of the images of S + I (tag +1)
+    and S - I (tag -1), each vector signed positive at its leading
+    coefficient and checked F·v = v in integers.
     """
     top = [w for w in hall_basis(rho).words if w.length == rho]
     pos = {w.word: p for p, w in enumerate(top)}
@@ -707,9 +707,9 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     """Fixed-point real form of ``algebra`` under its conjugation, computed on integer numerators.
 
     Per degree d, which the conjugation S preserves, the real basis E_d is
-    the reduced kernel of the integer fixed-point rows of S on that block
+    the reduced image of F + I for F(z) = S·conj(z) on that block
     (``_real_fixed_points``: ±1 at its free columns, leading coefficients
-    positive); degree -1 lands on x = g1 + g2, y = i(g1 - g2).  Brackets
+    positive, each vector checked F·v = v in integers); degree -1 lands on x = g1 + g2, y = i(g1 - g2).  Brackets
     and J images move as Gaussian integer numerators over one denominator;
     their real coordinates are read at the free columns, where each basis
     vector is ±1 and the others are 0, and each image must equal that real

@@ -1,8 +1,9 @@
 """Each ``scripts/bench_*.py`` still measures the current tree.
 
 The scripts reach into module globals and ``Matrix`` views that a refactor
-can move, so each one runs its smallest key in a fresh process, on the
-``src`` of this checkout, and must print its timed key and the same sizes
+can move, so each one runs its smallest key (and, in ``slow``, the
+smallest top-basis key of ``bench_real_form.py``) in a fresh process, on
+the ``src`` of this checkout, and must print its timed key and the same sizes
 as the entry recorded for that key in its ``BENCH_*.json``: its shared
 sizes and, for a script that records work counters per side, the after
 side's counters.  The size counters of ``bench_prolong.py`` are also
@@ -33,9 +34,14 @@ SCRIPTS = [
     ("bench_real_form.py", "real_form21", "workload", "time_s", "BENCH_real_form.json"),
     ("bench_sweep.py", "sweep", "workload", "time_s", "BENCH_sweep.json"),
 ]
+# keys of a second kind in a script, run only with `pytest -m slow`
+SLOW_KEYS = [("bench_real_form.py", "top13", "workload", "time_s", "BENCH_real_form.json")]
 
 
-@pytest.mark.parametrize("script, key, key_name, timed, bench", SCRIPTS, ids=[s[0] for s in SCRIPTS])
+@pytest.mark.parametrize(
+    "script, key, key_name, timed, bench",
+    [pytest.param(*s, id=s[0]) for s in SCRIPTS] + [pytest.param(*s, id=f"{s[0]}-{s[1]}", marks=pytest.mark.slow) for s in SLOW_KEYS],
+)
 def test_bench_script_measures_the_current_tree(script, key, key_name, timed, bench):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

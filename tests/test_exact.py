@@ -7,7 +7,7 @@ from operator import setitem
 from pathlib import Path
 
 import pytest
-from oracles import C_ONE, C_ZERO, c_add, c_mul, c_sub, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
+from oracles import C_ONE, C_ZERO, c_add, c_mul, c_sub, dense_fixed_basis, dense_inverse, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
 
 from crprolong import exact
 from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _gaussian_rref, _qi, _sum_forms, integer_rref, qi_from_json, rank
@@ -280,6 +280,78 @@ def test_integer_kernel_matches_dense_oracle(complex_entries):
             for v, d in enumerate(dens)
         ]
         assert basis == dense_kernel(data, cols)
+
+
+def _antilinear_involution(rng, complex_entries, nb):
+    """S = A·conj(A)^-1 for a seeded invertible A, as dense rows of pairs: S·conj(S) = I, so z -> S·conj(z) is an involution."""
+    while True:
+        a = [[_oracle_entry(rng, complex_entries) for _ in range(nb)] for _ in range(nb)]
+        inverse = dense_inverse([[(re, -im) for re, im in row] for row in a])
+        if inverse is not None:
+            return dense_matmul(a, inverse, nb)
+
+
+def _reduced(vec, free):
+    """``vec`` (a list of (re, im) pairs) divided by its real entry at ``free`` = (p, part)."""
+    p, part = free
+    scale = vec[p][part]
+    return [(re / scale, im / scale) for re, im in vec]
+
+
+def _fixed_points(S):
+    return exact._real_fixed_points(Matrix([_qis(row) for row in S])._numerators)
+
+
+@FIELDS
+@pytest.mark.parametrize("nb", range(1, 7))
+def test_real_fixed_points_match_dense_oracle(complex_entries, nb):
+    """On seeded antilinear involutions z -> S·conj(z), S = A·conj(A)^-1, the basis is the oracle's.
+
+    Scaled to 1 at each vector's free column, its last nonzero real entry
+    in the order x_0..y_{nb-1}, both are the reduced basis; there each
+    vector is ±den and every other vector is 0, and each vector's leading
+    coefficient is positive.
+    """
+    rng = random.Random(4201 + 10 * nb + complex_entries)
+    for _ in range(4):
+        S = _antilinear_involution(rng, complex_entries, nb)
+        basis = _fixed_points(S)
+        frees = [free for _, _, free in basis]
+        got = [[(Fraction(re, den), Fraction(im, den)) for re, im in (vec.get(q, (0, 0)) for q in range(nb))] for vec, den, _ in basis]
+        want = dense_fixed_basis(S, range(nb))
+        assert len(got) == len(want) == nb
+        assert [_reduced(v, free) for v, free in zip(got, frees)] == [_reduced(v, free) for v, free in zip(want, frees)]
+        for v, (vec, den, (p, part)) in zip(got, basis):
+            assert vec[p][part] in (den, -den)
+            assert max(j * nb + q for q in range(nb) for j in (0, 1) if v[q][j]) == part * nb + p
+            assert next(x for j in (0, 1) for q in range(nb) if (x := v[q][j])) > 0
+            assert all(other[p][part] == 0 for other in got if other is not v)
+
+
+def test_real_fixed_points_refuse_a_map_that_is_not_an_involution():
+    """Where S·conj(S) != I the F·v = v check raises, or fewer than nb vectors come back; both callers refuse a short basis.
+
+    2S (S·conj(S) = 4I) has no fixed point but 0; a seeded Gaussian S is
+    almost never an antilinear involution.
+    """
+    rng = random.Random(4261)
+    refused = 0
+    for nb in range(1, 7):
+        identity = [[C_ONE if i == j else C_ZERO for j in range(nb)] for i in range(nb)]
+        for complex_entries in (False, True):
+            S = _antilinear_involution(rng, complex_entries, nb)
+            doubled = [[c_mul((Fraction(2), Fraction(0)), x) for x in row] for row in S]
+            for bad in (doubled, [[_oracle_entry(rng, True) for _ in range(nb)] for _ in range(nb)]):
+                if dense_inverse(bad) is None or dense_matmul(bad, [[(re, -im) for re, im in row] for row in bad], nb) == identity:
+                    continue
+                try:
+                    basis = _fixed_points(bad)
+                except AssertionError as exc:
+                    assert str(exc) == "real fixed-point basis vector is not fixed by z -> S·conj(z)"
+                    refused += 1
+                else:
+                    assert len(basis) < nb
+    assert refused
 
 
 @FIELDS

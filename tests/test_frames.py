@@ -329,6 +329,16 @@ def test_field_model_refuses_a_field_that_is_not_weighted_homogeneous(j, extra):
         field_model("q", 7, PolyVectorField(cr.chart, [comp if i == j else p for i, p in enumerate(cr.comps)]))
 
 
+def test_field_model_keeps_its_inferred_chart_weights():
+    """x and y have weight 1 and e<l>_<j> weight l; the catalog JSON of a field model still writes no weights."""
+    m = builtin_catalog()["quintic7"]
+    names = m.cr.chart.names
+    assert m.weights == (1, 1, 2, 3, 3, 4, 4, 4, 5) == tuple(1 if n in ("x", "y") else int(n[1 : n.index("_")]) for n in names)
+    assert field_model("q", 7, m.cr).weights == m.weights
+    assert "weights" not in m.to_json_dict()["defining"]
+    assert ModelSpec.from_json_dict(m.to_json_dict()) == m
+
+
 def test_field_model_chart_dimension_check():
     from crprolong.poly import PolyVectorField, real_chart
 

@@ -11,9 +11,12 @@ its trailing Hall word, which has no conjugation, plus the full Tanaka
 tower of the
 Heisenberg algebra through degree 3 and two assembled prolongations whose
 nonnegative components bracket nontrivially: Levi-Tanaka of k = 1 (up to
-G^2) and full Tanaka of k = 3 (G2, up to G^3).  A change to any basis, bracket,
-component ordering or report field shows up here.  Update a digest only
-for an intended change of output, and say so in CHANGES.md.
+G^2) and full Tanaka of k = 3 (G2, up to G^3), and the real forms (algebra
+and embedding) of the default symbols k = 21, 69 and 125 and the
+conjugation-adapted top basis at length 12, the last two in ``slow``.  A
+change to any basis, bracket, component ordering or report field shows
+up here.  Update a digest only for an intended change of output, and say
+so in CHANGES.md.
 """
 
 import hashlib
@@ -26,7 +29,7 @@ from quotients import random_quotient, rotation_stable_quotient
 from crprolong.crmodels import verify_theorem
 from crprolong.exact import QI
 from crprolong.frames import builtin_catalog, symbol_from_frame
-from crprolong.liealg import QuotientSpec, build_symbol_algebra, real_form, realify
+from crprolong.liealg import QuotientSpec, build_symbol_algebra, conjugation_adapted_top_basis, real_form, realify
 from crprolong.prolong import FULL_TANAKA, LEVI_TANAKA, full_prolongation, grade0, prolong_component
 
 THEOREM_GOLDEN = {
@@ -120,6 +123,14 @@ ASSEMBLED_GOLDEN = {
     (3, FULL_TANAKA): "ad1fd12df9d8659764766479499214458bb2abe36a862e03e5e095a2e9ce6fb4",
 }
 
+REAL_FORM_GOLDEN = {
+    21: "f62c20bcbb733c06e5bb83fefef7eccf3678d548d8c0ef74716de726131c0846",
+    69: "ac9f7f56bf13d8d4879fe8db36bdf511d60b0996def3a4a22bb70a01e85f5073",
+    125: "18c878d9f2ab2eb29d26ba62996665b5fa070afe765f34f62eebdba5fb904238",
+}
+
+TOP_BASIS_12_GOLDEN = "735784de887eece712847d85ca6051e4bf101dca4d8829599ac5d5a008ddd738"
+
 
 def _digest(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -178,3 +189,16 @@ def test_heisenberg_full_tanaka_tower_matches_golden():
 def test_assembled_prolongation_matches_golden(k, flavor):
     prolonged = full_prolongation(realify(build_symbol_algebra(k).algebra), flavor)
     assert _digest(prolonged.to_json_dict()) == ASSEMBLED_GOLDEN[k, flavor]
+
+
+@pytest.mark.parametrize("k", [21, 69, pytest.param(125, marks=pytest.mark.slow)])
+def test_real_form_matches_golden(k):
+    rf = real_form(build_symbol_algebra(k).algebra)
+    embedding = [[[a, str(x)] for a, x in rf.embedding.sparse_column(c).items()] for c in range(rf.embedding.cols)]
+    assert _digest({"algebra": rf.algebra.to_json_dict(), "embedding": embedding}) == REAL_FORM_GOLDEN[k]
+
+
+@pytest.mark.slow
+def test_conjugation_adapted_top_basis_at_length_12_matches_golden():
+    basis = conjugation_adapted_top_basis(12)
+    assert _digest([[[str(x) for x in v], tag] for v, tag in basis]) == TOP_BASIS_12_GOLDEN

@@ -573,10 +573,15 @@ def _corrupt_call(monkeypatch, call, corrupt):
 
 
 def test_real_form_corrupted_kernel_row_fails_the_substitution_check(monkeypatch):
-    """Degree -1 comes first: rows in (x1, x2, y1, y2), pivots at columns 0 and 2, column 1 free."""
+    """Degree -1 comes first: the fixed-point elimination reduces the image of F + I in the real columns (y2, y1, x2, x1).
+
+    Its first pivot row is y2 - y1 (the vector -y = i(g2 - g1)), pivoted
+    at column 0; changed at column 1, it is no longer fixed, and the
+    F·v = v check refuses it.
+    """
     A = build_symbol_algebra(3).algebra
     _corrupt_call(monkeypatch, 0, lambda row: {**row, 1: row.get(1, 0) + 1})
-    with pytest.raises(AssertionError, match="non-kernel vector"):
+    with pytest.raises(AssertionError, match=r"not fixed by z -> S·conj\(z\)"):
         real_form(A)
 
 
