@@ -5,12 +5,15 @@ A script defines ``measure(key, runs=REPEATS) -> dict``: the median of
 ``runs_s`` and the system sizes under every other key.  :func:`timed`
 takes those times after one untimed call, so first-call costs in a fresh
 process stay out of them.  :func:`compare`
-times each key in REPEATS rounds; a round runs the key once on each
-source tree, each time in a fresh process of the same interpreter
-(``--runs 1``) with that tree's ``src`` directory first on its path, and
-the side that runs first alternates from one round to the next, so host
-drift falls on both sides alike.  Each side's single runs are pooled and
-their median is its time.  The sizes both sides report must agree; a
+times each key in REPEATS rounds; a round runs the key on each source
+tree, each time in a fresh process of the same interpreter with that
+tree's ``src`` directory first on its path, and the side that runs first
+alternates from one round to the next, so host drift falls on both sides
+alike.  Each process times ``PROCESS_RUNS`` calls and keeps its fastest:
+on a shared host one timed call per process reads bimodal, slowed by
+whatever else runs, and the fastest of a few is the stable reading.
+Each side's per-process minima are pooled and their median is its
+time.  The sizes both sides report must agree; a
 size only the after side reports (a counter of code the before side
 lacks) is recorded from it.  A script may instead name the sizes that
 must agree (``shared``): those are recorded once, and every other size
@@ -27,6 +30,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+PROCESS_RUNS = 3
 
 
 def timed(run, runs: int, key: str = "time_s", reset=lambda: None):
@@ -55,7 +60,7 @@ def run_side(script: str, src: str, key, runs: int) -> dict:
 
 
 def compare(script: str, before: str, after: str, keys, key_name: str, repeats: int, shared=None) -> list:
-    """One entry per key: the sizes, both median times and pooled runs, and the speedup.
+    """One entry per key: the sizes, both median times and pooled per-process minima, and the speedup.
 
     ``shared`` names the sizes that must agree; None means every size both sides report.
     """
@@ -65,8 +70,8 @@ def compare(script: str, before: str, after: str, keys, key_name: str, repeats: 
         runs, last = {"before": [], "after": []}, {}
         for r in range(repeats):
             for name, src in sides if r % 2 == 0 else sides[::-1]:
-                last[name] = run_side(script, src, key, 1)
-                runs[name] += last[name]["runs_s"]
+                last[name] = run_side(script, src, key, PROCESS_RUNS)
+                runs[name].append(min(last[name]["runs_s"]))
         old, new = ({n: v for n, v in last[side].items() if not n.endswith("_s")} for side in ("before", "after"))
         agree = [n for n in new if n in old] if shared is None else shared
         if any(old.get(n) != new.get(n) for n in agree):

@@ -5,11 +5,11 @@ The abstract side is g_- on the symbol's own Hall basis plus an abelian
 grade-0 part: the grading element d, [e_a, d] = -deg(e_a)·e_a, and (when
 the quotient is compatible with it) a rotation element r, the diagonal
 [e_a, r] = i(n_a - nt_a)·e_a on words of bidegree (n_a, nt_a).  Which
-case holds is decided on this side, from the quotient alone: r is added
-exactly when every reduced row of the quotient touches top words of one
-bidegree only.  That test is exact: a subspace stable under the diagonal
-splits into its parts in the eigenspaces, and the reduced echelon form,
-unique for a fixed column order, is then the union of theirs.  The
+case holds is decided on this side, from the symbol's table alone: r is
+added exactly when every structure constant keeps the weight n - nt,
+that is when the diagonal is a derivation of the symbol, which holds
+exactly when it preserves the top-layer quotient (proof in
+``_rotation_preserves_quotient``).  The
 prolongation side is computed independently by the exact kernel solves
 in :mod:`.prolong`, on the same basis, and the two sides meet only in
 the checks below, so a disagreement about the case is a failed
@@ -44,7 +44,6 @@ from .liealg import (
     check_grading,
     is_nondegenerate_symbol,
 )
-from .freelie import hall_basis
 from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, is_transitive
 
 __all__ = [
@@ -83,7 +82,6 @@ class AutCRAlgebra:
 
     algebra: GradedLieAlgebra
     case: str
-    symbol: SymbolAlgebra
     d_index: int
     r_index: int = -1
 
@@ -101,16 +99,18 @@ class AutCRAlgebra:
 def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
     """Whether the bidegree diagonal -i(n - nt) maps the top-layer quotient into itself.
 
-    It does exactly when every reduced row of ``symbol.reducer`` touches top
-    words of one bidegree only.  The diagonal is diagonalizable, so a
-    stable subspace is the direct sum of its parts in the eigenspaces; the
-    reduced rows of those parts, put together, are a reduced echelon form
-    of the whole, and that form is unique for the fixed column order.  A
-    homogeneous row is an eigenvector, so the converse is clear.  The zero
-    quotient has no rows and passes.
+    It does exactly when every constant at e_k of [e_a, e_b] in the table
+    has w_a + w_b = w_k, w = n - nt on ``symbol.words``: one pass, no
+    quotient row read.  If the quotient is stable, the free algebra's
+    diagonal derivation D descends, and it is diagonal on the retained
+    words.  Conversely, if the diagonal r is a derivation of the symbol,
+    let φ = π∘D - r∘π for the projection π of the free algebra onto the
+    symbol.  Then φ[x, y] = [φx, πy] + [πx, φy], a π-derivation that is
+    zero on both generators, so φ = 0, and π(D q) = r(π q) = 0 for every
+    q in the quotient.
     """
-    top = [w for w in hall_basis(symbol.length).words if w.length == symbol.length]
-    return all(len({top[t].bidegree for t, x in enumerate(row) if x}) == 1 for row in symbol.reducer.rows)
+    w = [n - nt for n, nt in (word.bidegree for word in symbol.words)]
+    return all(w[a] + w[b] == w[k] for (a, b), terms in symbol.algebra._numerators[0].items() for k in terms)
 
 
 def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
@@ -118,9 +118,9 @@ def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
 
     The table is ``symbol.algebra``'s, plus d with [e_a, d] = -deg(e_a)·e_a
     and, in the complex-alpha case, r with [e_a, r] = i(n_a - nt_a)·e_a.
-    The case is decided from the quotient alone: r is added exactly when
-    the bidegree diagonal preserves the top-layer quotient; no
-    prolongation is consulted.
+    The case is decided from the symbol's table alone: r is added exactly
+    when the bidegree diagonal is a derivation of it, that is when it
+    preserves the top-layer quotient; no prolongation is consulted.
     """
     case = COMPLEX_ALPHA if _rotation_preserves_quotient(symbol) else REAL_ALPHA
     m = symbol.algebra
@@ -157,7 +157,7 @@ def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
         raise AssertionError("aut algebra is degenerate")
     if not is_transitive(aut):
         raise AssertionError("aut algebra is not transitive")
-    return AutCRAlgebra(aut, case, symbol, d_index, r_index)
+    return AutCRAlgebra(aut, case, d_index, r_index)
 
 
 @dataclass
@@ -221,7 +221,7 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
 
     Both sides are computed independently on the symbol's Hall basis,
     and the case (whether G^0 has the rotation) is the aut side's,
-    decided from the quotient alone by :func:`build_aut_cr`.  A symbol
+    decided from the symbol's table alone by :func:`build_aut_cr`.  A symbol
     without a conjugation, or whose degree -1 block is not the swap
     L1_1 <-> L1_2 with J = diag(i, -i), raises :class:`NotSelfConjugate`
     before any prolongation.  The map checked is the identity on g_-,

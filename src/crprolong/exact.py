@@ -8,7 +8,7 @@ rows ``{col: int}``, each row kept primitive; ``_integer_kernel`` reads
 the prolongation's kernels over Q(i) off a stream of rows, realifying
 only rows with an imaginary part.  A system over Q(i) is scaled to
 Gaussian integers and realified onto it by ``_gaussian_rref``: rank,
-echelon, the frame filtration and faithfulness read that reduced form.
+``Echelon`` (which keeps it), the frame filtration and faithfulness read it.
 The real basis of a conjugation block, the fixed points of the involution
 F(z) = S·conj(z), is read off one ``integer_rref`` of the image of F + I
 (``_real_fixed_points``), and ``liealg.real_form`` reads coordinates in
@@ -651,14 +651,14 @@ def rank(m: Matrix) -> int:
 
 
 class Echelon:
-    """Echelonized row span with a canonical reduction map.
+    """A row span's reduced echelon form, stored once as ``_gaussian_rref``'s numerators.
 
-    ``col_order`` controls where pivots land; passing the reversed column
-    order prefers trailing coordinates as pivots, which is how quotient
-    subspaces pick which basis vectors survive.
+    ``reduced`` is a tuple of ``(col, {j: (re, im)}, den)``, unique for
+    ``col_order``; the reversed order prefers trailing pivots, which is how
+    quotients pick the words that survive.  ``rows`` and ``reduce`` are views.
     """
 
-    __slots__ = ("cols", "rows", "pivots", "pivot_cols", "free_cols", "_sparse")
+    __slots__ = ("cols", "reduced", "pivots", "free_cols")
 
     def __init__(self, rows, cols: int, col_order=None):
         rows = list(rows)
@@ -666,25 +666,24 @@ class Echelon:
             raise ValueError("row width mismatch")
         sparse = [_gaussian_integers((j, as_qi(x)) for j, x in enumerate(r))[0] for r in rows]
         pivots = _gaussian_rref(sparse, range(cols) if col_order is None else col_order)
-        self._sparse = [(c, {j: _qi(a, b, den) for j, (a, b) in row.items()}) for c, row, den in pivots]
+        self.reduced = tuple((c, {j: tuple(z) for j, z in row.items()}, den) for c, row, den in pivots)
         self.cols = cols
-        self.rows = [[row.get(j, QI_ZERO) for j in range(cols)] for _, row in self._sparse]
-        self.pivots = [(i, c) for i, (c, _) in enumerate(self._sparse)]
-        self.pivot_cols = {c: i for i, (c, _) in enumerate(self._sparse)}
-        self.free_cols = [j for j in range(cols) if j not in self.pivot_cols]
+        self.pivots = [(i, c) for i, (c, _, _) in enumerate(self.reduced)]
+        self.free_cols = sorted(set(range(cols)).difference(c for c, _, _ in self.reduced))
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.reduced)
+
+    @property
+    def rows(self):
+        """The reduced rows as dense ``QI`` lists: a view for output and tests."""
+        return [[_qi(*row.get(j, (0, 0)), den) for j in range(self.cols)] for _, row, den in self.reduced]
 
     def reduce(self, vec):
-        """Canonical representative of ``vec`` modulo the row span."""
+        """Canonical representative of ``vec`` modulo the span: vec - Σ_c vec[c]·(row of pivot c), one sum in numerators."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        v = [as_qi(x) for x in vec]
-        for c, row in self._sparse:
-            f = v[c]
-            if f:
-                for j, y in row.items():
-                    v[j] = v[j] - f * y
-        return v
+        v, vden = _gaussian_integers((j, as_qi(x)) for j, x in enumerate(vec))
+        out, den = _gaussian_sum([((1, 0), vden, v)] + [((-v[c][0], -v[c][1]), vden * den, row) for c, row, den in self.reduced if c in v])
+        return [_qi(*out.get(j, (0, 0)), den) for j in range(self.cols)]

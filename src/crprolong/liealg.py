@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exact import QI_ONE, QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
-from .exact import _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_table, _qi
+from .exact import QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
+from .exact import _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_rref, _gaussian_table, _qi
 from .exact import _numerator_table, _real_coordinates, _real_fixed_points
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
@@ -509,17 +509,16 @@ _QUOTIENT_KINDS = ("default", "explicit", "frame")
 
 
 class SymbolAlgebra:
-    """The graded nilpotent algebra attached to a codimension-k model."""
+    """The graded nilpotent algebra of a codimension-k model, on its Hall ``words``; no quotient row is kept."""
 
-    __slots__ = ("algebra", "codim", "length", "words", "quotient", "reducer")
+    __slots__ = ("algebra", "codim", "length", "words", "quotient")
 
-    def __init__(self, algebra, codim, length, words, quotient, reducer):
+    def __init__(self, algebra, codim, length, words, quotient):
         self.algebra = algebra
         self.codim = codim
         self.length = length
         self.words = tuple(words)
         self.quotient = quotient
-        self.reducer = reducer
 
     @property
     def dim(self) -> int:
@@ -586,12 +585,12 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     ``quotient`` is None for the canonical conjugation-adapted trailing
     drop, or a :class:`QuotientSpec` with explicit rows; a spec of kind
     "default" with rows must span the default subspace, else
-    :class:`BadQuotient` is raised.  The quotient map
-    π is read once off the reduced rows of the quotient (``reducer``): it
-    gives every structure constant, the conjugation-stability test and the
-    conjugation's top columns, with no further reduction.  All invariants
-    (grading, Jacobi, fundamentality, nondegeneracy, layer dimensions) are
-    verified before returning.
+    :class:`BadQuotient` is raised.  The quotient map π is read once off
+    the numerators of the reduced rows (``Echelon.reduced``): it gives
+    every structure constant, the conjugation-stability test and the
+    conjugation's top columns, with no further reduction and no ``QI`` row.
+    All invariants (grading, Jacobi, fundamentality, nondegeneracy, layer
+    dimensions) are verified before returning.
     """
     if k < 1:
         raise ValueError("codimension must be positive")
@@ -618,10 +617,12 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
             raise BadQuotient(
                 f"quotient rows must live in the top layer: expected width {n_top}, got {len(row)}"
             )
-    reducer = Echelon([list(r) for r in spec.rows], n_top, col_order=range(n_top - 1, -1, -1))
+    order = range(n_top - 1, -1, -1)
+    reducer = Echelon([list(r) for r in spec.rows], n_top, col_order=order)
     if reducer.rank != need:
         raise BadQuotient(f"quotient must have dimension {need}, got rank {reducer.rank}")
-    if spec is quotient and spec.kind == "default" and any(any(reducer.reduce(row)) for row in default_quotient_rows(k)):
+    # equal ranks, and the reduced form is unique for the column order
+    if spec is quotient and spec.kind == "default" and Echelon(default_quotient_rows(k), n_top, col_order=order).reduced != reducer.reduced:
         raise BadQuotient("a quotient of kind 'default' must span the default quotient subspace")
     retained = sorted(reducer.free_cols)
     assert len(retained) == keep
@@ -631,16 +632,13 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     degrees = [-w.length for w in words]
     pos_top_retained = {t: len(low_words) + r for r, t in enumerate(retained)}
 
-    # the quotient map π on words, read once off the reduced rows: a lower or
-    # retained word keeps its coordinate, and a pivot top word c goes to minus
-    # the rest of its row, which is zero at every other pivot; a combination
-    # {word: integer} then projects in integers, over the Gaussian numerators of pi
-    pi = {w.word: {i: QI_ONE} for i, w in enumerate(low_words)}
-    pi.update((top_words[t].word, {pos: QI_ONE}) for t, pos in pos_top_retained.items())
-    for r, c in reducer.pivots:
-        row = reducer.rows[r]
-        pi[top_words[c].word] = {pos_top_retained[t]: -row[t] for t in retained if row[t]}
-    pi_nums, pden = _gaussian_table(pi)
+    # the quotient map π on words, over pden: a lower or retained word keeps its
+    # coordinate, and a pivot top word c goes to minus the rest of its reduced
+    # row, which is zero at every other pivot
+    pi = [(w.word, {i: (1, 0)}, 1) for i, w in enumerate(low_words)]
+    pi += [(top_words[t].word, {pos: (1, 0)}, 1) for t, pos in pos_top_retained.items()]
+    pi += [(top_words[c].word, {pos_top_retained[t]: (-re, -im) for t, (re, im) in sorted(row.items()) if t != c}, den) for c, row, den in reducer.reduced]
+    pi_nums, pden = _numerator_table(pi)
 
     n = len(words)
     # a Hall word's standard bracketing is its own normal form
@@ -659,7 +657,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
         return _gaussian_apply(pi_nums, {v: (c, 0) for v, c in conjugate_normal_form(w.word)})
 
     swapped = {t: swap(w) for t, w in enumerate(top_words)}
-    conj_rows = ({t: (re, -im) for t, (re, im) in _gaussian_integers(enumerate(row))[0].items()} for row in reducer.rows)
+    conj_rows = ({t: (re, -im) for t, (re, im) in row.items()} for _, row, _ in reducer.reduced)
     stable = not any(any(re or im for re, im in _gaussian_apply(swapped, q).values()) for q in conj_rows)
     conjugation = None
     if stable:
@@ -684,7 +682,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     if not is_nondegenerate_symbol(algebra):
         raise AssertionError("symbol algebra is degenerate")
 
-    return SymbolAlgebra(algebra, k, rho, words, spec, reducer)
+    return SymbolAlgebra(algebra, k, rho, words, spec)
 
 
 # -- real forms ------------------------------------------------------------

@@ -20,19 +20,21 @@ def benchpair(monkeypatch):
 
 
 def test_compare_alternates_the_side_that_runs_first(benchpair, monkeypatch):
-    """Each round runs one single-run process per side, the first side alternating; the runs pool into each median."""
+    """Each round runs one process per side, the first side alternating; each process's fastest run pools into each median."""
     calls = []
     times = {"OLD": iter([0.5, 0.7, 0.6, 0.5, 0.9, 0.8]), "NEW": iter([0.2, 0.4, 0.3, 0.2, 0.1, 0.3])}
 
     def fake(script, src, key, runs):
         calls.append((key, src, runs))
         t = next(times[src])
-        return {"time_s": t, "runs_s": [t], "n": 4}
+        # a slow first run, the fastest in the middle: only the minimum pools
+        return {"time_s": t + 0.1, "runs_s": [t + 0.3, t, t + 0.1], "n": 4}
 
     monkeypatch.setattr(benchpair, "run_side", fake)
     entries = benchpair.compare("bench.py", "OLD", "NEW", ["a", "b"], "workload", 3)
     order = ["OLD", "NEW", "NEW", "OLD", "OLD", "NEW"]
-    assert calls == [("a", src, 1) for src in order] + [("b", src, 1) for src in order]
+    assert calls == [("a", src, benchpair.PROCESS_RUNS) for src in order] + [("b", src, benchpair.PROCESS_RUNS) for src in order]
+    assert benchpair.PROCESS_RUNS == 3
     assert entries[0] == {
         "workload": "a", "n": 4, "before_s": 0.6, "after_s": 0.3,
         "before_runs_s": [0.5, 0.7, 0.6], "after_runs_s": [0.2, 0.4, 0.3], "speedup": 2.0,

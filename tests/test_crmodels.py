@@ -165,14 +165,62 @@ def test_quotient_stabilities_match_dense_oracle_slow(k, seed):
     _check_stabilities_against_dense_oracle(k, seed)
 
 
+def _check_rotation_case_against_dense_oracle(S):
+    """The rotation test on the symbol's table agrees with dense membership of the rotated quotient rows."""
+    assert crmodels._rotation_preserves_quotient(S) == rotation_stable(S.codim, S.quotient)
+
+
+@pytest.mark.parametrize("k", range(2, 31))
+def test_rotation_case_matches_dense_oracle_on_default_quotients(k):
+    _check_rotation_case_against_dense_oracle(build_symbol_algebra(k))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(31, 70))
+def test_rotation_case_matches_dense_oracle_on_default_quotients_slow(k):
+    _check_rotation_case_against_dense_oracle(build_symbol_algebra(k))
+
+
+@pytest.mark.parametrize("mid", sorted(builtin_catalog()))
+def test_rotation_case_matches_dense_oracle_on_frame_quotients(mid):
+    S = symbol_from_frame(builtin_catalog()[mid])
+    assert S.quotient.kind == "frame"
+    _check_rotation_case_against_dense_oracle(S)
+
+
+@pytest.mark.parametrize("k, draw", [(3, None), (8, rotation_stable_quotient)], ids=["k3-default", "k8-rot1"])
+def test_rotation_case_is_refused_by_a_constant_off_its_weight(k, draw):
+    """Negative control: one top-degree constant moved onto a word of another weight n - nt breaks the rotation."""
+    S = build_symbol_algebra(k, draw and draw(k, 1))
+    assert crmodels._rotation_preserves_quotient(S)
+    A = S.algebra
+    weight = [n - nt for n, nt in (w.bidegree for w in S.words)]
+    top = A.indices_of_degree(-S.length)
+    (i, j), terms = next((ij, terms) for ij, terms in A.table.items() if any(t in top for t in terms))
+    t = next(t for t in terms if t in top)
+    other = next(u for u in top if weight[u] != weight[t])
+    moved = {s: x for s, x in terms.items() if s != t} | {other: terms[t]}
+    bad = SymbolAlgebra(replaced_bracket(A, i, j, moved), S.codim, S.length, S.words, S.quotient)
+    assert not crmodels._rotation_preserves_quotient(bad)
+
+
 def test_quotient_map_is_read_off_the_reduced_rows(monkeypatch):
-    # the symbol build and both stability tests reduce nothing against the quotient
+    # neither the symbol build nor the theorem check reads a QI view of the
+    # quotient (its dense rows) or reduces anything against it
     def refused(*args):
-        raise AssertionError("re-reduction against the quotient")
+        raise AssertionError("QI view of the quotient read")
 
     monkeypatch.setattr(Echelon, "reduce", refused)
-    for k, spec in ((7, None), (8, random_quotient(8, 1)), (8, rotation_stable_quotient(8, 1)), (5, unstable_quotient(5, 1))):
-        crmodels._rotation_preserves_quotient(build_symbol_algebra(k, spec))
+    monkeypatch.setattr(Echelon, "rows", property(refused))
+    # the default subspace of k = 8 in another basis: reversed, the first row added to the second
+    rows = liealg.default_quotient_rows(8)[::-1]
+    default = QuotientSpec(kind="default", rows=(rows[0], tuple(a + b for a, b in zip(rows[0], rows[1])), *rows[2:]), provenance="default")
+    for k, spec in ((7, None), (8, random_quotient(8, 1)), (8, rotation_stable_quotient(8, 1)), (8, default)):
+        assert verify_theorem(build_symbol_algebra(k, spec)).verdict == "confirmed"
+    S = build_symbol_algebra(5, unstable_quotient(5, 1))
+    assert build_aut_cr(S).case == REAL_ALPHA  # a draw stable under neither involution
+    with pytest.raises(NotSelfConjugate, match="^algebra has no conjugation involution$"):
+        verify_theorem(S)
 
 
 def test_case_mismatch_on_default_k2(monkeypatch):
@@ -278,7 +326,7 @@ def test_hand_built_degenerate_symbol_fails_build_aut_cr():
     S = build_symbol_algebra(1)
     A = S.algebra
     flat = GradedLieAlgebra(A.labels, A.degrees, {}, conjugation=A.conjugation, J=A.J)
-    fake = SymbolAlgebra(flat, S.codim, S.length, S.words, S.quotient, S.reducer)
+    fake = SymbolAlgebra(flat, S.codim, S.length, S.words, S.quotient)
     assert not flat._nondegenerate
     with pytest.raises(AssertionError, match="^aut algebra is degenerate$"):
         build_aut_cr(fake)
@@ -294,7 +342,7 @@ def test_verify_theorem_routes_heisenberg():
 
 def test_rho_too_small_for_hand_built_symbol():
     S1 = build_symbol_algebra(1)
-    fake = SymbolAlgebra(S1.algebra, 2, S1.length, S1.words, S1.quotient, S1.reducer)
+    fake = SymbolAlgebra(S1.algebra, 2, S1.length, S1.words, S1.quotient)
     with pytest.raises(RhoTooSmall):
         verify_theorem(fake)
 
@@ -356,7 +404,7 @@ def test_verify_theorem_refuses_j_that_does_not_commute_with_conjugation(monkeyp
     A = S.algebra
     for J in (Matrix([[0, -1], [1, 0]]), -A.J):
         bad = GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=A.conjugation, J=J)
-        fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient, S.reducer)
+        fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient)
         with pytest.raises(NotSelfConjugate, match=r"^degree -1 block is not the swap with J = diag\(i, -i\)$"):
             verify_theorem(fake)
     # the dense oracle refuses the first J on the swap's real basis too
@@ -382,7 +430,7 @@ def test_verify_theorem_refuses_a_degree_minus_one_conjugation_other_than_the_sw
     skew = Matrix.sparse(A.dim, [{a: -x if A.degrees[b] % 2 else x for a, x in A.conjugation.sparse_column(b).items()} for b in range(A.dim)])
     bad = GradedLieAlgebra(A.labels, A.degrees, A.table, conjugation=skew, J=A.J)
     assert bad.conjugation.sparse_column(0) == {1: -QI_ONE}
-    fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient, S.reducer)
+    fake = SymbolAlgebra(bad, S.codim, S.length, S.words, S.quotient)
     with pytest.raises(NotSelfConjugate, match=r"^degree -1 block is not the swap with J = diag\(i, -i\)$"):
         verify_theorem(fake)
 

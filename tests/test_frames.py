@@ -298,7 +298,7 @@ def test_corrupted_top_constant_is_refused_by_the_frame_check(mid):
     t = A.indices_of_degree(-S.length)[0]
     terms = dict(A.table[(i, j)])
     terms[t] = terms.get(t, QI(0)) + 1
-    bad = SymbolAlgebra(replaced_bracket(A, i, j, terms), S.codim, S.length, S.words, S.quotient, S.reducer)
+    bad = SymbolAlgebra(replaced_bracket(A, i, j, terms), S.codim, S.length, S.words, S.quotient)
     with pytest.raises(AssertionError, match=rf"frame constants disagree at \({S.words[i]}, {S.words[j]}\)"):
         frames._check_frame_constants(bad, filt)
 
