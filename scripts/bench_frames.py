@@ -4,8 +4,8 @@
 
 The models are the left-invariant frame models of the default symbols at
 k = 7, 12, 16, 21, 30, 39 and 69 (``frame<k>``, CR field (X - iY)/2 of the
-real form's frame, as the catalog builds its length-5 entries) and the
-catalog entry ``quintic12``.  Each model is timed five times per source
+real form's frame, built by ``frames._frame_realized_model`` as the
+catalog builds its length-5 entries) and the catalog entry ``quintic12``.  Each model is timed five times per source
 tree, one run per fresh process after one untimed call, the two trees
 taking turns run by run (the median is reported; ``benchpair.py`` holds
 this harness).  The sizes are read from
@@ -29,15 +29,11 @@ REPEATS = 5
 
 
 def _model(name: str):
-    from crprolong import bch, exact, frames, liealg
+    from crprolong import frames
 
     if not name.startswith("frame"):
         return frames.builtin_catalog()[name]
-    k = int(name[len("frame"):])
-    rf = liealg.real_form(liealg.build_symbol_algebra(k).algebra)
-    frame = bch.left_invariant_frame(rf.algebra)
-    cr = (frame[0] + frame[1].scale(exact.QI(0, -1))).scale(exact.QI("1/2"))
-    return frames.field_model(name, k, cr)
+    return frames._frame_realized_model(name, int(name[len("frame"):]))
 
 
 def _sizes(model) -> dict:

@@ -16,24 +16,17 @@ The sizes are counted on each algebra's stored numerators, so no ``QI``
 table view is built for them: ``n`` (the dimension of the
 symbol), ``symbol_bracket_entries`` (its nonzero brackets of basis
 pairs) and ``symbol_nonzero_constants`` (its nonzero structure
-constants); both trees report the same ones.  A tree that prolongs the
-symbol on its Hall basis also reports the sizes of that prolongation,
-the one ``verify_theorem`` then checks against: ``prolongation_dim``,
-``prolongation_bracket_entries`` and ``prolongation_nonzero_constants``.
-A tree whose solver refuses complex coefficients cannot, and reports
-none.  A tree that builds aut_CR on the Hall basis too (its
-``build_aut_cr`` takes the symbol alone) reports ``aut_bracket_entries``
-and ``aut_nonzero_constants``; a tree that builds it in the real basis
-of the real form has other sizes, which are not comparable, and reports
-none.  The summary records whether
-build + verify meets the targets of at most 1.5 s at k = 410 and at most
-5 s at k = 745.  The pair goes to BENCH_gates.json in the current
-directory.
+constants), then those of the symbol's prolongation on its Hall basis,
+the one ``verify_theorem`` checks against (``prolongation_dim``,
+``prolongation_bracket_entries`` and ``prolongation_nonzero_constants``),
+and of aut_CR on that basis (``aut_bracket_entries`` and
+``aut_nonzero_constants``); both trees report the same ones.  The
+summary records whether build + verify meets the targets of at most
+1.5 s at k = 410 and at most 5 s at k = 745.  The pair goes to
+BENCH_gates.json in the current directory.
 """
 
 from __future__ import annotations
-
-import inspect
 
 import benchpair
 
@@ -54,16 +47,15 @@ def _sizes(k: int) -> dict:
     from crprolong import crmodels, liealg, prolong
 
     symbol = liealg.build_symbol_algebra(k)
-    sizes = {"k": k, "n": symbol.dim, **_table_sizes("symbol", symbol.algebra)}
-    try:
-        hall = prolong.full_prolongation(symbol.algebra, prolong.LEVI_TANAKA).algebra
-    except ValueError:
-        pass
-    else:
-        sizes |= {"prolongation_dim": hall.dim, **_table_sizes("prolongation", hall)}
-    if len(inspect.signature(crmodels.build_aut_cr).parameters) == 1:
-        sizes |= _table_sizes("aut", crmodels.build_aut_cr(symbol).algebra)
-    return sizes
+    hall = prolong.full_prolongation(symbol.algebra, prolong.LEVI_TANAKA).algebra
+    return {
+        "k": k,
+        "n": symbol.dim,
+        **_table_sizes("symbol", symbol.algebra),
+        "prolongation_dim": hall.dim,
+        **_table_sizes("prolongation", hall),
+        **_table_sizes("aut", crmodels.build_aut_cr(symbol).algebra),
+    }
 
 
 def _table_sizes(name: str, algebra) -> dict:

@@ -29,14 +29,10 @@ the solver reads its row stream: the Leibniz and J rows before
 numerator bit length in the distinct rows and in their reduced echelon
 form; rows with complex entries are counted realified, their real and
 imaginary parts as integer columns, the form in which they are reduced.
-A tree whose ``exact.integer_rref`` takes one argument reads every row
-as a list, and is counted whole.  The pair goes to BENCH_prolong.json in
-the current directory.
+The pair goes to BENCH_prolong.json in the current directory.
 """
 
 from __future__ import annotations
-
-import inspect
 
 import benchpair
 
@@ -85,7 +81,6 @@ def _sizes(run) -> dict:
 
     sizes = {"solves": 0, "unknowns": 0, "rank": 0, "component_dims": [], "rows": 0, "distinct_rows": 0, "nonzeros": 0, "max_bits": 0}
     solve, distinct, kernel = prolong._solve_component, prolong._distinct_rows, prolong._integer_kernel
-    streams = len(inspect.signature(exact.integer_rref).parameters) == 2
 
     def counted_solve(m, components, l, j_constraint):
         comp = solve(m, components, l, j_constraint)
@@ -103,9 +98,9 @@ def _sizes(run) -> dict:
         return distinct(_recording(forms, taken))
 
     def counted_kernel(rows, width):
-        # a tree that streams its rows stops reading them at full rank: count the rows it reads
-        read = [] if streams else rows
-        out = kernel(_recording(rows, read) if streams else rows, width)
+        # the solver stops reading its rows at full rank: count the rows it reads
+        read = []
+        out = kernel(_recording(rows, read), width)
         sizes["distinct_rows"] += len(read)
         sizes["nonzeros"] += sum(map(len, read))
         real, real_width = read, width
@@ -115,7 +110,7 @@ def _sizes(run) -> dict:
             gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in read]
             real, cols = exact._realify(gaussian, range(width))
             real_width = 2 * len(cols)
-        pivots = exact.integer_rref(real, real_width) if streams else exact.integer_rref(real)
+        pivots = exact.integer_rref(real, real_width)
         entries = [x for row in (*real, *(row for _, row in pivots)) for x in row.values()]
         sizes["max_bits"] = max([sizes["max_bits"], *(abs(x).bit_length() for x in entries)])
         return out

@@ -8,14 +8,15 @@ rows ``{col: int}``, each row kept primitive; ``_integer_kernel`` reads
 the prolongation's kernels over Q(i) off a stream of rows, realifying
 only rows with an imaginary part.  A system over Q(i) is scaled to
 Gaussian integers and realified onto it by ``_gaussian_rref``: rank,
-``Echelon`` (which keeps it), the frame filtration and faithfulness read it.
-The real basis of a conjugation block, the fixed points of the involution
-F(z) = S·conj(z), is read off one ``integer_rref`` of the image of F + I
-(``_real_fixed_points``), and ``liealg.real_form`` reads coordinates in
-it at the free columns, with no inverse (``_real_coordinates``).  The
-reduced row echelon form for a fixed column order is unique, so every
-basis, reducer and solution depends only on the input and the column
-order, never on row order or on how the elimination is scheduled.
+``Echelon`` (which keeps it), the frame filtration and quotient, and
+faithfulness read it.  The real basis of a conjugation block, the fixed
+points of the involution F(z) = S·conj(z), is read off one
+``integer_rref`` of the image of F + I (``_real_fixed_points``), and
+``liealg.real_form`` reads coordinates in it at the free columns, with no
+inverse (``_real_coordinates``).  The reduced row echelon form for a fixed
+column order is unique, so every basis, reducer and solution depends only
+on the input and the column order, never on row order or on how the
+elimination is scheduled.
 
 This module owns the fraction-free form that ``prolong``, ``bch``,
 ``frames`` and ``liealg`` compute on: integer numerators over one positive
@@ -653,12 +654,14 @@ def rank(m: Matrix) -> int:
 class Echelon:
     """A row span's reduced echelon form, stored once as ``_gaussian_rref``'s numerators.
 
-    ``reduced`` is a tuple of ``(col, {j: (re, im)}, den)``, unique for
-    ``col_order``; the reversed order prefers trailing pivots, which is how
-    quotients pick the words that survive.  ``rows`` and ``reduce`` are views.
+    ``reduced`` is a tuple of ``(col, {j: (re, im)}, den)``, one per pivot
+    col, unique for ``col_order``; the reversed order prefers trailing
+    pivots, which is how quotients pick the words that survive.  The
+    package builds one only in ``build_symbol_algebra``; ``rows`` and
+    ``reduce`` are views it never reads.
     """
 
-    __slots__ = ("cols", "reduced", "pivots", "free_cols")
+    __slots__ = ("cols", "reduced", "free_cols")
 
     def __init__(self, rows, cols: int, col_order=None):
         rows = list(rows)
@@ -668,7 +671,6 @@ class Echelon:
         pivots = _gaussian_rref(sparse, range(cols) if col_order is None else col_order)
         self.reduced = tuple((c, {j: tuple(z) for j, z in row.items()}, den) for c, row, den in pivots)
         self.cols = cols
-        self.pivots = [(i, c) for i, (c, _, _) in enumerate(self.reduced)]
         self.free_cols = sorted(set(range(cols)).difference(c for c, _, _ in self.reduced))
 
     @property

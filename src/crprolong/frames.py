@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from .bch import _mul_into, left_invariant_frame
-from .exact import QI, QI_ONE, QI_ZERO, Echelon, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_table, _qi
+from .exact import QI, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_sum, _gaussian_table, _qi
 from .freelie import _bracket_basis, cumulative_dim, hall_basis, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
 from .poly import Poly, PolyVectorField, rigid_chart
@@ -387,9 +387,10 @@ def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
     exactly the top-layer subspace the model quotients away.  Under total
     nondegeneracy every lower word is a pivot of ``filt.reduced``, so each
     free top word f gives one such combination, e_f minus its column of the
-    top pivot rows; their forward echelon form is the quotient.  The
-    induced constants are cross-checked against the vector-field brackets
-    at the origin before returning.
+    top pivot rows, in Gaussian integers; their forward echelon form
+    (``_gaussian_rref``) is the quotient, whose entries become ``QI`` once.
+    The induced constants are cross-checked against the vector-field
+    brackets at the origin before returning.
     """
     filt, ok = growth_and_nondegeneracy(model)
     if not ok:
@@ -398,13 +399,13 @@ def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
         )
     k = model.codim
     n_low = cumulative_dim(min_length_for_codim(k) - 1)
-    n_top = len(filt.word_values) - n_low
+    top_cols = range(n_low, len(filt.word_values))
     top = [(c, row, den) for c, row, den in filt.reduced if c >= n_low]
-    free = sorted(set(range(n_low, n_low + n_top)) - {c for c, _, _ in top})
-    # e_f minus column f of the top pivot rows, at their pivots
-    vecs = [{f: QI_ONE} | {c: _qi(-row[f][0], -row[f][1], den) for c, row, den in top if f in row} for f in free]
-    reducer = Echelon([[v.get(n_low + t, QI_ZERO) for t in range(n_top)] for v in vecs], n_top)
-    spec = QuotientSpec(kind="frame", rows=tuple(map(tuple, reducer.rows)), provenance=f"frame:{model.model_id}")
+    free = sorted(set(top_cols) - {c for c, _, _ in top})
+    # e_f minus column f of the top pivot rows, at their pivots; the scale of a row is free, so its numerators will do
+    vecs = [_gaussian_sum([((1, 0), 1, {f: (1, 0)})] + [((-row[f][0], -row[f][1]), den, {c: (1, 0)}) for c, row, den in top if f in row])[0] for f in free]
+    rows = tuple(tuple(_qi(*row.get(c, (0, 0)), den) for c in top_cols) for _, row, den in _gaussian_rref(vecs, top_cols))
+    spec = QuotientSpec(kind="frame", rows=rows, provenance=f"frame:{model.model_id}")
     symbol = build_symbol_algebra(k, spec)
     _check_frame_constants(symbol, filt)
     return symbol

@@ -303,7 +303,6 @@ def prolong_component(m: GradedLieAlgebra, components, l: int) -> ProlongationCo
 class ProlongedAlgebra:
     """A prolongation together with its fully assembled bracket table."""
 
-    negative: GradedLieAlgebra
     components: tuple
     flavor: str
     algebra: GradedLieAlgebra
@@ -366,7 +365,7 @@ def full_prolongation(m: GradedLieAlgebra, flavor: str = LEVI_TANAKA) -> Prolong
         raise RuntimeError(f"assembled prolongation violates Jacobi at {bad[0][:3]}")
     if not is_transitive(algebra):
         raise RuntimeError("assembled prolongation is not transitive")
-    return ProlongedAlgebra(m, tuple(components), flavor, algebra)
+    return ProlongedAlgebra(tuple(components), flavor, algebra)
 
 
 def _coordinates(component: ProlongationComponent, block):

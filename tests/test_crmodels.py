@@ -8,7 +8,7 @@ from oracles import C_ZERO, dense_inverse, real_basis_aut_table, real_grade0_coo
 from quotients import random_quotient, rotation_stable, rotation_stable_quotient, swap_stable, unstable_quotient
 
 import crprolong
-from crprolong import cli, crmodels, exact, liealg
+from crprolong import cli, crmodels, exact, frames, liealg
 from crprolong.crmodels import (
     COMPLEX_ALPHA,
     REAL_ALPHA,
@@ -221,6 +221,9 @@ def test_quotient_map_is_read_off_the_reduced_rows(monkeypatch):
     assert build_aut_cr(S).case == REAL_ALPHA  # a draw stable under neither involution
     with pytest.raises(NotSelfConjugate, match="^algebra has no conjugation involution$"):
         verify_theorem(S)
+    # nor does the frame path, from the word values to the verdict
+    for m in [*builtin_catalog().values(), frames._frame_realized_model("frame16", 16)]:
+        assert verify_theorem(symbol_from_frame(m)).verdict == "confirmed"
 
 
 def test_case_mismatch_on_default_k2(monkeypatch):
@@ -281,9 +284,11 @@ def test_verify_theorem_k2_default():
 
 
 def test_euler_gate_reads_the_assembled_table(monkeypatch):
-    """Negative control: doubling the degree -2 entry [L2_3, G0_1] of the assembled table trips the Euler gate.
+    """Negative control: doubling the degree -2 entry [L2_3, G0_1] of the assembled table fails the bracket comparison there.
 
-    The maps of G^0 are left as they are, so only a gate that reads the table sees it.
+    The maps of G^0 are left as they are, so only a gate that reads the
+    table sees it: the comparison of [L2_3, d] = 2·L2_3 with the -I
+    element's doubled bracket, which is the Euler action's check.
     """
     S = build_symbol_algebra(2)
     x = S.algebra.indices_of_degree(-2)[0]
@@ -296,8 +301,10 @@ def test_euler_gate_reads_the_assembled_table(monkeypatch):
         return dataclasses.replace(prolonged, algebra=replaced_bracket(prolonged.algebra, x, g, terms))
 
     monkeypatch.setattr(crmodels, "full_prolongation", doubled)
-    with pytest.raises(VerificationFailed, match="^Euler derivation is not in the computed grade-0 component$"):
+    with pytest.raises(VerificationFailed, match=r"^bracket mismatch at pair \('L2_3', 'd'\)$") as exc:
         verify_theorem(S)
+    assert exc.value.pair == ("L2_3", "d")
+    assert exc.value.report.verdict == "failed"
 
 
 @pytest.mark.parametrize("k, seed, target", [(3, None, "d"), (8, None, "d"), (8, None, "r"), (12, None, "r"), (8, 1, "d")])

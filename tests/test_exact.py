@@ -80,7 +80,7 @@ def _kernel(m):
     for f in e.free_cols:
         v = [QI(0)] * m.cols
         v[f] = QI(1)
-        for i, c in e.pivots:
+        for i, c in enumerate([c for c, _, _ in e.reduced]):
             v[c] = -e.rows[i][f]
         basis.append(v)
     return basis
@@ -365,7 +365,7 @@ def test_echelon_matches_dense_oracle(complex_entries, trailing):
         e = Echelon([_qis(r) for r in data], cols, col_order=order if trailing else None)
         pivot_cols, prows = dense_rref(data, order)
         assert [_pairs(r) for r in e.rows] == prows
-        assert e.pivots == list(enumerate(pivot_cols))
+        assert [c for c, _, _ in e.reduced] == pivot_cols
         assert e.free_cols == [j for j in range(cols) if j not in pivot_cols]
         for v in ([_oracle_entry(rng, complex_entries) for _ in range(cols)], _oracle_combination(rng, complex_entries, data)):
             assert _pairs(e.reduce(_qis(v))) == dense_reduce(pivot_cols, prows, v)

@@ -8,6 +8,8 @@ import pytest
 import crprolong
 
 PACKAGE = Path(crprolong.__file__).parent
+# every tree that may read a field of a package class
+READERS = [PACKAGE.parents[1] / d for d in ("src", "tests", "perfbench", "scripts")]
 
 
 def _unused_imports(tree) -> list:
@@ -81,3 +83,62 @@ def test_orphan_check_flags_a_planted_helper():
 
 def test_every_private_helper_is_read_somewhere_in_the_package():
     assert _orphan_helpers({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def _is_dataclass(node) -> bool:
+    return any(
+        getattr(d, "id", None) == "dataclass" or getattr(d, "attr", None) == "dataclass"
+        for d in (dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list)
+    )
+
+
+def _orphan_fields(sources, readers) -> list:
+    """(module, class, field) of every dataclass field or ``__slots__`` entry of a class in ``sources`` that no reader loads as an attribute.
+
+    ``sources`` maps module names to the source text whose classes are
+    checked, ``readers`` is every source text that may read them (those
+    modules included).  A read is ``x.field`` in a load context for any
+    ``x``: a name read anywhere keeps every field of that name.  A
+    ``ClassVar`` annotation is no field.
+    """
+    read = {
+        node.attr
+        for text in readers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    orphans = []
+    for module, text in sources.items():
+        for cls in (node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ClassDef)):
+            fields = []
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and _is_dataclass(cls):
+                    if "ClassVar" not in ast.unparse(node.annotation):
+                        fields.append(node.target.id)
+                elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+                    fields.extend(ast.literal_eval(node.value))
+            orphans += [(module, cls.name, name) for name in fields if name not in read]
+    return sorted(orphans)
+
+
+def test_orphan_field_check_flags_a_planted_field():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\nfrom typing import ClassVar\n"
+            "@dataclass\nclass Prolonged:\n    negative: int\n    algebra: int\n    limit: ClassVar[int] = 3\n"
+            "@dataclass(frozen=True)\nclass Spec:\n    rows: tuple = ()\n"
+            "class Plain:\n    note: str = ''\n"
+            "class Reducer:\n    __slots__ = ('reduced', 'pivots')\n"
+            "    def __init__(self):\n        self.reduced, self.pivots = (), []\n"
+        ),
+    }
+    readers = [sources["a"], "def f(p, s, e):\n    return p.algebra, s.rows, e.reduced\n"]
+    # a store in __init__ is no read, and a plain class's annotation is no field
+    assert _orphan_fields(sources, readers) == [("a", "Prolonged", "negative"), ("a", "Reducer", "pivots")]
+    # a read through any object keeps the field
+    assert _orphan_fields(sources, readers + ["print(x.negative)\n"]) == [("a", "Reducer", "pivots")]
+
+
+def test_every_field_of_a_package_class_is_read():
+    readers = [path.read_text() for root in READERS for path in sorted(root.rglob("*.py"))]
+    assert _orphan_fields({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}, readers) == []
