@@ -37,11 +37,10 @@ def _model(name: str):
 
 
 def _sizes(model) -> dict:
-    from crprolong.frames import cr_field
     from crprolong.freelie import hall_basis, standard_factorization
     from crprolong.poly import vf_bracket
 
-    L = cr_field(model)
+    L = model.cr
     fields = {(1,): L, (2,): L.conj()}
     for w in hall_basis(model.length - 1).words[2:]:
         u, v = standard_factorization(w.word)

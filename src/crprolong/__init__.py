@@ -65,13 +65,11 @@ from .frames import (
     NotTotallyNondegenerate,
     builtin_catalog,
     catalog_to_json,
-    cr_field,
     growth_and_nondegeneracy,
     load_catalog,
     rigid_model,
     field_model,
     symbol_from_frame,
-    tangential_cr_field,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import sys
 
 from .crmodels import VerificationFailed, verify_theorem
 from .freelie import cumulative_dim, witt_dim
-from .frames import builtin_catalog, catalog_to_json, cr_field, load_catalog, symbol_from_frame
+from .frames import builtin_catalog, catalog_to_json, load_catalog, symbol_from_frame
 from .liealg import QuotientSpec, build_symbol_algebra
 
 USAGE_ERROR = 2
@@ -195,9 +195,9 @@ def cmd_models(args) -> int:
         if m.rigid:
             for eq in m.defining_equations():
                 lines.append(f"  {eq}")
-        else:
+        elif m.provenance:
             lines.append(f"  ({m.provenance})")
-        lines.append(f"  L = {cr_field(m).pretty()}")
+        lines.append(f"  L = {m.cr.pretty()}")
     _write_output("\n".join(lines), args.output)
     return 0
 

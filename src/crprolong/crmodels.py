@@ -40,9 +40,9 @@ from .liealg import (
     NotSelfConjugate,
     SymbolAlgebra,
     _jacobi_violations,
-    _table_mismatch,
     build_symbol_algebra,
     check_grading,
+    first_bracket_mismatch,
     is_nondegenerate_symbol,
 )
 from .prolong import LEVI_TANAKA, _coordinates, full_prolongation, is_transitive
@@ -91,10 +91,7 @@ class AutCRAlgebra:
         return self.algebra.dim
 
     def dims_by_degree(self) -> dict:
-        out = {}
-        for d in self.algebra.degrees:
-            out[d] = out.get(d, 0) + 1
-        return dict(sorted(out.items()))
+        return self.algebra.dims_by_degree()
 
 
 def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
@@ -139,8 +136,7 @@ def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
     # invariant gate: graded, Jacobi, the pinned degree -1 brackets
     # [d, L] = -L, [d, Lb] = -Lb, [r, L] = -iL, [r, Lb] = iLb and [d, r] = 0,
     # nondegeneracy and transitivity; aut extends the symbol's table, so the
-    # Jacobi gate visits only triples with d or r, and the symbol's own
-    # degree -1 brackets keep its nondegeneracy verdict
+    # Jacobi gate visits only triples with d or r
     if check_grading(aut):
         raise AssertionError("aut algebra violates grading")
     if _jacobi_violations(aut, min(aut.degrees)):
@@ -279,16 +275,12 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     if rank(Matrix._from_numerators(g0.dim, len(found), [(j, c, cden) for j, (c, cden) in enumerate(found)])) != g0.dim:
         fail("candidate isomorphism is not bijective")
     # g_- by the identity, then the d column, then the r column when G^0 has one
+    identity = [(i, {i: (1, 0)}, 1) for i in range(n)]
     g0_cols = [(n + j, {n + p: (c, 0) for p, c in enumerate(x)}, 1) for j, x in enumerate(_REAL_GRADE0[g0.dim])]
-    iso = Matrix._from_numerators(total, n + g0.dim, [(i, {i: (1, 0)}, 1) for i in range(n)] + g0_cols)
-    # the checked map, the same columns with the computed coordinates, over one denominator
-    pden = 1
-    for _, cden in found:
-        pden *= cden
-    cols = {i: {i: (pden, 0)} for i in range(n)}
-    for j, (c, cden) in enumerate(found):
-        cols[n + j] = {n + i: (re * (pden // cden), im * (pden // cden)) for i, (re, im) in c.items()}
-    pair = _table_mismatch(*aut.algebra._numerators, prolonged.algebra, cols, pden)
+    iso = Matrix._from_numerators(total, n + g0.dim, identity + g0_cols)
+    # the checked map: the same columns with the computed coordinates; an aut column without one stays zero
+    found_cols = [(n + j, {n + i: z for i, z in c.items()}, cden) for j, (c, cden) in enumerate(found)]
+    pair = first_bracket_mismatch(aut.algebra, prolonged.algebra, Matrix._from_numerators(total, aut.dim, identity + found_cols))
     mismatch = None if pair is None else (aut.algebra.labels[pair[0]], aut.algebra.labels[pair[1]])
     # build_aut_cr and full_prolongation raise on any Jacobi or
     # transitivity violation, so both gates have already passed here

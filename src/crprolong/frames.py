@@ -2,10 +2,11 @@
 
 A rigid model is the graph w_j - wbar_j = 2i·phi_j(z, zbar) with real
 weighted-homogeneous defining polynomials; its tangential CR field on the
-intrinsic chart (z, zbar, u_1..u_k) is d/dz + i·sum_j (dphi_j/dz) d/du_j.
-Models may instead carry an explicit CR field (used for lengths that have
-no rigid polynomial representative): the growth and symbol machinery only
-ever consumes the field.
+intrinsic chart (z, zbar, u_1..u_k) is d/dz + i·sum_j (dphi_j/dz) d/du_j,
+built and checked once, when the model is made.  Models may instead be
+given by an explicit CR field (used for lengths that have no rigid
+polynomial representative).  Every model holds its field and its chart
+weights, and the growth and symbol machinery only ever consumes the field.
 
 The growth vector is computed by evaluating the basis bracket words of
 the field and its conjugate at the origin; total nondegeneracy means the
@@ -41,8 +42,6 @@ __all__ = [
     "NotTotallyNondegenerate",
     "rigid_model",
     "field_model",
-    "cr_field",
-    "tangential_cr_field",
     "growth_and_nondegeneracy",
     "symbol_from_frame",
     "builtin_catalog",
@@ -61,11 +60,12 @@ class NotTotallyNondegenerate(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A catalog entry: either defining polynomials or an explicit CR field.
+    """A catalog entry, given by defining polynomials or by an explicit CR field.
 
-    ``weights`` are the weights of the defining polynomials phi_1..phi_k
-    for a rigid model, and the chart weights that ``field_model`` infers,
-    one per coordinate, for a field model.
+    ``cr`` is the model's CR field, which a rigid model builds from its
+    defining polynomials.  ``weights`` are the chart weights, one per
+    coordinate: (1, 1, w_1..w_k) for a rigid model, w_j the weight of
+    phi_j, and those ``field_model`` infers for a field model.
     """
 
     model_id: str
@@ -78,7 +78,7 @@ class ModelSpec:
 
     @property
     def rigid(self) -> bool:
-        return self.cr is None
+        return bool(self.phis)
 
     def defining_equations(self):
         """Human-readable graph equations w_j - wbar_j = 2i·phi_j."""
@@ -100,7 +100,7 @@ class ModelSpec:
             out["defining"] = {
                 "type": "rigid",
                 "phi": [p.to_json_dict() for p in self.phis],
-                "weights": list(self.weights),
+                "weights": list(self.weights[2:]),
             }
         else:
             out["defining"] = {"type": "field", "cr": self.cr.to_json_dict()}
@@ -119,8 +119,8 @@ class ModelSpec:
                 except ValueError as exc:
                     raise ValueError(f"defining.phi[{j}]: {exc}") from exc
             m = rigid_model(obj["id"], obj["k"], phis, provenance=obj.get("provenance", ""))
-            if "weights" in d and d["weights"] != list(m.weights):
-                raise ValueError(f"defining.weights: stated {d['weights']!r}, but the polynomials have weights {list(m.weights)}")
+            if "weights" in d and d["weights"] != list(m.weights[2:]):
+                raise ValueError(f"defining.weights: stated {d['weights']!r}, but the polynomials have weights {list(m.weights[2:])}")
         else:
             try:
                 m = field_model(obj["id"], obj["k"], PolyVectorField.from_json_dict(d["cr"]), obj.get("provenance", ""))
@@ -137,11 +137,12 @@ def _phi_is_real(phi: Poly) -> bool:
 
 
 def rigid_model(model_id: str, k: int, phis, provenance: str = "") -> ModelSpec:
-    """Validated rigid model Im w_j = phi_j(z, zbar).
+    """Validated rigid model Im w_j = phi_j(z, zbar), with its CR field.
 
     Checks: each phi real-valued and weighted-homogeneous (z, zbar of
     weight one), weights nondecreasing, and the top weight equal to the
-    minimal length for this codimension.
+    minimal length for this codimension.  The field is built and its
+    tangency checked once, here.
     """
     phis = tuple(phis)
     if len(phis) != k:
@@ -163,7 +164,7 @@ def rigid_model(model_id: str, k: int, phis, provenance: str = "") -> ModelSpec:
     rho = min_length_for_codim(k)
     if weights[-1] != rho:
         raise ValueError(f"top weight {weights[-1]} must equal the length {rho}")
-    return ModelSpec(model_id, k, rho, phis=phis, weights=tuple(weights), provenance=provenance)
+    return ModelSpec(model_id, k, rho, phis=phis, weights=(1, 1, *weights), cr=_tangential_field(k, phis), provenance=provenance)
 
 
 def field_model(model_id: str, k: int, cr: PolyVectorField, provenance: str = "") -> ModelSpec:
@@ -202,38 +203,30 @@ def field_model(model_id: str, k: int, cr: PolyVectorField, provenance: str = ""
     return ModelSpec(model_id, k, rho, weights=tuple(weights), cr=cr, provenance=provenance)
 
 
-def tangential_cr_field(model: ModelSpec) -> PolyVectorField:
-    """Generator of the holomorphic tangent bundle of a rigid model.
+def _tangential_field(k: int, phis) -> PolyVectorField:
+    """Generator of the holomorphic tangent bundle of the rigid model Im w_j = phi_j.
 
     On the intrinsic chart: d/dz + i·sum_j (dphi_j/dz)·d/du_j; the
     conjugate generator is the formal conjugate.  Tangency is checked
     exactly by :func:`_check_tangency`.
     """
-    if not model.rigid:
-        raise NotRigid(f"model {model.model_id} carries an explicit field")
-    k = model.codim
     chart = rigid_chart(k)
     n = chart.nvars
     comps = [Poly.const(n, 1), Poly.zero(n)]
-    for phi in model.phis:
-        a = phi.diff(0).extend_vars(n).scale(QI(0, 1))
-        comps.append(a)
+    for phi in phis:
+        comps.append(phi.diff(0).extend_vars(n).scale(QI(0, 1)))
     L = PolyVectorField(chart, comps)
-    _check_tangency(model, L)
+    _check_tangency(phis, L)
     return L
 
 
-def _check_tangency(model: ModelSpec, L: PolyVectorField):
+def _check_tangency(phis, L: PolyVectorField):
     """L annihilates each wbar_j restricted to M, which is u_j - i·phi_j."""
     n = L.chart.nvars
-    for j, phi in enumerate(model.phis):
+    for j, phi in enumerate(phis):
         wbar = Poly.var(n, 2 + j) - phi.extend_vars(n).scale(QI(0, 1))
         if not L.apply_to(wbar).is_zero():
             raise AssertionError(f"CR field does not annihilate wbar_{j + 1} on the model")
-
-
-def cr_field(model: ModelSpec) -> PolyVectorField:
-    return model.cr if not model.rigid else tangential_cr_field(model)
 
 
 @dataclass(frozen=True)
@@ -370,8 +363,7 @@ def growth_and_nondegeneracy(model: ModelSpec):
     """
     k = model.codim
     rho = min_length_for_codim(k)
-    L = cr_field(model)
-    values = _word_values(L, rho)
+    values = _word_values(model.cr, rho)
     rows, _ = _gaussian_table({t: {c: vec[t] for c, vec in enumerate(values.values())} for t in range(2 + k)})
     reduced = tuple(_gaussian_rref(list(rows.values()), range(len(values))))
     lengths = [len(w) for w in values]

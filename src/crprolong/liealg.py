@@ -75,17 +75,20 @@ class GradedLieAlgebra:
     ``_from_numerators`` takes numerators, and ``_extended`` appends basis
     vectors to an algebra already built.
 
-    A passed gate is recorded on the object, like ``_expressions``:
+    The degree layout is recorded once, in ``_build``: ``_blocks`` maps
+    each degree, in order of first appearance, to its basis indices, and
+    ``_positions[i]`` is the position of index i in its degree's block.
+
+    One gate verdict is recorded on the object, like ``_expressions``:
     ``_jacobi_prefix`` is the number of leading basis vectors on whose
     triples the Jacobi identity is known to hold (the whole dimension once
-    the Jacobi gate has passed here), and ``_nondegenerate`` records a
-    passed nondegeneracy gate.  An extension keeps both for its prefix,
-    since its brackets there are the prefix algebra's own; another algebra
-    built from the same table starts with neither.
+    the Jacobi gate has passed here).  An extension keeps it for its
+    prefix, since its brackets there are the prefix algebra's own; another
+    algebra built from the same table starts without it.
     """
 
     # ``_expressions`` memoizes _generating_expressions as a 1-tuple, None until first use
-    __slots__ = ("labels", "degrees", "conjugation", "J", "scalar_tag", "_numerators", "_table", "_expressions", "_jacobi_prefix", "_nondegenerate")
+    __slots__ = ("labels", "degrees", "conjugation", "J", "scalar_tag", "_numerators", "_table", "_expressions", "_jacobi_prefix", "_blocks", "_positions")
 
     def __init__(self, labels, degrees, table, conjugation=None, J=None, scalar_tag="Qi"):
         nums = _gaussian_table({ij: {k: as_qi(c) for k, c in terms.items()} for ij, terms in table.items()})
@@ -114,14 +117,21 @@ class GradedLieAlgebra:
         """The one validation path, from the whole table's ``numerators``: ``base`` (None or the algebra extended) plus the keys ``new``.
 
         Each new key and its targets are checked; ``base``'s brackets, J
-        and verdicts carry over unchecked, J only when the degree -1 block
-        is unchanged.  No ``QI`` is written.
+        and Jacobi verdict carry over unchecked, J only when the degree -1
+        block is unchanged.  No ``QI`` is written.
         """
         self.labels = tuple(labels)
         self.degrees = tuple(degrees)
         n = len(self.labels)
         if len(self.degrees) != n:
             raise ValueError("labels/degrees length mismatch")
+        blocks, positions = {}, []
+        for i, d in enumerate(self.degrees):
+            block = blocks.setdefault(d, [])
+            positions.append(len(block))
+            block.append(i)
+        self._blocks = {d: tuple(idx) for d, idx in blocks.items()}
+        self._positions = tuple(positions)
         own = 0 if base is None else base.dim
         nums, den = self._numerators = numerators
         for i, j in new:
@@ -139,10 +149,8 @@ class GradedLieAlgebra:
         self.J = J
         self.scalar_tag = scalar_tag
         self._expressions = None
-        same_ones = base is not None and -1 not in self.degrees[own:]
         self._jacobi_prefix = 0 if base is None else base._jacobi_prefix
-        self._nondegenerate = same_ones and base._nondegenerate
-        if J is not None and not (same_ones and J is base.J):
+        if J is not None and not (base is not None and -1 not in self.degrees[own:] and J is base.J):
             m1 = self.indices_of_degree(-1)
             if J.rows != len(m1) or J.cols != len(m1):
                 raise ValueError("J must act on the degree -1 block")
@@ -170,14 +178,16 @@ class GradedLieAlgebra:
         return len(self.labels)
 
     def degrees_present(self):
-        seen = []
-        for d in self.degrees:
-            if d not in seen:
-                seen.append(d)
-        return seen
+        """The degrees, in order of first appearance."""
+        return list(self._blocks)
 
     def indices_of_degree(self, d: int):
-        return [i for i, deg in enumerate(self.degrees) if deg == d]
+        """The basis indices of degree d, increasing, as a tuple."""
+        return self._blocks.get(d, ())
+
+    def dims_by_degree(self) -> dict:
+        """{degree: dimension}, by increasing degree."""
+        return {d: len(self._blocks[d]) for d in sorted(self._blocks)}
 
     @property
     def table(self) -> dict:
@@ -426,15 +436,9 @@ def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
 
 
 def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
-    """True iff no nonzero degree -1 element annihilates the degree -1 part.
-
-    A pass is recorded on the algebra (``_nondegenerate``), and an
-    extension with the same degree -1 block keeps it.
-    """
-    if not algebra._nondegenerate:
-        ones = algebra.indices_of_degree(-1)
-        algebra._nondegenerate = _acts_faithfully(algebra, ones, ones)
-    return algebra._nondegenerate
+    """True iff no nonzero degree -1 element annihilates the degree -1 part."""
+    ones = algebra.indices_of_degree(-1)
+    return _acts_faithfully(algebra, ones, ones)
 
 
 def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:

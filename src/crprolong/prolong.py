@@ -113,14 +113,6 @@ class ProlongationComponent:
         return tuple((max((t, s) for s, (col, _) in enumerate(cols) for t in col), cols) for cols in ones)
 
 
-def _local_index(m: GradedLieAlgebra):
-    loc = {}
-    for d in set(m.degrees):
-        for pos, i in enumerate(m.indices_of_degree(d)):
-            loc[i] = pos
-    return loc
-
-
 def _distinct_rows(forms):
     """Each nonzero packed form made primitive (gcd 1, first entry positive), yielded once per class up to scale.
 
@@ -177,7 +169,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     nums, mden = m._numerators
     blocks = {d: m.indices_of_degree(d) for d in sorted(set(m.degrees))}
     dims = {d: len(idx) for d, idx in blocks.items()} | {d: c.dim for d, c in enumerate(components[:l])}
-    loc = _local_index(m)
+    loc = m._positions
 
     def scaled(terms, t, re, im, den, form):
         """Append to ``terms`` those of (re + i·im)/den·form at coordinate t."""
@@ -318,10 +310,7 @@ class ProlongedAlgebra:
         return 0
 
     def dims_by_degree(self) -> dict:
-        out = {}
-        for d in self.algebra.degrees:
-            out[d] = out.get(d, 0) + 1
-        return dict(sorted(out.items()))
+        return self.algebra.dims_by_degree()
 
     def termination_degree(self) -> int:
         """Degree of the first (explicitly represented) zero component."""
@@ -412,7 +401,7 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
     slots = {}
     for g, d in enumerate(degrees):
         slots.setdefault(d, []).append(g)
-    loc = _local_index(m)
+    loc = m._positions
     max_l = components[-1].degree
     n = m.dim
     brackets = {}  # (a, b): [e_a, e_b] for a or b a component basis vector, from the maps and the pairs assembled so far

@@ -307,10 +307,10 @@ def _heisenberg_entry():
 
 
 def _field_entry():
-    from crprolong.frames import builtin_catalog, cr_field
+    from crprolong.frames import builtin_catalog
 
     entry = _heisenberg_entry()
-    cr = cr_field(builtin_catalog()["heisenberg"]).to_json_dict()
+    cr = builtin_catalog()["heisenberg"].cr.to_json_dict()
     return dict(entry, defining={"type": "field", "cr": cr})
 
 
@@ -431,6 +431,14 @@ def test_malformed_catalog_exits_2(tmp_path, capsys, make, message):
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert message in err
+
+
+def test_models_prints_no_provenance_line_for_a_field_model_without_one(tmp_path, capsys):
+    """A field entry with an empty or missing provenance lists its header and field only, with no bare ``()`` line."""
+    path = tmp_path / "catalog.json"
+    for entry in (dict(_field_entry(), provenance=""), _without(_field_entry(), "provenance")):
+        path.write_text(json.dumps([entry]))
+        assert run(capsys, "models", "--catalog", str(path)) == (0, "heisenberg: k=1 rho=2\n  L = ∂_z + i z̄ ∂_u1\n", "")
 
 
 def test_catalog_field_not_weighted_homogeneous_exits_2(tmp_path, capsys):

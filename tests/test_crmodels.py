@@ -307,6 +307,19 @@ def test_euler_gate_reads_the_assembled_table(monkeypatch):
     assert exc.value.report.verdict == "failed"
 
 
+def test_an_unfound_rotation_fails_the_bijectivity_gate(monkeypatch, capsys):
+    """Negative control: at k = 3, where G^0 is 2-dimensional, the -I element alone does not span it, so the map is refused before any bracket is compared."""
+    S = build_symbol_algebra(3)
+    honest = crmodels._coordinates
+    minus_j = (-S.algebra.J)._numerators
+    monkeypatch.setattr(crmodels, "_coordinates", lambda component, block: None if block == minus_j else honest(component, block))
+    with pytest.raises(VerificationFailed, match="^candidate isomorphism is not bijective$") as exc:
+        verify_theorem(S)
+    assert exc.value.pair is None and exc.value.report is None
+    assert cli.main(["verify", "--k", "3"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("k, seed, target", [(3, None, "d"), (8, None, "d"), (8, None, "r"), (12, None, "r"), (8, 1, "d")])
 def test_corrupted_grade0_constant_fails_the_aut_jacobi_gate(monkeypatch, k, seed, target):
     """Negative control: aut_CR extends the verified symbol, and a wrong [e_x, d] or [e_x, r] on a top word still trips its Jacobi gate."""
@@ -329,16 +342,16 @@ def test_corrupted_grade0_constant_fails_the_aut_jacobi_gate(monkeypatch, k, see
 
 
 def test_hand_built_degenerate_symbol_fails_build_aut_cr():
-    """Negative control: a hand-built symbol with zero degree -1 brackets has no nondegeneracy verdict to lend aut_CR, which is refused."""
+    """Negative control: a hand-built symbol with zero degree -1 brackets fails the nondegeneracy gate, and aut_CR built on it is refused."""
     S = build_symbol_algebra(1)
     A = S.algebra
     flat = GradedLieAlgebra(A.labels, A.degrees, {}, conjugation=A.conjugation, J=A.J)
     fake = SymbolAlgebra(flat, S.codim, S.length, S.words, S.quotient)
-    assert not flat._nondegenerate
+    assert not is_nondegenerate_symbol(flat)
     with pytest.raises(AssertionError, match="^aut algebra is degenerate$"):
         build_aut_cr(fake)
-    # the honest symbol lends its verdict, and aut_CR passes
-    assert is_nondegenerate_symbol(build_aut_cr(S).algebra) and A._nondegenerate
+    # the honest symbol passes the gate, and so does its aut_CR
+    assert is_nondegenerate_symbol(build_aut_cr(S).algebra) and is_nondegenerate_symbol(A)
 
 
 def test_verify_theorem_routes_heisenberg():

@@ -10,13 +10,11 @@ from crprolong.frames import (
     NotTotallyNondegenerate,
     builtin_catalog,
     catalog_to_json,
-    cr_field,
     field_model,
     growth_and_nondegeneracy,
     load_catalog,
     rigid_model,
     symbol_from_frame,
-    tangential_cr_field,
 )
 from crprolong.freelie import cumulative_dim
 from crprolong.liealg import SymbolAlgebra, build_symbol_algebra
@@ -31,7 +29,8 @@ def _phi(terms):
 
 
 def _phi_zero_model():
-    return ModelSpec("degenerate", 1, 2, phis=(Poly.zero(2),), weights=(2,))
+    phis = (Poly.zero(2),)
+    return ModelSpec("degenerate", 1, 2, phis=phis, weights=(1, 1, 2), cr=frames._tangential_field(1, phis))
 
 
 def _levi_flat_model():
@@ -40,7 +39,7 @@ def _levi_flat_model():
 
 def test_tangential_field_heisenberg():
     m = builtin_catalog()["heisenberg"]
-    L = tangential_cr_field(m)
+    L = m.cr
     assert L.pretty() == "∂_z + i z̄ ∂_u1"
     assert L.comps[2] == Poly.var(L.chart.nvars, 1, I)
 
@@ -49,7 +48,7 @@ def test_tangential_field_degenerate_phi_zero():
     # not a valid model, but the tangency solve itself still works and the
     # growth check flags it downstream
     m = _phi_zero_model()
-    L = tangential_cr_field(m)
+    L = m.cr
     assert L.pretty() == "∂_z"
     _, ok = growth_and_nondegeneracy(m)
     assert not ok
@@ -57,7 +56,7 @@ def test_tangential_field_degenerate_phi_zero():
 
 def test_tangential_field_cubic_has_quadratic_coefficients():
     m = builtin_catalog()["cubic3"]
-    L = tangential_cr_field(m)
+    L = m.cr
     assert {sum(e) for e in L.comps[3].terms} == {2}
     assert {sum(e) for e in L.comps[4].terms} == {2}
 
@@ -68,20 +67,46 @@ def test_tangency_check_rejects_a_sign_mutant():
     rigid = [m for m in builtin_catalog().values() if m.rigid]
     assert len(rigid) == 6
     for m in rigid:
-        L = tangential_cr_field(m)
+        L = m.cr
         n = L.chart.nvars
         mutant = PolyVectorField(L.chart, list(L.comps[:2]) + [phi.diff(0).extend_vars(n).scale(-I) for phi in m.phis])
         with pytest.raises(AssertionError, match="does not annihilate wbar_1"):
-            frames._check_tangency(m, mutant)
+            frames._check_tangency(m.phis, mutant)
 
 
 def test_not_rigid_for_field_models():
     m = builtin_catalog()["quintic7"]
-    with pytest.raises(NotRigid):
-        tangential_cr_field(m)
+    assert not m.rigid and m.phis == ()
     with pytest.raises(NotRigid):
         m.defining_equations()
-    assert cr_field(m) is m.cr
+
+
+def test_every_model_holds_its_field_and_checks_tangency_once(monkeypatch, capsys):
+    """``rigid_model`` builds L and runs the tangency gate once; the growth, the symbol and ``verify --model`` read ``model.cr``."""
+    from crprolong import cli
+
+    catalog = builtin_catalog()
+    assert all(isinstance(m.cr, PolyVectorField) and len(m.weights) == m.cr.chart.nvars for m in catalog.values())
+    rigid = [m for m in catalog.values() if m.rigid]
+    assert len(rigid) == 6
+    calls = []
+    honest = frames._check_tangency
+
+    def counted(phis, L):
+        calls.append(phis)
+        return honest(phis, L)
+
+    monkeypatch.setattr(frames, "_check_tangency", counted)
+    assert [rigid_model(m.model_id, m.codim, m.phis, m.provenance) for m in rigid] == rigid
+    assert calls == [m.phis for m in rigid]
+    for m in rigid:
+        assert m.weights == (1, 1, *(sum(next(iter(phi.terms))) for phi in m.phis))
+    m = catalog["cubic3"]
+    assert growth_and_nondegeneracy(m)[1]
+    symbol_from_frame(m)
+    assert cli.main(["verify", "--model", "cubic3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6
 
 
 def test_rigid_model_validation():
@@ -95,7 +120,7 @@ def test_rigid_model_validation():
     with pytest.raises(ValueError):
         rigid_model("bad", 2, [good])  # wrong count
     m = rigid_model("ok", 1, [good])
-    assert m.weights == (2,) and m.length == 2
+    assert m.weights == (1, 1, 2) and m.length == 2
 
 
 def test_growth_heisenberg():
@@ -193,7 +218,7 @@ def test_builtin_catalog_returns_a_fresh_dict_of_shared_entries():
 
 
 def _assert_word_values_match_oracle(m):
-    L = cr_field(m)
+    L = m.cr
     filt, ok = growth_and_nondegeneracy(m)
     expect = hall_word_origin_values([p.terms for p in L.comps], L.chart.conj_perm, m.length)
     assert list(filt.word_values.items()) == list(expect.items())

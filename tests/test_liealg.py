@@ -670,21 +670,21 @@ def _copy(algebra):
 
 @pytest.mark.parametrize("k, seed", [(8, None), (12, None), (8, 1)])
 def test_a_copy_of_a_verified_table_runs_the_full_gates(monkeypatch, k, seed):
-    """The symbol's passed Jacobi and nondegeneracy gates are recorded on it; an algebra built separately from its table runs both in full."""
+    """The symbol's passed Jacobi gate is recorded on it, and an algebra built separately from its table runs it in full; nondegeneracy is solved on every call."""
     A = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed)).algebra
     B, C = _copy(A), _copy(A)
-    assert B._jacobi_prefix == 0 and not B._nondegenerate
+    assert B._jacobi_prefix == 0
     terms = _counting(monkeypatch, "_gaussian_axpy")
     faithful = _counting(monkeypatch, "_acts_faithfully")
     assert check_jacobi(A) == [] and is_nondegenerate_symbol(A)
-    assert not terms and not faithful
+    assert not terms and len(faithful) == 1
     assert check_jacobi(B) == [] and is_nondegenerate_symbol(B)
     full = len(terms)
-    assert full and len(faithful) == 1
-    # B now has its own verdicts; C, built from the same table, runs the same full gates again
+    assert full and len(faithful) == 2
+    # B now has its own Jacobi verdict; C, built from the same table, runs the full gate again
     assert check_jacobi(B) == [] and is_nondegenerate_symbol(B) and len(terms) == full
     assert check_jacobi(C) == [] and is_nondegenerate_symbol(C)
-    assert len(terms) == 2 * full and len(faithful) == 2
+    assert len(terms) == 2 * full and len(faithful) == 4
 
 
 def _grading_extension(A, scale=1):
@@ -701,7 +701,7 @@ def test_an_extension_checks_only_the_triples_with_an_own_index(monkeypatch, k, 
     for scale in (1, 2):
         ext = _grading_extension(A, scale)
         copy = _copy(ext)
-        assert ext._jacobi_prefix == A.dim and ext._nondegenerate
+        assert ext._jacobi_prefix == A.dim and is_nondegenerate_symbol(ext)
         terms = _counting(monkeypatch, "_gaussian_axpy")
         got = check_jacobi(ext)
         restricted = len(terms)
@@ -729,14 +729,14 @@ def test_a_planted_violation_in_the_prefix_of_an_unverified_table_is_found():
 
 
 def test_an_extension_keeps_the_prefix_brackets():
-    """An extension may only add brackets with an appended index, and keeps the degree -1 verdict only when degree -1 is unchanged."""
+    """An extension may only add brackets with an appended index; one that appends a bare degree -1 vector fails the nondegeneracy gate."""
     A = build_symbol_algebra(4).algebra
     with pytest.raises(ValueError, match="cannot change the bracket"):
         A._extended(["d"], [0], [((0, 1), {2: (1, 0)}, 1)])
     with pytest.raises(ValueError, match="target index out of range"):
         A._extended(["d"], [0], [((0, A.dim), {A.dim + 1: (1, 0)}, 1)])
     ext = A._extended(["z"], [-1], [], J=None)
-    assert not ext._nondegenerate and not is_nondegenerate_symbol(ext)
+    assert not is_nondegenerate_symbol(ext)
     assert ext.table == A.table and ext._numerators == A._numerators
 
 

@@ -54,3 +54,6 @@ def test_tracer_records_the_solves_of_a_deep_unit(tmp_path):
     assert workloads.digest(unit.check(output)) == GOLDEN[unit.name]
     names = {span[0]: span[2] for span in t.spans}
     assert {"exact.Echelon", "exact.rank"} <= {names[solve[0]] for solve in t.solves}
+    # the theorem's bracket comparison runs in a wrapped span, so its per-layer time is seen
+    assert "liealg.first_bracket_mismatch" in names.values()
+    assert tracer.layer_metrics(t, 0, 0)["liealg.iso_check.s"] > 0
