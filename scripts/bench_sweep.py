@@ -12,7 +12,9 @@ the scalar type has little left to do, so it guards against a slowdown
 there.  Each key is timed 15 times per source tree, one run per fresh
 process after one untimed run that fills the caches, the two trees taking
 turns run by run (the median is reported; ``benchpair.py`` holds this
-harness).
+harness).  A model keeps its filtration once evaluated, and the built-in
+entries are shared, so after the untimed run the ``catalog`` key reads
+each entry's filtration and times the rest of ``verify --model``.
 
 The sizes are read from the JSON reports, so both trees report the same
 ones: ``reports`` (the number of reports written) and ``total_dim`` (the

@@ -13,11 +13,13 @@ the field and its conjugate at the origin; total nondegeneracy means the
 filtration is as free as possible below the minimal length and fills the
 tangent space exactly there.  The word values are exact and computed
 fraction-free: every word is bracketed on packed Gaussian monomials with
-integer numerators over one denominator per word, and each origin
-coordinate, a constant term, becomes a ``QI`` once (on a weighted-
-homogeneous field every word of the minimal length is a constant field).
-The growth vector, the verdict, the quotient and the check of its
-constants are all read off one reduced echelon form of those values.
+integer numerators over one denominator per word, and its origin value,
+the constant terms, stays in Gaussian integers up to the reduced echelon
+form (on a weighted-homogeneous field every word of the minimal length is
+a constant field).  A model's filtration is evaluated once, on first use,
+and kept on the model (``ModelSpec.filtration``): the growth vector, the
+verdict, the quotient and the check of its constants are all read off its
+one reduced echelon form.
 When the verdict holds, the length-rho evaluation kernel is the
 model-induced top-layer quotient and the symbol algebra is rebuilt from
 it through the same constructor as every other quotient.
@@ -30,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 
 from .bch import _mul_into, left_invariant_frame
-from .exact import QI, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_sum, _gaussian_table, _qi
+from .exact import QI, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_sum, _over_one_denominator, _qi
 from .freelie import _bracket_basis, cumulative_dim, hall_basis, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
 from .poly import Poly, PolyVectorField, rigid_chart
@@ -66,6 +68,8 @@ class ModelSpec:
     defining polynomials.  ``weights`` are the chart weights, one per
     coordinate: (1, 1, w_1..w_k) for a rigid model, w_j the weight of
     phi_j, and those ``field_model`` infers for a field model.
+
+    A model is immutable but not hashable: its polynomials are not.
     """
 
     model_id: str
@@ -75,6 +79,31 @@ class ModelSpec:
     weights: tuple = ()
     cr: PolyVectorField = None
     provenance: str = ""
+
+    __hash__ = None
+
+    @functools.cached_property
+    def filtration(self) -> "Filtration":
+        """The bracket filtration of (L, Lbar) at the origin, evaluated on first read and kept.
+
+        One reduced echelon form of the word values (rows the 2 + k
+        coordinates, columns the Hall words in Hall order, which is sorted
+        by length) gives every D_l: its pivots are the first basis among
+        the columns, taken in order, so dim D_l is the number of pivot
+        words of length at most l.  Each word's values come over its own
+        denominator and are scaled to their lcm, which leaves the reduced
+        form unchanged.  A ``dataclasses.replace`` copy evaluates afresh.
+        """
+        rho = min_length_for_codim(self.codim)
+        values = _word_values(self.cr, rho)
+        vecs, dens = zip(*values.values())
+        # word c's numerators times s_c = lcm / den_c
+        scales, _ = _over_one_denominator([(1, d) for d in dens])
+        rows = [{c: (s * vec[t][0], s * vec[t][1]) for c, (s, vec) in enumerate(zip(scales, vecs)) if any(vec[t])} for t in range(2 + self.codim)]
+        reduced = tuple(_gaussian_rref(rows, range(len(vecs))))
+        words = tuple(values)
+        growth = tuple(sum(1 for c, _, _ in reduced if len(words[c]) <= ell) for ell in range(1, rho + 1))
+        return Filtration(growth, reduced, words)
 
     @property
     def rigid(self) -> bool:
@@ -234,27 +263,30 @@ class Filtration:
     """Origin values of the bracket filtration: growth vector and reduced form.
 
     ``reduced`` is the reduced row echelon form of the word values, one
-    ``(col, {col: [re, im]}, den)`` per pivot word: ``col`` indexes the
-    words of ``word_values`` in Hall order, and the row, over its positive
-    ``den``, is 1 at its pivot and 0 at every other pivot.
+    ``(col, {col: [re, im]}, den)`` per pivot word: ``col`` indexes
+    ``words``, the Hall words up to the length in Hall order, and the row,
+    over its positive ``den``, is 1 at its pivot and 0 at every other
+    pivot.  A model shares its filtration, so no reader may change it.
     """
 
     growth: tuple
     reduced: tuple = field(repr=False, default=())
-    word_values: dict = field(repr=False, default=None)
+    words: tuple = field(repr=False, default=())
 
 
 def _word_values(L, max_length):
-    """Origin values {word: [QI]} of the basis bracket words of (L, Lbar).
+    """Origin values {word: ([(re, im)], den)} of the basis bracket words of (L, Lbar).
 
-    The words come in Hall basis order.  Each word is evaluated as a field
-    on a packed form that never becomes a :class:`Poly`: a monomial is one
-    ``int`` whose lowest 2 bits hold the power of i and whose bit field j
-    holds the exponent of variable j, and a field is a list of
-    ``{monomial: int numerator}`` components over one ``int`` denominator.
-    A word of length at least 2 is ``_packed_bracket`` of its two factors,
-    and its origin value is its constant terms.  Lbar = ``L.conj()`` is
-    packed from L's packed form (``_conjugate_packed``).
+    The words come in Hall basis order, each value as Gaussian integer
+    numerators, one per coordinate, over that word's positive denominator.
+    Each word is evaluated as a field on a packed form that never becomes
+    a :class:`Poly`: a monomial is one ``int`` whose lowest 2 bits hold
+    the power of i and whose bit field j holds the exponent of variable j,
+    and a field is a list of ``{monomial: int numerator}`` components over
+    one ``int`` denominator.  A word of length at least 2 is
+    ``_packed_bracket`` of its two factors, and its origin value is its
+    constant terms.  Lbar = ``L.conj()`` is packed from L's packed form
+    (``_conjugate_packed``).
     """
     n = L.chart.nvars
     # Lbar only permutes the chart variables, so L alone gives the top exponent
@@ -278,7 +310,7 @@ def _word_values(L, max_length):
             u, v = standard_factorization(w.word)
             fields[w.word] = _packed_bracket(fields[u], fields[v], diff(u), diff(v))
         comps, den = fields[w.word]
-        values[w.word] = [_qi(c.get(0, 0), c.get(1, 0), den) for c in comps]
+        values[w.word] = ([(c.get(0, 0), c.get(1, 0)) for c in comps], den)
     return values
 
 
@@ -351,38 +383,30 @@ def _packed_bracket(U, V, dU, dV):
 
 
 def growth_and_nondegeneracy(model: ModelSpec):
-    """(Filtration, verdict): verdict is total nondegeneracy at the origin.
+    """(``model.filtration``, verdict): verdict is total nondegeneracy at the origin.
 
     Totally nondegenerate means: each D_l for l below the minimal length
     rho(k) has the full free dimension, and D_rho is the whole complexified
-    tangent space.  One reduced echelon form of the word values (rows the
-    2 + k coordinates, columns the Hall words in Hall order, which is
-    sorted by length) gives every D_l: its pivots are the first basis among
-    the columns, taken in order, so dim D_l is the number of pivot words of
-    length at most l.
+    tangent space.  The filtration is the model's own, evaluated on its
+    first use.
     """
     k = model.codim
-    rho = min_length_for_codim(k)
-    values = _word_values(model.cr, rho)
-    rows, _ = _gaussian_table({t: {c: vec[t] for c, vec in enumerate(values.values())} for t in range(2 + k)})
-    reduced = tuple(_gaussian_rref(list(rows.values()), range(len(values))))
-    lengths = [len(w) for w in values]
-    growth = tuple(sum(1 for c, _, _ in reduced if lengths[c] <= ell) for ell in range(1, rho + 1))
-    expected = tuple(cumulative_dim(ell) for ell in range(1, rho)) + (2 + k,)
-    return Filtration(growth, reduced, values), growth == expected
+    free = tuple(cumulative_dim(ell) for ell in range(1, min_length_for_codim(k))) + (2 + k,)
+    return model.filtration, model.filtration.growth == free
 
 
 def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
     """Model-induced symbol algebra, as a quotient spec fed to the builder.
 
-    The top words whose values vanish modulo D_(rho-1) at the origin span
-    exactly the top-layer subspace the model quotients away.  Under total
-    nondegeneracy every lower word is a pivot of ``filt.reduced``, so each
-    free top word f gives one such combination, e_f minus its column of the
-    top pivot rows, in Gaussian integers; their forward echelon form
-    (``_gaussian_rref``) is the quotient, whose entries become ``QI`` once.
-    The induced constants are cross-checked against the vector-field
-    brackets at the origin before returning.
+    The model's filtration (``growth_and_nondegeneracy``) is not evaluated
+    again.  The top words whose values vanish modulo D_(rho-1) at the
+    origin span exactly the top-layer subspace the model quotients away.
+    Under total nondegeneracy every lower word is a pivot of
+    ``filt.reduced``, so each free top word f gives one such combination,
+    e_f minus its column of the top pivot rows, in Gaussian integers;
+    their forward echelon form (``_gaussian_rref``) is the quotient, whose
+    entries become ``QI`` once.  The induced constants are cross-checked
+    against the vector-field brackets at the origin before returning.
     """
     filt, ok = growth_and_nondegeneracy(model)
     if not ok:
@@ -391,7 +415,7 @@ def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
         )
     k = model.codim
     n_low = cumulative_dim(min_length_for_codim(k) - 1)
-    top_cols = range(n_low, len(filt.word_values))
+    top_cols = range(n_low, len(filt.words))
     top = [(c, row, den) for c, row, den in filt.reduced if c >= n_low]
     free = sorted(set(top_cols) - {c for c, _, _ in top})
     # e_f minus column f of the top pivot rows, at their pivots; the scale of a row is free, so its numerators will do
@@ -412,7 +436,7 @@ def _check_frame_constants(symbol: SymbolAlgebra, filt: Filtration):
     of ``filt.reduced`` vanishes on it.  Each difference is taken times
     the table's denominator, in Gaussian integers.
     """
-    col = {w: c for c, w in enumerate(filt.word_values)}
+    col = {w: c for c, w in enumerate(filt.words)}
     n_low = cumulative_dim(symbol.length - 1)
     # the top pivot rows by column: {word column: {pivot row: (re, im)}}
     top = {}
@@ -472,50 +496,28 @@ def builtin_catalog() -> dict:
 
 @functools.cache
 def _builtin_models() -> dict:
-    catalog = {}
-
-    def add(m):
-        catalog[m.model_id] = m
-
-    # length 2: Im w = z·zbar
-    add(rigid_model("heisenberg", 1, [_phi({(1, 1): 1})], provenance="w - wbar = 2i z zbar"))
+    derived = "derived; validated by the growth check"
+    levi = _phi({(1, 1): 1})
     # length 3 entries: Im w2 = z^2 zbar + z zbar^2 (and its partner for k=3)
     cubic_a = _phi({(2, 1): 1, (1, 2): 1})
     cubic_b = _phi({(2, 1): QI(0, -1), (1, 2): QI(0, 1)})
-    add(rigid_model("cubic2", 2, [_phi({(1, 1): 1}), cubic_a], provenance="derived; validated by the growth check"))
-    add(rigid_model("cubic3", 3, [_phi({(1, 1): 1}), cubic_a, cubic_b], provenance="derived; validated by the growth check"))
     # length 4 entries
     quartic_a = _phi({(3, 1): 1, (1, 3): 1})
     quartic_b = _phi({(3, 1): QI(0, -1), (1, 3): QI(0, 1)})
     quartic_c = _phi({(2, 2): 1})
-    add(
-        rigid_model(
-            "quartic4",
-            4,
-            [_phi({(1, 1): 1}), cubic_a, cubic_b, quartic_c],
-            provenance="derived; validated by the growth check",
-        )
-    )
-    add(
-        rigid_model(
-            "quartic5",
-            5,
-            [_phi({(1, 1): 1}), cubic_a, cubic_b, quartic_a, quartic_b],
-            provenance="derived; validated by the growth check",
-        )
-    )
-    add(
-        rigid_model(
-            "quartic6",
-            6,
-            [_phi({(1, 1): 1}), cubic_a, cubic_b, quartic_a, quartic_b, quartic_c],
-            provenance="derived; validated by the growth check",
-        )
-    )
-    # length 5 entries via the explicit-field escape hatch
-    add(_frame_realized_model("quintic7", 7))
-    add(_frame_realized_model("quintic12", 12))
-    return catalog
+    models = [
+        # length 2: Im w = z·zbar
+        rigid_model("heisenberg", 1, [levi], provenance="w - wbar = 2i z zbar"),
+        rigid_model("cubic2", 2, [levi, cubic_a], provenance=derived),
+        rigid_model("cubic3", 3, [levi, cubic_a, cubic_b], provenance=derived),
+        rigid_model("quartic4", 4, [levi, cubic_a, cubic_b, quartic_c], provenance=derived),
+        rigid_model("quartic5", 5, [levi, cubic_a, cubic_b, quartic_a, quartic_b], provenance=derived),
+        rigid_model("quartic6", 6, [levi, cubic_a, cubic_b, quartic_a, quartic_b, quartic_c], provenance=derived),
+        # length 5 entries via the explicit-field escape hatch
+        _frame_realized_model("quintic7", 7),
+        _frame_realized_model("quintic12", 12),
+    ]
+    return {m.model_id: m for m in models}
 
 
 def catalog_to_json(catalog: dict) -> str:

@@ -397,10 +397,10 @@ def _generating_expressions(algebra: GradedLieAlgebra):
 def _solve_generating_expressions(algebra: GradedLieAlgebra):
     nums, den = algebra._numerators
     ones = algebra.indices_of_degree(-1)
+    loc = algebra._positions
     out = {}
     for a in range(-2, min(algebra.degrees) - 1, -1):
         block = algebra.indices_of_degree(a)
-        pos = {x: p for p, x in enumerate(block)}
         nb = len(block)
         pairs = [(g, y) for g in ones for y in algebra.indices_of_degree(a + 1)]
         rows = []
@@ -408,7 +408,7 @@ def _solve_generating_expressions(algebra: GradedLieAlgebra):
             # den·[e_g, e_y]; the table is keyed i < j, so a pair with g > y reads -[e_y, e_g]
             sign = 1 if g < y else -1
             terms = nums.get((min(g, y), max(g, y)), {})
-            rows.append({pos[k]: (sign * re, sign * im) for k, (re, im) in terms.items() if k in pos} | {nb + p: (den, 0)})
+            rows.append({loc[k]: (sign * re, sign * im) for k, (re, im) in terms.items() if algebra.degrees[k] == a} | {nb + p: (den, 0)})
         pivots = list(_gaussian_rref(rows, range(nb)))
         if len(pivots) != nb:
             return None
@@ -726,10 +726,10 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     free = {}  # complex index a: [(c, part)], the free columns of the real basis vectors at a
     owners = {}  # complex index a: [(c, numerator of a in column c)]
     labels, degrees = [], []
+    loc = algebra._positions
     for d in algebra.degrees_present():
         block = algebra.indices_of_degree(d)
-        pos = {a: p for p, a in enumerate(block)}
-        s = {q: {pos[a]: z for a, z in sc.get(b, {}).items()} for q, b in enumerate(block)}  # S on the block, over sden
+        s = {q: {loc[a]: z for a, z in sc.get(b, {}).items()} for q, b in enumerate(block)}  # S on the block, over sden
         basis = _real_fixed_points((s, sden))  # column c of E_d, [({p: (re, im)}, den, free column)] on the positions p of block
         if len(basis) != len(block):
             raise NotSelfConjugate("real form of a degree block has wrong dimension")

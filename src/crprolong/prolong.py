@@ -167,8 +167,8 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     if j_constraint and m.J is None:
         raise MissingJ("J-constrained prolongation needs a complex structure")
     nums, mden = m._numerators
-    blocks = {d: m.indices_of_degree(d) for d in sorted(set(m.degrees))}
-    dims = {d: len(idx) for d, idx in blocks.items()} | {d: c.dim for d, c in enumerate(components[:l])}
+    blocks = m._blocks
+    dims = m.dims_by_degree() | {d: c.dim for d, c in enumerate(components[:l])}
     loc = m._positions
 
     def scaled(terms, t, re, im, den, form):

@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+import functools
+import re
 from fractions import Fraction
 
 import pytest
 
 from crprolong import frames
-from crprolong.exact import QI
+from crprolong.exact import QI, _qi
 from crprolong.frames import (
     ModelSpec,
     NotRigid,
@@ -109,18 +113,90 @@ def test_every_model_holds_its_field_and_checks_tangency_once(monkeypatch, capsy
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize(
+    "k, phis, message",
+    [
+        (2, [_phi({(1, 1): 1})], "need 2 defining polynomials, got 1"),
+        (1, [Poly(3, {(1, 1, 0): 1})], "defining polynomials live in (z, zbar)"),
+        (1, [Poly.zero(2)], "phi_1 is zero"),
+        (1, [_phi({(2, 0): 1})], "phi_1 is not real-valued"),  # z^2
+        (1, [_phi({(1, 1): 1, (2, 1): 1, (1, 2): 1})], "phi_1 is not weighted homogeneous"),  # real, of degrees 2 and 3
+        (2, [_phi({(2, 1): 1, (1, 2): 1}), _phi({(1, 1): 1})], "weights must be nondecreasing"),
+        (1, [_phi({(2, 1): 1, (1, 2): 1})], "top weight 3 must equal the length 2"),
+    ],
+)
+def test_rigid_model_refusals(k, phis, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rigid_model("bad", k, phis)
+
+
 def test_rigid_model_validation():
-    good = _phi({(1, 1): 1})
-    with pytest.raises(ValueError):
-        rigid_model("bad", 1, [_phi({(2, 0): 1})])  # z^2 is not real-valued
-    with pytest.raises(ValueError):
-        rigid_model("bad", 1, [_phi({(1, 1): 1, (2, 1): 1})])  # not homogeneous
-    with pytest.raises(ValueError):
-        rigid_model("bad", 1, [_phi({(2, 1): 1, (1, 2): 1})])  # top weight 3 != rho 2
-    with pytest.raises(ValueError):
-        rigid_model("bad", 2, [good])  # wrong count
-    m = rigid_model("ok", 1, [good])
+    m = rigid_model("ok", 1, [_phi({(1, 1): 1})])
     assert m.weights == (1, 1, 2) and m.length == 2
+
+
+def test_a_model_is_not_hashable():
+    """A model keeps its instance dict, where its filtration is cached, and says that it is unhashable."""
+    assert ModelSpec.__hash__ is None and "__slots__" not in vars(ModelSpec)
+    for mid in ("heisenberg", "quintic7"):
+        with pytest.raises(TypeError, match=r"^unhashable type: 'ModelSpec'$"):
+            hash(builtin_catalog()[mid])
+
+
+def _counted_word_values(monkeypatch):
+    """The fields ``frames._word_values`` is called on from now on, in call order."""
+    calls = []
+    honest = frames._word_values
+
+    def counted(L, max_length):
+        calls.append(L)
+        return honest(L, max_length)
+
+    monkeypatch.setattr(frames, "_word_values", counted)
+    return calls
+
+
+def test_a_model_evaluates_its_filtration_once(monkeypatch, capsys):
+    """The growth, the symbol and ``verify --model`` of one model evaluate the word values once and share one filtration."""
+    from crprolong import cli
+
+    m = dataclasses.replace(builtin_catalog()["cubic2"])
+    monkeypatch.setattr(frames, "_builtin_models", lambda: {"cubic2": m})
+    calls = _counted_word_values(monkeypatch)
+    filt, ok = growth_and_nondegeneracy(m)
+    assert ok and calls == [m.cr] and m.filtration is filt
+    symbol_from_frame(m)
+    assert cli.main(["verify", "--model", "cubic2"]) == 0
+    capsys.readouterr()
+    assert calls == [m.cr] and growth_and_nondegeneracy(m)[0] is filt
+
+
+def test_builtin_catalog_evaluates_no_filtration(monkeypatch):
+    monkeypatch.setattr(frames, "_builtin_models", functools.cache(frames._builtin_models.__wrapped__))
+    calls = _counted_word_values(monkeypatch)
+    catalog = builtin_catalog()
+    assert len(catalog) == 8 and calls == []
+    assert not any("filtration" in vars(m) for m in catalog.values())
+
+
+def test_a_replaced_copy_evaluates_its_filtration_afresh(monkeypatch):
+    m = builtin_catalog()["quartic4"]
+    filt = m.filtration
+    calls = _counted_word_values(monkeypatch)
+    twin = dataclasses.replace(m)
+    assert twin == m and "filtration" not in vars(twin)
+    again, ok = growth_and_nondegeneracy(twin)
+    assert ok and calls == [m.cr]
+    assert again is not filt and again == filt
+
+
+@pytest.mark.parametrize("mid", ["cubic2", "quartic4", "quintic7"])
+def test_symbol_from_frame_repeats_byte_for_byte_and_leaves_the_filtration_unchanged(mid):
+    m = dataclasses.replace(builtin_catalog()[mid])
+    before = copy.deepcopy(m.filtration)
+    first = symbol_from_frame(m).to_json()
+    assert symbol_from_frame(m).to_json() == first
+    assert m.filtration == before
 
 
 def test_growth_heisenberg():
@@ -217,12 +293,21 @@ def test_builtin_catalog_returns_a_fresh_dict_of_shared_entries():
     assert catalog_to_json(again) == catalog_to_json(second)
 
 
+def _word_values_as_qi(m):
+    """``frames._word_values`` of the model's field, each Gaussian numerator over its word's positive denominator turned into a ``QI`` here."""
+    values = frames._word_values(m.cr, m.length)
+    assert all(den > 0 and all(type(x) is int for z in vec for x in z) for vec, den in values.values())
+    return {w: [_qi(re, im, den) for re, im in vec] for w, (vec, den) in values.items()}
+
+
 def _assert_word_values_match_oracle(m):
     L = m.cr
-    filt, ok = growth_and_nondegeneracy(m)
+    values = _word_values_as_qi(m)
     expect = hall_word_origin_values([p.terms for p in L.comps], L.chart.conj_perm, m.length)
-    assert list(filt.word_values.items()) == list(expect.items())
-    return filt, ok
+    assert list(values.items()) == list(expect.items())
+    filt, ok = growth_and_nondegeneracy(m)
+    assert filt.words == tuple(values)
+    return values, filt, ok
 
 
 @pytest.mark.parametrize("case", [*sorted(builtin_catalog()), 7, 12, 16, "phi_zero", "levi_flat"])
@@ -258,8 +343,8 @@ def test_word_values_exponents_beyond_the_input_maximum():
 def test_word_values_gaussian_coefficients_with_unequal_denominators():
     phi2 = _phi({(2, 1): QI(Fraction(2, 5), Fraction(1, 7)), (1, 2): QI(Fraction(2, 5), Fraction(-1, 7))})
     m = rigid_model("odd", 2, [_phi({(1, 1): QI(Fraction(1, 3))}), phi2])
-    filt, ok = _assert_word_values_match_oracle(m)
-    assert filt.word_values[(1, 1, 2)] == [0, 0, 0, QI("4/7", "-8/5")]
+    values, filt, ok = _assert_word_values_match_oracle(m)
+    assert values[(1, 1, 2)] == [0, 0, 0, QI("4/7", "-8/5")]
     assert ok and filt.growth == (2, 3, 4)
 
 
@@ -271,7 +356,7 @@ def _twin_model():
 
 def test_word_values_top_length_degeneracy():
     m = _twin_model()
-    filt, ok = _assert_word_values_match_oracle(m)
+    _, filt, ok = _assert_word_values_match_oracle(m)
     assert filt.growth == (2, 3, 4)
     assert not ok
     with pytest.raises(NotTotallyNondegenerate):
@@ -300,8 +385,10 @@ def test_growth_matches_dense_rank_per_length(case):
             case, lambda: builtin_catalog()[case]
         )()
     filt, ok = growth_and_nondegeneracy(m)
-    values = [[(x.re, x.im) for x in vec] for vec in filt.word_values.values()]
-    lengths = [len(w) for w in filt.word_values]
+    word_values = _word_values_as_qi(m)
+    assert filt.words == tuple(word_values)
+    values = [[(x.re, x.im) for x in vec] for vec in word_values.values()]
+    lengths = [len(w) for w in word_values]
     expect = tuple(
         len(dense_rref([v for v, n in zip(values, lengths) if n <= ell], range(2 + m.codim))[0])
         for ell in range(1, max(lengths) + 1)
@@ -315,6 +402,7 @@ def test_growth_matches_dense_rank_per_length(case):
 def test_corrupted_top_constant_is_refused_by_the_frame_check(mid):
     m = builtin_catalog()[mid]
     filt, _ = growth_and_nondegeneracy(m)
+    before = copy.deepcopy(filt)
     S = symbol_from_frame(m)
     frames._check_frame_constants(S, filt)
     A = S.algebra
@@ -326,6 +414,7 @@ def test_corrupted_top_constant_is_refused_by_the_frame_check(mid):
     bad = SymbolAlgebra(replaced_bracket(A, i, j, terms), S.codim, S.length, S.words, S.quotient)
     with pytest.raises(AssertionError, match=rf"frame constants disagree at \({S.words[i]}, {S.words[j]}\)"):
         frames._check_frame_constants(bad, filt)
+    assert filt == before
 
 
 @pytest.mark.parametrize("k", [13, *(pytest.param(k, marks=pytest.mark.slow) for k in (22, 30, 39))])
