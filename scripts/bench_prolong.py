@@ -9,7 +9,9 @@ benchmark's ``anchors`` workload builds them), ``g2_full``, the
 flavor (the benchmark's ``g2_full`` unit: its solves, then the bracket
 assembly and the Jacobi and transitivity gates of the assembled table,
 which take most of its time), and ``verify_theorem`` on the default
-symbols at k = 125 and 224.  Each key is timed three times
+symbols at k = 125 and 224 and, as ``random9``, on the k = 9, seed 1
+draw of ``tests/quotients.random_quotient``, whose complex structure
+constants give complex Leibniz rows.  Each key is timed three times
 per source tree, one run per fresh process after one untimed call, the
 two trees taking turns run by run (the median is reported;
 ``benchpair.py`` holds this harness).  There is no
@@ -29,14 +31,20 @@ the solver reads its row stream: the Leibniz and J rows before
 numerator bit length in the distinct rows and in their reduced echelon
 form; rows with complex entries are counted realified, their real and
 imaginary parts as integer columns, the form in which they are reduced.
+``images`` lists, per solve in solve order, the images D(e_x) the solve
+holds when it returns: the g_-1 block's, which it starts from, plus
+each one it extended, counted as it reads the extension's expression.
 The pair goes to BENCH_prolong.json in the current directory.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import benchpair
 
-KEYS = ("tower_contact", "tower_k2", "g2_full", "verify125", "verify224")
+KEYS = ("tower_contact", "tower_k2", "g2_full", "verify125", "verify224", "random9")
 SHARED = ("solves", "unknowns", "rank", "component_dims")
 TOWER_DEGREE = 11
 REPEATS = 3
@@ -58,7 +66,13 @@ def _workload(key: str):
     if key == "g2_full":
         g2 = liealg.realify(liealg.build_symbol_algebra(3).algebra)
         return lambda: prolong.full_prolongation(g2, prolong.FULL_TANAKA)
-    symbol = liealg.build_symbol_algebra(int(key[len("verify"):]))
+    if key == "random9":
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+        from quotients import random_quotient
+
+        symbol = liealg.build_symbol_algebra(9, random_quotient(9, 1))
+    else:
+        symbol = liealg.build_symbol_algebra(int(key[len("verify"):]))
 
     def verify():
         report = crmodels.verify_theorem(symbol)
@@ -75,16 +89,45 @@ def _recording(rows, read):
         yield row
 
 
+def _realified(row):
+    """A packed Gaussian row (the imaginary part of unknown u at key ~u) as the integer rows of r and i·r, u at columns 2u and 2u + 1."""
+    return (
+        {2 * u if u >= 0 else 2 * ~u + 1: x for u, x in row.items()},
+        {2 * u + 1 if u >= 0 else 2 * ~u: x if u >= 0 else -x for u, x in row.items()},
+    )
+
+
+class _CountedLookups:
+    """The generating expressions of one solve, counting in ``built[0]`` the images extended along them."""
+
+    def __init__(self, gens, built):
+        self.gens, self.built = gens, built
+
+    def __getitem__(self, x):
+        self.built[0] += 1
+        return self.gens[x]
+
+
 def _sizes(run) -> dict:
     """System sizes of one run of ``run``, read by wrapping the solver's module globals."""
     from crprolong import exact, prolong
 
-    sizes = {"solves": 0, "unknowns": 0, "rank": 0, "component_dims": [], "rows": 0, "distinct_rows": 0, "nonzeros": 0, "max_bits": 0}
+    sizes = {
+        "solves": 0, "unknowns": 0, "rank": 0, "component_dims": [],
+        "rows": 0, "distinct_rows": 0, "nonzeros": 0, "max_bits": 0, "images": [],
+    }
     solve, distinct, kernel = prolong._solve_component, prolong._distinct_rows, prolong._integer_kernel
+    expressions, built = prolong._generating_expressions, [0]
+
+    def counted_expressions(m):
+        gens = expressions(m)
+        return None if gens is None else _CountedLookups(gens, built)
 
     def counted_solve(m, components, l, j_constraint):
+        built[0] = 0
         comp = solve(m, components, l, j_constraint)
         nb = len(m.indices_of_degree(-1))
+        sizes["images"].append(nb + built[0])
         unknowns = nb * (nb if l == 0 else components[l - 1].dim)
         sizes["solves"] += 1
         sizes["unknowns"] += unknowns
@@ -105,23 +148,23 @@ def _sizes(run) -> dict:
         sizes["nonzeros"] += sum(map(len, read))
         real, real_width = read, width
         if any(u < 0 for row in read for u in row):
-            # packed Gaussian rows hold the imaginary part of unknown u at key ~u: count the
-            # realified rows, both parts as integer columns, as exact._integer_kernel reduces them
-            gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in read]
-            real, cols = exact._realify(gaussian, range(width))
-            real_width = 2 * len(cols)
+            # count the realified rows, both parts as integer columns, as exact._integer_kernel reduces them
+            real, real_width = [r for row in read for r in _realified(row)], 2 * width
         pivots = exact.integer_rref(real, real_width)
         entries = [x for row in (*real, *(row for _, row in pivots)) for x in row.values()]
         sizes["max_bits"] = max([sizes["max_bits"], *(abs(x).bit_length() for x in entries)])
         return out
 
-    hooks = {"_solve_component": counted_solve, "_distinct_rows": counted_distinct, "_integer_kernel": counted_kernel}
+    hooks = {
+        "_solve_component": counted_solve, "_distinct_rows": counted_distinct,
+        "_integer_kernel": counted_kernel, "_generating_expressions": counted_expressions,
+    }
     for name, hook in hooks.items():
         setattr(prolong, name, hook)
     try:
         run()
     finally:
-        for name, orig in zip(hooks, (solve, distinct, kernel)):
+        for name, orig in zip(hooks, (solve, distinct, kernel, expressions)):
             setattr(prolong, name, orig)
     sizes["rows"] = len(taken)
     return sizes
@@ -136,6 +179,6 @@ def measure(key: str, runs: int = REPEATS) -> dict:
 if __name__ == "__main__":
     benchpair.main(
         __file__, __doc__, measure, KEYS, "workload",
-        "prolongation component solves: full-Tanaka towers to degree 11, the full-Tanaka G2 prolongation and verify_theorem at k = 125, 224",
+        "prolongation component solves: full-Tanaka towers to degree 11, the full-Tanaka G2 prolongation and verify_theorem at k = 125, 224 and on random_quotient(9, 1)",
         REPEATS, "BENCH_prolong.json", shared=SHARED,
     )

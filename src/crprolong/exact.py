@@ -4,12 +4,15 @@ Scalars are Gaussian rationals (elements of Q(i)), each held as its one
 integer normal form (a + b·i)/d with d > 0 and gcd(a, b, d) = 1, so
 nothing in the library ever rounds.  Every solve goes through one
 Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
-rows ``{col: int}``, each row kept primitive; ``_integer_kernel`` reads
-the prolongation's kernels over Q(i) off a stream of rows, realifying
-only rows with an imaginary part.  A system over Q(i) is scaled to
-Gaussian integers and realified onto it by ``_gaussian_rref``: rank,
-``Echelon`` (which keeps it), the frame filtration and quotient, and
-faithfulness read it.  The real basis of a conjugation block, the fixed
+rows ``{col: int}``, each row kept primitive, read one at a time and
+stopped at full rank.  ``_integer_kernel`` reads the prolongation's
+kernels and the faithfulness of an action over Q(i) off a stream of
+rows, realifying (``_realify``) only from the first row with an
+imaginary part on, so a zero kernel reads its rows only up to the one
+that completes the rank, whatever the scalars.  A system over Q(i) held
+as a list is scaled to Gaussian integers and realified onto it by
+``_gaussian_rref``: rank, ``Echelon`` (which keeps it) and the frame
+filtration and quotient read it.  The real basis of a conjugation block, the fixed
 points of the involution F(z) = S·conj(z), is read off one
 ``integer_rref`` of the image of F + I (``_real_fixed_points``), and
 ``liealg.real_form`` reads coordinates in it at the free columns, with no
@@ -297,18 +300,14 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-def _realify(rows, col_order):
-    """Gaussian integer rows ``{col: (re, im)}`` as integer rows ``{col: int}``; returns ``(rows, cols)``.
+def _realify(rows, position):
+    """Gaussian integer rows ``{col: (re, im)}`` as integer rows ``{col: int}``, yielded one at a time.
 
-    Column ``cols[p]`` becomes columns 2p (real part) and 2p + 1
-    (imaginary part), where ``cols`` is ``col_order`` followed by the other
-    columns in increasing order.  Each row r gives the rows of r and i·r,
-    in the row convention (Re r, Im r).
+    Column c becomes columns ``position[c]`` (real part) and
+    ``position[c] + 1`` (imaginary part).  Each row r gives the rows of r
+    and i·r, in the row convention (Re r, Im r), as the consumer asks for
+    them, so a reader that stops early realifies no row past its last.
     """
-    cols = list(col_order)
-    cols += sorted({c for row in rows for c in row} - set(cols))
-    position = {c: 2 * p for p, c in enumerate(cols)}
-    real = []
     for row in rows:
         re, im = {}, {}
         for c, (a, b) in row.items():
@@ -317,8 +316,8 @@ def _realify(rows, col_order):
                 re[p] = im[p + 1] = a
             if b:
                 re[p + 1], im[p] = b, -b
-        real += (re, im)
-    return real, cols
+        yield re
+        yield im
 
 
 def _gaussian_rref(rows, col_order):
@@ -334,12 +333,11 @@ def _gaussian_rref(rows, col_order):
     the same rational system, one on the even columns and one on the odd,
     so they are reduced once, on their real parts, with the same result.
     """
+    cols = list(col_order)
+    cols += sorted({c for row in rows for c in row} - set(cols))
     if any(im for row in rows for _, im in row.values()):
-        real, cols = _realify(rows, col_order)
-        step = 2
+        real, step = _realify(rows, {c: 2 * p for p, c in enumerate(cols)}), 2
     else:
-        cols = list(col_order)
-        cols += sorted({c for row in rows for c in row} - set(cols))
         position = {c: p for p, c in enumerate(cols)}
         real, step = [{position[c]: re for c, (re, _) in row.items() if re} for row in rows], 1
     width = step * len(col_order)
@@ -522,35 +520,44 @@ def _integer_kernel(rows, width):
 
     The rows, the columns and every vector are packed Gaussian integers
     (``_times_i``): key u holds the real part of entry u and key ~u its
-    imaginary part.  Real rows, read lazily from any iterable, go to
-    ``integer_rref``, which stops at full rank (the kernel of all the rows
-    lies inside that of any subset; a rational kernel complexifies to the
-    kernel over Q(i)); the first row with an imaginary part sends every
-    row, realified once, to ``_gaussian_rref``.  Vector v belongs to the
-    v-th free column f of the reduced rows, by increasing f: the reduced
-    kernel vector with 1 at f, times the lcm ``dens[v]`` of the pivot
-    entries it divides by.
+    imaginary part.  Rows are read lazily from any iterable.  Real rows go
+    to ``integer_rref`` on ``width`` columns.  At the first row with an
+    imaginary part, the reduced real rows, that row and then the unread
+    rows, one at a time, are realified (``_realify``: unknown u becomes
+    columns 2u and 2u + 1) into ``integer_rref`` on 2·``width`` columns;
+    its pivot rows at even columns are the reduced rows over Q(i).  Either
+    reduction stops at the row that completes the rank: the kernel of all
+    the rows lies inside that of any subset, so it is then zero, and a
+    rational kernel complexifies to the kernel over Q(i).  Otherwise every
+    row is read, and the reduced form is the unique one for the row space.
+    Vector v belongs to the v-th free column f of the reduced rows, by
+    increasing f: the reduced kernel vector with 1 at f, times the lcm
+    ``dens[v]`` of the pivot entries it divides by.
     ``columns`` maps each unknown to the nonzero packed entries of every
     vector there, so one ``_apply_kernel`` per row checks all vectors at
     once by substitution, in integers, on every row read.
     """
     rows, read = iter(rows), []
 
-    def real():
+    def taken(real):
+        """The next rows, each kept in ``read``; with ``real``, up to the first with an imaginary part, which ends them."""
         for row in rows:
             read.append(row)
-            if row and min(row) < 0:
+            if real and row and min(row) < 0:
                 return
             yield row
 
-    pivots = integer_rref(real(), width)
+    pivots = integer_rref(taken(True), width)
     if read and read[-1] and min(read[-1]) < 0:
-        read += rows
-        gaussian = [{c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in read]
+        rest = chain([row for _, row in pivots], read[-1:], taken(False))
+        gaussian = ({c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in rest)
         pivots = [
-            (c, {u: x for u, (x, _) in row.items() if x} | {~u: y for u, (_, y) in row.items() if y})
-            for c, row, _ in _gaussian_rref(gaussian, range(width))
+            (c >> 1, {~(j >> 1) if j & 1 else j >> 1: x for j, x in row.items()})
+            for c, row in integer_rref(_realify(gaussian, {c: 2 * c for c in range(width)}), 2 * width)
+            if not c & 1
         ]
+    if len(pivots) == width:
+        return {}, []  # full rank: no kernel vector to build or check
     pivot_cols = {c for c, _ in pivots}
     index = {f: v for v, f in enumerate(f for f in range(width) if f not in pivot_cols)}
     dens = [1] * len(index)

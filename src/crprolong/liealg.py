@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exact import QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
-from .exact import _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_rref, _gaussian_table, _qi
+from .exact import _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_rref, _gaussian_table, _integer_kernel, _qi
 from .exact import _numerator_table, _real_coordinates, _real_fixed_points
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
@@ -420,19 +420,26 @@ def _solve_generating_expressions(algebra: GradedLieAlgebra):
 def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
     """True iff no nonzero combination of ``acting`` basis vectors brackets all of ``on`` to zero.
 
-    One Gaussian row per (x in ``on``, coordinate t) that some [g, x]
-    reaches, read from ``_numerators``: the action is faithful iff every
-    acting column is a pivot.
+    The rows, one per (x in ``on``, coordinate t) that some [g, x]
+    reaches, are read from ``_numerators`` and yielded x by x, packed
+    (den·[g, x]_t at the position of g in ``acting``, its imaginary part
+    at the complement), into ``_integer_kernel``.  The action is faithful
+    iff the kernel is empty, so the solve stops at the row that completes
+    the rank.
     """
     nums, _ = algebra._numerators
-    rows = {}  # (x, t): {position of g in acting: den·[g, x]_t}
-    for x in on:
-        for pos, g in enumerate(acting):
-            # the table is keyed i < j, so a pair with g > x reads -[e_x, e_g]
-            sign = 1 if g < x else -1
-            for t, (re, im) in nums.get((min(g, x), max(g, x)), {}).items():
-                rows.setdefault((x, t), {})[pos] = (sign * re, sign * im)
-    return sum(1 for _ in _gaussian_rref(list(rows.values()), range(len(acting)))) == len(acting)
+
+    def rows():
+        for x in on:
+            block = {}  # t: {position of g in acting: den·[g, x]_t, packed}
+            for pos, g in enumerate(acting):
+                # the table is keyed i < j, so a pair with g > x reads -[e_x, e_g]
+                sign = 1 if g < x else -1
+                for t, (re, im) in nums.get((min(g, x), max(g, x)), {}).items():
+                    block.setdefault(t, {}).update({pos: sign * re, ~pos: sign * im})
+            yield from ({u: y for u, y in row.items() if y} for row in block.values())
+
+    return not _integer_kernel(rows(), len(acting))[1]
 
 
 def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:

@@ -9,15 +9,18 @@ bracket with g_-1, and the component is the exact kernel of the Leibniz
 identity evaluated on all basis pairs of m, plus commutation with the
 complex structure J on the degree -1 block for the grade-0 component of
 the Levi-Tanaka flavor; the rows stream into a kernel that stops at full
-rank, so a zero component (G^1 of a CR symbol) reads a prefix of them.
+rank, real or complex, so a zero component (G^1 of a CR symbol) reads a
+prefix of them.  The pairs come block pair by block pair, in increasing
+degree sum, so that for l >= 1 the pairs of g_-1 with the top layer,
+whose rows bind first, are read first.
 The solve is fraction-free and works over Q(i):
 Gaussian integer linear forms, packed so that a real input stays in
 plain integers, over one denominator per image, primitive rows
 deduplicated up to scale as they come, and ``exact._integer_kernel``,
-which realifies only a row set with complex entries.  A complex algebra
-such as a symbol on its Hall basis is prolonged as it is: extending
-scalars commutes with taking the kernel, so its prolongation is the
-complexification of the real form's.  The reduced kernel basis is the
+which realifies only from the first row with complex entries on.  A
+complex algebra such as a symbol on its Hall basis is prolonged as it
+is: extending scalars commutes with taking the kernel, so its
+prolongation is the complexification of the real form's.  The reduced kernel basis is the
 one a solve for the full block maps m_a -> V_(a+l) would return; it is
 built once in column form, {unknown: {vector: int}}, so one sparse
 product per coordinate form gives that coordinate of every basis map.
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .exact import _apply_kernel, _gaussian_sum, _integer_kernel, _numerator_table, _primitive, _qi, _sum_forms, _times_i
 from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
@@ -148,10 +151,15 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     the rows of commutation with J.  A J row on one unknown sets it to
     zero, and that unknown is dropped before the extension: with J
     diagonal, as on the (L, L̄) basis of a symbol, that leaves the two
-    diagonal entries.  The J rows, then the Leibniz rows pair by pair, are
-    made primitive, deduplicated up to scale and streamed into
-    ``_integer_kernel`` over Q(i), which stops at full rank: the component
-    is then zero, and no later row or image is built.  Otherwise every row
+    diagonal entries.  The pairs are listed from ``m._blocks``: the block
+    pairs (m_a, m_b), a >= b, whose target degree a + b + l has a
+    component, by increasing a + b and then decreasing a, so for l >= 1
+    the pairs of g_-1 with the top layer come first; within a block
+    pair, in the order of the blocks' indices.  The J rows, then the
+    Leibniz rows pair by pair, are made primitive, deduplicated up to
+    scale and streamed into ``_integer_kernel`` over Q(i), which stops at
+    full rank: the component is then zero, and no later row or image is
+    built.  Otherwise every row
     is checked by substitution in integers, and one ``_apply_kernel`` per
     coordinate form of each image gives that coordinate of every basis
     map, stored as Gaussian numerator columns.  The
@@ -237,11 +245,11 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         return image[x]
 
     def rows():
-        """The J rows, then the nonzero coordinates of the Leibniz residual, pair by pair."""
+        """The J rows, then the nonzero coordinates of the Leibniz residual, pair by pair, in the block-pair order above."""
         yield from jrows
-        for i, j in combinations(range(m.dim), 2):
-            if not dims.get(m.degrees[i] + m.degrees[j] + l):
-                continue
+        block_pairs = sorted(((a, b) for a in blocks for b in blocks if a >= b and dims.get(a + b + l)), key=lambda ab: (sum(ab), -ab[0]))
+        pairs = chain.from_iterable(combinations(blocks[a], 2) if a == b else product(blocks[a], blocks[b]) for a, b in block_pairs)
+        for i, j in map(sorted, pairs):
             # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
             terms = []
             for k, (gr, gi) in nums.get((i, j), {}).items():

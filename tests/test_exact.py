@@ -115,7 +115,7 @@ def test_integer_kernel_runs_the_substitution_check(monkeypatch):
         return pivots
 
     # [[1, i], [-i, 1]] realified: the complex kernel (-i, 1) is two real vectors
-    rows, _ = exact._realify([{0: (1, 0), 1: (0, 1)}, {0: (0, -1), 1: (1, 0)}], range(2))
+    rows = list(exact._realify([{0: (1, 0), 1: (0, 1)}, {0: (0, -1), 1: (1, 0)}], {0: 0, 1: 2}))
     assert len(exact._integer_kernel(rows, 4)[1]) == 2
     monkeypatch.setattr(exact, "integer_rref", corrupted)
     with pytest.raises(AssertionError, match="non-kernel vector"):
@@ -415,14 +415,18 @@ def _packed_system(rng, kind, rows, cols):
     """Seeded packed Gaussian rows (re at key u, im at key ~u) of one ``kind``.
 
     ``real`` rows have no imaginary part, ``complex`` rows all have one,
-    ``complex-after-real`` rows have one from the middle row on, and
+    ``complex-after-real`` rows have one from the middle row on,
     ``full-rank`` rows start with ``cols`` real rows of full rank (1 on the
-    diagonal, random entries after it) followed by random real rows.
+    diagonal, random entries after it) followed by random real rows, and
+    ``complex-full-rank`` rows are those rows with i times 1 to 3 added on
+    the diagonal and random imaginary parts added to the rows after it.
     """
     re, im = _integer_system(rng, rows, cols), _integer_system(rng, rows, cols)
-    if kind == "full-rank":
+    if kind.endswith("full-rank"):
         head = [{p: 1} | {j: x for j in range(p + 1, cols) if (x := rng.randint(-3, 3))} for p in range(cols)]
-        return head + re
+        if kind == "full-rank":
+            return head + re
+        return [row | {~p: rng.randint(1, 3)} for p, row in enumerate(head)] + [r | {~u: x for u, x in i.items()} for r, i in zip(re, im)]
     start = {"real": rows, "complex": 0, "complex-after-real": rows // 2}[kind]
     out = [r | {~u: x for u, x in i.items()} if n >= start else r for n, (r, i) in enumerate(zip(re, im))]
     if kind != "real":
@@ -438,7 +442,7 @@ def _counted(rows, read):
         yield row
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "complex-after-real", "full-rank"])
+@pytest.mark.parametrize("kind", ["real", "complex", "complex-after-real", "full-rank", "complex-full-rank"])
 def test_integer_kernel_of_a_stream_equals_the_kernel_of_its_list(kind):
     """``_integer_kernel`` reads a generator of rows as it reads the same rows in a list, and agrees with the oracle."""
     rng = random.Random(4601 + len(kind))
@@ -455,12 +459,11 @@ def test_integer_kernel_of_a_stream_equals_the_kernel_of_its_list(kind):
         ]
         data = [[(Fraction(row.get(u, 0)), Fraction(row.get(~u, 0))) for u in range(cols)] for row in rows]
         assert basis == dense_kernel(data, cols)
-        # real rows are read up to the one that completes the rank, if that comes before any
-        # row with an imaginary part; otherwise the whole stream is read and reduced
-        start = next((n for n, row in enumerate(rows) if min(row, default=0) < 0), len(rows))
-        need = next((n for n in range(1, start + 1) if len(integer_rref(rows[:n], cols)) == cols), len(rows))
+        # rows are read up to the one that completes the rank (realified, once a row has an
+        # imaginary part), the oracle's rank over Q(i); otherwise the whole stream is read
+        need = next((n for n in range(1, len(rows) + 1) if len(dense_rref(data[:n], range(cols))[0]) == cols), len(rows))
         assert read[0] == need
-        if kind == "full-rank":
+        if kind.endswith("full-rank"):
             assert dens == [] and need == cols < len(rows)
 
 

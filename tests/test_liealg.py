@@ -12,6 +12,7 @@ from oracles import (
     dense_bracket,
     dense_kernel,
     dense_real_form,
+    dense_rref,
     dense_structure_constants,
     jacobi_violations,
     replaced_bracket,
@@ -234,6 +235,75 @@ def test_acts_faithfully_when_no_bracket_reaches():
     assert not _acts_faithfully(heisenberg_real(), [2], [0, 1, 2])
     assert _acts_faithfully(heisenberg_real(), [], [0, 1])
     assert _acts_faithfully(heisenberg_real(), [0, 1], [0, 1])
+
+
+def _faithful_oracle(n, table, acting, on):
+    """Whether the dense matrix of [e_g, e_x]_t, rows (x, t) and columns g in ``acting``, has full column rank over Q(i)."""
+    C = dense_structure_constants(n, table)
+    rows = [[C[g][x][t] for g in acting] for x in on for t in range(n)]
+    return len(dense_rref(rows, range(len(acting)))[0]) == len(acting)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_acts_faithfully_matches_a_dense_rank_oracle(complex_entries):
+    """Seeded sparse tables, acting and acted-on sets: ``_acts_faithfully`` agrees with a dense rank over Q(i)."""
+    rng = random.Random(4701 + complex_entries)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        density = rng.choice((0.15, 0.3, 0.6))
+        table = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                terms = {}
+                for k in range(n):
+                    if rng.random() < density:
+                        re, im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if complex_entries else Fraction(0)
+                        if re or im:
+                            terms[k] = (re, im)
+                if terms:
+                    table[i, j] = terms
+        algebra = GradedLieAlgebra([f"e{i}" for i in range(n)], [-1] * n, {ij: {k: QI(*z) for k, z in terms.items()} for ij, terms in table.items()})
+        acting, on = sorted(rng.sample(range(n), rng.randint(0, n))), sorted(rng.sample(range(n), rng.randint(0, n)))
+        got = _acts_faithfully(algebra, acting, on)
+        assert got == _faithful_oracle(n, table, acting, on)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("case", ["aut12", "g2"])
+def test_acts_faithfully_stops_at_the_row_that_completes_the_rank(monkeypatch, case):
+    """The transitivity gate reads its rows only up to the one that completes the rank.
+
+    On aut_CR of the k = 12 symbol, d and r act on e_0 and e_1 by complex
+    rows, which have full rank after two; the real G2 prolongation of the
+    realified k = 3 symbol has 9 nonnegative basis vectors.
+    """
+    if case == "aut12":
+        aut = build_aut_cr(build_symbol_algebra(12)).algebra
+    else:
+        aut = full_prolongation(realify(build_symbol_algebra(3).algebra), FULL_TANAKA).algebra
+    acting = [i for i, d in enumerate(aut.degrees) if d >= 0]
+    on = [i for i, d in enumerate(aut.degrees) if d < 0]
+    read, kernel = [], liealg._integer_kernel
+
+    def counted(rows, width):
+        def recording():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        return kernel(recording(), width)
+
+    monkeypatch.setattr(liealg, "_integer_kernel", counted)
+    assert _acts_faithfully(aut, acting, on)
+    table = {ij: {k: (c.re, c.im) for k, c in terms.items()} for ij, terms in aut.table.items()}
+    C = dense_structure_constants(aut.dim, table)
+    every = [row for x in on for t in range(aut.dim) if any(row := [C[g][x][t] for g in acting])]
+    dense = [[(Fraction(row.get(u, 0)), Fraction(row.get(~u, 0))) for u in range(len(acting))] for row in read]
+    assert any(u < 0 for row in read for u in row) == (case == "aut12")
+    assert len(dense_rref(dense, range(len(acting)))[0]) == len(acting) > len(dense_rref(dense[:-1], range(len(acting)))[0])
+    assert len(read) < len(every)
 
 
 def test_grading_check():

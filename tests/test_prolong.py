@@ -628,6 +628,32 @@ def test_degree_one_solve_at_k21_stops_reading_rows_at_full_rank(monkeypatch):
     assert len(integer_rref(distinct(iter(read)), width)) == width
 
 
+@pytest.mark.parametrize("k, seed, rows", [(12, None, 5), (21, None, 5), (22, None, 2), (9, 1, 2)], ids=["k12", "k21", "k22", "k9-seed1"])
+def test_degree_one_solve_reads_the_pairs_that_bind_first(monkeypatch, k, seed, rows):
+    """The zero G^1 reads the pinned number of distinct rows: the pairs of g_-1 with the top layer come first.
+
+    The counts were measured with the pairs listed by block pair in
+    increasing degree sum; listed in index order, the k = 9, seed 1 solve,
+    whose rows are complex, read 38.
+    """
+    m = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed)).algebra
+    g0 = grade0(m, j_constraint=True)
+    read, kernel = [], prolong._integer_kernel
+
+    def counted(stream, width):
+        def recording():
+            for row in stream:
+                read.append(row)
+                yield row
+
+        return kernel(recording(), width)
+
+    monkeypatch.setattr(prolong, "_integer_kernel", counted)
+    assert prolong_component(m, [g0], 1).dim == 0
+    assert len(read) == rows
+    assert any(u < 0 for row in read for u in row) == (seed is not None)
+
+
 def test_component_solves_leave_no_reference_cycles():
     """The lazily built images go with the solve: a nonzero and a zero component leave nothing for the cyclic collector."""
     m = build_symbol_algebra(8).algebra
