@@ -89,14 +89,6 @@ def _recording(rows, read):
         yield row
 
 
-def _realified(row):
-    """A packed Gaussian row (the imaginary part of unknown u at key ~u) as the integer rows of r and i·r, u at columns 2u and 2u + 1."""
-    return (
-        {2 * u if u >= 0 else 2 * ~u + 1: x for u, x in row.items()},
-        {2 * u + 1 if u >= 0 else 2 * ~u: x if u >= 0 else -x for u, x in row.items()},
-    )
-
-
 class _CountedLookups:
     """The generating expressions of one solve, counting in ``built[0]`` the images extended along them."""
 
@@ -148,8 +140,8 @@ def _sizes(run) -> dict:
         sizes["nonzeros"] += sum(map(len, read))
         real, real_width = read, width
         if any(u < 0 for row in read for u in row):
-            # count the realified rows, both parts as integer columns, as exact._integer_kernel reduces them
-            real, real_width = [r for row in read for r in _realified(row)], 2 * width
+            # count the realified rows, both parts as integer columns, as exact._gaussian_reduce reduces them
+            real, real_width = list(exact._realify(read)), 2 * width
         pivots = exact.integer_rref(real, real_width)
         entries = [x for row in (*real, *(row for _, row in pivots)) for x in row.values()]
         sizes["max_bits"] = max([sizes["max_bits"], *(abs(x).bit_length() for x in entries)])

@@ -5,18 +5,21 @@ integer normal form (a + b·i)/d with d > 0 and gcd(a, b, d) = 1, so
 nothing in the library ever rounds.  Every solve goes through one
 Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
 rows ``{col: int}``, each row kept primitive, read one at a time and
-stopped at full rank.  ``_integer_kernel`` reads the prolongation's
-kernels and the faithfulness of an action over Q(i) off a stream of
-rows, realifying (``_realify``) only from the first row with an
-imaginary part on, so a zero kernel reads its rows only up to the one
-that completes the rank, whatever the scalars.  A system over Q(i) held
-as a list is scaled to Gaussian integers and realified onto it by
-``_gaussian_rref``: rank, ``Echelon`` (which keeps it) and the frame
-filtration and quotient read it.  The real basis of a conjugation block, the fixed
-points of the involution F(z) = S·conj(z), is read off one
-``integer_rref`` of the image of F + I (``_real_fixed_points``), and
-``liealg.real_form`` reads coordinates in it at the free columns, with no
-inverse (``_real_coordinates``).  The reduced row echelon form for a fixed
+stopped at full rank.  Every system over Q(i) reaches it through one
+reduction, ``_gaussian_reduce``, of a stream of packed Gaussian integer
+rows: real rows go to ``integer_rref`` as they come, and from the first
+row with an imaginary part on, the rows are realified (``_realify``) onto
+twice the columns, so a system of full rank is read only up to the row
+that completes the rank, whatever the scalars.  ``_integer_kernel`` (the
+prolongation's kernels) and the faithfulness test of the nondegeneracy
+and transitivity gates read it, and so does ``_gaussian_rref``, which
+maps ``(re, im)`` rows onto unknowns in a column order and back: rank,
+``Echelon`` (which keeps it) and the frame filtration and quotient read
+that.  The real basis of a conjugation block, the fixed points of the
+involution F(z) = S·conj(z), is read off one ``integer_rref`` of the
+image of F + I (``_real_fixed_points``), and ``liealg.real_form`` reads
+coordinates in it at the free columns, with no inverse
+(``_real_coordinates``).  The reduced row echelon form for a fixed
 column order is unique, so every basis, reducer and solution depends only
 on the input and the column order, never on row order or on how the
 elimination is scheduled.
@@ -28,7 +31,7 @@ constant table, a ``Matrix`` (columns ``({col: {row: (re, im)}}, den)``)
 and a derivation map's column (``({t: (re, im)}, den)``) are stored in
 it.  Only the solves pack a Gaussian form into one dict, re at key k and
 im at key ~k (``_times_i``): the prolongation's linear forms and
-``_integer_kernel``.  ``_gaussian_integers`` is the way in (a real caller
+``_gaussian_reduce``.  ``_gaussian_integers`` is the way in (a real caller
 refuses a nonzero ``im`` itself), ``_sum_forms`` the one scaled sum of
 packed forms and ``_gaussian_sum`` of ``(re, im)`` vectors (one gcd
 each, on the finished sum; a caller that accumulates its own sum uses
@@ -300,24 +303,56 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-def _realify(rows, position):
-    """Gaussian integer rows ``{col: (re, im)}`` as integer rows ``{col: int}``, yielded one at a time.
+def _realify(rows):
+    """Packed Gaussian integer rows as integer rows ``{col: int}``, yielded one at a time.
 
-    Column c becomes columns ``position[c]`` (real part) and
-    ``position[c] + 1`` (imaginary part).  Each row r gives the rows of r
-    and i·r, in the row convention (Re r, Im r), as the consumer asks for
+    Unknown u becomes columns 2u (real part, key u) and 2u + 1 (imaginary
+    part, key ~u).  Each row r gives the rows of r and of i·r
+    (``_times_i``), relabelled, one at a time as the consumer asks for
     them, so a reader that stops early realifies no row past its last.
     """
     for row in rows:
-        re, im = {}, {}
-        for c, (a, b) in row.items():
-            p = position[c]
-            if a:
-                re[p] = im[p + 1] = a
-            if b:
-                re[p + 1], im[p] = b, -b
-        yield re
-        yield im
+        for form in (row, _times_i(row)):
+            yield {2 * u if u >= 0 else 2 * ~u + 1: x for u, x in form.items()}
+
+
+def _gaussian_reduce(rows, width):
+    """The reduced rows over Q(i) of packed Gaussian integer rows in ``width`` unknowns, and the rows read: ``(pivots, read)``.
+
+    Key u of a row holds the real part of entry u and key ~u its imaginary
+    part.  Rows are read lazily from any iterable, each kept in ``read``.
+    Real rows go to ``integer_rref`` on ``width`` columns.  At the first row
+    with an imaginary part, the reduced real rows, that row and then the
+    unread rows, one at a time, are realified (``_realify``) into
+    ``integer_rref`` on 2·``width`` columns.  That row space is closed
+    under i, so its reduced form is the complex one realified: its pivot
+    rows at even columns are the reduced rows over Q(i), and a rational
+    reduced form complexifies to it.  Either reduction stops at the row
+    that completes the rank; otherwise every row is read.  ``pivots`` is
+    ``[(col, row)]`` by increasing col, each row packed, primitive,
+    positive at its pivot and zero at every other pivot: the unique
+    reduced form for the row space and the column order, times the
+    pivot entry.
+    """
+    rows, read = iter(rows), []
+
+    def taken(real):
+        """The next rows, each kept in ``read``; with ``real``, up to the first with an imaginary part, which ends them."""
+        for row in rows:
+            read.append(row)
+            if real and row and min(row) < 0:
+                return
+            yield row
+
+    pivots = integer_rref(taken(True), width)
+    if read and read[-1] and min(read[-1]) < 0:
+        rest = chain([row for _, row in pivots], read[-1:], taken(False))
+        pivots = [
+            (c >> 1, {~(j >> 1) if j & 1 else j >> 1: x for j, x in row.items()})
+            for c, row in integer_rref(_realify(rest), 2 * width)
+            if not c & 1
+        ]
+    return pivots, read
 
 
 def _gaussian_rref(rows, col_order):
@@ -325,28 +360,20 @@ def _gaussian_rref(rows, col_order):
 
     Pivots are taken only in ``col_order`` and come back in that order;
     each row ``{col: [re, im]}``, over its positive ``den``, is 1 at its
-    pivot and 0 at every other pivot.  The rows are realified
-    (``_realify``) onto ``integer_rref``.  That row space is closed under
-    i, so its reduced form is the complex one realified: the pivot rows at
-    even columns below 2·len(col_order), over their pivot entry, are the
-    complex rows.  Rows without an imaginary part realify to two copies of
-    the same rational system, one on the even columns and one on the odd,
-    so they are reduced once, on their real parts, with the same result.
+    pivot and 0 at every other pivot.  Column ``cols[p]`` (``col_order``,
+    then the other columns in increasing order) is unknown p of
+    ``_gaussian_reduce``.
     """
     cols = list(col_order)
     cols += sorted({c for row in rows for c in row} - set(cols))
-    if any(im for row in rows for _, im in row.values()):
-        real, step = _realify(rows, {c: 2 * p for p, c in enumerate(cols)}), 2
-    else:
-        position = {c: p for p, c in enumerate(cols)}
-        real, step = [{position[c]: re for c, (re, _) in row.items() if re} for row in rows], 1
-    width = step * len(col_order)
-    for c, row in integer_rref(real, step * len(cols)):
-        if c % step == 0 and c < width:
+    position = {c: p for p, c in enumerate(cols)}
+    packed = ({k: x for c, (re, im) in row.items() for k, x in ((position[c], re), (~position[c], im)) if x} for row in rows)
+    for p, row in _gaussian_reduce(packed, len(cols))[0]:
+        if p < len(col_order):
             parts = {}
-            for j, x in row.items():
-                parts.setdefault(cols[j // step], [0, 0])[j % step] = x
-            yield cols[c // step], parts, row[c]
+            for u, x in row.items():
+                parts.setdefault(cols[u if u >= 0 else ~u], [0, 0])[u < 0] = x
+            yield cols[p], parts, row[p]
 
 
 def _gaussian_integers(entries):
@@ -520,16 +547,9 @@ def _integer_kernel(rows, width):
 
     The rows, the columns and every vector are packed Gaussian integers
     (``_times_i``): key u holds the real part of entry u and key ~u its
-    imaginary part.  Rows are read lazily from any iterable.  Real rows go
-    to ``integer_rref`` on ``width`` columns.  At the first row with an
-    imaginary part, the reduced real rows, that row and then the unread
-    rows, one at a time, are realified (``_realify``: unknown u becomes
-    columns 2u and 2u + 1) into ``integer_rref`` on 2·``width`` columns;
-    its pivot rows at even columns are the reduced rows over Q(i).  Either
-    reduction stops at the row that completes the rank: the kernel of all
-    the rows lies inside that of any subset, so it is then zero, and a
-    rational kernel complexifies to the kernel over Q(i).  Otherwise every
-    row is read, and the reduced form is the unique one for the row space.
+    imaginary part.  The rows are reduced by ``_gaussian_reduce``, which
+    stops at the row that completes the rank: the kernel of all the rows
+    lies inside that of any subset, so it is then zero.
     Vector v belongs to the v-th free column f of the reduced rows, by
     increasing f: the reduced kernel vector with 1 at f, times the lcm
     ``dens[v]`` of the pivot entries it divides by.
@@ -537,25 +557,7 @@ def _integer_kernel(rows, width):
     vector there, so one ``_apply_kernel`` per row checks all vectors at
     once by substitution, in integers, on every row read.
     """
-    rows, read = iter(rows), []
-
-    def taken(real):
-        """The next rows, each kept in ``read``; with ``real``, up to the first with an imaginary part, which ends them."""
-        for row in rows:
-            read.append(row)
-            if real and row and min(row) < 0:
-                return
-            yield row
-
-    pivots = integer_rref(taken(True), width)
-    if read and read[-1] and min(read[-1]) < 0:
-        rest = chain([row for _, row in pivots], read[-1:], taken(False))
-        gaussian = ({c: (row.get(c, 0), row.get(~c, 0)) for c in {u if u >= 0 else ~u for u in row}} for row in rest)
-        pivots = [
-            (c >> 1, {~(j >> 1) if j & 1 else j >> 1: x for j, x in row.items()})
-            for c, row in integer_rref(_realify(gaussian, {c: 2 * c for c in range(width)}), 2 * width)
-            if not c & 1
-        ]
+    pivots, read = _gaussian_reduce(rows, width)
     if len(pivots) == width:
         return {}, []  # full rank: no kernel vector to build or check
     pivot_cols = {c for c, _ in pivots}

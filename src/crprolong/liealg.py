@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exact import QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
-from .exact import _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_rref, _gaussian_table, _integer_kernel, _qi
+from .exact import _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_reduce, _gaussian_rref, _gaussian_table, _qi
 from .exact import _numerator_table, _real_coordinates, _real_fixed_points
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
@@ -423,9 +423,9 @@ def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
     The rows, one per (x in ``on``, coordinate t) that some [g, x]
     reaches, are read from ``_numerators`` and yielded x by x, packed
     (den·[g, x]_t at the position of g in ``acting``, its imaginary part
-    at the complement), into ``_integer_kernel``.  The action is faithful
-    iff the kernel is empty, so the solve stops at the row that completes
-    the rank.
+    at the complement), into ``_gaussian_reduce``.  The action is faithful
+    iff the rows have full rank, so the reduction stops at the row that
+    completes it.
     """
     nums, _ = algebra._numerators
 
@@ -439,7 +439,7 @@ def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
                     block.setdefault(t, {}).update({pos: sign * re, ~pos: sign * im})
             yield from ({u: y for u, y in row.items() if y} for row in block.values())
 
-    return not _integer_kernel(rows(), len(acting))[1]
+    return len(_gaussian_reduce(rows(), len(acting))[0]) == len(acting)
 
 
 def is_nondegenerate_symbol(algebra: GradedLieAlgebra) -> bool:
@@ -690,6 +690,9 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
             raise AssertionError(f"layer {-ell} is not free")
     if not is_fundamental(algebra):
         raise AssertionError("symbol algebra is not fundamental")
+    # holds once the algebra is fundamental: g_-1 is spanned by L and L̄, so a
+    # nonzero v there with [v, g_-1] = 0 forces [L, L̄] = 0, and nothing of
+    # degree -2 is generated, while the dimension 2 + k > 2 needs g_-2 != 0
     if not is_nondegenerate_symbol(algebra):
         raise AssertionError("symbol algebra is degenerate")
 

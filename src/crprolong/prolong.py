@@ -17,9 +17,9 @@ The solve is fraction-free and works over Q(i):
 Gaussian integer linear forms, packed so that a real input stays in
 plain integers, over one denominator per image, primitive rows
 deduplicated up to scale as they come, and ``exact._integer_kernel``,
-which realifies only from the first row with complex entries on.  A
-complex algebra such as a symbol on its Hall basis is prolonged as it
-is: extending scalars commutes with taking the kernel, so its
+whose reduction realifies only from the first row with complex entries
+on.  A complex algebra such as a symbol on its Hall basis is prolonged
+as it is: extending scalars commutes with taking the kernel, so its
 prolongation is the complexification of the real form's.  The reduced kernel basis is the
 one a solve for the full block maps m_a -> V_(a+l) would return; it is
 built once in column form, {unknown: {vector: int}}, so one sparse

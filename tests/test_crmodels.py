@@ -341,6 +341,19 @@ def test_corrupted_grade0_constant_fails_the_aut_jacobi_gate(monkeypatch, k, see
         build_aut_cr(symbol)
 
 
+def test_annihilating_grade0_vector_fails_the_aut_transitivity_gate(monkeypatch):
+    """Negative control: a degree-0 vector with no brackets, appended to aut_CR's table, passes every other gate and trips transitivity."""
+    symbol = build_symbol_algebra(8)
+    honest = GradedLieAlgebra._extended
+
+    def planted(self, labels, degrees, entries, **kw):
+        return honest(self, [*labels, "z"], [*degrees, 0], entries, **kw)
+
+    monkeypatch.setattr(GradedLieAlgebra, "_extended", planted)
+    with pytest.raises(AssertionError, match="^aut algebra is not transitive$"):
+        build_aut_cr(symbol)
+
+
 def test_hand_built_degenerate_symbol_fails_build_aut_cr():
     """Negative control: a hand-built symbol with zero degree -1 brackets fails the nondegeneracy gate, and aut_CR built on it is refused."""
     S = build_symbol_algebra(1)

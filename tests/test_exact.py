@@ -115,7 +115,7 @@ def test_integer_kernel_runs_the_substitution_check(monkeypatch):
         return pivots
 
     # [[1, i], [-i, 1]] realified: the complex kernel (-i, 1) is two real vectors
-    rows = list(exact._realify([{0: (1, 0), 1: (0, 1)}, {0: (0, -1), 1: (1, 0)}], {0: 0, 1: 2}))
+    rows = list(exact._realify([{0: 1, ~1: 1}, {~0: -1, 1: 1}]))
     assert len(exact._integer_kernel(rows, 4)[1]) == 2
     monkeypatch.setattr(exact, "integer_rref", corrupted)
     with pytest.raises(AssertionError, match="non-kernel vector"):
@@ -501,12 +501,24 @@ def test_rref_matches_dense_oracle_on_real_rows(order):
     _check_rref_against_dense_oracle(order, False, 20)
 
 
-def _check_rref_against_dense_oracle(order, complex_entries, draws=60):
-    rng = random.Random(4601 + ("full", "reversed", "prefix").index(order) + 10 * (not complex_entries))
-    deficient = 0
+@pytest.mark.parametrize("order", ["full", "reversed", "prefix"])
+def test_rref_matches_dense_oracle_on_complex_rows_after_real(order):
+    """Real rows, then rows with imaginary parts: the reduction turns realified mid-stream and gives the same form."""
+    _check_rref_against_dense_oracle(order, True, 20, after_real=True)
+
+
+def _check_rref_against_dense_oracle(order, complex_entries, draws=60, after_real=False):
+    rng = random.Random(4601 + ("full", "reversed", "prefix").index(order) + 10 * (not complex_entries) + 20 * after_real)
+    deficient = switched = 0
     for _ in range(draws):
         data = _oracle_matrix(rng, complex_entries)
         cols = len(data[0])
+        if after_real:
+            # the first complex row has an imaginary part; the reduction switches there unless the real rows have full rank
+            data[0][0] = (data[0][0][0], Fraction(1))
+            real = _oracle_matrix(rng, False, rng.randint(1, 6), cols)
+            switched += len(dense_rref(real, range(cols))[0]) < cols
+            data = real + data
         col_order = {
             "full": range(cols),
             "reversed": range(cols - 1, -1, -1),
@@ -522,6 +534,7 @@ def _check_rref_against_dense_oracle(order, complex_entries, draws=60):
             assert _in_span(data, [_pairs([row.get(j, QI())])[0] for j in range(cols)])
         deficient += len(got) < min(len(data), len(col_order))
     assert deficient
+    assert switched or not after_real
 
 
 # -- the fraction-free form: numerators over one denominator ----------------

@@ -285,7 +285,7 @@ def test_acts_faithfully_stops_at_the_row_that_completes_the_rank(monkeypatch, c
         aut = full_prolongation(realify(build_symbol_algebra(3).algebra), FULL_TANAKA).algebra
     acting = [i for i, d in enumerate(aut.degrees) if d >= 0]
     on = [i for i, d in enumerate(aut.degrees) if d < 0]
-    read, kernel = [], liealg._integer_kernel
+    read, reduce = [], liealg._gaussian_reduce
 
     def counted(rows, width):
         def recording():
@@ -293,9 +293,9 @@ def test_acts_faithfully_stops_at_the_row_that_completes_the_rank(monkeypatch, c
                 read.append(row)
                 yield row
 
-        return kernel(recording(), width)
+        return reduce(recording(), width)
 
-    monkeypatch.setattr(liealg, "_integer_kernel", counted)
+    monkeypatch.setattr(liealg, "_gaussian_reduce", counted)
     assert _acts_faithfully(aut, acting, on)
     table = {ij: {k: (c.re, c.im) for k, c in terms.items()} for ij, terms in aut.table.items()}
     C = dense_structure_constants(aut.dim, table)

@@ -394,6 +394,20 @@ def test_corrupted_grade0_constant_fails_the_assembled_jacobi_gate(monkeypatch, 
         full_prolongation(m, LEVI_TANAKA)
 
 
+def test_annihilating_grade0_vector_fails_the_assembled_transitivity_gate(monkeypatch):
+    """Negative control: a degree-0 vector with no brackets, appended to the assembled table, satisfies Jacobi and trips the transitivity gate."""
+    m = build_symbol_algebra(8).algebra
+    honest = prolong._assemble
+
+    def planted(m, components):
+        algebra = honest(m, components)
+        return algebra._extended(["z"], [0], [], scalar_tag=algebra.scalar_tag)
+
+    monkeypatch.setattr(prolong, "_assemble", planted)
+    with pytest.raises(RuntimeError, match="^assembled prolongation is not transitive$"):
+        full_prolongation(m, LEVI_TANAKA)
+
+
 # -- negative controls: _assemble refuses components that are not closed --
 
 
