@@ -1,15 +1,14 @@
 """Print each ``raise`` site of the package as HIT or MISS during a pytest run.
 
-    python scripts/raise_sites.py [--root DIR] [PYTEST_ARG ...]
+    python scripts/raise_sites.py [PYTEST_ARG ...]
 
-The sites are the ``raise`` statements of ``DIR/*.py`` (default:
-``src/crprolong`` of this checkout), found with ``ast``.  pytest runs in
-this process, with the given arguments, under a ``sys.settrace`` line
-tracer that follows only the frames of those files; a site is HIT when
-its first line ran.  One row per site: HIT or MISS, ``file:line``, the
-enclosing function and the raised expression, then the totals.  A full
-census runs ``-m "slow or not slow"``; tracing makes the run several
-times slower.
+The sites are the ``raise`` statements of ``src/crprolong/*.py`` of this
+checkout, found with ``ast``.  pytest runs in this process, with the
+given arguments, under a ``sys.settrace`` line tracer that follows only
+the frames of those files; a site is HIT when its first line ran.  One
+row per site: HIT or MISS, ``file:line``, the enclosing function and the
+raised expression, then the totals.  A full census runs
+``-m "slow or not slow"``; tracing makes the run several times slower.
 
 It cannot see code that runs in another process (a test that starts
 ``python -m crprolong`` in a subprocess) or in another thread.  Tracing
@@ -68,21 +67,19 @@ def traced(sites, run) -> set:
 
         return on_line
 
+    previous = sys.gettrace()
     sys.settrace(on_call)
     try:
         run()
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return {(Path(path), line) for path, line in hit}
 
 
 def main(argv) -> int:
     import pytest
 
-    root = SRC
-    if argv[:1] == ["--root"]:
-        root, argv = Path(argv[1]), argv[2:]
-    sites = raise_sites(root)
+    sites = raise_sites(SRC)
     status = []
     hit = traced(sites, lambda: status.append(pytest.main(argv)))
     for path, line, function, raised in sites:

@@ -1,9 +1,9 @@
 """``scripts/raise_sites.py`` reports a raise that a test reaches as HIT and one it does not reach as MISS."""
 
-import os
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,30 +15,26 @@ TOY = '''def check(x):
     return x
 '''
 
-TOY_TEST = '''import pytest
-import toy
 
-
-def test_negative():
-    with pytest.raises(ValueError, match="negative"):
-        toy.check(-1)
-'''
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_raise_sites_marks_a_reached_raise_hit_and_an_unreached_one_miss(tmp_path):
-    package = tmp_path / "toy"
-    package.mkdir()
-    (package / "toy.py").write_text(TOY, encoding="utf-8")
-    (tmp_path / "test_toy.py").write_text(TOY_TEST, encoding="utf-8")
-    (tmp_path / "pytest.ini").write_text("[pytest]\n", encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(package)}
-    script = ROOT / "scripts" / "raise_sites.py"
-    args = [sys.executable, str(script), "--root", str(package), "-q", "-p", "no:cacheprovider", "test_toy.py"]
-    out = subprocess.run(args, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stdout + out.stderr
-    report = [line for line in out.stdout.splitlines() if line.startswith(("HIT", "MISS"))]
-    assert report == [
-        "HIT   toy.py:3  check  raise ValueError('negative')",
-        "MISS  toy.py:5  check  raise ValueError('too large')",
+    (tmp_path / "toy.py").write_text(TOY, encoding="utf-8")
+    script = load("raise_sites", ROOT / "scripts" / "raise_sites.py")
+    toy = load("toy", tmp_path / "toy.py")
+
+    def run():
+        with pytest.raises(ValueError, match="negative"):
+            toy.check(-1)
+
+    sites = script.raise_sites(tmp_path)
+    assert [(line, function, raised) for _, line, function, raised in sites] == [
+        (3, "check", "ValueError('negative')"),
+        (5, "check", "ValueError('too large')"),
     ]
-    assert out.stdout.splitlines()[-1] == "1 of 2 raise sites hit"
+    assert script.traced(sites, run) == {((tmp_path / "toy.py").resolve(), 3)}
