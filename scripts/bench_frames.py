@@ -7,7 +7,7 @@ k = 7, 12, 16, 21, 30, 39 and 69 (``frame<k>``, CR field (X - iY)/2 of the
 real form's frame, built by ``frames._frame_realized_model`` as the
 catalog builds its length-5 entries) and the catalog entry ``quintic12``.
 A model keeps its filtration once evaluated, so each call is handed a
-fresh ``dataclasses.replace`` copy, and every timed call evaluates it.
+fresh copy built with the constructor, and every timed call evaluates it.
 Each model is timed five times per source tree, one run per fresh process
 after one untimed call, the two trees taking turns run by run (the median
 is reported; ``benchpair.py`` holds this harness).  The sizes are read from
@@ -22,7 +22,6 @@ current directory.
 
 from __future__ import annotations
 
-import dataclasses
 from math import lcm
 
 import benchpair
@@ -60,10 +59,14 @@ def _sizes(model) -> dict:
 
 
 def measure(name: str, runs: int = REPEATS) -> dict:
-    from crprolong.frames import growth_and_nondegeneracy
+    from crprolong.frames import ModelSpec, growth_and_nondegeneracy
 
     model = _model(name)
-    (filt, ok), timing = benchpair.timed(lambda: growth_and_nondegeneracy(dataclasses.replace(model)), runs, "growth_s")
+
+    def fresh():
+        return ModelSpec(model.model_id, model.codim, model.length, model.phis, model.weights, model.cr, model.provenance)
+
+    (filt, ok), timing = benchpair.timed(lambda: growth_and_nondegeneracy(fresh()), runs, "growth_s")
     if not ok:
         raise SystemExit(f"{name}: not totally nondegenerate, growth {filt.growth}")
     return {

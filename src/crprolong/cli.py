@@ -30,6 +30,13 @@ MAX_K = cumulative_dim(MAX_LENGTH) - 2
 MAX_WITT_LENGTH = 200  # 0.5 s and 27 KB of table on a 2-vCPU host; 1000 takes 22 s and prints 612 KB
 
 
+def _codim(args) -> int:
+    """The ``--k`` of a ``symbol`` or ``verify`` command, which takes no ``--catalog``, held to ``MAX_K``."""
+    if args.catalog is not None:
+        raise ValueError("--catalog applies to catalog models only; --k reads no catalog")
+    return _bounded(args.k)
+
+
 def _bounded(k: int, what: str = "--k") -> int:
     if k > MAX_K:
         raise ValueError(f"{what} {k} is past the work bound k <= {MAX_K}, the end of length {MAX_LENGTH}")
@@ -106,7 +113,7 @@ def _resolve_symbol(args):
         if args.quotient is not None:
             raise ValueError("--quotient applies to --k only; a --model symbol takes its quotient from the model")
         return symbol_from_frame(_catalog_model(args))
-    _bounded(args.k)
+    k = _codim(args)
     quotient = None
     if args.quotient not in (None, "default"):
         with open(args.quotient, "r", encoding="utf-8") as fh:
@@ -114,8 +121,10 @@ def _resolve_symbol(args):
                 data = json.load(fh)
             except RecursionError:  # the JSON parser's own limit; engine recursion is not caught here
                 raise ValueError("quotient: JSON nested too deeply to parse") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"quotient: {exc}") from None
         quotient = QuotientSpec.from_json_dict(data)
-    return build_symbol_algebra(args.k, quotient)
+    return build_symbol_algebra(k, quotient)
 
 
 def _symbol_text(symbol) -> str:
@@ -156,7 +165,7 @@ def cmd_verify(args) -> int:
     elif args.model is not None:
         reports.append(_verify_one(_catalog_model(args), args.model))
     else:
-        symbol = build_symbol_algebra(_bounded(args.k))
+        symbol = build_symbol_algebra(_codim(args))
         reports.append(_run_verify(symbol, f"k{args.k}:default"))
     failures = sum(1 for r in reports if r.verdict != "confirmed")
     if args.format == "json":

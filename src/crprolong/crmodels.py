@@ -32,7 +32,6 @@ coordinates of d and r are fixed by dim G^0 alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .exact import Matrix, rank
 from .liealg import (
@@ -77,14 +76,14 @@ class VerificationFailed(RuntimeError):
         self.report = report
 
 
-@dataclass
 class AutCRAlgebra:
     """g_- on the symbol's Hall basis, extended by the abelian grade-0 part {d} or {d, r}."""
 
-    algebra: GradedLieAlgebra
-    case: str
-    d_index: int
-    r_index: int = -1
+    def __init__(self, algebra: GradedLieAlgebra, case: str, d_index: int, r_index: int = -1):
+        self.algebra = algebra
+        self.case = case
+        self.d_index = d_index
+        self.r_index = r_index
 
     @property
     def dim(self) -> int:
@@ -157,16 +156,19 @@ def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
     return AutCRAlgebra(aut, case, d_index, r_index)
 
 
-@dataclass
 class TheoremReport:
-    model_id: str
-    case: str
-    dims_aut: dict
-    dims_prolongation: dict
-    iso_matrix: Matrix
-    residuals: dict
-    verdict: str
-    notes: tuple = ()
+    def __init__(
+        self, model_id: str, case: str, dims_aut: dict, dims_prolongation: dict,
+        iso_matrix: Matrix, residuals: dict, verdict: str, notes: tuple = (),
+    ):
+        self.model_id = model_id
+        self.case = case
+        self.dims_aut = dims_aut
+        self.dims_prolongation = dims_prolongation
+        self.iso_matrix = iso_matrix
+        self.residuals = residuals
+        self.verdict = verdict
+        self.notes = notes
 
     @property
     def total_dim(self) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 
 from .bch import _mul_into, left_invariant_frame
 from .exact import QI, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_sum, _over_one_denominator, _qi
@@ -60,7 +59,6 @@ class NotTotallyNondegenerate(ValueError):
     """The model's filtration is not as free as the definition demands."""
 
 
-@dataclass(frozen=True)
 class ModelSpec:
     """A catalog entry, given by defining polynomials or by an explicit CR field.
 
@@ -69,18 +67,28 @@ class ModelSpec:
     coordinate: (1, 1, w_1..w_k) for a rigid model, w_j the weight of
     phi_j, and those ``field_model`` infers for a field model.
 
-    A model is immutable but not hashable: its polynomials are not.
+    No reader may change a model, whose filtration is kept once read, and a
+    model is not hashable: its polynomials are not.
     """
 
-    model_id: str
-    codim: int
-    length: int
-    phis: tuple = ()
-    weights: tuple = ()
-    cr: PolyVectorField = None
-    provenance: str = ""
+    def __init__(
+        self, model_id: str, codim: int, length: int, phis: tuple = (), weights: tuple = (),
+        cr: PolyVectorField = None, provenance: str = "",
+    ):
+        self.model_id = model_id
+        self.codim = codim
+        self.length = length
+        self.phis = phis
+        self.weights = weights
+        self.cr = cr
+        self.provenance = provenance
 
-    __hash__ = None
+    def __eq__(self, other):
+        if not isinstance(other, ModelSpec):
+            return NotImplemented
+        return (self.model_id, self.codim, self.length, self.phis, self.weights, self.cr, self.provenance) == (
+            other.model_id, other.codim, other.length, other.phis, other.weights, other.cr, other.provenance
+        )
 
     @functools.cached_property
     def filtration(self) -> "Filtration":
@@ -92,7 +100,7 @@ class ModelSpec:
         the columns, taken in order, so dim D_l is the number of pivot
         words of length at most l.  Each word's values come over its own
         denominator and are scaled to their lcm, which leaves the reduced
-        form unchanged.  A ``dataclasses.replace`` copy evaluates afresh.
+        form unchanged.  A copy built with the constructor evaluates afresh.
         """
         rho = min_length_for_codim(self.codim)
         values = _word_values(self.cr, rho)
@@ -258,7 +266,6 @@ def _check_tangency(phis, L: PolyVectorField):
             raise AssertionError(f"CR field does not annihilate wbar_{j + 1} on the model")
 
 
-@dataclass(frozen=True)
 class Filtration:
     """Origin values of the bracket filtration: growth vector and reduced form.
 
@@ -269,9 +276,15 @@ class Filtration:
     pivot.  A model shares its filtration, so no reader may change it.
     """
 
-    growth: tuple
-    reduced: tuple = field(repr=False, default=())
-    words: tuple = field(repr=False, default=())
+    def __init__(self, growth: tuple, reduced: tuple = (), words: tuple = ()):
+        self.growth = growth
+        self.reduced = reduced
+        self.words = words
+
+    def __eq__(self, other):
+        if not isinstance(other, Filtration):
+            return NotImplemented
+        return (self.growth, self.reduced, self.words) == (other.growth, other.reduced, other.words)
 
 
 def _word_values(L, max_length):
@@ -538,6 +551,8 @@ def load_catalog(text: str) -> dict:
         entries = json.loads(text)
     except RecursionError:  # the JSON parser's own limit; engine recursion is not caught here
         raise ValueError("catalog: JSON nested too deeply to parse") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"catalog: {exc}") from None
     if not isinstance(entries, list) or not entries:
         raise ValueError("catalog: top level must be a list of at least one model")
     out = {}

@@ -13,7 +13,6 @@ all derived coefficients are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -133,15 +132,19 @@ def conjugate_tree(tree):
     return (conjugate_tree(tree[0]), conjugate_tree(tree[1]))
 
 
-@dataclass(frozen=True)
 class HallWord:
-    """A basis word: a Lyndon word with its standard bracketing."""
+    """A basis word: a Lyndon word with its standard bracketing; equal and hashed by its word."""
 
-    word: tuple
+    def __init__(self, word: tuple):
+        if not is_lyndon(word):
+            raise ValueError(f"{word} is not a Lyndon word")
+        self.word = word
 
-    def __post_init__(self):
-        if not is_lyndon(self.word):
-            raise ValueError(f"{self.word} is not a Lyndon word")
+    def __eq__(self, other):
+        return self.word == other.word if isinstance(other, HallWord) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.word)
 
     @property
     def length(self) -> int:
@@ -164,9 +167,9 @@ class HallWord:
         return "".join(str(a) for a in self.word)
 
 
-@dataclass(frozen=True)
 class HallBasis:
-    words: tuple
+    def __init__(self, words: tuple):
+        self.words = words
 
     def __len__(self) -> int:
         return len(self.words)

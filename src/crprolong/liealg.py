@@ -13,7 +13,6 @@ validated construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -471,7 +470,6 @@ def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:
 # -- symbol algebras ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuotientSpec:
     """Which central subspace of the top free layer gets quotiented away.
 
@@ -480,9 +478,15 @@ class QuotientSpec:
     "frame": same format, produced by evaluating a model's vector fields.
     """
 
-    kind: str = "default"
-    rows: tuple = ()
-    provenance: str = ""
+    def __init__(self, kind: str = "default", rows: tuple = (), provenance: str = ""):
+        self.kind = kind
+        self.rows = rows
+        self.provenance = provenance
+
+    def __eq__(self, other):
+        if not isinstance(other, QuotientSpec):
+            return NotImplemented
+        return (self.kind, self.rows, self.provenance) == (other.kind, other.rows, other.provenance)
 
     def to_json_dict(self) -> dict:
         return {
@@ -702,7 +706,6 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
 # -- real forms ------------------------------------------------------------
 
 
-@dataclass
 class RealForm:
     """Real form of a complex algebra: the fixed points of its conjugation.
 
@@ -711,8 +714,9 @@ class RealForm:
     transport both ways.
     """
 
-    algebra: GradedLieAlgebra
-    embedding: Matrix
+    def __init__(self, algebra: GradedLieAlgebra, embedding: Matrix):
+        self.algebra = algebra
+        self.embedding = embedding
 
 
 def real_form(algebra: GradedLieAlgebra) -> RealForm:

@@ -8,8 +8,6 @@ real charts conjugate coefficients only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import QI_ZERO, as_qi, qi_from_json
 
 __all__ = [
@@ -27,23 +25,26 @@ class ChartMismatch(ValueError):
     """Vector fields live on different coordinate charts."""
 
 
-@dataclass(frozen=True)
 class Chart:
-    names: tuple
-    conj_perm: tuple
-
-    def __post_init__(self):
+    def __init__(self, names: tuple, conj_perm: tuple):
         # messages name the fields of to_json_dict: "chart" holds the names
-        for i, name in enumerate(self.names):
+        for i, name in enumerate(names):
             if not isinstance(name, str):
                 raise ValueError(f"chart[{i}]: must be a string, got {name!r}")
-        for i, p in enumerate(self.conj_perm):
+        for i, p in enumerate(conj_perm):
             if type(p) is not int:
                 raise ValueError(f"conj_perm[{i}]: must be an integer, got {p!r}")
-        if sorted(self.conj_perm) != list(range(len(self.names))):
-            raise ValueError(f"conj_perm: must be a permutation of 0..{len(self.names) - 1}")
-        if any(self.conj_perm[p] != i for i, p in enumerate(self.conj_perm)):
+        if sorted(conj_perm) != list(range(len(names))):
+            raise ValueError(f"conj_perm: must be a permutation of 0..{len(names) - 1}")
+        if any(conj_perm[p] != i for i, p in enumerate(conj_perm)):
             raise ValueError("conj_perm: must be an involution")
+        self.names = names
+        self.conj_perm = conj_perm
+
+    def __eq__(self, other):
+        if not isinstance(other, Chart):
+            return NotImplemented
+        return (self.names, self.conj_perm) == (other.names, other.conj_perm)
 
     @property
     def nvars(self) -> int:

@@ -38,7 +38,6 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 
@@ -74,7 +73,6 @@ class GuardExceeded(RuntimeError):
     """Prolongation failed to terminate within the guard bound."""
 
 
-@dataclass(frozen=True)
 class DerivationMap:
     """A degree-l graded map out of m, one block per source degree, kept in integers.
 
@@ -87,8 +85,9 @@ class DerivationMap:
     to ``QI`` entries, for output.
     """
 
-    degree: int
-    blocks: dict
+    def __init__(self, degree: int, blocks: dict):
+        self.degree = degree
+        self.blocks = blocks
 
     def flatten(self, source_degrees):
         """Every block in ``source_degrees`` order as one list of ``QI``, column by column, zeros included."""
@@ -100,10 +99,10 @@ class DerivationMap:
         return out
 
 
-@dataclass(frozen=True)
 class ProlongationComponent:
-    degree: int
-    maps: tuple
+    def __init__(self, degree: int, maps: tuple):
+        self.degree = degree
+        self.maps = maps
 
     @property
     def dim(self) -> int:
@@ -299,13 +298,13 @@ def prolong_component(m: GradedLieAlgebra, components, l: int) -> ProlongationCo
     return _solve_component(m, components, l, j_constraint=False)
 
 
-@dataclass
 class ProlongedAlgebra:
     """A prolongation together with its fully assembled bracket table."""
 
-    components: tuple
-    flavor: str
-    algebra: GradedLieAlgebra
+    def __init__(self, components: tuple, flavor: str, algebra: GradedLieAlgebra):
+        self.components = components
+        self.flavor = flavor
+        self.algebra = algebra
 
     @property
     def dim(self) -> int:

@@ -32,6 +32,7 @@ SCRIPTS = [
     ("bench_group_law.py", "assoc7", "workload", "time_s", "BENCH_group_law.json"),
     ("bench_prolong.py", "tower_contact", "workload", "solve_s", "BENCH_prolong.json"),
     ("bench_real_form.py", "real_form21", "workload", "time_s", "BENCH_real_form.json"),
+    ("bench_startup.py", "import", "workload", "time_s", "BENCH_startup.json"),
     ("bench_sweep.py", "sweep", "workload", "time_s", "BENCH_sweep.json"),
 ]
 # keys of a second kind in a script, run only with `pytest -m slow`

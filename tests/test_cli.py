@@ -170,6 +170,26 @@ def test_symbol_rejects_quotient_with_model(tmp_path, capsys):
     assert "--quotient" in err
 
 
+@pytest.mark.parametrize("command", ["symbol", "verify"])
+def test_k_refuses_a_catalog(tmp_path, capsys, command):
+    """``--k`` reads no catalog, so a ``--catalog`` next to it is refused before the path is opened."""
+    missing = tmp_path / "nonexistent.json"
+    message = "error: --catalog applies to catalog models only; --k reads no catalog\n"
+    assert run(capsys, command, "--k", "2", "--catalog", str(missing)) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [("", "line 1 column 1 (char 0)"), ('{"kind": ', "line 1 column 10 (char 9)")],
+    ids=["empty", "truncated"],
+)
+def test_a_catalog_or_quotient_that_is_not_json_is_named_in_its_error(tmp_path, capsys, text, at):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    for argv, kind in [(("models", "--catalog"), "catalog"), (("symbol", "--k", "3", "--quotient"), "quotient")]:
+        assert run(capsys, *argv, str(path)) == (2, "", f"error: {kind}: Expecting value: {at}\n")
+
+
 def test_catalog_loaded_only_for_model_commands(monkeypatch, capsys):
     def refuse():
         raise AssertionError("catalog built for a command that reads no model")

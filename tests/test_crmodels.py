@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -12,6 +11,7 @@ from crprolong import cli, crmodels, exact, frames, liealg
 from crprolong.crmodels import (
     COMPLEX_ALPHA,
     REAL_ALPHA,
+    AutCRAlgebra,
     RhoTooSmall,
     VerificationFailed,
     build_aut_cr,
@@ -31,7 +31,7 @@ from crprolong.liealg import (
     real_form,
     realify,
 )
-from crprolong.prolong import LEVI_TANAKA, full_prolongation
+from crprolong.prolong import LEVI_TANAKA, ProlongedAlgebra, full_prolongation
 
 
 def _aut(S):
@@ -298,7 +298,7 @@ def test_euler_gate_reads_the_assembled_table(monkeypatch):
         prolonged = full_prolongation(m, flavor)
         assert prolonged.algebra.labels[g] == "G0_1"
         terms = {k: 2 * c for k, c in prolonged.algebra.table[(x, g)].items()}
-        return dataclasses.replace(prolonged, algebra=replaced_bracket(prolonged.algebra, x, g, terms))
+        return ProlongedAlgebra(prolonged.components, prolonged.flavor, replaced_bracket(prolonged.algebra, x, g, terms))
 
     monkeypatch.setattr(crmodels, "full_prolongation", doubled)
     with pytest.raises(VerificationFailed, match=r"^bracket mismatch at pair \('L2_3', 'd'\)$") as exc:
@@ -400,7 +400,7 @@ def test_verify_theorem_checks_brackets_through_the_embedding(monkeypatch):
     def corrupted(symbol):
         aut = honest(symbol)
         bad = replaced_bracket(aut.algebra, 0, aut.d_index, {0: QI(2)})
-        return dataclasses.replace(aut, algebra=bad)
+        return AutCRAlgebra(bad, aut.case, aut.d_index, aut.r_index)
 
     monkeypatch.setattr(crmodels, "build_aut_cr", corrupted)
     with pytest.raises(VerificationFailed) as err:

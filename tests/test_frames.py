@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import re
 from fractions import Fraction
@@ -143,6 +142,11 @@ def test_a_model_is_not_hashable():
             hash(builtin_catalog()[mid])
 
 
+def _copy(m):
+    """A new model equal to ``m``, built with the constructor, so it has not read its filtration."""
+    return ModelSpec(m.model_id, m.codim, m.length, m.phis, m.weights, m.cr, m.provenance)
+
+
 def _counted_word_values(monkeypatch):
     """The fields ``frames._word_values`` is called on from now on, in call order."""
     calls = []
@@ -160,7 +164,7 @@ def test_a_model_evaluates_its_filtration_once(monkeypatch, capsys):
     """The growth, the symbol and ``verify --model`` of one model evaluate the word values once and share one filtration."""
     from crprolong import cli
 
-    m = dataclasses.replace(builtin_catalog()["cubic2"])
+    m = _copy(builtin_catalog()["cubic2"])
     monkeypatch.setattr(frames, "_builtin_models", lambda: {"cubic2": m})
     calls = _counted_word_values(monkeypatch)
     filt, ok = growth_and_nondegeneracy(m)
@@ -183,7 +187,7 @@ def test_a_replaced_copy_evaluates_its_filtration_afresh(monkeypatch):
     m = builtin_catalog()["quartic4"]
     filt = m.filtration
     calls = _counted_word_values(monkeypatch)
-    twin = dataclasses.replace(m)
+    twin = _copy(m)
     assert twin == m and "filtration" not in vars(twin)
     again, ok = growth_and_nondegeneracy(twin)
     assert ok and calls == [m.cr]
@@ -192,7 +196,7 @@ def test_a_replaced_copy_evaluates_its_filtration_afresh(monkeypatch):
 
 @pytest.mark.parametrize("mid", ["cubic2", "quartic4", "quintic7"])
 def test_symbol_from_frame_repeats_byte_for_byte_and_leaves_the_filtration_unchanged(mid):
-    m = dataclasses.replace(builtin_catalog()[mid])
+    m = _copy(builtin_catalog()[mid])
     before = copy.deepcopy(m.filtration)
     first = symbol_from_frame(m).to_json()
     assert symbol_from_frame(m).to_json() == first

@@ -1,6 +1,9 @@
-"""Import hygiene of the package, checked on its syntax trees with the standard library alone."""
+"""Import hygiene of the package, checked on its syntax trees with the standard library alone and in a fresh interpreter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,9 +95,24 @@ def _is_dataclass(node) -> bool:
     )
 
 
-def _orphan_fields(sources, readers) -> list:
-    """(module, class, field) of every dataclass field or ``__slots__`` entry of a class in ``sources`` that no reader loads as an attribute.
+def _init_attributes(cls) -> set:
+    """The attributes that ``cls.__init__`` assigns to its first argument."""
+    init = next((node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"), None)
+    if init is None:
+        return set()
+    me = init.args.args[0].arg
+    return {
+        node.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == me
+    }
 
+
+def _orphan_fields(sources, readers) -> list:
+    """(module, class, field) of every field of a class in ``sources`` that no reader loads as an attribute.
+
+    A field is a dataclass field, a ``__slots__`` entry or, in a class
+    without ``__slots__``, an attribute its ``__init__`` assigns to self.
     ``sources`` maps module names to the source text whose classes are
     checked, ``readers`` is every source text that may read them (those
     modules included).  A read is ``x.field`` in a load context for any
@@ -110,13 +128,16 @@ def _orphan_fields(sources, readers) -> list:
     orphans = []
     for module, text in sources.items():
         for cls in (node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ClassDef)):
-            fields = []
+            fields, slotted = [], False
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and _is_dataclass(cls):
                     if "ClassVar" not in ast.unparse(node.annotation):
                         fields.append(node.target.id)
                 elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
                     fields.extend(ast.literal_eval(node.value))
+                    slotted = True
+            if not slotted:
+                fields += _init_attributes(cls)
             orphans += [(module, cls.name, name) for name in fields if name not in read]
     return sorted(orphans)
 
@@ -130,15 +151,31 @@ def test_orphan_field_check_flags_a_planted_field():
             "class Plain:\n    note: str = ''\n"
             "class Reducer:\n    __slots__ = ('reduced', 'pivots')\n"
             "    def __init__(self):\n        self.reduced, self.pivots = (), []\n"
+            "class Model:\n    def __init__(me, cr, weights):\n        me.cr, me.weights = cr, weights\n"
+            "        me.cr.comps = ()\n    def reset(self):\n        self.cache = {}\n"
         ),
     }
-    readers = [sources["a"], "def f(p, s, e):\n    return p.algebra, s.rows, e.reduced\n"]
-    # a store in __init__ is no read, and a plain class's annotation is no field
-    assert _orphan_fields(sources, readers) == [("a", "Prolonged", "negative"), ("a", "Reducer", "pivots")]
+    readers = [sources["a"], "def f(p, s, e, m):\n    return p.algebra, s.rows, e.reduced, m.cr\n"]
+    # a store in __init__ is no read, a plain class's annotation is no field,
+    # and a plain class's fields are what its __init__ assigns to its first argument
+    orphans = [("a", "Model", "weights"), ("a", "Prolonged", "negative"), ("a", "Reducer", "pivots")]
+    assert _orphan_fields(sources, readers) == orphans
     # a read through any object keeps the field
-    assert _orphan_fields(sources, readers + ["print(x.negative)\n"]) == [("a", "Reducer", "pivots")]
+    assert _orphan_fields(sources, readers + ["print(x.negative, y.weights)\n"]) == [("a", "Reducer", "pivots")]
 
 
 def test_every_field_of_a_package_class_is_read():
     readers = [path.read_text() for root in READERS for path in sorted(root.rglob("*.py"))]
     assert _orphan_fields({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}, readers) == []
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """A fresh ``import crprolong`` and ``crprolong.cli`` stay off ``dataclasses`` and the ``inspect`` it pulls in.
+
+    Both are start-up cost that every ``crprolong`` process would pay, and
+    no class of the package needs them.
+    """
+    code = "import sys, crprolong, crprolong.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
