@@ -12,8 +12,10 @@ Each key is timed five times per source tree, one run per fresh
 process after the untimed size count and one untimed call, the two trees
 taking turns run by run (the median is reported; ``benchpair.py`` holds this harness).
 
-The sizes are counted on each algebra's stored numerators, so no ``QI``
-table view is built for them: ``n`` (the dimension of the
+The sizes are counted, untimed, on each algebra's ``QI`` table view,
+which every tree gives alike whatever its stored numerator form (a
+packed constant with both a real and an imaginary part is one entry
+there): ``n`` (the dimension of the
 symbol), ``symbol_bracket_entries`` (its nonzero brackets of basis
 pairs) and ``symbol_nonzero_constants`` (its nonzero structure
 constants), then those of the symbol's prolongation on its Hall basis,
@@ -59,10 +61,10 @@ def _sizes(k: int) -> dict:
 
 
 def _table_sizes(name: str, algebra) -> dict:
-    nums, _ = algebra._numerators
+    table = algebra.table
     return {
-        f"{name}_bracket_entries": len(nums),
-        f"{name}_nonzero_constants": sum(map(len, nums.values())),
+        f"{name}_bracket_entries": len(table),
+        f"{name}_nonzero_constants": sum(map(len, table.values())),
     }
 
 

@@ -12,9 +12,10 @@ Each key is timed five times per source tree, one run per fresh process
 after one untimed call, the two trees taking turns run by run (the
 median is reported; ``benchpair.py`` holds this harness).
 
-The sizes of a ``real_form`` key are read from the real form's stored
-numerators and its embedding, which both trees keep, so both report the
-same ones and no ``QI`` table view is built: ``n`` (the dimension),
+The sizes of a ``real_form`` key are read, untimed, from the real form's
+``QI`` views (its ``table`` and its embedding's ``data``), which every
+tree gives alike whatever its stored numerator form, so both report the
+same ones: ``n`` (the dimension),
 ``largest_block`` (the largest degree block, the size of the largest
 fixed-point basis), ``pairs`` (the
 n(n - 1)/2 pairs of real basis vectors), ``bracket_entries`` (the
@@ -30,8 +31,6 @@ current directory.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import benchpair
 
@@ -84,15 +83,15 @@ def _sizes(key: str) -> dict:
     complex_algebra = liealg.build_symbol_algebra(k).algebra
     rf = liealg.real_form(complex_algebra)
     n = rf.algebra.dim
-    nums, den = rf.algebra._numerators
-    constants = [Fraction(re, den) for terms in nums.values() for re, _ in terms.values()]
+    table = rf.algebra.table
+    constants = [c.re for terms in table.values() for c in terms.values()]
     entries = [f for row in rf.embedding.data for x in row for f in (x.re, x.im)]
     return {
         "k": k,
         "n": n,
         "largest_block": max(len(complex_algebra.indices_of_degree(d)) for d in complex_algebra.degrees_present()),
         "pairs": n * (n - 1) // 2,
-        "bracket_entries": len(nums),
+        "bracket_entries": len(table),
         "nonzero_constants": len(constants),
         "max_bits": max(max(abs(f.numerator).bit_length(), f.denominator.bit_length()) for f in constants + entries),
     }

@@ -13,7 +13,8 @@ alike.  Each process times ``PROCESS_RUNS`` calls and keeps its fastest:
 on a shared host one timed call per process reads bimodal, slowed by
 whatever else runs, and the fastest of a few is the stable reading.
 Each side's per-process minima are pooled and their median is its
-time.  The sizes both sides report must agree; a
+time, recorded with their interquartile range (``iqr``), so that a pair
+shows its own noise.  The sizes both sides report must agree; a
 size only the after side reports (a counter of code the before side
 lacks) is recorded from it.  A script may instead name the sizes that
 must agree (``shared``): those are recorded once, and every other size
@@ -50,6 +51,14 @@ def timed(run, runs: int, key: str = "time_s", reset=lambda: None):
     return out, {key: round(statistics.median(times), 4), "runs_s": [round(t, 4) for t in times]}
 
 
+def iqr(values) -> float:
+    """The interquartile range of ``values``, rounded as the times are; 0.0 for fewer than two."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return round(q3 - q1, 4)
+
+
 def run_side(script: str, src: str, key, runs: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run(
@@ -60,7 +69,7 @@ def run_side(script: str, src: str, key, runs: int) -> dict:
 
 
 def compare(script: str, before: str, after: str, keys, key_name: str, repeats: int, shared=None) -> list:
-    """One entry per key: the sizes, both median times and pooled per-process minima, and the speedup.
+    """One entry per key: the sizes, both median times with their interquartile ranges, the pooled per-process minima and the speedup.
 
     ``shared`` names the sizes that must agree; None means every size both sides report.
     """
@@ -85,6 +94,8 @@ def compare(script: str, before: str, after: str, keys, key_name: str, repeats: 
             **sizes,
             "before_s": before_s,
             "after_s": after_s,
+            "before_iqr_s": iqr(runs["before"]),
+            "after_iqr_s": iqr(runs["after"]),
             "before_runs_s": runs["before"],
             "after_runs_s": runs["after"],
             "speedup": round(before_s / after_s, 1),

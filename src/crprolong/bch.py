@@ -94,8 +94,8 @@ class GroupLaw:
             raise NotNilpotent("group law needs strictly negative degrees")
         if check_grading(algebra):
             raise ValueError("group law needs a graded algebra")
-        table, self._den = algebra._numerators  # {(i, j): {k: (re, im)}} over self._den
-        if any(im for terms in table.values() for _, im in terms.values()):
+        table, self._den = algebra._numerators  # {(i, j): {k: re, ~k: im}} over self._den
+        if any(k < 0 for terms in table.values() for k in terms):
             raise ValueError("group law needs real structure constants")
         self.algebra = algebra
         self.cap = -min(algebra.degrees)
@@ -105,7 +105,7 @@ class GroupLaw:
         self.series = bch_series(self.cap)
         # ((i, j), [(k, c)], deg i + deg j) of each table pair, by decreasing degree
         self._pairs = sorted(
-            (((i, j), [(k, c) for k, (c, _) in terms.items()], algebra.degrees[i] + algebra.degrees[j])
+            (((i, j), list(terms.items()), algebra.degrees[i] + algebra.degrees[j])
              for (i, j), terms in table.items()),
             key=lambda pair: -pair[2],
         )

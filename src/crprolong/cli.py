@@ -58,7 +58,11 @@ def _load_models(path):
     if not path:
         return builtin_catalog()
     with open(path, "r", encoding="utf-8") as fh:
-        models = load_catalog(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"catalog: {exc}") from None
+    models = load_catalog(text)
     for mid, model in models.items():
         _bounded(model.codim, f"catalog model {mid!r}: k =")
     return models
@@ -121,7 +125,7 @@ def _resolve_symbol(args):
                 data = json.load(fh)
             except RecursionError:  # the JSON parser's own limit; engine recursion is not caught here
                 raise ValueError("quotient: JSON nested too deeply to parse") from None
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"quotient: {exc}") from None
         quotient = QuotientSpec.from_json_dict(data)
     return build_symbol_algebra(k, quotient)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 
-from .exact import Matrix, rank
+from .exact import Matrix, _relabel, _table_entries, rank
 from .liealg import (
     GradedLieAlgebra,
     NotSelfConjugate,
@@ -107,7 +107,7 @@ def _rotation_preserves_quotient(symbol: SymbolAlgebra) -> bool:
     q in the quotient.
     """
     w = [n - nt for n, nt in (word.bidegree for word in symbol.words)]
-    return all(w[a] + w[b] == w[k] for (a, b), terms in symbol.algebra._numerators[0].items() for k in terms)
+    return all(w[a] + w[b] == w[k] for (a, b), k, _, _ in _table_entries(symbol.algebra._numerators[0].items()))
 
 
 def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
@@ -125,17 +125,19 @@ def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
     d_index = n
     r_index = -1
     # [e_i, d] = -[d, e_i] = -deg(e_i)·e_i
-    entries = [((i, d_index), {i: (-m.degrees[i], 0)}, 1) for i in range(n)]
+    entries = [((i, d_index), {i: -m.degrees[i]}, 1) for i in range(n)]
     if case == COMPLEX_ALPHA:
         r_index = n + 1
-        entries += [((i, r_index), {i: (0, w.bidegree[0] - w.bidegree[1])}, 1) for i, w in enumerate(symbol.words)]
+        entries += [((i, r_index), {~i: w.bidegree[0] - w.bidegree[1]}, 1) for i, w in enumerate(symbol.words)]
     labels = ["d", "r"][: 1 + (r_index > 0)]
     aut = m._extended(labels, [0] * len(labels), entries, J=m.J, scalar_tag="Qi")
 
     # invariant gate: graded, Jacobi, the pinned degree -1 brackets
     # [d, L] = -L, [d, Lb] = -Lb, [r, L] = -iL, [r, Lb] = iLb and [d, r] = 0,
     # nondegeneracy and transitivity; aut extends the symbol's table, so the
-    # Jacobi gate visits only triples with d or r
+    # Jacobi gate visits only triples with d or r.  Grading and the pins hold
+    # by construction, d and r of degree 0 being diagonal with the entries
+    # above, and check the numerators written here
     if check_grading(aut):
         raise AssertionError("aut algebra violates grading")
     if _jacobi_violations(aut, min(aut.degrees)):
@@ -144,9 +146,9 @@ def build_aut_cr(symbol: SymbolAlgebra) -> AutCRAlgebra:
     # for a of degree -1, and [L, r] = iL, [Lb, r] = -iLb
     l_i, lb_i = aut.indices_of_degree(-1)
     nums, den = aut._numerators
-    pinned = [((l_i, d_index), {l_i: (den, 0)}), ((lb_i, d_index), {lb_i: (den, 0)})]
+    pinned = [((l_i, d_index), {l_i: den}), ((lb_i, d_index), {lb_i: den})]
     if case == COMPLEX_ALPHA:
-        pinned += [((l_i, r_index), {l_i: (0, den)}), ((lb_i, r_index), {lb_i: (0, -den)}), ((d_index, r_index), {})]
+        pinned += [((l_i, r_index), {~l_i: den}), ((lb_i, r_index), {~lb_i: -den}), ((d_index, r_index), {})]
     if any(nums.get(key, {}) != want for key, want in pinned):
         raise AssertionError("grade-0 brackets deviate from the pinned convention")
     if not is_nondegenerate_symbol(aut):
@@ -244,8 +246,8 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
         raise NotSelfConjugate("algebra has no conjugation involution")
     l_i, lb_i = m.indices_of_degree(-1)
     sc, sden = m.conjugation._numerators
-    swap = sc.get(l_i) == {lb_i: (sden, 0)} and sc.get(lb_i) == {l_i: (sden, 0)}
-    if not swap or m.J._numerators != ({0: {0: (0, 1)}, 1: {1: (0, -1)}}, 1):
+    swap = sc.get(l_i) == {lb_i: sden} and sc.get(lb_i) == {l_i: sden}
+    if not swap or m.J._numerators != ({0: {~0: 1}, 1: {~1: -1}}, 1):
         raise NotSelfConjugate("degree -1 block is not the swap with J = diag(i, -i)")
     prolonged = full_prolongation(m, LEVI_TANAKA)
     g0 = prolonged.components[0]
@@ -270,18 +272,18 @@ def verify_theorem(symbol: SymbolAlgebra) -> TheoremReport:
     n = m.dim
     total = prolonged.dim
     coords = [_coordinates(g0, (-Matrix.identity(2))._numerators), _coordinates(g0, (-m.J)._numerators)]
-    found = [c for c in coords if c is not None]  # ({i: (re, im)}, den) each
+    found = [c for c in coords if c is not None]  # ({i: re, ~i: im}, den) each
     if coords[0] is None:
         fail("Euler derivation is not in the computed grade-0 component")
     # the elements with blocks -I and -J must span G^0, so dim G^0 is a key of _REAL_GRADE0
     if rank(Matrix._from_numerators(g0.dim, len(found), [(j, c, cden) for j, (c, cden) in enumerate(found)])) != g0.dim:
         fail("candidate isomorphism is not bijective")
     # g_- by the identity, then the d column, then the r column when G^0 has one
-    identity = [(i, {i: (1, 0)}, 1) for i in range(n)]
-    g0_cols = [(n + j, {n + p: (c, 0) for p, c in enumerate(x)}, 1) for j, x in enumerate(_REAL_GRADE0[g0.dim])]
+    identity = [(i, {i: 1}, 1) for i in range(n)]
+    g0_cols = [(n + j, {n + p: c for p, c in enumerate(x)}, 1) for j, x in enumerate(_REAL_GRADE0[g0.dim])]
     iso = Matrix._from_numerators(total, n + g0.dim, identity + g0_cols)
     # the checked map: the same columns with the computed coordinates; an aut column without one stays zero
-    found_cols = [(n + j, {n + i: z for i, z in c.items()}, cden) for j, (c, cden) in enumerate(found)]
+    found_cols = [(n + j, _relabel(c, range(n, n + g0.dim)), cden) for j, (c, cden) in enumerate(found)]
     pair = first_bracket_mismatch(aut.algebra, prolonged.algebra, Matrix._from_numerators(total, aut.dim, identity + found_cols))
     mismatch = None if pair is None else (aut.algebra.labels[pair[0]], aut.algebra.labels[pair[1]])
     # build_aut_cr and full_prolongation raise on any Jacobi or

@@ -13,7 +13,7 @@ twice the columns, so a system of full rank is read only up to the row
 that completes the rank, whatever the scalars.  ``_integer_kernel`` (the
 prolongation's kernels) and the faithfulness test of the nondegeneracy
 and transitivity gates read it, and so does ``_gaussian_rref``, which
-maps ``(re, im)`` rows onto unknowns in a column order and back: rank,
+relabels rows onto unknowns in a column order and back: rank,
 ``Echelon`` (which keeps it) and the frame filtration and quotient read
 that.  The real basis of a conjugation block, the fixed points of the
 involution F(z) = S·conj(z), is read off one ``integer_rref`` of the
@@ -26,18 +26,28 @@ elimination is scheduled.
 
 This module owns the fraction-free form that ``prolong``, ``bch``,
 ``frames`` and ``liealg`` compute on: integer numerators over one positive
-denominator, Gaussian numerators as ``(re, im)`` pairs.  A structure-
-constant table, a ``Matrix`` (columns ``({col: {row: (re, im)}}, den)``)
-and a derivation map's column (``({t: (re, im)}, den)``) are stored in
-it.  Only the solves pack a Gaussian form into one dict, re at key k and
-im at key ~k (``_times_i``): the prolongation's linear forms and
-``_gaussian_reduce``.  ``_gaussian_integers`` is the way in (a real caller
-refuses a nonzero ``im`` itself), ``_sum_forms`` the one scaled sum of
-packed forms and ``_gaussian_sum`` of ``(re, im)`` vectors (one gcd
-each, on the finished sum; a caller that accumulates its own sum uses
-the two steps, ``_over_one_denominator`` and ``_lowest_terms``),
-``_numerator_table`` the one table in lowest terms, and ``_qi(re, im,
-den)`` the way back to a ``QI``.  No other module takes a gcd or an
+denominator, each Gaussian numerator packed into one dict, the real part
+of entry k at key k and its imaginary part at key ~k, each stored only
+where it is nonzero.  A real form is a plain ``{k: int}`` with no
+negative key.  It is the one stored form: a structure-constant table
+(``{(i, j): {k: re, ~k: im}}``), a ``Matrix`` (columns ``({col: {row:
+re, ~row: im}}, den)``), a derivation map's column (``({t: re, ~t: im},
+den)``), the reduced rows of ``Echelon`` and of the frame filtration,
+and every solve's rows.  ``_gaussian_integers`` is the way in.  Only
+this module reads or writes the key layout: ``_entries`` reads a form as
+its parts (index, turn, x), the part x·i^turn of entry index,
+``_table_entries`` reads a whole table so in one pass, ``_key`` writes
+the key of a part, and ``_relabel``, ``_conj``, ``_transpose`` and
+``_gaussian_primitive`` move, conjugate, transpose and normalize whole
+forms.  ``_times_i`` is the one product by i, which ``_term``,
+``_form_terms`` and ``_gaussian_axpy`` apply.  ``_sum_forms`` is the one
+scaled sum of packed forms (one gcd, on the finished sum; a Gaussian
+scale enters as its real part and its i part, ``_term``; a caller that
+accumulates its own sum uses the two steps, ``_over_one_denominator``
+and ``_lowest_terms``), ``_gaussian_axpy`` and ``_gaussian_apply`` the
+accumulating products, ``_numerator_table`` the one table in lowest
+terms, and ``_qi_view`` the way back to ``QI`` for the views, the only
+reader of key k together with key ~k.  No other module takes a gcd or an
 lcm, or reads the slots of a ``QI``.
 """
 
@@ -222,7 +232,7 @@ def qi_from_json(x, where: str) -> QI:
 
 
 class Matrix:
-    """Matrix over Q(i), stored once as Gaussian numerator columns ``({col: {row: (re, im)}}, den)``.
+    """Matrix over Q(i), stored once as packed Gaussian numerator columns ``({col: {row: re, ~row: im}}, den)``.
 
     That is the structure-constant table's form (``_numerator_table``): in
     lowest terms, without zero entries or empty columns.  ``Matrix(rows)``
@@ -247,30 +257,32 @@ class Matrix:
     @classmethod
     def sparse(cls, rows: int, columns) -> "Matrix":
         """The ``rows``-row matrix whose column j is ``columns[j]``, a dict {row: entry}; zeros are dropped."""
+        if any(not isinstance(i, int) or i < 0 for col in columns for i in col):
+            raise ValueError("row index out of range")  # refused before packing, where a negative row would read as an imaginary part
         columns = [_gaussian_integers((i, as_qi(x)) for i, x in col.items()) for col in columns]
         return cls._from_numerators(rows, len(columns), [(j, *col) for j, col in enumerate(columns)])
 
     @classmethod
     def _from_numerators(cls, rows: int, cols: int, entries) -> "Matrix":
-        """The ``rows`` x ``cols`` matrix whose column j is nums/den for ``entries`` = [(j, {row: (re, im)}, den)], brought to lowest terms."""
+        """The ``rows`` x ``cols`` matrix whose column j is nums/den for ``entries`` = [(j, {row: re, ~row: im}, den)], brought to lowest terms."""
         self = object.__new__(cls)
         self.rows, self.cols = rows, cols
         self._numerators = _numerator_table(entries)
-        if any(not 0 <= i < rows for col in self._numerators[0].values() for i in col):
+        if any(not 0 <= (i if i >= 0 else ~i) < rows for col in self._numerators[0].values() for i in col):
             raise ValueError("row index out of range")
         return self
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._from_numerators(n, n, [(j, {j: (1, 0)}, 1) for j in range(n)])
+        return cls._from_numerators(n, n, [(j, {j: 1}, 1) for j in range(n)])
 
     @property
     def data(self):
         nums, den = self._numerators
         out = [[QI_ZERO] * self.cols for _ in range(self.rows)]
         for j, col in nums.items():
-            for i, (re, im) in col.items():
-                out[i][j] = _qi(re, im, den)
+            for i, x in _qi_view(col, den).items():
+                out[i][j] = x
         return tuple(map(tuple, out))
 
     def sparse_column(self, j: int) -> dict:
@@ -278,11 +290,11 @@ class Matrix:
         if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
         nums, den = self._numerators
-        return {i: _qi(re, im, den) for i, (re, im) in sorted(nums.get(j, {}).items())}
+        return dict(sorted(_qi_view(nums.get(j, {}), den).items()))
 
     def __neg__(self) -> "Matrix":
         nums, den = self._numerators
-        return Matrix._from_numerators(self.rows, self.cols, [(j, {i: (-re, -im) for i, (re, im) in col.items()}, den) for j, col in nums.items()])
+        return Matrix._from_numerators(self.rows, self.cols, [(j, {i: -x for i, x in col.items()}, den) for j, col in nums.items()])
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -356,74 +368,123 @@ def _gaussian_reduce(rows, width):
 
 
 def _gaussian_rref(rows, col_order):
-    """Reduced row echelon form of Gaussian integer rows ``{col: (re, im)}``, yielded as ``(col, row, den)``.
+    """Reduced row echelon form of packed Gaussian integer rows ``{col: re, ~col: im}``, yielded as ``(col, row, den)``.
 
     Pivots are taken only in ``col_order`` and come back in that order;
-    each row ``{col: [re, im]}``, over its positive ``den``, is 1 at its
-    pivot and 0 at every other pivot.  Column ``cols[p]`` (``col_order``,
-    then the other columns in increasing order) is unknown p of
-    ``_gaussian_reduce``.
+    each packed row, over its positive ``den``, is 1 at its pivot and 0 at
+    every other pivot.  Column ``cols[p]`` (``col_order``, then the other
+    columns in increasing order) is unknown p of ``_gaussian_reduce``: the
+    rows are relabelled there and back, and nothing else is converted.
     """
     cols = list(col_order)
-    cols += sorted({c for row in rows for c in row} - set(cols))
+    cols += sorted({c if c >= 0 else ~c for row in rows for c in row} - set(cols))
     position = {c: p for p, c in enumerate(cols)}
-    packed = ({k: x for c, (re, im) in row.items() for k, x in ((position[c], re), (~position[c], im)) if x} for row in rows)
-    for p, row in _gaussian_reduce(packed, len(cols))[0]:
+    for p, row in _gaussian_reduce((_relabel(row, position) for row in rows), len(cols))[0]:
         if p < len(col_order):
-            parts = {}
-            for u, x in row.items():
-                parts.setdefault(cols[u if u >= 0 else ~u], [0, 0])[u < 0] = x
-            yield cols[p], parts, row[p]
+            yield cols[p], _relabel(row, cols), row[p]
+
+
+def _entries(form):
+    """The packed Gaussian ``form`` as ``[(index, turn, x)]``: x·i^turn is the real (turn 0) or imaginary (turn 1) part of entry index.
+
+    Every other module reads a packed form through it or
+    ``_table_entries`` and writes a key through ``_key``, its inverse.
+    """
+    return [(u, 0, x) if u >= 0 else (~u, 1, x) for u, x in form.items()]
+
+
+def _table_entries(items):
+    """The parts of the packed forms ``items`` = [(key, form)] as ``(key, index, turn, x)``: ``_entries`` over a whole table, in one generator."""
+    for key, form in items:
+        for u, x in form.items():
+            yield (key, u, 0, x) if u >= 0 else (key, ~u, 1, x)
+
+
+def _transpose(cols, n):
+    """Packed columns ``cols`` = {j: {i: re, ~i: im}}, i < n, as the n packed rows [{j: re, ~j: im}], zeros dropped; each entry keeps its parts."""
+    rows = [{} for _ in range(n)]
+    for j, col in cols.items():
+        for u, x in col.items():
+            if x:
+                rows[u if u >= 0 else ~u][j if u >= 0 else ~j] = x
+    return rows
+
+
+def _key(index, turn):
+    """The packed key of the real (turn 0) or imaginary (turn 1) part of entry ``index``: the inverse of ``_entries``."""
+    return ~index if turn else index
+
+
+def _relabel(form, labels):
+    """The packed Gaussian ``form`` with index u moved to ``labels[u]``: key u to labels[u], key ~u to ~labels[u]."""
+    return {labels[u] if u >= 0 else ~labels[~u]: x for u, x in form.items()}
+
+
+def _conj(form):
+    """The conjugate of a packed Gaussian form: its imaginary parts negated."""
+    return {k: x if k >= 0 else -x for k, x in form.items()}
+
+
+def _qi_view(form, den):
+    """The packed Gaussian ``form`` over ``den`` as ``{k: QI}``, k in order of first appearance.
+
+    The ``QI`` views of tables, matrices, maps and reduced rows read through
+    it: it is the one reader of key k together with key ~k.
+    """
+    return {k: _qi(form.get(k, 0), form.get(~k, 0), den) for k in dict.fromkeys(k if k >= 0 else ~k for k in form)}
 
 
 def _gaussian_integers(entries):
-    """``QI`` entries ``(key, x)`` as ``({key: (re, im)}, den)``, numerators over the lcm of the denominators; zeros dropped."""
+    """``QI`` entries ``(key, x)``, int keys, as ``({key: re, ~key: im}, den)``, numerators over the lcm of the denominators; zeros dropped."""
     entries = [(key, x) for key, x in entries if x]
     den = lcm(*(x._d for _, x in entries))
-    return {key: (x._a * (s := den // x._d), x._b * s) for key, x in entries}, den
+    return {k: y * (den // x._d) for key, x in entries for k, y in ((key, x._a), (~key, x._b)) if y}, den
 
 
 def _gaussian_table(table):
-    """``{key: {k: QI}}`` as ``({key: {k: (re, im)}}, den)``, in lowest terms; zeros and empty keys dropped."""
+    """``{key: {k: QI}}`` as ``({key: {k: re, ~k: im}}, den)``, in lowest terms; zeros and empty keys dropped."""
     return _numerator_table([(key, *_gaussian_integers(terms.items())) for key, terms in table.items()])
 
 
 def _extend_numerators(base, entries):
-    """The numerator table ``base`` = ({key: {k: (re, im)}}, den) plus ``entries`` = [(key, {k: (re, im)}, den)], over the lcm of the denominators.
+    """The numerator table ``base`` = ({key: form}, den) plus ``entries`` = [(key, form, den)], over the lcm of the denominators.
 
-    Zero terms of the entries are dropped, and ``base`` is rescaled only
-    when that lcm exceeds its denominator; its entries are shared otherwise.
+    The forms are packed Gaussian integers.  Zero terms of the entries are
+    dropped, and ``base`` is rescaled only when that lcm exceeds its
+    denominator; its entries are shared otherwise.
     """
     nums, bden = base
     den = lcm(bden, *(d for _, _, d in entries))
     s = den // bden
-    out = dict(nums) if s == 1 else {key: {k: (re * s, im * s) for k, (re, im) in terms.items()} for key, terms in nums.items()}
+    out = dict(nums) if s == 1 else {key: {k: x * s for k, x in terms.items()} for key, terms in nums.items()}
     for key, terms, d in entries:
         f = den // d
-        if terms := {k: (re * f, im * f) for k, (re, im) in terms.items() if re or im}:
+        if terms := {k: x * f for k, x in terms.items() if x}:
             out[key] = terms
     return out, den
 
 
 def _numerator_table(entries):
-    """``entries`` = [(key, {k: (re, im)}, den)] as one table ``({key: {k: (re, im)}}, den)``.
+    """``entries`` = [(key, form, den)] as one table ``({key: form}, den)`` of packed Gaussian forms.
 
     In lowest terms: den is the lcm of the terms' reduced denominators.
     Zero terms and empty keys are dropped.
     """
     nums, den = _extend_numerators(({}, 1), entries)
-    g = gcd(den, *(x for terms in nums.values() for z in terms.values() for x in z))
+    g = gcd(den, *(x for terms in nums.values() for x in terms.values()))
     if g == 1:
         return nums, den
-    return {key: {k: (re // g, im // g) for k, (re, im) in terms.items()} for key, terms in nums.items()}, den // g
+    return {key: {k: x // g for k, x in terms.items()} for key, terms in nums.items()}, den // g
 
 
 def _sum_forms(terms):
-    """Sum of num/den · form at coordinate t over ``terms`` = [(t, num, den, form)], forms {key: int}.
+    """Sum of num/den · form at coordinate t over ``terms`` = [(t, num, den, form)], int num, packed forms {key: int}.
 
-    Returns ``({t: form}, den)``: integer numerators over one common
-    denominator, zeros dropped, in lowest terms (the gcd is taken once, on
-    the finished sum).
+    A Gaussian scale enters as two terms, its real part times the form and
+    its imaginary part times i·form (``_term``, ``_form_terms``).  Returns
+    ``({t: form}, den)``: integer numerators over one common denominator,
+    zeros dropped, in lowest terms (the gcd is taken once, on the finished
+    sum), so equal sums have equal results.
     """
     den = lcm(*(d for _, _, d, _ in terms))
     out = {}
@@ -435,6 +496,26 @@ def _sum_forms(terms):
             for v, x in form.items():
                 acc[v] = acc.get(v, 0) + f * x
     return _lowest_terms(out, den)
+
+
+def _term(t, turn, x, den, form):
+    """The ``_sum_forms`` term of x/den · i^turn · ``form`` at t, for a part x·i^turn of a packed form (``_entries``)."""
+    return t, x, den, _times_i(form) if turn else form
+
+
+def _form_terms(coeffs, x, den, form, labels=None):
+    """The ``_sum_forms`` terms of x/den·c·i^turn·``form`` at ``labels[index]`` (at index without ``labels``), one per part (index, turn, c) of the packed ``coeffs``.
+
+    That is one ``_term`` per part, with i·form made once for all the imaginary parts.
+    """
+    out, turned = [], None
+    for u, c in coeffs.items():
+        if u >= 0:
+            out.append((u if labels is None else labels[u], x * c, den, form))
+        else:
+            turned = turned or _times_i(form)
+            out.append((~u if labels is None else labels[~u], x * c, den, turned))
+    return out
 
 
 def _over_one_denominator(fractions):
@@ -453,37 +534,26 @@ def _lowest_terms(forms, den):
     return {t: {v: x // g for v, x in form.items()} for t, form in out.items()}, den // g
 
 
-def _gaussian_axpy(acc, u, terms):
-    """acc += u·terms, in place, for Gaussian numerators ``acc`` = {t: [re, im]}, ``u`` = (re, im), ``terms`` = {t: (re, im)}."""
-    ur, ui = u
-    for t, (xr, xi) in terms.items():
-        z = acc.setdefault(t, [0, 0])
-        z[0] += ur * xr - ui * xi
-        z[1] += ur * xi + ui * xr
+def _gaussian_axpy(acc, x, form, turn=0):
+    """acc += x·i^turn·form, in place, for packed Gaussian forms ``acc`` and ``form``, an int x and turn 0, 1 or 2; zeros kept.
 
-
-def _gaussian_sum(terms):
-    """The sum of u/d·vec over ``terms`` = [(u, d, vec)], u = (re, im), vec = {k: (re, im)}, as ``({k: (re, im)}, den)``.
-
-    In lowest terms without zeros, so equal sums have equal results; zero is ``({}, 1)``.
+    A part x·i^turn of a packed form (``_entries``) gives turn 0 or 1, the
+    product of two parts the sum of their turns.
     """
-    den = lcm(*(d for _, d, _ in terms))
-    acc = {}
-    for (ur, ui), d, vec in terms:
-        f = den // d
-        _gaussian_axpy(acc, (ur * f, ui * f), vec)
-    out = {k: (re, im) for k, (re, im) in acc.items() if re or im}
-    g = gcd(den, *chain.from_iterable(out.values()))
-    if g == 1:
-        return out, den
-    return {k: (re // g, im // g) for k, (re, im) in out.items()}, den // g
+    x = -x if turn == 2 else x
+    for k, y in (_times_i(form) if turn == 1 else form).items():
+        acc[k] = acc.get(k, 0) + x * y
 
 
 def _gaussian_apply(cols, w):
-    """The sum of w[s]·cols[s] for ``w`` = {s: (re, im)} and ``cols`` = {s: {t: (re, im)}}, as {t: [re, im]}."""
+    """The sum of w[s]·cols[s] for the packed Gaussian ``w`` and ``cols`` = {s: form}, packed, zeros kept."""
     acc = {}
-    for s, u in w.items():
-        _gaussian_axpy(acc, u, cols.get(s, {}))
+    for s, x in w.items():
+        if s < 0:
+            _gaussian_axpy(acc, x, cols.get(~s, {}), 1)
+            continue
+        for k, y in cols.get(s, {}).items():
+            acc[k] = acc.get(k, 0) + x * y
     return acc
 
 
@@ -508,6 +578,13 @@ def _primitive(row, col):
     if row[col] < 0:
         g = -g
     return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _gaussian_primitive(form):
+    """The nonzero packed ``form`` turned by i onto a real part if it has none, then made primitive, positive at its least key."""
+    if max(form) < 0:
+        form = _times_i(form)
+    return _primitive(form, min(form))
 
 
 def integer_rref(rows, width):
@@ -554,7 +631,7 @@ def _integer_kernel(rows, width):
     increasing f: the reduced kernel vector with 1 at f, times the lcm
     ``dens[v]`` of the pivot entries it divides by.
     ``columns`` maps each unknown to the nonzero packed entries of every
-    vector there, so one ``_apply_kernel`` per row checks all vectors at
+    vector there, so one ``_gaussian_apply`` per row checks all vectors at
     once by substitution, in integers, on every row read.
     """
     pivots, read = _gaussian_reduce(rows, width)
@@ -574,7 +651,7 @@ def _integer_kernel(rows, width):
                 col[v if u >= 0 else ~v] = -x * (dens[v] // row[c])
         if col:
             columns[c] = col
-    if any(x for row in read for x in _apply_kernel(row, columns).values()):
+    if any(x for row in read for x in _gaussian_apply(columns, row).values()):
         raise AssertionError("integer kernel produced a non-kernel vector")
     return columns, dens
 
@@ -584,31 +661,19 @@ def _times_i(form):
     return {~k: x if k >= 0 else -x for k, x in form.items()}
 
 
-def _apply_kernel(form, columns):
-    """form · v for every kernel vector v of ``columns`` (``_integer_kernel``) at once, packed, zeros kept."""
-    out = {}
-    for u, c in form.items():
-        if u >= 0:
-            for v, x in columns.get(u, {}).items():
-                out[v] = out.get(v, 0) + c * x
-        else:  # i·c times the column of unknown ~u
-            for v, x in columns.get(~u, {}).items():
-                out[~v] = out.get(~v, 0) + (c * x if v >= 0 else -c * x)
-    return out
-
-
 def _real_fixed_points(s):
-    """Real basis of the fixed points of F(z) = S·conj(z), as ``[({p: (x_p, y_p)}, den, (p, part))]``.
+    """Real basis of the fixed points of F(z) = S·conj(z), as ``[(z, den, (p, part))]``.
 
-    S is square, given as Gaussian numerator columns ``({q: {p: (re, im)}},
-    den)``, one column per q in range(nb).  F is an involution, so its
-    fixed space is the image of F + I, spanned by the 2nb real vectors
-    (F + I)e_q and (F + I)(i·e_q) = i·(e_q - S e_q), times den.  One
-    ``integer_rref`` of them with the real columns x_0..y_{nb-1} in
+    S is square, given as packed Gaussian numerator columns ``({q: {p: re,
+    ~p: im}}, den)``, one column per q in range(nb).  F is an involution,
+    so its fixed space is the image of F + I, spanned by the 2nb real
+    vectors (F + I)e_q and (F + I)(i·e_q) = i·(e_q - S e_q), times den.
+    One ``integer_rref`` of them with the real columns x_0..y_{nb-1} in
     reverse order pivots each basis vector at its last nonzero entry, its
     free column, part 0 (x) or 1 (y) of entry p; there it is ±den and
-    every other vector is 0.  Each vector is signed so that its leading
-    coefficient is positive and checked F·v = v, in integers.
+    every other vector is 0.  Each vector z = x + iy is packed ({p: x_p,
+    ~p: y_p}), signed so that its leading coefficient is positive and
+    checked F·z = z, in integers.
     """
     cols, den = s
     nb = len(cols)
@@ -616,16 +681,17 @@ def _real_fixed_points(s):
     rows = []
     for q, col in cols.items():
         fix, flip = {last - q: den}, {last - nb - q: den}
-        for p, (re, im) in col.items():
-            fix[last - p], fix[last - nb - p] = fix.get(last - p, 0) + re, im
-            flip[last - p], flip[last - nb - p] = im, flip.get(last - nb - p, 0) - re
+        for p, turn, x in _entries(col):
+            # entry p of S e_q is re + i·im: (F + I)e_q gains it, (F + I)(i·e_q) gains -i·(re + i·im) = im - i·re
+            (a, b), y = ((last - nb - p, last - p), x) if turn else ((last - p, last - nb - p), -x)
+            fix[a] = fix.get(a, 0) + x
+            flip[b] = flip.get(b, 0) + y
         rows += fix, flip
     basis = []
     for f, row in reversed(integer_rref(rows, 2 * nb)):
         sign = 1 if row[max(row)] > 0 else -1  # the leading coefficient, at the highest reversed column
-        z = {q: (sign * row.get(last - q, 0), sign * row.get(last - nb - q, 0)) for q in sorted({(last - u) % nb for u in row})}
-        fixed = _gaussian_apply(cols, {q: (x, -y) for q, (x, y) in z.items()})
-        if {q: w for q, w in fixed.items() if w[0] or w[1]} != {q: [den * x, den * y] for q, (x, y) in z.items()}:
+        z = {r if r < nb else ~(r - nb): sign * x for u, x in row.items() for r in (last - u,)}
+        if {k: y for k, y in _gaussian_apply(cols, _conj(z)).items() if y} != {k: den * x for k, x in z.items()}:
             raise AssertionError("real fixed-point basis vector is not fixed by z -> S·conj(z)")
         part, p = divmod(last - f, nb)
         basis.append((z, row[f], (p, part)))
@@ -633,26 +699,26 @@ def _real_fixed_points(s):
 
 
 def _real_coordinates(w, den, columns, dens, free):
-    """The real coordinates of w/den in the basis ``columns`` over ``dens``, as numerators {c: (x, 0)} over den, or None if it has none.
+    """The real coordinates of w/den in the basis ``columns`` over ``dens``, as numerators {c: x} over den, or None if it has none.
 
-    All are Gaussian numerators {a: (re, im)}.  ``free`` = {a: [(c, part)]}
-    names each vector's free column (``_real_fixed_points``), where it is
-    ±1 and the others are 0, so the coordinate of c is ±w[a][part]/den;
-    w must equal that real combination, checked in integers.  Zeros are
-    dropped and c increases.
+    All are packed Gaussian numerators.  ``free`` = {key: [c]} names each
+    vector's free column (``_real_fixed_points``) by its packed key, where
+    the vector is ±1 and the others are 0, so the coordinate of c is
+    ±w[key]/den; w must equal that real combination, checked in integers.
+    Zeros are dropped and c increases.
     """
+    w = {u: x for u, x in w.items() if x}
     coords = {}
-    for a, z in w.items():
-        for c, part in free.get(a, ()):
-            if x := z[part]:
-                coords[c] = x if columns[c][a][part] > 0 else -x
+    for u, x in w.items():
+        for c in free.get(u, ()):
+            coords[c] = x if columns[c][u] > 0 else -x
     scale = lcm(*(dens[c] for c in coords))
     acc = {}
     for c, x in coords.items():
-        _gaussian_axpy(acc, (x * (scale // dens[c]), 0), columns[c])
-    if {a: z for a, z in acc.items() if z[0] or z[1]} != {a: [scale * re, scale * im] for a, (re, im) in w.items() if re or im}:
+        _gaussian_axpy(acc, x * (scale // dens[c]), columns[c])
+    if {u: y for u, y in acc.items() if y} != {u: scale * x for u, x in w.items()}:
         return None
-    return {c: (x, 0) for c, x in sorted(coords.items())}
+    return dict(sorted(coords.items()))
 
 
 def rank(m: Matrix) -> int:
@@ -663,7 +729,7 @@ def rank(m: Matrix) -> int:
 class Echelon:
     """A row span's reduced echelon form, stored once as ``_gaussian_rref``'s numerators.
 
-    ``reduced`` is a tuple of ``(col, {j: (re, im)}, den)``, one per pivot
+    ``reduced`` is a tuple of ``(col, {j: re, ~j: im}, den)``, one per pivot
     col, unique for ``col_order``; the reversed order prefers trailing
     pivots, which is how quotients pick the words that survive.  The
     package builds one only in ``build_symbol_algebra``; ``rows`` and
@@ -678,7 +744,7 @@ class Echelon:
             raise ValueError("row width mismatch")
         sparse = [_gaussian_integers((j, as_qi(x)) for j, x in enumerate(r))[0] for r in rows]
         pivots = _gaussian_rref(sparse, range(cols) if col_order is None else col_order)
-        self.reduced = tuple((c, {j: tuple(z) for j, z in row.items()}, den) for c, row, den in pivots)
+        self.reduced = tuple(pivots)
         self.cols = cols
         self.free_cols = sorted(set(range(cols)).difference(c for c, _, _ in self.reduced))
 
@@ -689,12 +755,15 @@ class Echelon:
     @property
     def rows(self):
         """The reduced rows as dense ``QI`` lists: a view for output and tests."""
-        return [[_qi(*row.get(j, (0, 0)), den) for j in range(self.cols)] for _, row, den in self.reduced]
+        return [[view.get(j, QI_ZERO) for j in range(self.cols)] for _, row, den in self.reduced for view in (_qi_view(row, den),)]
 
     def reduce(self, vec):
         """Canonical representative of ``vec`` modulo the span: vec - Σ_c vec[c]·(row of pivot c), one sum in numerators."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         v, vden = _gaussian_integers((j, as_qi(x)) for j, x in enumerate(vec))
-        out, den = _gaussian_sum([((1, 0), vden, v)] + [((-v[c][0], -v[c][1]), vden * den, row) for c, row, den in self.reduced if c in v])
-        return [_qi(*out.get(j, (0, 0)), den) for j in range(self.cols)]
+        pivots = {c: (row, den) for c, row, den in self.reduced}
+        rows = [(turn, x, *pivots[c]) for c, turn, x in _entries(v) if c in pivots]
+        out, den = _sum_forms([(0, 1, vden, v)] + [_term(0, turn, -x, vden * den, row) for turn, x, row, den in rows])
+        view = _qi_view(out.get(0, {}), den)
+        return [view.get(j, QI_ZERO) for j in range(self.cols)]

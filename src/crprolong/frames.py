@@ -31,7 +31,8 @@ import functools
 import json
 
 from .bch import _mul_into, left_invariant_frame
-from .exact import QI, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _gaussian_sum, _over_one_denominator, _qi
+from .exact import QI, QI_ZERO, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _over_one_denominator, _qi_view
+from .exact import _entries, _key, _relabel, _sum_forms, _term, _transpose
 from .freelie import _bracket_basis, cumulative_dim, hall_basis, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
 from .poly import Poly, PolyVectorField, rigid_chart
@@ -107,7 +108,7 @@ class ModelSpec:
         vecs, dens = zip(*values.values())
         # word c's numerators times s_c = lcm / den_c
         scales, _ = _over_one_denominator([(1, d) for d in dens])
-        rows = [{c: (s * vec[t][0], s * vec[t][1]) for c, (s, vec) in enumerate(zip(scales, vecs)) if any(vec[t])} for t in range(2 + self.codim)]
+        rows = _transpose({c: {t: s * x for t, x in vec.items()} for c, (s, vec) in enumerate(zip(scales, vecs))}, 2 + self.codim)
         reduced = tuple(_gaussian_rref(rows, range(len(vecs))))
         words = tuple(values)
         growth = tuple(sum(1 for c, _, _ in reduced if len(words[c]) <= ell) for ell in range(1, rho + 1))
@@ -270,7 +271,7 @@ class Filtration:
     """Origin values of the bracket filtration: growth vector and reduced form.
 
     ``reduced`` is the reduced row echelon form of the word values, one
-    ``(col, {col: [re, im]}, den)`` per pivot word: ``col`` indexes
+    ``(col, {col: re, ~col: im}, den)`` per pivot word: ``col`` indexes
     ``words``, the Hall words up to the length in Hall order, and the row,
     over its positive ``den``, is 1 at its pivot and 0 at every other
     pivot.  A model shares its filtration, so no reader may change it.
@@ -288,10 +289,10 @@ class Filtration:
 
 
 def _word_values(L, max_length):
-    """Origin values {word: ([(re, im)], den)} of the basis bracket words of (L, Lbar).
+    """Origin values {word: ({t: re, ~t: im}, den)} of the basis bracket words of (L, Lbar).
 
-    The words come in Hall basis order, each value as Gaussian integer
-    numerators, one per coordinate, over that word's positive denominator.
+    The words come in Hall basis order, each value as packed Gaussian
+    integer numerators by coordinate t, over that word's positive denominator.
     Each word is evaluated as a field on a packed form that never becomes
     a :class:`Poly`: a monomial is one ``int`` whose lowest 2 bits hold
     the power of i and whose bit field j holds the exponent of variable j,
@@ -323,24 +324,16 @@ def _word_values(L, max_length):
             u, v = standard_factorization(w.word)
             fields[w.word] = _packed_bracket(fields[u], fields[v], diff(u), diff(v))
         comps, den = fields[w.word]
-        values[w.word] = ([(c.get(0, 0), c.get(1, 0)) for c in comps], den)
+        # the constant terms: monomial 0 is the real part, monomial 1 (i to the power 1) the imaginary part
+        values[w.word] = ({_key(t, turn): x for turn in (0, 1) for t, c in enumerate(comps) if (x := c.get(turn))}, den)
     return values
 
 
 def _packed_field(X: PolyVectorField, shifts):
-    """X's components as packed numerators over one common denominator."""
-    nums, den = _gaussian_integers(
-        ((i, sum(x << shifts[j] for j, x in enumerate(e) if x)), c)
-        for i, p in enumerate(X.comps)
-        for e, c in p.terms.items()
-    )
-    comps = [{} for _ in X.comps]
-    for (i, mono), (re, im) in nums.items():
-        if re:
-            comps[i][mono] = re
-        if im:
-            comps[i][mono | 1] = im
-    return comps, den
+    """X's components as packed numerators over one common denominator, the imaginary part of a monomial at its bit 0."""
+    comps = [_gaussian_integers((sum(x << shifts[j] for j, x in enumerate(e) if x), c) for e, c in p.terms.items()) for p in X.comps]
+    scales, den = _over_one_denominator([(1, d) for _, d in comps])
+    return [{mono | turn: s * x for mono, turn, x in _entries(nums)} for s, (nums, _) in zip(scales, comps)], den
 
 
 def _conjugate_packed(X, perm, shifts, width):
@@ -432,8 +425,14 @@ def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
     top = [(c, row, den) for c, row, den in filt.reduced if c >= n_low]
     free = sorted(set(top_cols) - {c for c, _, _ in top})
     # e_f minus column f of the top pivot rows, at their pivots; the scale of a row is free, so its numerators will do
-    vecs = [_gaussian_sum([((1, 0), 1, {f: (1, 0)})] + [((-row[f][0], -row[f][1]), den, {c: (1, 0)}) for c, row, den in top if f in row])[0] for f in free]
-    rows = tuple(tuple(_qi(*row.get(c, (0, 0)), den) for c in top_cols) for _, row, den in _gaussian_rref(vecs, top_cols))
+    terms = {f: [(0, 1, 1, {f: 1})] for f in free}
+    for c, row, den in top:
+        for f, turn, x in _entries(row):
+            if f in terms:
+                terms[f].append(_term(0, turn, -x, den, {c: 1}))
+    vecs = [_sum_forms(terms[f])[0][0] for f in free]
+    views = (_qi_view(row, den) for _, row, den in _gaussian_rref(vecs, top_cols))
+    rows = tuple(tuple(view.get(c, QI_ZERO) for c in top_cols) for view in views)
     spec = QuotientSpec(kind="frame", rows=rows, provenance=f"frame:{model.model_id}")
     symbol = build_symbol_algebra(k, spec)
     _check_frame_constants(symbol, filt)
@@ -451,22 +450,19 @@ def _check_frame_constants(symbol: SymbolAlgebra, filt: Filtration):
     """
     col = {w: c for c, w in enumerate(filt.words)}
     n_low = cumulative_dim(symbol.length - 1)
-    # the top pivot rows by column: {word column: {pivot row: (re, im)}}
-    top = {}
-    for p, (c, row, _) in enumerate(filt.reduced):
-        if c >= n_low:
-            for j, z in row.items():
-                top.setdefault(j, {})[p] = z
+    # the top pivot rows by column: {word column: {pivot row: re, ~pivot row: im}}
+    top = dict(enumerate(_transpose({p: row for p, (c, row, _) in enumerate(filt.reduced) if c >= n_low}, len(filt.words))))
     nums, den = symbol.algebra._numerators
+    word_cols = [col[w.word] for w in symbol.words]
     for i, wi in enumerate(symbol.words):
         for j in range(i + 1, symbol.dim):
             wj = symbol.words[j]
             if wi.length + wj.length != symbol.length:
                 continue
             # a Hall word's standard bracketing is its own normal form
-            diff = {col[w]: [-c * den, 0] for w, c in _bracket_basis(wi.word, wj.word)}
-            _gaussian_axpy(diff, (1, 0), {col[symbol.words[t].word]: z for t, z in nums.get((i, j), {}).items()})
-            if any(re or im for re, im in _gaussian_apply(top, diff).values()):
+            diff = {col[w]: -c * den for w, c in _bracket_basis(wi.word, wj.word)}
+            _gaussian_axpy(diff, 1, _relabel(nums.get((i, j), {}), word_cols))
+            if any(_gaussian_apply(top, diff).values()):
                 raise AssertionError(f"frame constants disagree at ({wi}, {wj})")
 
 

@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exact import QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
-from .exact import _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_reduce, _gaussian_rref, _gaussian_table, _qi
-from .exact import _numerator_table, _real_coordinates, _real_fixed_points
+from .exact import _conj, _entries, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_reduce, _gaussian_rref, _gaussian_table, _qi
+from .exact import _key, _numerator_table, _qi_view, _real_coordinates, _real_fixed_points, _relabel, _table_entries
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
 __all__ = [
@@ -65,11 +65,11 @@ class GradedLieAlgebra:
     :class:`NotSelfConjugate` is raised.  ``J`` (optional) is a complex
     structure on the degree -1 block and must square to -id.
 
-    The structure constants are stored once, as Gaussian integer
-    numerators ``_numerators`` = ({(i, j): {k: (re, im)}}, den), and every
-    engine path reads them.  ``table``, ``bracket_basis`` and
-    ``bracket_vec`` are ``QI`` views for output (JSON, text, ``==``) and
-    tests.  Every algebra goes through one validation path, ``_build``,
+    The structure constants are stored once, as packed Gaussian integer
+    numerators ``_numerators`` = ({(i, j): {k: re, ~k: im}}, den), and
+    every engine path reads them; a real table has no negative key.
+    ``table``, ``bracket_basis`` and ``bracket_vec`` are ``QI`` views for
+    output (JSON, text, ``==``) and tests.  Every algebra goes through one validation path, ``_build``,
     from numerators: the constructor converts its ``QI`` table,
     ``_from_numerators`` takes numerators, and ``_extended`` appends basis
     vectors to an algebra already built.
@@ -90,6 +90,8 @@ class GradedLieAlgebra:
     __slots__ = ("labels", "degrees", "conjugation", "J", "scalar_tag", "_numerators", "_table", "_expressions", "_jacobi_prefix", "_blocks", "_positions")
 
     def __init__(self, labels, degrees, table, conjugation=None, J=None, scalar_tag="Qi"):
+        if bad := [k for terms in table.values() for k in terms if not isinstance(k, int) or k < 0]:
+            raise ValueError(f"target index out of range: {bad[0]}")  # refused before packing, where a negative k would read as an imaginary part
         nums = _gaussian_table({ij: {k: as_qi(c) for k, c in terms.items()} for ij, terms in table.items()})
         self._build(labels, degrees, None, nums, table, conjugation, J, scalar_tag)  # a key without terms is validated too
 
@@ -103,7 +105,7 @@ class GradedLieAlgebra:
     def _extended(self, labels, degrees, entries, J=None, scalar_tag="Qi") -> "GradedLieAlgebra":
         """This algebra with the basis vectors ``labels``/``degrees`` appended and the brackets ``entries`` added.
 
-        ``entries`` = [((i, j), {k: (re, im)}, den)] are Gaussian numerators,
+        ``entries`` = [((i, j), {k: re, ~k: im}, den)] are packed Gaussian numerators,
         each key with an appended index j, so the table on this algebra's
         indices stays its own.  The extension has no conjugation.
         """
@@ -140,9 +142,9 @@ class GradedLieAlgebra:
                 raise ValueError("table keys must have i < j")
             if j < own:
                 raise ValueError(f"an extension cannot change the bracket {(i, j)} of its prefix")
-            for k in nums.get((i, j), ()):
-                if not 0 <= k < n:
-                    raise ValueError(f"target index out of range: {k}")
+        for _, k, _, _ in _table_entries([(ij, nums.get(ij, {})) for ij in new]):
+            if not 0 <= k < n:
+                raise ValueError(f"target index out of range: {k}")
         self._table = None
         self.conjugation = conjugation
         self.J = J
@@ -160,16 +162,14 @@ class GradedLieAlgebra:
             if s.rows != n or s.cols != n:
                 raise NotSelfConjugate(f"conjugation must be a {n}x{n} matrix, got {s.rows}x{s.cols}")
             cols, sden = s._numerators
-            if any(self.degrees[a] != self.degrees[b] for b, col in cols.items() for a in col):
+            if any(self.degrees[a] != self.degrees[b] for b, a, _, _ in _table_entries(cols.items())):
                 raise NotSelfConjugate("conjugation does not preserve degrees")
             # S·conj(S) = I, column by column on the numerators over sden²
-            conj_cols = _conj(cols)
             for j in range(n):
-                image = _gaussian_apply(cols, conj_cols.get(j, {}))
-                if {t: z for t, z in image.items() if z[0] or z[1]} != {j: [sden * sden, 0]}:
+                if {t: x for t, x in _gaussian_apply(cols, _conj(cols.get(j, {}))).items() if x} != {j: sden * sden}:
                     raise NotSelfConjugate("conjugation is not an involution")
             # sigma[e_i, e_j] = S·conj(c_ij) must equal [S e_i, S e_j]
-            if _table_mismatch(_conj(nums), den, self, cols, sden) is not None:
+            if _table_mismatch({ij: _conj(terms) for ij, terms in nums.items()}, den, self, cols, sden) is not None:
                 raise NotSelfConjugate("structure constants are not conjugation-stable")
 
     @property
@@ -193,7 +193,7 @@ class GradedLieAlgebra:
         """{(i, j): {k: QI}} for i < j: a read-only view of ``_numerators``, in its order, built on first read."""
         if self._table is None:
             nums, den = self._numerators
-            self._table = {ij: {k: _qi(re, im, den) for k, (re, im) in terms.items()} for ij, terms in nums.items()}
+            self._table = {ij: _qi_view(terms, den) for ij, terms in nums.items()}
         return self._table
 
     def bracket_basis(self, i: int, j: int) -> dict:
@@ -273,11 +273,6 @@ class GradedLieAlgebra:
         return json.dumps(self.to_json_dict(meta=meta), indent=2)
 
 
-def _conj(table):
-    """The conjugate of Gaussian numerators {key: {k: (re, im)}}."""
-    return {key: {k: (re, -im) for k, (re, im) in terms.items()} for key, terms in table.items()}
-
-
 def _matrix_to_json(m: Matrix):
     return [[{"re": str(x.re), "im": str(x.im)} for x in row] for row in m.data]
 
@@ -317,7 +312,7 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
     -1 when a < c < b.  A triple reached by no term has a zero Jacobiator.
     A pair (a, b) inside the prefix brackets into it, so its terms with a
     c past the prefix come from the rows of those c alone.  Sums are over
-    den², and only a violating triple goes back to ``QI``.
+    den², packed, and only a violating triple goes back to ``QI``.
     """
     known = algebra._jacobi_prefix
     if known == algebra.dim:
@@ -333,24 +328,22 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
             new_rows.setdefault(a, []).append((b, 1, terms))
             if a >= known:
                 new_rows.setdefault(b, []).append((a, -1, terms))
-    sums = {}  # (i, j, k), i < j < k: {s: [re, im]}
-    for (a, b), outer in nums.items():
-        reach = rows if b >= known else new_rows
-        for t, (xr, xi) in outer.items():
-            for c, sign, inner in reach.get(t, ()):
-                if c == a or c == b:
-                    continue
-                if floor is not None and degrees[a] + degrees[b] + degrees[c] < floor:
-                    continue
-                if a < c < b:
-                    key, sign = (a, c, b), -sign
-                else:
-                    key = (a, b, c) if b < c else (c, a, b)
-                _gaussian_axpy(sums.setdefault(key, {}), (sign * xr, sign * xi), inner)
+    sums = {}  # (i, j, k), i < j < k: {s: re, ~s: im}
+    for (a, b), u, turn, x in _table_entries(nums.items()):
+        for c, sign, inner in (rows if b >= known else new_rows).get(u, ()):
+            if c == a or c == b:
+                continue
+            if floor is not None and degrees[a] + degrees[b] + degrees[c] < floor:
+                continue
+            if a < c < b:
+                key, sign = (a, c, b), -sign
+            else:
+                key = (a, b, c) if b < c else (c, a, b)
+            _gaussian_axpy(sums.setdefault(key, {}), sign * x, inner, turn)
     violations = []
     for key in sorted(sums):
-        acc = {s: _qi(re, im, den * den) for s, (re, im) in sums[key].items() if re or im}
-        if acc:
+        if any(sums[key].values()):
+            acc = _qi_view({s: x for s, x in sums[key].items() if x}, den * den)
             violations.append((*key, [acc.get(s, QI_ZERO) for s in range(algebra.dim)]))
     if not violations:
         algebra._jacobi_prefix = algebra.dim
@@ -359,15 +352,13 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
 
 def check_grading(algebra: GradedLieAlgebra):
     """Structure constants landing outside degree deg(a)+deg(b), as (i, j, k, coefficient), read from ``_numerators``."""
-    violations = []
     degrees = algebra.degrees
     nums, den = algebra._numerators
-    for (i, j), terms in nums.items():
-        target = degrees[i] + degrees[j]
-        for k, (re, im) in terms.items():
-            if degrees[k] != target:
-                violations.append((i, j, k, _qi(re, im, den)))
-    return violations
+    bad = {}
+    for (i, j), k, _, _ in _table_entries(nums.items()):
+        if degrees[k] != degrees[i] + degrees[j]:
+            bad[i, j] = None
+    return [(i, j, k, c) for i, j in bad for k, c in _qi_view(nums[i, j], den).items() if degrees[k] != degrees[i] + degrees[j]]
 
 
 def is_fundamental(algebra: GradedLieAlgebra) -> bool:
@@ -378,8 +369,9 @@ def is_fundamental(algebra: GradedLieAlgebra) -> bool:
 def _generating_expressions(algebra: GradedLieAlgebra):
     """One expression e_x = sum of c·[e_g, e_y], deg g = -1, deg y = deg x + 1, per x of degree <= -2.
 
-    Returns ``{x: ([(g, y, (re, im)), ...], den)}``, c = (re + i·im)/den,
-    or None when some layer m_a is not spanned by [g_-1, m_(a+1)], i.e.
+    Returns ``{x: ([(g, y, turn, c), ...], den)}``, each c/den·i^turn a
+    part of the coefficient (``exact._entries``), or None when some layer
+    m_a is not spanned by [g_-1, m_(a+1)], i.e.
     when the algebra is not fundamental.  One echelon per layer of the
     rows [e_g, e_y], read from ``_numerators`` and each augmented by its
     own unit vector, with pivots on the layer coordinates only: pivot row
@@ -407,12 +399,12 @@ def _solve_generating_expressions(algebra: GradedLieAlgebra):
             # den·[e_g, e_y]; the table is keyed i < j, so a pair with g > y reads -[e_y, e_g]
             sign = 1 if g < y else -1
             terms = nums.get((min(g, y), max(g, y)), {})
-            rows.append({loc[k]: (sign * re, sign * im) for k, (re, im) in terms.items() if algebra.degrees[k] == a} | {nb + p: (den, 0)})
+            rows.append({_key(loc[k], turn): sign * x for k, turn, x in _entries(terms) if algebra.degrees[k] == a} | {nb + p: den})
         pivots = list(_gaussian_rref(rows, range(nb)))
         if len(pivots) != nb:
             return None
         for c, row, pden in pivots:
-            out[block[c]] = ([(*pairs[p - nb], z) for p, z in row.items() if p >= nb], pden)
+            out[block[c]] = ([(*pairs[q - nb], turn, x) for q, turn, x in _entries(row) if q >= nb], pden)
     return out
 
 
@@ -422,7 +414,7 @@ def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
     The rows, one per (x in ``on``, coordinate t) that some [g, x]
     reaches, are read from ``_numerators`` and yielded x by x, packed
     (den·[g, x]_t at the position of g in ``acting``, its imaginary part
-    at the complement), into ``_gaussian_reduce``.  The action is faithful
+    at the complement, as stored), into ``_gaussian_reduce``.  The action is faithful
     iff the rows have full rank, so the reduction stops at the row that
     completes it.
     """
@@ -434,9 +426,9 @@ def _acts_faithfully(algebra: GradedLieAlgebra, acting, on) -> bool:
             for pos, g in enumerate(acting):
                 # the table is keyed i < j, so a pair with g > x reads -[e_x, e_g]
                 sign = 1 if g < x else -1
-                for t, (re, im) in nums.get((min(g, x), max(g, x)), {}).items():
-                    block.setdefault(t, {}).update({pos: sign * re, ~pos: sign * im})
-            yield from ({u: y for u, y in row.items() if y} for row in block.values())
+                for t, turn, y in _entries(nums.get((min(g, x), max(g, x)), {})):
+                    block.setdefault(t, {})[_key(pos, turn)] = sign * y
+            yield from block.values()
 
     return len(_gaussian_reduce(rows(), len(acting))[0]) == len(acting)
 
@@ -454,15 +446,11 @@ def is_pseudocomplex(algebra: GradedLieAlgebra) -> bool:
     ones = algebra.indices_of_degree(-1)
     nums, _ = algebra._numerators
     jcols, jden = algebra.J._numerators
-    rows = {}  # a: [(b, J[a][b])] on the indices of the algebra
-    for q, col in jcols.items():
-        for p, z in col.items():
-            rows.setdefault(ones[p], []).append((ones[q], z))
-    images = _bracket_images(nums, rows)
+    images = _bracket_images(nums, _rows({ones[q]: _relabel(col, ones) for q, col in jcols.items()}))
     f = jden * jden
     for a, b in combinations(ones, 2):
-        want = {k: [f * re, f * im] for k, (re, im) in nums.get((a, b), {}).items()}
-        if {k: z for k, z in images.get((a, b), {}).items() if z[0] or z[1]} != want:
+        want = {k: f * x for k, x in nums.get((a, b), {}).items()}
+        if {k: x for k, x in images.get((a, b), {}).items() if x} != want:
             return False
     return True
 
@@ -574,12 +562,12 @@ def conjugation_adapted_top_basis(rho: int):
     top = [w for w in hall_basis(rho).words if w.length == rho]
     pos = {w.word: p for p, w in enumerate(top)}
     # column j of S: the coefficients of the top words in the swap of top word j
-    swap = {j: {pos[word]: (c, 0) for word, c in conjugate_normal_form(w.word)} for j, w in enumerate(top)}
+    swap = {j: {pos[word]: c for word, c in conjugate_normal_form(w.word)} for j, w in enumerate(top)}
     tagged = []
-    for vec, den, _ in _real_fixed_points((swap, 1)):
-        # the system splits, so each vector lies in the x half (part 0) or the y half (part 1)
-        part = 0 if any(x for x, _ in vec.values()) else 1
-        tagged.append((min(vec), part, tuple(_qi(vec.get(p, (0, 0))[part], 0, den) for p in range(len(top)))))
+    for vec, den, (_, part) in _real_fixed_points((swap, 1)):
+        # the system splits, so each vector lies in the x half (part 0, keys p) or the y half (part 1, keys ~p)
+        half = {p: x for p, _, x in _entries(vec)}
+        tagged.append((min(half), part, tuple(_qi(half.get(p, 0), 0, den) for p in range(len(top)))))
     tagged.sort(key=lambda t: t[:2])
     return tuple((v, 1 - 2 * part) for _, part, v in tagged)
 
@@ -649,16 +637,19 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
 
     # the quotient map π on words, over pden: a lower or retained word keeps its
     # coordinate, and a pivot top word c goes to minus the rest of its reduced
-    # row, which is zero at every other pivot
-    pi = [(w.word, {i: (1, 0)}, 1) for i, w in enumerate(low_words)]
-    pi += [(top_words[t].word, {pos: (1, 0)}, 1) for t, pos in pos_top_retained.items()]
-    pi += [(top_words[c].word, {pos_top_retained[t]: (-re, -im) for t, (re, im) in sorted(row.items()) if t != c}, den) for c, row, den in reducer.reduced]
+    # row, which is zero at every other pivot; π is keyed by the Hall words'
+    # positions in ``basis``, so a combination of words is a packed form
+    hall = {w.word: h for h, w in enumerate(basis.words)}
+    pi = [(hall[w.word], {i: 1}, 1) for i, w in enumerate(low_words)]
+    pi += [(hall[top_words[t].word], {pos: 1}, 1) for t, pos in pos_top_retained.items()]
+    for c, row, den in reducer.reduced:
+        pi.append((hall[top_words[c].word], _relabel({u: -x for u, x in row.items() if u != c}, pos_top_retained), den))
     pi_nums, pden = _numerator_table(pi)
 
     n = len(words)
     # a Hall word's standard bracketing is its own normal form
     entries = [
-        ((i, j), _gaussian_apply(pi_nums, {w: (c, 0) for w, c in _bracket_basis(words[i].word, words[j].word)}), pden)
+        ((i, j), _gaussian_apply(pi_nums, {hall[w]: c for w, c in _bracket_basis(words[i].word, words[j].word)}), pden)
         for i in range(n)
         for j in range(i + 1, n)
         if words[i].length + words[j].length <= rho
@@ -669,20 +660,24 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     # when π(S·conj(q)) = Σ_t conj(q_t)·π(S·e_t) vanishes for every quotient row q
     def swap(w):
         """π(S·w) over pden."""
-        return _gaussian_apply(pi_nums, {v: (c, 0) for v, c in conjugate_normal_form(w.word)})
+        return _gaussian_apply(pi_nums, {hall[v]: c for v, c in conjugate_normal_form(w.word)})
 
     swapped = {t: swap(w) for t, w in enumerate(top_words)}
-    conj_rows = ({t: (re, -im) for t, (re, im) in row.items()} for _, row, _ in reducer.reduced)
-    stable = not any(any(re or im for re, im in _gaussian_apply(swapped, q).values()) for q in conj_rows)
+    stable = not any(any(_gaussian_apply(swapped, _conj(row)).values()) for _, row, _ in reducer.reduced)
     conjugation = None
     if stable:
         conj_cols = [swap(w) for w in low_words] + [swapped[t] for t in retained]
         conjugation = Matrix._from_numerators(n, n, [(j, col, pden) for j, col in enumerate(conj_cols)])
 
-    j_mat = Matrix._from_numerators(2, 2, [(0, {0: (0, 1)}, 1), (1, {1: (0, -1)}, 1)])
+    j_mat = Matrix._from_numerators(2, 2, [(0, {~0: 1}, 1), (1, {~1: -1}, 1)])
     algebra = GradedLieAlgebra._from_numerators(labels, degrees, _numerator_table(entries), conjugation=conjugation, J=j_mat, scalar_tag="Qi")
 
-    # invariant gate
+    # invariant gate.  Each holds by construction and checks the arithmetic
+    # above: the table is the free nilpotent algebra's, bracketed by Hall
+    # normal forms, modulo a subspace of its top layer, which is central, so
+    # it is graded and satisfies Jacobi; the lower layers keep every Hall
+    # word, and the rank check leaves keep = 2 + k - (their dimension) top
+    # words; and degree -1 generates the free algebra, hence its quotient
     if check_grading(algebra):
         raise AssertionError("symbol algebra violates grading")
     if _jacobi_violations(algebra, min(algebra.degrees)):
@@ -735,37 +730,34 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
     """
     if algebra.conjugation is None:
         raise NotSelfConjugate("algebra has no conjugation involution")
-    columns, dens = [], []  # real basis vector c: {complex index: (re, im)} over dens[c]
+    columns, dens = [], []  # real basis vector c: its packed complex coordinates over dens[c]
     sc, sden = algebra.conjugation._numerators
-    free = {}  # complex index a: [(c, part)], the free columns of the real basis vectors at a
-    owners = {}  # complex index a: [(c, numerator of a in column c)]
+    free = {}  # packed key: [c], the real basis vectors whose free column it is
     labels, degrees = [], []
     loc = algebra._positions
     for d in algebra.degrees_present():
         block = algebra.indices_of_degree(d)
-        s = {q: {loc[a]: z for a, z in sc.get(b, {}).items()} for q, b in enumerate(block)}  # S on the block, over sden
-        basis = _real_fixed_points((s, sden))  # column c of E_d, [({p: (re, im)}, den, free column)] on the positions p of block
+        s = {q: _relabel(sc.get(b, {}), loc) for q, b in enumerate(block)}  # S on the block, over sden
+        basis = _real_fixed_points((s, sden))  # column c of E_d, [(packed column, den, free column)] on the positions p of block
         if len(basis) != len(block):
             raise NotSelfConjugate("real form of a degree block has wrong dimension")
         first = len(columns)
         for c, (col, den, (p, part)) in enumerate(basis, first):
-            for q, z in col.items():
-                owners.setdefault(block[q], []).append((c, z))
-            free.setdefault(block[p], []).append((c, part))
-            columns.append({block[q]: z for q, z in col.items()})
+            free.setdefault(_key(block[p], part), []).append(c)
+            columns.append(_relabel(col, block))
             dens.append(den)
             degrees.append(d)
             labels.append(("y" if labels else "x") if d == -1 else f"e{-d}_{c - first + 1}")
 
     def real_coords(w: dict, den: int, message: str) -> dict:
-        """The real coordinates of w / den for Gaussian numerators w, as numerators {c: (x, 0)} over den without zeros."""
+        """The real coordinates of w / den for packed Gaussian numerators w, as numerators {c: x} over den without zeros."""
         coords = _real_coordinates(w, den, columns, dens, free)
         if coords is None:
             raise NotSelfConjugate(message)
         return coords
 
     consts, tden = algebra._numerators
-    brackets = _bracket_images(consts, owners)  # over dens[i]·dens[j]·tden
+    brackets = _bracket_images(consts, _rows(dict(enumerate(columns))))  # over dens[i]·dens[j]·tden
     message = "real form produced non-real structure constants"
     entries = []
     for (i, j), w in sorted(brackets.items()):
@@ -776,12 +768,12 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
         ones_c = algebra.indices_of_degree(-1)
         ones_r = [c for c, d in enumerate(degrees) if d == -1]
         jm, jden = algebra.J._numerators
-        j_cols = {ones_c[q]: {ones_c[p]: z for p, z in col.items()} for q, col in jm.items()}  # over jden
+        j_cols = {ones_c[q]: _relabel(col, ones_c) for q, col in jm.items()}  # over jden
         jr_cols = []
         for q, r in enumerate(ones_r):
             den = dens[r] * jden
             coords = real_coords(_gaussian_apply(j_cols, columns[r]), den, "J does not restrict to the real form")
-            jr_cols.append((q, {ones_r.index(t): z for t, z in coords.items()}, den))
+            jr_cols.append((q, {ones_r.index(t): x for t, x in coords.items()}, den))
         j_real = Matrix._from_numerators(len(ones_r), len(ones_r), jr_cols)
     real = GradedLieAlgebra._from_numerators(labels, degrees, _numerator_table(entries), J=j_real, scalar_tag="Q")
     emb = Matrix._from_numerators(algebra.dim, len(columns), [(c, col, dens[c]) for c, col in enumerate(columns)])
@@ -816,27 +808,29 @@ def _table_mismatch(nums, den, dst: GradedLieAlgebra, cols, pden):
     both sides.
     """
     dnums, dden = dst._numerators
-    rows = {}  # a: [(j, P[a][j])]
-    for j, col in cols.items():
-        for a, z in col.items():
-            rows.setdefault(a, []).append((j, z))
-    diff = _bracket_images(dnums, rows, -den)  # pden·dden·(P·c_ij) - den·[P e_i, P e_j]
+    diff = _bracket_images(dnums, _rows(cols), -den)  # pden·dden·(P·c_ij) - den·[P e_i, P e_j]
     f = pden * dden
-    for ij, terms in nums.items():
-        for k, (cr, ci) in terms.items():
-            _gaussian_axpy(diff.setdefault(ij, {}), (f * cr, f * ci), cols.get(k, {}))
-    return min((ij for ij, acc in diff.items() if any(re or im for re, im in acc.values())), default=None)
+    for ij, k, turn, x in _table_entries(nums.items()):
+        _gaussian_axpy(diff.setdefault(ij, {}), f * x, cols.get(k, {}), turn)
+    return min((ij for ij, acc in diff.items() if any(acc.values())), default=None)
+
+
+def _rows(cols):
+    """The rows {a: [(j, turn, x)]} of the packed columns ``cols`` = {j: form}: entry (a, j) has the part x·i^turn (``exact._entries``)."""
+    rows = {}
+    for j, a, turn, x in _table_entries(cols.items()):
+        rows.setdefault(a, []).append((j, turn, x))
+    return rows
 
 
 def _bracket_images(nums, rows, scale=1):
-    """scale·[P e_i, P e_j] as {(i, j): {k: [re, im]}}, i < j, for the bracket numerators ``nums`` and the rows {a: [(i, P[a][i])]} of P."""
+    """scale·[P e_i, P e_j] as packed {(i, j): form}, i < j, zeros kept, for the bracket numerators ``nums`` and the rows of P (``_rows``)."""
     out = {}
     for (a, b), terms in nums.items():
-        for i, (xr, xi) in rows.get(a, ()):
-            for j, (yr, yi) in rows.get(b, ()):
+        for i, ti, x in rows.get(a, ()):
+            for j, tj, y in rows.get(b, ()):
                 if i != j:  # the (a, b) and (b, a) terms of [P e_i, P e_i] cancel
                     sign = scale if i < j else -scale
-                    u = (sign * (xr * yr - xi * yi), sign * (xr * yi + xi * yr))
-                    _gaussian_axpy(out.setdefault((min(i, j), max(i, j)), {}), u, terms)
+                    _gaussian_axpy(out.setdefault((min(i, j), max(i, j)), {}), sign * x * y, terms, ti + tj)
     return out
 

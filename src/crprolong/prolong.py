@@ -29,11 +29,11 @@ usual induction [d, e](x) = [[d, x], e] + [d, [e, x]] on g_-1 alone, and
 the coordinates of [d, e] are read off that block at the basis pivots
 (``_coordinates``); its action on the rest of m is the Jacobi identity on
 (e_x, d, e), left to the Jacobi gate of the assembled table.  All
-of it runs on Gaussian integer numerators: a derivation map keeps its
-columns in the form of the structure constants and of a ``Matrix``
-(``({t: (re, im)}, den)``), the packed form lives only inside the solve's
-linear forms, and ``DerivationMap.flatten`` writes the one ``QI``, for
-output.
+of it runs on packed Gaussian integer numerators, the one form of
+``exact``: a derivation map keeps its columns in the form of the
+structure constants and of a ``Matrix`` (``({t: re, ~t: im}, den)``), the
+solve's linear forms are packed the same way, and
+``DerivationMap.flatten`` writes the one ``QI``, for output.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, combinations, product
 
-from .exact import _apply_kernel, _gaussian_sum, _integer_kernel, _numerator_table, _primitive, _qi, _sum_forms, _times_i
-from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, check_jacobi, is_pseudocomplex
+from .exact import QI_ZERO, _entries, _form_terms, _gaussian_apply, _gaussian_axpy, _gaussian_primitive, _integer_kernel, _key, _lowest_terms, _numerator_table
+from .exact import _qi_view, _relabel, _sum_forms, _term, _transpose
+from .liealg import GradedLieAlgebra, MissingJ, _acts_faithfully, _generating_expressions, _rows, check_jacobi, is_pseudocomplex
 
 __all__ = [
     "DerivationMap",
@@ -77,8 +78,8 @@ class DerivationMap:
     """A degree-l graded map out of m, one block per source degree, kept in integers.
 
     blocks[a] = (dim V_(a+l), columns): column s, the image of basis
-    vector s of m_a, is ``({t: (re, im)}, den)``, its nonzero coordinates
-    as Gaussian integer numerators, t increasing, over one positive
+    vector s of m_a, is ``({t: re, ~t: im}, den)``, its nonzero coordinates
+    as packed Gaussian integer numerators, t increasing, over one positive
     denominator: the form of a ``Matrix`` column and of the structure
     constants.  V_(a+l) is the m block for a + l <= -1, else the
     already-computed component of that degree.  ``flatten`` is the one way
@@ -95,7 +96,8 @@ class DerivationMap:
         for a in source_degrees:
             rows, columns = self.blocks[a]
             for col, den in columns:
-                out.extend(_qi(*col.get(t, (0, 0)), den) for t in range(rows))
+                view = _qi_view(col, den)
+                out.extend(view.get(t, QI_ZERO) for t in range(rows))
         return out
 
 
@@ -110,21 +112,16 @@ class ProlongationComponent:
 
     @cached_property
     def pivots(self):
-        """Each map's pivot (t, s) and its g_-1 columns, read once for ``_coordinates``."""
+        """{pivot (t, s): (i, the g_-1 columns of map i)} over the maps, read once for ``_coordinates``."""
         ones = [dm.blocks[-1][1] for dm in self.maps]
-        return tuple((max((t, s) for s, (col, _) in enumerate(cols) for t in col), cols) for cols in ones)
+        return {max((t, s) for s, (col, _) in enumerate(cols) for t, _, _ in _entries(col)): (i, cols) for i, cols in enumerate(ones)}
 
 
 def _distinct_rows(forms):
-    """Each nonzero packed form made primitive (gcd 1, first entry positive), yielded once per class up to scale.
-
-    A form with only imaginary parts is turned by i onto a real one first.
-    """
+    """Each nonzero packed form made primitive (``exact._gaussian_primitive``), yielded once per class up to scale."""
     seen = set()
     for form in forms:
-        if max(form) < 0:
-            form = _times_i(form)
-        row = tuple(sorted(_primitive(form, min(form)).items()))
+        row = tuple(sorted(_gaussian_primitive(form).items()))
         if row not in seen:
             seen.add(row)
             yield dict(row)
@@ -159,7 +156,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     scale and streamed into ``_integer_kernel`` over Q(i), which stops at
     full rank: the component is then zero, and no later row or image is
     built.  Otherwise every row
-    is checked by substitution in integers, and one ``_apply_kernel`` per
+    is checked by substitution in integers, and one ``_gaussian_apply`` per
     coordinate form of each image gives that coordinate of every basis
     map, stored as Gaussian numerator columns.  The
     unknowns keep the order of the trailing g_-1 block of a solve for all
@@ -178,13 +175,6 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     dims = m.dims_by_degree() | {d: c.dim for d, c in enumerate(components[:l])}
     loc = m._positions
 
-    def scaled(terms, t, re, im, den, form):
-        """Append to ``terms`` those of (re + i·im)/den·form at coordinate t."""
-        if re:
-            terms.append((t, re, den, form))
-        if im:
-            terms.append((t, im, den, _times_i(form)))
-
     def bracket(image, sdeg, y, sign):
         """Terms of sign·[D e, e_y] for ``image`` = ({s: form}, den), the coordinates of D e in V_sdeg."""
         forms, den = image
@@ -192,14 +182,12 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         for s, form in forms.items():
             if sdeg >= 0:
                 coeffs, aden = components[sdeg].maps[s].blocks[m.degrees[y]][1][loc[y]]
-                for t, (a, b) in coeffs.items():
-                    scaled(terms, t, sign * a, sign * b, aden * den, form)
+                terms += _form_terms(coeffs, sign, aden * den, form)
             else:
                 # the table is keyed i < j: [e_x, e_y] = -[e_y, e_x]
                 x = blocks[sdeg][s]
                 f = sign if x < y else -sign
-                for k, (a, b) in nums.get((min(x, y), max(x, y)), {}).items():
-                    scaled(terms, loc[k], f * a, f * b, mden * den, form)
+                terms += _form_terms(nums.get((min(x, y), max(x, y)), {}), f, mden * den, form, loc)
         return terms
 
     nb = len(blocks[-1])
@@ -207,16 +195,15 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     jrows, zero = [], set()
     if j_constraint:
         jcols, jden = m.J._numerators
-        jm = {(p, q): z for q, col in jcols.items() for p, z in col.items()}
+        j_rows = _rows(jcols)
         for p, q in product(range(nb), repeat=2):
-            # (D J - J D)[p][q] on the g_-1 block, times the denominator of J
-            acc = {}
-            for s in range(nb):
-                for v, (re, im), c in ((p * nb + s, jm.get((s, q), (0, 0)), 1), (s * nb + q, jm.get((p, s), (0, 0)), -1)):
-                    acc[v] = acc.get(v, 0) + c * re
-                    acc[~v] = acc.get(~v, 0) + c * im
+            # (D J - J D)[p][q] on the g_-1 block, times the denominator of J:
+            # the sum over s of J[s][q] at unknown (p, s) minus J[p][s] at unknown (s, q)
+            acc = _relabel(jcols.get(q, {}), range(p * nb, p * nb + nb))
+            for s, turn, x in j_rows.get(p, ()):
+                _gaussian_axpy(acc, -x, {s * nb + q: 1}, turn)
             form = {v: x for v, x in acc.items() if x}
-            support = {v if v >= 0 else ~v for v in form}
+            support = {v for v, _, _ in _entries(form)}
             if len(support) == 1:
                 zero |= support
                 form = {v: 1 for v in support}
@@ -234,12 +221,12 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
             # parts[g, y] = -[D e_g, e_y] + [D e_y, e_g], shared within a layer; D(e_x) = -sum of c·parts[g, y]
             expression, cden = gens[x]
             terms = []
-            for g, y, (cr, ci) in expression:
+            for g, y, turn, c in expression:
                 if (g, y) not in parts:
                     parts[g, y] = _sum_forms(bracket(image_of(g), l - 1, y, -1) + bracket(image_of(y), m.degrees[y] + l, g, 1))
                 forms, pden = parts[g, y]
                 for t, form in forms.items():
-                    scaled(terms, t, -cr, -ci, cden * pden, form)
+                    terms.append(_term(t, turn, -c, cden * pden, form))
             image[x] = _sum_forms(terms)
         return image[x]
 
@@ -251,10 +238,10 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         for i, j in map(sorted, pairs):
             # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
             terms = []
-            for k, (gr, gi) in nums.get((i, j), {}).items():
+            for k, turn, g in _entries(nums.get((i, j), {})):
                 forms, den = image_of(k)
                 for t, form in forms.items():
-                    scaled(terms, t, -gr, -gi, mden * den, form)
+                    terms.append(_term(t, turn, -g, mden * den, form))
             terms += bracket(image_of(i), m.degrees[i] + l, j, 1)
             terms += bracket(image_of(j), m.degrees[j] + l, i, -1)
             yield from _sum_forms(terms)[0].values()
@@ -263,14 +250,8 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     maps = [{a: (dims.get(a + l, 0), []) for a in blocks} for _ in vdens]
     for y in range(m.dim if vdens else 0):  # by increasing index, so each block's columns come in local order
         forms, den = image_of(y)
-        images = [{} for _ in vdens]
-        for t, form in sorted(forms.items()):
-            # coordinate t of D(e_y) for every kernel vector v at once; key ~v is its imaginary part
-            for v, n in _apply_kernel(form, columns).items():
-                if n:
-                    col = images[v if v >= 0 else ~v]
-                    re, im = col.get(t, (0, 0))
-                    col[t] = (n, im) if v >= 0 else (re, n)
+        # coordinate t of D(e_y) for every kernel vector v at once, as rows by v
+        images = _transpose({t: _gaussian_apply(columns, form) for t, form in sorted(forms.items())}, len(vdens))
         for out, col, vden in zip(maps, images, vdens):
             out[m.degrees[y]][1].append((col, vden * den))
     del image_of  # it calls itself: free that reference cycle, and the images, now
@@ -365,7 +346,7 @@ def full_prolongation(m: GradedLieAlgebra, flavor: str = LEVI_TANAKA) -> Prolong
 
 
 def _coordinates(component: ProlongationComponent, block):
-    """Coordinates ({i: (re, im)}, den) in ``component`` of the element with g_-1 block ``block`` = ({s: {t: (re, im)}}, den), or None.
+    """Coordinates ({i: re, ~i: im}, den) in ``component`` of the element with g_-1 block ``block`` = ({s: {t: re, ~t: im}}, den), or None.
 
     The negative part is fundamental, so a derivation is fixed by its g_-1
     block (Tanaka 1970), and ``_solve_component`` returns each basis
@@ -376,12 +357,17 @@ def _coordinates(component: ProlongationComponent, block):
     """
     cols, den = block
     coords = {}
-    rest = [((1, 0), den, {(s, t): z for s, col in cols.items() for t, z in col.items()})]  # block minus the recombination
-    for i, ((t, s), ones) in enumerate(component.pivots):
-        if z := cols.get(s, {}).get(t):
-            coords[i] = z
-            rest += [((-z[0], -z[1]), den * d, {(q, r): w for r, w in col.items()}) for q, (col, d) in enumerate(ones)]
-    return None if _gaussian_sum(rest)[0] else _gaussian_sum([((1, 0), den, coords)])
+    rest = [(s, 1, den, col) for s, col in cols.items()]  # block minus the recombination, column by column
+    for s, col in cols.items():
+        for u, turn, x in _entries(col):
+            if (pivot := component.pivots.get((u, s))) is not None:
+                i, ones = pivot
+                coords[_key(i, turn)] = x
+                rest += [_term(q, turn, -x, den * d, mcol) for q, (mcol, d) in enumerate(ones)]
+    if _sum_forms(rest)[0]:
+        return None
+    forms, den = _lowest_terms({0: coords}, den)
+    return forms.get(0, {}), den
 
 
 def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
@@ -418,8 +404,8 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
             col, den = dm.blocks[a][1][loc[x]]
             if col:
                 # [e_g, e_x] = g(e_x) = -[e_x, e_g]
-                brackets[g, x] = {slots[a + dm.degree][t]: z for t, z in col.items()}, den
-                brackets[x, g] = {slots[a + dm.degree][t]: (-re, -im) for t, (re, im) in col.items()}, den
+                brackets[g, x] = _relabel(col, slots[a + dm.degree]), den
+                brackets[x, g] = {t: -y for t, y in brackets[g, x][0].items()}, den
 
     # by increasing degree sum, so the induction only consults finished entries
     pairs = sorted(
@@ -440,21 +426,24 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
                     # column p of the g_-1 block of [d, e] is [[d, e], e_x] = -[d, [e_x, e]] - [e, [d, e_x]]
                     terms = []
                     for g, (vec, vden) in ((gi, brackets.get((x, gj), ({}, 1))), (gj, brackets.get((gi, x), ({}, 1)))):
-                        for t, (re, im) in vec.items():
+                        for t, turn, y in _entries(vec):
                             image, den = brackets.get((g, t), ({}, 1))
-                            terms.append(((-re, -im), vden * den, image))
-                    col, den = _gaussian_sum(terms)
-                    if any(degrees[t] != s - 1 for t in col):
+                            terms.append(_term(0, turn, -y, vden * den, image))
+                    forms, den = _sum_forms(terms)
+                    col = forms.get(0, {})
+                    # holds by construction when each map's degree is its component's: a map of
+                    # degree l sends degree a to a + l, so every term lies in degree k + l - 1
+                    if any(degrees[t] != s - 1 for t, _, _ in _entries(col)):
                         raise RuntimeError("bracket action landed outside its degree slot")
-                    columns.append((p, {row[t]: z for t, z in col.items()}, den))
+                    columns.append((p, _relabel(col, row), den))
                 coords = _coordinates(target, _numerator_table(columns))
                 if coords is None and not target.dim:
                     raise RuntimeError(f"bracket of degrees {k} and {l} acts nontrivially beyond the terminal component")
                 if coords is None:
                     raise RuntimeError(f"bracket of G^{k} and G^{l} escapes G^{s}")
                 if coords[0]:
-                    brackets[gi, gj] = {comp_base[s] + i: z for i, z in coords[0].items()}, coords[1]
-                    brackets[gj, gi] = {comp_base[s] + i: (-re, -im) for i, (re, im) in coords[0].items()}, coords[1]
+                    brackets[gi, gj] = _relabel(coords[0], range(comp_base[s], comp_base[s] + target.dim)), coords[1]
+                    brackets[gj, gi] = {t: -y for t, y in brackets[gi, gj][0].items()}, coords[1]
 
     entries = [(key, *value) for key, value in brackets.items() if key[0] < key[1]]
     return m._extended(labels[n:], degrees[n:], entries, scalar_tag=m.scalar_tag)

@@ -2,7 +2,7 @@
 
 ``map_column`` reads a stored column of a ``prolong.DerivationMap`` as
 ``QI``, and ``block_coordinates`` calls ``prolong._coordinates`` with the
-numerator columns of a ``Matrix`` block and gives one ``QI`` per map back.
+packed numerator columns of a ``Matrix`` block and gives one ``QI`` per map back.
 """
 
 from fractions import Fraction
@@ -17,10 +17,15 @@ def block_coordinates(component, block):
     if found is None:
         return None
     nums, den = found
-    return [QI(Fraction(re, den), Fraction(im, den)) for re, im in (nums.get(i, (0, 0)) for i in range(component.dim))]
+    return [_qi(nums, i, den) for i in range(component.dim)]
 
 
 def map_column(dm, a, s):
     """The image of basis vector s of m_a under the derivation map ``dm``, as {t: QI} without zeros."""
     nums, den = dm.blocks[a][1][s]
-    return {t: QI(Fraction(re, den), Fraction(im, den)) for t, (re, im) in nums.items()}
+    return {t: _qi(nums, t, den) for t in sorted({t if t >= 0 else ~t for t in nums})}
+
+
+def _qi(nums, t, den):
+    """Entry t of the packed Gaussian numerators ``nums`` (re at key t, im at key ~t) over ``den``."""
+    return QI(Fraction(nums.get(t, 0), den), Fraction(nums.get(~t, 0), den))

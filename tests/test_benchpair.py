@@ -36,7 +36,7 @@ def test_compare_alternates_the_side_that_runs_first(benchpair, monkeypatch):
     assert calls == [("a", src, benchpair.PROCESS_RUNS) for src in order] + [("b", src, benchpair.PROCESS_RUNS) for src in order]
     assert benchpair.PROCESS_RUNS == 3
     assert entries[0] == {
-        "workload": "a", "n": 4, "before_s": 0.6, "after_s": 0.3,
+        "workload": "a", "n": 4, "before_s": 0.6, "after_s": 0.3, "before_iqr_s": 0.1, "after_iqr_s": 0.1,
         "before_runs_s": [0.5, 0.7, 0.6], "after_runs_s": [0.2, 0.4, 0.3], "speedup": 2.0,
     }
     assert entries[1]["before_runs_s"] == [0.5, 0.9, 0.8] and entries[1]["after_s"] == 0.2
@@ -78,3 +78,14 @@ def test_timed_makes_one_untimed_call_first(benchpair):
     out, timing = benchpair.timed(lambda: calls.append("run") or len(calls), 3, "solve_s", reset=lambda: calls.append("reset"))
     assert calls == ["reset", "run"] * 4
     assert out == 8 and set(timing) == {"solve_s", "runs_s"} and len(timing["runs_s"]) == 3
+
+
+def test_each_entry_records_both_interquartile_ranges(benchpair, monkeypatch):
+    """Next to each side's median, the spread of its pooled per-process minima: the inclusive quartiles' distance, 0 for one round."""
+    times = {"OLD": iter([1.0, 1.2, 1.1, 3.0, 1.05, 1.0]), "NEW": iter([0.5] * 5 + [0.6])}
+    monkeypatch.setattr(benchpair, "run_side", lambda script, src, key, runs: {"time_s": 1.0, "runs_s": [next(times[src])]})
+    [entry] = benchpair.compare("bench.py", "OLD", "NEW", ["a"], "workload", 6)
+    # OLD sorted: 1.0, 1.0, 1.05, 1.1, 1.2, 3.0; quartiles 1.0125 and 1.175
+    assert (entry["before_s"], entry["before_iqr_s"]) == (1.075, 0.1625)
+    assert (entry["after_s"], entry["after_iqr_s"]) == (0.5, 0.0)
+    assert benchpair.iqr([0.7]) == benchpair.iqr([]) == 0.0

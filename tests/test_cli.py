@@ -607,3 +607,17 @@ def test_usage_errors_of_python_dash_m_are_one_line_and_help_exits_0():
         )
         assert (done.returncode, done.stderr) == ((2, message) if message else (0, "")), argv
         assert bool(done.stdout) == (not message), argv
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [(["models", "--catalog"], "catalog"), (["symbol", "--k", "3", "--quotient"], "quotient")],
+    ids=["catalog", "quotient"],
+)
+def test_input_that_is_not_utf8_exits_2_naming_its_kind(tmp_path, capsys, argv, kind):
+    """A catalog or quotient file that is not UTF-8 is refused in one line that names what was read."""
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"

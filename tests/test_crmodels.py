@@ -333,7 +333,7 @@ def test_corrupted_grade0_constant_fails_the_aut_jacobi_gate(monkeypatch, k, see
     honest = GradedLieAlgebra._extended
 
     def corrupted(self, labels, degrees, entries, **kw):
-        entries = [(key, {t: (2 * re, 2 * im) for t, (re, im) in terms.items()} if key == (x, index) else terms, den) for key, terms, den in entries]
+        entries = [(key, {t: 2 * x for t, x in terms.items()} if key == (x, index) else terms, den) for key, terms, den in entries]
         return honest(self, labels, degrees, entries, **kw)
 
     monkeypatch.setattr(GradedLieAlgebra, "_extended", corrupted)
@@ -683,3 +683,22 @@ def test_compare_quotient_prolongations_flags_differences():
     assert default4 != quartic4
     assert default4[0] == 1
     assert quartic4[0] == 2
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        # d (and r) placed in degree 1: [e_a, d] still lands on e_a, one degree off
+        (lambda honest: lambda self, labels, degrees, entries, **kw: honest(self, labels, [1] * len(degrees), entries, **kw), "aut algebra violates grading"),
+        # every new bracket over twice its denominator: d/2 and r/2 are still derivations, off the pins
+        (lambda honest: lambda self, labels, degrees, entries, **kw: honest(self, labels, degrees, [(key, terms, 2 * den) for key, terms, den in entries], **kw),
+         "grade-0 brackets deviate from the pinned convention"),
+    ],
+    ids=["grading", "pinned"],
+)
+def test_aut_grading_and_pinned_gates_refuse_their_planted_faults(monkeypatch, plant, message):
+    """Both gates hold by construction; each raises its own message when the extension that builds aut_CR is planted a fault."""
+    symbol = build_symbol_algebra(8)
+    monkeypatch.setattr(GradedLieAlgebra, "_extended", plant(GradedLieAlgebra._extended))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        build_aut_cr(symbol)

@@ -272,8 +272,7 @@ def test_integer_kernel_matches_dense_oracle(complex_entries):
         cols = len(data[0])
         rows = []
         for row in data:
-            nums, _ = _gaussian_integers((j, QI(re, im)) for j, (re, im) in enumerate(row))
-            rows.append({j: re for j, (re, _) in nums.items() if re} | {~j: im for j, (_, im) in nums.items() if im})
+            rows.append(_gaussian_integers((j, QI(re, im)) for j, (re, im) in enumerate(row))[0])
         columns, dens = exact._integer_kernel(rows, cols)
         basis = [
             [(Fraction(columns.get(u, {}).get(v, 0), d), Fraction(columns.get(u, {}).get(~v, 0), d)) for u in range(cols)]
@@ -317,12 +316,12 @@ def test_real_fixed_points_match_dense_oracle(complex_entries, nb):
         S = _antilinear_involution(rng, complex_entries, nb)
         basis = _fixed_points(S)
         frees = [free for _, _, free in basis]
-        got = [[(Fraction(re, den), Fraction(im, den)) for re, im in (vec.get(q, (0, 0)) for q in range(nb))] for vec, den, _ in basis]
+        got = [[(Fraction(vec.get(q, 0), den), Fraction(vec.get(~q, 0), den)) for q in range(nb)] for vec, den, _ in basis]
         want = dense_fixed_basis(S, range(nb))
         assert len(got) == len(want) == nb
         assert [_reduced(v, free) for v, free in zip(got, frees)] == [_reduced(v, free) for v, free in zip(want, frees)]
         for v, (vec, den, (p, part)) in zip(got, basis):
-            assert vec[p][part] in (den, -den)
+            assert vec[p if part == 0 else ~p] in (den, -den)
             assert max(j * nb + q for q in range(nb) for j in (0, 1) if v[q][j]) == part * nb + p
             assert next(x for j in (0, 1) for q in range(nb) if (x := v[q][j])) > 0
             assert all(other[p][part] == 0 for other in got if other is not v)
@@ -525,7 +524,7 @@ def _check_rref_against_dense_oracle(order, complex_entries, draws=60, after_rea
             "prefix": range(rng.randint(1, cols)),
         }[order]
         sparse = [_gaussian_integers((j, QI(re, im)) for j, (re, im) in enumerate(row))[0] for row in data]
-        got = [(c, {j: _qi(a, b, den) for j, (a, b) in row.items()}) for c, row, den in _gaussian_rref(sparse, col_order)]
+        got = [(c, {j: _qi(row.get(j, 0), row.get(~j, 0), den) for j in {j if j >= 0 else ~j for j in row}}) for c, row, den in _gaussian_rref(sparse, col_order)]
         pivot_cols, prows = dense_rref(data, col_order)
         assert [c for c, _ in got] == pivot_cols
         for (c, row), prow in zip(got, prows):
@@ -606,8 +605,9 @@ def test_over_one_denominator_reduces_each_fraction_first():
 
 
 def test_gaussian_integers_scales_entries_over_one_denominator():
-    entries = [("a", QI(Fraction(1, 2))), ("b", QI(0)), ("c", QI(Fraction(-2, 3))), ("d", QI(4)), ("e", QI(0, Fraction(1, 4)))]
-    assert _gaussian_integers(entries) == ({"a": (6, 0), "c": (-8, 0), "d": (48, 0), "e": (0, 3)}, 12)
+    entries = [(0, QI(Fraction(1, 2))), (1, QI(0)), (2, QI(Fraction(-2, 3))), (3, QI(4)), (4, QI(0, Fraction(1, 4))), (5, QI(1, -1))]
+    # packed: the real part of entry k at key k, the imaginary part at key ~k, each only where nonzero
+    assert _gaussian_integers(entries) == ({0: 6, 2: -8, 3: 48, ~4: 3, 5: 12, ~5: -12}, 12)
     assert _gaussian_integers([]) == ({}, 1)
 
 
@@ -768,6 +768,37 @@ def test_only_exact_names_the_integer_elimination():
     assert offenders == []
 
 
+def test_only_exact_decodes_a_packed_key():
+    """The key layout stays in ``exact``: no other module picks k or ~k by the sign of k; they read parts through ``_entries``."""
+    package = Path(exact.__file__).parent
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.IfExp)
+        and isinstance(node.test, ast.Compare)
+        and any(isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Invert) for n in ast.walk(node))
+    ]
+    assert offenders == []
+
+
+def test_packed_parts_read_and_write_back():
+    """``_entries``, ``_table_entries`` and ``_key`` read a packed form's parts and write them back; ``_transpose`` keeps each part; ``_form_terms`` and ``_gaussian_primitive`` turn imaginary parts by i."""
+    form = {0: 3, ~0: -1, 2: 5, ~4: 7}
+    parts = exact._entries(form)
+    assert parts == [(0, 0, 3), (0, 1, -1), (2, 0, 5), (4, 1, 7)]
+    assert {exact._key(k, turn): x for k, turn, x in parts} == form
+    assert list(exact._table_entries([("a", form), ("b", {})])) == [("a", *p) for p in parts]
+    rows = exact._transpose({1: form, 3: {~2: 2, 0: 0}}, 5)
+    assert rows == [{1: 3, ~1: -1}, {}, {1: 5, ~3: 2}, {}, {~1: 7}]
+    assert exact._transpose(dict(enumerate(rows)), 4) == [{}, form, {}, {~2: 2}]
+    assert exact._form_terms({0: 2, ~1: 3}, 5, 7, {4: 1}, [10, 11]) == [(10, 10, 7, {4: 1}), (11, 15, 7, {~4: 1})]
+    assert exact._form_terms({~1: 3}, -1, 2, {4: 1, ~5: 2}) == [(1, -3, 2, {~4: 1, 5: -2})]
+    assert exact._gaussian_primitive({~1: -4, ~3: 6}) == {1: 2, 3: -3}
+    assert exact._gaussian_primitive({~0: 2, 1: -4}) == {~0: 1, 1: -2}
+
+
 def test_only_exact_reads_qi_slots():
     """The normal form (a + b·i)/d stays in ``exact``: no other module names a slot of ``QI``."""
     package = Path(exact.__file__).parent
@@ -802,7 +833,7 @@ def _unreduced(rng, data, rows, cols):
     entries = []
     for j in range(cols):
         den = math.lcm(*(x.denominator for i in range(rows) for x in data[i][j])) * rng.choice((1, 2, 6))
-        entries.append((j, {i: (int(data[i][j][0] * den), int(data[i][j][1] * den)) for i in range(rows)}, den))
+        entries.append((j, {k: int(data[i][j][part] * den) for i in range(rows) for k, part in ((i, 0), (~i, 1))}, den))
     return Matrix._from_numerators(rows, cols, entries)
 
 
@@ -829,8 +860,8 @@ def test_matrix_views_and_constructors_match_dense_rows(rows, cols):
         assert u.data == m.data and (-u).data == (-m).data and -u == -m
         assert [u.sparse_column(j) for j in range(cols)] == [m.sparse_column(j) for j in range(cols)]
         nums, den = u._numerators
-        assert math.gcd(den, *(x for col in nums.values() for z in col.values() for x in z)) == 1
-        assert all(z != (0, 0) for col in nums.values() for z in col.values()) and all(nums.values())
+        assert math.gcd(den, *(x for col in nums.values() for x in col.values())) == 1
+        assert all(type(x) is int and x for col in nums.values() for x in col.values()) and all(nums.values())
         other = _dense_pairs(rng, cols, 3)
         assert u.mul(_matrix(other, cols, 3)) == m.mul(_matrix(other, cols, 3))
         assert [_pairs(row) for row in u.mul(_matrix(other, cols, 3)).data] == dense_matmul(data, other, 3)
@@ -908,3 +939,10 @@ def test_sparse_refuses_ragged_columns(columns):
 def test_sparse_refuses_rows_out_of_range():
     with pytest.raises(ValueError, match="row index out of range"):
         Matrix.sparse(2, [{2: QI(1)}])
+
+
+@pytest.mark.parametrize("row", [-1, -2, 0.5], ids=["minus-one", "minus-two", "not-int"])
+def test_sparse_refuses_a_row_that_is_negative_or_not_an_int(row):
+    """Row -1 is refused, not stored as the imaginary part of row 0 (key ~0 of the packed form)."""
+    with pytest.raises(ValueError, match="^row index out of range$"):
+        Matrix.sparse(2, [{row: QI(1)}])

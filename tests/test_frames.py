@@ -298,10 +298,10 @@ def test_builtin_catalog_returns_a_fresh_dict_of_shared_entries():
 
 
 def _word_values_as_qi(m):
-    """``frames._word_values`` of the model's field, each Gaussian numerator over its word's positive denominator turned into a ``QI`` here."""
+    """``frames._word_values`` of the model's field, each packed Gaussian numerator (re at key t, im at key ~t) over its word's positive denominator turned into a ``QI`` here."""
     values = frames._word_values(m.cr, m.length)
-    assert all(den > 0 and all(type(x) is int for z in vec for x in z) for vec, den in values.values())
-    return {w: [_qi(re, im, den) for re, im in vec] for w, (vec, den) in values.items()}
+    assert all(den > 0 and all(type(x) is int and x for x in vec.values()) for vec, den in values.values())
+    return {w: [_qi(vec.get(t, 0), vec.get(~t, 0), den) for t in range(len(m.cr.comps))] for w, (vec, den) in values.items()}
 
 
 def _assert_word_values_match_oracle(m):

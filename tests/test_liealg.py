@@ -18,11 +18,11 @@ from oracles import (
     replaced_bracket,
 )
 from coordinates import block_coordinates
-from quotients import random_quotient
+from quotients import random_quotient, unstable_quotient
 
 from crprolong import exact, liealg
 from crprolong.crmodels import build_aut_cr, verify_theorem
-from crprolong.exact import QI, Matrix
+from crprolong.exact import QI, Echelon, Matrix
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import (
     BadQuotient,
@@ -43,7 +43,7 @@ from crprolong.liealg import (
     realify,
 )
 from crprolong.freelie import conjugate_tree, cumulative_dim, hall_basis, tree_normal_form, witt_dim
-from crprolong.prolong import FULL_TANAKA, LEVI_TANAKA, full_prolongation
+from crprolong.prolong import FULL_TANAKA, LEVI_TANAKA, full_prolongation, grade0
 
 I = QI(0, 1)
 J_STANDARD = Matrix([[0, -1], [1, 0]])
@@ -678,7 +678,7 @@ def test_real_form_scaled_basis_vector_fails_the_substitution_check(monkeypatch,
         basis = honest(rows)
         if len(calls) == block:
             col, den, free = basis[0]
-            basis[0] = ({p: (2 * x, 2 * y) for p, (x, y) in col.items()}, den, free)
+            basis[0] = ({p: 2 * x for p, x in col.items()}, den, free)
         calls.append(rows)
         return basis
 
@@ -760,7 +760,7 @@ def test_a_copy_of_a_verified_table_runs_the_full_gates(monkeypatch, k, seed):
 def _grading_extension(A, scale=1):
     """A plus d, [e_i, d] = -deg(e_i)·e_i, and the last one times ``scale``, through ``_extended``."""
     n = A.dim
-    entries = [((i, n), {i: (-A.degrees[i] * (scale if i == n - 1 else 1), 0)}, 1) for i in range(n)]
+    entries = [((i, n), {i: -A.degrees[i] * (scale if i == n - 1 else 1)}, 1) for i in range(n)]
     return A._extended(["d"], [0], entries, J=A.J)
 
 
@@ -798,13 +798,26 @@ def test_a_planted_violation_in_the_prefix_of_an_unverified_table_is_found():
     assert [v[:3] for v in got] == [v[:3] for v in want]
 
 
+@pytest.mark.parametrize("k", [-1, -3, 3, 1.5], ids=["minus-one", "minus-three", "dim", "not-int"])
+def test_constructor_and_json_refuse_a_target_index_out_of_range(k):
+    """[e0, e1] = e_k with k outside 0..dim-1 is refused by name; k = -1 is not read as i·e_0 (key ~0 of the packed form)."""
+    message = f"^target index out of range: {k}$".replace(".", r"\.")
+    with pytest.raises(ValueError, match=message):
+        GradedLieAlgebra(["a", "b", "c"], [-1, -1, -2], {(0, 1): {k: 1}})
+    obj = GradedLieAlgebra(["a", "b", "c"], [-1, -1, -2], {(0, 1): {2: 1}}).to_json_dict()
+    obj["brackets"][0]["terms"][0]["k"] = k
+    if isinstance(k, int):
+        with pytest.raises(ValueError, match=message):
+            GradedLieAlgebra.from_json_dict(obj)
+
+
 def test_an_extension_keeps_the_prefix_brackets():
     """An extension may only add brackets with an appended index; one that appends a bare degree -1 vector fails the nondegeneracy gate."""
     A = build_symbol_algebra(4).algebra
     with pytest.raises(ValueError, match="cannot change the bracket"):
-        A._extended(["d"], [0], [((0, 1), {2: (1, 0)}, 1)])
+        A._extended(["d"], [0], [((0, 1), {2: 1}, 1)])
     with pytest.raises(ValueError, match="target index out of range"):
-        A._extended(["d"], [0], [((0, A.dim), {A.dim + 1: (1, 0)}, 1)])
+        A._extended(["d"], [0], [((0, A.dim), {A.dim + 1: 1}, 1)])
     ext = A._extended(["z"], [-1], [], J=None)
     assert not is_nondegenerate_symbol(ext)
     assert ext.table == A.table and ext._numerators == A._numerators
@@ -838,3 +851,73 @@ def test_only_output_reads_the_qi_views():
             if isinstance(func, ast.FunctionDef) and (path.name, func.name) not in allowed:
                 offenders += [(path.name, func.name, node.lineno) for node in ast.walk(func) if isinstance(node, ast.Attribute) and node.attr in views]
     assert offenders == []
+
+
+# -- the invariant gates of build_symbol_algebra, each reached by a planted fault --
+
+
+def _doubled_bracket(honest, pair):
+    """``_bracket_basis`` with the normal form of the Hall words ``pair`` doubled."""
+    return lambda u, v: tuple((w, 2 * c) for w, c in honest(u, v)) if (u, v) == pair else honest(u, v)
+
+
+def _lower_word_added(honest, pair):
+    """``_bracket_basis`` with the generator (1,) added to the normal form of the Hall words ``pair``."""
+    return lambda u, v: tuple(honest(u, v)) + ((((1,), 1),) if (u, v) == pair else ())
+
+
+SYMBOL_GATES = [
+    # a quotient stable under neither the swap nor the rotation has no conjugation to check first
+    ("_bracket_basis", lambda honest: _lower_word_added(honest, ((1,), (2,))), 5, "symbol algebra violates grading"),
+    ("_bracket_basis", lambda honest: _doubled_bracket(honest, ((1,), (1, 2))), 5, "symbol algebra violates Jacobi"),
+    ("cumulative_dim", lambda honest: lambda l: honest(l) - 1, None, "symbol algebra has wrong dimension"),
+    ("witt_dim", lambda honest: lambda l: honest(l) + (l == 1), None, "layer -1 is not free"),
+    ("is_fundamental", lambda honest: lambda algebra: False, None, "symbol algebra is not fundamental"),
+    ("is_nondegenerate_symbol", lambda honest: lambda algebra: False, None, "symbol algebra is degenerate"),
+]
+
+
+@pytest.mark.parametrize("name, plant, k, message", SYMBOL_GATES, ids=[m.removeprefix("symbol algebra ") for *_, m in SYMBOL_GATES])
+def test_each_symbol_gate_refuses_its_planted_fault(monkeypatch, name, plant, k, message):
+    """Every gate at the end of ``build_symbol_algebra`` raises its own message on a fault planted in what it checks.
+
+    Grading and Jacobi see a wrong Hall normal form; the dimension gate a
+    wrong count of the lower layers, so one top word too many is kept; the
+    free-layer gate a wrong layer dimension; fundamentality and
+    nondegeneracy, which hold by construction, a predicate that says no.
+    """
+    quotient = unstable_quotient(5, 1) if k else None
+    monkeypatch.setattr(liealg, name, plant(getattr(liealg, name)))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        build_symbol_algebra(k or 8, quotient)
+
+
+# -- one stored form: packed Gaussian numerators --
+
+
+def _packed(form):
+    """A packed Gaussian form: int keys, the real part of entry k at k and its imaginary part at ~k, nonzero int values only."""
+    return all(type(key) is int and type(x) is int and x for key, x in form.items())
+
+
+def _packed_table(numerators):
+    nums, den = numerators
+    return type(den) is int and den > 0 and all(_packed(form) for form in nums.values())
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_every_stored_numerator_is_one_packed_form(k):
+    """Tables, ``J``, the conjugation, the G^0 map columns and the reduced rows of ``Echelon`` and ``Filtration`` hold ints under int keys only; a real table has no negative key."""
+    symbol = build_symbol_algebra(k)
+    m = symbol.algebra
+    assert all(_packed_table(x._numerators) for x in (m, m.J, m.conjugation))
+    for dm in grade0(m, j_constraint=True).maps:
+        assert all(type(den) is int and den > 0 and _packed(col) for _, columns in dm.blocks.values() for col, den in columns)
+    n_top = len(conjugation_adapted_top_basis(symbol.length))
+    reducer = Echelon(liealg.default_quotient_rows(k), n_top, col_order=range(n_top - 1, -1, -1))
+    filtrations = [model.filtration for model in builtin_catalog().values() if model.codim == k]
+    for _, row, den in [*reducer.reduced, *(r for filt in filtrations for r in filt.reduced)]:
+        assert type(den) is int and den > 0 and _packed(row)
+    real = realify(m)
+    assert real.scalar_tag == "Q" and _packed_table(real._numerators) and _packed_table(real.J._numerators)
+    assert all(key >= 0 for terms in real._numerators[0].values() for key in terms)

@@ -386,7 +386,7 @@ def test_corrupted_grade0_constant_fails_the_assembled_jacobi_gate(monkeypatch, 
     x = m.indices_of_degree(-2)[0]
 
     def corrupted(self, labels, degrees, entries, **kw):
-        entries = [(key, {t: (2 * re, 2 * im) for t, (re, im) in terms.items()} if key == (x, m.dim) else terms, den) for key, terms, den in entries]
+        entries = [(key, {t: 2 * x for t, x in terms.items()} if key == (x, m.dim) else terms, den) for key, terms, den in entries]
         return honest(self, labels, degrees, entries, **kw)
 
     monkeypatch.setattr(GradedLieAlgebra, "_extended", corrupted)
@@ -444,7 +444,7 @@ def test_corrupted_deep_column_fails_the_assembled_jacobi_gate(monkeypatch):
     rows, columns = first.blocks[-3]
     (nums, den), rest = columns[0], columns[1:]
     assert nums
-    doubled = ({t: (2 * re, 2 * im) for t, (re, im) in nums.items()}, den)
+    doubled = ({t: 2 * x for t, x in nums.items()}, den)
     corrupt = DerivationMap(0, {**first.blocks, -3: (rows, [doubled, *rest])})
     g0 = ProlongationComponent(0, (corrupt,) + comps[0].maps[1:])
     assert check_jacobi(_assemble(m, [g0] + comps[1:]))
@@ -468,7 +468,7 @@ def test_corrupted_component_bracket_fails_the_assembled_jacobi_gate(monkeypatch
     for bad in keys:
 
         def corrupted(self, labels, degrees, entries, **kw):
-            entries = [(key, {t: (2 * re, 2 * im) for t, (re, im) in terms.items()} if key == bad else terms, den) for key, terms, den in entries]
+            entries = [(key, {t: 2 * x for t, x in terms.items()} if key == bad else terms, den) for key, terms, den in entries]
             return honest(self, labels, degrees, entries, **kw)
 
         with monkeypatch.context() as patch:
@@ -723,3 +723,22 @@ def test_corrupted_last_kernel_vector_fails_the_substitution_check(monkeypatch):
     monkeypatch.setattr(exact, "integer_rref", corrupted)
     with pytest.raises(AssertionError, match="non-kernel vector"):
         prolong_component(m, comps, 3)
+
+
+def test_assemble_refuses_a_map_whose_degree_is_not_its_components():
+    """The degree-slot gate holds by construction; a grade-0 map that claims degree 1 puts its images one degree up, and the gate refuses it."""
+    m, comps = _f23_full_tanaka_components()
+    maps = comps[0].maps
+    g0 = ProlongationComponent(0, maps[:2] + (DerivationMap(1, maps[2].blocks),) + maps[3:])
+    with pytest.raises(RuntimeError, match="^bracket action landed outside its degree slot$"):
+        _assemble(m, [g0] + comps[1:])
+
+
+def test_levi_tanaka_refuses_an_algebra_that_is_not_pseudocomplex():
+    """[x1, x2] = t with J x1 = y1 and J x2 = y2: [J x1, J x2] = [y1, y2] = 0, so the Levi-Tanaka flavor is refused before any solve."""
+    m = GradedLieAlgebra(
+        ["x1", "y1", "x2", "y2", "t"], [-1, -1, -1, -1, -2], {(0, 2): {4: 1}},
+        J=Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+    )
+    with pytest.raises(ValueError, match="^Levi-Tanaka prolongation needs a pseudocomplex algebra$"):
+        full_prolongation(m, LEVI_TANAKA)
