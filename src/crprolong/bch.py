@@ -9,10 +9,10 @@ re-expanding the bracket series and comparing with the logarithm term by
 term.
 
 The series is then evaluated in a concrete real algebra, exactly and
-fraction-free: monomials are packed into single integers, coefficients
-are integer numerators over one common denominator per vector, and each
-coefficient of the result becomes a ``QI`` once, decoded only through
-the nonzero bit fields of its monomial.  Each caller gets only what it
+fraction-free, on real forms of the packed layout of :mod:`crprolong.poly`
+(integer numerators over one common denominator per vector), and each
+coefficient of the result becomes a ``QI`` once, in ``poly``'s decoder.
+Each caller gets only what it
 reads: the associativity residual evaluates the law bch(a, b) once, gets
 bch(a, bch(b, c)) by substituting bch(b, c) into it, and reads the other
 side off the law's inverse symmetry bch(x, y) = -bch(-y, -x); the
@@ -29,10 +29,10 @@ from functools import lru_cache
 from math import factorial
 
 from .assoc import a_add, a_mul, expand_tree, lie_coordinates
-from .exact import _lowest_terms, _over_one_denominator, _qi, _sum_forms
+from .exact import _lowest_terms, _over_one_denominator, _sum_forms
 from .freelie import standard_factorization, standard_tree
 from .liealg import GradedLieAlgebra, check_grading
-from .poly import Poly, PolyVectorField, real_chart
+from .poly import PolyVectorField, _decode, _mul_into, real_chart
 
 __all__ = ["NotNilpotent", "bch_series", "GroupLaw", "left_invariant_frame"]
 
@@ -81,12 +81,10 @@ def bch_series(cap: int):
 class GroupLaw:
     """bch(a, b) evaluated in a fixed real algebra, on polynomial vectors.
 
-    The bracket tree of :func:`bch_series` is evaluated on a private form:
-    each monomial is one packed ``int`` (exponent i in bit field i of a
-    fixed width, so a monomial product is one integer addition), and each
-    vector is a list of ``{monomial: int numerator}`` dicts over one common
-    ``int`` denominator.  Every result coefficient becomes a ``QI``
-    once, in the conversion back to :class:`Poly`.
+    The bracket tree of :func:`bch_series` is evaluated on real forms of
+    the packed layout of :mod:`crprolong.poly`, one vector a list of
+    packed polynomials over one common denominator.  Every result
+    coefficient becomes a ``QI`` once, in ``poly``'s decoder.
     """
 
     def __init__(self, algebra: GradedLieAlgebra):
@@ -151,7 +149,7 @@ class GroupLaw:
         return floors, factors, stored
 
     def _apply(self, a, b, series=None):
-        """bch(a, b) on the private form, reduced to lowest terms (only the words of ``series``, if given).
+        """bch(a, b) on the packed form, reduced to lowest terms (only the words of ``series``, if given).
 
         The stored trees are evaluated each only at the degrees its parents
         read.  Every series word is summed into one output, scaled by its
@@ -195,10 +193,10 @@ class GroupLaw:
         width = self._width
         comps, den = self._apply(*self._variables(2, width))
         names = [f"a_{l}" for l in self.algebra.labels] + [f"b_{l}" for l in self.algebra.labels]
-        return names, [_poly(comp, den, 2 * n, width) for comp in comps]
+        return names, [_decode(comp, den, 2 * n, width) for comp in comps]
 
     def _associativity_sides(self):
-        """bch(bch(a, b), c) and bch(a, bch(b, c)) on the private form, and the packing width.
+        """bch(bch(a, b), c) and bch(a, bch(b, c)) on the packed form, and the packing width.
 
         The right side is bch(a, y) = bch(a, b) with y := bch(b, c)
         substituted (``_compose``), so the series is evaluated once.
@@ -227,20 +225,11 @@ class GroupLaw:
         # both sides come in lowest terms, so equal forms are a zero residual and only a mismatch is summed
         sides = () if left == right else ((1, left), (-1, right))
         diff, den = _sum_forms([(k, s, d, comp) for s, (comps, d) in sides for k, comp in enumerate(comps)])
-        return [_poly(diff.get(k, {}), den, 3 * n, width) for k in range(n)]
-
-
-def _mul_into(acc: dict, p: dict, q: dict, scale: int):
-    """acc += scale · p · q on packed monomials (zeros are dropped later)."""
-    for ea, ca in p.items():
-        ca *= scale
-        for eb, cb in q.items():
-            e = ea + eb
-            acc[e] = acc.get(e, 0) + ca * cb
+        return [_decode(diff.get(k, {}), den, 3 * n, width) for k in range(n)]
 
 
 def _compose(form, inner, shift: int, width: int):
-    """f(a, Y) on the private form, for a form f(a, y) whose y-variables start at bit ``shift`` and the vector Y = ``inner``.
+    """f(a, Y) on the packed form, for a form f(a, y) whose y-variables start at bit ``shift`` and the vector Y = ``inner``.
 
     Each component of Y is brought to its own lowest terms, and each
     product of Y components that a y-part of f names is built once, from
@@ -288,21 +277,6 @@ def _mirror(form, groups: int, n: int, width: int):
     return [{e + ((e & first) - (e >> last)) * shift: x if (e & low).bit_count() & 1 else -x for e, x in comp.items()} for comp in comps], den
 
 
-def _poly(comp: dict, den: int, nvars: int, width: int) -> Poly:
-    """The packed form comp/den as a Poly on ``nvars`` variables; each monomial is decoded only through its nonzero bit fields."""
-    mask = (1 << width) - 1
-    terms = {}
-    for e, x in comp.items():
-        if x:
-            exps = [0] * nvars
-            while e:
-                i = ((e & -e).bit_length() - 1) // width
-                exps[i] = f = (e >> (width * i)) & mask
-                e -= f << (width * i)
-            terms[tuple(exps)] = _qi(x, 0, den)
-    return Poly._from_terms(nvars, terms)
-
-
 def left_invariant_frame(m: GradedLieAlgebra):
     """Left-invariant fields on exponential coordinates, one per basis element.
 
@@ -320,4 +294,4 @@ def left_invariant_frame(m: GradedLieAlgebra):
         for e, x in comp.items():  # e is b_j times a monomial in a
             fields[((e >> shift).bit_length() - 1) // width][k][e & mask] = x
     chart = real_chart(m.labels)
-    return [PolyVectorField(chart, [_poly(comp, den, n, width) for comp in field]) for field in fields]
+    return [PolyVectorField(chart, [_decode(comp, den, n, width) for comp in field]) for field in fields]

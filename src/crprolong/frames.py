@@ -12,8 +12,9 @@ The growth vector is computed by evaluating the basis bracket words of
 the field and its conjugate at the origin; total nondegeneracy means the
 filtration is as free as possible below the minimal length and fills the
 tangent space exactly there.  The word values are exact and computed
-fraction-free: every word is bracketed on packed Gaussian monomials with
-integer numerators over one denominator per word, and its origin value,
+fraction-free: every word is bracketed in the packed form of
+:mod:`crprolong.poly`, with integer numerators over one denominator per
+word, and its origin value,
 the constant terms, stays in Gaussian integers up to the reduced echelon
 form (on a weighted-homogeneous field every word of the minimal length is
 a constant field).  A model's filtration is evaluated once, on first use,
@@ -30,12 +31,12 @@ from __future__ import annotations
 import functools
 import json
 
-from .bch import _mul_into, left_invariant_frame
-from .exact import QI, QI_ZERO, _gaussian_apply, _gaussian_axpy, _gaussian_integers, _gaussian_rref, _over_one_denominator, _qi_view
-from .exact import _entries, _key, _relabel, _sum_forms, _term, _transpose
+from .bch import left_invariant_frame
+from .exact import QI, QI_ZERO, _entries, _gaussian_apply, _gaussian_axpy, _gaussian_rref, _over_one_denominator, _qi_view
+from .exact import _relabel, _sum_forms, _term, _transpose
 from .freelie import _bracket_basis, cumulative_dim, hall_basis, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
-from .poly import Poly, PolyVectorField, rigid_chart
+from .poly import Poly, PolyVectorField, _bracket, _conjugate, _constant_terms, _pack, _partials, _width, rigid_chart
 
 __all__ = [
     "ModelSpec",
@@ -293,99 +294,27 @@ def _word_values(L, max_length):
 
     The words come in Hall basis order, each value as packed Gaussian
     integer numerators by coordinate t, over that word's positive denominator.
-    Each word is evaluated as a field on a packed form that never becomes
-    a :class:`Poly`: a monomial is one ``int`` whose lowest 2 bits hold
-    the power of i and whose bit field j holds the exponent of variable j,
-    and a field is a list of ``{monomial: int numerator}`` components over
-    one ``int`` denominator.  A word of length at least 2 is
-    ``_packed_bracket`` of its two factors, and its origin value is its
-    constant terms.  Lbar = ``L.conj()`` is packed from L's packed form
-    (``_conjugate_packed``).
+    Each word is evaluated as a field in the packed form of
+    :mod:`crprolong.poly` and never becomes a :class:`Poly`.  A word of
+    length at least 2 is the packed bracket of its two factors, and its
+    origin value is its constant terms.  Lbar = ``L.conj()`` is the packed
+    conjugate of L's packed form.
     """
     n = L.chart.nvars
-    # Lbar only permutes the chart variables, so L alone gives the top exponent
-    top = max((x for p in L.comps for e in p.terms for x in e), default=0)
-    # a word of length l multiplies l input monomials, so no exponent of
-    # a field exceeds top * max_length
-    width = max(top * max_length, 1).bit_length()
-    shifts = [2 + width * j for j in range(n)]
-    packed = _packed_field(L, shifts)
-    fields = {(1,): packed, (2,): _conjugate_packed(packed, L.chart.conj_perm, shifts, width)}
-    partials = {}
-
-    def diff(word):
-        if word not in partials:
-            partials[word] = _partials(fields[word][0], width)
-        return partials[word]
-
-    values = {}
+    # a word of length l is a sum of products of l monomials of L and Lbar,
+    # whose exponents are L's, permuted
+    width = _width(L.comps, max_length)
+    packed = _pack(L.comps, n, width)
+    fields = {(1,): packed, (2,): _conjugate(packed, L.chart.conj_perm, width)}
+    partials, values = {}, {}
     for w in hall_basis(max_length).words:
         if w.length > 1:
             u, v = standard_factorization(w.word)
-            fields[w.word] = _packed_bracket(fields[u], fields[v], diff(u), diff(v))
-        comps, den = fields[w.word]
-        # the constant terms: monomial 0 is the real part, monomial 1 (i to the power 1) the imaginary part
-        values[w.word] = ({_key(t, turn): x for turn in (0, 1) for t, c in enumerate(comps) if (x := c.get(turn))}, den)
+            fields[w.word] = _bracket(fields[u], fields[v], partials[u], partials[v], n, width)
+        if w.length < max_length:  # a factor of a longer word: of [1, w], or of [1, 2] for w = 1
+            partials[w.word] = _partials(fields[w.word][0], n, width)
+        values[w.word] = _constant_terms(fields[w.word], n, width)
     return values
-
-
-def _packed_field(X: PolyVectorField, shifts):
-    """X's components as packed numerators over one common denominator, the imaginary part of a monomial at its bit 0."""
-    comps = [_gaussian_integers((sum(x << shifts[j] for j, x in enumerate(e) if x), c) for e, c in p.terms.items()) for p in X.comps]
-    scales, den = _over_one_denominator([(1, d) for _, d in comps])
-    return [{mono | turn: s * x for mono, turn, x in _entries(nums)} for s, (nums, _) in zip(scales, comps)], den
-
-
-def _conjugate_packed(X, perm, shifts, width):
-    """The formal conjugate of the packed field X: chart variable j moves to perm[j], and imaginary parts change sign."""
-    comps, den = X
-    mask = (1 << width) - 1
-    out = [None] * len(comps)
-    for i, comp in enumerate(comps):
-        conj = {}
-        for e, x in comp.items():
-            mono = e & 3
-            for j, s in enumerate(shifts):
-                if a := (e >> s) & mask:
-                    mono |= a << shifts[perm[j]]
-            conj[mono] = -x if e & 1 else x
-        out[perm[i]] = conj
-    return out, den
-
-
-def _partials(comps, width):
-    """{(i, j): d_j of component i}, the nonzero ones only."""
-    mask = (1 << width) - 1
-    out = {}
-    for i, comp in enumerate(comps):
-        for e, x in comp.items():
-            rest, s, j = e >> 2, 2, 0
-            while rest:
-                a = rest & mask
-                if a:
-                    d = out.setdefault((i, j), {})
-                    d[e - (1 << s)] = a * x
-                rest >>= width
-                s += width
-                j += 1
-    return out
-
-
-def _packed_bracket(U, V, dU, dV):
-    """[U, V]_i = sum_j U_j·d_jV_i - V_j·d_jU_i, over the product of the denominators."""
-    (uc, ud), (vc, vd) = U, V
-    out = [{} for _ in uc]
-    for (i, j), d in dV.items():
-        if uc[j]:
-            _mul_into(out[i], uc[j], d, 1)
-    for (i, j), d in dU.items():
-        if vc[j]:
-            _mul_into(out[i], vc[j], d, -1)
-    for acc in out:
-        # each factor carries i to the power 0 or 1, so i^2 = -1 folds once
-        for e in [e for e in acc if e & 2]:
-            acc[e - 2] = acc.get(e - 2, 0) - acc.pop(e)
-    return [{e: x for e, x in acc.items() if x} for acc in out], ud * vd
 
 
 def growth_and_nondegeneracy(model: ModelSpec):

@@ -4,11 +4,30 @@ Polynomials are sparse exponent-tuple maps with Gaussian rational
 coefficients.  A chart fixes coordinate names plus the index permutation
 that formal conjugation applies (z and zbar swap on a rigid model chart;
 real charts conjugate coefficients only).
+
+Field arithmetic runs on one packed form, which :class:`Poly` meets only
+at its edges (JSON, text, the catalog's defining polynomials).  On n
+variables and a bit width w, a monomial is one ``int``: the exponent of
+variable j sits in bit field j, bits w·j to w·j + w - 1, so a product of
+monomials is one integer addition.  A complex form carries the power of
+i, 0 or 1, in the one bit above the last field, ``1 << w·n``: the real
+part of a coefficient sits at its monomial e, the imaginary part at
+e | (1 << w·n), and a product of two parts has its power of i in the two
+bits from there, which ``_bracket`` folds once by i² = -1.  A polynomial
+is a dict ``{monomial: int numerator}``, zeros dropped, and a field a
+list of them over one positive ``int`` denominator, ``([comp], den)``.
+Every exponent the arithmetic makes must fit in w bits: ``_width`` sizes
+w for products of a given number of input monomials (two for a bracket,
+the word length for ``frames``' bracket words).  ``bch`` evaluates its
+group law on real forms of the same layout.
 """
 
 from __future__ import annotations
 
-from .exact import QI_ZERO, as_qi, qi_from_json
+from itertools import chain
+from operator import lshift
+
+from .exact import QI_ZERO, _entries, _gaussian_integers, _key, _qi, as_qi, qi_from_json
 
 __all__ = [
     "Chart",
@@ -131,26 +150,7 @@ class Poly:
         c = as_qi(c)
         return Poly._from_terms(self.nvars, {e: x * c for e, x in self.terms.items()} if c else {})
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return self.mul(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def mul(self, other: "Poly") -> "Poly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        terms = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                nc = terms.get(e, QI_ZERO) + ca * cb
-                if nc:
-                    terms[e] = nc
-                else:
-                    terms.pop(e, None)
-        return Poly._from_terms(self.nvars, terms)
+    __mul__ = __rmul__ = scale
 
     def diff(self, i: int) -> "Poly":
         terms = {}
@@ -273,27 +273,31 @@ class PolyVectorField:
             raise ChartMismatch("fields live on different charts")
 
     def apply_to(self, f: Poly) -> Poly:
-        out = Poly.zero(self.chart.nvars)
-        for i, comp in enumerate(self.comps):
-            if not comp.is_zero():
-                out = out + comp.mul(f.diff(i))
-        return out
+        """self(f) = sum_i X_i·d_i f for the components X_i of self: the packed bracket of self and the one-component field f, with no partials of self."""
+        n = self.chart.nvars
+        if f.nvars != n:
+            raise ValueError("variable count mismatch")
+        width = _width((*self.comps, f), 2)
+        F = _pack((f,), n, width)
+        (comp,), den = _bracket(_pack(self.comps, n, width), F, {}, _partials(F[0], n, width), n, width)
+        return _decode(comp, den, n, width)
 
     def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
         """Commutator [self, other]: exact, bilinear, antisymmetric."""
         self._same_chart(other)
-        comps = []
-        for i in range(self.chart.nvars):
-            comps.append(self.apply_to(other.comps[i]) - other.apply_to(self.comps[i]))
-        return PolyVectorField(self.chart, comps)
+        n = self.chart.nvars
+        # each term is a product of a component of one and a partial of the other
+        width = _width(self.comps + other.comps, 2)
+        U, V = _pack(self.comps, n, width), _pack(other.comps, n, width)
+        comps, den = _bracket(U, V, _partials(U[0], n, width), _partials(V[0], n, width), n, width)
+        return PolyVectorField(self.chart, [_decode(c, den, n, width) for c in comps])
 
     def conj(self) -> "PolyVectorField":
         """Formal conjugation: conjugate coefficients, permute chart variables."""
-        perm = self.chart.conj_perm
-        new_comps = [None] * self.chart.nvars
-        for i, comp in enumerate(self.comps):
-            new_comps[perm[i]] = comp.permuted(perm, conj=True)
-        return PolyVectorField(self.chart, new_comps)
+        n = self.chart.nvars
+        width = _width(self.comps, 1)
+        comps, den = _conjugate(_pack(self.comps, n, width), self.chart.conj_perm, width)
+        return PolyVectorField(self.chart, [_decode(c, den, n, width) for c in comps])
 
     def pretty(self) -> str:
         bits = []
@@ -348,3 +352,124 @@ def _json_list(obj, key: str) -> list:
 
 def vf_bracket(a: PolyVectorField, b: PolyVectorField) -> PolyVectorField:
     return a.bracket(b)
+
+
+# -- the packed form (module docstring) ---------------------------------------
+
+
+def _width(polys, factors: int) -> int:
+    """The bit width that holds every exponent of a product of ``factors`` monomials of ``polys``."""
+    return max(factors * max(chain.from_iterable(chain.from_iterable(p.terms for p in polys)), default=0), 1).bit_length()
+
+
+def _pack(polys, nvars: int, width: int):
+    """The polynomials ``polys`` on ``nvars`` variables as one packed complex form ``([comp], den)``, over the lcm of their denominators."""
+    # term t of the concatenated term lists is at (component, monomial) = where[t]
+    shifts = range(0, width * nvars, width)
+    where = [(i, sum(map(lshift, e, shifts))) for i, p in enumerate(polys) for e in p.terms]
+    nums, den = _gaussian_integers(enumerate(c for p in polys for c in p.terms.values()))
+    comps = [{} for _ in polys]
+    for t, turn, x in _entries(nums):
+        i, mono = where[t]
+        comps[i][mono | turn << width * nvars] = x
+    return comps, den
+
+
+def _decode(comp: dict, den: int, nvars: int, width: int) -> Poly:
+    """The packed polynomial comp/den, real or complex, as a Poly on ``nvars`` variables.
+
+    The real part at monomial e and the imaginary part at e | ibit are
+    summed into one ``QI``; a monomial with both parts zero is dropped.
+    Each monomial is decoded only through its nonzero bit fields.
+    """
+    mask, ibit = (1 << width) - 1, 1 << width * nvars
+    terms = {}
+    for e, x in comp.items():
+        if e >= ibit and e - ibit in comp:
+            continue  # read with its real part
+        e, x, y = (e, x, comp.get(e | ibit, 0)) if e < ibit else (e - ibit, 0, x)
+        if x or y:
+            exps = [0] * nvars
+            while e:
+                j = ((e & -e).bit_length() - 1) // width
+                exps[j] = a = (e >> width * j) & mask
+                e -= a << width * j
+            terms[tuple(exps)] = _qi(x, y, den)
+    return Poly._from_terms(nvars, terms)
+
+
+def _conjugate(form, perm, width: int):
+    """The formal conjugate of the packed complex field ``form``: variable and component j move to perm[j], and imaginary parts change sign."""
+    comps, den = form
+    mask, ibit = (1 << width) - 1, 1 << width * len(perm)
+    shifts = [width * j for j in range(len(perm))]
+    moved = [shifts[p] for p in perm]
+    out = [None] * len(comps)
+    for i, comp in enumerate(comps):
+        conj = {}
+        for e, x in comp.items():
+            rest = e & (ibit - 1)
+            mono = e - rest
+            while rest:  # through the nonzero fields only
+                j = ((rest & -rest).bit_length() - 1) // width
+                a = (rest >> shifts[j]) & mask
+                mono |= a << moved[j]
+                rest -= a << shifts[j]
+            conj[mono] = -x if e >= ibit else x
+        out[perm[i]] = conj
+    return out, den
+
+
+def _partials(comps, nvars: int, width: int) -> dict:
+    """{(i, j): d_j of comps[i]} of packed polynomials on ``nvars`` variables, the nonzero ones only."""
+    mask, low = (1 << width) - 1, (1 << width * nvars) - 1
+    out = {}
+    for i, comp in enumerate(comps):
+        for e, x in comp.items():
+            rest, s, j = e & low, 0, 0
+            while rest:
+                if a := rest & mask:
+                    d = out.setdefault((i, j), {})
+                    d[e - (1 << s)] = a * x
+                rest >>= width
+                s += width
+                j += 1
+    return out
+
+
+def _mul_into(acc: dict, p: dict, q: dict, scale: int):
+    """acc += scale · p · q on packed monomials (zeros are dropped later)."""
+    for ea, ca in p.items():
+        ca *= scale
+        for eb, cb in q.items():
+            e = ea + eb
+            acc[e] = acc.get(e, 0) + ca * cb
+
+
+def _bracket(U, V, dU: dict, dV: dict, nvars: int, width: int):
+    """[U, V]_i = sum_j U_j·d_jV_i - V_j·d_jU_i of packed complex fields, over the product of their denominators.
+
+    ``dU`` and ``dV`` are their ``_partials``.  The result has one
+    component per component of V; with ``dU`` empty it is U(V_i), U
+    applied to each component of V.
+    """
+    (uc, ud), (vc, vd) = U, V
+    out = [{} for _ in vc]
+    for (i, j), d in dV.items():
+        if uc[j]:
+            _mul_into(out[i], uc[j], d, 1)
+    for (i, j), d in dU.items():
+        if vc[j]:
+            _mul_into(out[i], vc[j], d, -1)
+    # each factor carries i to the power 0 or 1, so i^2 = -1 folds once
+    two = 2 << width * nvars
+    for acc in out:
+        for e in [e for e in acc if e >= two]:
+            acc[e - two] = acc.get(e - two, 0) - acc.pop(e)
+    return [{e: x for e, x in acc.items() if x} for acc in out], ud * vd
+
+
+def _constant_terms(form, nvars: int, width: int):
+    """The value at the origin of the packed complex field ``form`` on ``nvars`` variables, its constant terms, as ``({t: re, ~t: im}, den)``."""
+    comps, den = form
+    return {_key(t, turn): x for turn in (0, 1) for t, c in enumerate(comps) if (x := c.get(turn << width * nvars))}, den

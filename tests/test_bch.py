@@ -1,16 +1,15 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from crprolong import bch
 from crprolong.assoc import lie_coordinates
-from crprolong.bch import GroupLaw, NotNilpotent, _poly, bch_series, left_invariant_frame
+from crprolong.bch import GroupLaw, NotNilpotent, bch_series, left_invariant_frame
 from crprolong.exact import QI
 from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.freelie import standard_tree
 from crprolong.liealg import GradedLieAlgebra, build_symbol_algebra, check_jacobi, realify
-from crprolong.poly import Poly, vf_bracket
+from crprolong.poly import Poly, _decode, vf_bracket
 from oracles import (
     assoc_add,
     bch_law,
@@ -228,7 +227,7 @@ def test_packed_three_argument_laws_match_oracle(k):
     R = realify(build_symbol_algebra(k).algebra)
     n = R.dim
     left, right, width = GroupLaw(R)._associativity_sides()
-    unpacked = [_real_terms([_poly(comp, den, 3 * n, width) for comp in comps]) for comps, den in (left, right)]
+    unpacked = [_real_terms([_decode(comp, den, 3 * n, width) for comp in comps]) for comps, den in (left, right)]
     expect_left, expect_right = _oracle_sides(R)
     assert unpacked == [expect_left, expect_right]
     assert expect_left == expect_right
@@ -301,24 +300,6 @@ def test_apply_on_no_words_is_zero():
     a, b = law._variables(2, law._width)
     assert law._apply(a, b, []) == ([{}] * R.dim, 1)
     assert law._apply(a, b, None) == law._apply(a, b) != law._apply(a, b, [])
-
-
-def test_poly_decodes_packed_monomials_as_field_by_field():
-    # 69 variables (3N at k = 21) in 3-bit fields, exponents 0..cap = 6,
-    # against the decode of every field in turn
-    nvars, width, cap = 69, 3, 6
-    rng = random.Random(5)
-    monomials = [0, *(x << (width * i) for i in (0, 1, 34, 68) for x in range(1, cap + 1))]
-    for _ in range(200):
-        fields = rng.sample(range(nvars), rng.randint(1, cap))
-        monomials.append(sum(rng.randint(1, cap) << (width * i) for i in fields))
-    comp = {e: rng.choice([-3, -1, 1, 2, 7]) for e in monomials}
-    comp[monomials[-1]] = 0  # a zero numerator does not get through
-    mask = (1 << width) - 1
-    expect = Poly(nvars, {tuple((e >> (width * i)) & mask for i in range(nvars)): QI(Fraction(x, 6)) for e, x in comp.items()})
-    got = _poly(comp, 6, nvars, width)
-    assert got == expect
-    assert len(got.terms) == len(comp) - 1 and all(got.terms.values())
 
 
 def test_ungraded_table_is_refused():

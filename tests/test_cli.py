@@ -383,6 +383,7 @@ def _with_phi(obj, *exps, re="1"):
         (lambda e: _with_cr(conj_perm=[0, 0, 2]), "catalog[0]: defining.cr: conj_perm: must be a permutation of 0..2"),
         (lambda e: _with_cr(conj_perm=[1, 2, 0]), "catalog[0]: defining.cr: conj_perm: must be an involution"),
         (lambda e: _with_cr(components=[{"terms": []}, {}, {"terms": []}]), "catalog[0]: defining.cr: components[1]: missing 'terms'"),
+        (lambda e: _with_cr(components=[{"terms": []}, {"terms": []}]), "error: catalog[0]: defining.cr: one component per coordinate required\n"),
         (lambda e: [dict(e, k=2)], "catalog[0]: need 2 defining polynomials"),
         (lambda e: [_with_phi(e, [1, 1, 0])], "catalog[0]: defining.phi[0]: terms[0].exp: must be a list of 2 non-negative integers"),
         (lambda e: [_with_phi(e, [1.5, 0.5])], "catalog[0]: defining.phi[0]: terms[0].exp: must be a list of 2 non-negative integers"),
@@ -427,6 +428,7 @@ def _with_phi(obj, *exps, re="1"):
         "conj-perm-not-permutation",
         "conj-perm-not-involution",
         "component-bad",
+        "components-short",
         "wrong-count",
         "exp-too-long",
         "exp-not-integer",

@@ -1,7 +1,9 @@
+import ast
 import copy
 import functools
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +328,14 @@ def test_word_values_match_textbook_oracle(case):
     else:
         m = builtin_catalog()[case]
     _assert_word_values_match_oracle(m)
+
+
+def test_frames_does_no_bit_arithmetic():
+    """The packed monomial layout stays in ``poly``: ``frames`` shifts, masks and combines no bits, and takes only the frame from ``bch``."""
+    tree = ast.parse(Path(frames.__file__).read_text())
+    bits = (ast.LShift, ast.RShift, ast.BitAnd, ast.BitOr)
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, bits)] == []
+    assert [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "bch" for a in node.names] == ["left_invariant_frame"]
 
 
 def test_word_values_exponents_beyond_the_input_maximum():

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from crprolong.exact import QI
-from crprolong.poly import Chart, ChartMismatch, Poly, PolyVectorField, real_chart, rigid_chart, vf_bracket
+from crprolong.poly import Chart, ChartMismatch, Poly, PolyVectorField, _decode, real_chart, rigid_chart, vf_bracket
+from oracles import assoc_add, conjugate_field, field_bracket, poly_diff, poly_mul
 
 I = QI(0, 1)
 
@@ -13,8 +15,17 @@ def test_poly_arithmetic():
     q = Poly(2, {(1, 1): QI(1, 1)})
     assert (p + q) - q == p
     assert p * QI(0) == Poly.zero(2)
-    prod = p.mul(p)
-    assert prod.terms == {(2, 0): QI(1), (1, 1): QI(4), (0, 2): QI(4)}
+
+
+def test_poly_refusals():
+    with pytest.raises(ValueError, match="^variable count mismatch$"):
+        Poly(2, {(1, 0): 1}) + Poly(3, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="^cannot drop variables$"):
+        Poly(3, {(0, 0, 1): 1}).extend_vars(2)
+    with pytest.raises(ValueError, match="^component variable count mismatch$"):
+        PolyVectorField(real_chart(("p", "q")), [Poly.const(2, 1), Poly.const(3, 1)])
+    with pytest.raises(ValueError, match="^variable count mismatch$"):
+        _coordinate_field(real_chart(("p", "q")), 0).apply_to(Poly.var(3, 0))
 
 
 def test_poly_diff():
@@ -129,3 +140,56 @@ def test_vf_json_round_trip():
     X = PolyVectorField(ch, [Poly.var(n, 2, QI(1, 2)), Poly.zero(n), Poly.const(n, 3), Poly.zero(n)])
     back = PolyVectorField.from_json_dict(X.to_json_dict())
     assert back == X
+
+
+def _gaussian_poly(rng, n, top=3):
+    """A seeded polynomial on n variables: exponents up to ``top``, every coefficient with both parts nonzero."""
+    part = lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 6))
+    return Poly(n, {tuple(rng.randint(0, top) for _ in range(n)): QI(part(), part()) for _ in range(rng.randint(1, 4))})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_packed_kernel_matches_the_tuple_oracles(seed):
+    # bracket, conj and apply_to run as pack, one kernel call, decode; the
+    # real and imaginary parts of a monomial are packed under two keys, so a
+    # decoder that kept one part and dropped the other differs here on every
+    # coefficient, each of which has both parts nonzero
+    rng = random.Random(seed)
+    ch = rigid_chart(2) if seed % 2 else real_chart(("p", "q", "r"))
+    X, Y = (PolyVectorField(ch, [_gaussian_poly(rng, ch.nvars) for _ in range(ch.nvars)]) for _ in range(2))
+    f = _gaussian_poly(rng, ch.nvars)
+    x, y = [p.terms for p in X.comps], [p.terms for p in Y.comps]
+    assert max(e for p in x for m in p for e in m) >= 2
+    assert [p.terms for p in X.bracket(Y).comps] == field_bracket(x, y)
+    assert [p.terms for p in X.conj().comps] == conjugate_field(x, ch.conj_perm)
+    expect = {}
+    for j, p in enumerate(x):
+        expect = assoc_add(expect, poly_mul(p, poly_diff(f.terms, j)))
+    assert X.apply_to(f).terms == expect
+
+
+def test_poly_decodes_packed_monomials_as_field_by_field():
+    # 69 variables (3N at k = 21) in 3-bit fields, exponents 0..cap = 6,
+    # against the decode of every field in turn
+    nvars, width, cap = 69, 3, 6
+    rng = random.Random(5)
+    monomials = [0, *(x << (width * i) for i in (0, 1, 34, 68) for x in range(1, cap + 1))]
+    for _ in range(200):
+        fields = rng.sample(range(nvars), rng.randint(1, cap))
+        monomials.append(sum(rng.randint(1, cap) << (width * i) for i in fields))
+    comp = {e: rng.choice([-3, -1, 1, 2, 7]) for e in monomials}
+    comp[monomials[-1]] = 0  # a zero numerator does not get through
+    mask = (1 << width) - 1
+    expect = Poly(nvars, {tuple((e >> (width * i)) & mask for i in range(nvars)): QI(Fraction(x, 6)) for e, x in comp.items()})
+    got = _decode(comp, 6, nvars, width)
+    assert got == expect
+    assert len(got.terms) == len(comp) - 1 and all(got.terms.values())
+    # with the i bit set, above the last field: both parts of one monomial,
+    # in either key order, sum into one coefficient, and an imaginary part
+    # alone is read too
+    i = 1 << width * nvars
+    a, b = monomials[5], monomials[100]
+    complex_comp = {a: 3, a | i: -2, b | i: 5, b: 1, i: 4, monomials[150] | i: 0}
+    expect = {a: QI(3, -2), b: QI(1, 5), 0: QI(0, 4)}
+    want = Poly(nvars, {tuple((e >> (width * j)) & mask for j in range(nvars)): c * QI(Fraction(1, 6)) for e, c in expect.items()})
+    assert _decode(complex_comp, 6, nvars, width) == want
