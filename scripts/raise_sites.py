@@ -7,14 +7,17 @@ checkout, found with ``ast``.  pytest runs in this process, with the
 given arguments, under a ``sys.settrace`` line tracer that follows only
 the frames of those files; a site is HIT when its first line ran.  One
 row per site: HIT or MISS, ``file:line``, the enclosing function and the
-raised expression, then the totals.  A full census runs
-``-m "slow or not slow"``; tracing makes the run several times slower.
+raised expression, then the totals.  A full census, which exits 0:
 
-It cannot see code that runs in another process (a test that starts
-``python -m crprolong`` in a subprocess) or in another thread.  Tracing
-gives each traced frame a frame object, which a generator and its frame
-hold in a cycle, so a test that counts what the cyclic collector finds
-can fail under it.  The exit code is pytest's.
+    python scripts/raise_sites.py -p no:cacheprovider -m "slow or not slow" \
+        --deselect tests/test_prolong.py::test_component_solves_leave_no_reference_cycles
+
+Tracing makes the run several times slower (minutes).  It cannot see code
+that runs in another process (a test that starts ``python -m crprolong``
+in a subprocess) or in another thread.  Tracing gives each traced frame a
+frame object, which a generator and its frame hold in a cycle, so a test
+that counts what the cyclic collector finds can fail under it: the one
+deselected above does, and passes untraced.  The exit code is pytest's.
 """
 
 from __future__ import annotations

@@ -139,9 +139,6 @@ class QI:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
-        # real-by-real fast path: realified algebras live entirely here
-        if not b and not e:
-            return _qi(a * c, 0, self._d * other._d)
         return _qi(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__

@@ -36,7 +36,7 @@ from .exact import QI, QI_ZERO, _entries, _gaussian_apply, _gaussian_axpy, _gaus
 from .exact import _relabel, _sum_forms, _term, _transpose
 from .freelie import _bracket_basis, cumulative_dim, hall_basis, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
-from .poly import Poly, PolyVectorField, _bracket, _conjugate, _constant_terms, _pack, _partials, _width, rigid_chart
+from .poly import Poly, PolyVectorField, _bracket, _conjugate, _constant_terms, _decode, _pack, _partials, _width, rigid_chart
 
 __all__ = [
     "ModelSpec",
@@ -246,25 +246,43 @@ def _tangential_field(k: int, phis) -> PolyVectorField:
     """Generator of the holomorphic tangent bundle of the rigid model Im w_j = phi_j.
 
     On the intrinsic chart: d/dz + i·sum_j (dphi_j/dz)·d/du_j; the
-    conjugate generator is the formal conjugate.  Tangency is checked
-    exactly by :func:`_check_tangency`.
+    conjugate generator is the formal conjugate.  The i·phi_j are packed
+    once on the chart, L's u-components are read off their partials, and
+    tangency is checked exactly on that form by :func:`_check_tangency`.
     """
     chart = rigid_chart(k)
     n = chart.nvars
-    comps = [Poly.const(n, 1), Poly.zero(n)]
-    for phi in phis:
-        comps.append(phi.diff(0).extend_vars(n).scale(QI(0, 1)))
-    L = PolyVectorField(chart, comps)
-    _check_tangency(phis, L)
+    # the check multiplies each partial of an i·phi_j by a constant or by z
+    # or zbar, which restores the exponent the partial lowered, so no
+    # exponent passes those of the phi_j
+    width = _width(phis, 1)
+    iphi = _pack([phi.scale(QI(0, 1)) for phi in phis], n, width)
+    partials = _partials(iphi[0], n, width)
+    us = [_decode(partials.get((j, 0), {}), iphi[1], n, width) for j in range(k)]
+    L = PolyVectorField(chart, [Poly.const(n, 1), Poly.zero(n), *us])
+    _check_tangency(L, iphi, partials, [max(map(sum, phi.terms), default=0) for phi in phis], width)
     return L
 
 
-def _check_tangency(phis, L: PolyVectorField):
-    """L annihilates each wbar_j restricted to M, which is u_j - i·phi_j."""
+def _check_tangency(L: PolyVectorField, iphi, partials: dict, degrees, width: int):
+    """L annihilates each wbar_j restricted to M, u_j - i·phi_j: its u_j-component is L(i·phi_j).
+
+    ``iphi`` is the packed form of the i·phi_j and ``partials`` are its
+    ``_partials``, from which L's u-components were read, so the partials
+    are checked on their own too: the homogeneous phi_j of degree
+    ``degrees[j]`` satisfies Euler's identity (z·d_z + zbar·d_zbar) phi_j =
+    degrees[j]·phi_j, which a wrong factor or a wrong variable breaks.  L
+    and the Euler field are each packed once and applied to all the
+    i·phi_j in one bracket each, with no partials of either.
+    """
     n = L.chart.nvars
-    for j, phi in enumerate(phis):
-        wbar = Poly.var(n, 2 + j) - phi.extend_vars(n).scale(QI(0, 1))
-        if not L.apply_to(wbar).is_zero():
+    comps, _ = packed = _pack(L.comps, n, width)
+    euler = _pack([Poly.var(n, 0), Poly.var(n, 1), *[Poly.zero(n)] * (n - 2)], n, width)
+    applied, _ = _bracket(packed, iphi, {}, partials, n, width)
+    scaled, _ = _bracket(euler, iphi, {}, partials, n, width)
+    for j, (value, homogeneous, deg) in enumerate(zip(applied, scaled, degrees)):
+        # each side is over the denominator of the field applied times that of iphi
+        if value != {e: x * iphi[1] for e, x in comps[2 + j].items()} or homogeneous != {e: deg * euler[1] * x for e, x in iphi[0][j].items()}:
             raise AssertionError(f"CR field does not annihilate wbar_{j + 1} on the model")
 
 

@@ -739,6 +739,9 @@ def real_form(algebra: GradedLieAlgebra) -> RealForm:
         block = algebra.indices_of_degree(d)
         s = {q: _relabel(sc.get(b, {}), loc) for q, b in enumerate(block)}  # S on the block, over sden
         basis = _real_fixed_points((s, sden))  # column c of E_d, [(packed column, den, free column)] on the positions p of block
+        # unreachable through the constructors: _build refuses a conjugation that is
+        # not a degree-preserving involution, and the fixed points of an antilinear
+        # involution of a block are always a real form of it, of the block's dimension
         if len(basis) != len(block):
             raise NotSelfConjugate("real form of a degree block has wrong dimension")
         first = len(columns)

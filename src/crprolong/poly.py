@@ -16,6 +16,9 @@ e | (1 << w·n), and a product of two parts has its power of i in the two
 bits from there, which ``_bracket`` folds once by i² = -1.  A polynomial
 is a dict ``{monomial: int numerator}``, zeros dropped, and a field a
 list of them over one positive ``int`` denominator, ``([comp], den)``.
+A polynomial on fewer variables packs onto the first bit fields, so the
+defining polynomials of a rigid model, in (z, zbar), pack as they are on
+its chart (z, zbar, u_1..u_k).
 Every exponent the arithmetic makes must fit in w bits: ``_width`` sizes
 w for products of a given number of input monomials (two for a bracket,
 the word length for ``frames``' bracket words).  ``bch`` evaluates its
@@ -152,15 +155,6 @@ class Poly:
 
     __mul__ = __rmul__ = scale
 
-    def diff(self, i: int) -> "Poly":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                terms[tuple(ne)] = c * e[i]
-        return Poly(self.nvars, terms)
-
     def permuted(self, perm, conj=False) -> "Poly":
         """Permute variables (new index p -> old exps) and optionally conjugate."""
         terms = {}
@@ -170,13 +164,6 @@ class Poly:
                 ne[perm[i]] = x
             terms[tuple(ne)] = c.conj() if conj else c
         return Poly(self.nvars, terms)
-
-    def extend_vars(self, nvars: int) -> "Poly":
-        """Reinterpret in a chart with extra trailing variables."""
-        if nvars < self.nvars:
-            raise ValueError("cannot drop variables")
-        pad = (0,) * (nvars - self.nvars)
-        return Poly(nvars, {e + pad: c for e, c in self.terms.items()})
 
     def pretty(self, names) -> str:
         if not self.terms:
@@ -271,16 +258,6 @@ class PolyVectorField:
     def _same_chart(self, other):
         if self.chart != other.chart:
             raise ChartMismatch("fields live on different charts")
-
-    def apply_to(self, f: Poly) -> Poly:
-        """self(f) = sum_i X_i·d_i f for the components X_i of self: the packed bracket of self and the one-component field f, with no partials of self."""
-        n = self.chart.nvars
-        if f.nvars != n:
-            raise ValueError("variable count mismatch")
-        width = _width((*self.comps, f), 2)
-        F = _pack((f,), n, width)
-        (comp,), den = _bracket(_pack(self.comps, n, width), F, {}, _partials(F[0], n, width), n, width)
-        return _decode(comp, den, n, width)
 
     def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
         """Commutator [self, other]: exact, bilinear, antisymmetric."""

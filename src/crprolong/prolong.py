@@ -383,17 +383,14 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
     """
     labels = list(m.labels)
     degrees = list(m.degrees)
-    comp_base = {}
+    slots = dict(m._blocks)  # degree: its indices in the assembled algebra
     maps = {}  # index of each component basis vector: its map
     for comp in components:
-        comp_base[comp.degree] = len(labels)
+        slots[comp.degree] = range(len(labels), len(labels) + comp.dim)
         for idx, dm in enumerate(comp.maps):
             maps[len(labels)] = dm
             labels.append(f"G{comp.degree}_{idx + 1}")
             degrees.append(comp.degree)
-    slots = {}
-    for g, d in enumerate(degrees):
-        slots.setdefault(d, []).append(g)
     loc = m._positions
     max_l = components[-1].degree
     n = m.dim
@@ -418,9 +415,9 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
         target = components[s] if s <= max_l else ProlongationComponent(s, ())
         row = {t: r for r, t in enumerate(slots.get(s - 1, ()))}  # g_-1 block row of e_t in degree s - 1
         for ik in range(components[k].dim):
-            gi = comp_base[k] + ik
+            gi = slots[k][ik]
             for il in range(ik + 1 if k == l else 0, components[l].dim):
-                gj = comp_base[l] + il
+                gj = slots[l][il]
                 columns = []
                 for p, x in enumerate(ones):
                     # column p of the g_-1 block of [d, e] is [[d, e], e_x] = -[d, [e_x, e]] - [e, [d, e_x]]
@@ -442,7 +439,7 @@ def _assemble(m: GradedLieAlgebra, components) -> GradedLieAlgebra:
                 if coords is None:
                     raise RuntimeError(f"bracket of G^{k} and G^{l} escapes G^{s}")
                 if coords[0]:
-                    brackets[gi, gj] = _relabel(coords[0], range(comp_base[s], comp_base[s] + target.dim)), coords[1]
+                    brackets[gi, gj] = _relabel(coords[0], slots[s]), coords[1]
                     brackets[gj, gi] = {t: -y for t, y in brackets[gi, gj][0].items()}, coords[1]
 
     entries = [(key, *value) for key, value in brackets.items() if key[0] < key[1]]

@@ -66,17 +66,41 @@ def test_tangential_field_cubic_has_quadratic_coefficients():
     assert {sum(e) for e in L.comps[4].terms} == {2}
 
 
-def test_tangency_check_rejects_a_sign_mutant():
+def test_tangency_check_rejects_a_sign_mutant(monkeypatch):
     # the honest field annihilates wbar_j = u_j - i·phi_j on every rigid
     # catalog model; flipping the sign of its u-components breaks that
     rigid = [m for m in builtin_catalog().values() if m.rigid]
     assert len(rigid) == 6
+    assert [rigid_model(m.model_id, m.codim, m.phis, m.provenance) for m in rigid] == rigid
+
+    def mutant(chart, comps):
+        comps = list(comps)
+        return PolyVectorField(chart, comps[:2] + [c.scale(-1) for c in comps[2:]])
+
+    monkeypatch.setattr(frames, "PolyVectorField", mutant)
     for m in rigid:
-        L = m.cr
-        n = L.chart.nvars
-        mutant = PolyVectorField(L.chart, list(L.comps[:2]) + [phi.diff(0).extend_vars(n).scale(-I) for phi in m.phis])
         with pytest.raises(AssertionError, match="does not annihilate wbar_1"):
-            frames._check_tangency(m.phis, mutant)
+            rigid_model(m.model_id, m.codim, m.phis)
+
+
+@pytest.mark.parametrize("fault", ["factor", "variable"])
+def test_tangency_check_rejects_a_wrong_partial(monkeypatch, fault):
+    # L's u-components and L(i·phi_j) come from the same partials, so a fault
+    # in them is caught by Euler's identity on each homogeneous phi_j: every
+    # partial doubled, or d_z and d_zbar exchanged
+    rigid = [m for m in builtin_catalog().values() if m.rigid]
+    honest = frames._partials
+
+    def wrong(comps, nvars, width):
+        out = honest(comps, nvars, width)
+        if fault == "factor":
+            return {key: {e: 2 * x for e, x in d.items()} for key, d in out.items()}
+        return {(i, 1 - j if j < 2 else j): d for (i, j), d in out.items()}
+
+    monkeypatch.setattr(frames, "_partials", wrong)
+    for m in rigid:
+        with pytest.raises(AssertionError, match="does not annihilate wbar_1"):
+            rigid_model(m.model_id, m.codim, m.phis)
 
 
 def test_not_rigid_for_field_models():
@@ -87,23 +111,32 @@ def test_not_rigid_for_field_models():
 
 
 def test_every_model_holds_its_field_and_checks_tangency_once(monkeypatch, capsys):
-    """``rigid_model`` builds L and runs the tangency gate once; the growth, the symbol and ``verify --model`` read ``model.cr``."""
+    """``rigid_model`` builds L and runs the tangency gate once, packing L once; the growth, the symbol and ``verify --model`` read ``model.cr``."""
     from crprolong import cli
 
     catalog = builtin_catalog()
     assert all(isinstance(m.cr, PolyVectorField) and len(m.weights) == m.cr.chart.nvars for m in catalog.values())
     rigid = [m for m in catalog.values() if m.rigid]
     assert len(rigid) == 6
-    calls = []
-    honest = frames._check_tangency
+    calls, packed = [], []
+    honest_check, honest_pack = frames._check_tangency, frames._pack
 
-    def counted(phis, L):
-        calls.append(phis)
-        return honest(phis, L)
+    def counted(L, *form):
+        calls.append(L)
+        return honest_check(L, *form)
+
+    def counted_pack(polys, *args, **kwargs):
+        packed.append(tuple(polys))
+        return honest_pack(polys, *args, **kwargs)
 
     monkeypatch.setattr(frames, "_check_tangency", counted)
+    monkeypatch.setattr(frames, "_pack", counted_pack)
     assert [rigid_model(m.model_id, m.codim, m.phis, m.provenance) for m in rigid] == rigid
-    assert calls == [m.phis for m in rigid]
+    assert calls == [m.cr for m in rigid]
+    # the i·phi_j once, then L once and the Euler field z·d_z + zbar·d_zbar once
+    n = [m.cr.chart.nvars for m in rigid]
+    euler = [(Poly.var(n, 0), Poly.var(n, 1), *[Poly.zero(n)] * (n - 2)) for n in n]
+    assert packed == [x for m, e in zip(rigid, euler) for x in (tuple(phi.scale(I) for phi in m.phis), m.cr.comps, e)]
     for m in rigid:
         assert m.weights == (1, 1, *(sum(next(iter(phi.terms))) for phi in m.phis))
     m = catalog["cubic3"]

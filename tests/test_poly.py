@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crprolong.exact import QI
-from crprolong.poly import Chart, ChartMismatch, Poly, PolyVectorField, _decode, real_chart, rigid_chart, vf_bracket
+from crprolong.poly import Chart, ChartMismatch, Poly, PolyVectorField, _bracket, _decode, _pack, _partials, _width, real_chart, rigid_chart, vf_bracket
 from oracles import assoc_add, conjugate_field, field_bracket, poly_diff, poly_mul
 
 I = QI(0, 1)
@@ -20,19 +20,8 @@ def test_poly_arithmetic():
 def test_poly_refusals():
     with pytest.raises(ValueError, match="^variable count mismatch$"):
         Poly(2, {(1, 0): 1}) + Poly(3, {(1, 0, 0): 1})
-    with pytest.raises(ValueError, match="^cannot drop variables$"):
-        Poly(3, {(0, 0, 1): 1}).extend_vars(2)
     with pytest.raises(ValueError, match="^component variable count mismatch$"):
         PolyVectorField(real_chart(("p", "q")), [Poly.const(2, 1), Poly.const(3, 1)])
-    with pytest.raises(ValueError, match="^variable count mismatch$"):
-        _coordinate_field(real_chart(("p", "q")), 0).apply_to(Poly.var(3, 0))
-
-
-def test_poly_diff():
-    p = Poly(2, {(2, 1): 3})
-    assert p.diff(0).terms == {(1, 1): QI(6)}
-    assert p.diff(1).terms == {(2, 0): QI(3)}
-    assert Poly.const(2, 5).diff(0).is_zero()
 
 
 def test_poly_permuted_conjugation():
@@ -150,10 +139,12 @@ def _gaussian_poly(rng, n, top=3):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_packed_kernel_matches_the_tuple_oracles(seed):
-    # bracket, conj and apply_to run as pack, one kernel call, decode; the
-    # real and imaginary parts of a monomial are packed under two keys, so a
-    # decoder that kept one part and dropped the other differs here on every
-    # coefficient, each of which has both parts nonzero
+    # bracket and conj run as pack, one kernel call, decode, and the kernel
+    # bracket with no partials of its first field applies that field to each
+    # component of the second; the real and imaginary parts of a monomial are
+    # packed under two keys, so a decoder that kept one part and dropped the
+    # other differs here on every coefficient, each of which has both parts
+    # nonzero
     rng = random.Random(seed)
     ch = rigid_chart(2) if seed % 2 else real_chart(("p", "q", "r"))
     X, Y = (PolyVectorField(ch, [_gaussian_poly(rng, ch.nvars) for _ in range(ch.nvars)]) for _ in range(2))
@@ -165,7 +156,11 @@ def test_packed_kernel_matches_the_tuple_oracles(seed):
     expect = {}
     for j, p in enumerate(x):
         expect = assoc_add(expect, poly_mul(p, poly_diff(f.terms, j)))
-    assert X.apply_to(f).terms == expect
+    n = ch.nvars
+    width = _width((*X.comps, f), 2)
+    F = _pack((f,), n, width)
+    (comp,), den = _bracket(_pack(X.comps, n, width), F, {}, _partials(F[0], n, width), n, width)
+    assert _decode(comp, den, n, width).terms == expect
 
 
 def test_poly_decodes_packed_monomials_as_field_by_field():
