@@ -11,7 +11,10 @@ start-up stays out of them; ``verify_k12`` is a whole
 outside, interpreter start-up included.  The children inherit the
 environment.  One untimed run comes first and, unless
 ``PYTHONDONTWRITEBYTECODE`` is set, writes the bytecode cache; with it
-set, every run compiles the package, and the times include that.
+set, every run compiles the package, and the times include that.  Python
+still reads a cache it finds, so with it set a tree whose package holds
+a ``__pycache__`` is refused, in one line naming that path, before
+anything is timed: that side would skip the compilation the other pays.
 Each key runs in 15 rounds per source tree, the two trees taking turns
 round by round; a round keeps the fastest of its fresh runs, and the
 median over the rounds is reported (``benchpair.py`` holds this harness).
@@ -28,6 +31,7 @@ pair goes to BENCH_startup.json in the current directory.
 from __future__ import annotations
 
 import importlib.util
+import os
 import statistics
 import subprocess
 import sys
@@ -64,6 +68,9 @@ def _imports(args: list) -> int:
 
 def measure(key: str, runs: int = REPEATS) -> dict:
     package = Path(importlib.util.find_spec("crprolong").submodule_search_locations[0])
+    cache = package / "__pycache__"
+    if os.environ.get("PYTHONDONTWRITEBYTECODE") and cache.exists():
+        raise SystemExit(f"{cache}: cached bytecode would skip the compilation that every other run times; remove it first")
     _run(key)
     times = [_run(key) for _ in range(runs)]
     return {

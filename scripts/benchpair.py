@@ -63,8 +63,11 @@ def run_side(script: str, src: str, key, runs: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run(
         [sys.executable, script, "--measure", str(key), "--runs", str(runs)],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True,
     )
+    if done.returncode:
+        # a child's refusal or traceback, as the child wrote it
+        raise SystemExit(done.stderr.strip() or f"{script} --measure {key} exited with {done.returncode}")
     return json.loads(done.stdout)
 
 

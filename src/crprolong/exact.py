@@ -6,18 +6,20 @@ nothing in the library ever rounds.  Every solve goes through one
 Gauss-Jordan kernel, ``integer_rref``: fraction-free elimination on sparse
 rows ``{col: int}``, each row kept primitive, read one at a time and
 stopped at full rank.  Every system over Q(i) reaches it through one
-reduction, ``_gaussian_reduce``, of a stream of packed Gaussian integer
-rows: real rows go to ``integer_rref`` as they come, and from the first
-row with an imaginary part on, the rows are realified (``_realify``) onto
-twice the columns, so a system of full rank is read only up to the row
-that completes the rank, whatever the scalars.  ``_integer_kernel`` (the
-prolongation's kernels) and the faithfulness test of the nondegeneracy
-and transitivity gates read it, and so does ``_gaussian_rref``, which
-relabels rows onto unknowns in a column order and back: rank,
-``Echelon`` (which keeps it) and the frame filtration and quotient read
-that.  The real basis of a conjugation block, the fixed points of the
-involution F(z) = S·conj(z), is read off one ``integer_rref`` of the
-image of F + I (``_real_fixed_points``), and ``liealg.real_form`` reads
+entry, ``_gaussian_reduce``, which reduces a stream of packed Gaussian
+integer rows: real rows go to ``integer_rref`` as they come, and from the
+first row with an imaginary part on, the rows are realified
+(``_realify``) onto twice the columns, so a system of full rank is read
+only up to the row that completes the rank, whatever the scalars.  Its
+output is one row form, ``(col, row)`` pivots, each packed row over its
+pivot entry ``row[col]``.  ``_integer_kernel`` (the prolongation's
+kernels), the faithfulness test of the nondegeneracy and transitivity
+gates, ``rank``, ``Echelon`` (which relabels its columns into
+``col_order`` and back), the frame filtration and quotient, the
+generating expressions of ``liealg`` and ``_real_fixed_points`` read it.
+The real basis of a conjugation block, the fixed points of the
+involution F(z) = S·conj(z), is read off one reduction of the image of
+F + I (``_real_fixed_points``), and ``liealg.real_form`` reads
 coordinates in it at the free columns, with no inverse
 (``_real_coordinates``).  The reduced row echelon form for a fixed
 column order is unique, so every basis, reducer and solution depends only
@@ -46,9 +48,10 @@ scale enters as its real part and its i part, ``_term``; a caller that
 accumulates its own sum uses the two steps, ``_over_one_denominator``
 and ``_lowest_terms``), ``_gaussian_axpy`` and ``_gaussian_apply`` the
 accumulating products, ``_numerator_table`` the one table in lowest
-terms, and ``_qi_view`` the way back to ``QI`` for the views, the only
-reader of key k together with key ~k.  No other module takes a gcd or an
-lcm, or reads the slots of a ``QI``.
+terms (a ``_sum_forms``, so ``_lowest_terms`` is the one place a table
+is divided by its gcd), and ``_qi_view`` the way back to ``QI`` for the
+views, the only reader of key k together with key ~k.  No other module
+takes a gcd or an lcm, or reads the slots of a ``QI``.
 """
 
 from __future__ import annotations
@@ -364,23 +367,6 @@ def _gaussian_reduce(rows, width):
     return pivots, read
 
 
-def _gaussian_rref(rows, col_order):
-    """Reduced row echelon form of packed Gaussian integer rows ``{col: re, ~col: im}``, yielded as ``(col, row, den)``.
-
-    Pivots are taken only in ``col_order`` and come back in that order;
-    each packed row, over its positive ``den``, is 1 at its pivot and 0 at
-    every other pivot.  Column ``cols[p]`` (``col_order``, then the other
-    columns in increasing order) is unknown p of ``_gaussian_reduce``: the
-    rows are relabelled there and back, and nothing else is converted.
-    """
-    cols = list(col_order)
-    cols += sorted({c if c >= 0 else ~c for row in rows for c in row} - set(cols))
-    position = {c: p for p, c in enumerate(cols)}
-    for p, row in _gaussian_reduce((_relabel(row, position) for row in rows), len(cols))[0]:
-        if p < len(col_order):
-            yield cols[p], _relabel(row, cols), row[p]
-
-
 def _entries(form):
     """The packed Gaussian ``form`` as ``[(index, turn, x)]``: x·i^turn is the real (turn 0) or imaginary (turn 1) part of entry index.
 
@@ -462,16 +448,11 @@ def _extend_numerators(base, entries):
 
 
 def _numerator_table(entries):
-    """``entries`` = [(key, form, den)] as one table ``({key: form}, den)`` of packed Gaussian forms.
+    """``entries`` = [(key, form, den)], keys distinct, as one table ``({key: form}, den)`` of packed Gaussian forms.
 
-    In lowest terms: den is the lcm of the terms' reduced denominators.
-    Zero terms and empty keys are dropped.
+    It is their ``_sum_forms``: in lowest terms, zero terms and empty keys dropped.
     """
-    nums, den = _extend_numerators(({}, 1), entries)
-    g = gcd(den, *(x for terms in nums.values() for x in terms.values()))
-    if g == 1:
-        return nums, den
-    return {key: {k: x // g for k, x in terms.items()} for key, terms in nums.items()}, den // g
+    return _sum_forms([(key, 1, den, form) for key, form, den in entries])
 
 
 def _sum_forms(terms):
@@ -665,12 +646,12 @@ def _real_fixed_points(s):
     ~p: im}}, den)``, one column per q in range(nb).  F is an involution,
     so its fixed space is the image of F + I, spanned by the 2nb real
     vectors (F + I)e_q and (F + I)(i·e_q) = i·(e_q - S e_q), times den.
-    One ``integer_rref`` of them with the real columns x_0..y_{nb-1} in
-    reverse order pivots each basis vector at its last nonzero entry, its
-    free column, part 0 (x) or 1 (y) of entry p; there it is ±den and
-    every other vector is 0.  Each vector z = x + iy is packed ({p: x_p,
-    ~p: y_p}), signed so that its leading coefficient is positive and
-    checked F·z = z, in integers.
+    One ``_gaussian_reduce`` of these real rows, with the real columns
+    x_0..y_{nb-1} in reverse order, pivots each basis vector at its last
+    nonzero entry, its free column, part 0 (x) or 1 (y) of entry p; there
+    it is ±den and every other vector is 0.  Each vector z = x + iy is
+    packed ({p: x_p, ~p: y_p}), signed so that its leading coefficient is
+    positive and checked F·z = z, in integers.
     """
     cols, den = s
     nb = len(cols)
@@ -685,7 +666,7 @@ def _real_fixed_points(s):
             flip[b] = flip.get(b, 0) + y
         rows += fix, flip
     basis = []
-    for f, row in reversed(integer_rref(rows, 2 * nb)):
+    for f, row in reversed(_gaussian_reduce(rows, 2 * nb)[0]):
         sign = 1 if row[max(row)] > 0 else -1  # the leading coefficient, at the highest reversed column
         z = {r if r < nb else ~(r - nb): sign * x for u, x in row.items() for r in (last - u,)}
         if {k: y for k, y in _gaussian_apply(cols, _conj(z)).items() if y} != {k: den * x for k, x in z.items()}:
@@ -720,17 +701,22 @@ def _real_coordinates(w, den, columns, dens, free):
 
 def rank(m: Matrix) -> int:
     """The rank of ``m``: that of its transpose, whose rows are the stored numerator columns."""
-    return sum(1 for _ in _gaussian_rref(list(m._numerators[0].values()), range(m.rows)))
+    return len(_gaussian_reduce(m._numerators[0].values(), m.rows)[0])
 
 
 class Echelon:
-    """A row span's reduced echelon form, stored once as ``_gaussian_rref``'s numerators.
+    """A row span's reduced echelon form, stored once as ``_gaussian_reduce``'s pivots.
 
-    ``reduced`` is a tuple of ``(col, {j: re, ~j: im}, den)``, one per pivot
-    col, unique for ``col_order``; the reversed order prefers trailing
-    pivots, which is how quotients pick the words that survive.  The
-    package builds one only in ``build_symbol_algebra``; ``rows`` and
-    ``reduce`` are views it never reads.
+    ``reduced`` is a tuple of ``(col, {j: re, ~j: im})``, one per pivot col
+    taken in ``col_order``, in that order; each packed row over its pivot
+    entry ``row[col]`` is 1 at its pivot and 0 at every other pivot, the
+    unique reduced form for ``col_order``.  Column ``col_order[p]`` is
+    unknown p of the reduction and the unlisted columns follow in
+    increasing order, so a prefix order pivots only in its columns.  The
+    reversed order prefers trailing pivots, which is how quotients pick the
+    words that survive.  The package builds one only in
+    ``build_symbol_algebra``; ``rows`` and ``reduce`` are views it never
+    reads.
     """
 
     __slots__ = ("cols", "reduced", "free_cols")
@@ -739,11 +725,17 @@ class Echelon:
         rows = list(rows)
         if any(len(r) != cols for r in rows):
             raise ValueError("row width mismatch")
-        sparse = [_gaussian_integers((j, as_qi(x)) for j, x in enumerate(r))[0] for r in rows]
-        pivots = _gaussian_rref(sparse, range(cols) if col_order is None else col_order)
-        self.reduced = tuple(pivots)
+        order = list(range(cols) if col_order is None else col_order)
+        if len(set(order)) != len(order) or not all(0 <= c < cols for c in order):
+            # refused before packing, where such a column would mislabel the unknowns
+            raise ValueError(f"col_order must list distinct columns in range({cols})")
+        labels = order + sorted(set(range(cols)).difference(order))
+        position = {c: p for p, c in enumerate(labels)}
+        sparse = [_gaussian_integers((position[j], as_qi(x)) for j, x in enumerate(r))[0] for r in rows]
+        pivots, _ = _gaussian_reduce(sparse, cols)
+        self.reduced = tuple((labels[p], _relabel(row, labels)) for p, row in pivots if p < len(order))
         self.cols = cols
-        self.free_cols = sorted(set(range(cols)).difference(c for c, _, _ in self.reduced))
+        self.free_cols = sorted(set(range(cols)).difference(c for c, _ in self.reduced))
 
     @property
     def rank(self) -> int:
@@ -752,14 +744,14 @@ class Echelon:
     @property
     def rows(self):
         """The reduced rows as dense ``QI`` lists: a view for output and tests."""
-        return [[view.get(j, QI_ZERO) for j in range(self.cols)] for _, row, den in self.reduced for view in (_qi_view(row, den),)]
+        return [[view.get(j, QI_ZERO) for j in range(self.cols)] for c, row in self.reduced for view in (_qi_view(row, row[c]),)]
 
     def reduce(self, vec):
         """Canonical representative of ``vec`` modulo the span: vec - Σ_c vec[c]·(row of pivot c), one sum in numerators."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         v, vden = _gaussian_integers((j, as_qi(x)) for j, x in enumerate(vec))
-        pivots = {c: (row, den) for c, row, den in self.reduced}
+        pivots = {c: (row, row[c]) for c, row in self.reduced}
         rows = [(turn, x, *pivots[c]) for c, turn, x in _entries(v) if c in pivots]
         out, den = _sum_forms([(0, 1, vden, v)] + [_term(0, turn, -x, vden * den, row) for turn, x, row, den in rows])
         view = _qi_view(out.get(0, {}), den)

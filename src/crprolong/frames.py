@@ -32,7 +32,7 @@ import functools
 import json
 
 from .bch import left_invariant_frame
-from .exact import QI, QI_ZERO, _entries, _gaussian_apply, _gaussian_axpy, _gaussian_rref, _over_one_denominator, _qi_view
+from .exact import QI, QI_ZERO, _entries, _gaussian_apply, _gaussian_axpy, _gaussian_reduce, _over_one_denominator, _qi_view
 from .exact import _relabel, _sum_forms, _term, _transpose
 from .freelie import _bracket_basis, cumulative_dim, hall_basis, min_length_for_codim, standard_factorization
 from .liealg import QuotientSpec, SymbolAlgebra, build_symbol_algebra, real_form
@@ -110,9 +110,9 @@ class ModelSpec:
         # word c's numerators times s_c = lcm / den_c
         scales, _ = _over_one_denominator([(1, d) for d in dens])
         rows = _transpose({c: {t: s * x for t, x in vec.items()} for c, (s, vec) in enumerate(zip(scales, vecs))}, 2 + self.codim)
-        reduced = tuple(_gaussian_rref(rows, range(len(vecs))))
+        reduced = tuple(_gaussian_reduce(rows, len(vecs))[0])
         words = tuple(values)
-        growth = tuple(sum(1 for c, _, _ in reduced if len(words[c]) <= ell) for ell in range(1, rho + 1))
+        growth = tuple(sum(1 for c, _ in reduced if len(words[c]) <= ell) for ell in range(1, rho + 1))
         return Filtration(growth, reduced, words)
 
     @property
@@ -289,11 +289,12 @@ def _check_tangency(L: PolyVectorField, iphi, partials: dict, degrees, width: in
 class Filtration:
     """Origin values of the bracket filtration: growth vector and reduced form.
 
-    ``reduced`` is the reduced row echelon form of the word values, one
-    ``(col, {col: re, ~col: im}, den)`` per pivot word: ``col`` indexes
-    ``words``, the Hall words up to the length in Hall order, and the row,
-    over its positive ``den``, is 1 at its pivot and 0 at every other
-    pivot.  A model shares its filtration, so no reader may change it.
+    ``reduced`` is the reduced row echelon form of the word values,
+    ``_gaussian_reduce``'s pivots: one ``(col, {col: re, ~col: im})`` per
+    pivot word, where ``col`` indexes ``words``, the Hall words up to the
+    length in Hall order, and the row, over its positive pivot entry
+    ``row[col]``, is 1 at its pivot and 0 at every other pivot.  A model
+    shares its filtration, so no reader may change it.
     """
 
     def __init__(self, growth: tuple, reduced: tuple = (), words: tuple = ()):
@@ -357,8 +358,9 @@ def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
     Under total nondegeneracy every lower word is a pivot of
     ``filt.reduced``, so each free top word f gives one such combination,
     e_f minus its column of the top pivot rows, in Gaussian integers;
-    their forward echelon form (``_gaussian_rref``) is the quotient, whose
-    entries become ``QI`` once.  The induced constants are cross-checked
+    their reduced echelon form on the word columns as they are
+    (``_gaussian_reduce``) is the quotient, each row over its pivot entry,
+    whose entries become ``QI`` once.  The induced constants are cross-checked
     against the vector-field brackets at the origin before returning.
     """
     filt, ok = growth_and_nondegeneracy(model)
@@ -369,16 +371,16 @@ def symbol_from_frame(model: ModelSpec) -> SymbolAlgebra:
     k = model.codim
     n_low = cumulative_dim(min_length_for_codim(k) - 1)
     top_cols = range(n_low, len(filt.words))
-    top = [(c, row, den) for c, row, den in filt.reduced if c >= n_low]
-    free = sorted(set(top_cols) - {c for c, _, _ in top})
+    top = [(c, row) for c, row in filt.reduced if c >= n_low]
+    free = sorted(set(top_cols) - {c for c, _ in top})
     # e_f minus column f of the top pivot rows, at their pivots; the scale of a row is free, so its numerators will do
     terms = {f: [(0, 1, 1, {f: 1})] for f in free}
-    for c, row, den in top:
+    for c, row in top:
         for f, turn, x in _entries(row):
             if f in terms:
-                terms[f].append(_term(0, turn, -x, den, {c: 1}))
+                terms[f].append(_term(0, turn, -x, row[c], {c: 1}))
     vecs = [_sum_forms(terms[f])[0][0] for f in free]
-    views = (_qi_view(row, den) for _, row, den in _gaussian_rref(vecs, top_cols))
+    views = (_qi_view(row, row[c]) for c, row in _gaussian_reduce(vecs, len(filt.words))[0])
     rows = tuple(tuple(view.get(c, QI_ZERO) for c in top_cols) for view in views)
     spec = QuotientSpec(kind="frame", rows=rows, provenance=f"frame:{model.model_id}")
     symbol = build_symbol_algebra(k, spec)
@@ -398,7 +400,7 @@ def _check_frame_constants(symbol: SymbolAlgebra, filt: Filtration):
     col = {w: c for c, w in enumerate(filt.words)}
     n_low = cumulative_dim(symbol.length - 1)
     # the top pivot rows by column: {word column: {pivot row: re, ~pivot row: im}}
-    top = dict(enumerate(_transpose({p: row for p, (c, row, _) in enumerate(filt.reduced) if c >= n_low}, len(filt.words))))
+    top = dict(enumerate(_transpose({p: row for p, (c, row) in enumerate(filt.reduced) if c >= n_low}, len(filt.words))))
     nums, den = symbol.algebra._numerators
     word_cols = [col[w.word] for w in symbol.words]
     for i, wi in enumerate(symbol.words):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exact import QI_ZERO, Echelon, Matrix, as_qi, qi_from_json
-from .exact import _conj, _entries, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_reduce, _gaussian_rref, _gaussian_table, _qi
+from .exact import _conj, _entries, _extend_numerators, _gaussian_apply, _gaussian_axpy, _gaussian_reduce, _gaussian_table, _qi
 from .exact import _key, _numerator_table, _qi_view, _real_coordinates, _real_fixed_points, _relabel, _table_entries
 from .freelie import _bracket_basis, conjugate_normal_form, cumulative_dim, hall_basis, min_length_for_codim, witt_dim
 
@@ -400,11 +400,11 @@ def _solve_generating_expressions(algebra: GradedLieAlgebra):
             sign = 1 if g < y else -1
             terms = nums.get((min(g, y), max(g, y)), {})
             rows.append({_key(loc[k], turn): sign * x for k, turn, x in _entries(terms) if algebra.degrees[k] == a} | {nb + p: den})
-        pivots = list(_gaussian_rref(rows, range(nb)))
+        pivots = [(c, row) for c, row in _gaussian_reduce(rows, nb + len(pairs))[0] if c < nb]
         if len(pivots) != nb:
             return None
-        for c, row, pden in pivots:
-            out[block[c]] = ([(*pairs[q - nb], turn, x) for q, turn, x in _entries(row) if q >= nb], pden)
+        for c, row in pivots:
+            out[block[c]] = ([(*pairs[q - nb], turn, x) for q, turn, x in _entries(row) if q >= nb], row[c])
     return out
 
 
@@ -642,8 +642,8 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
     hall = {w.word: h for h, w in enumerate(basis.words)}
     pi = [(hall[w.word], {i: 1}, 1) for i, w in enumerate(low_words)]
     pi += [(hall[top_words[t].word], {pos: 1}, 1) for t, pos in pos_top_retained.items()]
-    for c, row, den in reducer.reduced:
-        pi.append((hall[top_words[c].word], _relabel({u: -x for u, x in row.items() if u != c}, pos_top_retained), den))
+    for c, row in reducer.reduced:
+        pi.append((hall[top_words[c].word], _relabel({u: -x for u, x in row.items() if u != c}, pos_top_retained), row[c]))
     pi_nums, pden = _numerator_table(pi)
 
     n = len(words)
@@ -663,7 +663,7 @@ def build_symbol_algebra(k: int, quotient=None) -> SymbolAlgebra:
         return _gaussian_apply(pi_nums, {hall[v]: c for v, c in conjugate_normal_form(w.word)})
 
     swapped = {t: swap(w) for t, w in enumerate(top_words)}
-    stable = not any(any(_gaussian_apply(swapped, _conj(row)).values()) for _, row, _ in reducer.reduced)
+    stable = not any(any(_gaussian_apply(swapped, _conj(row)).values()) for _, row in reducer.reduced)
     conjugation = None
     if stable:
         conj_cols = [swap(w) for w in low_words] + [swapped[t] for t in retained]

@@ -13,6 +13,7 @@ constants.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -56,6 +57,23 @@ def test_bench_script_measures_the_current_tree(script, key, key_name, timed, be
     sizes = {name: value for name, value in recorded.items() if name != key_name and not name.endswith(("_s", "speedup", "_sizes"))}
     sizes |= recorded.get("after_sizes", {})
     assert {name: value for name, value in got.items() if name not in (timed, "runs_s")} == sizes
+
+
+def test_bench_startup_refuses_a_tree_with_cached_bytecode(tmp_path):
+    """With ``PYTHONDONTWRITEBYTECODE`` set, a package holding a ``__pycache__`` is refused in one line, by a side and by the pair, before anything is timed."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "crprolong", src / "crprolong", ignore=shutil.ignore_patterns("__pycache__"))
+    cache = src / "crprolong" / "__pycache__"
+    cache.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    message = f"{cache}: cached bytecode would skip the compilation that every other run times; remove it first\n"
+    for args in (["--measure", "import"], ["--before", str(src), "--after", str(src)]):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench_startup.py"), *args],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    assert not (tmp_path / "BENCH_startup.json").exists()
 
 
 def _max_bits_oracle(solves):

@@ -10,7 +10,7 @@ import pytest
 from oracles import C_ONE, C_ZERO, c_add, c_mul, c_sub, dense_fixed_basis, dense_inverse, dense_kernel, dense_matmul, dense_matvec, dense_reduce, dense_rref
 
 from crprolong import exact
-from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _gaussian_rref, _qi, _sum_forms, integer_rref, qi_from_json, rank
+from crprolong.exact import QI, Echelon, Matrix, _gaussian_integers, _qi, _sum_forms, integer_rref, qi_from_json, rank
 from crprolong.liealg import _matrix_from_json, _matrix_to_json
 
 I = QI(0, 1)
@@ -76,11 +76,12 @@ def _kernel(m):
     rows' entries at f at their pivots, and 0 at the other free columns.
     """
     e = Echelon(m.data, m.cols)
+    assert all(row[c] > 0 for c, row in e.reduced)
     basis = []
     for f in e.free_cols:
         v = [QI(0)] * m.cols
         v[f] = QI(1)
-        for i, c in enumerate([c for c, _, _ in e.reduced]):
+        for i, c in enumerate([c for c, _ in e.reduced]):
             v[c] = -e.rows[i][f]
         basis.append(v)
     return basis
@@ -187,6 +188,16 @@ def test_echelon_reduction_right_preference():
     # a vector of the span reduces to zero, one outside it does not
     assert e.reduce([QI(1), QI(0), QI(1)]) == [QI(0)] * 3
     assert e.reduce([QI(1), QI(0), QI(0)]) == [QI(1), QI(0), QI(0)]
+
+
+@pytest.mark.parametrize("col_order", [[-1, 0], [5, 0], [0, 0]], ids=["negative", "past-the-end", "repeated"])
+def test_echelon_refuses_a_bad_column_order(col_order):
+    """A column outside range(cols), or one listed twice, is refused before packing; each once read this rank-2 matrix as rank 1."""
+    rows = [[QI(1), QI(2)], [QI(0), QI(1)]]
+    with pytest.raises(ValueError) as info:
+        Echelon(rows, 2, col_order=col_order)
+    assert str(info.value) == "col_order must list distinct columns in range(2)"
+    assert Echelon(rows, 2, col_order=[1, 0]).rank == 2
 
 
 def test_fraction_string_round_trip():
@@ -364,7 +375,7 @@ def test_echelon_matches_dense_oracle(complex_entries, trailing):
         e = Echelon([_qis(r) for r in data], cols, col_order=order if trailing else None)
         pivot_cols, prows = dense_rref(data, order)
         assert [_pairs(r) for r in e.rows] == prows
-        assert [c for c, _, _ in e.reduced] == pivot_cols
+        assert [c for c, _ in e.reduced] == pivot_cols
         assert e.free_cols == [j for j in range(cols) if j not in pivot_cols]
         for v in ([_oracle_entry(rng, complex_entries) for _ in range(cols)], _oracle_combination(rng, complex_entries, data)):
             assert _pairs(e.reduce(_qis(v))) == dense_reduce(pivot_cols, prows, v)
@@ -523,15 +534,15 @@ def _check_rref_against_dense_oracle(order, complex_entries, draws=60, after_rea
             "reversed": range(cols - 1, -1, -1),
             "prefix": range(rng.randint(1, cols)),
         }[order]
-        sparse = [_gaussian_integers((j, QI(re, im)) for j, (re, im) in enumerate(row))[0] for row in data]
-        got = [(c, {j: _qi(row.get(j, 0), row.get(~j, 0), den) for j in {j if j >= 0 else ~j for j in row}}) for c, row, den in _gaussian_rref(sparse, col_order)]
+        e = Echelon([_qis(row) for row in data], cols, col_order=col_order)
         pivot_cols, prows = dense_rref(data, col_order)
-        assert [c for c, _ in got] == pivot_cols
-        for (c, row), prow in zip(got, prows):
-            assert C_ZERO not in _pairs(row.values())
-            assert [_pairs([row.get(j, QI())])[0] for j in col_order] == [prow[j] for j in col_order]
-            assert _in_span(data, [_pairs([row.get(j, QI())])[0] for j in range(cols)])
-        deficient += len(got) < min(len(data), len(col_order))
+        assert [c for c, _ in e.reduced] == pivot_cols
+        for (c, packed), row, prow in zip(e.reduced, e.rows, prows):
+            # stored without zeros, over the positive pivot entry
+            assert all(packed.values()) and packed[c] > 0
+            assert [_pairs([row[j]])[0] for j in col_order] == [prow[j] for j in col_order]
+            assert _in_span(data, _pairs(row))
+        deficient += e.rank < min(len(data), len(col_order))
     assert deficient
     assert switched or not after_real
 
@@ -728,15 +739,15 @@ def test_only_exact_takes_gcd_or_lcm():
     assert offenders == []
 
 
-def _attribute_scopes(tree, names, scope=""):
-    """The enclosing qualified name of every read of an attribute in ``names`` under ``tree``."""
+def _scopes(tree, matches, scope=""):
+    """The enclosing qualified name of every node under ``tree`` for which ``matches(node)`` holds."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _attribute_scopes(node, names, f"{scope}{node.name}.")
+            yield from _scopes(node, matches, f"{scope}{node.name}.")
         else:
-            if isinstance(node, ast.Attribute) and node.attr in names:
+            if matches(node):
                 yield scope.rstrip(".")
-            yield from _attribute_scopes(node, names, scope)
+            yield from _scopes(node, matches, scope)
 
 
 def test_only_output_code_reads_matrix_views():
@@ -747,7 +758,7 @@ def test_only_output_code_reads_matrix_views():
         (path.name, scope)
         for path in sorted(package.glob("*.py"))
         if path.name != "exact.py"
-        for scope in _attribute_scopes(ast.parse(path.read_text()), {"data", "sparse_column"})
+        for scope in _scopes(ast.parse(path.read_text()), lambda node: isinstance(node, ast.Attribute) and node.attr in {"data", "sparse_column"})
     }
     assert reads <= allowed, sorted(reads - allowed)
 
@@ -766,6 +777,19 @@ def test_only_exact_names_the_integer_elimination():
         or (isinstance(node, ast.alias) and node.name in inner)
     ]
     assert offenders == []
+
+
+def test_gaussian_reduce_is_the_one_entry_to_the_kernel():
+    """Every Q(i) reduction enters through ``_gaussian_reduce``: it alone calls ``integer_rref``, and ``exact`` defines no second entry ``_gaussian_rref``."""
+    package = Path(exact.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+    def calls(node):
+        return isinstance(node, ast.Call) and "integer_rref" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    callers = {(name, scope) for name, tree in trees.items() for scope in _scopes(tree, calls)}
+    assert callers == {("exact.py", "_gaussian_reduce")}
+    assert "_gaussian_rref" not in {node.name for node in ast.walk(trees["exact.py"]) if isinstance(node, ast.FunctionDef)}
 
 
 def test_only_exact_decodes_a_packed_key():

@@ -327,13 +327,13 @@ def test_generating_expressions_computed_once_per_algebra(monkeypatch):
     fundamental = GradedLieAlgebra(A.labels, A.degrees, A.table)
     not_fundamental = GradedLieAlgebra(["x", "y", "t", "s"], [-1, -1, -2, -2], {(0, 1): {2: 1}})
     calls = []
-    rref = liealg._gaussian_rref
+    reduce = liealg._gaussian_reduce
 
     def counted(*args):
         calls.append(args)
-        return rref(*args)
+        return reduce(*args)
 
-    monkeypatch.setattr(liealg, "_gaussian_rref", counted)
+    monkeypatch.setattr(liealg, "_gaussian_reduce", counted)
     for algebra in (fundamental, not_fundamental):
         first = liealg._generating_expressions(algebra)
         made = len(calls)
@@ -916,8 +916,8 @@ def test_every_stored_numerator_is_one_packed_form(k):
     n_top = len(conjugation_adapted_top_basis(symbol.length))
     reducer = Echelon(liealg.default_quotient_rows(k), n_top, col_order=range(n_top - 1, -1, -1))
     filtrations = [model.filtration for model in builtin_catalog().values() if model.codim == k]
-    for _, row, den in [*reducer.reduced, *(r for filt in filtrations for r in filt.reduced)]:
-        assert type(den) is int and den > 0 and _packed(row)
+    for col, row in [*reducer.reduced, *(r for filt in filtrations for r in filt.reduced)]:
+        assert _packed(row) and row[col] > 0
     real = realify(m)
     assert real.scalar_tag == "Q" and _packed_table(real._numerators) and _packed_table(real.J._numerators)
     assert all(key >= 0 for terms in real._numerators[0].values() for key in terms)
