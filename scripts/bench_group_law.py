@@ -5,7 +5,8 @@
 The keys are ``assoc<k>``, ``GroupLaw.associativity_residual``, and
 ``frame<k>``, ``left_invariant_frame``, each on the real form of the
 default symbol of codimension k, and ``series<c>``, ``bch_series(c)``
-computed cold (its cache is cleared before every call).  Each key is
+computed cold (its cache and ``freelie``'s cache of bracket rewrites are
+cleared before every call, so no call reuses a rewrite of an earlier one).  Each key is
 timed five times per source tree, one run per fresh process after one
 untimed call, the two trees taking turns run by run (the median is reported; ``benchpair.py``
 holds this harness); the residual is checked to be zero.  The sizes are read from
@@ -29,13 +30,18 @@ REPEATS = 5
 
 
 def measure(key: str, runs: int = REPEATS) -> dict:
+    from crprolong import freelie
     from crprolong.bch import GroupLaw, bch_series, left_invariant_frame
     from crprolong.liealg import build_symbol_algebra, realify
 
     kind = key.rstrip("0123456789")
     k = int(key[len(kind):])
     if kind == "series":
-        series, timing = benchpair.timed(lambda: bch_series(k), runs, reset=bch_series.cache_clear)
+        def reset():
+            bch_series.cache_clear()
+            freelie._bracket_basis.cache_clear()
+
+        series, timing = benchpair.timed(lambda: bch_series(k), runs, reset=reset)
         return {**timing, "words": len(series), "denominator_bits": lcm(*(c.denominator for _, c in series)).bit_length()}
     algebra = realify(build_symbol_algebra(k).algebra)
     law = GroupLaw(algebra)

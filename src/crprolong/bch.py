@@ -1,12 +1,11 @@
 """Group law of a nilpotent graded Lie algebra in exponential coordinates.
 
-The universal series is obtained the honest way: multiply the two
-truncated exponentials in the free associative algebra, take the
-truncated logarithm, and read the Lie coordinates off in the Lyndon
-basis by triangular elimination.  All of it runs on integer coefficients
-over one denominator, and the extraction is certified on every call by
-re-expanding the bracket series and comparing with the logarithm term by
-term.
+The universal series is computed in the free Lie algebra on two letters,
+in :mod:`crprolong.freelie`'s Lyndon normal form: Varadarajan's
+recursion builds each homogeneous part from brackets of the lower ones
+and the Bernoulli numbers, with exact ``Fraction`` coefficients, and no
+word of the free associative algebra is formed.  Every call checks the
+part of the series linear in Y against the Bernoulli numbers.
 
 The series is then evaluated in a concrete real algebra, exactly and
 fraction-free, on real forms of the packed layout of :mod:`crprolong.poly`
@@ -26,11 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .assoc import a_add, a_mul, expand_tree, lie_coordinates
 from .exact import _lowest_terms, _over_one_denominator, _sum_forms
-from .freelie import standard_factorization, standard_tree
+from .freelie import _bracket_combos, _merge, standard_factorization
 from .liealg import GradedLieAlgebra, check_grading
 from .poly import PolyVectorField, _decode, _mul_into, real_chart
 
@@ -42,40 +40,50 @@ class NotNilpotent(ValueError):
 
 
 @lru_cache(maxsize=None)
+def _bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n with B_1 = +1/2, from sum_{k<=n} C(n+1, k)·B_k = n + 1."""
+    return (n + 1 - sum(comb(n + 1, k) * _bernoulli(k) for k in range(n))) / Fraction(n + 1)
+
+
+@lru_cache(maxsize=None)
 def bch_series(cap: int):
     """Universal log(exp X · exp Y) through bracket length ``cap``.
 
     Returns a tuple of (Lyndon word, Fraction coefficient) sorted by
     (length, word); each word stands for its standard bracketing.  The
-    series is computed in integers: with N = cap!, N·(exp X · exp Y - 1)
-    has the integer coefficients N/(i!·j!), and the logarithm is summed
-    over the one denominator N^(cap+1), a multiple of every n·N^n since n
-    divides N.
+    homogeneous parts Z_n are computed in the free Lie algebra by
+    Varadarajan's recursion (Lie Groups, Lie Algebras, and Their
+    Representations, 2.15):
+
+        Z_1 = X + Y,
+        (n+1)·Z_(n+1) = 1/2·[X - Y, Z_n]
+            + sum_(p >= 1, 2p <= n) B_2p/(2p)! · C_2p(n),
+
+    where C_j(m) = sum_k [Z_k, C_(j-1)(m - k)] over k >= 1 is the sum of the
+    j-fold brackets [Z_k1, [... [Z_kj, X + Y]...]] with k_1 + ... + k_j = m,
+    and C_0(0) = X + Y.  Every bracket is rewritten in the Lyndon basis by
+    :mod:`crprolong.freelie`.  Each call checks the part linear in Y,
+    ad_X/(1 - e^(-ad_X))·Y: the word 1^m 2 must carry B_m/m! for every m < cap.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    n_fact = factorial(cap)
-    eaten = {
-        (1,) * i + (2,) * j: n_fact // (factorial(i) * factorial(j))
-        for i in range(cap + 1)
-        for j in range(cap + 1 - i)
-        if i + j
-    }
-    log = {}
-    power = {(): 1}
-    for n in range(1, cap + 1):
-        power = a_mul(power, eaten, cap)
-        a_add(log, power, (-1) ** (n + 1) * n_fact ** (cap - n) * (n_fact // n))
-    den = n_fact ** (cap + 1)
-    memo = {}
-    coords = lie_coordinates(log, cap, memo)
-    # certify the extraction: the bracket series must re-expand to the log
-    expanded = {}
-    for word, coeff in coords.items():
-        a_add(expanded, expand_tree(standard_tree(word), cap, memo), coeff)
-    if expanded != log:
-        raise AssertionError("Lyndon extraction failed to reproduce the logarithm")
-    return tuple((word, Fraction(coeff, den)) for word, coeff in sorted(coords.items(), key=lambda t: (len(t[0]), t[0])))
+    half = Fraction(1, 2)
+    zs = [None, {(1,): Fraction(1), (2,): Fraction(1)}]  # zs[n] = Z_n
+    chains = {(0, 0): zs[1]}  # (j, m): C_j(m)
+    for n in range(1, cap):
+        for j in range(1, n + 1):
+            chain = {}
+            for k in range(1, n - j + 2):
+                if inner := chains.get((j - 1, n - k)):
+                    _merge(chain, _bracket_combos(zs[k], inner))
+            chains[j, n] = chain
+        z = _bracket_combos({(1,): half, (2,): -half}, zs[n])
+        for p in range(1, n // 2 + 1):
+            _merge(z, chains[2 * p, n], _bernoulli(2 * p) / factorial(2 * p))
+        zs.append({w: c / (n + 1) for w, c in z.items()})
+    if any(zs[m + 1].get((1,) * m + (2,), 0) != _bernoulli(m) / factorial(m) for m in range(cap)):
+        raise AssertionError("BCH series does not carry B_m/m! on the words 1^m 2")
+    return tuple((word, c) for z in zs[1:] for word, c in sorted(z.items()))
 
 
 class GroupLaw:

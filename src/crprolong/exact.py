@@ -504,8 +504,12 @@ def _over_one_denominator(fractions):
 
 
 def _lowest_terms(forms, den):
-    """Forms ``{t: {key: int}}`` over ``den`` with zeros dropped, divided by one gcd; returns ``(forms, den)``."""
-    out = {t: form for t, acc in forms.items() if (form := {v: x for v, x in acc.items() if x})}
+    """Forms ``{t: {key: int}}`` over ``den`` with zeros dropped, divided by one gcd; returns ``(forms, den)``.
+
+    A form with no zero is kept as it is, so with gcd 1 the result holds
+    the caller's own dicts: each caller passes forms it built itself.
+    """
+    out = {t: form for t, acc in forms.items() if (form := acc if all(acc.values()) else {v: x for v, x in acc.items() if x})}
     g = gcd(den, *chain.from_iterable(form.values() for form in out.values()))
     if g == 1:
         return out, den

@@ -195,7 +195,7 @@ def _is_normal_pair(u, v) -> bool:
 
 
 def _merge(acc: dict, b: dict, mult=1) -> dict:
-    """acc += mult · b, in place (zeros dropped); returns ``acc``.  ``assoc`` re-exports it as ``a_add``."""
+    """acc += mult · b, in place (zeros dropped); returns ``acc``."""
     for w, c in b.items():
         nc = acc.get(w, 0) + c * mult
         if nc:

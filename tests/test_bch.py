@@ -1,9 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import crprolong
 from crprolong import bch
-from crprolong.assoc import lie_coordinates
 from crprolong.bch import GroupLaw, NotNilpotent, bch_series, left_invariant_frame
 from crprolong.exact import QI
 from crprolong.frames import builtin_catalog, symbol_from_frame
@@ -51,29 +53,55 @@ def test_series_reexpands_to_the_logarithm():
     assert expanded == bch_log_oracle(cap)
 
 
-@pytest.mark.parametrize("cap", range(1, 9))
+@pytest.mark.parametrize("cap", [*range(1, 11), *(pytest.param(c, marks=pytest.mark.slow) for c in (11, 12))])
 def test_series_matches_the_fraction_oracle(cap):
-    # the integer series against exp-log in Fractions, words and coefficients alike
+    # Varadarajan's recursion in the free Lie algebra against exp-log in the
+    # free associative algebra, words and coefficients alike
     assert bch_series(cap) == bch_series_oracle(cap)
 
 
-def test_lie_coordinates_refuse_an_element_that_is_not_lie():
-    # 12 alone is [1, 2] + 21, and 21 is no Lyndon word
-    with pytest.raises(ValueError, match=r"not a Lie element: leading word \(2, 1\) is not Lyndon"):
-        lie_coordinates({(1, 2): 1}, 2, {})
-    assert lie_coordinates({(1, 2): 3, (2, 1): -3}, 2, {}) == {(1, 2): 3}
+def _perturbed_brackets(monkeypatch, word):
+    """Make every ``_bracket_combos`` result that has ``word`` carry 1 more on it."""
+    combos = bch._bracket_combos
+
+    def perturbed(a, b):
+        out = combos(a, b)
+        if word in out:
+            out[word] += 1
+        return out
+
+    monkeypatch.setattr(bch, "_bracket_combos", perturbed)
 
 
-def test_series_certification_catches_a_wrong_coordinate(monkeypatch):
-    # one Lyndon coordinate off by one no longer re-expands to the logarithm
-    def off_by_one(elem, cap, memo):
-        coords = lie_coordinates(elem, cap, memo)
-        coords[(1, 2)] += 1
-        return coords
+def test_series_gate_catches_a_wrong_bracket_on_a_word_linear_in_y(monkeypatch):
+    """A wrong bracket that feeds the word 112 = [X, [X, Y]] breaks B_2/2! there, and the gate raises.
 
-    monkeypatch.setattr(bch, "lie_coordinates", off_by_one)
-    with pytest.raises(AssertionError, match="Lyndon extraction failed to reproduce the logarithm"):
+    The gate reads only the words 1^m 2, the part of the series linear in
+    Y.  A fault confined to words with two or more letters 2 passes it: the
+    series with 122 = [[X, Y], Y] perturbed is returned, and only the
+    comparison with the exp-log oracle (``test_series_matches_the_fraction_oracle``)
+    catches it.
+    """
+    _perturbed_brackets(monkeypatch, (1, 1, 2))
+    with pytest.raises(AssertionError, match=r"BCH series does not carry B_m/m! on the words 1\^m 2"):
         bch_series.__wrapped__(3)
+    monkeypatch.undo()
+    _perturbed_brackets(monkeypatch, (1, 2, 2))
+    assert bch_series.__wrapped__(3) != bch_series_oracle(3)
+
+
+def test_the_package_has_no_free_associative_algebra():
+    # the BCH series stays in the free Lie algebra; words are multiplied only in the test oracles
+    package = Path(crprolong.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    defined = {
+        node.name
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert "assoc" not in modules
+    assert not defined & {"a_mul", "expand_tree", "lie_coordinates"}
 
 
 def test_abelian_law_is_addition():
