@@ -90,7 +90,11 @@ def _recording(rows, read):
 
 
 class _CountedLookups:
-    """The generating expressions of one solve, counting in ``built[0]`` the images extended along them."""
+    """The generating expressions of one solve, counting in ``built[0]`` the images extended along them.
+
+    A lookup by index is one image extended; ``items``, the walk in which
+    the solve reads its pairs with a zero residual off the expressions, counts none.
+    """
 
     def __init__(self, gens, built):
         self.gens, self.built = gens, built
@@ -98,6 +102,9 @@ class _CountedLookups:
     def __getitem__(self, x):
         self.built[0] += 1
         return self.gens[x]
+
+    def items(self):
+        return self.gens.items()
 
 
 def _sizes(run) -> dict:

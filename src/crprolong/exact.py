@@ -43,15 +43,16 @@ the key of a part, and ``_relabel``, ``_conj``, ``_transpose`` and
 ``_gaussian_primitive`` move, conjugate, transpose and normalize whole
 forms.  ``_times_i`` is the one product by i, which ``_term``,
 ``_form_terms`` and ``_gaussian_axpy`` apply.  ``_sum_forms`` is the one
-scaled sum of packed forms (one gcd, on the finished sum; a Gaussian
-scale enters as its real part and its i part, ``_term``; a caller that
-accumulates its own sum uses the two steps, ``_over_one_denominator``
-and ``_lowest_terms``), ``_gaussian_axpy`` and ``_gaussian_apply`` the
-accumulating products, ``_numerator_table`` the one table in lowest
-terms (a ``_sum_forms``, so ``_lowest_terms`` is the one place a table
-is divided by its gcd), and ``_qi_view`` the way back to ``QI`` for the
-views, the only reader of key k together with key ~k.  No other module
-takes a gcd or an lcm, or reads the slots of a ``QI``.
+scaled sum of packed forms (one running gcd on the finished sum, which
+stops at 1; a Gaussian scale enters as its real part and its i part,
+``_term``; a caller that accumulates its own sum uses the two steps,
+``_over_one_denominator`` and ``_lowest_terms``), ``_gaussian_axpy``
+and ``_gaussian_apply`` the accumulating products, ``_numerator_table``
+the one table in lowest terms (a ``_sum_forms``, so ``_lowest_terms`` is
+the one place a table is divided by its gcd), and ``_qi_view`` the way
+back to ``QI`` for the views, the only reader of key k together with
+key ~k.  No other module takes a gcd or an lcm, or reads the slots of a
+``QI``.
 """
 
 from __future__ import annotations
@@ -419,7 +420,7 @@ def _qi_view(form, den):
 
 def _gaussian_integers(entries):
     """``QI`` entries ``(key, x)``, int keys, as ``({key: re, ~key: im}, den)``, numerators over the lcm of the denominators; zeros dropped."""
-    entries = [(key, x) for key, x in entries if x]
+    entries = [(key, x) for key, x in entries if x._a or x._b]
     den = lcm(*(x._d for _, x in entries))
     return {k: y * (den // x._d) for key, x in entries for k, y in ((key, x._a), (~key, x._b)) if y}, den
 
@@ -461,18 +462,24 @@ def _sum_forms(terms):
     A Gaussian scale enters as two terms, its real part times the form and
     its imaginary part times i·form (``_term``, ``_form_terms``).  Returns
     ``({t: form}, den)``: integer numerators over one common denominator,
-    zeros dropped, in lowest terms (the gcd is taken once, on the finished
-    sum), so equal sums have equal results.
+    zeros dropped, in lowest terms (``_lowest_terms``, on the finished
+    sum), so equal sums have equal results.  The common denominator is the
+    lcm of the terms' denominators, taken only at one that differs from
+    the lcm so far, and a term already over it is added without a rescale.
     """
-    den = lcm(*(d for _, _, d, _ in terms))
+    den = 1
+    for _, _, d, _ in terms:
+        if d != den:
+            den = lcm(den, d)
     out = {}
     for t, num, d, form in terms:
-        f = num * (den // d)
+        if d != den:
+            num *= den // d
         if (acc := out.get(t)) is None:
-            out[t] = {v: f * x for v, x in form.items()}  # a new dict: no input form is aliased
+            out[t] = {v: num * x for v, x in form.items()}  # a new dict: no input form is aliased
         else:
             for v, x in form.items():
-                acc[v] = acc.get(v, 0) + f * x
+                acc[v] = acc.get(v, 0) + num * x
     return _lowest_terms(out, den)
 
 
@@ -504,13 +511,22 @@ def _over_one_denominator(fractions):
 
 
 def _lowest_terms(forms, den):
-    """Forms ``{t: {key: int}}`` over ``den`` with zeros dropped, divided by one gcd; returns ``(forms, den)``.
+    """Forms ``{t: {key: int}}`` over ``den`` with zeros and empty forms dropped, divided by one gcd; returns ``(forms, den)``.
 
-    A form with no zero is kept as it is, so with gcd 1 the result holds
-    the caller's own dicts: each caller passes forms it built itself.
+    Each form is read once for zeros and copied only when it has one; the
+    running gcd starts at ``den`` and is no longer taken once it is 1, so
+    a sum over denominator 1 takes none.  A form with no zero is kept as it
+    is, so with gcd 1 the result holds the caller's own dicts: each caller
+    passes forms it built itself.
     """
-    out = {t: form for t, acc in forms.items() if (form := acc if all(acc.values()) else {v: x for v, x in acc.items() if x})}
-    g = gcd(den, *chain.from_iterable(form.values() for form in out.values()))
+    out, g = {}, den
+    for t, form in forms.items():
+        if not all(form.values()):
+            form = {v: x for v, x in form.items() if x}
+        if form:
+            out[t] = form
+            if g != 1:
+                g = gcd(g, *form.values())
     if g == 1:
         return out, den
     return {t: {v: x // g for v, x in form.items()} for t, form in out.items()}, den // g
@@ -734,8 +750,8 @@ class Echelon:
             # refused before packing, where such a column would mislabel the unknowns
             raise ValueError(f"col_order must list distinct columns in range({cols})")
         labels = order + sorted(set(range(cols)).difference(order))
-        position = {c: p for p, c in enumerate(labels)}
-        sparse = [_gaussian_integers((position[j], as_qi(x)) for j, x in enumerate(r))[0] for r in rows]
+        position = sorted(range(cols), key=labels.__getitem__)  # position[c]: the unknown p with labels[p] = c
+        sparse = [_gaussian_integers(zip(position, map(as_qi, r)))[0] for r in rows]
         pivots, _ = _gaussian_reduce(sparse, cols)
         self.reduced = tuple((labels[p], _relabel(row, labels)) for p, row in pivots if p < len(order))
         self.cols = cols

@@ -320,20 +320,20 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
     nums, den = algebra._numerators
     degrees = algebra.degrees
     rows = {}  # t: [(c, sign, terms)] with [e_t, e_c] = sign·terms
-    new_rows = {}  # the same, for c past the prefix only
+    new_rows = {}  # the same, for c past the prefix only, read only with a prefix
     for (a, b), terms in nums.items():
         rows.setdefault(a, []).append((b, 1, terms))
         rows.setdefault(b, []).append((a, -1, terms))
-        if b >= known:
+        if known and b >= known:
             new_rows.setdefault(a, []).append((b, 1, terms))
             if a >= known:
                 new_rows.setdefault(b, []).append((a, -1, terms))
     sums = {}  # (i, j, k), i < j < k: {s: re, ~s: im}
+    lowest = min(degrees, default=0)
     for (a, b), u, turn, x in _table_entries(nums.items()):
+        low = lowest if floor is None else floor - degrees[a] - degrees[b]  # the least degree of c kept
         for c, sign, inner in (rows if b >= known else new_rows).get(u, ()):
-            if c == a or c == b:
-                continue
-            if floor is not None and degrees[a] + degrees[b] + degrees[c] < floor:
+            if c == a or c == b or degrees[c] < low:
                 continue
             if a < c < b:
                 key, sign = (a, c, b), -sign
@@ -341,10 +341,9 @@ def _jacobi_violations(algebra: GradedLieAlgebra, floor):
                 key = (a, b, c) if b < c else (c, a, b)
             _gaussian_axpy(sums.setdefault(key, {}), sign * x, inner, turn)
     violations = []
-    for key in sorted(sums):
-        if any(sums[key].values()):
-            acc = _qi_view({s: x for s, x in sums[key].items() if x}, den * den)
-            violations.append((*key, [acc.get(s, QI_ZERO) for s in range(algebra.dim)]))
+    for key in sorted(key for key, acc in sums.items() if any(acc.values())):
+        acc = _qi_view({s: x for s, x in sums[key].items() if x}, den * den)
+        violations.append((*key, [acc.get(s, QI_ZERO) for s in range(algebra.dim)]))
     if not violations:
         algebra._jacobi_prefix = algebra.dim
     return violations
@@ -567,7 +566,10 @@ def conjugation_adapted_top_basis(rho: int):
     for vec, den, (_, part) in _real_fixed_points((swap, 1)):
         # the system splits, so each vector lies in the x half (part 0, keys p) or the y half (part 1, keys ~p)
         half = {p: x for p, _, x in _entries(vec)}
-        tagged.append((min(half), part, tuple(_qi(half.get(p, 0), 0, den) for p in range(len(top)))))
+        dense = [QI_ZERO] * len(top)
+        for p, x in half.items():
+            dense[p] = _qi(x, 0, den)
+        tagged.append((min(half), part, tuple(dense)))
     tagged.sort(key=lambda t: t[:2])
     return tuple((v, 1 - 2 * part) for _, part, v in tagged)
 
@@ -827,13 +829,17 @@ def _rows(cols):
 
 
 def _bracket_images(nums, rows, scale=1):
-    """scale·[P e_i, P e_j] as packed {(i, j): form}, i < j, zeros kept, for the bracket numerators ``nums`` and the rows of P (``_rows``)."""
+    """scale·[P e_i, P e_j] as packed {(i, j): form}, i < j, zeros kept, for the bracket numerators ``nums`` and the rows of P (``_rows``).
+
+    A pair (a, b) with no entry of P in row a or row b adds nothing and is skipped.
+    """
     out = {}
     for (a, b), terms in nums.items():
-        for i, ti, x in rows.get(a, ()):
-            for j, tj, y in rows.get(b, ()):
+        if (row_a := rows.get(a)) is None or (row_b := rows.get(b)) is None:
+            continue
+        for i, ti, x in row_a:
+            for j, tj, y in row_b:
                 if i != j:  # the (a, b) and (b, a) terms of [P e_i, P e_i] cancel
                     sign = scale if i < j else -scale
-                    _gaussian_axpy(out.setdefault((min(i, j), max(i, j)), {}), sign * x * y, terms, ti + tj)
+                    _gaussian_axpy(out.setdefault((i, j) if i < j else (j, i), {}), sign * x * y, terms, ti + tj)
     return out
-

@@ -6,13 +6,17 @@ its restriction to g_-1 (Tanaka 1970): the unknown is that block alone,
 2·dim V_(l-1) entries for a CR symbol.  It is extended to the other
 layers on demand, along one fixed expression of each basis element as a
 bracket with g_-1, and the component is the exact kernel of the Leibniz
-identity evaluated on all basis pairs of m, plus commutation with the
+identity evaluated on the basis pairs of m, plus commutation with the
 complex structure J on the degree -1 block for the grade-0 component of
-the Levi-Tanaka flavor; the rows stream into a kernel that stops at full
-rank, real or complex, so a zero component (G^1 of a CR symbol) reads a
-prefix of them.  The pairs come block pair by block pair, in increasing
-degree sum, so that for l >= 1 the pairs of g_-1 with the top layer,
-whose rows bind first, are read first.
+the Levi-Tanaka flavor.  A pair whose bracket is a multiple of one e_x
+that it alone expresses is left out (``_defining_pairs``): D(e_x) is
+defined from that bracket, so its residual is zero by construction, and
+the Jacobi gate of the assembled table still checks every pair.  The
+rows stream into a kernel that stops at full rank, real or complex, so a
+zero component (G^1 of a CR symbol) reads a prefix of them.  The pairs
+come block pair by block pair, in increasing degree sum, so that for
+l >= 1 the pairs of g_-1 with the top layer, whose rows bind first, are
+read first.
 The solve is fraction-free and works over Q(i):
 Gaussian integer linear forms, packed so that a real input stays in
 plain integers, over one denominator per image, primitive rows
@@ -127,8 +131,24 @@ def _distinct_rows(forms):
             yield dict(row)
 
 
+def _defining_pairs(nums, gens):
+    """The pairs (g, y), g < y, whose Leibniz residual is zero by construction, for the table ``nums`` and its expressions ``gens``.
+
+    Such a pair has [e_g, e_y] = μ·e_x in the table, and the expression of
+    e_x is that one pair, in one part or two (a complex coefficient), so
+    D(e_x) is defined from that bracket in every degree l.
+    """
+    out = set()
+    for x, (expression, _) in gens.items():
+        g, y = expression[0][:2]
+        pair = (g, y) if g < y else (y, g)
+        if all(e[:2] == (g, y) for e in expression) and (terms := nums.get(pair)) and terms.keys() <= {_key(x, 0), _key(x, 1)}:
+            out.add(pair)
+    return out
+
+
 def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool) -> ProlongationComponent:
-    """Degree-l component: solve on the g_-1 block, extend, check Leibniz on all pairs.
+    """Degree-l component: solve on the g_-1 block, extend, check Leibniz on every pair but the defining ones.
 
     V_j is m_j for j <= -1 and ``components[j]`` for 0 <= j < l.  The
     unknown is the g_-1 block: entry (t, s), coordinate t of D(e_s) in
@@ -143,7 +163,11 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
     key ~u, so a real input leaves every imaginary part empty and runs in
     plain integers.  Each nonzero coordinate of the Leibniz residual on a basis
     pair i < j is a row, so the kernel is the set of g_-1 blocks of
-    derivations without appeal to Jacobi; ``j_constraint`` (grade 0) adds
+    derivations without appeal to Jacobi.  The pairs of ``_defining_pairs``,
+    read off the table once per solve, yield no row and are not evaluated:
+    [e_g, e_y] = μ·e_x with e_x expressed by that pair alone, so D(e_x) =
+    μ^-1·([D e_g, e_y] + [e_g, D e_y]) and the residual is the zero form in
+    every degree l, with or without Jacobi; ``j_constraint`` (grade 0) adds
     the rows of commutation with J.  A J row on one unknown sets it to
     zero, and that unknown is dropped before the extension: with J
     diagonal, as on the (L, L̄) basis of a symbol, that leaves the two
@@ -187,7 +211,7 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
                 # the table is keyed i < j: [e_x, e_y] = -[e_y, e_x]
                 x = blocks[sdeg][s]
                 f = sign if x < y else -sign
-                terms += _form_terms(nums.get((min(x, y), max(x, y)), {}), f, mden * den, form, loc)
+                terms += _form_terms(nums.get((x, y) if x < y else (y, x), {}), f, mden * den, form, loc)
         return terms
 
     nb = len(blocks[-1])
@@ -231,11 +255,14 @@ def _solve_component(m: GradedLieAlgebra, components, l: int, j_constraint: bool
         return image[x]
 
     def rows():
-        """The J rows, then the nonzero coordinates of the Leibniz residual, pair by pair, in the block-pair order above."""
+        """The J rows, then the nonzero coordinates of the Leibniz residual, pair by pair, in the block-pair order above, the defining pairs left out."""
         yield from jrows
+        defining = _defining_pairs(nums, gens)
         block_pairs = sorted(((a, b) for a in blocks for b in blocks if a >= b and dims.get(a + b + l)), key=lambda ab: (sum(ab), -ab[0]))
         pairs = chain.from_iterable(combinations(blocks[a], 2) if a == b else product(blocks[a], blocks[b]) for a, b in block_pairs)
         for i, j in map(sorted, pairs):
+            if (i, j) in defining:
+                continue
             # minus the residual D([e_i, e_j]) - [D e_i, e_j] + [D e_j, e_i]
             terms = []
             for k, turn, g in _entries(nums.get((i, j), {})):

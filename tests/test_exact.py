@@ -609,6 +609,71 @@ def test_sum_forms_never_aliases_an_input_form():
     assert a == {0: 1, 1: 2} and b == {1: 3}
 
 
+def _drawn_terms(rng, case):
+    """Seeded ``_sum_forms`` terms of one kind: over denominator 1, over denominators with a shared factor, cancelling to zero, with empty forms, or with imaginary parts (keys ~k)."""
+    keys = range(-3, 4) if case == "imaginary" else range(4)
+    g = rng.randint(2, 6) if case == "shared-gcd" else 1
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        form = {} if case == "empty-forms" and rng.random() < 0.5 else {v: g * x for v in keys if (x := rng.randint(-4, 4))}
+        den = 1 if case == "den-1" else g * rng.randint(1, 5)
+        terms.append((rng.randrange(3), g * rng.randint(-3, 3) or g, den, form))
+    if case == "cancel":
+        terms += [(t, -num, den, form) for t, num, den, form in terms]
+    return terms
+
+
+def _fraction_sum(terms):
+    """The sum of num/den · form over ``terms`` as {(t, key): Fraction}, zeros dropped."""
+    out = {}
+    for t, num, den, form in terms:
+        for v, x in form.items():
+            out[t, v] = out.get((t, v), Fraction(0)) + Fraction(num, den) * x
+    return {tv: x for tv, x in out.items() if x}
+
+
+@pytest.mark.parametrize("case", ["den-1", "shared-gcd", "cancel", "empty-forms", "imaginary"])
+def test_sum_forms_and_lowest_terms_match_a_fraction_oracle(case):
+    """Each sum and each division by its gcd equals the ``Fraction`` sum, in lowest terms, with no zero, no empty form and no input form in it."""
+    rng = random.Random(f"sum-forms-{case}")
+    reduced = 0
+    for _ in range(150):
+        terms = _drawn_terms(rng, case)
+        out, den = _sum_forms(terms)
+        assert den > 0 and all(form and all(form.values()) for form in out.values())
+        assert {(t, v): Fraction(x, den) for t, form in out.items() for v, x in form.items()} == _fraction_sum(terms)
+        assert math.gcd(den, *(x for form in out.values() for x in form.values())) == 1
+        assert not any(form is f for form in out.values() for *_, f in terms)
+        if case == "cancel":
+            assert out == {} and den == 1
+        if case == "den-1":
+            assert den == 1
+        # the same sum, accumulated by the caller, then brought to lowest terms
+        raw, rden = {}, math.lcm(*(d for _, _, d, _ in terms))
+        for t, num, d, form in terms:
+            acc = raw.setdefault(t, {})
+            for v, x in form.items():
+                acc[v] = acc.get(v, 0) + num * (rden // d) * x
+        assert exact._lowest_terms(raw, rden) == (out, den)
+        reduced += den < rden
+    assert reduced or case in ("den-1", "cancel")
+
+
+def test_lowest_terms_keeps_a_form_exactly_when_it_has_no_zero_and_the_gcd_is_1():
+    kept, zero, empty = {0: 3, ~1: -2}, {0: 3, 1: 0}, {}
+    out, den = exact._lowest_terms({"a": kept, "b": zero, "c": empty}, 5)
+    assert (out, den) == ({"a": {0: 3, ~1: -2}, "b": {0: 3}}, 5)
+    assert out["a"] is kept and out["b"] is not zero and zero == {0: 3, 1: 0}
+    # a gcd above 1 divides every form into a new dict and leaves the inputs as they were
+    forms = {"a": {0: 6, ~1: -4}, "b": {1: 2}}
+    out, den = exact._lowest_terms(forms, 8)
+    assert (out, den) == ({"a": {0: 3, ~1: -2}, "b": {1: 1}}, 4)
+    assert forms == {"a": {0: 6, ~1: -4}, "b": {1: 2}} and out["a"] is not forms["a"]
+    # over denominator 1 no gcd is taken, and the forms are the caller's own
+    out, den = exact._lowest_terms(forms, 1)
+    assert den == 1 and out["a"] is forms["a"] and out["b"] is forms["b"]
+
+
 def test_over_one_denominator_reduces_each_fraction_first():
     # 2/4, 0/6, -3/9 and 5/1 are 1/2, 0, -1/3 and 5: over 6, not over lcm(4, 6, 9) = 36
     assert exact._over_one_denominator([(2, 4), (0, 6), (-3, 9), (5, 1)]) == ([3, 0, -2, 30], 6)

@@ -8,8 +8,10 @@ import pytest
 
 from crprolong import exact, prolong
 from crprolong.exact import Matrix, QI, integer_rref, rank
+from crprolong.frames import builtin_catalog, symbol_from_frame
 from crprolong.liealg import (
     GradedLieAlgebra,
+    _generating_expressions,
     build_symbol_algebra,
     check_jacobi,
     first_bracket_mismatch,
@@ -742,3 +744,86 @@ def test_levi_tanaka_refuses_an_algebra_that_is_not_pseudocomplex():
     )
     with pytest.raises(ValueError, match="^Levi-Tanaka prolongation needs a pseudocomplex algebra$"):
         full_prolongation(m, LEVI_TANAKA)
+
+
+# the solves whose skipped pairs are checked: each run returns its components
+_SKIP_CASES = {
+    **{f"k{k}": lambda k=k: full_prolongation(build_symbol_algebra(k).algebra).components for k in range(2, 13)},
+    **{f"catalog-{name}": lambda name=name: full_prolongation(symbol_from_frame(builtin_catalog()[name]).algebra).components for name in sorted(builtin_catalog())},
+    # one drawn quotient per length 3, 4 and 5
+    **{f"random-k{k}": lambda k=k: full_prolongation(build_symbol_algebra(k, random_quotient(k, 1)).algebra).components for k in (2, 4, 7)},
+    **{f"tower-k{k}": lambda k=k: _tower(realify(build_symbol_algebra(k).algebra), 6) for k in (1, 2)},
+}
+
+
+def _tower(m, top):
+    comps = [grade0(m, j_constraint=False)]
+    for l in range(1, top + 1):
+        comps.append(prolong_component(m, comps, l))
+    return comps
+
+
+def _read_to_the_end(monkeypatch, run, skip):
+    """The Leibniz and J forms of every solve of ``run``, each row stream read to its end, and the flattened maps of the components it returns.
+
+    Without ``skip`` the solves evaluate the pairs that ``_defining_pairs`` names too.
+    """
+    forms = []
+    distinct, kernel = prolong._distinct_rows, prolong._integer_kernel
+
+    def recording(stream):
+        for form in stream:
+            forms.append(form)
+            yield form
+
+    monkeypatch.setattr(prolong, "_distinct_rows", lambda stream: distinct(recording(stream)))
+    monkeypatch.setattr(prolong, "_integer_kernel", lambda rows, width: kernel(list(rows), width))
+    if not skip:
+        monkeypatch.setattr(prolong, "_defining_pairs", lambda nums, gens: set())
+    try:
+        comps = run()
+    finally:
+        monkeypatch.undo()
+    return forms, [[repr(dm.flatten(sorted(dm.blocks))) for dm in c.maps] for c in comps]
+
+
+@pytest.mark.parametrize("name", _SKIP_CASES)
+def test_skipped_pairs_have_zero_residuals_and_change_no_map(monkeypatch, name):
+    """A pair whose bracket is a multiple of one e_x expressed by that pair alone yields no row: skipped or not, each solve reads the same forms and gives the same maps."""
+    run = _SKIP_CASES[name]
+    skipped, off = _read_to_the_end(monkeypatch, run, skip=True), _read_to_the_end(monkeypatch, run, skip=False)
+    # every skipped pair's residual is the empty form, so it added no form to its stream
+    assert skipped[0] == off[0] and skipped[0]
+    assert skipped[1] == off[1]
+
+
+@pytest.mark.parametrize("k, seed, counts", [(5, None, (5, 5)), (11, None, (9, 11)), (7, 1, (7, 7))], ids=["k5", "k11", "k7-seed1"])
+def test_defining_pairs_are_the_one_pair_expressions(k, seed, counts):
+    """A pair is skipped iff it alone expresses some e_x, in one part or, for a complex coefficient (k = 7, seed 1), in two, and it brackets to a multiple of that e_x."""
+    m = build_symbol_algebra(k, None if seed is None else random_quotient(k, seed)).algebra
+    gens = _generating_expressions(m)
+    pairs_of = {x: {tuple(sorted(part[:2])) for part in expression} for x, (expression, _) in gens.items()}
+    single = {x: pairs.pop() for x, pairs in pairs_of.items() if len(pairs) == 1}
+    assert (len(single), len(gens)) == counts
+    assert any(len(gens[x][0]) == 2 for x in single) == (seed is not None)
+    assert prolong._defining_pairs(m._numerators[0], gens) == set(single.values())
+    assert all(set(m.table[pair]) == {x} for x, pair in single.items())
+
+
+@pytest.mark.parametrize("k", [5, 8, 12])
+def test_planted_fault_in_a_skipped_pair_fails_the_assembled_jacobi_gate(k):
+    """The skipped residual is zero only for the expression as solved: e_x's one-pair coefficient doubled defines D(e_x) off the bracket, and the Jacobi gate of the assembled table refuses it.
+
+    e_x is the last expressed vector that only its defining pair brackets into, so no row the solve evaluates sees the fault.
+    """
+    m = build_symbol_algebra(k).algebra
+    nums = m._numerators[0]
+    gens = _generating_expressions(m)
+    pairs = prolong._defining_pairs(nums, gens)
+    lone = [x for x, (expression, _) in gens.items() if tuple(sorted(expression[0][:2])) in pairs and sum(1 for terms in m.table.values() if x in terms) == 1]
+    x = lone[-1]
+    (g, y, turn, c), cden = gens[x][0][0], gens[x][1]
+    bad = GradedLieAlgebra._from_numerators(m.labels, m.degrees, m._numerators, J=m.J, scalar_tag=m.scalar_tag)
+    bad._expressions = ({**gens, x: ([(g, y, turn, 2 * c)], cden)},)
+    with pytest.raises(RuntimeError, match="^assembled prolongation violates Jacobi"):
+        full_prolongation(bad)
